@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-micro bench-diff kvbench vet lint trace chaos matrix matrix-update scenarios ci
+.PHONY: build test race bench bench-quick bench-micro kvbench vet lint trace chaos matrix matrix-update scenarios loc ci
 
 build:
 	$(GO) build ./...
@@ -31,12 +31,11 @@ bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkVirtual|BenchmarkMatcher|BenchmarkFPS' \
 		-benchmem ./internal/vclock/ ./internal/sched/ ./internal/dynim/
 
-# Compare the committed perf trajectory: the pre-optimization baseline
-# reports against the post-optimization ones. Deterministic replay metrics
-# must match exactly; timing/alloc metrics are thresholded.
-bench-diff:
-	$(GO) run ./scripts/benchdiff BENCH_baseline.json BENCH_optimized.json
-	$(GO) run ./scripts/benchdiff BENCH_baseline_full.json BENCH_optimized_full.json
+# The repository's benchmark (bench/README.md, BENCHMARK.json): -quick is
+# the CI smoke — one short rep per workload, non-zero exit on a failed
+# output check. Performance claims need the full `$(GO) run ./bench`.
+bench-quick:
+	$(GO) run ./bench -quick
 
 # Regenerate the kvstore feedback-path trajectory: the single-connection
 # baseline vs. the pipelined cluster client, both at the modeled 100µs
@@ -98,6 +97,13 @@ matrix-update:
 scenarios:
 	$(GO) run ./cmd/mummi-sim trace gen -catalog -outdir scenarios
 	$(GO) run ./cmd/mummi-sim trace gen -seed 42 -n 3 -outdir scenarios/generated
+
+# Non-test Go lines per package — the tracked number ROADMAP item 3 asks
+# to fall or hold.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.*' ! -path '*/testdata/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 ci:
 	./scripts/ci.sh

@@ -14,7 +14,6 @@ import (
 	"mummi/internal/datastore"
 	"mummi/internal/dynim"
 	"mummi/internal/faults"
-	"mummi/internal/maestro"
 	"mummi/internal/profile"
 	"mummi/internal/sched"
 	"mummi/internal/sim"
@@ -131,15 +130,7 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 		c.eng = faults.NewEngine(c.clk, c.tel, cfg.Faults)
 	}
 	if cfg.FeedbackEvery > 0 {
-		// Layering order matters: Instrument measures the honest backend,
-		// WrapStore injects plan faults on top of it, and Armor retries the
-		// transient ones — so retry traffic shows up in the instrumented op
-		// counts exactly like a real flaky filesystem would. With no engine
-		// WrapStore is a pass-through and Armor only adds its (unused) retry
-		// accounting.
-		c.fbStore = datastore.Armor(
-			faults.WrapStore(datastore.Instrument(datastore.NewMemory(), c.tel, "memory"), c.eng),
-			c.tel, "memory", datastore.ArmorOptions{})
+		c.fbStore = c.newStore()
 		c.cgFB = &modeledFeedback{name: "cg-to-continuum", store: c.fbStore,
 			srcNS: "cg-active", dstNS: "cg-done", perProcess: fbCGProcess}
 		c.aaFB = &modeledFeedback{name: "aa-to-cg", store: c.fbStore,
@@ -148,14 +139,10 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 	if cfg.WMInstances > 1 {
 		// The fleet's lease/checkpoint traffic crosses the same armored
 		// stack as the feedback loop, so injected store faults hit lease
-		// renewals exactly like any other store client. Without feedback a
-		// dedicated stack is built with identical layering.
-		if c.fbStore != nil {
-			c.fleetStore = c.fbStore
-		} else {
-			c.fleetStore = datastore.Armor(
-				faults.WrapStore(datastore.Instrument(datastore.NewMemory(), c.tel, "memory"), c.eng),
-				c.tel, "memory", datastore.ArmorOptions{})
+		// renewals exactly like any other store client.
+		c.fleetStore = c.fbStore
+		if c.fleetStore == nil {
+			c.fleetStore = c.newStore()
 		}
 	}
 	for _, r := range cfg.Runs {
@@ -196,6 +183,18 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 		c.walks[i] = w
 	}
 	return c, nil
+}
+
+// newStore builds the campaign's store stack over an in-memory backend.
+// Layering order matters: Instrument measures the honest backend, WrapStore
+// injects plan faults on top of it, and Armor retries the transient ones — so
+// retry traffic shows up in the instrumented op counts exactly like a real
+// flaky filesystem would. With no engine WrapStore is a pass-through and
+// Armor only adds its (unused) retry accounting.
+func (c *Campaign) newStore() datastore.Store {
+	return datastore.Armor(
+		faults.WrapStore(datastore.Instrument(datastore.NewMemory(), c.tel, "memory"), c.eng),
+		c.tel, "memory", datastore.ArmorOptions{})
 }
 
 var patchQueues = []string{"ras-a", "ras-b", "ras-raf-a", "ras-raf-b", "ras-multi"}
@@ -272,14 +271,13 @@ func continuumNodes(nodes int) int {
 	return n
 }
 
-// runOne executes a single allocation. ckpt carries WM state across runs.
-// Fleet campaigns (WMInstances > 1) branch to the fleet analogue; the
-// single-WM path below is untouched by the fleet work, so WMInstances=1
-// replays stay event-for-event identical to earlier releases.
+// runOne executes a single allocation: it builds the rig every allocation
+// shares — machine, scheduler, profiler, snapshot stream, failure ticker,
+// fault handlers, heartbeat, teardown — around a coordinator (see
+// coordinator.go), which is the only part that differs between a single
+// workflow manager and a fleet. ckpt carries WM state across runs, always in
+// the single-WM format, so fleet size can change between allocations.
 func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]TimelinePoint, error) {
-	if c.cfg.WMInstances > 1 {
-		return c.runOneFleet(spec, ckpt, keepTimeline)
-	}
 	machine, err := cluster.New(cluster.Summit(spec.Nodes))
 	if err != nil {
 		return nil, err
@@ -296,17 +294,10 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 	if err != nil {
 		return nil, err
 	}
-	cond, err := maestro.NewConductor(c.clk, maestro.FluxBackend{S: s}, c.cfg.SubmitPerMinute)
-	if err != nil {
-		return nil, err
-	}
 
 	totalGPUs := machine.Topology().TotalGPUs()
 	cgSlots := int(float64(totalGPUs) * c.cfg.CGShare)
-	aaSlots := totalGPUs - cgSlots
-	if aaSlots < 1 {
-		aaSlots = 1
-	}
+	aaSlots := max(1, totalGPUs-cgSlots)
 	c.active = make(map[sched.JobID]activeJob)
 
 	// In the three-scale regime a live continuum job occupies contNodes and
@@ -322,42 +313,12 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 		}
 	}
 
-	// newWM builds the allocation's workflow manager. It is a closure so the
-	// WM-crash fault path can rebuild the manager mid-run with the same
-	// shape; the selectors are shared Campaign state, so a rebuilt WM keeps
-	// the live selector state (the real system restores selectors from their
-	// own checkpoints).
-	newWM := func(cond *maestro.Conductor, seed int64) (*core.Workflow, error) {
-		var wdGrace float64
-		if c.eng != nil {
-			// Chaos replays arm the hung-job watchdog: injected job-hang
-			// faults are unkillable any other way.
-			wdGrace = chaosWatchdogGrace
-		}
-		return core.New(core.Config{
-			Clock:         c.clk,
-			Conductor:     cond,
-			PollEvery:     c.cfg.PollEvery,
-			Seed:          seed,
-			Telemetry:     c.tel,
-			WatchdogGrace: wdGrace,
-			StaticJobs: staticJobs,
-			Couplings: []core.CouplingSpec{
-				// Setup jobs take 24 of a node's 44 cores, so at most one fits
-				// per node: cap the combined ready-buffer targets at the node
-				// count or queued setups head-of-line-block simulations
-				// (FCFS without backfilling).
-				c.cgCoupling(cgSlots, max(2, spec.Nodes*2/3)),
-				c.aaCoupling(aaSlots, max(1, spec.Nodes/3)),
-			},
-		})
-	}
-	wm, err := newWM(cond, c.cfg.Seed+int64(c.res.RunsDone))
+	wm, err := c.newCoordinator(s, c.couplings(cgSlots, aaSlots, spec.Nodes), staticJobs)
 	if err != nil {
 		return nil, err
 	}
 	if *ckpt != nil {
-		if err := wm.RestoreState(*ckpt); err != nil {
+		if err := wm.Restore(*ckpt); err != nil {
 			return nil, err
 		}
 	}
@@ -371,14 +332,18 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 		}
 	})
 
+	// runActive gates every producer armed below against stale events: a
+	// snapshot, or a node revival armed in one allocation, must not touch the
+	// next one's rebuilt machine.
+	runActive := true
+
 	// Continuum snapshot stream: one snapshot per µs of continuum time.
 	runEnd := c.clk.Now().Add(spec.Wall)
-	snapshotsActive := true
 	var scheduleSnapshot func()
 	scheduleSnapshot = func() {
 		wall := contRate.WallFor(1 * units.Microsecond)
 		c.clk.After(wall, func() {
-			if !snapshotsActive || c.clk.Now().After(runEnd) {
+			if !runActive || c.clk.Now().After(runEnd) {
 				return
 			}
 			c.onSnapshot(wm, contNodes)
@@ -417,19 +382,8 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 		})
 	}
 
-	// Chaos handlers: rebind the plan's timed fault classes to this
-	// allocation's scheduler/machine/WM. runActive gates stale events (a
-	// node revival armed in one allocation must not touch the next one's
-	// rebuilt machine).
-	runActive := true
 	if c.eng != nil {
-		c.bindCommonChaos(s, machine, &runActive)
-		c.eng.SetHandler(faults.WMCrash, func(faults.Rule, *rand.Rand) {
-			if !runActive {
-				return
-			}
-			c.restartWM(s, &wm, &cond, newWM)
-		})
+		c.bindChaos(s, machine, wm, &runActive)
 	}
 
 	// Heartbeat: the terminal stand-in for the paper's live dashboards.
@@ -454,23 +408,16 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 		hb.Stop()
 	}
 	c.tel.RecordSpan("campaign", "allocation", start, c.clk.Now().Sub(start),
-		"run", c.res.RunsDone+1, "nodes", spec.Nodes)
+		append([]any{"run", c.res.RunsDone + 1, "nodes", spec.Nodes}, wm.spanArgs()...)...)
 
-	// Allocation over: stop producers, flush the conductor (queued
+	// Allocation over: stop producers, flush the conductors (queued
 	// submissions fail back into WM state), settle running simulations,
 	// and checkpoint.
-	snapshotsActive = false
 	runActive = false
 	wm.Stop()
 	prof.Stop()
-	cond.Close()
 	s.Close()
-	ids := make([]sched.JobID, 0, len(c.active))
-	for id := range c.active {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range c.sortedActiveIDs() {
 		aj := c.active[id]
 		job, ok := s.Job(id)
 		if !ok || job.State != sched.Running {
@@ -486,9 +433,8 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 	*ckpt = b
 
 	// Merge profiling and stats.
-	for _, ev := range prof.Events() {
-		c.res.ProfileEvents = append(c.res.ProfileEvents, ev)
-	}
+	wm.merge(c.res)
+	c.res.ProfileEvents = append(c.res.ProfileEvents, prof.Events()...)
 	c.res.RunsDone++
 	c.res.TotalNodeHours += units.NodeHoursFor(spec.Nodes, spec.Wall)
 	c.res.MatcherVisits += s.MatcherVisits()
@@ -503,13 +449,9 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 	return nil, nil
 }
 
-// bindCommonChaos rebinds the node-crash and job-hang fault classes to one
-// allocation's scheduler and machine; *runActive gates stale events (a node
-// revival armed in one allocation must not touch the next one's rebuilt
-// machine). The wm-crash class is bound separately by each coordination
-// path: restart in the single-WM loop, instance crash + adoption in the
-// fleet.
-func (c *Campaign) bindCommonChaos(s *sched.Scheduler, machine *cluster.Machine, runActive *bool) {
+// bindChaos rebinds the plan's timed fault classes to one allocation's
+// scheduler, machine and coordinator; *runActive gates stale events.
+func (c *Campaign) bindChaos(s *sched.Scheduler, machine *cluster.Machine, wm coordinator, runActive *bool) {
 	c.eng.SetHandler(faults.NodeCrash, func(r faults.Rule, rng *rand.Rand) {
 		if !*runActive {
 			return
@@ -560,21 +502,18 @@ func (c *Campaign) bindCommonChaos(s *sched.Scheduler, machine *cluster.Machine,
 		c.noteFault(msg)
 		c.eng.Note(msg)
 	})
-}
-
-// wmView is what the campaign's shared observers (Task-1 snapshot ingest,
-// the heartbeat) need from a coordination layer — satisfied by both the
-// single *core.Workflow and the distributed *wmfleet.Fleet.
-type wmView interface {
-	AddCandidate(coupling string, p dynim.Point) error
-	Stats() []core.CouplingStats
+	c.eng.SetHandler(faults.WMCrash, func(r faults.Rule, rng *rand.Rand) {
+		if *runActive {
+			wm.Crash(r, rng)
+		}
+	})
 }
 
 // heartbeatLine renders one status line: machine occupancy, scheduler
 // queue state, and per-coupling progress — the numbers an operator watches
 // to keep a multi-day allocation alive.
 func (c *Campaign) heartbeatLine(now time.Time, run int, spec RunSpec,
-	machine *cluster.Machine, s *sched.Scheduler, wm wmView) string {
+	machine *cluster.Machine, s *sched.Scheduler, wm coordinator) string {
 	q, running, finished := s.Counts()
 	var b strings.Builder
 	fmt.Fprintf(&b, "[%s] run %d (%dn): gpu=%.0f%% cpu=%.0f%% queued=%d running=%d done=%d",
@@ -592,7 +531,7 @@ func (c *Campaign) heartbeatLine(now time.Time, run int, spec RunSpec,
 // data products. In the two-scale regime the snapshot is read from an
 // archive rather than produced, so only patch products are accounted — no
 // continuum time, performance sample, or snapshot file.
-func (c *Campaign) onSnapshot(wm wmView, contNodes int) {
+func (c *Campaign) onSnapshot(wm coordinator, contNodes int) {
 	c.res.Snapshots++
 	if c.cfg.Scales == ThreeScale {
 		c.res.ContinuumTotal += 1 * units.Microsecond
@@ -629,66 +568,58 @@ func (c *Campaign) onSnapshot(wm wmView, contNodes int) {
 
 const continuumSnapshotBytes = 374_000_000
 
-// cgCoupling builds the continuum→CG coupling for one run.
-func (c *Campaign) cgCoupling(slots, setupCap int) core.CouplingSpec {
-	spec := core.CouplingSpec{
-		Name:     "continuum-to-cg",
-		Selector: c.patchSel,
-		SetupReq: sched.Request{Name: "createsim", Cores: sim.CreatesimCores},
-		SetupDuration: func(rng *rand.Rand) time.Duration {
-			return sim.SetupDuration(rng, sim.CreatesimDuration)
-		},
-		SimReq: sched.Request{Name: "cg-sim", Cores: 3, GPUs: 1},
-		SimDuration: func(rng *rand.Rand, p dynim.Point) time.Duration {
-			rec := c.record("cg:"+p.ID, kindCG, rng)
-			remaining := rec.target - rec.progress
-			if remaining <= 0 {
-				return time.Minute
-			}
-			return rec.rate.WallFor(remaining)
-		},
-		MaxSims:     slots,
-		ReadyTarget: c.readyTarget(slots),
-		MaxSetups:   setupCap,
-		OnSimStart:  func(p dynim.Point, id sched.JobID) { c.onSimStart("cg:"+p.ID, id) },
-		OnSimEnd:    func(p dynim.Point, id sched.JobID, st sched.State) { c.onSimEnd("cg:"+p.ID, id, st) },
+// couplings declares one run's coupling list: a single builder over a table
+// of what differs between the continuum→CG and CG→AA scales.
+func (c *Campaign) couplings(cgSlots, aaSlots, nodes int) []core.CouplingSpec {
+	// Setup jobs take 24 of a node's 44 cores, so at most one fits per node:
+	// cap the combined setup targets at the node count or queued setups
+	// head-of-line-block simulations (FCFS without backfilling).
+	rows := []struct {
+		name, prefix       string
+		kind               simKind
+		selector           dynim.Selector
+		setupName          string
+		setupCores         int
+		setupMean          time.Duration
+		simName            string
+		feedback           *modeledFeedback
+		slots, setupTarget int
+	}{
+		{"continuum-to-cg", "cg:", kindCG, c.patchSel, "createsim", sim.CreatesimCores,
+			sim.CreatesimDuration, "cg-sim", c.cgFB, cgSlots, max(2, nodes*2/3)},
+		{"cg-to-aa", "aa:", kindAA, c.frameSel, "backmap", sim.BackmapCores,
+			sim.BackmapDuration, "aa-sim", c.aaFB, aaSlots, max(1, nodes/3)},
 	}
-	if c.cgFB != nil {
-		spec.Feedback = c.cgFB
-		spec.FeedbackEvery = c.cfg.FeedbackEvery
+	specs := make([]core.CouplingSpec, len(rows))
+	for i, r := range rows {
+		specs[i] = core.CouplingSpec{
+			Name:     r.name,
+			Selector: r.selector,
+			SetupReq: sched.Request{Name: r.setupName, Cores: r.setupCores},
+			SetupDuration: func(rng *rand.Rand) time.Duration {
+				return sim.SetupDuration(rng, r.setupMean)
+			},
+			SimReq: sched.Request{Name: r.simName, Cores: 3, GPUs: 1},
+			SimDuration: func(rng *rand.Rand, p dynim.Point) time.Duration {
+				rec := c.record(r.prefix+p.ID, r.kind, rng)
+				remaining := rec.target - rec.progress
+				if remaining <= 0 {
+					return time.Minute
+				}
+				return rec.rate.WallFor(remaining)
+			},
+			MaxSims:     r.slots,
+			ReadyTarget: c.readyTarget(r.slots),
+			MaxSetups:   r.setupTarget,
+			OnSimStart:  func(p dynim.Point, id sched.JobID) { c.onSimStart(r.prefix+p.ID, id) },
+			OnSimEnd:    func(p dynim.Point, id sched.JobID, st sched.State) { c.onSimEnd(r.prefix+p.ID, id, st) },
+		}
+		if r.feedback != nil {
+			specs[i].Feedback = r.feedback
+			specs[i].FeedbackEvery = c.cfg.FeedbackEvery
+		}
 	}
-	return spec
-}
-
-// aaCoupling builds the CG→AA coupling for one run.
-func (c *Campaign) aaCoupling(slots, setupCap int) core.CouplingSpec {
-	spec := core.CouplingSpec{
-		Name:     "cg-to-aa",
-		Selector: c.frameSel,
-		SetupReq: sched.Request{Name: "backmap", Cores: sim.BackmapCores},
-		SetupDuration: func(rng *rand.Rand) time.Duration {
-			return sim.SetupDuration(rng, sim.BackmapDuration)
-		},
-		SimReq: sched.Request{Name: "aa-sim", Cores: 3, GPUs: 1},
-		SimDuration: func(rng *rand.Rand, p dynim.Point) time.Duration {
-			rec := c.record("aa:"+p.ID, kindAA, rng)
-			remaining := rec.target - rec.progress
-			if remaining <= 0 {
-				return time.Minute
-			}
-			return rec.rate.WallFor(remaining)
-		},
-		MaxSims:     slots,
-		ReadyTarget: c.readyTarget(slots),
-		MaxSetups:   setupCap,
-		OnSimStart:  func(p dynim.Point, id sched.JobID) { c.onSimStart("aa:"+p.ID, id) },
-		OnSimEnd:    func(p dynim.Point, id sched.JobID, st sched.State) { c.onSimEnd("aa:"+p.ID, id, st) },
-	}
-	if c.aaFB != nil {
-		spec.Feedback = c.aaFB
-		spec.FeedbackEvery = c.cfg.FeedbackEvery
-	}
-	return spec
+	return specs
 }
 
 // readyTarget sizes the prepared-configuration inventory, which persists
@@ -705,13 +636,6 @@ func (c *Campaign) readyTarget(slots int) int {
 	return t
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // record returns (creating on first use) the persistent record of one
 // simulation.
 func (c *Campaign) record(simID string, kind simKind, rng *rand.Rand) *simRecord {
@@ -724,7 +648,7 @@ func (c *Campaign) record(simID string, kind simKind, rng *rand.Rand) *simRecord
 		rec.size = sim.CGParticles(rng)
 		rec.rate = sim.CGPerf{MPIBugEra: c.mpiBugActive()}.Sample(rng, rec.size)
 		// Retirement hazard capped at the 5 µs maximum (see package doc).
-		rec.target = minSimTime(sim.CGMaxLength,
+		rec.target = min(sim.CGMaxLength,
 			units.SimTime(rng.ExpFloat64()*float64(c.cfg.RetireMeanCG)))
 		if rec.target < 100*units.Nanosecond {
 			rec.target = 100 * units.Nanosecond
@@ -737,7 +661,7 @@ func (c *Campaign) record(simID string, kind simKind, rng *rand.Rand) *simRecord
 		rec.rate = sim.AAPerf{}.Sample(rng, rec.size)
 		span := float64(sim.AAMaxLength - sim.AAMinLength)
 		uniform := sim.AAMinLength + units.SimTime(rng.Float64()*span)
-		rec.target = minSimTime(uniform,
+		rec.target = min(uniform,
 			units.SimTime(rng.ExpFloat64()*float64(c.cfg.RetireMeanAA)))
 		if rec.target < units.Nanosecond {
 			rec.target = units.Nanosecond
@@ -913,91 +837,6 @@ func allocOnNode(a cluster.Alloc, node int) bool {
 func (c *Campaign) noteFault(msg string) {
 	c.res.Anomalies = append(c.res.Anomalies,
 		"fault: "+c.clk.Now().UTC().Format("2006-01-02T15:04:05")+" "+msg)
-}
-
-// restartWM models an injected WM crash inside an allocation (§4.4: the WM
-// "can be restored completely after any such crash"): stop the dead
-// manager, flush its conductor, checkpoint its state, cold-kill the
-// allocation's job set (every configuration is in the checkpoint; running
-// simulations resume from banked progress), rebuild the WM, restore, and
-// restart. The conservation check asserts no selection was lost across the
-// crash. wm and cond point at the caller's rig so its closures (snapshots,
-// heartbeat) drive the rebuilt manager afterwards.
-func (c *Campaign) restartWM(s *sched.Scheduler, wm **core.Workflow, cond **maestro.Conductor,
-	newWM func(*maestro.Conductor, int64) (*core.Workflow, error)) {
-	old := *wm
-	before := old.Stats()
-	old.Stop()
-	(*cond).Close() // queued submissions fail back into the old WM's state
-	ck, err := old.Checkpoint()
-	if err != nil {
-		c.noteFault(fmt.Sprintf("wm-crash checkpoint failed: %v", err))
-		return
-	}
-	for _, id := range c.sortedActiveIDs() {
-		c.bankActive(id)
-	}
-	orphans := 0
-	for _, id := range s.LiveJobs() {
-		if job, ok := s.Job(id); ok && job.State == sched.Running {
-			if err := s.Fail(id); err != nil && !errors.Is(err, sched.ErrAlreadyTerminal) {
-				c.res.Anomalies = append(c.res.Anomalies,
-					fmt.Sprintf("wm-crash kill job %d: %v", id, err))
-			}
-		} else if !s.Cancel(id) {
-			orphans++ // mid-match: it will run and finish unobserved
-		}
-	}
-	c.active = make(map[sched.JobID]activeJob)
-	next, err := maestro.NewConductor(c.clk, maestro.FluxBackend{S: s}, c.cfg.SubmitPerMinute)
-	if err != nil {
-		c.noteFault(fmt.Sprintf("wm-crash conductor rebuild failed: %v", err))
-		return
-	}
-	c.res.WMRestarts++
-	// A restarted manager is a new process: distinct WM seed, same replay
-	// determinism (the offset is a pure function of campaign state).
-	seed := c.cfg.Seed + int64(c.res.RunsDone) + 7919*int64(c.res.WMRestarts)
-	nw, err := newWM(next, seed)
-	if err != nil {
-		c.noteFault(fmt.Sprintf("wm-crash rebuild failed: %v", err))
-		return
-	}
-	if err := nw.RestoreState(ck); err != nil {
-		c.noteFault(fmt.Sprintf("wm-crash restore failed: %v", err))
-		return
-	}
-	// No selection may be lost: everything ready, running, or in setup
-	// before the crash must be ready or in setup after the restore.
-	after := nw.Stats()
-	for i := range before {
-		if i >= len(after) {
-			break
-		}
-		want := before[i].Ready + before[i].Running + before[i].InSetup
-		got := after[i].Ready + after[i].InSetup
-		if got != want {
-			c.res.Anomalies = append(c.res.Anomalies,
-				fmt.Sprintf("wm-crash lost selections in %s: %d before, %d after",
-					before[i].Name, want, got))
-		}
-	}
-	if err := nw.Start(); err != nil {
-		c.noteFault(fmt.Sprintf("wm-crash restart failed: %v", err))
-		return
-	}
-	msg := fmt.Sprintf("wm-crash restart=%d orphans=%d", c.res.WMRestarts, orphans)
-	c.noteFault(msg)
-	c.eng.Note(msg)
-	*wm = nw
-	*cond = next
-}
-
-func minSimTime(a, b units.SimTime) units.SimTime {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // finalizeResult settles simulations that never completed (still queued as

@@ -251,7 +251,7 @@ func FluxFix670(nodes, gpuJobs int) (FluxFixResult, error) {
 				placed++
 			}
 		}
-		if want := minInt(gpuJobs, nodes*6); placed != want {
+		if want := min(gpuJobs, nodes*6); placed != want {
 			return 0, 0, fmt.Errorf("fluxfix: placed %d, want %d", placed, want)
 		}
 		return mt.Visits(), time.Since(start), nil
@@ -650,15 +650,6 @@ func BundlingText(r BundlingResult) string {
 		r.BundledMakespan.Round(time.Minute), r.BundledUtilization*100,
 		r.UnbundledMakespan.Round(time.Minute), r.UnbundledUtil*100)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int { return min(a, b) }
 
 // vclockVirtual returns a fresh virtual clock at the campaign epoch.
 func vclockVirtual() *vclock.Virtual { return vclock.NewVirtual(Epoch) }

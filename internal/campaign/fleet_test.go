@@ -186,3 +186,29 @@ func TestFleetOptionsValidation(t *testing.T) {
 		t.Fatalf("default WMInstances = %d, want 1", cfg.WMInstances)
 	}
 }
+
+// TestFleetStartLeaseFailureIsAnAnomaly: on these three seeds the fault plan
+// fails the fleet's initial lease acquire with a permanent store error, which
+// used to abort the campaign from Fleet.Start. The campaign completes and the
+// failure is on the anomaly record.
+func TestFleetStartLeaseFailureIsAnAnomaly(t *testing.T) {
+	for _, seed := range []int64{1, 6, 8} {
+		// mummi-sim campaign -scale 0.02 -seed S -wm-instances 3 -faults ...
+		cfg, err := Options{Scale: 0.02, Seed: seed, WMInstances: 3, FeedbackEvery: 30 * time.Minute,
+			FaultSpec: "store-transient-error:0.10;store-permanent-error:0.01;wm-crash:2/day"}.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+			continue
+		}
+		if !strings.Contains(strings.Join(res.Anomalies, "\n"), "initial lease for") {
+			t.Errorf("seed %d: the initial lease acquire did not fail; the seed no longer tests this", seed)
+		}
+		if res.RunsDone != 5 {
+			t.Errorf("seed %d: %d of 5 allocations ran", seed, res.RunsDone)
+		}
+	}
+}

@@ -28,8 +28,8 @@ type Options struct {
 	// FaultSpec is the -faults flag value: a JSON plan file, inline JSON, or
 	// the class:rate DSL (see faults.ParseFlag); empty means no chaos.
 	FaultSpec string
-	// WMInstances sizes the distributed WM fleet (0 or 1 = the classic
-	// single-WM loop; see Config.WMInstances).
+	// WMInstances sizes the distributed WM fleet (0 or 1 = one workflow
+	// manager; see Config.WMInstances).
 	WMInstances int
 }
 

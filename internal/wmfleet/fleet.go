@@ -321,9 +321,11 @@ func (f *Fleet) Start() error {
 		holder := f.owner[name]
 		term, ok, err := f.leases.Acquire(holder, name)
 		if err != nil {
-			return fmt.Errorf("wmfleet: acquiring lease for %s: %w", name, err)
-		}
-		if !ok {
+			// A store failure past the armor, as in renewTick: ownership
+			// is in-process knowledge, so keep it at term 0 — which no
+			// record carries, so the holder's first renew tick re-acquires.
+			f.anomaly(fmt.Sprintf("wmfleet: instance %d initial lease for %s failed: %v", holder, name, err))
+		} else if !ok {
 			return fmt.Errorf("wmfleet: lease for %s unexpectedly held at start", name)
 		}
 		f.terms[name] = term
@@ -346,8 +348,7 @@ func (f *Fleet) Start() error {
 }
 
 // Stop halts every live instance's tickers and conductor; running jobs
-// continue in the scheduler (allocation teardown mirrors the single-WM
-// path).
+// continue in the scheduler.
 func (f *Fleet) Stop() {
 	f.mu.Lock()
 	if f.stopped {
@@ -408,7 +409,7 @@ func (f *Fleet) Crash(idx int) (CrashInfo, error) {
 		// Final checkpoint flush: a real WM cannot checkpoint after
 		// dying, but its last periodic flush would hold the same state;
 		// capturing it at crash time models that without a redundant
-		// flush schedule (same modeling license as PR 5's restart path).
+		// flush schedule.
 		if err := f.flushCouplingLocked(inst, name); err != nil {
 			f.anomaly(fmt.Sprintf("wmfleet: crash flush of %s failed: %v (in-memory copy retained)", name, err))
 		}

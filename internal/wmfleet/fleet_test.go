@@ -1,6 +1,7 @@
 package wmfleet
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -370,5 +371,86 @@ func TestFleetCandidateDuringOrphanWindow(t *testing.T) {
 	}
 	if st := fl.Stats()[0]; st.CompletedSims == 0 {
 		t.Errorf("no sims completed after window: %+v", st)
+	}
+}
+
+// failFirstStore fails its first Get or its first Put with a permanent
+// error — the one store failure a lease acquire can meet that the armor
+// does not retry.
+type failFirstStore struct {
+	datastore.Store
+	failGet, failPut bool
+}
+
+func (s *failFirstStore) Get(ns, key string) ([]byte, error) {
+	if s.failGet {
+		s.failGet = false
+		return nil, errors.New("injected permanent error")
+	}
+	return s.Store.Get(ns, key)
+}
+
+func (s *failFirstStore) Put(ns, key string, data []byte) error {
+	if s.failPut {
+		s.failPut = false
+		return errors.New("injected permanent error")
+	}
+	return s.Store.Put(ns, key, data)
+}
+
+// TestFleetStartSurvivesLeaseStoreFailure: a store error on the initial
+// lease acquire is an anomaly, not the end of the campaign — the owner keeps
+// its coupling in-process and its first renew tick writes the lease.
+func TestFleetStartSurvivesLeaseStoreFailure(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		store *failFirstStore
+	}{
+		{"get", &failFirstStore{Store: datastore.NewMemory(), failGet: true}},
+		{"put", &failFirstStore{Store: datastore.NewMemory(), failPut: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newFleetRig(t, 2)
+			var anomalies []string
+			fl, err := New(Config{
+				Clock: r.clk, Backend: maestro.FluxBackend{S: r.s},
+				Store: tc.store, Instances: 2,
+				Couplings:  []core.CouplingSpec{testCoupling("cg", 2, 8, 3, 6*time.Hour)},
+				PollEvery:  2 * time.Minute,
+				LeaseTTL:   30 * time.Minute,
+				RenewEvery: 10 * time.Minute,
+				Namespace:  "s1",
+				OnAnomaly:  func(msg string) { anomalies = append(anomalies, msg) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedCandidates(t, fl, "cg", 30)
+			if err := fl.Start(); err != nil {
+				t.Fatalf("Start aborted on a lease store failure: %v", err)
+			}
+			defer fl.Stop()
+			if len(anomalies) != 1 || !strings.Contains(anomalies[0], "initial lease for cg failed") {
+				t.Fatalf("anomalies = %q, want the one lease failure", anomalies)
+			}
+			if o, _ := fl.Owner("cg"); o != 0 {
+				t.Fatalf("cg owned by %d after the failed acquire, want 0", o)
+			}
+			if _, found, _ := fl.leases.Load("cg"); found {
+				t.Fatal("a lease record exists although the acquire failed")
+			}
+			r.clk.RunFor(10 * time.Minute) // the first renew tick
+			rec, found, err := fl.leases.Load("cg")
+			if err != nil || !found || rec.Holder != 0 || rec.Term != 1 {
+				t.Fatalf("lease after the first renew tick = %+v found=%v err=%v, want holder 0 term 1", rec, found, err)
+			}
+			r.clk.RunFor(8 * time.Hour)
+			if st := fl.Stats()[0]; st.CompletedSims == 0 {
+				t.Errorf("no sims completed: %+v", st)
+			}
+			if len(anomalies) != 1 {
+				t.Errorf("later anomalies: %q", anomalies[1:])
+			}
+		})
 	}
 }

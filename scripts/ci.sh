@@ -12,13 +12,11 @@ go build ./...
 go test ./...
 go test -race ./...
 
-# Bench-diff gate: the committed perf-trajectory reports (BENCH_*.json)
-# must stay coherent — deterministic replay metrics identical between the
-# pre- and post-optimization reports, timing/alloc metrics within the
-# generous regression threshold. The reports are committed artifacts, so
-# this is deterministic in CI (no benchmark is re-run here).
-go run ./scripts/benchdiff BENCH_baseline.json BENCH_optimized.json
-go run ./scripts/benchdiff BENCH_baseline_full.json BENCH_optimized_full.json
+# Benchmark smoke: one short rep of each workload of the repository's
+# benchmark (bench/README.md). It exits non-zero when a workload's output
+# check fails, so a change that moves replay bytes fails here; it measures
+# nothing worth comparing — timing claims need the full `go run ./bench`.
+go run ./bench -quick
 
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
