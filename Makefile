@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-quick bench-micro kvbench vet lint trace chaos matrix matrix-update scenarios loc ci
+.PHONY: build test race bench-quick bench-micro vet lint trace chaos matrix matrix-update scenarios loc ci
 
 build:
 	$(GO) build ./...
@@ -18,15 +18,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Paper-evaluation benchmarks (bench_test.go). -benchtime 3x keeps the
-# campaign replays tractable; see EXPERIMENTS.md for the recorded numbers.
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime 3x .
-
 # Hot-path micro-benchmarks for the three engines the profiler flagged:
 # the virtual clock's event loop, the scheduler's resource matcher, and
-# the dynamic-importance rank refresh. A/B numbers live in EXPERIMENTS.md
-# and DESIGN.md §11.
+# the dynamic-importance sampler under the add/select/evict traffic the
+# benchmark's ledger records. For finding where time goes inside one
+# engine; performance claims need `$(GO) run ./bench`.
 bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkVirtual|BenchmarkMatcher|BenchmarkFPS' \
 		-benchmem ./internal/vclock/ ./internal/sched/ ./internal/dynim/
@@ -36,16 +32,6 @@ bench-micro:
 # output check. Performance claims need the full `$(GO) run ./bench`.
 bench-quick:
 	$(GO) run ./bench -quick
-
-# Regenerate the kvstore feedback-path trajectory: the single-connection
-# baseline vs. the pipelined cluster client, both at the modeled 100µs
-# cluster-interconnect RTT (see cmd/kvstore-bench and docs/KVSTORE.md),
-# then enforce the pipelined speedup floor on the fresh pair.
-kvbench:
-	$(GO) run ./cmd/kvstore-bench -mode baseline  -rtt 100us -out BENCH_kvstore_baseline.json
-	$(GO) run ./cmd/kvstore-bench -mode pipelined -rtt 100us -out BENCH_kvstore_optimized.json
-	$(GO) run ./cmd/kvstore-bench -mode compare \
-		-compare BENCH_kvstore_baseline.json,BENCH_kvstore_optimized.json -min-speedup 10
 
 vet:
 	$(GO) vet ./...
@@ -77,8 +63,8 @@ chaos:
 
 # Scenario matrix: replay every committed workflow instance under
 # scenarios/ and gate each against its committed
-# BENCH_scenario_<name>.json ledger — deterministic metrics exact, timing
-# thresholded. See docs/SCENARIOS.md.
+# BENCH_scenario_<name>.json ledger by byte equality. See
+# docs/SCENARIOS.md.
 matrix:
 	$(GO) run ./scripts/matrix
 	$(GO) run ./scripts/matrix -scenarios scenarios/generated

@@ -55,7 +55,7 @@ func main() {
 		return
 	}
 
-	c, err := kvstore.Dial(*addr)
+	c, err := kvstore.DialCluster([]string{*addr})
 	if err != nil {
 		fatal(err)
 	}

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -90,7 +91,12 @@ type Campaign struct {
 
 	// per-run state
 	active map[sched.JobID]activeJob
+	err    error // first error raised inside a clock callback (see fail)
 }
+
+// fail records the first error a clock callback cannot return; runOne stops
+// the allocation within the hour and Run returns it.
+func (c *Campaign) fail(err error) { c.err = cmp.Or(c.err, err) }
 
 type activeJob struct {
 	simID string
@@ -400,7 +406,12 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 		return nil, err
 	}
 	start := c.clk.Now()
-	c.clk.RunUntil(runEnd)
+	// Hour-sized steps run the same events in the same order as one
+	// RunUntil(runEnd), and let a c.fail cut the allocation short.
+	for d := time.Duration(0); c.err == nil && d < spec.Wall; {
+		d = min(d+time.Hour, spec.Wall)
+		c.clk.RunUntil(start.Add(d))
+	}
 	if failTicker != nil {
 		failTicker.Stop()
 	}
@@ -426,6 +437,9 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 		c.settle(aj.simID, aj.rate.SimFor(c.clk.Now().Sub(aj.start)), false)
 	}
 	c.active = nil
+	if c.err != nil {
+		return nil, c.err
+	}
 	b, err := wm.Checkpoint()
 	if err != nil {
 		return nil, err
@@ -560,8 +574,8 @@ func (c *Campaign) onSnapshot(wm coordinator, contNodes int) {
 		c.res.Files++
 		c.res.Bytes += 70_000
 		if err := wm.AddCandidate("continuum-to-cg", dynim.Point{ID: id, Coords: coords}); err != nil {
-			// Selector shape errors are programming bugs; surface loudly.
-			panic(err)
+			c.fail(fmt.Errorf("campaign: offer patch %s: %w", id, err))
+			return
 		}
 	}
 }
@@ -778,7 +792,8 @@ func (c *Campaign) accountCG(simID string, rec *simRecord) {
 		}
 		id := fmt.Sprintf("%s_c%06d", simID, c.res.CGFrameCandidates-int64(n)+int64(i))
 		if err := c.frameSel.Add(dynim.Point{ID: id, Coords: coords}); err != nil {
-			panic(err)
+			c.fail(fmt.Errorf("campaign: offer frame %s: %w", id, err))
+			return
 		}
 	}
 }

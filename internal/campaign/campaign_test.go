@@ -1,10 +1,12 @@
 package campaign
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"mummi/internal/dynim"
 	"mummi/internal/sched"
 	"mummi/internal/units"
 )
@@ -296,5 +298,29 @@ func TestFailureInjectionResubmitsWithoutLosingProgress(t *testing.T) {
 		if l > 5.0001 {
 			t.Fatalf("failure handling exceeded the 5 µs cap: %v", l)
 		}
+	}
+}
+
+// refusingSelector fails every Add; the rest is the embedded selector.
+type refusingSelector struct{ dynim.Selector }
+
+func (refusingSelector) Add(dynim.Point) error { return errRefused }
+
+var errRefused = errors.New("selector refuses candidates")
+
+// A selector error raised inside a clock callback (the snapshot stream)
+// must come back from Run as an error, not take the process down.
+func TestSelectorErrorFailsRunWithoutPanic(t *testing.T) {
+	c, err := NewCampaign(smallCfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.patchSel = refusingSelector{c.patchSel}
+	res, err := c.Run()
+	if !errors.Is(err, errRefused) {
+		t.Fatalf("Run = %v, %v; want the selector's error", res, err)
+	}
+	if c.clk.Now().Sub(Epoch) > 2*time.Hour {
+		t.Errorf("allocation ran on to %v after the error", c.clk.Now())
 	}
 }

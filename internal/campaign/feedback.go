@@ -89,6 +89,6 @@ func (c *Campaign) fbPut(ns, key string, size int) {
 			return
 		}
 		// The in-memory store cannot fail a Put; treat one as a bug.
-		panic(err)
+		c.fail(fmt.Errorf("campaign: feedback put %s/%s: %w", ns, key, err))
 	}
 }

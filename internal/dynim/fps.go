@@ -22,7 +22,7 @@ import (
 // compares against selections made since. This is what makes Add O(1) and
 // keeps "the cost of adding new candidates negligible" (§4.4).
 //
-// Four engine-level optimizations ride on top of that caching scheme:
+// Five engine-level optimizations ride on top of that caching scheme:
 //
 //   - Squared distances end-to-end: the cache holds *squared* L2 values and
 //     every comparison is squared-vs-squared, removing one math.Sqrt per

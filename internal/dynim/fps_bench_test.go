@@ -6,85 +6,45 @@ import (
 	"testing"
 )
 
-// benchFill builds a sampler with n candidates and sel pre-selections, the
-// steady state of a campaign patch queue.
-func benchFill(b *testing.B, dim, n, sel int) *FarthestPoint {
-	b.Helper()
+// BenchmarkFPSCampaignTraffic drives the sampler with the traffic the
+// replay-paper ledger shows for a patch queue (bench/README.md): a queue
+// sitting at the paper's 35,000 cap, about 158 offers arriving per
+// selection (core.candidates / core.selections), one pick at a time, and
+// the batched eviction firing every few picks as the offers push past the
+// cap. The workflow never calls Update; ranks are
+// refreshed by Select and by eviction, and that is what is timed here.
+func BenchmarkFPSCampaignTraffic(b *testing.B) {
+	const dim, capacity, addsPerSelect = 9, 35000, 158
 	rng := rand.New(rand.NewSource(42))
-	fp := NewFarthestPoint(dim, 0)
-	for i := 0; i < n; i++ {
+	point := func(i int) Point {
 		c := make([]float64, dim)
 		for k := range c {
 			c[k] = rng.NormFloat64()
 		}
-		if err := fp.Add(Point{ID: fmt.Sprintf("p%06d", i), Coords: c}); err != nil {
+		return Point{ID: fmt.Sprintf("p%08d", i), Coords: c}
+	}
+	fp := NewFarthestPoint(dim, capacity)
+	fp.DisableJournal()
+	for i := 0; i < capacity; i++ {
+		if err := fp.Add(point(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
-	fp.Select(sel)
-	fp.Update()
-	return fp
-}
-
-// BenchmarkFPSUpdateIdle measures the per-feedback-tick Update cost when
-// nothing changed since the last refresh — the most common tick in a long
-// campaign. The dirty-set path answers from the (empty) dirty list instead
-// of scanning every staleness counter.
-func BenchmarkFPSUpdateIdle(b *testing.B) {
-	fp := benchFill(b, 9, 35000, 128)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fp.Update()
+	fp.Select(128)
+	offers := make([]Point, b.N*addsPerSelect)
+	for i := range offers {
+		offers[i] = point(capacity + i)
 	}
-}
-
-// BenchmarkFPSUpdateAfterAddBurst measures the paper's feedback shape: a
-// burst of fresh candidates lands between selections, then ranks refresh.
-// Only the new arrivals are stale; the dirty-set path re-ranks exactly those
-// and sifts their heap entries instead of sweeping all 35k slots.
-func BenchmarkFPSUpdateAfterAddBurst(b *testing.B) {
-	const dim, burst = 9, 64
-	fp := benchFill(b, dim, 35000, 128)
-	rng := rand.New(rand.NewSource(7))
-	next := 1 << 20
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := 0; j < burst; j++ {
-			c := make([]float64, dim)
-			for k := range c {
-				c[k] = rng.NormFloat64()
+		for _, p := range offers[i*addsPerSelect : (i+1)*addsPerSelect] {
+			if err := fp.Add(p); err != nil {
+				b.Fatal(err)
 			}
-			fp.Add(Point{ID: fmt.Sprintf("p%07d", next), Coords: c})
-			next++
-		}
-		fp.Update()
-	}
-}
-
-// BenchmarkFPSSelectFeedbackLoop measures the full selector loop: add a few
-// candidates, select one (invalidating every rank), refresh. This is the
-// end-to-end hot path behind the campaign's patch-selection ticks.
-func BenchmarkFPSSelectFeedbackLoop(b *testing.B) {
-	const dim = 9
-	fp := benchFill(b, dim, 35000, 128)
-	rng := rand.New(rand.NewSource(7))
-	next := 1 << 20
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 8; j++ {
-			c := make([]float64, dim)
-			for k := range c {
-				c[k] = rng.NormFloat64()
-			}
-			fp.Add(Point{ID: fmt.Sprintf("p%07d", next), Coords: c})
-			next++
 		}
 		if len(fp.Select(1)) != 1 {
 			b.Fatal("empty selection")
 		}
-		fp.Update()
 	}
 }

@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// AsyncClient is the pipelined replacement for the single-lock Client on
-// throughput-critical paths. The old client serializes every caller behind
-// one mutex and pays one full round trip per command; under the four
-// concurrent WM tasks that means the feedback loop advances one RTT at a
-// time. The AsyncClient decouples submission from completion:
+// AsyncClient is the pipelined connection to one server. A client that
+// serializes every caller behind one mutex pays one full round trip per
+// command; under the four concurrent WM tasks that means the feedback loop
+// advances one RTT at a time. The AsyncClient decouples submission from
+// completion:
 //
 //   - each connection has a dedicated writer goroutine and reader
 //     goroutine. The writer drains queued requests, coalesces everything

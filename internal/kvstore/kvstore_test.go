@@ -14,8 +14,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"mummi/internal/retry"
 )
 
 // ---------------------------------------------------------------------------
@@ -262,9 +260,9 @@ func TestPropertyProtoRoundTrip(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Server + Client over TCP
+// Server + one-shard Cluster over TCP
 
-func startServer(t *testing.T) (*Server, *Client) {
+func startServer(t *testing.T) (*Server, *Cluster) {
 	t.Helper()
 	s := NewServer(nil)
 	addr, err := s.Listen("127.0.0.1:0")
@@ -272,7 +270,7 @@ func startServer(t *testing.T) (*Server, *Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	c, err := Dial(addr)
+	c, err := DialCluster([]string{addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,9 +278,21 @@ func startServer(t *testing.T) (*Server, *Client) {
 	return s, c
 }
 
+// ping round-trips a PING on the cluster's only shard.
+func ping(c *Cluster) error {
+	rep, err := c.doOnShard(0, "", []byte("PING"))
+	if err != nil {
+		return err
+	}
+	if rep.kind != '+' || rep.str != "PONG" {
+		return errProtocol
+	}
+	return nil
+}
+
 func TestClientServerBasics(t *testing.T) {
 	_, c := startServer(t)
-	if err := c.Ping(); err != nil {
+	if err := ping(c); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Set("frame:1", []byte("rdf-bytes")); err != nil {
@@ -318,15 +328,15 @@ func TestClientKeysRenameDBSize(t *testing.T) {
 	if err := c.Rename("new:0", "x"); !errors.Is(err, ErrNoSuchKey) {
 		t.Errorf("rename missing = %v", err)
 	}
-	n, err := c.DBSize()
+	n, err := c.Size()
 	if err != nil || n != 5 {
-		t.Fatalf("DBSize = %d, %v", n, err)
+		t.Fatalf("Size = %d, %v", n, err)
 	}
 	if err := c.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := c.DBSize(); n != 0 {
-		t.Errorf("DBSize after flush = %d", n)
+	if n, _ := c.Size(); n != 0 {
+		t.Errorf("Size after flush = %d", n)
 	}
 }
 
@@ -334,53 +344,18 @@ func TestClientMGet(t *testing.T) {
 	_, c := startServer(t)
 	c.Set("a", []byte("1"))
 	c.Set("c", []byte("3"))
-	vals, err := c.MGet("a", "b", "c")
+	vals, err := c.MGetSlice([]string{"a", "b", "c"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(vals[0]) != "1" || vals[1] != nil || string(vals[2]) != "3" {
-		t.Errorf("MGet = %v", vals)
-	}
-}
-
-func TestClientPipelines(t *testing.T) {
-	_, c := startServer(t)
-	kv := map[string][]byte{}
-	for i := 0; i < 100; i++ {
-		kv[fmt.Sprintf("k%03d", i)] = []byte(fmt.Sprintf("v%d", i))
-	}
-	if err := c.PipelineSet(kv); err != nil {
-		t.Fatal(err)
-	}
-	n, err := c.DBSize()
-	if err != nil || n != 100 {
-		t.Fatalf("DBSize = %d, %v", n, err)
-	}
-	pairs := make([][2]string, 0, 50)
-	for i := 0; i < 50; i++ {
-		pairs = append(pairs, [2]string{fmt.Sprintf("k%03d", i), fmt.Sprintf("done:k%03d", i)})
-	}
-	ok, err := c.PipelineRename(pairs)
-	if err != nil || ok != 50 {
-		t.Fatalf("PipelineRename = %d, %v", ok, err)
-	}
-	keys := make([]string, 0, 50)
-	for i := 50; i < 100; i++ {
-		keys = append(keys, fmt.Sprintf("k%03d", i))
-	}
-	deleted, err := c.PipelineDel(keys)
-	if err != nil || deleted != 50 {
-		t.Fatalf("PipelineDel = %d, %v", deleted, err)
-	}
-	left, _ := c.Keys("k*")
-	if len(left) != 0 {
-		t.Errorf("undeleted keys: %v", left)
+		t.Errorf("MGetSlice = %v", vals)
 	}
 }
 
 func TestServerUnknownCommand(t *testing.T) {
 	_, c := startServer(t)
-	rep, err := c.do([]byte("BOGUS"))
+	rep, err := c.doOnShard(0, "", []byte("BOGUS"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +363,7 @@ func TestServerUnknownCommand(t *testing.T) {
 		t.Errorf("unknown command reply = %+v", rep)
 	}
 	// Connection must remain usable after a command error.
-	if err := c.Ping(); err != nil {
+	if err := ping(c); err != nil {
 		t.Errorf("connection dead after error reply: %v", err)
 	}
 }
@@ -406,7 +381,7 @@ func TestServerWrongArity(t *testing.T) {
 		{[]byte("MSET"), []byte("k")},
 		{[]byte("MSET"), []byte("k"), []byte("v"), []byte("dangling")},
 	} {
-		rep, err := c.do(cmd...)
+		rep, err := c.doOnShard(0, "", cmd...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,7 +401,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := DialCluster([]string{addr})
 			if err != nil {
 				errs <- err
 				return
@@ -456,75 +431,6 @@ func TestConcurrentClients(t *testing.T) {
 	}
 	if s.Commands() < int64(workers*100) {
 		t.Errorf("Commands = %d", s.Commands())
-	}
-}
-
-func TestClientReconnectsAfterServerRestart(t *testing.T) {
-	// Resilience (§4.4): communication redundancy — a dropped connection is
-	// retried transparently once the server is back.
-	e := NewEngine()
-	s1 := NewServer(e)
-	addr, err := s1.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Set("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	s1.Close()
-	// Restart on the same address with the same engine (state survives, as
-	// with Redis persistence/replication).
-	s2 := NewServer(e)
-	if _, err := s2.Listen(addr); err != nil {
-		t.Fatalf("rebind: %v", err)
-	}
-	defer s2.Close()
-	v, err := c.Get("k")
-	if err != nil || string(v) != "v" {
-		t.Fatalf("Get after restart = %q, %v", v, err)
-	}
-	if c.Retries() == 0 {
-		t.Error("Retries = 0 after a forced reconnect")
-	}
-}
-
-func TestClientRetryBudgetExhausted(t *testing.T) {
-	// When the server stays down, the client gives up after the policy's
-	// attempt budget instead of hanging — and reports how hard it tried.
-	e := NewEngine()
-	s := NewServer(e)
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := DialPolicy(addr, retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, Jitter: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Set("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	s.Close() // server gone for good
-	if err := c.Ping(); err == nil {
-		t.Fatal("Ping succeeded against a dead server")
-	}
-	if got := c.Retries(); got != 2 {
-		t.Errorf("Retries = %d, want 2 (3 attempts = 1 try + 2 retries)", got)
-	}
-	// A closed client fails fast: no retries against a nil connection.
-	before := c.Retries()
-	c.Close()
-	if err := c.Ping(); err == nil {
-		t.Fatal("Ping succeeded on a closed client")
-	}
-	if got := c.Retries(); got != before {
-		t.Errorf("closed client retried: %d -> %d", before, got)
 	}
 }
 
@@ -688,7 +594,7 @@ func TestSaveFileFailurePaths(t *testing.T) {
 
 func TestServerMSet(t *testing.T) {
 	s, c := startServer(t)
-	rep, err := c.do([]byte("MSET"),
+	rep, err := c.doOnShard(0, "", []byte("MSET"),
 		[]byte("m:1"), []byte("v1"),
 		[]byte("m:2"), []byte("v2"),
 		[]byte("m:3"), []byte("v3"))
@@ -747,17 +653,6 @@ func TestWrapConnHook(t *testing.T) {
 		wrapped.Add(1)
 		return conn
 	}}
-	c, err := DialOptions(s.Addr(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Set("w", []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if wrapped.Load() == 0 {
-		t.Error("WrapConn never invoked for the sync client")
-	}
 	a, err := DialAsync(s.Addr(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -767,8 +662,65 @@ func TestWrapConnHook(t *testing.T) {
 	if err != nil || rep.kind != '+' {
 		t.Fatalf("async SET through wrapped conn = %+v, %v", rep, err)
 	}
-	if int(wrapped.Load()) < 2 {
-		t.Error("WrapConn never invoked for the async pool")
+	if int(wrapped.Load()) != DefaultPoolSize {
+		t.Errorf("WrapConn invoked %d times for a pool of %d", wrapped.Load(), DefaultPoolSize)
+	}
+}
+
+// delayConn charges every Read that returns fresh bytes one modeled
+// interconnect round trip.
+type delayConn struct {
+	net.Conn
+	rtt time.Duration
+}
+
+func (d delayConn) Read(p []byte) (int, error) {
+	n, err := d.Conn.Read(p)
+	if n > 0 {
+		time.Sleep(d.rtt)
+	}
+	return n, err
+}
+
+// Pipelining amortises round trips: with every reply read costing rtt, a
+// client that spent one round trip per key would need 2*n*rtt to write and
+// read back n keys. The batch path (chunked MSETs out, one MGET back) has
+// to come in under a tenth of that.
+func TestPipeliningAmortizesRoundTrips(t *testing.T) {
+	const (
+		n   = 2000
+		rtt = time.Millisecond
+	)
+	s, _ := startServer(t)
+	c, err := DialClusterOptions([]string{s.Addr()}, ClientOptions{
+		WrapConn: func(conn net.Conn) net.Conn { return delayConn{conn, rtt} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	keys := make([]string, n)
+	vals := make([][]byte, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("rdf:new:%04d", i)
+		vals[i] = []byte(keys[i])
+	}
+	start := time.Now()
+	if err := c.MSetSlice(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.MGetSlice(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	for i := range keys {
+		if !bytes.Equal(got[i], vals[i]) {
+			t.Fatalf("value mismatch at %s: %q", keys[i], got[i])
+		}
+	}
+	if limit := 2 * n * rtt / 10; elapsed >= limit {
+		t.Errorf("%d keys out and back took %v, want < %v (a tenth of one round trip per key)", n, elapsed, limit)
 	}
 }
 

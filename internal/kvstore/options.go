@@ -7,22 +7,19 @@ import (
 	"mummi/internal/retry"
 )
 
-// ClientOptions parameterizes every kvstore client — the synchronous
-// Client, the pipelined AsyncClient, and the sharded Cluster. The zero
-// value reproduces the historical behaviour exactly (5s dial timeout,
-// no read/write deadlines, default reconnect policy), so existing call
-// sites keep their semantics without change.
+// ClientOptions parameterizes the kvstore client — the pipelined
+// AsyncClient and the sharded Cluster built on it. The zero value means
+// 5s dial timeout, no read/write deadlines, default retry policy.
 type ClientOptions struct {
 	// DialTimeout bounds each TCP dial (default 5s).
 	DialTimeout time.Duration
 	// ReadTimeout bounds each reply read; 0 (the default) means no
-	// deadline, matching the historical unbounded reads.
+	// deadline.
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each command write; 0 means no deadline.
 	WriteTimeout time.Duration
-	// Retry governs transparent reconnects (sync client) and shard
-	// recovery attempts (cluster client). Zero value = retry defaults
-	// (4 attempts, 100ms base backoff).
+	// Retry governs the cluster's shard recovery attempts. Zero value =
+	// retry defaults (4 attempts, 100ms base backoff).
 	Retry retry.Policy
 	// PoolSize is the number of pipelined connections an AsyncClient
 	// opens per node (default 4). Requests for the same key always ride
@@ -41,9 +38,9 @@ type ClientOptions struct {
 	// GOMAXPROCS, the repo-wide parallel.Workers convention.
 	FanoutWorkers int
 	// WrapConn, when non-nil, wraps every dialed connection before use —
-	// the hook for transport middleware (TLS, byte accounting, or the
-	// bench's interconnect-latency model). The wrapper sees the connection
-	// after kernel-buffer tuning.
+	// the hook for transport middleware (TLS, byte accounting, or a test's
+	// interconnect-latency model). The wrapper sees the connection after
+	// kernel-buffer tuning.
 	WrapConn func(conn net.Conn) net.Conn
 }
 

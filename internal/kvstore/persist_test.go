@@ -52,7 +52,7 @@ func TestPersistFileAndServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(addr)
+	c, err := DialCluster([]string{addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +77,12 @@ func TestPersistFileAndServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	v, err := c.Get("k042") // client reconnects transparently
+	v, err := c.Get("k042") // the shard redials the same address
 	if err != nil || string(v) != "v" {
 		t.Fatalf("Get after restart = %q, %v", v, err)
 	}
-	if n, _ := c.DBSize(); n != 100 {
-		t.Errorf("DBSize after restart = %d", n)
+	if n, _ := c.Size(); n != 100 {
+		t.Errorf("Size after restart = %d", n)
 	}
 }
 

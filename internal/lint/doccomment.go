@@ -24,17 +24,16 @@ import (
 // Scope: the packages the telemetry layer touches (core, sched, datastore,
 // telemetry) — the ones OBSERVABILITY.md documents — plus the chaos
 // surface (faults, retry), which RESILIENCE.md documents, plus the
-// workload-trace layer (trace, benchfmt), whose formats SCENARIOS.md
-// documents field by field, plus the distributed-WM fleet (wmfleet),
+// workload-trace layer (trace), whose format SCENARIOS.md documents
+// field by field, plus the distributed-WM fleet (wmfleet),
 // whose lease protocol RESILIENCE.md documents.
 var DocComment = &Analyzer{
 	Name: "doccomment",
-	Doc:  "requires doc comments on exported identifiers in the instrumented packages (core, sched, datastore, telemetry, faults, retry, trace, benchfmt, wmfleet)",
+	Doc:  "requires doc comments on exported identifiers in the instrumented packages (core, sched, datastore, telemetry, faults, retry, trace, wmfleet)",
 	Scope: func(pkgPath string) bool {
 		for _, suffix := range []string{
 			"internal/core", "internal/sched", "internal/datastore", "internal/telemetry",
-			"internal/faults", "internal/retry", "internal/trace", "internal/benchfmt",
-			"internal/wmfleet",
+			"internal/faults", "internal/retry", "internal/trace", "internal/wmfleet",
 		} {
 			if strings.HasSuffix(pkgPath, suffix) {
 				return true
