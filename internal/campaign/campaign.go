@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -557,6 +558,7 @@ func (c *Campaign) onSnapshot(wm coordinator, contNodes int) {
 		c.res.Bytes += int64(continuumSnapshotBytes)
 	}
 
+	var idBuf [24]byte
 	for i := 0; i < c.cfg.PatchesPerSnapshot; i++ {
 		// Protein walk: slow drift in 9-D encoding space.
 		w := c.walks[i%len(c.walks)]
@@ -569,7 +571,7 @@ func (c *Campaign) onSnapshot(wm coordinator, contNodes int) {
 		}
 		// Stabilize queue routing on the protein index, encoded in coord 0
 		// fraction (see route function): simply use index-based id.
-		id := fmt.Sprintf("p%07d_%03d", c.res.Snapshots, i)
+		id := string(appendPatchID(idBuf[:0], c.res.Snapshots, i))
 		c.res.Patches++
 		c.res.Files++
 		c.res.Bytes += 70_000
@@ -578,6 +580,25 @@ func (c *Campaign) onSnapshot(wm coordinator, contNodes int) {
 			return
 		}
 	}
+}
+
+// appendPatchID appends the ID of patch i of snapshot snap, the bytes of
+// fmt.Sprintf("p%07d_%03d", snap, i) without the formatter: a campaign names
+// millions of patches, one at a time, on the event loop.
+func appendPatchID(buf []byte, snap, i int) []byte {
+	buf = appendZeroPadded(append(buf, 'p'), snap, 7)
+	return appendZeroPadded(append(buf, '_'), i, 3)
+}
+
+// appendZeroPadded appends v >= 0 in decimal, zero-padded to width digits
+// and wider when v needs more, as %0*d does.
+func appendZeroPadded(buf []byte, v, width int) []byte {
+	var scratch [20]byte
+	digits := strconv.AppendInt(scratch[:0], int64(v), 10)
+	for n := len(digits); n < width; n++ {
+		buf = append(buf, '0')
+	}
+	return append(buf, digits...)
 }
 
 const continuumSnapshotBytes = 374_000_000

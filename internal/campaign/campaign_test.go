@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -322,5 +323,18 @@ func TestSelectorErrorFailsRunWithoutPanic(t *testing.T) {
 	}
 	if c.clk.Now().Sub(Epoch) > 2*time.Hour {
 		t.Errorf("allocation ran on to %v after the error", c.clk.Now())
+	}
+}
+
+// TestPatchIDMatchesSprintf pins appendPatchID to the format it replaced,
+// including what Sprintf prints once a field outgrows its padding.
+func TestPatchIDMatchesSprintf(t *testing.T) {
+	for _, snap := range []int{0, 1, 9_999_999, 10_000_000} {
+		for _, i := range []int{0, 7, 999, 1000} {
+			want := fmt.Sprintf("p%07d_%03d", snap, i)
+			if got := string(appendPatchID(nil, snap, i)); got != want {
+				t.Errorf("appendPatchID(%d, %d) = %q, want %q", snap, i, got, want)
+			}
+		}
 	}
 }

@@ -110,12 +110,12 @@ type dedupe struct {
 
 func newDedupe() dedupe { return dedupe{seen: make(map[string]bool)} }
 
+// claim reports whether id was free, and takes it. One map operation: the
+// insert either grows the map or lands on the existing entry.
 func (d *dedupe) claim(id string) bool {
-	if d.seen[id] {
-		return false
-	}
+	n := len(d.seen)
 	d.seen[id] = true
-	return true
+	return len(d.seen) > n
 }
 
 func (d *dedupe) release(id string) { delete(d.seen, id) }

@@ -3,11 +3,11 @@ package dynim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
-	"mummi/internal/knn"
 	"mummi/internal/parallel"
 	"mummi/internal/telemetry"
 )
@@ -36,11 +36,20 @@ import (
 //     heap pointer per candidate, which is what a 35,000-candidate pass is
 //     actually bound by (memory latency, not arithmetic).
 //
-//   - Sharded rank updates: a full refresh partitions the slot range into
-//     contiguous chunks fanned out over parallel.For. Each slot's refresh
-//     reads the append-only selected index and writes only its own cache,
-//     so the result is bit-identical to the serial path for every worker
-//     count — the determinism contract every §5 replay figure depends on.
+//   - Sharded rank updates: what is split is distance work, and it is split
+//     in two steps. Candidates that arrived since the last pick are unranked
+//     and each scans every selected row, where a candidate ranked before
+//     scans only the rows selected since; arrivals also sit at the end of
+//     the slot range. So every pick and every eviction first ranks the
+//     arrival list on its own, in contiguous chunks over parallel.For
+//     (rankArrivals), and only then walks the slot range, whose slots now
+//     cost about the same — also in contiguous chunks. Both fan-outs are
+//     sized by row evaluations (slots × rows a slot can still have to see),
+//     not by slot count, so two arrivals against 7,500 selections split and
+//     a thousand fresh slots do not. Each slot's refresh reads the
+//     append-only selected rows and writes only its own cache, so the
+//     result is bit-identical to the serial path for every worker count —
+//     the determinism contract every §5 replay figure depends on.
 //
 //   - Dirty-set refresh: staleness is tracked explicitly — new arrivals
 //     join a dirty list, and a selection promotes the whole store to dirty
@@ -95,26 +104,37 @@ type FarthestPoint struct {
 
 	// Dirty-set staleness tracking. Every slot whose cached rank may be
 	// stale is either listed in dirty (new arrivals and restored candidates,
-	// appended in creation order) or covered by allDirty (set after any
-	// selection, since a new selected point can tighten every rank). Update
-	// consults these instead of scanning all seenSel counters, so a refresh
-	// between selections re-ranks only the invalidated candidates and sifts
-	// just their heap entries — O(dirty·log n) instead of an O(n) sweep and
-	// full re-heapify per feedback tick.
+	// appended in creation order, unranked until rankArrivals empties the
+	// list) or covered by allDirty (set after any selection, since a new
+	// selected point can tighten every rank). Update consults these instead
+	// of scanning all seenSel counters, so a refresh between selections
+	// re-ranks only the invalidated candidates and sifts just their heap
+	// entries — O(dirty·log n) instead of an O(n) sweep and full re-heapify
+	// per feedback tick.
 	dirty      []int32
 	allDirty   bool
 	scratchPos []int32 // reused position buffer for the dirty sift sweep
 
-	sel     *knn.Brute // selected coordinates, append-only
+	// sweptSel is the selection count at the last full sweep. Once the
+	// arrival list is ranked no slot has seen fewer selections, so a walk
+	// over the slot range costs at most len(selPts)-sweptSel rows per slot.
+	sweptSel int
+
+	selRows []float64 // selected coordinates, row-major, append-only
 	selPts  []Point
 	journal journal
 	dd      dedupe
 	tel     *telemetry.Telemetry // nil = no instrumentation
 }
 
-// fpsMinChunk is the smallest per-worker slot chunk worth a goroutine:
-// below it, spawn latency dominates the distance arithmetic.
-const fpsMinChunk = 512
+// fpsMinWork is the fewest distance evaluations (one candidate against one
+// selected row) worth a goroutine: below it, spawn latency dominates the
+// arithmetic.
+const fpsMinWork = 8192
+
+// minChunk is parallel.For's minChunk for a fan-out whose slots each fold in
+// up to rows selected rows: the slot count that adds up to fpsMinWork.
+func minChunk(rows int) int { return max(1, fpsMinWork/max(1, rows)) }
 
 // NewFarthestPoint creates a sampler for dim-dimensional points with the
 // given queue capacity (0 means unbounded).
@@ -125,7 +145,6 @@ func NewFarthestPoint(dim, capacity int) *FarthestPoint {
 	return &FarthestPoint{
 		dim:      dim,
 		capacity: capacity,
-		sel:      knn.NewBrute(dim),
 		dd:       newDedupe(),
 	}
 }
@@ -236,7 +255,7 @@ func (f *FarthestPoint) newSlot(p Point) {
 	if !f.heapDirty {
 		f.up(len(f.h) - 1)
 	}
-	if f.sel.Len() > 0 {
+	if len(f.selPts) > 0 {
 		// Unranked against a non-empty selected set: stale until refreshed.
 		f.dirty = append(f.dirty, s)
 	}
@@ -286,7 +305,7 @@ func (f *FarthestPoint) gapSuffix(n int) {
 }
 
 // refreshSlot folds selections [seenSel[s], n) into slot s's cached rank.
-// rows is the selected index's row-major storage for rows [0, n).
+// rows is the selected set's row-major storage for rows [0, n).
 //
 // Triangle-inequality prune: the cached best is d(c, s*)² for some earlier
 // selection s*, and selGap2[r] lower-bounds d(sel[r], s*)². By the triangle
@@ -351,6 +370,46 @@ func (f *FarthestPoint) refreshSlot(s int32, n int, rows []float64) {
 	f.seenSel[s] = int32(n)
 }
 
+// rankArrivals ranks every slot on the arrival list against selections
+// [0, n), fanned out over the workers; the caller has run gapSuffix(n) and
+// empties the list afterwards. It runs before any pick or eviction looks at
+// the store. An arrival's +Inf cache sorts above every finite rank, so no
+// pick completes before each arrival has been refreshed to exactly this
+// value — ranking them here changes who computes it and when, never what.
+// Left to the walks that follow it would land on one goroutine: the lazy
+// pick surfaces arrivals through the heap root one at a time, and a
+// contiguous split of the slot range hands the final chunk all of them.
+func (f *FarthestPoint) rankArrivals(n int) {
+	dirty, rows := f.dirty, f.selRows
+	parallel.For(len(dirty), parallel.Workers(f.workers), minChunk(n), func(lo, hi int) {
+		for _, s := range dirty[lo:hi] {
+			f.refreshSlot(s, n, rows)
+		}
+	})
+}
+
+// siftArrivals restores the heap order after rankArrivals lowered the
+// arrivals' keys, and empties the list. Refreshes only lower ranks, so each
+// entry sifts toward the leaves. Arrivals can sit on a shared root-leaf path
+// (they surface near the root at +Inf), where repairing an ancestor before a
+// descendant leaves a violation behind — so sift in descending position
+// order, the bottom-up heapify sweep restricted to the arrivals' positions:
+// a sift at position p only moves content deeper than p, so every position
+// not yet processed still holds its slot and every subtree below a processed
+// position stays valid.
+func (f *FarthestPoint) siftArrivals() {
+	pos := f.scratchPos[:0]
+	for _, s := range f.dirty {
+		pos = append(pos, f.heapPos[s])
+	}
+	slices.Sort(pos)
+	for i := len(pos) - 1; i >= 0; i-- {
+		f.down(int(pos[i]))
+	}
+	f.scratchPos = pos[:0]
+	f.dirty = f.dirty[:0]
+}
+
 // pickEager returns the argmax slot under (fresh dist2 desc, ID asc) in one
 // fused streaming pass — no heap maintenance. It is the cold-burst
 // complement to the lazy heap: when most of the queue is stale, surfacing
@@ -376,13 +435,15 @@ func (f *FarthestPoint) refreshSlot(s int32, n int, rows []float64) {
 // is all the determinism contract promises (selection sequences, not cache
 // residue; Update canonicalizes the caches).
 func (f *FarthestPoint) pickEager() int32 {
-	n := f.sel.Len()
+	n := len(f.selPts)
 	f.gapSuffix(n)
-	rows := f.sel.RowsFlat(0, n)
+	f.rankArrivals(n)
+	f.dirty = f.dirty[:0]
+	rows := f.selRows
 	nc := len(f.ids)
-	w := parallel.Workers(f.workers)
-	best := make([]int32, parallel.Chunks(nc, w, fpsMinChunk))
-	parallel.ForChunk(nc, w, fpsMinChunk, func(chunk, lo, hi int) {
+	w, mc := parallel.Workers(f.workers), minChunk(n-f.sweptSel)
+	best := make([]int32, parallel.Chunks(nc, w, mc))
+	parallel.ForChunk(nc, w, mc, func(chunk, lo, hi int) {
 		b := int32(-1)
 		for s := int32(lo); s < int32(hi); s++ {
 			if b >= 0 && !f.heapAbove(s, b) {
@@ -516,96 +577,57 @@ func (f *FarthestPoint) Update() {
 
 // updateLocked refreshes all stale candidate ranks, sharded over the worker
 // pool, then restores the heap invariant. Each slot's refresh reads the
-// immutable selected index and writes only that slot's own cache, so the
+// immutable selected rows and writes only that slot's own cache, so the
 // refreshed values are bit-identical for every worker count; the serial
 // heapify that follows sees the same arrays either way. Caller holds the
 // lock.
 func (f *FarthestPoint) updateLocked() {
-	n := f.sel.Len()
-	if f.allDirty {
-		// A selection happened since the last refresh: every rank may have
-		// shrunk, so sweep the whole store and re-heapify once.
-		var start time.Time
-		if f.tel != nil {
-			start = f.tel.Now()
+	n := len(f.selPts)
+	if !f.allDirty && len(f.dirty) == 0 {
+		// Nothing is stale; at most a burst left the heap unordered.
+		if f.heapDirty {
+			f.heapInit()
+			f.heapDirty = false
 		}
-		f.gapSuffix(n)
-		rows := f.sel.RowsFlat(0, n)
-		parallel.For(len(f.ids), parallel.Workers(f.workers), fpsMinChunk, func(lo, hi int) {
+		return
+	}
+	var start time.Time
+	if f.tel != nil {
+		start = f.tel.Now()
+	}
+	f.gapSuffix(n)
+	f.rankArrivals(n)
+	ranked, sweep := len(f.dirty), f.allDirty
+	if sweep {
+		// A selection happened since the last refresh: every rank may have
+		// shrunk, so sweep the whole store and re-heapify once. With the
+		// arrivals ranked, what is left costs at most n-sweptSel rows a slot.
+		rows := f.selRows
+		parallel.For(len(f.ids), parallel.Workers(f.workers), minChunk(n-f.sweptSel), func(lo, hi int) {
 			for s := int32(lo); s < int32(hi); s++ {
 				if int(f.seenSel[s]) < n {
 					f.refreshSlot(s, n, rows)
 				}
 			}
 		})
-		if f.tel != nil {
-			f.tel.Histogram("dynim.rank_refresh_ms", "ms", nil).Observe(f.tel.MsSince(start))
-			f.tel.RecordSpan("dynim", "rank_refresh", start, f.tel.Now().Sub(start),
-				"candidates", len(f.ids))
-		}
+		ranked = len(f.ids)
 		f.allDirty = false
+		f.sweptSel = n
+	}
+	if f.tel != nil {
+		f.tel.Histogram("dynim.rank_refresh_ms", "ms", nil).Observe(f.tel.MsSince(start))
+		f.tel.RecordSpan("dynim", "rank_refresh", start, f.tel.Now().Sub(start),
+			"candidates", ranked)
+	}
+	if sweep || f.heapDirty {
 		f.dirty = f.dirty[:0]
 		f.heapInit()
 		f.heapDirty = false
-		return
+	} else {
+		// Between selections only the arrivals were stale: sift just those
+		// back into place and leave the rest of the heap untouched.
+		f.siftArrivals()
 	}
-	// Dirty-set path: between selections only explicitly invalidated slots
-	// (new arrivals, restores) can be stale, so re-rank exactly those and
-	// sift each one back into place — the rest of the heap is untouched. A
-	// dirty slot may already be fresh (the lazy Select path refreshed it on
-	// the way through the root); it then costs one counter compare.
-	stale := false
-	for _, s := range f.dirty {
-		if int(f.seenSel[s]) < n {
-			stale = true
-			break
-		}
-	}
-	if stale {
-		var start time.Time
-		if f.tel != nil {
-			start = f.tel.Now()
-		}
-		f.gapSuffix(n)
-		rows := f.sel.RowsFlat(0, n)
-		dirty := f.dirty
-		parallel.For(len(dirty), parallel.Workers(f.workers), fpsMinChunk, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				if s := dirty[k]; int(f.seenSel[s]) < n {
-					f.refreshSlot(s, n, rows)
-				}
-			}
-		})
-		if f.tel != nil {
-			f.tel.Histogram("dynim.rank_refresh_ms", "ms", nil).Observe(f.tel.MsSince(start))
-			f.tel.RecordSpan("dynim", "rank_refresh", start, f.tel.Now().Sub(start),
-				"candidates", len(dirty))
-		}
-	}
-	if f.heapDirty {
-		f.heapInit()
-		f.heapDirty = false
-	} else if stale {
-		// Refreshes only lower ranks, so each dirty entry sifts toward the
-		// leaves. Dirty slots can sit on a shared root-leaf path (fresh
-		// arrivals surface near the root at +Inf), where repairing an
-		// ancestor before a descendant leaves a violation behind — so sift
-		// in descending position order, the bottom-up heapify sweep
-		// restricted to the dirty positions: a sift at position p only
-		// moves content deeper than p, so every position not yet processed
-		// still holds its slot and every subtree below a processed position
-		// stays valid.
-		pos := f.scratchPos[:0]
-		for _, s := range f.dirty {
-			pos = append(pos, f.heapPos[s])
-		}
-		sort.Slice(pos, func(i, j int) bool { return pos[i] > pos[j] })
-		for _, p := range pos {
-			f.down(int(p))
-		}
-		f.scratchPos = pos[:0]
-	}
-	f.dirty = f.dirty[:0]
 }
 
 // Select implements Selector: repeatedly surface the farthest candidate via
@@ -622,21 +644,24 @@ func (f *FarthestPoint) Select(n int) []Point {
 	}
 	var out []Point
 	for len(out) < n && len(f.h) > 0 {
-		// Lazy pick with an eager fallback. While the heap is ordered,
-		// surface the argmax by refreshing stale roots one log-depth sift at
-		// a time; if a single pick churns past the limit (a mostly-stale
-		// queue — cold burst, post-restore, long Add run), switch to the
-		// fused streaming argmax and leave the heap dirty so the rest of the
-		// burst skips sift maintenance entirely. Both paths refresh to the
-		// exact same values and apply the same (distance, ID) total order,
-		// so the selection sequence is unchanged.
+		// Lazy pick with an eager fallback. While the heap is ordered, rank
+		// the arrivals across the workers, then surface the argmax by
+		// refreshing stale roots one log-depth sift at a time; if a single
+		// pick churns past the limit (a mostly-stale queue — cold burst,
+		// many selections since the last sweep), switch to the fused
+		// streaming argmax and leave the heap dirty so the rest of the burst
+		// skips sift maintenance entirely. Both paths refresh to the exact
+		// same values and apply the same (distance, ID) total order, so the
+		// selection sequence is unchanged.
 		var s int32
 		if f.heapDirty {
 			s = f.pickEager()
 		} else {
-			nSel := f.sel.Len()
+			nSel := len(f.selPts)
 			f.gapSuffix(nSel)
-			rows := f.sel.RowsFlat(0, nSel)
+			f.rankArrivals(nSel)
+			f.siftArrivals()
+			rows := f.selRows
 			refreshed, limit := 0, len(f.h)/256+32
 			lazy := true
 			for {
@@ -667,15 +692,14 @@ func (f *FarthestPoint) Select(n int) []Point {
 		// selGap2 for the triangle-inequality prune comes for free.
 		f.selGap2 = append(f.selGap2, f.dist2[s])
 		f.freeSlot(s)
-		f.sel.Add(coords)
+		f.selRows = append(f.selRows, coords...)
 		p := Point{ID: id, Coords: coords}
 		f.selPts = append(f.selPts, p)
 		f.journal.record("select", id)
 		out = append(out, p)
-		// The new selection can tighten every remaining rank: promote the
-		// dirty set to the whole store.
+		// The new selection can tighten every remaining rank: the whole
+		// store is dirty (the arrival list was emptied before the pick).
 		f.allDirty = true
-		f.dirty = f.dirty[:0]
 	}
 	if f.tel != nil {
 		f.tel.Histogram("dynim.select_ms", "ms", nil).Observe(f.tel.MsSince(selStart))
@@ -745,7 +769,7 @@ func RestoreFarthestPoint(dim, capacity int, ckpt []byte) (*FarthestPoint, error
 			return nil, fmt.Errorf("dynim: checkpoint point %q has dim %d", p.ID, len(p.Coords))
 		}
 		f.dd.claim(p.ID)
-		f.sel.Add(p.Coords)
+		f.selRows = append(f.selRows, p.Coords...)
 		f.selPts = append(f.selPts, p)
 		// Restored selections get a zero gap: the triangle-inequality prune
 		// only ever skips work when a gap is provably large, so a too-small

@@ -2,18 +2,21 @@ package dynim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"mummi/internal/parallel"
 )
 
 // The determinism contract of the parallel selector engine: for ANY worker
 // count, interleaved Add/Update/Select traffic produces the identical
 // selection sequence, eviction set, and journal as the serial (workers=1)
 // path. Every §5 replay figure depends on this. The tests in this file run
-// the same randomized scenario at workers 1, 2, 7, and GOMAXPROCS and
+// the same randomized scenario at workers 1, 2, 3, 7, and GOMAXPROCS and
 // require bit-identical outcomes; `go test -race ./internal/dynim/...`
 // additionally proves the sharded refresh is data-race-free.
 
@@ -50,7 +53,7 @@ func fpScenario(seed int64, capacity, workers int) (events []Event, selections [
 }
 
 func equivWorkerCounts() []int {
-	return []int{1, 2, 7, runtime.GOMAXPROCS(0)}
+	return []int{1, 2, 3, 7, runtime.GOMAXPROCS(0)}
 }
 
 func TestPropertyParallelSelectionMatchesSerial(t *testing.T) {
@@ -79,8 +82,8 @@ func TestPropertyParallelSelectionMatchesSerial(t *testing.T) {
 }
 
 func TestParallelSelectionMatchesSerialAtScale(t *testing.T) {
-	// One deterministic larger-than-fpsMinChunk run so the fan-out really
-	// spawns goroutines (the property test's queues can stay below the
+	// One deterministic run past fpsMinWork so the slot-range fan-out really
+	// spawns goroutines (the property test's queues stay below the
 	// serial-inline threshold).
 	if testing.Short() {
 		t.Skip("short mode")
@@ -90,7 +93,7 @@ func TestParallelSelectionMatchesSerialAtScale(t *testing.T) {
 		fp := NewFarthestPoint(9, 0)
 		fp.SetWorkers(workers)
 		fp.DisableJournal()
-		for i := 0; i < 3*fpsMinChunk; i++ {
+		for i := 0; i < fpsMinWork; i++ {
 			c := make([]float64, 9)
 			for j := range c {
 				c[j] = rng.Float64()
@@ -111,6 +114,116 @@ func TestParallelSelectionMatchesSerialAtScale(t *testing.T) {
 		if got := build(workers); !reflect.DeepEqual(got, ref) {
 			t.Errorf("workers=%d: selection sequence differs from serial", workers)
 		}
+	}
+}
+
+// campaignRun is what TestCampaignTrafficMatchesSerial compares across
+// worker counts: the journal, the selections, and the candidate store with
+// its rank caches after a final Update.
+type campaignRun struct {
+	events   []Event
+	selected []Point
+	ids      []string
+	dist2    []uint64 // math.Float64bits, so the comparison is bitwise
+	seenSel  []int32
+}
+
+// TestCampaignTrafficMatchesSerial drives the traffic the replay-paper
+// ledger shows for a patch queue — a capped queue, 158 offers per
+// Select(1), the batched eviction firing about once a pick, and one
+// checkpoint/restore mid-run — and requires the same journal, selections
+// and, after Update, bit-identical rank caches for every worker count. It is
+// long enough that the arrival fan-out splits: 158 arrivals against more
+// than 2·fpsMinWork/158 selections.
+func TestCampaignTrafficMatchesSerial(t *testing.T) {
+	const dim, capacity, addsPerSelect, picks = 9, 2000, 158, 260
+	run := func(workers int) campaignRun {
+		rng := rand.New(rand.NewSource(17))
+		fp := NewFarthestPoint(dim, capacity)
+		fp.SetWorkers(workers)
+		next := 0
+		for pick := 0; pick < picks; pick++ {
+			for i := 0; i < addsPerSelect; i++ {
+				c := make([]float64, dim)
+				for k := range c {
+					c[k] = rng.NormFloat64()
+				}
+				if err := fp.Add(Point{ID: fmt.Sprintf("p%07d", next), Coords: c}); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			}
+			if len(fp.Select(1)) != 1 {
+				t.Fatal("empty selection")
+			}
+			if pick == picks/2 {
+				ckpt, err := fp.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fp, err = RestoreFarthestPoint(dim, capacity, ckpt); err != nil {
+					t.Fatal(err)
+				}
+				fp.SetWorkers(workers)
+			}
+		}
+		fp.Update()
+		r := campaignRun{events: fp.History(), selected: fp.Selected(), ids: fp.ids, seenSel: fp.seenSel}
+		for _, d := range fp.dist2 {
+			r.dist2 = append(r.dist2, math.Float64bits(d))
+		}
+		return r
+	}
+	ref := run(1)
+	if parallel.Chunks(addsPerSelect, 2, minChunk(len(ref.selected))) < 2 {
+		t.Fatalf("arrival fan-out never splits: %d selections", len(ref.selected))
+	}
+	evicted := false
+	for _, e := range ref.events {
+		evicted = evicted || e.Kind == "evict"
+	}
+	if !evicted {
+		t.Fatal("eviction never fired")
+	}
+	for _, workers := range equivWorkerCounts()[1:] {
+		if got := run(workers); !reflect.DeepEqual(got, ref) {
+			t.Errorf("workers=%d: journal %v, selections %v, store %v, dist2 %v, seenSel %v (true = same as serial)",
+				workers, reflect.DeepEqual(got.events, ref.events), reflect.DeepEqual(got.selected, ref.selected),
+				reflect.DeepEqual(got.ids, ref.ids), reflect.DeepEqual(got.dist2, ref.dist2),
+				reflect.DeepEqual(got.seenSel, ref.seenSel))
+		}
+	}
+}
+
+// TestArrivalBurstIsNotChurn: arrivals are ranked before the lazy pick
+// starts counting, so a burst of them larger than the churn limit no longer
+// pushes the pick onto the streaming path and the heap stays ordered.
+func TestArrivalBurstIsNotChurn(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	fp := NewFarthestPoint(3, 0)
+	next := 0
+	add := func(n int) {
+		for ; n > 0; n-- {
+			id := fmt.Sprintf("p%05d", next)
+			if err := fp.Add(Point{ID: id, Coords: []float64{rng.Float64(), rng.Float64(), rng.Float64()}}); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	}
+	add(300)
+	fp.Select(1)
+	fp.Update()
+	burst := 4 * (len(fp.h)/256 + 32)
+	add(burst)
+	if len(fp.dirty) != burst {
+		t.Fatalf("arrival list holds %d, want %d", len(fp.dirty), burst)
+	}
+	if len(fp.Select(1)) != 1 {
+		t.Fatal("empty selection")
+	}
+	if fp.heapDirty {
+		t.Error("a burst of arrivals pushed Select onto the streaming path")
 	}
 }
 

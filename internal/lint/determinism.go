@@ -20,7 +20,7 @@ import (
 //  4. select statements with multiple communication cases (the runtime
 //     picks a ready case pseudo-randomly).
 //
-// Scope: the selector engine (dynim, knn, parallel) plus the workflow
+// Scope: the selector engine (dynim, parallel) plus the workflow
 // manager (core), whose checkpoint/restore sweeps feed campaign replays,
 // plus the fault-injection engine (faults), whose schedules must be a pure
 // function of the plan seed for chaos replays to be byte-identical, plus
@@ -29,7 +29,7 @@ import (
 // the wire (socket deadlines are the one annotated exception), plus the
 // distributed-WM fleet (wmfleet), whose lease acquisition, renewal, and
 // adoption schedule must replay byte-identically per campaign seed.
-// dynim, knn, and parallel import no module packages outside this set, so
+// dynim and parallel import no module packages outside this set, so
 // whole-package analysis over-approximates "reachable from the
 // FarthestPoint rank/selection paths".
 var Determinism = &Analyzer{
@@ -37,7 +37,7 @@ var Determinism = &Analyzer{
 	Doc:  "flags map-range iteration, global math/rand, time.Now, and multi-case select in determinism-contracted packages",
 	Scope: func(pkgPath string) bool {
 		for _, suffix := range []string{
-			"internal/dynim", "internal/knn", "internal/parallel", "internal/core",
+			"internal/dynim", "internal/parallel", "internal/core",
 			"internal/faults", "internal/kvstore", "internal/wmfleet",
 		} {
 			if strings.HasSuffix(pkgPath, suffix) {

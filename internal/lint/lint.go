@@ -10,8 +10,8 @@
 // Four per-package analyzers ship with the framework:
 //
 //   - determinism: no iteration-order, RNG, or wall-clock nondeterminism
-//     inside the determinism-contracted packages (dynim, knn, parallel,
-//     core, faults, kvstore).
+//     inside the determinism-contracted packages (dynim, parallel, core,
+//     faults, kvstore).
 //   - lockdiscipline: every Lock has an unlock on all return paths, no
 //     blocking operations while a mutex is held, no by-value copies of
 //     lock-bearing structs (core, sched, faults, kvstore).

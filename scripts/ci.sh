@@ -60,6 +60,21 @@ diff "$tmpdir/chaos1-metrics.json" "$tmpdir/chaos2-metrics.json"
 diff "$tmpdir/chaos1-trace.json" "$tmpdir/chaos2-trace.json"
 grep -q 'wm restarts' "$tmpdir/chaos1.out"
 
+# Worker-count smoke: the selector splits its rank refresh over -workers
+# goroutines and promises the same selections for every count. Hold it
+# through the CLI: one worker against four, same counts table, same metrics
+# snapshot, same trace. mummi-bench is the campaign CLI with a -workers flag.
+for w in 1 4; do
+	go run ./cmd/mummi-bench -exp counts -scale 0.02 -seed 7 -workers "$w" \
+		-trace "$tmpdir/w$w-trace.json" -metrics "$tmpdir/w$w-metrics.json" >"$tmpdir/w$w.out"
+	# Drop the wall-clock and allocation line ("replayed ... in Nms (...)").
+	grep -v '^replayed ' "$tmpdir/w$w.out" >"$tmpdir/w$w.cmp"
+done
+grep -q 'CG sims selected' "$tmpdir/w1.cmp"
+diff "$tmpdir/w1.cmp" "$tmpdir/w4.cmp"
+diff "$tmpdir/w1-metrics.json" "$tmpdir/w4-metrics.json"
+diff "$tmpdir/w1-trace.json" "$tmpdir/w4-trace.json"
+
 # Scenario-matrix gate: replay every committed workflow instance under
 # scenarios/ and require its fresh ledger to equal the committed one byte
 # for byte — which also holds every scenario to same-seed determinism on
