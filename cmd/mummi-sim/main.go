@@ -1,27 +1,20 @@
-// Command mummi-sim runs individual application components as a file-based
-// pipeline — the paper deploys MuMMI "not only within large HPC
-// environments but also on standard laptop computers (for testing and use
-// of individual components)" (§4.5). Each subcommand reads and writes real
-// files, so stages can be chained, inspected, and swapped:
+// Command mummi-sim is the repository's one campaign CLI and its component
+// toolbox; README.md ("Commands") is the reference for every subcommand
+// and flag.
 //
-//	mummi-sim continuum -grid 120 -proteins 30 -us 5 -out snap.gs2d
-//	mummi-sim patches   -in snap.gs2d -outdir patches/
-//	mummi-sim select    -indir patches/ -n 8
-//	mummi-sim cg        -id sim01 -frames 50 -outdir frames/
-//	mummi-sim feedback  -indir frames/ -species 14
-//
-// The campaign subcommand replays a small scaled campaign with the full
-// observability surface (see docs/OBSERVABILITY.md):
+// The paper deploys MuMMI "not only within large HPC environments but also
+// on standard laptop computers (for testing and use of individual
+// components)" (§4.5): continuum, patches, select, cg and feedback each
+// read and write real files, so stages can be chained, inspected, and
+// swapped. campaign replays a scaled campaign with the full observability
+// surface (docs/OBSERVABILITY.md), exp regenerates the paper's tables and
+// figures (EXPERIMENTS.md), and trace works with workflow instances —
+// portable JSON descriptions of a campaign (docs/SCENARIOS.md):
 //
 //	mummi-sim campaign -scale 0.05 -trace trace.json -metrics metrics.json
-//
-// The trace subcommand works with workflow instances — portable JSON
-// descriptions of a campaign (docs/SCENARIOS.md):
-//
+//	mummi-sim exp -exp table1,counts,fig5
 //	mummi-sim trace export -scale 0.05 -out my.trace.json
-//	mummi-sim trace import -in my.trace.json
-//	mummi-sim trace gen -seed 42 -n 8 -outdir sweeps/
-//	mummi-sim campaign -trace-in scenarios/laptop-smoke.trace.json
+//	mummi-sim campaign -trace-in my.trace.json
 package main
 
 import (
@@ -47,30 +40,20 @@ import (
 	"mummi/internal/units"
 )
 
+var subcommands = map[string]func(args []string) error{
+	"continuum": runContinuum, "patches": runPatches, "select": runSelect, "cg": runCG,
+	"feedback": runFeedback, "campaign": runCampaign, "exp": runExp, "trace": runTrace,
+}
+
 func main() {
 	if len(os.Args) < 2 {
-		fatal(fmt.Errorf("usage: mummi-sim continuum|patches|select|cg|feedback|campaign|trace [flags]"))
+		fatal(fmt.Errorf("usage: mummi-sim continuum|patches|select|cg|feedback|campaign|exp|trace [flags]"))
 	}
-	var err error
-	switch os.Args[1] {
-	case "continuum":
-		err = runContinuum(os.Args[2:])
-	case "patches":
-		err = runPatches(os.Args[2:])
-	case "select":
-		err = runSelect(os.Args[2:])
-	case "cg":
-		err = runCG(os.Args[2:])
-	case "feedback":
-		err = runFeedback(os.Args[2:])
-	case "campaign":
-		err = runCampaign(os.Args[2:])
-	case "trace":
-		err = runTrace(os.Args[2:])
-	default:
-		err = fmt.Errorf("unknown component %q", os.Args[1])
+	run, ok := subcommands[os.Args[1]]
+	if !ok {
+		fatal(fmt.Errorf("unknown subcommand %q", os.Args[1]))
 	}
-	if err != nil {
+	if err := run(os.Args[2:]); err != nil {
 		fatal(err)
 	}
 }
@@ -80,81 +63,99 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// runCampaign replays a scaled campaign with observability on — the
-// example campaign of docs/OBSERVABILITY.md. The default scale finishes in
-// seconds on a laptop while still exercising every instrumented layer
-// (all four workflow-manager tasks, the scheduler, and the feedback store).
-// With -trace-in the campaign comes from a workflow instance instead of
-// the configuration flags; -trace-out exports the effective configuration
-// as a trace for replay elsewhere (docs/SCENARIOS.md).
-func runCampaign(args []string) error {
-	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
-	scale := fs.Float64("scale", 0.05, "paper-schedule scale factor (1.0 = full 600,600 node-hours)")
-	seed := fs.Int64("seed", 1, "seed")
-	scales := fs.String("scales", string(campaign.ThreeScale),
-		"scale regime: three-scale (continuum+CG+AA) or two-scale (mini-MuMMI CG+AA)")
-	feedbackEvery := fs.Duration("feedback-every", 30*time.Minute,
-		"Task-4 feedback cadence in campaign virtual time (0 = off)")
-	faultSpec := fs.String("faults", "",
-		"chaos plan: JSON file, inline JSON, or 'class:rate;...' spec (see docs/RESILIENCE.md; empty = no faults)")
-	wmInstances := fs.Int("wm-instances", 1,
-		"workflow-manager fleet size (>1 spreads couplings across a lease-coordinated fleet; see docs/RESILIENCE.md)")
-	traceIn := fs.String("trace-in", "", "replay this workflow instance instead of the configuration flags")
-	traceOut := fs.String("trace-out", "", "export the effective campaign configuration as a workflow instance")
-	traceName := fs.String("trace-name", "exported", "scenario name to record in -trace-out")
-	var tf telemetry.Flags
-	tf.Register(fs)
-	fs.Parse(args)
+// campaignFlags is the one declaration of the campaign flag set; the
+// campaign, exp and trace export subcommands differ only in the defaults
+// they hand to register. The two that replay also register tel.
+type campaignFlags struct {
+	fs      *flag.FlagSet
+	opts    campaign.Options
+	traceIn string
+	tel     telemetry.Flags
+	// scenario is the workflow instance resolve read for -trace-in.
+	scenario *trace.Trace
+}
 
-	tel, srv, err := tf.Build()
+// campaignDefaults is what differs between those subcommands.
+type campaignDefaults struct {
+	scale         float64
+	feedbackEvery time.Duration
+}
+
+var (
+	campaignCmd = campaignDefaults{scale: 0.05, feedbackEvery: 30 * time.Minute} // and trace export
+	expCmd      = campaignDefaults{scale: 0.25}
+)
+
+// register declares the campaign flags on fs.
+func (c *campaignFlags) register(fs *flag.FlagSet, d campaignDefaults) {
+	c.fs = fs
+	o := &c.opts
+	fs.Float64Var(&o.Scale, "scale", d.scale, "paper-schedule scale factor (1.0 = full 600,600 node-hours)")
+	fs.Int64Var(&o.Seed, "seed", 1, "seed")
+	fs.StringVar((*string)(&o.Scales), "scales", string(campaign.ThreeScale),
+		"scale regime: three-scale (continuum+CG+AA) or two-scale (mini-MuMMI CG+AA)")
+	fs.DurationVar(&o.FeedbackEvery, "feedback-every", d.feedbackEvery,
+		"Task-4 feedback cadence in campaign virtual time (0 = off)")
+	fs.StringVar(&o.FaultSpec, "faults", "",
+		"chaos plan: JSON file, inline JSON, or 'class:rate;...' spec (see docs/RESILIENCE.md; empty = no faults)")
+	fs.IntVar(&o.WMInstances, "wm-instances", 1,
+		"workflow-manager fleet size (>1 spreads couplings across a lease-coordinated fleet; see docs/RESILIENCE.md)")
+	fs.StringVar(&c.traceIn, "trace-in", "",
+		"take the campaign from this workflow instance instead of the flags above (see docs/SCENARIOS.md)")
+	fs.IntVar(&o.Workers, "workers", 0,
+		"selector rank-update fan-out (0 = GOMAXPROCS; output identical for any value)")
+}
+
+// resolve turns the parsed flags into a campaign configuration: the one
+// named by -trace-in, or the one the configuration flags build.
+func (c *campaignFlags) resolve() (campaign.Config, error) {
+	if c.traceIn == "" {
+		return c.opts.Build()
+	}
+	// A trace is a complete configuration: mixing it with the flag-based
+	// knobs would silently shadow the committed scenario, so refuse. Only
+	// the non-semantic -workers may ride along.
+	var conflict []string
+	c.fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "scale", "seed", "scales", "feedback-every", "faults", "wm-instances":
+			conflict = append(conflict, "-"+f.Name)
+		}
+	})
+	if len(conflict) > 0 {
+		return campaign.Config{}, fmt.Errorf("-trace-in replaces the campaign configuration; drop %s", strings.Join(conflict, ", "))
+	}
+	t, err := readTrace(c.traceIn)
 	if err != nil {
-		return err
+		return campaign.Config{}, err
 	}
-	var cfg campaign.Config
-	if *traceIn != "" {
-		// A trace is a complete configuration: mixing it with the flag-based
-		// knobs would silently shadow the committed scenario, so refuse.
-		var conflict []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "scale", "seed", "scales", "feedback-every", "faults", "wm-instances":
-				conflict = append(conflict, "-"+f.Name)
-			}
-		})
-		if len(conflict) > 0 {
-			return fmt.Errorf("-trace-in replaces the campaign configuration; drop %s", strings.Join(conflict, ", "))
-		}
-		t, err := readTrace(*traceIn)
-		if err != nil {
-			return err
-		}
-		if cfg, err = t.Config(); err != nil {
-			return err
-		}
-		fmt.Printf("campaign: replaying scenario %s (%s)\n", t.Name, t.Description)
-	} else {
-		opts := campaign.Options{
-			Scale: *scale, Seed: *seed, Scales: campaign.ScaleMode(*scales),
-			FeedbackEvery: *feedbackEvery, FaultSpec: *faultSpec,
-			WMInstances: *wmInstances,
-		}
-		if cfg, err = opts.Build(); err != nil {
-			return err
-		}
+	cfg, err := t.Config()
+	if err != nil {
+		return campaign.Config{}, err
 	}
-	if *traceOut != "" {
-		t, err := trace.FromConfig(*traceName, "exported by mummi-sim campaign", cfg)
-		if err != nil {
-			return err
-		}
-		if err := writeTrace(*traceOut, t); err != nil {
-			return err
-		}
-		fmt.Printf("campaign: wrote workflow instance -> %s\n", *traceOut)
+	if c.opts.Workers != 0 {
+		cfg.SelectorWorkers = c.opts.Workers
+	}
+	c.scenario = t
+	return cfg, nil
+}
+
+// replay runs the resolved campaign with the telemetry the flags ask for
+// and prints its summary: the chaos and fleet ledgers when the
+// configuration has faults or a fleet, and where the artifacts went.
+// Telemetry is built here, after resolve, so a rejected command line never
+// opens -metrics-addr.
+func (c *campaignFlags) replay(cfg campaign.Config) (*campaign.Result, error) {
+	if c.scenario != nil {
+		fmt.Printf("campaign: replaying scenario %s (%s)\n", c.scenario.Name, c.scenario.Description)
+	}
+	tel, srv, err := c.tel.Build()
+	if err != nil {
+		return nil, err
 	}
 	cfg.Telemetry = tel
-	if tf.HeartbeatEvery > 0 {
-		cfg.HeartbeatEvery = tf.HeartbeatEvery
+	if c.tel.HeartbeatEvery > 0 {
+		cfg.HeartbeatEvery = c.tel.HeartbeatEvery
 		cfg.HeartbeatWriter = os.Stderr
 	}
 	if srv != nil {
@@ -164,7 +165,7 @@ func runCampaign(args []string) error {
 	start := time.Now()
 	res, err := campaign.Run(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Printf("campaign: %d runs, %v replayed in %v\n",
 		res.RunsDone, res.TotalNodeHours, time.Since(start).Round(time.Millisecond))
@@ -180,19 +181,36 @@ func runCampaign(args []string) error {
 			cfg.WMInstances, res.WMCrashes, res.WMAdoptions, res.LeaseExpirations)
 	}
 
-	if err := tf.Finish(tel, srv); err != nil {
+	if err := c.tel.Finish(tel, srv); err != nil {
+		return nil, err
+	}
+	if c.tel.TracePath != "" {
+		fmt.Printf("campaign: trace %d spans (%d dropped) -> %s\n",
+			tel.Tracer().Len(), tel.Tracer().Dropped(), c.tel.TracePath)
+	}
+	if c.tel.MetricsPath != "" {
+		fmt.Printf("campaign: metrics snapshot -> %s\n", c.tel.MetricsPath)
+	}
+	return res, nil
+}
+
+// runCampaign replays a scaled campaign — the example campaign of
+// docs/OBSERVABILITY.md. The default scale finishes in seconds on a laptop
+// while still exercising every instrumented layer (all four
+// workflow-manager tasks, the scheduler, and the feedback store).
+func runCampaign(args []string) error {
+	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
+	var c campaignFlags
+	c.register(fs, campaignCmd)
+	c.tel.Register(fs)
+	fs.Parse(args)
+
+	cfg, err := c.resolve()
+	if err != nil {
 		return err
 	}
-	if tel != nil {
-		if tf.TracePath != "" {
-			fmt.Printf("campaign: trace %d spans (%d dropped) -> %s\n",
-				tel.Tracer().Len(), tel.Tracer().Dropped(), tf.TracePath)
-		}
-		if tf.MetricsPath != "" {
-			fmt.Printf("campaign: metrics snapshot -> %s\n", tf.MetricsPath)
-		}
-	}
-	return nil
+	_, err = c.replay(cfg)
+	return err
 }
 
 // readTrace loads and validates a workflow instance file.
@@ -237,30 +255,18 @@ func runTrace(args []string) error {
 	}
 }
 
-// runTraceExport builds a campaign configuration from the same knobs the
+// runTraceExport builds a campaign configuration from the flags the
 // campaign subcommand takes and writes it as a workflow instance.
 func runTraceExport(args []string) error {
 	fs := flag.NewFlagSet("trace export", flag.ExitOnError)
-	scale := fs.Float64("scale", 0.05, "paper-schedule scale factor (1.0 = full 600,600 node-hours)")
-	seed := fs.Int64("seed", 1, "seed")
-	scales := fs.String("scales", string(campaign.ThreeScale),
-		"scale regime: three-scale or two-scale")
-	feedbackEvery := fs.Duration("feedback-every", 30*time.Minute,
-		"Task-4 feedback cadence in campaign virtual time (0 = off)")
-	faultSpec := fs.String("faults", "", "chaos plan (see docs/RESILIENCE.md; empty = no faults)")
-	wmInstances := fs.Int("wm-instances", 1,
-		"workflow-manager fleet size to record (see docs/RESILIENCE.md)")
+	var c campaignFlags
+	c.register(fs, campaignCmd)
 	name := fs.String("name", "exported", "scenario name to record in the trace")
 	desc := fs.String("desc", "exported by mummi-sim trace export", "scenario description")
 	out := fs.String("out", "", "output file (default: <name>.trace.json)")
 	fs.Parse(args)
 
-	opts := campaign.Options{
-		Scale: *scale, Seed: *seed, Scales: campaign.ScaleMode(*scales),
-		FeedbackEvery: *feedbackEvery, FaultSpec: *faultSpec,
-		WMInstances: *wmInstances,
-	}
-	cfg, err := opts.Build()
+	cfg, err := c.resolve()
 	if err != nil {
 		return err
 	}

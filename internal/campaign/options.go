@@ -8,7 +8,7 @@ import (
 )
 
 // Options is the shared CLI-facing campaign builder: the one entry point
-// through which mummi-sim campaign, mummi-run, mummi-bench, the trace
+// through which mummi-sim (campaign, exp, trace export), the trace
 // layer, and the scenario-matrix runner turn flag-level knobs into a
 // Config. Hoisting it here keeps the flag semantics (scale factors, fault
 // plan parsing, fault-seed defaulting) identical across every command.

@@ -66,16 +66,6 @@ func Armor(s Store, tel *telemetry.Telemetry, backend string, opts ArmorOptions)
 	}
 }
 
-// OpenArmored opens the Store selected by cfg and wraps it with both
-// instrumentation and retry armoring, the deployment-ready composition.
-func OpenArmored(cfg Config, tel *telemetry.Telemetry, opts ArmorOptions) (Store, error) {
-	s, err := OpenInstrumented(cfg, tel)
-	if err != nil {
-		return nil, err
-	}
-	return Armor(s, tel, cfg.Backend, opts), nil
-}
-
 type armored struct {
 	s       Store
 	tel     *telemetry.Telemetry

@@ -39,17 +39,6 @@ func Instrument(s Store, tel *telemetry.Telemetry, backend string) Store {
 	}
 }
 
-// OpenInstrumented opens the Store selected by cfg (any registered backend:
-// memory, fs, taridx, kv) and wraps it with telemetry labeled by the
-// backend name, so a deployment's store metrics arrive with a single call.
-func OpenInstrumented(cfg Config, tel *telemetry.Telemetry) (Store, error) {
-	s, err := Open(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return Instrument(s, tel, cfg.Backend), nil
-}
-
 type instrumented struct {
 	s       Store
 	tel     *telemetry.Telemetry

@@ -13,8 +13,8 @@
 //     inside the determinism-contracted packages (dynim, parallel, core,
 //     faults, kvstore).
 //   - lockdiscipline: every Lock has an unlock on all return paths, no
-//     blocking operations while a mutex is held, no by-value copies of
-//     lock-bearing structs (core, sched, faults, kvstore).
+//     blocking operations while a mutex is held (core, sched, faults,
+//     kvstore); by-value lock copies are go vet's copylocks.
 //   - errdiscipline: no silently discarded errors anywhere in the module,
 //     modulo an explicit allowlist.
 //   - doccomment: every exported identifier in the instrumented packages

@@ -10,17 +10,16 @@ import (
 // LockDiscipline mechanizes the §4.4 rule that the workflow manager's four
 // tasks share state "under explicit locking": the WM and the scheduler mix
 // blocking locks with nonblocking busy flags, and every past deadlock and
-// state-corruption bug in that mix falls into one of three shapes, all
-// checked here:
+// state-corruption bug in that mix falls into one of two shapes, both
+// checked here (the third, a by-value copy of a lock-bearing struct, is
+// go vet's copylocks, which runs before this suite):
 //
 //  1. a mutex Lock() without an Unlock() on some return path (and without
 //     a defer) — the classic leaked lock;
 //  2. a blocking operation while a mutex is held: channel send/receive,
 //     WaitGroup.Wait, time.Sleep, or datastore/network/file I/O — the
 //     classic lock-convoy / deadlock seed (callbacks in this codebase are
-//     deliberately invoked after Unlock; this analyzer keeps it that way);
-//  3. copying a struct that contains a sync.Mutex/RWMutex by value — the
-//     copy silently forks the lock.
+//     deliberately invoked after Unlock; this analyzer keeps it that way).
 //
 // The lock-state analysis is intra-procedural and structural: it tracks
 // held locks through if/else, switch, select, and loops, merging branch
@@ -29,7 +28,7 @@ import (
 // matches the repo's convention.
 var LockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "flags leaked locks, blocking operations under a held mutex, and by-value copies of lock-bearing structs",
+	Doc:  "flags leaked locks and blocking operations under a held mutex",
 	Scope: func(pkgPath string) bool {
 		return strings.HasSuffix(pkgPath, "internal/core") ||
 			strings.HasSuffix(pkgPath, "internal/sched") ||
@@ -48,7 +47,6 @@ func runLockDiscipline(pass *Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				la.checkValueReceiver(n)
 				if n.Body != nil {
 					la.analyzeBody(n.Body)
 				}
@@ -62,7 +60,6 @@ func runLockDiscipline(pass *Pass) {
 			}
 			return true
 		})
-		la.checkCopies(f)
 	}
 }
 
@@ -481,122 +478,4 @@ func (la *lockAnalysis) reportBlocking(pos token.Pos, f lockFacts, what string) 
 	la.pass.Reportf(pos,
 		"%s while holding %s: blocking operations under a mutex stall every other workflow task (§4.4); release the lock first",
 		what, heldKeys(f))
-}
-
-// ---------------------------------------------------------------------------
-// Copylocks
-
-// checkValueReceiver flags methods whose value receiver copies a
-// lock-bearing struct on every call.
-func (la *lockAnalysis) checkValueReceiver(fd *ast.FuncDecl) {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return
-	}
-	t := la.pass.TypeOf(fd.Recv.List[0].Type)
-	if t == nil {
-		return
-	}
-	if _, isPtr := t.(*types.Pointer); isPtr {
-		return
-	}
-	if lockPath := containsLock(t, nil); lockPath != "" {
-		la.pass.Reportf(fd.Recv.List[0].Pos(),
-			"value receiver copies %s (contains %s); use a pointer receiver", t.String(), lockPath)
-	}
-}
-
-// checkCopies flags by-value copies of lock-bearing structs in
-// assignments, short declarations, call arguments, and range clauses.
-func (la *lockAnalysis) checkCopies(f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
-				return true
-			}
-			for _, rhs := range n.Rhs {
-				la.checkCopyExpr(rhs)
-			}
-		case *ast.GenDecl:
-			for _, spec := range n.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						la.checkCopyExpr(v)
-					}
-				}
-			}
-		case *ast.CallExpr:
-			if _, _, isLockOp := la.lockOp(n); isLockOp {
-				return true
-			}
-			for _, arg := range n.Args {
-				la.checkCopyExpr(arg)
-			}
-		case *ast.RangeStmt:
-			if n.Value != nil {
-				if t := la.pass.TypeOf(n.Value); t != nil {
-					if lockPath := containsLock(t, nil); lockPath != "" {
-						la.pass.Reportf(n.Value.Pos(),
-							"range value copies %s (contains %s); iterate by index or over pointers", t.String(), lockPath)
-					}
-				}
-			}
-		}
-		return true
-	})
-}
-
-// checkCopyExpr flags expressions that produce a copy of a lock-bearing
-// value: variables, field selections, dereferences, and index expressions.
-// Composite literals and conversions of literals are initialization, not
-// copies, and are exempt.
-func (la *lockAnalysis) checkCopyExpr(e ast.Expr) {
-	switch e.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-	default:
-		return
-	}
-	t := la.pass.TypeOf(e)
-	if t == nil {
-		return
-	}
-	if lockPath := containsLock(t, nil); lockPath != "" {
-		la.pass.Reportf(e.Pos(),
-			"by-value copy of %s (contains %s) forks the lock; pass a pointer", t.String(), lockPath)
-	}
-}
-
-// containsLock reports the path to a sync lock type contained by value in
-// t ("" if none). seen guards recursive types.
-func containsLock(t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	if seen == nil {
-		seen = map[types.Type]bool{}
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Pool", "Map":
-				return "sync." + obj.Name()
-			}
-		}
-		return containsLock(named.Underlying(), seen)
-	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if p := containsLock(u.Field(i).Type(), seen); p != "" {
-				return u.Field(i).Name() + "." + p
-			}
-		}
-	case *types.Array:
-		if p := containsLock(u.Elem(), seen); p != "" {
-			return "[...]" + p
-		}
-	}
-	return ""
 }

@@ -35,17 +35,6 @@ func (c *counter) doubleLock() {
 	c.mu.Unlock()
 }
 
-// valueReceiver copies the mutex with every call.
-func (c counter) valueReceiver() int { // want "value receiver copies"
-	return c.n
-}
-
-// copyByValue forks the lock state into an independent copy.
-func copyByValue(c *counter) int {
-	cp := *c // want "by-value copy"
-	return cp.n
-}
-
 // deferred is the blessed §4.4 shape and must NOT be flagged.
 func (c *counter) deferred() int {
 	c.mu.Lock()

@@ -134,7 +134,7 @@ func (h *Histogram) Mode() float64 {
 }
 
 // Render prints the histogram as rows of "center count" with an ASCII bar,
-// so `mummi-bench` output can be eyeballed or piped into a plotter.
+// so `mummi-sim exp` output can be eyeballed or piped into a plotter.
 func (h *Histogram) Render(label string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s (n=%d)\n", label, h.n)

@@ -63,17 +63,26 @@ grep -q 'wm restarts' "$tmpdir/chaos1.out"
 # Worker-count smoke: the selector splits its rank refresh over -workers
 # goroutines and promises the same selections for every count. Hold it
 # through the CLI: one worker against four, same counts table, same metrics
-# snapshot, same trace. mummi-bench is the campaign CLI with a -workers flag.
+# snapshot, same trace.
 for w in 1 4; do
-	go run ./cmd/mummi-bench -exp counts -scale 0.02 -seed 7 -workers "$w" \
+	go run ./cmd/mummi-sim exp -exp counts -scale 0.02 -seed 7 -workers "$w" \
 		-trace "$tmpdir/w$w-trace.json" -metrics "$tmpdir/w$w-metrics.json" >"$tmpdir/w$w.out"
-	# Drop the wall-clock and allocation line ("replayed ... in Nms (...)").
-	grep -v '^replayed ' "$tmpdir/w$w.out" >"$tmpdir/w$w.cmp"
+	# Drop the wall-clock and artifact-path lines, as above.
+	grep -v -e 'replayed in' -e ' -> ' "$tmpdir/w$w.out" >"$tmpdir/w$w.cmp"
 done
 grep -q 'CG sims selected' "$tmpdir/w1.cmp"
 diff "$tmpdir/w1.cmp" "$tmpdir/w4.cmp"
 diff "$tmpdir/w1-metrics.json" "$tmpdir/w4-metrics.json"
 diff "$tmpdir/w1-trace.json" "$tmpdir/w4-trace.json"
+
+# One front door: a workflow instance is a complete configuration, so a
+# campaign flag beside -trace-in is an error on every subcommand, and the
+# campaign flags are declared in exactly one file under cmd/.
+if go run ./cmd/mummi-sim exp -trace-in scenarios/laptop-smoke.trace.json -scale 0.5; then
+	echo "ci: exp accepted -scale beside -trace-in" >&2
+	exit 1
+fi
+test "$(grep -rl '"feedback-every"' cmd | wc -l)" -eq 1
 
 # Scenario-matrix gate: replay every committed workflow instance under
 # scenarios/ and require its fresh ledger to equal the committed one byte
