@@ -105,9 +105,9 @@ type soloWM struct {
 }
 
 // build replaces the manager and its conductor with fresh ones. The
-// selectors in the coupling specs are shared Campaign state, so a rebuilt
-// manager keeps the live selector state (the real system restores selectors
-// from their own checkpoints).
+// selectors in the coupling specs are Campaign state and outlive the
+// manager: a rebuilt manager keeps the live selectors, and no checkpoint
+// holds them (docs/RESILIENCE.md "Checkpoint record").
 func (a *soloWM) build(seed int64) error {
 	cond, err := maestro.NewConductor(a.c.clk, maestro.FluxBackend{S: a.s}, a.c.cfg.SubmitPerMinute)
 	if err != nil {

@@ -171,7 +171,6 @@ type couplingState struct {
 	failedSetups int
 	feedbackRuns int
 	feedbackBusy bool
-	lastReports  []feedback.Report
 }
 
 // Workflow is the workflow manager.
@@ -607,7 +606,7 @@ func (w *Workflow) runFeedback(i int) {
 
 	sp := w.tel.StartSpan("wm", "task4.feedback").Arg("coupling", name)
 	fbStart := w.tel.Now()
-	rep, err := mgr.Iterate()
+	_, err := mgr.Iterate()
 	sp.End()
 	w.tel.Histogram("wm.feedback_ms", "ms", nil).Observe(w.tel.MsSince(fbStart))
 	if err == nil {
@@ -620,7 +619,6 @@ func (w *Workflow) runFeedback(i int) {
 	cs.feedbackBusy = false
 	if err == nil {
 		cs.feedbackRuns++
-		cs.lastReports = append(cs.lastReports, rep)
 	}
 	w.mu.Unlock()
 }
@@ -652,45 +650,73 @@ func (w *Workflow) couplingStatsLocked(cs *couplingState) CouplingStats {
 	}
 }
 
-// FeedbackReports returns the recorded feedback reports for a coupling.
-func (w *Workflow) FeedbackReports(coupling string) []feedback.Report {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	cs := w.findCoupling(coupling)
-	if cs == nil {
-		return nil
-	}
-	return append([]feedback.Report(nil), cs.lastReports...)
-}
-
 // ---------------------------------------------------------------------------
 // Checkpoint / restore (§4.4 resilience: "can be restored completely after
-// any such crash without much loss of data")
+// any such crash without much loss of data"). docs/RESILIENCE.md
+// "Checkpoint record" is the format's specification.
 
-type checkpoint struct {
-	Couplings []couplingCkpt `json:"couplings"`
-}
-
-type couplingCkpt struct {
+// CouplingCheckpoint is one coupling's recoverable state: exactly what a
+// restore reads. Selectors are not in it — they are campaign state that
+// outlives any manager.
+type CouplingCheckpoint struct {
 	Name string `json:"name"`
 	// Ready holds prepared configurations. RunningSims holds configurations
 	// whose simulation was live at checkpoint time — on restore they return
-	// to the ready queue and resume without a new setup (simulations restart
-	// from their own checkpoints in the real system). InSetup holds
-	// configurations whose setup job was live — their setup must re-run, so
-	// they are re-offered to the selector.
-	Ready       []dynim.Point   `json:"ready"`
-	RunningSims []dynim.Point   `json:"running_sims"`
-	InSetup     []dynim.Point   `json:"in_setup"`
-	Launched    int             `json:"launched"`
-	Completed   int             `json:"completed"`
-	Selector    json.RawMessage `json:"selector,omitempty"`
+	// to the front of the ready queue and resume without a new setup
+	// (simulations restart from their own checkpoints in the real system).
+	// InSetup holds configurations whose setup job was live or owed — their
+	// setup re-runs; the selection stands.
+	Ready       []dynim.Point `json:"ready"`
+	RunningSims []dynim.Point `json:"running_sims"`
+	InSetup     []dynim.Point `json:"in_setup"`
+	Launched    int           `json:"launched"`
+	Completed   int           `json:"completed"`
 }
 
-// Checkpointer is implemented by selectors that support state capture
-// (both dynim samplers do).
-type Checkpointer interface {
-	Checkpoint() ([]byte, error)
+// Selections counts the selected configurations the record holds — what a
+// restore must account for as ready or in setup.
+func (c CouplingCheckpoint) Selections() int {
+	return len(c.Ready) + len(c.RunningSims) + len(c.InSetup)
+}
+
+// Stats reports the record's counts for a coupling no manager owns (the
+// fleet's orphan window): running simulations count as ready, matching
+// what a restore yields; Launched is the count as recorded.
+func (c CouplingCheckpoint) Stats() CouplingStats {
+	return CouplingStats{
+		Name:          c.Name,
+		Ready:         len(c.Ready) + len(c.RunningSims),
+		InSetup:       len(c.InSetup),
+		Launched:      c.Launched,
+		CompletedSims: c.Completed,
+	}
+}
+
+// checkpoint is the one document shape: a WM checkpoint lists every
+// coupling, a fleet store record lists one.
+type checkpoint struct {
+	Couplings []CouplingCheckpoint `json:"couplings"`
+}
+
+// EncodeCheckpoint serializes coupling records as one checkpoint document.
+// Bytes exist only where the modelled system has a process boundary:
+// allocation end to the next allocation, a crashed manager to its
+// replacement, a fleet flush through the store to an adopter.
+func EncodeCheckpoint(couplings ...CouplingCheckpoint) ([]byte, error) {
+	return json.Marshal(checkpoint{Couplings: couplings})
+}
+
+// DecodeCheckpoint parses a checkpoint document into its coupling records
+// (at least one).
+func DecodeCheckpoint(data []byte) ([]CouplingCheckpoint, error) {
+	var ck checkpoint
+	if err := json.Unmarshal(data, &ck); err != nil {
+		return nil, fmt.Errorf("core: corrupt checkpoint: %w", err)
+	}
+	if len(ck.Couplings) == 0 {
+		return nil, errors.New("core: corrupt checkpoint: no couplings")
+	}
+	return ck.Couplings, nil
 }
 
 // sortedJobIDsLocked returns the live job IDs in ascending order — the
@@ -707,8 +733,8 @@ func (w *Workflow) sortedJobIDsLocked() []sched.JobID {
 
 // couplingCkptLocked captures one coupling's checkpoint record. ids is the
 // sorted live-job sweep shared by every coupling. Caller holds mu.
-func (w *Workflow) couplingCkptLocked(cs *couplingState, ids []sched.JobID) (couplingCkpt, error) {
-	c := couplingCkpt{
+func (w *Workflow) couplingCkptLocked(cs *couplingState, ids []sched.JobID) CouplingCheckpoint {
+	c := CouplingCheckpoint{
 		Name:      cs.spec.Name,
 		Ready:     append([]dynim.Point(nil), cs.ready...),
 		InSetup:   append([]dynim.Point(nil), cs.redoSetup...),
@@ -726,74 +752,51 @@ func (w *Workflow) couplingCkptLocked(cs *couplingState, ids []sched.JobID) (cou
 			c.InSetup = append(c.InSetup, rec.point)
 		}
 	}
-	if ckp, ok := cs.spec.Selector.(Checkpointer); ok {
-		b, err := ckp.Checkpoint()
-		if err != nil {
-			return couplingCkpt{}, err
-		}
-		c.Selector = b
-	}
-	return c, nil
+	return c
 }
 
 // Checkpoint serializes the WM's recoverable state.
 func (w *Workflow) Checkpoint() ([]byte, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var ck checkpoint
 	// Deterministic checkpoint: job-map iteration order must not leak into
 	// the restore order (campaign replays depend on it). One sorted sweep
 	// serves every coupling.
 	ids := w.sortedJobIDsLocked()
-	for _, cs := range w.couplings {
-		c, err := w.couplingCkptLocked(cs, ids)
-		if err != nil {
-			return nil, err
-		}
-		ck.Couplings = append(ck.Couplings, c)
+	cks := make([]CouplingCheckpoint, len(w.couplings))
+	for i, cs := range w.couplings {
+		cks[i] = w.couplingCkptLocked(cs, ids)
 	}
-	return json.Marshal(ck)
+	return EncodeCheckpoint(cks...)
 }
 
-// CheckpointCoupling serializes a single coupling's recoverable state as a
-// standalone document — the per-coupling unit a distributed WM fleet writes
-// through the datastore so a surviving instance can adopt the coupling
-// after its owner crashes. The document is the same shape as one entry of
-// the full Checkpoint and is accepted by RestoreCoupling and AdoptCoupling.
-func (w *Workflow) CheckpointCoupling(name string) ([]byte, error) {
+// CheckpointCoupling captures a single coupling's recoverable state — the
+// per-coupling unit a distributed WM fleet flushes through the datastore so
+// a surviving instance can adopt the coupling after its owner crashes.
+func (w *Workflow) CheckpointCoupling(name string) (CouplingCheckpoint, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	cs := w.findCoupling(name)
 	if cs == nil {
-		return nil, fmt.Errorf("core: unknown coupling %q", name)
+		return CouplingCheckpoint{}, fmt.Errorf("core: unknown coupling %q", name)
 	}
-	c, err := w.couplingCkptLocked(cs, w.sortedJobIDsLocked())
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(c)
+	return w.couplingCkptLocked(cs, w.sortedJobIDsLocked()), nil
 }
 
 // RestoreState rehydrates a Workflow built with the same coupling specs
-// (selector restoration is the caller's job — selectors are restored by
-// their own Restore functions and passed in via the specs). In-flight work
-// returns to the ready queue; running jobs at crash time are re-run.
+// from a checkpoint document. The specs carry the selectors: they are
+// campaign state that outlives the manager, so nothing restores them.
+// In-flight work returns to the ready queue; running jobs at crash time
+// are re-run.
 func (w *Workflow) RestoreState(data []byte) error {
-	var ck checkpoint
-	if err := json.Unmarshal(data, &ck); err != nil {
-		return fmt.Errorf("core: corrupt checkpoint: %w", err)
+	cks, err := DecodeCheckpoint(data)
+	if err != nil {
+		return err
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.started {
-		return errors.New("core: restore must precede Start")
-	}
-	for _, c := range ck.Couplings {
-		cs := w.findCoupling(c.Name)
-		if cs == nil {
-			return fmt.Errorf("core: checkpoint has unknown coupling %q", c.Name)
+	for _, c := range cks {
+		if err := w.RestoreCoupling(c); err != nil {
+			return err
 		}
-		restoreCouplingState(cs, c)
 	}
 	return nil
 }
@@ -802,7 +805,7 @@ func (w *Workflow) RestoreState(data []byte) error {
 // Resumed simulations go to the front of the ready queue: they re-enter the
 // machine first, without a new setup. Interrupted setups re-run (their
 // selection already happened).
-func restoreCouplingState(cs *couplingState, c couplingCkpt) {
+func restoreCouplingState(cs *couplingState, c CouplingCheckpoint) {
 	cs.ready = append([]dynim.Point(nil), c.RunningSims...)
 	cs.ready = append(cs.ready, c.Ready...)
 	cs.launched = c.Launched - len(c.RunningSims)
@@ -813,15 +816,10 @@ func restoreCouplingState(cs *couplingState, c couplingCkpt) {
 	cs.redoSetup = append(cs.redoSetup, c.InSetup...)
 }
 
-// RestoreCoupling rehydrates one already-registered coupling from a
-// per-coupling checkpoint document (CheckpointCoupling's output). Like
-// RestoreState it must precede Start; a fleet uses it to split a full
-// campaign checkpoint across the instances that own each coupling.
-func (w *Workflow) RestoreCoupling(data []byte) error {
-	var c couplingCkpt
-	if err := json.Unmarshal(data, &c); err != nil {
-		return fmt.Errorf("core: corrupt coupling checkpoint: %w", err)
-	}
+// RestoreCoupling rehydrates one already-registered coupling from its
+// record. It must precede Start; a fleet uses it to route each coupling of
+// a campaign checkpoint to the instance that owns it.
+func (w *Workflow) RestoreCoupling(c CouplingCheckpoint) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.started {
@@ -836,25 +834,18 @@ func (w *Workflow) RestoreCoupling(data []byte) error {
 }
 
 // AdoptCoupling registers a new coupling on a live workflow and rehydrates
-// it from ckpt (nil adopts empty state) — the takeover path of the
-// distributed WM fleet: a surviving instance that wins an expired lease
-// adopts the orphaned coupling and resumes its in-flight work. If the
-// workflow is already started the coupling's feedback ticker is armed and
-// an immediate poll re-engages its resources. The returned stats are the
-// post-restore snapshot the caller's conservation assert checks against the
-// pre-crash state.
-func (w *Workflow) AdoptCoupling(spec CouplingSpec, ckpt []byte) (CouplingStats, error) {
+// it from ckpt — the takeover path of the distributed WM fleet: a surviving
+// instance that wins an expired lease adopts the orphaned coupling and
+// resumes its in-flight work. If the workflow is already started the
+// coupling's feedback ticker is armed and an immediate poll re-engages its
+// resources. The returned stats are the post-restore snapshot the caller's
+// conservation assert checks against the pre-crash state.
+func (w *Workflow) AdoptCoupling(spec CouplingSpec, ckpt CouplingCheckpoint) (CouplingStats, error) {
 	if err := spec.validate(); err != nil {
 		return CouplingStats{}, err
 	}
-	var c couplingCkpt
-	if ckpt != nil {
-		if err := json.Unmarshal(ckpt, &c); err != nil {
-			return CouplingStats{}, fmt.Errorf("core: corrupt coupling checkpoint: %w", err)
-		}
-		if c.Name != spec.Name {
-			return CouplingStats{}, fmt.Errorf("core: checkpoint is for coupling %q, adopting %q", c.Name, spec.Name)
-		}
+	if ckpt.Name != spec.Name {
+		return CouplingStats{}, fmt.Errorf("core: checkpoint is for coupling %q, adopting %q", ckpt.Name, spec.Name)
 	}
 	w.mu.Lock()
 	if w.stopped {
@@ -868,9 +859,7 @@ func (w *Workflow) AdoptCoupling(spec CouplingSpec, ckpt []byte) (CouplingStats,
 	cs := &couplingState{spec: spec}
 	w.couplings = append(w.couplings, cs)
 	idx := len(w.couplings) - 1
-	if ckpt != nil {
-		restoreCouplingState(cs, c)
-	}
+	restoreCouplingState(cs, ckpt)
 	st := w.couplingStatsLocked(cs)
 	started := w.started
 	if started && spec.Feedback != nil {
@@ -895,69 +884,4 @@ func (w *Workflow) LiveJobIDs() []sched.JobID {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.sortedJobIDsLocked()
-}
-
-// SplitCheckpoint explodes a full WM checkpoint into standalone
-// per-coupling documents keyed by coupling name, each accepted by
-// RestoreCoupling and AdoptCoupling. A fleet uses it to hand every instance
-// exactly the couplings it owns.
-func SplitCheckpoint(data []byte) (map[string][]byte, error) {
-	var ck checkpoint
-	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, fmt.Errorf("core: corrupt checkpoint: %w", err)
-	}
-	out := make(map[string][]byte, len(ck.Couplings))
-	for _, c := range ck.Couplings {
-		b, err := json.Marshal(c)
-		if err != nil {
-			return nil, err
-		}
-		out[c.Name] = b
-	}
-	return out, nil
-}
-
-// MergeCouplingCheckpoints assembles per-coupling checkpoint documents
-// (CheckpointCoupling's output) into a full WM checkpoint, in input order —
-// the inverse of SplitCheckpoint. A fleet uses it to publish one campaign
-// checkpoint spanning instances, in canonical coupling order.
-func MergeCouplingCheckpoints(parts [][]byte) ([]byte, error) {
-	var ck checkpoint
-	for i, part := range parts {
-		var c couplingCkpt
-		if err := json.Unmarshal(part, &c); err != nil {
-			return nil, fmt.Errorf("core: corrupt coupling checkpoint %d: %w", i, err)
-		}
-		ck.Couplings = append(ck.Couplings, c)
-	}
-	return json.Marshal(ck)
-}
-
-// InjectReady pushes prepared configurations straight into a coupling's
-// ready queue, bypassing selection and setup — the campaign driver uses it
-// to resume checkpointed simulations across allocations.
-func (w *Workflow) InjectReady(coupling string, points []dynim.Point) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	cs := w.findCoupling(coupling)
-	if cs == nil {
-		return fmt.Errorf("core: unknown coupling %q", coupling)
-	}
-	cs.ready = append(points, cs.ready...)
-	return nil
-}
-
-// SelectorCheckpoint extracts one coupling's selector snapshot from a WM
-// checkpoint, for rebuilding the selector before constructing the new WM.
-func SelectorCheckpoint(data []byte, coupling string) ([]byte, error) {
-	var ck checkpoint
-	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, fmt.Errorf("core: corrupt checkpoint: %w", err)
-	}
-	for _, c := range ck.Couplings {
-		if c.Name == coupling {
-			return c.Selector, nil
-		}
-	}
-	return nil, fmt.Errorf("core: coupling %q not in checkpoint", coupling)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -178,6 +179,19 @@ func TestFailedSimResubmitted(t *testing.T) {
 	}
 }
 
+// recordingFeedback keeps every report its manager returns: the workflow
+// counts feedback runs and retains nothing else.
+type recordingFeedback struct {
+	feedback.Manager
+	reps []feedback.Report
+}
+
+func (r *recordingFeedback) Iterate() (feedback.Report, error) {
+	rep, err := r.Manager.Iterate()
+	r.reps = append(r.reps, rep)
+	return rep, err
+}
+
 func TestFeedbackTickerRuns(t *testing.T) {
 	r := newRig(t, 1)
 	store := datastore.NewMemory()
@@ -196,7 +210,8 @@ func TestFeedbackTickerRuns(t *testing.T) {
 	}
 	sel := dynim.NewFarthestPoint(1, 0)
 	spec := cgCoupling(sel, 1, 1)
-	spec.Feedback = fb
+	rec := &recordingFeedback{Manager: fb}
+	spec.Feedback = rec
 	spec.FeedbackEvery = 10 * time.Minute
 	w, _ := New(Config{Clock: r.clk, Conductor: r.cond, Couplings: []CouplingSpec{spec}})
 	w.Start()
@@ -205,8 +220,7 @@ func TestFeedbackTickerRuns(t *testing.T) {
 	if st.FeedbackRuns != 3 {
 		t.Errorf("FeedbackRuns = %d, want 3", st.FeedbackRuns)
 	}
-	reps := w.FeedbackReports("continuum-to-cg")
-	if len(reps) != 3 || reps[0].Frames != 10 || reps[1].Frames != 0 {
+	if reps := rec.reps; len(reps) != 3 || reps[0].Frames != 10 || reps[1].Frames != 0 {
 		t.Errorf("reports = %+v", reps)
 	}
 	if fb.TotalFrames() != 10 {
@@ -294,17 +308,10 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	preStats := w.Stats()[0]
 	w.Stop()
 
-	// "Crash": build a fresh rig and WM, restore selector + state.
-	selCk, err := SelectorCheckpoint(ck, "continuum-to-cg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel2, err := dynim.RestoreFarthestPoint(1, 0, selCk)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// "Crash": build a fresh rig and WM over the same selector — selectors
+	// outlive the manager — and restore the state.
 	r2 := newRig(t, 2)
-	spec2 := cgCoupling(sel2, 4, 4)
+	spec2 := cgCoupling(sel, 4, 4)
 	w2, _ := New(Config{Clock: r2.clk, Conductor: r2.cond, Couplings: []CouplingSpec{spec2}, Seed: 9})
 	if err := w2.RestoreState(ck); err != nil {
 		t.Fatal(err)
@@ -325,25 +332,34 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreErrors pins what a bad checkpoint is answered with: the codec's
+// texts for junk and for a document with no coupling, the restore's for a
+// coupling the manager does not have and for a restore after Start.
 func TestRestoreErrors(t *testing.T) {
 	r := newRig(t, 1)
 	w, _ := New(Config{Clock: r.clk, Conductor: r.cond,
 		Couplings: []CouplingSpec{cgCoupling(dynim.NewFarthestPoint(1, 0), 1, 1)}})
-	if err := w.RestoreState([]byte("junk")); err == nil {
-		t.Error("corrupt checkpoint accepted")
-	}
-	if err := w.RestoreState([]byte(`{"couplings":[{"name":"ghost"}]}`)); err == nil {
-		t.Error("unknown coupling in checkpoint accepted")
+	for _, tc := range []struct {
+		doc, want string
+		decodes   bool
+	}{
+		{doc: "junk", want: "core: corrupt checkpoint: invalid character"},
+		{doc: `{"couplings":[]}`, want: "core: corrupt checkpoint: no couplings"},
+		{doc: `{}`, want: "core: corrupt checkpoint: no couplings"},
+		{doc: `{"couplings":[{"name":"ghost"}]}`, want: `core: checkpoint has unknown coupling "ghost"`, decodes: true},
+	} {
+		_, err := DecodeCheckpoint([]byte(tc.doc))
+		if tc.decodes != (err == nil) || (err != nil && !strings.HasPrefix(err.Error(), tc.want)) {
+			t.Errorf("DecodeCheckpoint(%s) = %v, want %q", tc.doc, err, tc.want)
+		}
+		if err := w.RestoreState([]byte(tc.doc)); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("RestoreState(%s) = %v, want %q", tc.doc, err, tc.want)
+		}
 	}
 	w.Start()
-	if err := w.RestoreState([]byte(`{"couplings":[]}`)); err == nil {
-		t.Error("restore after Start accepted")
-	}
-	if _, err := SelectorCheckpoint([]byte("junk"), "x"); err == nil {
-		t.Error("corrupt selector checkpoint accepted")
-	}
-	if _, err := SelectorCheckpoint([]byte(`{"couplings":[]}`), "x"); err == nil {
-		t.Error("missing coupling accepted")
+	err := w.RestoreState([]byte(`{"couplings":[{"name":"continuum-to-cg"}]}`))
+	if err == nil || err.Error() != "core: restore must precede Start" {
+		t.Errorf("restore after Start = %v", err)
 	}
 }
 

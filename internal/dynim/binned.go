@@ -228,47 +228,3 @@ func (b *Binned) History() []Event {
 	defer b.mu.Unlock()
 	return b.journal.history()
 }
-
-// Checkpoint serializes the sampler state (queued candidates and journal;
-// occupancy is reconstructed from them plus selected IDs on restore).
-func (b *Binned) Checkpoint() ([]byte, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s := snapshot{Kind: "binned", Events: b.journal.events, Seq: b.journal.seq}
-	bins := make([]int, 0, len(b.queued))
-	for bin := range b.queued {
-		bins = append(bins, bin)
-	}
-	sort.Ints(bins)
-	for _, bin := range bins {
-		s.Candidates = append(s.Candidates, b.queued[bin]...)
-	}
-	return marshalSnapshot(s)
-}
-
-// RestoreBinned reconstructs a binned sampler. Selected points do not need
-// their coordinates replayed: occupancy from past selections is an estimate
-// and the paper accepts approximate density after restart; queued
-// candidates fully repopulate their bins.
-func RestoreBinned(dims []BinDim, balance float64, seed int64, ckpt []byte) (*Binned, error) {
-	s, err := unmarshalSnapshot(ckpt, "binned")
-	if err != nil {
-		return nil, err
-	}
-	b, err := NewBinned(dims, balance, seed)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range s.Candidates {
-		if err := b.Add(p); err != nil {
-			return nil, err
-		}
-	}
-	// Replace the journal with the checkpointed one (Add above re-recorded
-	// the queued candidates; history must be the original).
-	b.mu.Lock()
-	b.journal.events = s.Events
-	b.journal.seq = s.Seq
-	b.mu.Unlock()
-	return b, nil
-}

@@ -22,11 +22,6 @@
 // maintain elaborate history files that may be replayed exactly").
 package dynim
 
-import (
-	"encoding/json"
-	"fmt"
-)
-
 // Point is one selection candidate: an application object (patch, CG frame)
 // reduced to a coordinate vector by some encoder.
 type Point struct {
@@ -78,28 +73,6 @@ func (j *journal) record(kind, id string) {
 
 func (j *journal) history() []Event {
 	return append([]Event(nil), j.events...)
-}
-
-// snapshot is the serialized state shared by Checkpoint/Restore.
-type snapshot struct {
-	Kind       string  `json:"kind"`
-	Candidates []Point `json:"candidates"`
-	Selected   []Point `json:"selected"`
-	Events     []Event `json:"events"`
-	Seq        int64   `json:"seq"`
-}
-
-func marshalSnapshot(s snapshot) ([]byte, error) { return json.Marshal(s) }
-
-func unmarshalSnapshot(b []byte, wantKind string) (snapshot, error) {
-	var s snapshot
-	if err := json.Unmarshal(b, &s); err != nil {
-		return s, fmt.Errorf("dynim: corrupt checkpoint: %w", err)
-	}
-	if s.Kind != wantKind {
-		return s, fmt.Errorf("dynim: checkpoint kind %q, want %q", s.Kind, wantKind)
-	}
-	return s, nil
 }
 
 // dedupe guards against re-adding an ID that is queued or already selected;

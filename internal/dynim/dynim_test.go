@@ -161,51 +161,6 @@ func TestFPSHistoryJournal(t *testing.T) {
 	}
 }
 
-func TestFPSCheckpointRestoreReplaysIdentically(t *testing.T) {
-	// Resilience (§4.4): after restore, future selections must match those
-	// the original would have made.
-	mk := func() *FarthestPoint {
-		f := fp2(t, 0)
-		rng := rand.New(rand.NewSource(11))
-		for i := 0; i < 40; i++ {
-			f.Add(Point{ID: fmt.Sprintf("p%02d", i), Coords: []float64{rng.Float64() * 10, rng.Float64() * 10}})
-		}
-		f.Select(5)
-		return f
-	}
-	orig := mk()
-	ckpt, err := orig.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreFarthestPoint(2, 0, ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Len() != orig.Len() {
-		t.Fatalf("restored Len = %d, want %d", restored.Len(), orig.Len())
-	}
-	if len(restored.History()) != len(orig.History()) {
-		t.Error("history length changed across restore")
-	}
-	a, b := orig.Select(10), restored.Select(10)
-	aIDs, bIDs := idsOf(a), idsOf(b)
-	if !reflect.DeepEqual(aIDs, bIDs) {
-		t.Errorf("post-restore selections diverge:\n%v\n%v", aIDs, bIDs)
-	}
-}
-
-func TestRestoreRejectsCorruptAndWrongKind(t *testing.T) {
-	if _, err := RestoreFarthestPoint(2, 0, []byte("not json")); err == nil {
-		t.Error("corrupt checkpoint accepted")
-	}
-	b, _ := NewBinned([]BinDim{{0, 1, 4}}, 1, 1)
-	ck, _ := b.Checkpoint()
-	if _, err := RestoreFarthestPoint(2, 0, ck); err == nil {
-		t.Error("binned checkpoint accepted by FPS restore")
-	}
-}
-
 func TestPropertyFPSCacheEqualsRecompute(t *testing.T) {
 	// The incremental rank cache must agree exactly with a from-scratch
 	// recomputation — the correctness core of the caching scheme.
@@ -432,38 +387,6 @@ func TestBinnedDeterministicWithSeed(t *testing.T) {
 	}
 	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
 		t.Error("same seed produced different selections")
-	}
-}
-
-func TestBinnedCheckpointRestore(t *testing.T) {
-	b, _ := NewBinned(dims3(), 1.0, 4)
-	for i := 0; i < 10; i++ {
-		b.Add(Point{ID: fmt.Sprintf("f%d", i), Coords: []float64{float64(i), 0.2, 0}})
-	}
-	b.Select(3)
-	ck, err := b.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := RestoreBinned(dims3(), 1.0, 4, ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != b.Len() {
-		t.Errorf("restored Len = %d, want %d", r.Len(), b.Len())
-	}
-	if len(r.History()) != len(b.History()) {
-		t.Error("history not preserved")
-	}
-	// Pure-importance selection over restored state must return valid,
-	// non-duplicate candidates.
-	got := r.Select(r.Len())
-	seen := map[string]bool{}
-	for _, p := range got {
-		if seen[p.ID] {
-			t.Errorf("duplicate %q after restore", p.ID)
-		}
-		seen[p.ID] = true
 	}
 }
 

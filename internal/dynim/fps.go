@@ -739,58 +739,6 @@ func (f *FarthestPoint) History() []Event {
 	return f.journal.history()
 }
 
-// Checkpoint serializes the sampler's full state. Candidates are written
-// in ID order so checkpoint bytes are independent of slot and heap layout.
-func (f *FarthestPoint) Checkpoint() ([]byte, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s := snapshot{Kind: "fps", Selected: f.selPts, Events: f.journal.events, Seq: f.journal.seq}
-	for i, id := range f.ids {
-		s.Candidates = append(s.Candidates, Point{
-			ID:     id,
-			Coords: append([]float64(nil), f.coords[i*f.dim:(i+1)*f.dim]...),
-		})
-	}
-	sort.Slice(s.Candidates, func(i, j int) bool { return s.Candidates[i].ID < s.Candidates[j].ID })
-	return marshalSnapshot(s)
-}
-
-// RestoreFarthestPoint reconstructs a sampler from a Checkpoint. Cached
-// ranks are rebuilt lazily, so a restore is cheap and the next Select pays
-// one full refresh — the same cost profile as the paper's restart path.
-func RestoreFarthestPoint(dim, capacity int, ckpt []byte) (*FarthestPoint, error) {
-	s, err := unmarshalSnapshot(ckpt, "fps")
-	if err != nil {
-		return nil, err
-	}
-	f := NewFarthestPoint(dim, capacity)
-	for _, p := range s.Selected {
-		if len(p.Coords) != dim {
-			return nil, fmt.Errorf("dynim: checkpoint point %q has dim %d", p.ID, len(p.Coords))
-		}
-		f.dd.claim(p.ID)
-		f.selRows = append(f.selRows, p.Coords...)
-		f.selPts = append(f.selPts, p)
-		// Restored selections get a zero gap: the triangle-inequality prune
-		// only ever skips work when a gap is provably large, so a too-small
-		// gap is always safe — it merely computes rows it could have
-		// skipped. Recomputing exact gaps would cost O(selections²·dim) on
-		// every restart; selections made after the restore regain exact
-		// gaps for free.
-		f.selGap2 = append(f.selGap2, 0)
-	}
-	for _, p := range s.Candidates {
-		if len(p.Coords) != dim {
-			return nil, fmt.Errorf("dynim: checkpoint point %q has dim %d", p.ID, len(p.Coords))
-		}
-		f.dd.claim(p.ID)
-		f.newSlot(p)
-	}
-	f.journal.events = s.Events
-	f.journal.seq = s.Seq
-	return f, nil
-}
-
 // QueueSet groups several independently-capped FarthestPoint queues, as the
 // paper's Patch Selector does with five in-memory queues keyed by protein
 // configuration. Selection can target one queue or round-robin across all.

@@ -130,11 +130,10 @@ type campaignRun struct {
 
 // TestCampaignTrafficMatchesSerial drives the traffic the replay-paper
 // ledger shows for a patch queue — a capped queue, 158 offers per
-// Select(1), the batched eviction firing about once a pick, and one
-// checkpoint/restore mid-run — and requires the same journal, selections
-// and, after Update, bit-identical rank caches for every worker count. It is
-// long enough that the arrival fan-out splits: 158 arrivals against more
-// than 2·fpsMinWork/158 selections.
+// Select(1), the batched eviction firing about once a pick — and requires
+// the same journal, selections and, after Update, bit-identical rank caches
+// for every worker count. It is long enough that the arrival fan-out
+// splits: 158 arrivals against more than 2·fpsMinWork/158 selections.
 func TestCampaignTrafficMatchesSerial(t *testing.T) {
 	const dim, capacity, addsPerSelect, picks = 9, 2000, 158, 260
 	run := func(workers int) campaignRun {
@@ -155,16 +154,6 @@ func TestCampaignTrafficMatchesSerial(t *testing.T) {
 			}
 			if len(fp.Select(1)) != 1 {
 				t.Fatal("empty selection")
-			}
-			if pick == picks/2 {
-				ckpt, err := fp.Checkpoint()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fp, err = RestoreFarthestPoint(dim, capacity, ckpt); err != nil {
-					t.Fatal(err)
-				}
-				fp.SetWorkers(workers)
 			}
 		}
 		fp.Update()

@@ -1,7 +1,6 @@
 package wmfleet
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -113,7 +112,7 @@ type Fleet struct {
 	// source at Start and the fallback when a crash-time store flush
 	// fails permanently (the fleet is one process, so an in-memory copy
 	// is a legitimate stand-in for the store record it mirrors).
-	parts   map[string][]byte
+	parts   map[string]core.CouplingCheckpoint
 	acc     Accounting
 	started bool
 	stopped bool
@@ -219,7 +218,7 @@ func New(cfg Config) (*Fleet, error) {
 		specs:  make(map[string]core.CouplingSpec, len(cfg.Couplings)),
 		owner:  make(map[string]int, len(cfg.Couplings)),
 		terms:  make(map[string]int64, len(cfg.Couplings)),
-		parts:  make(map[string][]byte, len(cfg.Couplings)),
+		parts:  make(map[string]core.CouplingCheckpoint, len(cfg.Couplings)),
 		disp:   &dispatcher{},
 	}
 	f.leases = NewLeaseTable(cfg.Clock, cfg.Store, tel, cfg.Namespace+"-lease", cfg.LeaseTTL)
@@ -275,33 +274,33 @@ func New(cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// Restore rehydrates the fleet from a full WM checkpoint (the previous
+// Restore rehydrates the fleet from a checkpoint document (the previous
 // allocation's Checkpoint output, fleet-produced or single-WM), routing
-// each coupling's state to its initial owner. Must precede Start.
+// each coupling's record to its initial owner. Must precede Start.
 func (f *Fleet) Restore(data []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.started {
 		return errors.New("wmfleet: restore must precede Start")
 	}
-	parts, err := core.SplitCheckpoint(data)
+	parts, err := core.DecodeCheckpoint(data)
 	if err != nil {
 		return err
 	}
-	seen := 0
-	for _, name := range f.order {
-		part, ok := parts[name]
+	foreign := 0
+	for _, part := range parts {
+		o, ok := f.owner[part.Name]
 		if !ok {
+			foreign++
 			continue
 		}
-		seen++
-		f.parts[name] = part
-		if err := f.instances[f.owner[name]].wm.RestoreCoupling(part); err != nil {
+		f.parts[part.Name] = part
+		if err := f.instances[o].wm.RestoreCoupling(part); err != nil {
 			return err
 		}
 	}
-	if seen != len(parts) {
-		return fmt.Errorf("wmfleet: checkpoint has %d couplings the fleet does not manage", len(parts)-seen)
+	if foreign > 0 {
+		return fmt.Errorf("wmfleet: checkpoint has %d couplings the fleet does not manage", foreign)
 	}
 	return nil
 }
@@ -426,15 +425,20 @@ func (f *Fleet) Crash(idx int) (CrashInfo, error) {
 }
 
 // flushCouplingLocked checkpoints one coupling from inst and publishes
-// it to the checkpoint namespace, keeping the in-memory copy as the
-// fallback adoption source. Caller holds f.mu.
+// it to the checkpoint namespace as a one-coupling checkpoint document,
+// keeping the in-memory copy as the fallback adoption source. Caller
+// holds f.mu.
 func (f *Fleet) flushCouplingLocked(inst *instance, name string) error {
 	ck, err := inst.wm.CheckpointCoupling(name)
 	if err != nil {
 		return err
 	}
 	f.parts[name] = ck
-	return f.cfg.Store.Put(f.ckptNS, name, ck)
+	doc, err := core.EncodeCheckpoint(ck)
+	if err != nil {
+		return err
+	}
+	return f.cfg.Store.Put(f.ckptNS, name, doc)
 }
 
 // renewTick is one instance's periodic lease maintenance: renew every
@@ -512,22 +516,17 @@ func (f *Fleet) adoptLocked(inst *instance, name string) {
 		return // another instance won the lease first
 	}
 	start := f.cfg.Clock.Now()
-	part, err := f.cfg.Store.Get(f.ckptNS, name)
-	if err != nil {
-		// The store record is unreadable (fault burst or lost flush);
-		// fall back to the in-memory mirror.
-		part = f.parts[name]
+	part, err := f.storedPartLocked(name)
+	var st core.CouplingStats
+	if err == nil {
+		st, err = inst.wm.AdoptCoupling(f.specs[name], part)
 	}
-	st, err := inst.wm.AdoptCoupling(f.specs[name], part)
 	if err != nil {
 		f.anomaly(fmt.Sprintf("wmfleet: instance %d adoption of %s failed: %v", inst.idx, name, err))
 		return
 	}
-	if want, counted := countCkptSelections(part); counted {
-		got := st.Ready + st.InSetup
-		if got != want {
-			f.anomaly(fmt.Sprintf("wm-adopt lost selections in %s: %d before, %d after", name, want, got))
-		}
+	if want, got := part.Selections(), st.Ready+st.InSetup; got != want {
+		f.anomaly(fmt.Sprintf("wm-adopt lost selections in %s: %d before, %d after", name, want, got))
 	}
 	f.owner[name] = inst.idx
 	f.terms[name] = term
@@ -538,27 +537,22 @@ func (f *Fleet) adoptLocked(inst *instance, name string) {
 	f.event(fmt.Sprintf("wm-adopt coupling=%s instance=%d term=%d", name, inst.idx+1, term))
 }
 
-// ckptSelections mirrors the selection-bearing fields of core's
-// per-coupling checkpoint JSON (the format docs/RESILIENCE.md specifies)
-// just closely enough to count them.
-type ckptSelections struct {
-	Ready       []json.RawMessage `json:"ready"`
-	RunningSims []json.RawMessage `json:"running_sims"`
-	InSetup     []json.RawMessage `json:"in_setup"`
-}
-
-// countCkptSelections counts the selections a coupling checkpoint holds
-// (ready + running + in setup); counted=false means the document was
-// absent or unparseable, so no conservation claim can be made.
-func countCkptSelections(part []byte) (n int, counted bool) {
-	if part == nil {
-		return 0, false
+// storedPartLocked reads one coupling's record back from the checkpoint
+// namespace. When the store cannot serve it (fault burst or lost flush)
+// the in-memory mirror stands in. Caller holds f.mu.
+func (f *Fleet) storedPartLocked(name string) (core.CouplingCheckpoint, error) {
+	doc, err := f.cfg.Store.Get(f.ckptNS, name)
+	if err != nil {
+		return f.parts[name], nil
 	}
-	var c ckptSelections
-	if err := json.Unmarshal(part, &c); err != nil {
-		return 0, false
+	parts, err := core.DecodeCheckpoint(doc)
+	if err != nil {
+		return core.CouplingCheckpoint{}, err
 	}
-	return len(c.Ready) + len(c.RunningSims) + len(c.InSetup), true
+	if len(parts) != 1 {
+		return core.CouplingCheckpoint{}, fmt.Errorf("wmfleet: store record holds %d couplings, want 1", len(parts))
+	}
+	return parts[0], nil
 }
 
 // AddCandidate routes a coarse-scale candidate to the coupling's owning
@@ -591,13 +585,13 @@ func (f *Fleet) AddCandidate(coupling string, p dynim.Point) error {
 	return nil
 }
 
-// Checkpoint assembles the fleet's state into one full WM checkpoint in
-// canonical coupling order — byte-compatible with the single-WM format,
-// so a fleet campaign's next allocation can restore at any fleet size.
+// Checkpoint encodes the fleet's state as one checkpoint document in
+// canonical coupling order — the document a single WM writes, so a fleet
+// campaign's next allocation can restore at any fleet size.
 func (f *Fleet) Checkpoint() ([]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	parts := make([][]byte, 0, len(f.order))
+	parts := make([]core.CouplingCheckpoint, 0, len(f.order))
 	for _, name := range f.order {
 		o := f.owner[name]
 		if o >= 0 && f.instances[o].alive {
@@ -614,7 +608,7 @@ func (f *Fleet) Checkpoint() ([]byte, error) {
 		}
 		parts = append(parts, part)
 	}
-	return core.MergeCouplingCheckpoints(parts)
+	return core.EncodeCheckpoint(parts...)
 }
 
 // Stats reports per-coupling progress in canonical order. Owned
@@ -636,21 +630,8 @@ func (f *Fleet) Stats() []core.CouplingStats {
 			}
 			continue
 		}
-		cs := core.CouplingStats{Name: name}
-		if spec, ok := f.specs[name]; ok && spec.Selector != nil {
-			cs.Candidates = spec.Selector.Len()
-		}
-		var c struct {
-			ckptSelections
-			Launched  int `json:"launched"`
-			Completed int `json:"completed"`
-		}
-		if part := f.parts[name]; part != nil && json.Unmarshal(part, &c) == nil {
-			cs.Ready = len(c.Ready) + len(c.RunningSims)
-			cs.InSetup = len(c.InSetup)
-			cs.Launched = c.Launched
-			cs.CompletedSims = c.Completed
-		}
+		cs := f.parts[name].Stats()
+		cs.Candidates = f.specs[name].Selector.Len()
 		out = append(out, cs)
 	}
 	return out

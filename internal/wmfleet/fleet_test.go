@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -209,12 +210,12 @@ func TestFleetCheckpointAcrossFleetSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := core.SplitCheckpoint(ck)
+	parts, err := core.DecodeCheckpoint(ck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(parts) != 2 || parts["cg"] == nil || parts["aa"] == nil {
-		t.Fatalf("checkpoint couplings = %v, want cg and aa", len(parts))
+	if len(parts) != 2 || parts[0].Name != "cg" || parts[1].Name != "aa" {
+		t.Fatalf("checkpoint couplings = %+v, want cg then aa", parts)
 	}
 	done1 := fl1.Stats()[0].CompletedSims
 
@@ -296,6 +297,92 @@ func TestFleetAdoptionUnderStoreFaultBurst(t *testing.T) {
 	}
 	if st := fl.Stats()[0]; st.CompletedSims == 0 {
 		t.Errorf("no sims completed under burst: %+v", st)
+	}
+}
+
+// ckptGetStore counts reads of the fleet's checkpoint namespace and, when
+// fail is set, refuses them — the lost-record case adoption answers from the
+// in-memory mirror. Lease traffic passes through.
+type ckptGetStore struct {
+	datastore.Store
+	fail bool
+	gets int
+}
+
+func (s *ckptGetStore) Get(ns, key string) ([]byte, error) {
+	if strings.HasSuffix(ns, "-ckpt") {
+		s.gets++
+		if s.fail {
+			return nil, errors.New("injected permanent error")
+		}
+	}
+	return s.Store.Get(ns, key)
+}
+
+// TestFleetAdoptsSameStateFromStoreAndMirror: the store record and the
+// in-memory mirror are two copies of one record, so adopting from either
+// leaves the adopter with the same coupling stats and the same queues in
+// the same order — and either way adoption reads the store exactly once.
+func TestFleetAdoptsSameStateFromStoreAndMirror(t *testing.T) {
+	adopt := func(failGet bool) ([]core.CouplingStats, core.CouplingCheckpoint) {
+		r := newFleetRig(t, 2)
+		store := &ckptGetStore{Store: datastore.NewMemory(), fail: failGet}
+		var anomalies []string
+		fl, err := New(Config{
+			Clock: r.clk, Backend: maestro.FluxBackend{S: r.s},
+			Store: store, Instances: 2,
+			Couplings:  []core.CouplingSpec{testCoupling("cg", 2, 8, 3, 6*time.Hour)},
+			PollEvery:  2 * time.Minute,
+			Seed:       7,
+			LeaseTTL:   30 * time.Minute,
+			RenewEvery: 10 * time.Minute,
+			Namespace:  "m1",
+			OnAnomaly:  func(msg string) { anomalies = append(anomalies, msg) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedCandidates(t, fl, "cg", 30)
+		if err := fl.Start(); err != nil {
+			t.Fatal(err)
+		}
+		r.clk.RunFor(3*time.Hour + 5*time.Minute)
+		info, err := fl.Crash(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		killCrashJobs(t, r.s, info)
+		r.clk.RunFor(45 * time.Minute) // past the dead owner's lease
+		fl.Stop()
+		if acc := fl.Accounting(); acc.Adoptions != 1 {
+			t.Fatalf("failGet=%v: adoptions = %d, want 1", failGet, acc.Adoptions)
+		}
+		if store.gets != 1 {
+			t.Errorf("failGet=%v: adoption read the checkpoint namespace %d times, want 1", failGet, store.gets)
+		}
+		if len(anomalies) != 0 {
+			t.Errorf("failGet=%v: anomalies %q", failGet, anomalies)
+		}
+		ck, err := fl.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts, err := core.DecodeCheckpoint(ck)
+		if err != nil || len(parts) != 1 {
+			t.Fatalf("failGet=%v: checkpoint = %+v, %v", failGet, parts, err)
+		}
+		return fl.Stats(), parts[0]
+	}
+	fromStore, ckStore := adopt(false)
+	fromMirror, ckMirror := adopt(true)
+	if !reflect.DeepEqual(fromStore, fromMirror) {
+		t.Errorf("stats differ:\nstore  %+v\nmirror %+v", fromStore, fromMirror)
+	}
+	if !reflect.DeepEqual(ckStore, ckMirror) {
+		t.Errorf("queues differ:\nstore  %+v\nmirror %+v", ckStore, ckMirror)
+	}
+	if ckStore.Selections() == 0 {
+		t.Errorf("nothing was in flight to adopt: %+v", ckStore)
 	}
 }
 

@@ -84,6 +84,12 @@ if go run ./cmd/mummi-sim exp -trace-in scenarios/laptop-smoke.trace.json -scale
 fi
 test "$(grep -rl '"feedback-every"' cmd | wc -l)" -eq 1
 
+# One home for the checkpoint format (docs/RESILIENCE.md "Checkpoint
+# record"): its JSON field names are declared in exactly one non-test Go
+# file, and the fleet parses no JSON but its lease records.
+test "$(grep -rl '"running_sims"' --include='*.go' --exclude='*_test.go' internal)" = internal/core/workflow.go
+test "$(grep -l 'encoding/json' internal/wmfleet/*.go | grep -v _test.go)" = internal/wmfleet/lease.go
+
 # Scenario-matrix gate: replay every committed workflow instance under
 # scenarios/ and require its fresh ledger to equal the committed one byte
 # for byte — which also holds every scenario to same-seed determinism on
