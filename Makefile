@@ -20,11 +20,12 @@ race:
 
 # Hot-path micro-benchmarks for the three engines the profiler flagged:
 # the virtual clock's event loop, the scheduler's resource matcher, and
-# the dynamic-importance sampler under the add/select/evict traffic the
-# benchmark's ledger records. For finding where time goes inside one
-# engine; performance claims need `$(GO) run ./bench`.
+# the dynamic-importance samplers (farthest-point and binned) under the
+# add/select/evict traffic the benchmark's ledger records. For finding
+# where time goes inside one engine; performance claims need
+# `$(GO) run ./bench`.
 bench-micro:
-	$(GO) test -run '^$$' -bench 'BenchmarkVirtual|BenchmarkMatcher|BenchmarkFPS' \
+	$(GO) test -run '^$$' -bench 'BenchmarkVirtual|BenchmarkMatcher|BenchmarkFPS|BenchmarkBinnedSelect' \
 		-benchmem ./internal/vclock/ ./internal/sched/ ./internal/dynim/
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json): -quick is

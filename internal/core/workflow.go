@@ -11,11 +11,12 @@
 package core
 
 import (
+	"container/heap"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -152,9 +153,82 @@ type jobRecord struct {
 	deadline time.Time
 }
 
+// jobDeadline is one watchdog appointment: look at job id at time at.
+type jobDeadline struct {
+	at time.Time
+	id sched.JobID
+}
+
+// deadlineHeap orders appointments earliest first. It implements
+// container/heap.Interface.
+type deadlineHeap []jobDeadline
+
+func (h deadlineHeap) Len() int           { return len(h) }
+func (h deadlineHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
+func (h deadlineHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+
+// Push implements heap.Interface.
+func (h *deadlineHeap) Push(x any) { *h = append(*h, x.(jobDeadline)) }
+
+// Pop implements heap.Interface.
+func (h *deadlineHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+// pointDeque is a ring buffer of points. The ready buffer takes launches
+// from its front, finished setups at its back and failed simulations back
+// at its front, each in O(1); a popped slot is zeroed so the ring never
+// pins a launched configuration.
+type pointDeque struct {
+	buf     []dynim.Point
+	head, n int
+}
+
+func (d *pointDeque) Len() int { return d.n }
+
+// grow makes room for one more point, doubling a full ring.
+func (d *pointDeque) grow() {
+	if d.n < len(d.buf) {
+		return
+	}
+	buf := make([]dynim.Point, 0, max(8, 2*len(d.buf)))
+	d.buf, d.head = d.appendTo(buf)[:cap(buf)], 0
+}
+
+func (d *pointDeque) PushBack(p dynim.Point) {
+	d.grow()
+	d.buf[(d.head+d.n)%len(d.buf)] = p
+	d.n++
+}
+
+func (d *pointDeque) PushFront(p dynim.Point) {
+	d.grow()
+	d.head = (d.head + len(d.buf) - 1) % len(d.buf)
+	d.buf[d.head] = p
+	d.n++
+}
+
+func (d *pointDeque) PopFront() dynim.Point {
+	p := d.buf[d.head]
+	d.buf[d.head] = dynim.Point{}
+	d.head = (d.head + 1) % len(d.buf)
+	d.n--
+	return p
+}
+
+// appendTo appends the points front to back: the run up to the end of the
+// ring, then the run that wrapped.
+func (d *pointDeque) appendTo(out []dynim.Point) []dynim.Point {
+	first := min(d.n, len(d.buf)-d.head)
+	return append(append(out, d.buf[d.head:d.head+first]...), d.buf[:d.n-first]...)
+}
+
 type couplingState struct {
 	spec  CouplingSpec
-	ready []dynim.Point
+	ready pointDeque
 	// redoSetup holds already-selected points whose setup must (re)run —
 	// populated by restore for setups interrupted by a crash, and by the
 	// failure path. They take priority over fresh selections.
@@ -200,6 +274,10 @@ type Workflow struct {
 	watchdogGrace    float64
 	watchdogMaxKills int
 	watchdogKills    map[string]int
+	// deadlines holds one appointment per deadline ever set; an entry whose
+	// job is gone, or whose recorded deadline has since changed, is dropped
+	// when it comes due (lazy deletion).
+	deadlines deadlineHeap
 }
 
 // New validates the configuration and builds a Workflow (not yet running).
@@ -258,6 +336,7 @@ func (w *Workflow) onJobStart(id sched.JobID) {
 	if ok && w.watchdogGrace > 0 && rec.dur > 0 {
 		rec.deadline = w.clk.Now().Add(time.Duration(w.watchdogGrace * float64(rec.dur)))
 		w.jobs[id] = rec
+		heap.Push(&w.deadlines, jobDeadline{rec.deadline, id})
 	}
 	var cb func(dynim.Point, sched.JobID)
 	if ok && rec.role == roleSim {
@@ -380,19 +459,25 @@ func (w *Workflow) Poll() {
 }
 
 // watchdogSweepLocked finds tracked jobs past their deadlines and charges
-// their kill budgets, returning the IDs to kill in ascending order. Caller
-// holds w.mu.
+// their kill budgets, returning the IDs to kill in ascending order. It
+// visits only the appointments that have come due, not every tracked job.
+// Caller holds w.mu.
 func (w *Workflow) watchdogSweepLocked() []sched.JobID {
 	if w.watchdogGrace <= 0 {
 		return nil
 	}
 	now := w.clk.Now()
-	var overdue []sched.JobID
-	for _, id := range w.sortedJobIDsLocked() {
-		rec := w.jobs[id]
-		if rec.deadline.IsZero() || now.Before(rec.deadline) {
-			continue
+	var due []sched.JobID
+	for len(w.deadlines) > 0 && !now.Before(w.deadlines[0].at) {
+		e := heap.Pop(&w.deadlines).(jobDeadline)
+		if rec, ok := w.jobs[e.id]; ok && rec.deadline.Equal(e.at) {
+			due = append(due, e.id)
 		}
+	}
+	slices.Sort(due)
+	var overdue []sched.JobID
+	for _, id := range slices.Compact(due) {
+		rec := w.jobs[id]
 		name := w.couplings[rec.coupling].spec.Name
 		key := name + "/" + rec.point.ID
 		if w.watchdogKills[key] >= w.watchdogMaxKills {
@@ -405,6 +490,8 @@ func (w *Workflow) watchdogSweepLocked() []sched.JobID {
 		w.watchdogKills[key]++
 		w.tel.Counter(telemetry.Name("wm.watchdog_kills_total", "coupling", name)).Inc()
 		overdue = append(overdue, id)
+		// If the kill fails the job is still overdue at the next poll.
+		heap.Push(&w.deadlines, jobDeadline{rec.deadline, id})
 	}
 	return overdue
 }
@@ -417,10 +504,9 @@ func (w *Workflow) pollCoupling(i int) {
 
 	// 1. Spawn simulations from the ready buffer up to the concurrency
 	// target (and total cap).
-	for cs.running+cs.pendingSim < spec.MaxSims && len(cs.ready) > 0 &&
+	for cs.running+cs.pendingSim < spec.MaxSims && cs.ready.Len() > 0 &&
 		(spec.TotalCap == 0 || cs.launched < spec.TotalCap) {
-		p := cs.ready[0]
-		cs.ready = cs.ready[1:]
+		p := cs.ready.PopFront()
 		cs.pendingSim++
 		cs.launched++
 		req := spec.SimReq
@@ -433,10 +519,10 @@ func (w *Workflow) pollCoupling(i int) {
 
 	// 2. Keep the prepared buffer at target: new selections trigger setup
 	// jobs. A full buffer deliberately idles CPUs (anti-staleness).
-	if spec.TotalCap > 0 && cs.launched+len(cs.ready)+cs.inSetup+cs.pendingSetup >= spec.TotalCap {
+	if spec.TotalCap > 0 && cs.launched+cs.ready.Len()+cs.inSetup+cs.pendingSetup >= spec.TotalCap {
 		return
 	}
-	want := spec.ReadyTarget - (len(cs.ready) + cs.inSetup + cs.pendingSetup)
+	want := spec.ReadyTarget - (cs.ready.Len() + cs.inSetup + cs.pendingSetup)
 	if spec.MaxSetups > 0 {
 		if room := spec.MaxSetups - (cs.inSetup + cs.pendingSetup); room < want {
 			want = room
@@ -449,6 +535,7 @@ func (w *Workflow) pollCoupling(i int) {
 	var points []dynim.Point
 	for want > 0 && len(cs.redoSetup) > 0 {
 		points = append(points, cs.redoSetup[0])
+		cs.redoSetup[0] = dynim.Point{}
 		cs.redoSetup = cs.redoSetup[1:]
 		want--
 	}
@@ -480,7 +567,7 @@ func (w *Workflow) pollCoupling(i int) {
 func (w *Workflow) updateGaugesLocked(i int) {
 	cs := w.couplings[i]
 	name := cs.spec.Name
-	w.tel.Gauge(telemetry.Name("wm.ready", "coupling", name)).Set(float64(len(cs.ready)))
+	w.tel.Gauge(telemetry.Name("wm.ready", "coupling", name)).Set(float64(cs.ready.Len()))
 	w.tel.Gauge(telemetry.Name("wm.running", "coupling", name)).Set(float64(cs.running + cs.pendingSim))
 	w.tel.Gauge(telemetry.Name("wm.in_setup", "coupling", name)).Set(float64(cs.inSetup + cs.pendingSetup))
 }
@@ -507,7 +594,7 @@ func (w *Workflow) submitLocked(req sched.Request, coupling int, role jobRole, p
 			if err != nil {
 				cs.failedSims++
 				cs.launched--
-				cs.ready = append(cs.ready, p)
+				cs.ready.PushBack(p)
 			} else {
 				cs.running++
 				w.jobs[id] = jobRecord{role: roleSim, coupling: coupling, point: p, dur: req.Duration}
@@ -545,7 +632,7 @@ func (w *Workflow) onJobFinish(id sched.JobID, st sched.State) {
 		if st == sched.Completed {
 			// Setup produced a runnable configuration: queue it for the
 			// corresponding simulation.
-			cs.ready = append(cs.ready, rec.point)
+			cs.ready.PushBack(rec.point)
 			w.tel.Counter(telemetry.Name("wm.setups_completed_total", "coupling", cs.spec.Name)).Inc()
 		} else {
 			cs.failedSetups++
@@ -564,7 +651,7 @@ func (w *Workflow) onJobFinish(id sched.JobID, st sched.State) {
 			cs.failedSims++
 			// "resubmits failed ones": the configuration returns to the
 			// front of the ready queue.
-			cs.ready = append([]dynim.Point{rec.point}, cs.ready...)
+			cs.ready.PushFront(rec.point)
 			cs.launched--
 			w.tel.Counter(telemetry.Name("wm.sims_failed_total", "coupling", cs.spec.Name)).Inc()
 		}
@@ -639,7 +726,7 @@ func (w *Workflow) couplingStatsLocked(cs *couplingState) CouplingStats {
 	return CouplingStats{
 		Name:          cs.spec.Name,
 		Candidates:    cs.spec.Selector.Len(),
-		Ready:         len(cs.ready),
+		Ready:         cs.ready.Len(),
 		InSetup:       cs.inSetup + cs.pendingSetup + len(cs.redoSetup),
 		Running:       cs.running + cs.pendingSim,
 		Launched:      cs.launched,
@@ -727,7 +814,7 @@ func (w *Workflow) sortedJobIDsLocked() []sched.JobID {
 	for id := range w.jobs {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -736,7 +823,7 @@ func (w *Workflow) sortedJobIDsLocked() []sched.JobID {
 func (w *Workflow) couplingCkptLocked(cs *couplingState, ids []sched.JobID) CouplingCheckpoint {
 	c := CouplingCheckpoint{
 		Name:      cs.spec.Name,
-		Ready:     append([]dynim.Point(nil), cs.ready...),
+		Ready:     cs.ready.appendTo(nil),
 		InSetup:   append([]dynim.Point(nil), cs.redoSetup...),
 		Launched:  cs.launched,
 		Completed: cs.completed,
@@ -806,8 +893,8 @@ func (w *Workflow) RestoreState(data []byte) error {
 // machine first, without a new setup. Interrupted setups re-run (their
 // selection already happened).
 func restoreCouplingState(cs *couplingState, c CouplingCheckpoint) {
-	cs.ready = append([]dynim.Point(nil), c.RunningSims...)
-	cs.ready = append(cs.ready, c.Ready...)
+	ready := slices.Concat(c.RunningSims, c.Ready)
+	cs.ready = pointDeque{buf: ready, n: len(ready)}
 	cs.launched = c.Launched - len(c.RunningSims)
 	if cs.launched < 0 {
 		cs.launched = 0

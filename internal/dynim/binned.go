@@ -1,9 +1,10 @@
 package dynim
 
 import (
+	"container/heap"
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -19,10 +20,17 @@ import (
 //
 // Balance controls importance vs randomness, a functional requirement of CG
 // frame selection: with probability Balance a selection takes the most
-// novel candidate; otherwise it takes a uniformly random one. Updates are
-// O(1) per add (a counter increment), which is why this sampler handles
-// ~165× more candidates than farthest-point ranking at the same refresh
-// budget.
+// novel candidate; otherwise it takes a uniformly random one. An add is a
+// counter increment — no ranks to refresh — which is why this sampler
+// handles ~165× more candidates than farthest-point ranking at the same
+// refresh budget.
+//
+// Select is indexed, not scanned: the non-empty bins sit in a min-heap under
+// (occupancy, bin), so the most novel candidate is at the root, and a
+// Fenwick tree of queued counts over the joint-bin index turns the uniform
+// draw into one prefix-sum descent in ascending bin order. Add and Select
+// keep both current, so either costs O(log bins) however many bins are
+// non-empty.
 type Binned struct {
 	mu sync.Mutex
 
@@ -30,17 +38,62 @@ type Binned struct {
 	balance float64
 	rng     *rand.Rand
 
-	// occupancy counts every point ever offered (queued or selected); it is
-	// the "seen" density estimate novelty is measured against.
-	occupancy map[int]int
-	// queued holds candidate IDs per joint bin, insertion-ordered.
-	queued map[int][]Point
-	total  int // queued candidate count
+	// bins holds every joint bin ever offered a point.
+	bins map[int]*binState
+	// nonEmpty is the min-heap of bins with queued candidates. Occupancy
+	// only rises, so an Add to a queued bin can only sift it down.
+	nonEmpty binHeap
+	// queuedFen is the Fenwick tree (1-based) of queued counts per joint
+	// bin, allocated at the first Add.
+	queuedFen []int
+	nbins     int // joint bin count, ∏ dims[i].Bins
+	total     int // queued candidate count
 
 	journal  journal
 	dd       dedupe
 	trackDup bool
 	tel      *telemetry.Telemetry // nil = no instrumentation
+}
+
+// binState is one joint bin.
+type binState struct {
+	bin int
+	// occupancy counts every point ever offered (queued or selected); it is
+	// the "seen" density estimate novelty is measured against.
+	occupancy int
+	queued    []Point // insertion-ordered
+	pos       int     // index in Binned.nonEmpty while queued is non-empty
+}
+
+// binHeap orders non-empty bins least-occupied first, ties broken by bin
+// index for determinism. It implements container/heap.Interface.
+type binHeap []*binState
+
+func (h binHeap) Len() int { return len(h) }
+func (h binHeap) Less(i, j int) bool {
+	if h[i].occupancy != h[j].occupancy {
+		return h[i].occupancy < h[j].occupancy
+	}
+	return h[i].bin < h[j].bin
+}
+func (h binHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].pos, h[j].pos = i, j
+}
+
+// Push implements heap.Interface.
+func (h *binHeap) Push(x any) {
+	st := x.(*binState)
+	st.pos = len(*h)
+	*h = append(*h, st)
+}
+
+// Pop implements heap.Interface.
+func (h *binHeap) Pop() any {
+	old := *h
+	st := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return st
 }
 
 // BinDim describes the binning of one encoding dimension.
@@ -49,6 +102,10 @@ type BinDim struct {
 	Bins   int
 }
 
+// maxJointBins bounds ∏ Bins: the select index is dense over the joint-bin
+// range, so a binning too fine to index is refused rather than scanned.
+const maxJointBins = 1 << 24
+
 // NewBinned creates a binned sampler. balance ∈ [0,1]: 1 = pure importance
 // (always the least-occupied bin), 0 = pure random. seed makes selection
 // reproducible.
@@ -56,22 +113,27 @@ func NewBinned(dims []BinDim, balance float64, seed int64) (*Binned, error) {
 	if len(dims) == 0 {
 		return nil, fmt.Errorf("dynim: binned sampler needs at least one dimension")
 	}
+	nbins := 1
 	for i, d := range dims {
 		if d.Bins < 1 || d.Hi <= d.Lo {
 			return nil, fmt.Errorf("dynim: invalid bin dim %d: %+v", i, d)
 		}
+		if d.Bins > maxJointBins/nbins {
+			return nil, fmt.Errorf("dynim: binning has more than %d joint bins", maxJointBins)
+		}
+		nbins *= d.Bins
 	}
 	if balance < 0 || balance > 1 {
 		return nil, fmt.Errorf("dynim: balance %v outside [0,1]", balance)
 	}
 	return &Binned{
-		dims:      append([]BinDim(nil), dims...),
-		balance:   balance,
-		rng:       rand.New(rand.NewSource(seed)),
-		occupancy: make(map[int]int),
-		queued:    make(map[int][]Point),
-		dd:        newDedupe(),
-		trackDup:  true,
+		dims:     append([]BinDim(nil), dims...),
+		balance:  balance,
+		rng:      rand.New(rand.NewSource(seed)),
+		bins:     make(map[int]*binState),
+		nbins:    nbins,
+		dd:       newDedupe(),
+		trackDup: true,
 	}, nil
 }
 
@@ -117,8 +179,8 @@ func (b *Binned) SetTrackDuplicates(on bool) {
 	b.mu.Unlock()
 }
 
-// Add implements Selector: O(1) — increment the bin's occupancy and queue
-// the candidate.
+// Add implements Selector: increment the bin's occupancy, queue the
+// candidate and keep the select index current.
 func (b *Binned) Add(p Point) error {
 	if len(p.Coords) != len(b.dims) {
 		return fmt.Errorf("dynim: point %q has dim %d, sampler dim %d", p.ID, len(p.Coords), len(b.dims))
@@ -129,8 +191,22 @@ func (b *Binned) Add(p Point) error {
 		return nil
 	}
 	bin := b.binOf(p.Coords)
-	b.occupancy[bin]++
-	b.queued[bin] = append(b.queued[bin], p)
+	st := b.bins[bin]
+	if st == nil {
+		st = &binState{bin: bin}
+		b.bins[bin] = st
+	}
+	st.occupancy++
+	st.queued = append(st.queued, p)
+	if len(st.queued) == 1 {
+		heap.Push(&b.nonEmpty, st)
+	} else {
+		heap.Fix(&b.nonEmpty, st.pos)
+	}
+	if b.queuedFen == nil {
+		b.queuedFen = make([]int, b.nbins+1)
+	}
+	b.fenAdd(bin, 1)
 	b.total++
 	b.journal.record("add", p.ID)
 	return nil
@@ -150,18 +226,20 @@ func (b *Binned) Select(n int) []Point {
 	}
 	var out []Point
 	for len(out) < n && b.total > 0 {
-		var bin int
+		var st *binState
 		if b.rng.Float64() < b.balance {
-			bin = b.leastOccupiedNonEmpty()
+			st = b.nonEmpty[0]
 		} else {
-			bin = b.randomNonEmpty()
+			st = b.bins[b.randomNonEmpty()]
 		}
-		q := b.queued[bin]
-		p := q[0]
-		b.queued[bin] = q[1:]
-		if len(b.queued[bin]) == 0 {
-			delete(b.queued, bin)
+		p := st.queued[0]
+		st.queued[0] = Point{} // the backing array must not pin the popped point
+		st.queued = st.queued[1:]
+		if len(st.queued) == 0 {
+			st.queued = nil
+			heap.Remove(&b.nonEmpty, st.pos)
 		}
+		b.fenAdd(st.bin, -1)
 		b.total--
 		b.journal.record("select", p.ID)
 		out = append(out, p)
@@ -175,37 +253,27 @@ func (b *Binned) Select(n int) []Point {
 	return out
 }
 
-// leastOccupiedNonEmpty returns the queued bin with the smallest occupancy,
-// ties broken by bin index for determinism. Caller holds the lock.
-func (b *Binned) leastOccupiedNonEmpty() int {
-	best, bestOcc := -1, 0
-	//lint:allow determinism -- min-reduction with a total-order tie-break on bin index; the result is iteration-order independent
-	for bin := range b.queued {
-		occ := b.occupancy[bin]
-		if best < 0 || occ < bestOcc || (occ == bestOcc && bin < best) {
-			best, bestOcc = bin, occ
-		}
+// fenAdd adds d to bin's queued count. Caller holds the lock.
+func (b *Binned) fenAdd(bin, d int) {
+	for i := bin + 1; i < len(b.queuedFen); i += i & -i {
+		b.queuedFen[i] += d
 	}
-	return best
 }
 
 // randomNonEmpty picks a queued candidate uniformly at random (weighting
-// bins by their queue length). Caller holds the lock.
+// bins by their queue length) and returns its bin: the first, in ascending
+// index order, whose cumulative queued count exceeds the draw. Caller holds
+// the lock.
 func (b *Binned) randomNonEmpty() int {
 	k := b.rng.Intn(b.total)
-	// Deterministic iteration: walk bins in ascending index order.
-	bins := make([]int, 0, len(b.queued))
-	for bin := range b.queued {
-		bins = append(bins, bin)
-	}
-	sort.Ints(bins)
-	for _, bin := range bins {
-		if k < len(b.queued[bin]) {
-			return bin
+	bin := 0
+	for step := 1 << (bits.Len(uint(b.nbins)) - 1); step > 0; step >>= 1 {
+		if next := bin + step; next <= b.nbins && b.queuedFen[next] <= k {
+			bin = next
+			k -= b.queuedFen[next]
 		}
-		k -= len(b.queued[bin])
 	}
-	return bins[len(bins)-1]
+	return bin
 }
 
 // Len implements Selector.
@@ -219,7 +287,10 @@ func (b *Binned) Len() int {
 func (b *Binned) Occupancy(coords []float64) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.occupancy[b.binOf(coords)]
+	if st := b.bins[b.binOf(coords)]; st != nil {
+		return st.occupancy
+	}
+	return 0
 }
 
 // History implements Selector.

@@ -276,6 +276,17 @@ func TestBinnedValidation(t *testing.T) {
 	if _, err := NewBinned(dims3(), 1.5, 1); err == nil {
 		t.Error("balance > 1 accepted")
 	}
+	// The select index is dense over the joint bins: 4096² is refused, as is
+	// a product that would overflow int; 4096×4096 exactly at the bound is not.
+	if _, err := NewBinned([]BinDim{{0, 1, 4096}, {0, 1, 4097}}, 0.5, 1); err == nil {
+		t.Error("joint-bin count above 1<<24 accepted")
+	}
+	if _, err := NewBinned([]BinDim{{0, 1, 1 << 40}, {0, 1, 1 << 40}}, 0.5, 1); err == nil {
+		t.Error("overflowing joint-bin count accepted")
+	}
+	if _, err := NewBinned([]BinDim{{0, 1, 4096}, {0, 1, 4096}}, 0.5, 1); err != nil {
+		t.Errorf("1<<24 joint bins refused: %v", err)
+	}
 }
 
 func TestBinnedPureImportancePicksSparseBin(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -39,15 +40,19 @@ func oracleDist2(q []float64, sel [][]float64) float64 {
 // oracleFPS is an executable specification of farthest-point selection: a
 // plain map of candidates, ranked from scratch on every pick by the shared
 // kernel — no caches, no heap, no dirty sets. The production engine's
-// selection sequence must match it exactly.
+// selection sequence must match it exactly. With a capacity it also states
+// the eviction rule: once the queue reaches capacity plus the cap/16 slack,
+// rank from scratch and drop the lowest (dist², ID) down to capacity; an
+// evicted ID may be offered again.
 type oracleFPS struct {
+	capacity int
 	coords   map[string][]float64
 	taken    map[string]bool // queued or already selected
 	selected [][]float64
 }
 
-func newOracleFPS() *oracleFPS {
-	return &oracleFPS{coords: make(map[string][]float64), taken: make(map[string]bool)}
+func newOracleFPS(capacity int) *oracleFPS {
+	return &oracleFPS{capacity: capacity, coords: make(map[string][]float64), taken: make(map[string]bool)}
 }
 
 func (o *oracleFPS) add(id string, c []float64) {
@@ -56,6 +61,25 @@ func (o *oracleFPS) add(id string, c []float64) {
 	}
 	o.taken[id] = true
 	o.coords[id] = append([]float64(nil), c...)
+	if o.capacity == 0 || len(o.coords) < o.capacity+max(1, o.capacity/16) {
+		return
+	}
+	ids := make([]string, 0, len(o.coords))
+	dist := make(map[string]float64, len(o.coords))
+	for id, c := range o.coords {
+		ids = append(ids, id)
+		dist[id] = oracleDist2(c, o.selected)
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		if dist[ids[i]] != dist[ids[j]] {
+			return dist[ids[i]] < dist[ids[j]]
+		}
+		return ids[i] < ids[j]
+	})
+	for _, id := range ids[:len(ids)-o.capacity] {
+		delete(o.coords, id)
+		delete(o.taken, id)
+	}
 }
 
 func (o *oracleFPS) selectN(n int) []string {
@@ -76,14 +100,22 @@ func (o *oracleFPS) selectN(n int) []string {
 }
 
 // TestPropertyFPSMatchesOracle fuzzes the full engine — dirty-set refresh,
-// lazy heap, eager fallback, pruned kernels — against the from-scratch
-// oracle: every selection burst must return the identical ID sequence.
+// lazy heap, eager fallback, pruned kernels, batched eviction — against the
+// from-scratch oracle: every selection burst must return the identical ID
+// sequence, unbounded and at capacities small enough that the victim set
+// decides what is left to select.
 func TestPropertyFPSMatchesOracle(t *testing.T) {
+	for _, capacity := range []int{0, 16, 64} {
+		testFPSMatchesOracle(t, capacity)
+	}
+}
+
+func testFPSMatchesOracle(t *testing.T, capacity int) {
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		const dim = 5 // odd, so the unrolled kernel's remainder loop runs
-		fp := NewFarthestPoint(dim, 0)
-		oracle := newOracleFPS()
+		fp := NewFarthestPoint(dim, capacity)
+		oracle := newOracleFPS(capacity)
 		next := 0
 		for op := 0; op < 40; op++ {
 			switch rng.Intn(4) {
@@ -111,12 +143,12 @@ func TestPropertyFPSMatchesOracle(t *testing.T) {
 				got := fp.Select(n)
 				want := oracle.selectN(n)
 				if len(got) != len(want) {
-					t.Fatalf("seed %d op %d: got %d selections, oracle %d", seed, op, len(got), len(want))
+					t.Fatalf("cap %d seed %d op %d: got %d selections, oracle %d", capacity, seed, op, len(got), len(want))
 				}
 				for i := range got {
 					if got[i].ID != want[i] {
-						t.Fatalf("seed %d op %d: selection[%d] = %s, oracle %s",
-							seed, op, i, got[i].ID, want[i])
+						t.Fatalf("cap %d seed %d op %d: selection[%d] = %s, oracle %s",
+							capacity, seed, op, i, got[i].ID, want[i])
 					}
 				}
 			}

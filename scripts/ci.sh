@@ -60,6 +60,19 @@ diff "$tmpdir/chaos1-metrics.json" "$tmpdir/chaos2-metrics.json"
 diff "$tmpdir/chaos1-trace.json" "$tmpdir/chaos2-trace.json"
 grep -q 'wm restarts' "$tmpdir/chaos1.out"
 
+# The same plan and seed over a three-instance WM fleet: crash, lease expiry,
+# adoption, the hung-job watchdog and job-hang faults through the CLI, held
+# to the same byte-identity.
+for i in 1 2; do
+	go run ./cmd/mummi-sim campaign -scale 0.02 -seed 7 -faults "$chaosplan" -wm-instances 3 \
+		-trace "$tmpdir/fleet$i-trace.json" -metrics "$tmpdir/fleet$i-metrics.json" >"$tmpdir/fleet$i.out"
+	grep -v -e 'replayed in' -e ' -> ' "$tmpdir/fleet$i.out" >"$tmpdir/fleet$i.cmp"
+done
+diff "$tmpdir/fleet1.cmp" "$tmpdir/fleet2.cmp"
+diff "$tmpdir/fleet1-metrics.json" "$tmpdir/fleet2-metrics.json"
+diff "$tmpdir/fleet1-trace.json" "$tmpdir/fleet2-trace.json"
+grep -q 'wm-adopt' "$tmpdir/fleet1.out"
+
 # Worker-count smoke: the selector splits its rank refresh over -workers
 # goroutines and promises the same selections for every count. Hold it
 # through the CLI: one worker against four, same counts table, same metrics
