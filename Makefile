@@ -37,14 +37,12 @@ bench-quick:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: go vet plus the project's own analyzer suite — the
-# per-package analyzers (determinism, lockdiscipline, errdiscipline,
-# doccomment) and the interprocedural ones (goroutinelifecycle, lockorder,
-# channeldiscipline), with the stale-suppression audit and a wall-clock
-# budget. See internal/lint, docs/LINT.md, and DESIGN.md §8. Non-zero exit
-# on any finding.
+# Static analysis: go vet plus the project's own analyzer suite
+# (determinism, lockdiscipline, errdiscipline, doccomment,
+# goroutinelifecycle, lockorder), stale-suppression audit included. See
+# docs/LINT.md. Non-zero exit on any finding.
 lint: vet
-	$(GO) run ./cmd/mummi-lint -unused-suppressions -budget 60s ./...
+	$(GO) run ./cmd/mummi-lint ./...
 
 # Observability demo: replay a small campaign with tracing, metrics, and a
 # heartbeat, validate the artifacts, and leave trace.json ready to open in
@@ -85,8 +83,8 @@ scenarios:
 	$(GO) run ./cmd/mummi-sim trace gen -catalog -outdir scenarios
 	$(GO) run ./cmd/mummi-sim trace gen -seed 42 -n 3 -outdir scenarios/generated
 
-# Non-test Go lines per package — the tracked number ROADMAP item 3 asks
-# to fall or hold.
+# Non-test Go lines per package — the tracked number the north star's
+# second aim (ROADMAP item 7) asks to fall or hold.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './.*' ! -path '*/testdata/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

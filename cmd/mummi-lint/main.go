@@ -1,10 +1,8 @@
 // Command mummi-lint runs the project's static-analysis suite (package
-// internal/lint): the per-package analyzers (determinism, lockdiscipline,
-// errdiscipline, doccomment) and the interprocedural module analyzers
-// (goroutinelifecycle, lockorder, channeldiscipline). It is wired into
-// `make lint` and scripts/ci.sh and exits non-zero on findings, so a
-// violated invariant fails the build rather than waiting for a test to
-// happen to trip over it.
+// internal/lint; docs/LINT.md): determinism, lockdiscipline, errdiscipline,
+// doccomment, goroutinelifecycle and lockorder. It is wired into `make lint`
+// and scripts/ci.sh and exits non-zero on findings, so a violated invariant
+// fails the build rather than waiting for a test to happen to trip over it.
 //
 // Usage:
 //
@@ -12,43 +10,29 @@
 //
 //	patterns        ./...-style package patterns relative to the module
 //	                root (default ./...)
-//	-json           machine-readable output: {"findings": [...],
-//	                "elapsed_ms": N, "packages": N, "analyzers": [...]}
 //	-analyzers      comma-separated subset (default: all)
-//	-errallow FILE  error-discipline allowlist (default: .errallow at the
-//	                module root, if present)
-//	-unused-suppressions  also fail on //lint:allow comments that suppress
-//	                nothing (stale suppressions)
-//	-budget D       warn on stderr when the run exceeds this wall-clock
-//	                budget (0 = no budget)
 //	-list           print the analyzers and exit
 //
 // Findings are suppressed with a `//lint:allow <analyzer> -- reason`
-// comment on the offending line or the line above it.
+// comment on the offending line or the line above it; an allow comment that
+// suppresses nothing is itself a finding. The errdiscipline allowlist is
+// .errallow at the module root, if present.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"mummi/internal/lint"
 )
 
 func main() {
-	os.Exit(run())
-}
-
-func run() int {
-	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	analyzerList := flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-	errAllowPath := flag.String("errallow", "", "errdiscipline allowlist file (default: <module>/.errallow)")
-	unusedSup := flag.Bool("unused-suppressions", false, "fail on //lint:allow comments that suppress nothing")
-	budget := flag.Duration("budget", 0, "warn when the run exceeds this wall-clock budget (0 = off)")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	flag.Parse()
 
@@ -56,44 +40,40 @@ func run() int {
 		for _, a := range lint.All() {
 			fmt.Printf("%-20s %s\n", a.Name, a.Doc)
 		}
-		for _, a := range lint.AllModule() {
-			fmt.Printf("%-20s %s\n", a.Name, a.Doc)
-		}
-		return 0
+		return
 	}
-
-	analyzers, modAnalyzers, err := lint.SelectAnalyzers(*analyzerList)
+	findings, err := run(*analyzerList, flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		return 2
+		os.Exit(2)
 	}
+	for _, d := range findings {
+		fmt.Println(d.String())
+	}
+	if len(findings) > 0 {
+		fmt.Printf("mummi-lint: %d finding(s)\n", len(findings))
+		os.Exit(1)
+	}
+}
 
+func run(analyzerList string, patterns []string) ([]lint.Diagnostic, error) {
+	analyzers, err := lint.Select(analyzerList)
+	if err != nil {
+		return nil, err
+	}
 	cwd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+		return nil, err
 	}
-	start := time.Now()
 	mod, err := lint.LoadModule(cwd)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+		return nil, err
 	}
-
-	errAllow, err := loadErrAllow(*errAllowPath, mod.Root)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+	errAllow, err := lint.LoadErrAllow(filepath.Join(mod.Root, ".errallow"))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("mummi-lint: reading allowlist: %w", err)
 	}
-
-	findings := mod.Run(lint.RunOptions{
-		Analyzers:          analyzers,
-		ModuleAnalyzers:    modAnalyzers,
-		ErrAllow:           errAllow,
-		Patterns:           flag.Args(),
-		UnusedSuppressions: *unusedSup,
-	})
-	elapsed := time.Since(start)
+	findings := mod.Run(lint.RunOptions{Analyzers: analyzers, ErrAllow: errAllow, Patterns: patterns})
 
 	// Report paths relative to the working directory, like go vet.
 	for i := range findings {
@@ -101,60 +81,5 @@ func run() int {
 			findings[i].File = rel
 		}
 	}
-
-	if *jsonOut {
-		names := make([]string, 0, len(analyzers)+len(modAnalyzers))
-		for _, a := range analyzers {
-			names = append(names, a.Name)
-		}
-		for _, a := range modAnalyzers {
-			names = append(names, a.Name)
-		}
-		if findings == nil {
-			findings = []lint.Diagnostic{}
-		}
-		report := struct {
-			Findings  []lint.Diagnostic `json:"findings"`
-			ElapsedMS int64             `json:"elapsed_ms"`
-			Packages  int               `json:"packages"`
-			Analyzers []string          `json:"analyzers"`
-		}{findings, elapsed.Milliseconds(), len(mod.Pkgs), names}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	} else {
-		for _, d := range findings {
-			fmt.Println(d.String())
-		}
-		if len(findings) > 0 {
-			fmt.Printf("mummi-lint: %d finding(s)\n", len(findings))
-		}
-	}
-	if *budget > 0 && elapsed > *budget {
-		fmt.Fprintf(os.Stderr, "mummi-lint: WARNING: wall-clock %s exceeds budget %s (source-mode type-check is ballooning; investigate before CI rots)\n",
-			elapsed.Round(time.Millisecond), *budget)
-	}
-	if len(findings) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// loadErrAllow reads the allowlist: one FullName-style symbol pattern per
-// line, '#' comments, optional trailing '*' wildcard.
-func loadErrAllow(path, modRoot string) ([]string, error) {
-	if path == "" {
-		path = filepath.Join(modRoot, ".errallow")
-		if _, err := os.Stat(path); err != nil {
-			return nil, nil // optional default
-		}
-	}
-	out, err := lint.LoadErrAllow(path)
-	if err != nil {
-		return nil, fmt.Errorf("mummi-lint: reading allowlist: %w", err)
-	}
-	return out, nil
+	return findings, nil
 }

@@ -147,7 +147,7 @@ func (c *writeBlockConn) Write(p []byte) (int, error) {
 }
 
 // TestStalledPipeDoesNotWedgeClient is the regression test for the
-// submit-under-RLock bug the channeldiscipline analyzer surfaced: a
+// submit-under-RLock bug the lint suite's blocking-under-lock rule surfaced: a
 // submitter blocked sending into a stalled pipe used to hold the client's
 // read lock across the send, so Close's write lock blocked behind it —
 // and, because a pending writer stalls new read locks, so did every
@@ -208,7 +208,7 @@ func TestStalledPipeDoesNotWedgeClient(t *testing.T) {
 	lockOK := make(chan struct{})
 	go func() {
 		a.mu.Lock()
-		a.mu.Unlock() //lint:allow lockdiscipline -- probe: acquire-and-release to prove the lock is not wedged
+		a.mu.Unlock() // probe: acquire-and-release to prove the lock is not wedged
 		close(lockOK)
 	}()
 	select {

@@ -391,6 +391,49 @@ func TestServerWrongArity(t *testing.T) {
 	}
 }
 
+// TestServerCloseWaitsForHandlers: Close returns only after every
+// connection handler has exited. The handler is parked inside a command (on
+// the engine lock the test holds), so it provably has not exited while
+// Close runs; a handler left out of the server's WaitGroup lets Close
+// return under it, and only goroutinelifecycle said so before this test.
+func TestServerCloseWaitsForHandlers(t *testing.T) {
+	s, c := startServer(t)
+	served := s.Commands()
+	s.engine.mu.Lock()
+	unlock := sync.OnceFunc(s.engine.mu.Unlock)
+	defer unlock()
+	setDone := make(chan error, 1) // fails or not with the closing server; only its arrival and return matter
+	go func() { setDone <- c.Set("k", []byte("v")) }()
+	for deadline := time.Now().Add(10 * time.Second); s.Commands() == served; {
+		if time.Now().After(deadline) {
+			t.Fatal("the SET never reached the connection handler")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a connection handler was still inside a command")
+	case <-time.After(200 * time.Millisecond):
+	}
+	unlock()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return once the handler was released")
+	}
+	select {
+	case <-setDone:
+	case <-time.After(10 * time.Second):
+		t.Error("the client's SET never returned")
+	}
+}
+
 func TestConcurrentClients(t *testing.T) {
 	s, _ := startServer(t)
 	addr := s.Addr()

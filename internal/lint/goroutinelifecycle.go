@@ -5,11 +5,14 @@ import (
 	"strings"
 )
 
-// concScope is the shared reporting scope of the interprocedural
-// concurrency analyzers: every package that spawns goroutines, holds
-// locks, or will grow concurrency under the multi-tenant campaign service
-// (ROADMAP item 1). Summaries still cover the whole module, so facts flow
-// through unscoped packages even though findings are not anchored there.
+// concScope is the shared reporting scope of the three concurrency
+// analyzers (lockdiscipline, lockorder, goroutinelifecycle): the packages
+// that hold a mutex or start a goroutine on the campaign's coordination
+// path today — the WM and its fleet, the scheduler, the store client and
+// server, the fault and retry layers, telemetry, the campaign harness, the
+// feedback managers and the selector's worker pool. Summaries still cover
+// the whole module, so facts flow through unscoped packages even though
+// findings are not anchored there.
 func concScope(pkgPath string) bool {
 	for _, suffix := range []string{
 		"internal/core", "internal/sched", "internal/kvstore",
@@ -43,7 +46,7 @@ func concScope(pkgPath string) bool {
 // shutdown that cannot be sequenced, which is exactly how couplings hang
 // at scale (PAPER.md §5). Spawns of dynamic function values are flagged
 // too: a join path that cannot be resolved statically cannot be audited.
-var GoroutineLifecycle = &ModuleAnalyzer{
+var GoroutineLifecycle = &Analyzer{
 	Name:  "goroutinelifecycle",
 	Doc:   "requires every go statement to have a provable join path (WaitGroup, ctx.Done, or close-signaled channel)",
 	Scope: concScope,
@@ -56,13 +59,9 @@ var GoroutineLifecycle = &ModuleAnalyzer{
 // sheer distance.
 const lifecycleDepth = 6
 
-func runGoroutineLifecycle(pass *ModulePass) {
-	sums := pass.Sums
-	for _, id := range sums.Order {
-		fn := sums.Fns[id]
-		if !pass.InScope(fn.Pkg.ImportPath) {
-			continue
-		}
+func runGoroutineLifecycle(pass *Pass) {
+	sums := pass.Summaries()
+	for _, fn := range sums.In(pass.Package) {
 		for _, ev := range fn.Events {
 			if ev.Kind != EvSpawn {
 				continue
@@ -72,16 +71,16 @@ func runGoroutineLifecycle(pass *ModulePass) {
 				if name == "" {
 					name = "a dynamic function value"
 				}
-				pass.Reportf(fn, ev.Pos,
+				pass.Reportf(ev.Pos,
 					"go statement spawns %s, which cannot be resolved statically; spawn a named function or literal so its join path can be audited", name)
 				continue
 			}
-			target := sums.Fn(ev.Callee)
+			target := sums.Fns[ev.Callee]
 			if target == nil {
 				continue
 			}
 			if ok, _ := hasJoinPath(sums, ev.Callee); !ok {
-				pass.Reportf(fn, ev.Pos,
+				pass.Reportf(ev.Pos,
 					"goroutine %s has no provable shutdown path: no WaitGroup.Done matched by a Wait, no ctx.Done receive, no close-signaled channel; it can leak and its termination cannot be sequenced into shutdown", target.Name)
 			}
 		}

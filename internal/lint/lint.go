@@ -5,67 +5,59 @@
 // workflow manager and the PR 1 determinism contract of the selector
 // engine — were previously enforced only by the tests that happened to
 // exercise them. The analyzers here turn those invariants into properties
-// checked on every build.
-//
-// Four per-package analyzers ship with the framework:
+// checked on every build. Six ship with the framework; docs/LINT.md has
+// each one's scope and the seeded-bug record of what it is the gate for.
 //
 //   - determinism: no iteration-order, RNG, or wall-clock nondeterminism
-//     inside the determinism-contracted packages (dynim, parallel, core,
-//     faults, kvstore).
-//   - lockdiscipline: every Lock has an unlock on all return paths, no
-//     blocking operations while a mutex is held (core, sched, faults,
-//     kvstore); by-value lock copies are go vet's copylocks.
+//     inside the determinism-contracted packages.
+//   - lockdiscipline: every Lock has an unlock on all return paths, and no
+//     blocking operation while a mutex is held, directly or through a
+//     module callee; by-value lock copies are go vet's copylocks.
 //   - errdiscipline: no silently discarded errors anywhere in the module,
 //     modulo an explicit allowlist.
 //   - doccomment: every exported identifier in the instrumented packages
 //     carries a doc comment.
-//
-// On top of those, a shared interprocedural layer (summary.go) builds a
-// module-wide call graph and per-function summaries — locks acquired,
-// channel operations, goroutines spawned, blocking calls — and three
-// module analyzers (module.go) consume them:
-//
 //   - goroutinelifecycle: every go statement must have a provable
 //     shutdown/join path (WaitGroup, context cancellation, or a
 //     close-signaled channel).
 //   - lockorder: the module-wide lock-acquisition-order graph must be
 //     acyclic; cycles are deadlock risks and self-cycles through a call
 //     are guaranteed deadlocks.
-//   - channeldiscipline: no blocking channel operation while a mutex is
-//     held (directly or through a callee), no send on a channel that
-//     another path closes without an ordering guard, and no blocking send
-//     on a bounded channel with unflushed buffered writes pending (the
-//     pipelined-kvstore flush-before-block rule).
+//
+// The last three and lockdiscipline read a shared interprocedural layer
+// (summary.go): a module-wide call graph and per-function summaries —
+// locks acquired, channel operations, goroutines spawned, blocking calls —
+// built at most once per run, for the analyzers that ask.
 //
 // Findings can be suppressed with a
 //
 //	//lint:allow <analyzer> [<analyzer>...] -- <reason>
 //
 // comment on the offending line or the line directly above it; the reason
-// is mandatory by convention, and the -unused-suppressions mode (CI's
-// default) turns any allow comment that no longer matches a finding into
-// its own diagnostic, so stale exceptions cannot accumulate. The
-// self-clean test keeps the repo honest under all of the above.
+// is mandatory by convention, and any allow comment that no longer matches
+// a finding is its own diagnostic, so stale exceptions cannot accumulate.
+// The self-clean test keeps the repo honest under all of the above.
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // Diagnostic is one analyzer finding, resolved to a file position.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Col      int            `json:"col"`
-	Message  string         `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 func (d Diagnostic) String() string {
@@ -73,12 +65,14 @@ func (d Diagnostic) String() string {
 }
 
 // Analyzer is one named invariant checker. Run inspects a single
-// type-checked package and reports findings through the Pass.
+// type-checked package and reports findings through the Pass; an analyzer
+// whose property only exists across function and package boundaries reads
+// the rest of the module through Pass.Summaries.
 type Analyzer struct {
 	Name string
 	Doc  string
-	// Scope decides whether the analyzer applies to a package (by import
-	// path). A nil Scope means every package in the module.
+	// Scope decides which packages (by import path) findings are reported
+	// in. A nil Scope means every package in the module.
 	Scope func(pkgPath string) bool
 	Run   func(*Pass)
 }
@@ -86,15 +80,13 @@ type Analyzer struct {
 // Pass carries one package through one analyzer.
 type Pass struct {
 	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	Info     *types.Info
+	*Package
 	// ErrAllow is the error-discipline allowlist (symbol patterns); only
 	// the errdiscipline analyzer consults it.
 	ErrAllow []string
 
-	diags []Diagnostic
+	summaries func() *Summaries
+	diags     []Diagnostic
 }
 
 // Reportf records a finding at pos.
@@ -102,7 +94,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	p.diags = append(p.diags, Diagnostic{
 		Analyzer: p.Analyzer.Name,
-		Pos:      position,
 		File:     position.Filename,
 		Line:     position.Line,
 		Col:      position.Column,
@@ -118,39 +109,35 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	return p.Info.TypeOf(e)
 }
 
+// Summaries returns the interprocedural summaries of the whole module —
+// every loaded package, in or out of the analyzer's scope, so facts flow
+// through code that findings are never anchored in.
+func (p *Pass) Summaries() *Summaries { return p.summaries() }
+
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, LockDiscipline, ErrDiscipline, DocComment}
+	return []*Analyzer{Determinism, LockDiscipline, ErrDiscipline, DocComment, GoroutineLifecycle, LockOrder}
 }
 
-// ByName resolves a comma-separated per-package analyzer list
-// ("determinism,errdiscipline"). Module analyzers are resolved by
-// SelectAnalyzers (module.go), which mixes both kinds.
-func ByName(names string) ([]*Analyzer, error) {
+// Select resolves a comma-separated analyzer list
+// ("determinism,lockorder"); an empty list selects the whole suite.
+func Select(names string) ([]*Analyzer, error) {
+	if names == "" {
+		return All(), nil
+	}
+	all := All()
 	var out []*Analyzer
-	for _, n := range splitNames(names) {
-		found := false
-		for _, a := range All() {
-			if a.Name == n {
-				out = append(out, a)
-				found = true
-			}
+	for _, n := range strings.Split(names, ",") {
+		if n = strings.TrimSpace(n); n == "" {
+			continue
 		}
-		if !found {
+		i := slices.IndexFunc(all, func(a *Analyzer) bool { return a.Name == n })
+		if i < 0 {
 			return nil, fmt.Errorf("lint: unknown analyzer %q", n)
 		}
+		out = append(out, all[i])
 	}
 	return out, nil
-}
-
-func splitNames(names string) []string {
-	var out []string
-	for _, n := range strings.Split(names, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -264,47 +251,58 @@ func (t *SuppressionTable) Unused(ran map[string]bool) []Diagnostic {
 // ---------------------------------------------------------------------------
 // Running
 
-// RunAnalyzers applies each in-scope analyzer to pkg, filters suppressed
-// findings, and returns the rest sorted by position.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer, errAllow []string) []Diagnostic {
-	sup := NewSuppressionTable()
-	sup.Add(pkg.Fset, pkg.Files)
+// RunOptions configures one lint run.
+type RunOptions struct {
+	Analyzers []*Analyzer
+	ErrAllow  []string
+	// Patterns restricts which packages findings may be reported in
+	// (./...-style, nil = all). Summaries still cover the whole module.
+	Patterns []string
+}
+
+// Run is the single entry point the CLI, the golden tests and the
+// self-clean test share: it applies each analyzer to every matched package
+// in its scope, drops suppressed findings, adds an "unused-suppression"
+// finding for every //lint:allow comment that suppressed nothing, and
+// returns the lot sorted by position.
+func (m *Module) Run(opts RunOptions) []Diagnostic {
+	table := NewSuppressionTable()
+	var matched []*Package
+	for _, pkg := range m.Pkgs {
+		if m.Match(pkg, opts.Patterns) {
+			matched = append(matched, pkg)
+			table.Add(pkg.Fset, pkg.Files)
+		}
+	}
+	var sums *Summaries
+	summaries := func() *Summaries {
+		if sums == nil {
+			sums = BuildSummaries(m.Pkgs)
+		}
+		return sums
+	}
+
 	var out []Diagnostic
-	for _, a := range analyzers {
-		if a.Scope != nil && !a.Scope(pkg.ImportPath) {
-			continue
-		}
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			ErrAllow: errAllow,
-		}
-		a.Run(pass)
-		for _, d := range pass.diags {
-			if !sup.Allows(d) {
-				out = append(out, d)
+	ran := map[string]bool{}
+	for _, a := range opts.Analyzers {
+		for _, pkg := range matched {
+			if a.Scope != nil && !a.Scope(pkg.ImportPath) {
+				continue
+			}
+			ran[a.Name] = true
+			pass := &Pass{Analyzer: a, Package: pkg, ErrAllow: opts.ErrAllow, summaries: summaries}
+			a.Run(pass)
+			for _, d := range pass.diags {
+				if !table.Allows(d) {
+					out = append(out, d)
+				}
 			}
 		}
 	}
-	SortDiagnostics(out)
-	return out
-}
-
-// SortDiagnostics orders findings by file, line, column, analyzer.
-func SortDiagnostics(ds []Diagnostic) {
-	sort.Slice(ds, func(i, j int) bool {
-		if ds[i].File != ds[j].File {
-			return ds[i].File < ds[j].File
-		}
-		if ds[i].Line != ds[j].Line {
-			return ds[i].Line < ds[j].Line
-		}
-		if ds[i].Col != ds[j].Col {
-			return ds[i].Col < ds[j].Col
-		}
-		return ds[i].Analyzer < ds[j].Analyzer
+	out = append(out, table.Unused(ran)...)
+	slices.SortFunc(out, func(a, b Diagnostic) int {
+		return cmp.Or(cmp.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line),
+			cmp.Compare(a.Col, b.Col), cmp.Compare(a.Analyzer, b.Analyzer))
 	})
+	return out
 }

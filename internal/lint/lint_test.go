@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -24,16 +25,6 @@ type wantDiag struct {
 	line    int
 	re      *regexp.Regexp
 	matched bool
-}
-
-// loadTestPackage parses and type-checks one testdata directory as a
-// single package under importPath (chosen so the analyzer's Scope accepts
-// it), using only the stdlib source importer — the same stack the real
-// driver uses.
-func loadTestPackage(t *testing.T, dir, importPath string) (*Package, []wantDiag) {
-	t.Helper()
-	pkgs, wants := loadTestModule(t, [][2]string{{dir, importPath}})
-	return pkgs[0], wants
 }
 
 // chainImporter resolves the already-loaded fixture packages first and
@@ -127,96 +118,107 @@ func matchWants(t *testing.T, diags []Diagnostic, wants []wantDiag) {
 	}
 }
 
-// runGolden applies one analyzer to its golden package and verifies the
-// diagnostics against the want comments bidirectionally.
-func runGolden(t *testing.T, a *Analyzer, dirName, importPath string, errAllow []string) {
-	t.Helper()
-	dir := filepath.Join("testdata", "src", dirName)
-	pkg, wants := loadTestPackage(t, dir, importPath)
-	if a.Scope != nil && !a.Scope(importPath) {
-		t.Fatalf("test import path %q is outside %s's scope", importPath, a.Name)
-	}
-	matchWants(t, RunAnalyzers(pkg, []*Analyzer{a}, errAllow), wants)
+// fixture names one golden directory under testdata/src and the import
+// path it is loaded as (chosen so the analyzer's Scope accepts it).
+func fixture(importPath string, dir ...string) [2]string {
+	return [2]string{filepath.Join(append([]string{"testdata", "src"}, dir...)...), importPath}
 }
 
-// runModuleGolden applies module analyzers to golden packages — building
-// the interprocedural summaries and the suppression table exactly as the
-// driver does — and verifies the findings bidirectionally.
-func runModuleGolden(t *testing.T, analyzers []*ModuleAnalyzer, specs [][2]string) {
+// runGolden loads the fixtures as one module and drives it through
+// Module.Run — the entry the CLI uses, suppressions and stale-suppression
+// audit included — then verifies the findings against the want comments
+// bidirectionally.
+func runGolden(t *testing.T, opts RunOptions, specs ...[2]string) {
 	t.Helper()
 	pkgs, wants := loadTestModule(t, specs)
-	sums := BuildSummaries(pkgs)
-	table := NewSuppressionTable()
-	for _, pkg := range pkgs {
-		table.Add(pkg.Fset, pkg.Files)
-	}
-	var diags []Diagnostic
-	for _, d := range RunModuleAnalyzers(pkgs, sums, analyzers, nil) {
-		if !table.Allows(d) {
-			diags = append(diags, d)
+	for _, a := range opts.Analyzers {
+		if !slices.ContainsFunc(pkgs, func(p *Package) bool { return a.Scope == nil || a.Scope(p.ImportPath) }) {
+			t.Fatalf("no fixture import path is inside %s's scope", a.Name)
 		}
 	}
-	matchWants(t, diags, wants)
+	matchWants(t, (&Module{Pkgs: pkgs}).Run(opts), wants)
 }
 
 func TestDeterminismGolden(t *testing.T) {
-	runGolden(t, Determinism, "determinism", "lab/internal/dynim", nil)
+	runGolden(t, RunOptions{Analyzers: []*Analyzer{Determinism}}, fixture("lab/internal/dynim", "determinism"))
 }
 
 func TestLockDisciplineGolden(t *testing.T) {
-	runGolden(t, LockDiscipline, "lockdiscipline", "lab/internal/core", nil)
+	runGolden(t, RunOptions{Analyzers: []*Analyzer{LockDiscipline}}, fixture("lab/internal/core", "lockdiscipline"))
 }
 
 func TestErrDisciplineGolden(t *testing.T) {
-	runGolden(t, ErrDiscipline, "errdiscipline", "errprog", []string{"os.RemoveAll"})
+	runGolden(t, RunOptions{Analyzers: []*Analyzer{ErrDiscipline}, ErrAllow: []string{"os.RemoveAll"}},
+		fixture("errprog", "errdiscipline"))
 }
 
 func TestDocCommentGolden(t *testing.T) {
-	runGolden(t, DocComment, "doccomment", "lab/internal/telemetry", nil)
+	runGolden(t, RunOptions{Analyzers: []*Analyzer{DocComment}}, fixture("lab/internal/telemetry", "doccomment"))
 }
 
 func TestGoroutineLifecycleGolden(t *testing.T) {
-	runModuleGolden(t, []*ModuleAnalyzer{GoroutineLifecycle},
-		[][2]string{{filepath.Join("testdata", "src", "goroutinelifecycle"), "lab/internal/sched"}})
+	runGolden(t, RunOptions{Analyzers: []*Analyzer{GoroutineLifecycle}}, fixture("lab/internal/sched", "goroutinelifecycle"))
 }
 
 func TestLockOrderGolden(t *testing.T) {
-	runModuleGolden(t, []*ModuleAnalyzer{LockOrder},
-		[][2]string{{filepath.Join("testdata", "src", "lockorder"), "lab/internal/core"}})
+	runGolden(t, RunOptions{Analyzers: []*Analyzer{LockOrder}}, fixture("lab/internal/core", "lockorder"))
 }
 
-func TestChannelDisciplineGolden(t *testing.T) {
-	runModuleGolden(t, []*ModuleAnalyzer{ChannelDiscipline},
-		[][2]string{{filepath.Join("testdata", "src", "channeldiscipline"), "lab/internal/kvstore"}})
-}
+// concurrency is the three analyzers that read the interprocedural
+// summaries.
+var concurrency = []*Analyzer{LockDiscipline, GoroutineLifecycle, LockOrder}
 
 // TestInterprocGolden loads two fixture packages where every finding (and
 // every proof of safety) requires summaries to propagate across the
 // package boundary: a cross-package lock-order cycle, a blocking callee
 // behind an import, and join evidence living in the other package.
 func TestInterprocGolden(t *testing.T) {
-	runModuleGolden(t, AllModule(), [][2]string{
-		{filepath.Join("testdata", "src", "interproc", "a"), "lab/internal/core"},
-		{filepath.Join("testdata", "src", "interproc", "b"), "lab/internal/sched"},
-	})
+	runGolden(t, RunOptions{Analyzers: concurrency},
+		fixture("lab/internal/core", "interproc", "a"), fixture("lab/internal/sched", "interproc", "b"))
 }
 
 // TestScopeFiltersPackages re-runs the determinism golden package under an
-// import path outside the analyzer's scope: RunAnalyzers must produce
-// nothing even though the source is full of violations.
+// import path outside the analyzer's scope: the run must produce nothing
+// even though the source is full of violations.
 func TestScopeFiltersPackages(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "determinism")
-	pkg, _ := loadTestPackage(t, dir, "lab/internal/feedback")
-	if diags := RunAnalyzers(pkg, []*Analyzer{Determinism}, nil); len(diags) != 0 {
+	pkgs, _ := loadTestModule(t, [][2]string{fixture("lab/internal/feedback", "determinism")})
+	if diags := (&Module{Pkgs: pkgs}).Run(RunOptions{Analyzers: []*Analyzer{Determinism}}); len(diags) != 0 {
 		t.Errorf("out-of-scope package produced %d diagnostics: %v", len(diags), diags)
 	}
 }
 
+// TestModuleScopeFilters does the same for the concurrency analyzers: the
+// lockdiscipline and goroutinelifecycle fixtures under import paths outside
+// concScope are summarized but never reported on.
+func TestModuleScopeFilters(t *testing.T) {
+	pkgs, _ := loadTestModule(t, [][2]string{
+		fixture("lab/internal/ui", "lockdiscipline"), fixture("lab/internal/units", "goroutinelifecycle")})
+	if diags := (&Module{Pkgs: pkgs}).Run(RunOptions{Analyzers: concurrency}); len(diags) != 0 {
+		t.Errorf("out-of-scope packages produced %d diagnostics: %v", len(diags), diags)
+	}
+}
+
+// inlinePackage type-checks one source string as a single-package module.
+func inlinePackage(t *testing.T, importPath, src string) *Module {
+	t.Helper()
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "inline.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := &Package{Dir: ".", ImportPath: importPath, Fset: fset, Files: []*ast.File{f}}
+	if err := typeCheck(fset, pkg, importer.ForCompiler(fset, "source", nil)); err != nil {
+		t.Fatal(err)
+	}
+	return &Module{Root: ".", Path: "lab", Fset: fset, Pkgs: []*Package{pkg}}
+}
+
 // TestSuppressionPlacement pins down the two blessed comment placements:
 // trailing on the offending line, or standalone on the line above. A
-// comment two lines up must NOT suppress.
+// comment two lines up must NOT suppress — and, suppressing nothing, is
+// itself reported as stale.
 func TestSuppressionPlacement(t *testing.T) {
-	const src = `package p
+	m := inlinePackage(t, "lab/internal/dynim", `package p
 
 import "time"
 
@@ -234,43 +236,26 @@ func tooFar() int64 {
 
 	return time.Now().UnixNano()
 }
-`
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "sup.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
+`)
+	diags := m.Run(RunOptions{Analyzers: []*Analyzer{Determinism}})
+	if len(diags) != 2 {
+		t.Fatalf("want the stale comment and the tooFar finding, got %d: %v", len(diags), diags)
 	}
-	pkg := &Package{Dir: ".", ImportPath: "lab/internal/dynim", Fset: fset, Files: []*ast.File{f}}
-	if err := typeCheck(fset, pkg, importer.ForCompiler(fset, "source", nil)); err != nil {
-		t.Fatal(err)
+	if diags[0].Analyzer != "unused-suppression" || diags[0].Line != 15 {
+		t.Errorf("got %s, want unused-suppression at line 15", diags[0])
 	}
-	diags := RunAnalyzers(pkg, []*Analyzer{Determinism}, nil)
-	if len(diags) != 1 {
-		t.Fatalf("want exactly the tooFar finding to survive, got %d: %v", len(diags), diags)
-	}
-	if diags[0].Line != 17 {
-		t.Errorf("surviving finding at line %d, want 17 (tooFar)", diags[0].Line)
+	if diags[1].Analyzer != "determinism" || diags[1].Line != 17 {
+		t.Errorf("got %s, want the determinism finding at line 17 (tooFar)", diags[1])
 	}
 }
 
-// TestModuleScopeFilters re-runs the channeldiscipline fixture under an
-// import path outside the concurrency scope: the module analyzers must
-// stay silent even though the source is full of violations.
-func TestModuleScopeFilters(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "channeldiscipline")
-	pkgs, _ := loadTestModule(t, [][2]string{{dir, "lab/internal/ui"}})
-	sums := BuildSummaries(pkgs)
-	if diags := RunModuleAnalyzers(pkgs, sums, AllModule(), nil); len(diags) != 0 {
-		t.Errorf("out-of-scope package produced %d diagnostics: %v", len(diags), diags)
-	}
-}
-
-// TestModuleSuppressionAndUnused drives Module.Run end to end on an inline
-// package: a //lint:allow must absorb a module-analyzer finding, and with
-// UnusedSuppressions set a comment that matches nothing must surface as a
-// synthetic unused-suppression finding.
+// TestModuleSuppressionAndUnused drives an interprocedural analyzer through
+// the same path: a //lint:allow must absorb a finding that comes out of the
+// summaries, a comment that matches nothing must surface as a synthetic
+// unused-suppression finding, and a comment naming an analyzer that did not
+// run is not judged.
 func TestModuleSuppressionAndUnused(t *testing.T) {
-	const src = `package p
+	m := inlinePackage(t, "lab/internal/kvstore", `package p
 
 import "sync"
 
@@ -281,44 +266,30 @@ type box struct {
 
 func (b *box) suppressed(v int) {
 	b.mu.Lock()
-	//lint:allow channeldiscipline -- exercising suppression of module analyzers
+	//lint:allow lockdiscipline -- exercising suppression of summary-based findings
 	b.ch <- v
 	b.mu.Unlock()
 }
 
-//lint:allow channeldiscipline -- stale: matches nothing
+//lint:allow lockdiscipline -- stale: matches nothing
 func (b *box) clean() {}
-`
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "modsup.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg := &Package{Dir: ".", ImportPath: "lab/internal/kvstore", Fset: fset, Files: []*ast.File{f}}
-	if err := typeCheck(fset, pkg, importer.ForCompiler(fset, "source", nil)); err != nil {
-		t.Fatal(err)
-	}
-	m := &Module{Root: ".", Path: "lab", Fset: fset, Pkgs: []*Package{pkg}}
-
-	diags := m.Run(RunOptions{ModuleAnalyzers: AllModule(), UnusedSuppressions: true})
+`)
+	diags := m.Run(RunOptions{Analyzers: concurrency})
 	if len(diags) != 1 {
 		t.Fatalf("want exactly the stale-comment finding, got %d: %v", len(diags), diags)
 	}
 	if diags[0].Analyzer != "unused-suppression" || diags[0].Line != 17 {
 		t.Errorf("got %s, want unused-suppression at line 17", diags[0])
 	}
-
-	// Without the flag, the stale comment passes silently.
-	if diags := m.Run(RunOptions{ModuleAnalyzers: AllModule()}); len(diags) != 0 {
-		t.Errorf("without UnusedSuppressions got %v, want none", diags)
+	if diags := m.Run(RunOptions{Analyzers: []*Analyzer{LockOrder}}); len(diags) != 0 {
+		t.Errorf("lockdiscipline comments judged on a run without lockdiscipline: %v", diags)
 	}
 }
 
-// TestRepoIsLintClean loads the real module and runs the full suite —
-// per-package and interprocedural analyzers, plus the stale-suppression
-// audit — with the repo's .errallow: the codebase must stay finding-free,
-// exactly as `go run ./cmd/mummi-lint -unused-suppressions ./...` enforces
-// in CI.
+// TestRepoIsLintClean loads the real module and runs the full suite, stale-
+// suppression audit included, with the repo's .errallow: the codebase must
+// stay finding-free, exactly as `go run ./cmd/mummi-lint ./...` enforces in
+// CI.
 func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped with -short")
@@ -327,21 +298,11 @@ func TestRepoIsLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var errAllow []string
-	allowPath := filepath.Join(mod.Root, ".errallow")
-	if _, err := os.Stat(allowPath); err == nil {
-		errAllow, err = LoadErrAllow(allowPath)
-		if err != nil {
-			t.Fatal(err)
-		}
+	errAllow, err := LoadErrAllow(filepath.Join(mod.Root, ".errallow"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	diags := mod.Run(RunOptions{
-		Analyzers:          All(),
-		ModuleAnalyzers:    AllModule(),
-		ErrAllow:           errAllow,
-		UnusedSuppressions: true,
-	})
-	for _, d := range diags {
+	for _, d := range mod.Run(RunOptions{Analyzers: All(), ErrAllow: errAllow}) {
 		t.Errorf("repo not lint-clean: %s", d)
 	}
 }

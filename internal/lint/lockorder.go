@@ -19,7 +19,7 @@ import (
 // The canonical lock keys come from the summary layer, so "s.mu" in sched
 // and "w.sched.mu" in core are the same node, and cross-package order
 // inversions are visible even though no single function exhibits them.
-var LockOrder = &ModuleAnalyzer{
+var LockOrder = &Analyzer{
 	Name:  "lockorder",
 	Doc:   "reports cycles in the module-wide lock-acquisition-order graph (deadlock risk)",
 	Scope: concScope,
@@ -36,8 +36,11 @@ type lockEdge struct {
 	via string
 }
 
-func runLockOrder(pass *ModulePass) {
-	sums := pass.Sums
+// runLockOrder rebuilds the graph from the whole module's summaries on
+// every pass (it is a few hundred edges) and reports the self-deadlocks and
+// cycle witnesses that fall in the pass's package.
+func runLockOrder(pass *Pass) {
+	sums := pass.Summaries()
 	var edges []lockEdge
 	for _, id := range sums.Order {
 		fn := sums.Fns[id]
@@ -53,7 +56,7 @@ func runLockOrder(pass *ModulePass) {
 				if ev.Ref || ev.Callee == "" || len(ev.Held) == 0 {
 					continue
 				}
-				callee := sums.Fn(ev.Callee)
+				callee := sums.Fns[ev.Callee]
 				if callee == nil {
 					continue
 				}
@@ -67,9 +70,11 @@ func runLockOrder(pass *ModulePass) {
 						if held == k {
 							// Self-deadlock through a call: report directly,
 							// anchored at the call site.
-							pass.Reportf(fn, ev.Pos,
-								"calling %s while holding %s, which %s (transitively) acquires again: guaranteed self-deadlock on a non-reentrant mutex",
-								callee.Name, held, callee.Name)
+							if fn.Pkg == pass.Package {
+								pass.Reportf(ev.Pos,
+									"calling %s while holding %s, which %s (transitively) acquires again: guaranteed self-deadlock on a non-reentrant mutex",
+									callee.Name, held, callee.Name)
+							}
 							continue
 						}
 						edges = append(edges, lockEdge{from: held, to: k, fn: fn, pos: ev.Pos, via: callee.Name})
@@ -110,6 +115,9 @@ func runLockOrder(pass *ModulePass) {
 		// Report once per cycle, anchored at the witness of its first edge
 		// (the rotation with the smallest node leads, so this is stable).
 		first := witness[[2]string{cyc[0], cyc[1]}]
+		if first.fn.Pkg != pass.Package {
+			continue
+		}
 		var steps []string
 		for i := 0; i+1 < len(cyc); i++ {
 			e := witness[[2]string{cyc[i], cyc[i+1]}]
@@ -121,7 +129,7 @@ func runLockOrder(pass *ModulePass) {
 			steps = append(steps, fmt.Sprintf("%s -> %s (%s:%d%s)",
 				e.from, e.to, shortFile(p.Filename), p.Line, how))
 		}
-		pass.Reportf(first.fn, first.pos,
+		pass.Reportf(first.pos,
 			"lock-order cycle: %s; goroutines taking these locks in different orders can deadlock", strings.Join(steps, ", "))
 	}
 }

@@ -6,43 +6,47 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // This file is the shared interprocedural layer under the concurrency
-// analyzers (goroutinelifecycle, lockorder, channeldiscipline). It builds,
-// once per lint run, a module-wide set of per-function summaries — which
-// locks a function acquires, which channels it sends on / receives from /
-// closes, which goroutines it spawns, which WaitGroups it touches, and
-// which buffered writers it fills or flushes — threaded through an
-// approximate branch-aware walk that tracks the set of mutexes held at
-// every event. A static call graph (direct calls and method calls resolved
-// through go/types; function values and interface calls are opaque) links
-// the summaries, and two fixpoints propagate facts across it:
+// analyzers (lockdiscipline, lockorder, goroutinelifecycle). It builds, at
+// most once per lint run, a module-wide set of per-function summaries —
+// which locks a function acquires, which channels it sends on / receives
+// from / closes, which goroutines it spawns, which WaitGroups it touches,
+// which blocking calls it makes — threaded through the package's one
+// branch-aware lock-state walk, which tracks the set of mutexes held at
+// every event and records where that state is malformed (a lock leaked past
+// a return, branches that disagree, a loop body that does not balance). A
+// static call graph (direct calls and method calls resolved through
+// go/types; function values and interface calls are opaque) links the
+// summaries, and a fixpoint propagates two facts across it:
 //
 //   - TransAcquire: the locks a function may acquire directly or through
 //     any chain of module-internal calls — the input to the lock-order
 //     graph;
-//   - TransChanOp / TransBufWrite / TransFlush: whether a call performs a
-//     blocking channel operation, buffers into a bufio.Writer, or flushes
-//     one — the inputs to channeldiscipline.
+//   - TransChanOp: whether a call reaches a blocking channel operation or
+//     WaitGroup.Wait — the input to lockdiscipline's through-a-callee rule.
 //
-// Identity is canonical, not syntactic: `s.mu` in one package and `c.shard.mu`
-// in another both resolve to "kvstore.shardConn.mu" when the field is the
-// same, which is what lets summaries compose across packages. Struct fields
-// are keyed by their defining type; package-level vars by package; locals
-// and parameters by declaration site (so a closure capturing its parent's
-// channel shares the parent's key).
+// Held-lock facts are keyed by the lock *expression* (`src.mu` and `dst.mu`
+// of one type are two locks), but every event is stamped with canonical
+// identities: `s.mu` in one package and `c.shard.mu` in another both
+// resolve to "kvstore.shardConn.mu" when the field is the same, which is
+// what lets summaries compose across packages. Struct fields are keyed by
+// their defining type; package-level vars by package; locals and parameters
+// by declaration site (so a closure capturing its parent's channel shares
+// the parent's key).
 //
 // The walk is deliberately approximate in the direction that keeps this
 // repo's conventions checkable: branches whose every path terminates drop
 // out of the merged state (so `mu.Lock(); if x { mu.Unlock(); return }` is
-// still "held" afterwards), surviving branches union their held sets, and
-// function literals that are merely passed as values contribute to the
-// call graph for lifecycle evidence but not to lock propagation (callbacks
-// in this codebase run after Unlock by convention — lockdiscipline keeps it
-// that way).
+// still "held" afterwards), surviving branches that disagree are a finding
+// and continue as their union, helpers documented "caller holds mu" are
+// lock-neutral, and function literals that are merely passed as values
+// contribute to the call graph for lifecycle evidence but not to lock
+// propagation (callbacks in this codebase run after Unlock by convention).
 
 // FuncID names one analysis unit: (*types.Func).FullName for declared
 // functions and methods, parent$litN for function literals.
@@ -53,26 +57,24 @@ type EventKind int
 
 // Event kinds recorded by the summary walker.
 const (
-	EvCall     EventKind = iota // module-internal call (Callee set)
-	EvAcquire                   // mutex Lock/RLock (Key = lock key)
-	EvSend                      // channel send (Key = channel key)
-	EvRecv                      // channel receive, range, or select comm
-	EvClose                     // close(ch)
-	EvSpawn                     // go statement (Callee = spawned unit or "")
-	EvBufWrite                  // buffered write into a bufio.Writer
-	EvFlush                     // bufio.Writer Flush
-	EvWGWait                    // WaitGroup.Wait (Key = wg key) — blocks
-	EvWGDone                    // WaitGroup.Done (deferred ones at deferredPos)
+	EvCall    EventKind = iota // module-internal call (Callee set)
+	EvAcquire                  // mutex Lock/RLock (Key = lock key)
+	EvSend                     // channel send (Key = channel key)
+	EvRecv                     // channel receive, range, or select comm
+	EvClose                    // close(ch)
+	EvSpawn                    // go statement (Callee = spawned unit or "")
+	EvWGWait                   // WaitGroup.Wait (Key = wg key) — blocks
+	EvBlock                    // sleep or network/datastore/file I/O (Ext = which)
 )
 
 // Event is one recorded operation with the lock context it happens under.
 type Event struct {
 	Kind   EventKind
 	Pos    token.Pos
-	Key    string   // lock / channel / writer / waitgroup key
+	Key    string   // lock / channel / waitgroup key
 	Callee FuncID   // for EvCall and EvSpawn ("" = unresolvable/external)
-	Ext    string   // display name of an external/unresolvable callee
-	Held   []string // sorted lock keys held at this event
+	Ext    string   // display name of an external callee or blocking call
+	Held   []string // sorted canonical keys of the locks held at this event
 	// NonBlocking marks sends/receives inside a select that has a default
 	// clause — they cannot stall the goroutine.
 	NonBlocking bool
@@ -80,40 +82,32 @@ type Event struct {
 	// values (callbacks): part of the call graph for lifecycle evidence,
 	// excluded from lock propagation.
 	Ref bool
-	// WGGuard names a WaitGroup whose Add precedes and Done follows this
-	// event within the same function ("" if none) — the submitter-count
-	// idiom that makes a send safe against a Wait-then-close shutdown.
-	WGGuard string
+}
+
+// LockFinding is one malformed lock state the walk met in a function;
+// lockdiscipline reports them for the packages in its scope.
+type LockFinding struct {
+	Pos token.Pos
+	Msg string
 }
 
 // FuncSummary is the interprocedural fact sheet of one function or literal.
 type FuncSummary struct {
-	ID     FuncID
-	Name   string // human-readable ("(*kvstore.pipe).writeLoop", "...$1")
-	Pkg    *Package
-	Pos    token.Pos
-	Events []Event
+	ID           FuncID
+	Name         string // human-readable ("(*kvstore.pipe).writeLoop", "...$1")
+	Pkg          *Package
+	Pos          token.Pos
+	Events       []Event
+	LockFindings []LockFinding
 
-	WGAdd  map[string]token.Pos // WaitGroup.Add sites
-	WGDone map[string]bool      // WaitGroup.Done called (incl. deferred)
-	WGWait map[string]token.Pos // WaitGroup.Wait sites
-
+	WGDone    map[string]bool // WaitGroup.Done called (incl. deferred)
+	WGWait    map[string]bool // WaitGroup.Wait called
 	RecvKeys  map[string]bool // channels received from ("#ctx" = ctx.Done)
-	CloseKeys map[string]token.Pos
+	CloseKeys map[string]bool // channels closed (incl. deferred)
 
 	// Fixpoint results (BuildSummaries fills these in):
 	TransAcquire map[string]token.Pos // locks acquired transitively
-	TransChanOp  *ChanOpRef           // a blocking chan op reachable via calls
-	TransWrites  map[string]bool      // writer keys buffered into, transitively
-	TransFlushes map[string]bool      // writer keys flushed, transitively
-}
-
-// ChanOpRef points at one blocking channel operation for diagnostics.
-type ChanOpRef struct {
-	Kind EventKind
-	Key  string
-	Fn   *FuncSummary
-	Pos  token.Pos
+	TransChanOp  *Event               // a blocking chan op or Wait reachable via calls
 }
 
 // Summaries is the module-wide index the concurrency analyzers query.
@@ -121,28 +115,30 @@ type Summaries struct {
 	Fns   map[FuncID]*FuncSummary
 	Order []FuncID // deterministic iteration order
 
-	ChanBuffered map[string]bool           // channel key -> made with capacity > 0
-	ChanClosers  map[string][]*FuncSummary // channel key -> closing functions
-	ChanSenders  map[string][]*FuncSummary
-	ChanRecvers  map[string][]*FuncSummary
-	WGWaiters    map[string][]*FuncSummary // waitgroup key -> waiting functions
-	Callers      map[FuncID][]FuncID       // reverse call graph (incl. Ref and Spawn)
+	ChanClosers map[string][]*FuncSummary // channel key -> closing functions
+	ChanRecvers map[string][]*FuncSummary
+	WGWaiters   map[string][]*FuncSummary // waitgroup key -> waiting functions
+
+	byPkg    map[*Package][]*FuncSummary
+	pkgPaths map[string]bool // import paths of the loaded packages
 }
 
-// Fn returns the summary for id (nil if unknown).
-func (s *Summaries) Fn(id FuncID) *FuncSummary { return s.Fns[id] }
+// In returns the summaries of pkg's functions and literals, in Order.
+func (s *Summaries) In(pkg *Package) []*FuncSummary { return s.byPkg[pkg] }
 
 // BuildSummaries walks every package and computes the fixpoints. pkgs must
 // be type-checked; order does not matter.
 func BuildSummaries(pkgs []*Package) *Summaries {
 	s := &Summaries{
-		Fns:          map[FuncID]*FuncSummary{},
-		ChanBuffered: map[string]bool{},
-		ChanClosers:  map[string][]*FuncSummary{},
-		ChanSenders:  map[string][]*FuncSummary{},
-		ChanRecvers:  map[string][]*FuncSummary{},
-		WGWaiters:    map[string][]*FuncSummary{},
-		Callers:      map[FuncID][]FuncID{},
+		Fns:         map[FuncID]*FuncSummary{},
+		ChanClosers: map[string][]*FuncSummary{},
+		ChanRecvers: map[string][]*FuncSummary{},
+		WGWaiters:   map[string][]*FuncSummary{},
+		byPkg:       map[*Package][]*FuncSummary{},
+		pkgPaths:    map[string]bool{},
+	}
+	for _, pkg := range pkgs {
+		s.pkgPaths[pkg.ImportPath] = true
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -169,7 +165,7 @@ func declID(pkg *Package, fd *ast.FuncDecl) (FuncID, string) {
 		return FuncID(full), shortName(full)
 	}
 	// Unresolvable (init funcs resolve fine; this is a safety net).
-	return FuncID(pkg.ImportPath + "." + fd.Name.Name), pkgBase(pkg.ImportPath) + "." + fd.Name.Name
+	return FuncID(pkg.ImportPath + "." + fd.Name.Name), filepath.Base(pkg.ImportPath) + "." + fd.Name.Name
 }
 
 // shortName compresses a FullName for human output: the module prefix of
@@ -191,8 +187,6 @@ func shortName(full string) string {
 	}
 }
 
-func pkgBase(path string) string { return filepath.Base(path) }
-
 // index fills the module-wide reverse maps after all walks.
 func (s *Summaries) index() {
 	for id := range s.Fns {
@@ -201,6 +195,7 @@ func (s *Summaries) index() {
 	sort.Slice(s.Order, func(i, j int) bool { return s.Order[i] < s.Order[j] })
 	for _, id := range s.Order {
 		fn := s.Fns[id]
+		s.byPkg[fn.Pkg] = append(s.byPkg[fn.Pkg], fn)
 		for k := range fn.RecvKeys {
 			s.ChanRecvers[k] = append(s.ChanRecvers[k], fn)
 		}
@@ -210,40 +205,18 @@ func (s *Summaries) index() {
 		for k := range fn.WGWait {
 			s.WGWaiters[k] = append(s.WGWaiters[k], fn)
 		}
-		for _, ev := range fn.Events {
-			switch ev.Kind {
-			case EvSend:
-				s.ChanSenders[ev.Key] = appendUniqueFn(s.ChanSenders[ev.Key], fn)
-			case EvCall, EvSpawn:
-				if ev.Callee != "" {
-					s.Callers[ev.Callee] = append(s.Callers[ev.Callee], id)
-				}
-			}
-		}
 	}
 }
 
-func appendUniqueFn(list []*FuncSummary, fn *FuncSummary) []*FuncSummary {
-	for _, f := range list {
-		if f == fn {
-			return list
-		}
-	}
-	return append(list, fn)
-}
-
-// fixpoint propagates TransAcquire / TransChanOp / TransWrites /
-// TransFlushes over the call graph until stable. The graph is small (one
-// node per function in the module) so a simple iterate-until-quiet loop is
-// plenty.
+// fixpoint propagates TransAcquire and TransChanOp over the call graph
+// until stable. The graph is small (one node per function in the module) so
+// a simple iterate-until-quiet loop is plenty.
 func (s *Summaries) fixpoint() {
 	for _, id := range s.Order {
 		fn := s.Fns[id]
 		fn.TransAcquire = map[string]token.Pos{}
-		fn.TransWrites = map[string]bool{}
-		fn.TransFlushes = map[string]bool{}
-		for _, ev := range fn.Events {
-			switch ev.Kind {
+		for i := range fn.Events {
+			switch ev := &fn.Events[i]; ev.Kind {
 			case EvAcquire:
 				if _, ok := fn.TransAcquire[ev.Key]; !ok {
 					fn.TransAcquire[ev.Key] = ev.Pos
@@ -253,12 +226,8 @@ func (s *Summaries) fixpoint() {
 				// progress; any of them reached under a held lock is a
 				// deadlock surface.
 				if !ev.NonBlocking && fn.TransChanOp == nil {
-					fn.TransChanOp = &ChanOpRef{Kind: ev.Kind, Key: ev.Key, Fn: fn, Pos: ev.Pos}
+					fn.TransChanOp = ev
 				}
-			case EvBufWrite:
-				fn.TransWrites[ev.Key] = true
-			case EvFlush:
-				fn.TransFlushes[ev.Key] = true
 			}
 		}
 	}
@@ -267,17 +236,16 @@ func (s *Summaries) fixpoint() {
 		for _, id := range s.Order {
 			fn := s.Fns[id]
 			for _, ev := range fn.Events {
-				if ev.Kind != EvCall || ev.Callee == "" || ev.Ref {
+				if ev.Kind != EvCall || ev.Ref {
 					continue
 				}
 				callee := s.Fns[ev.Callee]
 				if callee == nil {
 					continue
 				}
-				for k, p := range callee.TransAcquire {
+				for k := range callee.TransAcquire {
 					if _, ok := fn.TransAcquire[k]; !ok {
 						// Attribute the transitive acquisition to the call site.
-						_ = p
 						fn.TransAcquire[k] = ev.Pos
 						changed = true
 					}
@@ -285,23 +253,6 @@ func (s *Summaries) fixpoint() {
 				if fn.TransChanOp == nil && callee.TransChanOp != nil {
 					fn.TransChanOp = callee.TransChanOp
 					changed = true
-				}
-				// Writer facts keyed to the callee's own locals/params
-				// (position keys, "file.go:NN:name") are meaningless to the
-				// caller and are not propagated: the call site's argument
-				// detection already recorded the write under the caller's
-				// canonical key.
-				for k := range callee.TransWrites {
-					if !localKey(k) && !fn.TransWrites[k] {
-						fn.TransWrites[k] = true
-						changed = true
-					}
-				}
-				for k := range callee.TransFlushes {
-					if !localKey(k) && !fn.TransFlushes[k] {
-						fn.TransFlushes[k] = true
-						changed = true
-					}
 				}
 			}
 		}
@@ -339,9 +290,9 @@ func (s *Summaries) CalleeClosure(id FuncID, depth int) []*FuncSummary {
 // The walker
 
 // sumBuilder walks one declared function (and, recursively, its literals),
-// producing summaries. Lock facts are threaded exactly like lockdiscipline's
-// walker but merged by union, and every interesting operation is recorded
-// as an Event with the held set at that point.
+// producing summaries. It is the only lock-state walk in the package: every
+// interesting operation is recorded as an Event with the held set at that
+// point, and every malformed lock state as a LockFinding.
 type sumBuilder struct {
 	sums *Summaries
 	pkg  *Package
@@ -354,52 +305,115 @@ type sumBuilder struct {
 	walked map[*ast.FuncLit]bool
 }
 
-type sumFacts map[string]bool // held lock keys
+// heldLock records one acquired mutex.
+type heldLock struct {
+	key      string    // canonical identity ("pkg.Type.field"), lockorder's node
+	pos      token.Pos // acquisition site
+	deferred bool      // a defer statement releases it at function exit
+}
 
-func (f sumFacts) clone() sumFacts {
-	out := make(sumFacts, len(f))
-	for k := range f {
-		out[k] = true
+// lockFacts is the walk's state: lock expression ("c.mu") -> held lock.
+type lockFacts map[string]*heldLock
+
+func (f lockFacts) clone() lockFacts {
+	out := make(lockFacts, len(f))
+	for k, v := range f {
+		c := *v
+		out[k] = &c
 	}
 	return out
 }
 
-func (f sumFacts) sorted() []string {
-	if len(f) == 0 {
-		return nil
+// union returns f plus the locks only g holds.
+func (f lockFacts) union(g lockFacts) lockFacts {
+	out := f.clone()
+	for k, v := range g {
+		if _, ok := out[k]; !ok {
+			c := *v
+			out[k] = &c
+		}
 	}
-	out := make([]string, 0, len(f))
+	return out
+}
+
+// same reports whether two fact sets hold the same lock expressions.
+func (f lockFacts) same(g lockFacts) bool {
+	if len(f) != len(g) {
+		return false
+	}
 	for k := range f {
-		out = append(out, k)
+		if _, ok := g[k]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// String lists the held lock expressions, sorted, for messages.
+func (f lockFacts) String() string {
+	exprs := make([]string, 0, len(f))
+	for k := range f {
+		exprs = append(exprs, k)
+	}
+	sort.Strings(exprs)
+	return "{" + strings.Join(exprs, ",") + "}"
+}
+
+// held returns the sorted canonical keys of the held locks (two held
+// instances of one type are one key).
+func (f lockFacts) held() []string {
+	var out []string
+	for _, h := range f {
+		out = append(out, h.key)
 	}
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
 }
 
-// walkFunc creates the summary for one unit and walks its body.
+// walkFunc creates the summary for one unit and walks its body from an
+// empty lock set.
 func (b *sumBuilder) walkFunc(id FuncID, name string, pos token.Pos, body *ast.BlockStmt) {
 	prev, prevParent, prevN := b.cur, b.parent, b.nLit
 	b.cur = &FuncSummary{
 		ID: id, Name: name, Pkg: b.pkg, Pos: pos,
-		WGAdd:     map[string]token.Pos{},
 		WGDone:    map[string]bool{},
-		WGWait:    map[string]token.Pos{},
+		WGWait:    map[string]bool{},
 		RecvKeys:  map[string]bool{},
-		CloseKeys: map[string]token.Pos{},
+		CloseKeys: map[string]bool{},
 	}
 	b.parent, b.nLit = id, 0
 	b.sums.Fns[id] = b.cur
-	b.walkStmts(body.List, sumFacts{})
+	if f, term := b.walkStmts(body.List, lockFacts{}); !term {
+		b.checkExit(f, body.Rbrace, "end of function")
+	}
 	b.cur, b.parent, b.nLit = prev, prevParent, prevN
 }
 
-func (b *sumBuilder) emit(ev Event, f sumFacts) {
-	ev.Held = f.sorted()
+func (b *sumBuilder) emit(ev Event, f lockFacts) {
+	ev.Held = f.held()
 	b.cur.Events = append(b.cur.Events, ev)
 }
 
-// walkStmts threads facts through a list; the bool reports definite exit.
-func (b *sumBuilder) walkStmts(stmts []ast.Stmt, f sumFacts) (sumFacts, bool) {
+func (b *sumBuilder) findf(pos token.Pos, format string, args ...any) {
+	b.cur.LockFindings = append(b.cur.LockFindings, LockFinding{pos, fmt.Sprintf(format, args...)})
+}
+
+func (b *sumBuilder) line(pos token.Pos) int { return b.pkg.Fset.Position(pos).Line }
+
+// checkExit records locks still held (and not deferred-released) at a
+// function exit point.
+func (b *sumBuilder) checkExit(f lockFacts, pos token.Pos, where string) {
+	for expr, h := range f {
+		if !h.deferred {
+			b.findf(pos, "%s.Lock() (line %d) is still held at %s; unlock on every return path or defer the unlock",
+				expr, b.line(h.pos), where)
+		}
+	}
+}
+
+// walkStmts threads facts through a list; the bool reports whether control
+// definitely leaves the list (return, panic, branch).
+func (b *sumBuilder) walkStmts(stmts []ast.Stmt, f lockFacts) (lockFacts, bool) {
 	for _, s := range stmts {
 		var term bool
 		f, term = b.walkStmt(s, f)
@@ -410,15 +424,15 @@ func (b *sumBuilder) walkStmts(stmts []ast.Stmt, f sumFacts) (sumFacts, bool) {
 	return f, false
 }
 
-func (b *sumBuilder) walkStmt(s ast.Stmt, f sumFacts) (sumFacts, bool) {
+func (b *sumBuilder) walkStmt(s ast.Stmt, f lockFacts) (lockFacts, bool) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
-			if key, op, ok := b.lockOp(call); ok {
-				b.applyLock(f, key, op, call.Pos())
+			if expr, op, ok := b.lockOp(call); ok && !strings.HasPrefix(op, "Try") {
+				b.applyLock(f, expr, op, call)
 				return f, false
 			}
-			if isPanic(call) {
+			if isBuiltin(call, "panic") {
 				b.scanExpr(s.X, f)
 				return f, true
 			}
@@ -430,8 +444,11 @@ func (b *sumBuilder) walkStmt(s ast.Stmt, f sumFacts) (sumFacts, bool) {
 		for _, r := range s.Results {
 			b.scanExpr(r, f)
 		}
+		b.checkExit(f, s.Return, "this return")
 		return f, true
 	case *ast.BranchStmt:
+		// break/continue/goto transfer control; treat as list-terminating
+		// without an exit check (the loop check re-examines balance).
 		return f, true
 	case *ast.IfStmt:
 		if s.Init != nil {
@@ -439,15 +456,12 @@ func (b *sumBuilder) walkStmt(s ast.Stmt, f sumFacts) (sumFacts, bool) {
 		}
 		b.scanExpr(s.Cond, f)
 		thenF, thenT := b.walkStmts(s.Body.List, f.clone())
-		var branches []sumBranch
-		branches = append(branches, sumBranch{thenF, thenT})
+		branches := []branch{{thenF, thenT}, {f, false}}
 		if s.Else != nil {
 			elseF, elseT := b.walkStmt(s.Else, f.clone())
-			branches = append(branches, sumBranch{elseF, elseT})
-		} else {
-			branches = append(branches, sumBranch{f, false})
+			branches[1] = branch{elseF, elseT}
 		}
-		return mergeSum(branches)
+		return b.merge(branches, s.If, "if/else")
 	case *ast.BlockStmt:
 		return b.walkStmts(s.List, f)
 	case *ast.LabeledStmt:
@@ -456,37 +470,29 @@ func (b *sumBuilder) walkStmt(s ast.Stmt, f sumFacts) (sumFacts, bool) {
 		if s.Init != nil {
 			f, _ = b.walkStmt(s.Init, f)
 		}
-		if s.Tag != nil {
-			b.scanExpr(s.Tag, f)
-		}
-		return b.walkCases(s.Body, f)
+		b.scanExpr(s.Tag, f)
+		return b.walkCases(s.Body, f, s.Switch, "switch")
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
 			f, _ = b.walkStmt(s.Init, f)
 		}
-		return b.walkCases(s.Body, f)
+		return b.walkCases(s.Body, f, s.Switch, "type switch")
 	case *ast.SelectStmt:
-		return b.walkSelect(s, f)
+		return b.walkCases(s.Body, f, s.Select, "select")
 	case *ast.ForStmt:
 		if s.Init != nil {
 			f, _ = b.walkStmt(s.Init, f)
 		}
-		if s.Cond != nil {
-			b.scanExpr(s.Cond, f)
-		}
-		bodyF, _ := b.walkStmts(s.Body.List, f.clone())
-		return unionFacts(f, bodyF), false
+		b.scanExpr(s.Cond, f)
+		return b.walkLoop(s.Body, f, s.For), false
 	case *ast.RangeStmt:
-		if t := b.typeOf(s.X); t != nil {
+		if t := b.pkg.Info.TypeOf(s.X); t != nil {
 			if _, isChan := t.Underlying().(*types.Chan); isChan {
-				key := b.exprKey(s.X)
-				b.cur.RecvKeys[key] = true
-				b.emit(Event{Kind: EvRecv, Pos: s.For, Key: key}, f)
+				b.recordRecv(s.X, s.For, f, false)
 			}
 		}
 		b.scanExpr(s.X, f)
-		bodyF, _ := b.walkStmts(s.Body.List, f.clone())
-		return unionFacts(f, bodyF), false
+		return b.walkLoop(s.Body, f, s.For), false
 	case *ast.SendStmt:
 		b.recordSend(s, f, false)
 		b.scanExpr(s.Value, f)
@@ -494,16 +500,12 @@ func (b *sumBuilder) walkStmt(s ast.Stmt, f sumFacts) (sumFacts, bool) {
 		for _, e := range s.Rhs {
 			b.scanExpr(e, f)
 		}
-		b.recordChanMakes(s)
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for i, v := range vs.Values {
+					for _, v := range vs.Values {
 						b.scanExpr(v, f)
-						if i < len(vs.Names) {
-							b.recordChanMakeTo(vs.Names[i], v)
-						}
 					}
 				}
 			}
@@ -515,76 +517,62 @@ func (b *sumBuilder) walkStmt(s ast.Stmt, f sumFacts) (sumFacts, bool) {
 	return f, false
 }
 
-type sumBranch struct {
-	facts sumFacts
+type branch struct {
+	facts lockFacts
 	term  bool
 }
 
-// mergeSum unions the surviving branches (terminated branches drop out).
-func mergeSum(branches []sumBranch) (sumFacts, bool) {
-	var out sumFacts
+// merge combines branch outcomes: terminated branches drop out; surviving
+// branches must agree on the held-lock set, else the divergence itself is
+// the bug — recorded once, after which the walk carries on with the union.
+func (b *sumBuilder) merge(branches []branch, pos token.Pos, what string) (lockFacts, bool) {
+	var out lockFacts
+	agree := true
 	for _, br := range branches {
-		if br.term {
-			continue
-		}
-		if out == nil {
+		switch {
+		case br.term:
+		case out == nil:
 			out = br.facts
-		} else {
-			out = unionFacts(out, br.facts)
+		default:
+			if agree && !out.same(br.facts) {
+				agree = false
+				b.findf(pos, "%s branches disagree on held locks (%s vs %s); every path must leave the same locks held",
+					what, out, br.facts)
+			}
+			out = out.union(br.facts)
 		}
 	}
 	if out == nil {
-		return sumFacts{}, true
+		return lockFacts{}, true
 	}
 	return out, false
 }
 
-func unionFacts(a, b sumFacts) sumFacts {
-	out := a.clone()
-	for k := range b {
-		out[k] = true
-	}
-	return out
-}
-
-func (b *sumBuilder) walkCases(body *ast.BlockStmt, f sumFacts) (sumFacts, bool) {
-	var branches []sumBranch
+// walkCases walks the clauses of a switch, type switch, or select. A select
+// communication is recorded under the entry facts, non-blocking when the
+// select has a default clause.
+func (b *sumBuilder) walkCases(body *ast.BlockStmt, f lockFacts, pos token.Pos, what string) (lockFacts, bool) {
 	hasDefault := false
 	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		bf, bt := b.walkStmts(cc.Body, f.clone())
-		branches = append(branches, sumBranch{bf, bt})
-	}
-	if !hasDefault {
-		branches = append(branches, sumBranch{f, false})
-	}
-	return mergeSum(branches)
-}
-
-func (b *sumBuilder) walkSelect(s *ast.SelectStmt, f sumFacts) (sumFacts, bool) {
-	hasDefault := false
-	for _, c := range s.Body.List {
-		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-			hasDefault = true
+		switch cc := c.(type) {
+		case *ast.CaseClause:
+			hasDefault = hasDefault || cc.List == nil
+		case *ast.CommClause:
+			hasDefault = hasDefault || cc.Comm == nil
 		}
 	}
-	var branches []sumBranch
-	for _, c := range s.Body.List {
-		cc, ok := c.(*ast.CommClause)
-		if !ok {
-			continue
-		}
+	var branches []branch
+	for _, c := range body.List {
+		var stmts []ast.Stmt
 		cf := f.clone()
-		if cc.Comm != nil {
+		switch cc := c.(type) {
+		case *ast.CaseClause:
+			stmts = cc.Body
+		case *ast.CommClause:
+			stmts = cc.Body
 			switch comm := cc.Comm.(type) {
 			case *ast.SendStmt:
-				b.recordSendWith(comm, cf, hasDefault)
+				b.recordSend(comm, cf, hasDefault)
 			case *ast.ExprStmt:
 				b.recordRecvExpr(comm.X, cf, hasDefault)
 			case *ast.AssignStmt:
@@ -593,61 +581,63 @@ func (b *sumBuilder) walkSelect(s *ast.SelectStmt, f sumFacts) (sumFacts, bool) 
 				}
 			}
 		}
-		bf, bt := b.walkStmts(cc.Body, cf)
-		branches = append(branches, sumBranch{bf, bt})
+		bf, bt := b.walkStmts(stmts, cf)
+		branches = append(branches, branch{bf, bt})
 	}
 	if !hasDefault {
-		branches = append(branches, sumBranch{f, false})
+		// No default: the zero-case fall-through path keeps the entry state.
+		branches = append(branches, branch{f, false})
 	}
-	return mergeSum(branches)
+	return b.merge(branches, pos, what)
 }
 
-func (b *sumBuilder) recordSend(s *ast.SendStmt, f sumFacts, nonBlocking bool) {
-	b.recordSendWith(s, f, nonBlocking)
+// walkLoop walks a loop body once: lock and unlock must balance within it.
+func (b *sumBuilder) walkLoop(body *ast.BlockStmt, f lockFacts, pos token.Pos) lockFacts {
+	bodyF, _ := b.walkStmts(body.List, f.clone())
+	if !f.same(bodyF) {
+		b.findf(pos, "lock state changes across a loop iteration (held: entry %s vs body-exit %s); lock and unlock must balance within the body",
+			f, bodyF)
+	}
+	return f.union(bodyF)
 }
 
-func (b *sumBuilder) recordSendWith(s *ast.SendStmt, f sumFacts, nonBlocking bool) {
-	key := b.exprKey(s.Chan)
-	b.emit(Event{Kind: EvSend, Pos: s.Arrow, Key: key, NonBlocking: nonBlocking}, f)
+func (b *sumBuilder) recordSend(s *ast.SendStmt, f lockFacts, nonBlocking bool) {
+	b.emit(Event{Kind: EvSend, Pos: s.Arrow, Key: b.exprKey(s.Chan), NonBlocking: nonBlocking}, f)
 }
 
 // recordRecvExpr registers `<-ch` appearing as a select communication.
-func (b *sumBuilder) recordRecvExpr(e ast.Expr, f sumFacts, nonBlocking bool) {
-	ue, ok := ast.Unparen(e).(*ast.UnaryExpr)
-	if !ok || ue.Op != token.ARROW {
-		return
+func (b *sumBuilder) recordRecvExpr(e ast.Expr, f lockFacts, nonBlocking bool) {
+	if ue, ok := ast.Unparen(e).(*ast.UnaryExpr); ok && ue.Op == token.ARROW {
+		b.recordRecv(ue.X, ue.OpPos, f, nonBlocking)
 	}
-	key := b.recvKeyOf(ue.X)
-	b.cur.RecvKeys[key] = true
-	b.emit(Event{Kind: EvRecv, Pos: ue.OpPos, Key: key, NonBlocking: nonBlocking}, f)
 }
 
-// recvKeyOf keys the operand of a receive; <-ctx.Done() maps to "#ctx".
-func (b *sumBuilder) recvKeyOf(x ast.Expr) string {
-	if call, ok := ast.Unparen(x).(*ast.CallExpr); ok {
+// recordRecv registers a receive from ch; <-ctx.Done() maps to "#ctx".
+func (b *sumBuilder) recordRecv(ch ast.Expr, pos token.Pos, f lockFacts, nonBlocking bool) {
+	key := b.exprKey(ch)
+	if call, ok := ast.Unparen(ch).(*ast.CallExpr); ok {
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" {
 			if fn, ok := b.pkg.Info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil &&
 				fn.Pkg().Path() == "context" {
-				return "#ctx"
+				key = "#ctx"
 			}
 		}
 	}
-	return b.exprKey(x)
+	b.cur.RecvKeys[key] = true
+	b.emit(Event{Kind: EvRecv, Pos: pos, Key: key, NonBlocking: nonBlocking}, f)
 }
 
 // recordSpawn registers a go statement and resolves its target.
-func (b *sumBuilder) recordSpawn(s *ast.GoStmt, f sumFacts) {
+func (b *sumBuilder) recordSpawn(s *ast.GoStmt, f lockFacts) {
 	for _, a := range s.Call.Args {
 		b.scanExpr(a, f)
 	}
-	switch fun := ast.Unparen(s.Call.Fun).(type) {
-	case *ast.FuncLit:
-		litID := b.walkLit(fun)
-		b.emit(Event{Kind: EvSpawn, Pos: s.Go, Callee: litID}, f)
-	default:
-		id, ext := b.resolveCallee(s.Call)
-		b.emit(Event{Kind: EvSpawn, Pos: s.Go, Callee: id, Ext: ext}, f)
+	if fl, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
+		b.emit(Event{Kind: EvSpawn, Pos: s.Go, Callee: b.walkLit(fl)}, f)
+		return
 	}
+	id, ext := b.resolveCallee(s.Call)
+	b.emit(Event{Kind: EvSpawn, Pos: s.Go, Callee: id, Ext: ext}, f)
 }
 
 // walkLit analyzes a function literal as its own unit (empty entry facts)
@@ -663,64 +653,55 @@ func (b *sumBuilder) walkLit(fl *ast.FuncLit) FuncID {
 	return litID
 }
 
-// applyDefer mirrors lockdiscipline: deferred unlocks keep the lock "held"
-// for the remainder of the body (it really is), deferred Done/close are
-// recorded as end-of-function facts, and other deferred calls become
-// lock-free call edges (they run at return, usually after unlocks).
-func (b *sumBuilder) applyDefer(f sumFacts, d *ast.DeferStmt) {
-	if key, op, ok := b.lockOp(d.Call); ok {
-		// A deferred Lock would be bizarre; deferred Unlock keeps facts as-is.
-		_ = key
-		_ = op
+// applyDefer: a deferred unlock (bare, or inside a deferred literal) keeps
+// the lock "held" for the remainder of the body (it really is) and excuses
+// it at exit; deferred Done/close are recorded as end-of-function facts;
+// other deferred calls become lock-free call edges (they run at return,
+// usually after unlocks).
+func (b *sumBuilder) applyDefer(f lockFacts, d *ast.DeferStmt) {
+	deferUnlock := func(call *ast.CallExpr) bool {
+		expr, op, ok := b.lockOp(call)
+		if h := f[expr]; ok && h != nil && (op == "Unlock" || op == "RUnlock") {
+			h.deferred = true
+		}
+		return ok
+	}
+	if deferUnlock(d.Call) {
 		return
 	}
-	if wgKey, op, ok := b.wgOp(d.Call); ok {
-		b.applyWG(wgKey, op, d.Call.Pos(), deferredPos, f)
-		return
-	}
-	if isCloseCall(d.Call) && len(d.Call.Args) == 1 {
-		key := b.exprKey(d.Call.Args[0])
-		b.cur.CloseKeys[key] = d.Call.Pos()
-		b.emit(Event{Kind: EvClose, Pos: d.Call.Pos(), Key: key}, sumFacts{})
-		return
+	for _, a := range d.Call.Args {
+		b.scanExpr(a, f)
 	}
 	if fl, ok := d.Call.Fun.(*ast.FuncLit); ok {
-		litID := b.walkLit(fl)
-		b.emit(Event{Kind: EvCall, Pos: d.Call.Pos(), Callee: litID}, sumFacts{})
+		ast.Inspect(fl.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				deferUnlock(call)
+			}
+			return true
+		})
+		b.emit(Event{Kind: EvCall, Pos: d.Call.Pos(), Callee: b.walkLit(fl)}, nil)
 		return
 	}
-	if id, ext := b.resolveCallee(d.Call); id != "" || ext != "" {
-		b.emit(Event{Kind: EvCall, Pos: d.Call.Pos(), Callee: id, Ext: ext}, sumFacts{})
-	}
+	b.recordCall(d.Call, nil)
 }
 
-// deferredPos is the sentinel position for facts established by defer: they
-// take effect after every other position in the function.
-const deferredPos = token.Pos(1 << 30)
-
-// scanExpr records calls, receives, literals, and buffered writes inside an
-// expression evaluated under facts f.
-func (b *sumBuilder) scanExpr(e ast.Expr, f sumFacts) {
+// scanExpr records calls, receives, and literals inside an expression
+// evaluated under facts f.
+func (b *sumBuilder) scanExpr(e ast.Expr, f lockFacts) {
 	if e == nil {
 		return
 	}
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			if b.walked[n] {
-				return false
+			if !b.walked[n] {
+				// Passed or assigned, not invoked here: reference edge only.
+				b.emit(Event{Kind: EvCall, Pos: n.Pos(), Callee: b.walkLit(n), Ref: true}, f)
 			}
-			litID := b.walkLit(n)
-			// Passed or assigned, not invoked here: reference edge only.
-			b.emit(Event{Kind: EvCall, Pos: n.Pos(), Callee: litID, Ref: true}, f)
 			return false
-		case *ast.CompositeLit:
-			b.registerCompositeChans(n)
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				key := b.recvKeyOf(n.X)
-				b.cur.RecvKeys[key] = true
-				b.emit(Event{Kind: EvRecv, Pos: n.OpPos, Key: key}, f)
+				b.recordRecv(n.X, n.OpPos, f, false)
 			}
 		case *ast.CallExpr:
 			b.recordCall(n, f)
@@ -731,43 +712,57 @@ func (b *sumBuilder) scanExpr(e ast.Expr, f sumFacts) {
 
 // recordCall classifies one call expression: lock ops are handled by the
 // statement walker (they mutate facts); everything else becomes events.
-func (b *sumBuilder) recordCall(call *ast.CallExpr, f sumFacts) {
-	if _, _, ok := b.lockOp(call); ok {
-		return // handled structurally where it appears as a statement
-	}
-	if key, op, ok := b.wgOp(call); ok {
-		b.applyWG(key, op, call.Pos(), call.Pos(), f)
+func (b *sumBuilder) recordCall(call *ast.CallExpr, f lockFacts) {
+	if expr, op, ok := b.lockOp(call); ok {
+		if strings.HasPrefix(op, "Try") {
+			b.findf(call.Pos(), "%s.%s() is untrackable by the structural lock analysis; restructure or annotate //lint:allow lockdiscipline", expr, op)
+		}
 		return
 	}
-	if isCloseCall(call) && len(call.Args) == 1 {
+	if key, op, ok := b.wgOp(call); ok {
+		if op == "Done" {
+			b.cur.WGDone[key] = true
+		} else {
+			b.cur.WGWait[key] = true
+			b.emit(Event{Kind: EvWGWait, Pos: call.Pos(), Key: key}, f)
+		}
+		return
+	}
+	if isBuiltin(call, "close") && len(call.Args) == 1 {
 		key := b.exprKey(call.Args[0])
-		b.cur.CloseKeys[key] = call.Pos()
+		b.cur.CloseKeys[key] = true
 		b.emit(Event{Kind: EvClose, Pos: call.Pos(), Key: key}, f)
 		return
 	}
 	if fl, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		// Immediately-invoked literal: real call edge under current facts.
-		litID := b.walkLit(fl)
-		b.emit(Event{Kind: EvCall, Pos: call.Pos(), Callee: litID}, f)
+		b.emit(Event{Kind: EvCall, Pos: call.Pos(), Callee: b.walkLit(fl)}, f)
 		return
 	}
-	if wkey, isFlush, ok := b.bufWriterOp(call); ok {
-		kind := EvBufWrite
-		if isFlush {
-			kind = EvFlush
-		}
-		b.emit(Event{Kind: kind, Pos: call.Pos(), Key: wkey}, f)
-		// A write helper taking the writer as an argument is also a module
-		// call; fall through so the call edge is recorded too.
+	if why := b.blockingCall(call); why != "" {
+		b.emit(Event{Kind: EvBlock, Pos: call.Pos(), Ext: why}, f)
 	}
-	if id, ext := b.resolveCallee(call); id != "" {
-		b.emit(Event{Kind: EvCall, Pos: call.Pos(), Callee: id, Ext: ext}, f)
+	if id, _ := b.resolveCallee(call); id != "" {
+		b.emit(Event{Kind: EvCall, Pos: call.Pos(), Callee: id}, f)
 	}
 }
 
 // resolveCallee maps a call to a module-internal FuncID, or an external
 // display name.
 func (b *sumBuilder) resolveCallee(call *ast.CallExpr) (FuncID, string) {
+	fn := b.calledFunc(call)
+	if fn == nil {
+		return "", ""
+	}
+	if fn.Pkg() != nil && b.sums.pkgPaths[fn.Pkg().Path()] {
+		return FuncID(fn.FullName()), ""
+	}
+	return "", fn.FullName()
+}
+
+// calledFunc returns the declared function or method a call names, nil for
+// function values, conversions, and builtins.
+func (b *sumBuilder) calledFunc(call *ast.CallExpr) *types.Func {
 	var obj types.Object
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -775,240 +770,128 @@ func (b *sumBuilder) resolveCallee(call *ast.CallExpr) (FuncID, string) {
 	case *ast.SelectorExpr:
 		obj = b.pkg.Info.Uses[fun.Sel]
 	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return "", ""
-	}
-	full := fn.FullName()
-	if fn.Pkg() != nil && isModulePath(fn.Pkg().Path()) {
-		return FuncID(full), shortName(full)
-	}
-	return "", full
-}
-
-// isModulePath reports whether path is inside the module under analysis.
-// The module path itself varies (real repo vs. golden fixtures), so the
-// test is structural: anything that is not a stdlib path. Stdlib paths
-// never contain a dot in their first segment, and the golden fixtures use
-// "lab/..." which has no dot either — so the discriminator is: a path is
-// internal iff some loaded package declared it. That check happens at
-// lookup time (Summaries.Fns), so here every non-stdlib-shaped candidate
-// is allowed through; unresolved IDs simply have no summary.
-func isModulePath(path string) bool {
-	if path == "" {
-		return false
-	}
-	// Stdlib heuristic: single-segment or golang.org/x paths are external.
-	switch strings.Split(path, "/")[0] {
-	case "archive", "bufio", "bytes", "cmp", "compress", "container", "context",
-		"crypto", "database", "debug", "embed", "encoding", "errors", "expvar",
-		"flag", "fmt", "go", "hash", "html", "image", "index", "io", "iter",
-		"log", "maps", "math", "mime", "net", "os", "path", "plugin", "reflect",
-		"regexp", "runtime", "slices", "sort", "strconv", "strings", "structs",
-		"sync", "syscall", "testing", "text", "time", "unicode", "unique",
-		"unsafe", "weak", "golang.org":
-		return false
-	}
-	return true
+	fn, _ := obj.(*types.Func)
+	return fn
 }
 
 // ---------------------------------------------------------------------------
 // Operation classifiers
 
-// lockOp recognizes mutex Lock/RLock/Unlock/RUnlock (sync package).
-func (b *sumBuilder) lockOp(call *ast.CallExpr) (key, op string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
+// syncMethod recognizes a call of one of the named methods of a sync type
+// (directly or promoted from an embedded field), returning the receiver
+// expression and the resolved method.
+func (b *sumBuilder) syncMethod(call *ast.CallExpr, names ...string) (ast.Expr, *types.Func) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return nil, nil
 	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", "", false
+	for _, name := range names {
+		if sel.Sel.Name == name {
+			if fn, ok := b.pkg.Info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync" {
+				return sel.X, fn
+			}
+		}
 	}
-	fn, isFn := b.pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	return b.exprKey(sel.X), sel.Sel.Name, true
+	return nil, nil
 }
 
-func (b *sumBuilder) applyLock(f sumFacts, key, op string, pos token.Pos) {
+// lockOp recognizes mutex Lock/RLock/Unlock/RUnlock and the Try variants,
+// returning the lock expression as written ("c.mu").
+func (b *sumBuilder) lockOp(call *ast.CallExpr) (expr, op string, ok bool) {
+	x, fn := b.syncMethod(call, "Lock", "RLock", "Unlock", "RUnlock", "TryLock", "TryRLock")
+	if fn == nil {
+		return "", "", false
+	}
+	return types.ExprString(x), fn.Name(), true
+}
+
+func (b *sumBuilder) applyLock(f lockFacts, expr, op string, call *ast.CallExpr) {
 	switch op {
 	case "Lock", "RLock":
-		b.emit(Event{Kind: EvAcquire, Pos: pos, Key: key}, f)
-		f[key] = true
+		if h := f[expr]; h != nil {
+			b.findf(call.Pos(), "%s.%s() while already holding %s (line %d): self-deadlock", expr, op, expr, b.line(h.pos))
+			return
+		}
+		key := b.exprKey(call.Fun.(*ast.SelectorExpr).X)
+		b.emit(Event{Kind: EvAcquire, Pos: call.Pos(), Key: key}, f)
+		f[expr] = &heldLock{key: key, pos: call.Pos()}
 	case "Unlock", "RUnlock":
-		delete(f, key)
+		if f[expr] == nil {
+			b.findf(call.Pos(), "%s.%s() without a tracked %s.Lock() on this path", expr, op, expr)
+			return
+		}
+		delete(f, expr)
 	}
 }
 
-// wgOp recognizes WaitGroup Add/Done/Wait.
+// wgOp recognizes WaitGroup Done/Wait (Cond.Wait requires the mutex by
+// contract and is not a WaitGroup op).
 func (b *sumBuilder) wgOp(call *ast.CallExpr) (key, op string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	switch sel.Sel.Name {
-	case "Add", "Done", "Wait":
-	default:
-		return "", "", false
-	}
-	fn, isFn := b.pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+	x, fn := b.syncMethod(call, "Done", "Wait")
+	if fn == nil {
 		return "", "", false
 	}
 	recv := fn.Type().(*types.Signature).Recv()
 	if recv == nil || !strings.Contains(recv.Type().String(), "WaitGroup") {
 		return "", "", false
 	}
-	return b.exprKey(sel.X), sel.Sel.Name, true
+	return b.exprKey(x), fn.Name(), true
 }
 
-func (b *sumBuilder) applyWG(key, op string, pos, effPos token.Pos, f sumFacts) {
-	switch op {
-	case "Add":
-		if _, ok := b.cur.WGAdd[key]; !ok {
-			b.cur.WGAdd[key] = pos
-		}
-	case "Done":
-		b.cur.WGDone[key] = true
-		// Recorded with its effective position (deferred Done runs at
-		// return) so WG-guarded sends can check ordering.
-		b.emit(Event{Kind: EvWGDone, Pos: effPos, Key: key}, f)
-	case "Wait":
-		if _, ok := b.cur.WGWait[key]; !ok {
-			b.cur.WGWait[key] = pos
-		}
-		b.emit(Event{Kind: EvWGWait, Pos: pos, Key: key}, f)
+// blockingCall classifies calls that sleep or perform I/O. Returns a
+// human-readable reason, or "".
+func (b *sumBuilder) blockingCall(call *ast.CallExpr) string {
+	fn := b.calledFunc(call)
+	if fn == nil || fn.Pkg() == nil {
+		return ""
 	}
+	path, name := fn.Pkg().Path(), fn.Name()
+	switch {
+	case path == "time" && name == "Sleep":
+		return "time.Sleep"
+	case path == "net" || strings.HasPrefix(path, "net/"):
+		return "network I/O (" + path + "." + name + ")"
+	case strings.HasSuffix(path, "internal/datastore") || strings.HasSuffix(path, "internal/kvstore"):
+		// Calls into the storage layer from outside it are RPCs/disk ops.
+		// Calls between functions of the same package are local helpers —
+		// whether one of those transitively blocks is TransChanOp's job, not
+		// this per-call heuristic's.
+		if path == b.pkg.ImportPath {
+			return ""
+		}
+		return "datastore I/O (" + name + ")"
+	case path == "os" && isFileIO(name):
+		return "file I/O (os." + name + ")"
+	}
+	return ""
 }
 
-// bufWriterOp classifies calls that touch a *bufio.Writer: a method call on
-// one (Flush vs. the Write* family) or a helper call taking one as an
-// argument (counted as a buffered write into it).
-func (b *sumBuilder) bufWriterOp(call *ast.CallExpr) (key string, isFlush, ok bool) {
-	if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel {
-		if t := b.typeOf(sel.X); t != nil && isBufioWriter(t) {
-			return b.exprKey(sel.X), sel.Sel.Name == "Flush", true
-		}
+func isFileIO(name string) bool {
+	switch name {
+	case "Open", "OpenFile", "Create", "ReadFile", "WriteFile", "Remove",
+		"RemoveAll", "Rename", "Mkdir", "MkdirAll", "Stat", "ReadDir":
+		return true
 	}
-	for _, arg := range call.Args {
-		if t := b.typeOf(arg); t != nil && isBufioWriter(t) {
-			return b.exprKey(arg), false, true
-		}
-	}
-	return "", false, false
+	return false
 }
 
-func isBufioWriter(t types.Type) bool {
-	p, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := p.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "bufio" && obj.Name() == "Writer"
-}
-
-func isCloseCall(call *ast.CallExpr) bool {
+func isBuiltin(call *ast.CallExpr, name string) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	return ok && id.Name == "close"
-}
-
-// recordChanMakes registers `x := make(chan T, n)` buffered-ness.
-func (b *sumBuilder) recordChanMakes(as *ast.AssignStmt) {
-	if len(as.Lhs) != len(as.Rhs) {
-		return
-	}
-	for i := range as.Rhs {
-		b.recordChanMakeTo(as.Lhs[i], as.Rhs[i])
-	}
-}
-
-func (b *sumBuilder) recordChanMakeTo(lhs, rhs ast.Expr) {
-	buffered, ok := b.chanMake(rhs)
-	if !ok {
-		return
-	}
-	key := b.exprKey(lhs)
-	if buffered {
-		b.sums.ChanBuffered[key] = true
-	}
-}
-
-// chanMake reports whether rhs is make(chan ...) and whether it is buffered
-// (a capacity argument that is not the constant 0).
-func (b *sumBuilder) chanMake(rhs ast.Expr) (buffered, ok bool) {
-	call, isCall := ast.Unparen(rhs).(*ast.CallExpr)
-	if !isCall {
-		return false, false
-	}
-	id, isIdent := ast.Unparen(call.Fun).(*ast.Ident)
-	if !isIdent || id.Name != "make" || len(call.Args) == 0 {
-		return false, false
-	}
-	if t := b.typeOf(call); t == nil {
-		return false, false
-	} else if _, isChan := t.Underlying().(*types.Chan); !isChan {
-		return false, false
-	}
-	if len(call.Args) < 2 {
-		return false, true
-	}
-	if tv, okTV := b.pkg.Info.Types[call.Args[1]]; okTV && tv.Value != nil && tv.Value.String() == "0" {
-		return false, true
-	}
-	return true, true
-}
-
-// registerCompositeChans scans a composite literal for channel-typed field
-// values built with make — &pipe{reqCh: make(chan *call, n)}.
-func (b *sumBuilder) registerCompositeChans(cl *ast.CompositeLit) {
-	for _, elt := range cl.Elts {
-		kv, ok := elt.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		buffered, isMake := b.chanMake(kv.Value)
-		if !isMake {
-			continue
-		}
-		keyIdent, ok := kv.Key.(*ast.Ident)
-		if !ok {
-			continue
-		}
-		// Key by the struct type owning the field.
-		if t := b.typeOf(cl); t != nil {
-			if k := typeFieldKey(t, keyIdent.Name); k != "" && buffered {
-				b.sums.ChanBuffered[k] = true
-			}
-		}
-	}
-}
-
-func (b *sumBuilder) typeOf(e ast.Expr) types.Type {
-	if b.pkg.Info == nil {
-		return nil
-	}
-	return b.pkg.Info.TypeOf(e)
+	return ok && id.Name == name
 }
 
 // ---------------------------------------------------------------------------
 // Canonical keys
 
-// exprKey canonicalizes the identity of a lock, channel, WaitGroup, or
-// writer expression so that summaries compose across functions and
-// packages. Struct fields key by defining type ("kvstore.pipe.reqCh"),
-// package-level vars by package, locals and params by declaration site.
+// exprKey canonicalizes the identity of a lock, channel, or WaitGroup
+// expression so that summaries compose across functions and packages.
+// Struct fields key by defining type ("kvstore.pipe.reqCh"), package-level
+// vars by package, locals and params by declaration site.
 func (b *sumBuilder) exprKey(e ast.Expr) string {
 	e = ast.Unparen(e)
 	switch e := e.(type) {
 	case *ast.SelectorExpr:
-		if base := b.typeOf(e.X); base != nil {
+		if base := b.pkg.Info.TypeOf(e.X); base != nil {
 			if k := typeFieldKey(base, e.Sel.Name); k != "" {
 				return k
 			}
@@ -1037,40 +920,24 @@ func (b *sumBuilder) exprKey(e ast.Expr) string {
 	return types.ExprString(e)
 }
 
-// localKey reports whether a canonical key names a local or parameter
-// (declaration-site keyed, "file.go:NN:name") rather than a struct field
-// or package-level variable.
-func localKey(k string) bool { return strings.Contains(k, ":") }
-
-// typeFieldKey keys a field of a named struct type: "pkg.Type.field".
-// Returns "" if the base type is not a named struct with that field.
+// typeFieldKey keys a field of a named struct type: "pkg.Type.field". The
+// selector may also be a method or promoted field; those key to the type
+// too. Returns "" if the base type is not a named struct.
 func typeFieldKey(base types.Type, field string) string {
 	for {
-		if p, ok := base.(*types.Pointer); ok {
-			base = p.Elem()
-			continue
+		p, ok := base.(*types.Pointer)
+		if !ok {
+			break
 		}
-		break
+		base = p.Elem()
 	}
 	named, ok := base.(*types.Named)
 	if !ok {
 		return ""
 	}
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
+	if _, ok := named.Underlying().(*types.Struct); !ok {
 		return ""
 	}
-	for i := 0; i < st.NumFields(); i++ {
-		if st.Field(i).Name() == field {
-			obj := named.Obj()
-			pkg := ""
-			if obj.Pkg() != nil {
-				pkg = obj.Pkg().Name() + "."
-			}
-			return pkg + obj.Name() + "." + field
-		}
-	}
-	// The selector may be a method or promoted field; fall back to the type.
 	obj := named.Obj()
 	pkg := ""
 	if obj.Pkg() != nil {

@@ -62,3 +62,69 @@ func (c *counter) suppressed() {
 	time.Sleep(time.Microsecond)
 	c.mu.Unlock()
 }
+
+// transfer holds the same field of two instances: two locks, not a
+// self-deadlock, and must NOT be flagged.
+func transfer(src, dst *counter) {
+	src.mu.Lock()
+	dst.mu.Lock()
+	dst.n += src.n
+	dst.mu.Unlock()
+	src.mu.Unlock()
+}
+
+// ---- blocking channel operations under a held mutex ----
+
+type box struct {
+	mu sync.Mutex
+	wg sync.WaitGroup
+	ch chan int
+}
+
+func (b *box) sendLocked(v int) {
+	b.mu.Lock()
+	b.ch <- v // want "channel send on wm.box.ch while holding .wm.box.mu."
+	b.mu.Unlock()
+}
+
+func (b *box) waitLocked() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.wg.Wait() // want "sync.WaitGroup.Wait while holding"
+}
+
+func (b *box) recvOne() int {
+	return <-b.ch
+}
+
+// The same bug one frame removed: the callee blocks on the channel.
+func (b *box) lockedCall() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.recvOne() // want "receives from channel wm.box.ch at .*, a blocking operation under the lock"
+}
+
+// trySendLocked cannot stall: select-with-default is non-blocking and must
+// NOT be flagged.
+func (b *box) trySendLocked(v int) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	select {
+	case b.ch <- v:
+		return true
+	default:
+		return false
+	}
+}
+
+// selectLocked has no default: either communication can park the goroutine
+// with the lock held.
+func (b *box) selectLocked(stop chan struct{}) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	select {
+	case v := <-b.ch: // want "channel receive from wm.box.ch while holding"
+		_ = v
+	case <-stop: // want "channel receive from .*stop while holding"
+	}
+}

@@ -257,6 +257,51 @@ func TestFailAndResubmit(t *testing.T) {
 	}
 }
 
+// TestOnFinishMayCallBack holds the callbacks-after-unlock convention the
+// workflow manager is built on (DESIGN.md §8): the OnFinish callback runs
+// with the scheduler lock released, so it may call back into the scheduler
+// — for every way a job can finish. No analyzer sees this edge (it runs
+// through a func value), so a callback moved under the lock self-deadlocks
+// here and nowhere else.
+func TestOnFinishMayCallBack(t *testing.T) {
+	clk, s := newSched(t, 1, FirstMatch, Async)
+	var finished []int
+	s.OnFinish(func(*Job) {
+		_, _, n := s.Counts()
+		finished = append(finished, n)
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var running [2]*Job
+		for i := range running {
+			running[i], _ = s.Submit(gpuJob(0))
+		}
+		for i := 0; i < 4; i++ { // fill the node so the next job stays pending
+			s.Submit(gpuJob(0))
+		}
+		pending, _ := s.Submit(gpuJob(0))
+		clk.RunFor(time.Minute)
+		if !s.Cancel(pending.ID) {
+			t.Error("Cancel of the pending job failed")
+		}
+		if err := s.Complete(running[0].ID); err != nil {
+			t.Error(err)
+		}
+		if err := s.Fail(running[1].ID); err != nil {
+			t.Error(err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a finish path invoked OnFinish with the scheduler lock held: the callback's Counts() never returned")
+	}
+	if want := []int{0, 1, 2}; fmt.Sprint(finished) != fmt.Sprint(want) {
+		t.Errorf("finished counts seen by the callback = %v, want %v (Cancel, Complete, Fail)", finished, want)
+	}
+}
+
 func TestCompleteErrors(t *testing.T) {
 	clk, s := newSched(t, 1, FirstMatch, Async)
 	if err := s.Complete(JobID(42)); err == nil {

@@ -386,8 +386,27 @@ func TestFleetAdoptsSameStateFromStoreAndMirror(t *testing.T) {
 	}
 }
 
+// returns runs fn on its own goroutine and fails the test if it is still
+// running after ten seconds, so a wedged fleet lock is a named failure
+// rather than the suite's timeout.
+func returns(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s did not return: the fleet lock is wedged", what)
+	}
+}
+
 // TestFleetRefusesLastInstanceCrash: a fleet of zero cannot finish the
-// campaign, so the last live instance will not crash.
+// campaign, so the last live instance will not crash — and that refusal,
+// like the one for an index the fleet does not have, releases the fleet
+// lock on its way out.
 func TestFleetRefusesLastInstanceCrash(t *testing.T) {
 	r := newFleetRig(t, 1)
 	fl, err := New(Config{
@@ -402,13 +421,98 @@ func TestFleetRefusesLastInstanceCrash(t *testing.T) {
 	if err := fl.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Stop()
-	if _, err := fl.Crash(0); err == nil {
-		t.Fatal("crash of the last live instance succeeded")
+	for _, idx := range []int{-1, fl.Instances(), 0} {
+		if _, err := fl.Crash(idx); err == nil {
+			t.Fatalf("Crash(%d) of a one-instance fleet succeeded", idx)
+		}
+		returns(t, fmt.Sprintf("Alive(0) after the refused Crash(%d)", idx), func() {
+			if !fl.Alive(0) {
+				t.Errorf("refused Crash(%d) still killed the instance", idx)
+			}
+		})
 	}
-	if !fl.Alive(0) {
-		t.Fatal("refused crash still killed the instance")
+	fl.Stop() // not deferred: Stop takes the lock a failure above has shown wedged
+}
+
+// leaseGetStore refuses the next read of one coupling's lease record.
+type leaseGetStore struct {
+	datastore.Store
+	failOnce string
+}
+
+func (s *leaseGetStore) Get(ns, key string) ([]byte, error) {
+	if strings.HasSuffix(ns, "-lease") && key == s.failOnce {
+		s.failOnce = ""
+		return nil, errors.New("injected permanent error")
 	}
+	return s.Store.Get(ns, key)
+}
+
+// TestFleetSweepSurvivesLeaseReadFailure: a sweep that cannot read one
+// orphan's lease reports that once, carries on to the next orphan, and
+// leaves the fleet lock free; the skipped coupling is adopted on the next
+// sweep.
+func TestFleetSweepSurvivesLeaseReadFailure(t *testing.T) {
+	r := newFleetRig(t, 2)
+	store := &leaseGetStore{Store: datastore.NewMemory()}
+	var anomalies []string
+	fl, err := New(Config{
+		Clock: r.clk, Backend: maestro.FluxBackend{S: r.s},
+		Store: store, Instances: 2,
+		Couplings: []core.CouplingSpec{ // instance 0 owns c0 and c2
+			testCoupling("c0", 2, 4, 2, 6*time.Hour),
+			testCoupling("c1", 2, 4, 2, 6*time.Hour),
+			testCoupling("c2", 2, 4, 2, 6*time.Hour),
+		},
+		PollEvery:  2 * time.Minute,
+		LeaseTTL:   25 * time.Minute, // expires between two renew ticks
+		RenewEvery: 10 * time.Minute,
+		Namespace:  "sw",
+		OnAnomaly:  func(msg string) { anomalies = append(anomalies, msg) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	owners := func() (out [3]int) {
+		for i, name := range []string{"c0", "c1", "c2"} {
+			out[i], _ = fl.Owner(name)
+		}
+		return out
+	}
+
+	// Instance 0 renews at 1h00 and dies at 1h05: its leases run to 1h25,
+	// and the survivor's sweeps at 1h10 and 1h20 must leave them alone.
+	r.clk.RunFor(time.Hour + 5*time.Minute)
+	if _, err := fl.Crash(0); err != nil {
+		t.Fatal(err)
+	}
+	r.clk.RunFor(22 * time.Minute)
+	if got := owners(); got != [3]int{-1, 1, -1} || len(anomalies) != 0 {
+		t.Fatalf("before expiry: owners %v anomalies %q, want [-1 1 -1] and none", got, anomalies)
+	}
+
+	store.failOnce = "c0"
+	returns(t, "the 1h30 sweep", func() { r.clk.RunFor(5 * time.Minute) })
+	if len(anomalies) != 1 || !strings.Contains(anomalies[0], "lease check for c0 failed") {
+		t.Fatalf("anomalies = %q, want the one failed lease check", anomalies)
+	}
+	returns(t, "Stats after the failed lease check", func() {
+		if n := len(fl.Stats()); n != 3 {
+			t.Errorf("Stats reports %d couplings, want 3", n)
+		}
+	})
+	if got := owners(); got != [3]int{-1, 1, 1} {
+		t.Fatalf("after the failed check: owners %v, want [-1 1 1] (c2 adopted past the failure)", got)
+	}
+
+	r.clk.RunFor(10 * time.Minute)
+	if got := owners(); got != [3]int{1, 1, 1} || len(anomalies) != 1 {
+		t.Errorf("one sweep later: owners %v anomalies %q, want all adopted and no new report", got, anomalies)
+	}
+	fl.Stop() // not deferred, as above
 }
 
 // TestFleetCandidateDuringOrphanWindow: candidates arriving between a

@@ -1,19 +1,27 @@
 #!/bin/sh
 # Minimal CI gate: static analysis first (vet + the project's own analyzer
-# suite, cmd/mummi-lint — per-package and interprocedural, with the
-# stale-suppression audit and a wall-clock budget), then build, the full
-# test suite, and the race-detector pass over the whole module. Mirrors the
-# Makefile targets; stdlib toolchain only, no external dependencies.
+# suite, cmd/mummi-lint, stale-suppression audit included), then build, the
+# full test suite, and the race-detector pass over the whole module. Mirrors
+# the Makefile targets; stdlib toolchain only, no external dependencies.
 set -eux
 
 go vet ./...
-go run ./cmd/mummi-lint -unused-suppressions -budget 60s ./...
+go run ./cmd/mummi-lint ./...
+
+# One of everything in the linter (docs/LINT.md): one lock-state walk — the
+# only statement-kind switch in the package — and no second
+# blocking-under-lock analyzer growing back beside lockdiscipline.
+test "$(grep -l 'ast.TypeSwitchStmt' internal/lint/*.go | grep -vc _test.go)" -eq 1
+if grep -rq channeldiscipline --include='*.go' .; then
+	echo "ci: channeldiscipline is gone; its blocking-under-lock rule lives in lockdiscipline" >&2
+	exit 1
+fi
 go build ./...
 go test ./...
 go test -race ./...
 
-# The tracked size (ROADMAP item 3): non-test Go lines per package, in
-# every CI log.
+# The tracked size (the north star's second aim, ROADMAP item 7): non-test
+# Go lines per package, in every CI log.
 make -s loc
 
 # Every internal/ package needs a non-test importer: a package only its own
