@@ -5,8 +5,13 @@ GO ?= go
 
 .PHONY: build test race bench-quick bench-micro vet lint trace chaos matrix matrix-update scenarios loc ci
 
+# The second line cross-compiles the one package with an assembly body
+# (internal/dynim/fold_amd64.s) for a GOARCH that runs the Go loop instead,
+# so that body cannot rot; scripts/ci.sh cross-builds the whole module and
+# also holds fold.go's arm64 listing free of fused multiply-adds.
 build:
 	$(GO) build ./...
+	GOARCH=arm64 $(GO) build ./internal/dynim
 
 test:
 	$(GO) test ./...

@@ -182,8 +182,8 @@ func (b *Binned) SetTrackDuplicates(on bool) {
 // Add implements Selector: increment the bin's occupancy, queue the
 // candidate and keep the select index current.
 func (b *Binned) Add(p Point) error {
-	if len(p.Coords) != len(b.dims) {
-		return fmt.Errorf("dynim: point %q has dim %d, sampler dim %d", p.ID, len(p.Coords), len(b.dims))
+	if err := checkPoint(p, len(b.dims)); err != nil {
+		return err
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()

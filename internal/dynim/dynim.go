@@ -22,11 +22,33 @@
 // maintain elaborate history files that may be replayed exactly").
 package dynim
 
+import (
+	"fmt"
+	"math"
+)
+
 // Point is one selection candidate: an application object (patch, CG frame)
 // reduced to a coordinate vector by some encoder.
 type Point struct {
 	ID     string    `json:"id"`
 	Coords []float64 `json:"coords"`
+}
+
+// checkPoint is both samplers' admission check: dim coordinates, all finite.
+// A NaN or ±Inf coordinate has no place in either order — a NaN rank compares
+// false both ways, so FarthestPoint's (distance, ID) heap order stops being
+// total, and converting a non-finite bin offset to int is
+// implementation-defined, so Binned would file it differently per GOARCH.
+func checkPoint(p Point, dim int) error {
+	if len(p.Coords) != dim {
+		return fmt.Errorf("dynim: point %q has dim %d, sampler dim %d", p.ID, len(p.Coords), dim)
+	}
+	for i, c := range p.Coords {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return fmt.Errorf("dynim: point %q has non-finite coordinate %d (%v)", p.ID, i, c)
+		}
+	}
+	return nil
 }
 
 // Selector is the abstract selection API shared by both samplers and by any

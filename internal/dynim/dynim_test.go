@@ -64,6 +64,43 @@ func TestFPSAddDimensionMismatch(t *testing.T) {
 	}
 }
 
+// TestAddRejectsNonFiniteCoordinates: a NaN or ±Inf coordinate is refused by
+// both samplers before it can take a slot, a bin or the ID — the same ID with
+// finite coordinates is accepted afterwards and is what gets selected.
+func TestAddRejectsNonFiniteCoordinates(t *testing.T) {
+	binned, err := NewBinned([]BinDim{{0, 1, 4}, {0, 1, 4}}, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sel := range []struct {
+		name string
+		s    Selector
+	}{{"FarthestPoint", NewFarthestPoint(2, 0)}, {"Binned", binned}} {
+		for _, tc := range []struct {
+			name   string
+			coords []float64
+		}{
+			{"NaN first", []float64{math.NaN(), 0.5}},
+			{"NaN last", []float64{0.5, math.NaN()}},
+			{"+Inf", []float64{math.Inf(1), 0.5}},
+			{"-Inf", []float64{0.5, math.Inf(-1)}},
+		} {
+			if err := sel.s.Add(Point{ID: "p", Coords: tc.coords}); err == nil {
+				t.Errorf("%s: %s accepted", sel.name, tc.name)
+			}
+			if n := sel.s.Len(); n != 0 {
+				t.Errorf("%s: %s: Len = %d after a refused Add", sel.name, tc.name, n)
+			}
+		}
+		if err := sel.s.Add(Point{ID: "p", Coords: []float64{0.5, 0.5}}); err != nil {
+			t.Errorf("%s: finite re-offer of a refused ID: %v", sel.name, err)
+		}
+		if got := sel.s.Select(1); len(got) != 1 || got[0].ID != "p" {
+			t.Errorf("%s: Select = %v, want p", sel.name, got)
+		}
+	}
+}
+
 func TestFPSDuplicateIDsIgnored(t *testing.T) {
 	f := fp2(t, 0)
 	f.Add(Point{ID: "p", Coords: []float64{0, 0}})

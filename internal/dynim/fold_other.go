@@ -1,0 +1,8 @@
+//go:build !amd64
+
+package dynim
+
+// foldRows is foldRowsGo wherever fold_amd64.s is not.
+func foldRows(q, rows []float64, dim, lo, hi int, best float64) float64 {
+	return foldRowsGo(q, rows, dim, lo, hi, best)
+}

@@ -22,7 +22,10 @@ import (
 // compares against selections made since. This is what makes Add O(1) and
 // keeps "the cost of adding new candidates negligible" (§4.4).
 //
-// Five engine-level optimizations ride on top of that caching scheme:
+// Every distance comes from one kernel, foldRows (fold.go defines it;
+// fold_amd64.s is the same arithmetic two lanes at a time), and every row a
+// refresh is owed is evaluated: nothing prunes. Five engine-level
+// optimizations ride on top of the caching scheme:
 //
 //   - Squared distances end-to-end: the cache holds *squared* L2 values and
 //     every comparison is squared-vs-squared, removing one math.Sqrt per
@@ -33,8 +36,8 @@ import (
 //     (structure-of-arrays) indexed by slot — coordinates in one row-major
 //     arena, cached ranks and staleness counters in flat slices. A rank
 //     refresh streams those arrays in slot order instead of chasing one
-//     heap pointer per candidate, which is what a 35,000-candidate pass is
-//     actually bound by (memory latency, not arithmetic).
+//     heap pointer per candidate; the selected rows are one arena too, so
+//     the kernel is bound by floating-point issue, not by loads.
 //
 //   - Sharded rank updates: what is split is distance work, and it is split
 //     in two steps. Candidates that arrived since the last pick are unranked
@@ -92,16 +95,6 @@ type FarthestPoint struct {
 	heapPos   []int32 // slot → heap position
 	heapDirty bool
 
-	// selGap2[r] is the squared distance from sel[r] to its nearest earlier
-	// selection (+Inf for r = 0), and gapSuff[k] = min(selGap2[k:n]) cached
-	// for the current selection count gapSuffN. Together they drive the
-	// triangle-inequality prune in refreshSlot: a selection far from every
-	// earlier selection cannot tighten the rank of a candidate close to one
-	// of them.
-	selGap2  []float64
-	gapSuff  []float64
-	gapSuffN int
-
 	// Dirty-set staleness tracking. Every slot whose cached rank may be
 	// stale is either listed in dirty (new arrivals and restored candidates,
 	// appended in creation order, unranked until rankArrivals empties the
@@ -129,7 +122,10 @@ type FarthestPoint struct {
 
 // fpsMinWork is the fewest distance evaluations (one candidate against one
 // selected row) worth a goroutine: below it, spawn latency dominates the
-// arithmetic.
+// arithmetic. At foldRows' ~2.7 ns a 9-D row that is ~22 µs of work. Measured
+// again under that kernel (2 vCPU): 2,048 through 65,536 are within
+// run-to-run noise of each other on BenchmarkFPSCampaignTraffic (698–737
+// µs/op) and on replay-paper (6.58–6.79 s), so the value stands.
 const fpsMinWork = 8192
 
 // minChunk is parallel.For's minChunk for a fan-out whose slots each fold in
@@ -282,100 +278,25 @@ func (f *FarthestPoint) freeSlot(s int32) {
 	f.heapPos = f.heapPos[:last]
 }
 
-// gapSuffix ensures gapSuff[k] = min(selGap2[k:n]) for the current
-// selection count n. Selections are append-only, so the cache key is just
-// n; the rebuild is O(n) and amortizes over a whole refresh pass. Caller
-// holds the lock; the suffix array is read-only during sharded passes.
-func (f *FarthestPoint) gapSuffix(n int) {
-	if f.gapSuffN == n && len(f.gapSuff) == n {
-		return
-	}
-	if cap(f.gapSuff) < n {
-		f.gapSuff = make([]float64, n)
-	}
-	f.gapSuff = f.gapSuff[:n]
-	m := math.Inf(1)
-	for k := n - 1; k >= 0; k-- {
-		if f.selGap2[k] < m {
-			m = f.selGap2[k]
-		}
-		f.gapSuff[k] = m
-	}
-	f.gapSuffN = n
-}
-
 // refreshSlot folds selections [seenSel[s], n) into slot s's cached rank.
-// rows is the selected set's row-major storage for rows [0, n).
-//
-// Triangle-inequality prune: the cached best is d(c, s*)² for some earlier
-// selection s*, and selGap2[r] lower-bounds d(sel[r], s*)². By the triangle
-// inequality d(c, sel[r]) ≥ d(sel[r], s*) − d(c, s*), so whenever
-// selGap2[r] > 4·best the new selection is at least 2× farther from s* than
-// the candidate is, hence at least best away from the candidate — row r
-// cannot tighten the min and is skipped without touching its coordinates.
-// The comparison is strict so the +Inf sentinel of row 0 (no earlier
-// selection, bound vacuous) never prunes, and an unranked candidate
-// (best = +Inf) always computes. gapSuff extends the same bound to the whole
-// remaining row range, skipping the slot outright. Pruning decisions depend
-// only on cached values, never on chunk boundaries, so sharded passes stay
-// bit-identical for every worker count.
-//
-// The inner sum uses four independent accumulators: the naive acc += d*d
-// chain serializes on FP-add latency (~4 cycles per term), which at 35,000
-// candidates × 9 dims is the single largest cost in a refresh pass. The
-// reassociated sum may differ from the naive order in the last ulp; every
-// rank comparison in the engine goes through this one kernel, so the
-// ordering stays internally consistent.
+// rows is the selected set's row-major storage for rows [0, n). Every rank
+// comparison in the engine goes through this one call into foldRows, so the
+// ordering stays internally consistent; a slot's value depends on its own
+// coordinates and the selected rows alone, never on chunk boundaries, so
+// sharded passes stay bit-identical for every worker count.
 func (f *FarthestPoint) refreshSlot(s int32, n int, rows []float64) {
 	dim := f.dim
-	seen := int(f.seenSel[s])
-	best := f.dist2[s]
-	if f.gapSuffN == n && seen < n && f.gapSuff[seen] > 4*best {
-		f.seenSel[s] = int32(n)
-		return
-	}
-	q := f.coords[int(s)*dim : int(s)*dim+dim : int(s)*dim+dim]
-	gaps := f.selGap2
-	for r := seen; r < n; r++ {
-		if gaps[r] > 4*best {
-			continue
-		}
-		// Re-slicing the row to len(q) lets the compiler prove both q[j+k]
-		// and row[j+k] in bounds from the single j+4 <= len(q) loop
-		// condition — no per-element checks in the unrolled body.
-		row := rows[r*dim : r*dim+dim : r*dim+dim]
-		row = row[:len(q)]
-		var a0, a1, a2, a3 float64
-		j := 0
-		for ; j+4 <= len(q); j += 4 {
-			qs, rs := q[j:j+4:j+4], row[j:j+4:j+4]
-			d0 := qs[0] - rs[0]
-			d1 := qs[1] - rs[1]
-			d2 := qs[2] - rs[2]
-			d3 := qs[3] - rs[3]
-			a0 += d0 * d0
-			a1 += d1 * d1
-			a2 += d2 * d2
-			a3 += d3 * d3
-		}
-		for ; j < len(q); j++ {
-			d := q[j] - row[j]
-			a0 += d * d
-		}
-		if acc := (a0 + a1) + (a2 + a3); acc < best {
-			best = acc
-		}
-	}
-	f.dist2[s] = best
+	q := f.coords[int(s)*dim : int(s)*dim+dim]
+	f.dist2[s] = foldRows(q, rows[:n*dim], dim, int(f.seenSel[s]), n, f.dist2[s])
 	f.seenSel[s] = int32(n)
 }
 
 // rankArrivals ranks every slot on the arrival list against selections
-// [0, n), fanned out over the workers; the caller has run gapSuffix(n) and
-// empties the list afterwards. It runs before any pick or eviction looks at
-// the store. An arrival's +Inf cache sorts above every finite rank, so no
-// pick completes before each arrival has been refreshed to exactly this
-// value — ranking them here changes who computes it and when, never what.
+// [0, n), fanned out over the workers; the caller empties the list
+// afterwards. It runs before any pick or eviction looks at the store. An
+// arrival's +Inf cache sorts above every finite rank, so no pick completes
+// before each arrival has been refreshed to exactly this value — ranking
+// them here changes who computes it and when, never what.
 // Left to the walks that follow it would land on one goroutine: the lazy
 // pick surfaces arrivals through the heap root one at a time, and a
 // contiguous split of the slot range hands the final chunk all of them.
@@ -423,9 +344,8 @@ func (f *FarthestPoint) siftArrivals() {
 // exact tie the ID order is already decided by the cached comparison) —
 // stale ranks go only downward, so typically just the few prefix-maxima of
 // the scan refresh, and everything else costs two sequential loads. Slots
-// that survive the screen are refreshed, which also prices the eventual
-// winner's selGap2 for free. Skipped slots stay stale; the exact catch-up
-// happens in the next updateLocked.
+// that survive the screen are refreshed. Skipped slots stay stale; the exact
+// catch-up happens in the next updateLocked.
 //
 // Each chunk computes its local argmax; the cross-chunk reduce runs on the
 // calling goroutine in chunk order. Which slots refresh varies with chunk
@@ -436,7 +356,6 @@ func (f *FarthestPoint) siftArrivals() {
 // residue; Update canonicalizes the caches).
 func (f *FarthestPoint) pickEager() int32 {
 	n := len(f.selPts)
-	f.gapSuffix(n)
 	f.rankArrivals(n)
 	f.dirty = f.dirty[:0]
 	rows := f.selRows
@@ -471,10 +390,11 @@ func (f *FarthestPoint) pickEager() int32 {
 // Selector implementation
 
 // Add implements Selector. Duplicate IDs (already queued or selected) are
-// ignored without error, so producers may safely re-offer after restarts.
+// ignored without error, so producers may safely re-offer after restarts; a
+// point of the wrong dimension or with a NaN or ±Inf coordinate is an error.
 func (f *FarthestPoint) Add(p Point) error {
-	if len(p.Coords) != f.dim {
-		return fmt.Errorf("dynim: point %q has dim %d, sampler dim %d", p.ID, len(p.Coords), f.dim)
+	if err := checkPoint(p, f.dim); err != nil {
+		return err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -595,7 +515,6 @@ func (f *FarthestPoint) updateLocked() {
 	if f.tel != nil {
 		start = f.tel.Now()
 	}
-	f.gapSuffix(n)
 	f.rankArrivals(n)
 	ranked, sweep := len(f.dirty), f.allDirty
 	if sweep {
@@ -658,7 +577,6 @@ func (f *FarthestPoint) Select(n int) []Point {
 			s = f.pickEager()
 		} else {
 			nSel := len(f.selPts)
-			f.gapSuffix(nSel)
 			f.rankArrivals(nSel)
 			f.siftArrivals()
 			rows := f.selRows
@@ -687,10 +605,6 @@ func (f *FarthestPoint) Select(n int) []Point {
 		f.heapRemoveAt(int(f.heapPos[s]))
 		id := f.ids[s]
 		coords := append([]float64(nil), f.coords[int(s)*f.dim:int(s+1)*f.dim]...)
-		// The picked candidate's rank is fresh, and it is exactly the new
-		// selection's squared distance to its nearest earlier selection —
-		// selGap2 for the triangle-inequality prune comes for free.
-		f.selGap2 = append(f.selGap2, f.dist2[s])
 		f.freeSlot(s)
 		f.selRows = append(f.selRows, coords...)
 		p := Point{ID: id, Coords: coords}

@@ -9,8 +9,9 @@ import (
 )
 
 // oracleDist2 recomputes a candidate's squared distance to its nearest
-// selected point from scratch, using the same reassociated four-accumulator
-// kernel as refreshSlot so the comparison is bitwise, not approximate.
+// selected point from scratch, in the same arithmetic as foldRowsGo — four
+// accumulators, products rounded before they are added — so the comparison
+// is bitwise, not approximate.
 func oracleDist2(q []float64, sel [][]float64) float64 {
 	best := math.Inf(1)
 	for _, row := range sel {
@@ -21,14 +22,14 @@ func oracleDist2(q []float64, sel [][]float64) float64 {
 			d1 := q[j+1] - row[j+1]
 			d2 := q[j+2] - row[j+2]
 			d3 := q[j+3] - row[j+3]
-			a0 += d0 * d0
-			a1 += d1 * d1
-			a2 += d2 * d2
-			a3 += d3 * d3
+			a0 += float64(d0 * d0)
+			a1 += float64(d1 * d1)
+			a2 += float64(d2 * d2)
+			a3 += float64(d3 * d3)
 		}
 		for ; j < len(q); j++ {
 			d := q[j] - row[j]
-			a0 += d * d
+			a0 += float64(d * d)
 		}
 		if acc := (a0 + a1) + (a2 + a3); acc < best {
 			best = acc
@@ -100,20 +101,35 @@ func (o *oracleFPS) selectN(n int) []string {
 }
 
 // TestPropertyFPSMatchesOracle fuzzes the full engine — dirty-set refresh,
-// lazy heap, eager fallback, pruned kernels, batched eviction — against the
-// from-scratch oracle: every selection burst must return the identical ID
-// sequence, unbounded and at capacities small enough that the victim set
-// decides what is left to select.
+// lazy heap, eager fallback, batched eviction — against the from-scratch
+// oracle: every selection burst must return the identical ID sequence,
+// unbounded and at capacities small enough that the victim set decides what
+// is left to select. The clustered case draws every point within 1e-3 of one
+// of three far-apart centres, so after three picks each selection sits a
+// tiny gap from an earlier one and far from the rest — the traffic the
+// removed triangle-inequality prune skipped rows on, evaluated in full.
 func TestPropertyFPSMatchesOracle(t *testing.T) {
-	for _, capacity := range []int{0, 16, 64} {
-		testFPSMatchesOracle(t, capacity)
+	const dim = 5 // odd, so the kernel's tail runs
+	gauss := func(rng *rand.Rand, c []float64) {
+		for k := range c {
+			c[k] = rng.NormFloat64()
+		}
 	}
+	clustered := func(rng *rand.Rand, c []float64) {
+		centre := float64(rng.Intn(3)) * 10
+		for k := range c {
+			c[k] = centre + 1e-3*rng.NormFloat64()
+		}
+	}
+	for _, capacity := range []int{0, 16, 64} {
+		testFPSMatchesOracle(t, dim, capacity, gauss)
+	}
+	testFPSMatchesOracle(t, dim, 0, clustered)
 }
 
-func testFPSMatchesOracle(t *testing.T, capacity int) {
+func testFPSMatchesOracle(t *testing.T, dim, capacity int, draw func(*rand.Rand, []float64)) {
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		const dim = 5 // odd, so the unrolled kernel's remainder loop runs
 		fp := NewFarthestPoint(dim, capacity)
 		oracle := newOracleFPS(capacity)
 		next := 0
@@ -128,9 +144,7 @@ func testFPSMatchesOracle(t *testing.T, capacity int) {
 						next++
 					}
 					c := make([]float64, dim)
-					for k := range c {
-						c[k] = rng.NormFloat64()
-					}
+					draw(rng, c)
 					if err := fp.Add(Point{ID: id, Coords: c}); err != nil {
 						t.Fatal(err)
 					}

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -129,8 +130,10 @@ func LoadModule(root string) (*Module, error) {
 	return m, nil
 }
 
-// parseDir parses the non-test Go files of one directory. Returns nil if
-// the directory holds no buildable Go files.
+// parseDir parses the non-test Go files of one directory that go build
+// would compile here (GOOS/GOARCH suffixes and //go:build lines: one
+// function's per-architecture bodies are not a redeclaration). Returns nil
+// if the directory holds no buildable Go files.
 func parseDir(fset *token.FileSet, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -141,6 +144,11 @@ func parseDir(fset *token.FileSet, dir string) (*Package, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)

@@ -5,6 +5,9 @@
 # the Makefile targets; stdlib toolchain only, no external dependencies.
 set -eux
 
+tmpdir=$(mktemp -d)
+trap 'rm -rf "$tmpdir"' EXIT
+
 go vet ./...
 go run ./cmd/mummi-lint ./...
 
@@ -17,6 +20,24 @@ if grep -rq channeldiscipline --include='*.go' .; then
 	exit 1
 fi
 go build ./...
+
+# The FPS distance kernel has an assembly body on amd64 only
+# (internal/dynim/fold_amd64.s; go vet's asmdecl checks it above). Every
+# other GOARCH runs the Go loop in fold.go, which is also the definition the
+# assembly is tested against — cross-build the module so that body cannot
+# rot, and hold its arm64 listing free of fused multiply-adds: they round
+# once where amd64 rounds twice, and every replay digest follows from those
+# bits. Compile-only; nothing here runs arm64 code.
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go build -gcflags=-S ./internal/dynim 2>&1 | grep 'fold\.go' >"$tmpdir/fold-arm64.S"
+grep -q FMULD "$tmpdir/fold-arm64.S"
+if grep -E 'FN?M(ADD|SUB)' "$tmpdir/fold-arm64.S"; then
+	echo "ci: arm64 fuses a multiply-add in internal/dynim/fold.go" >&2
+	exit 1
+fi
+# The Go loop exists once.
+test "$(grep -rl 'a0 += ' internal/dynim --include='*.go' --exclude='*_test.go')" = internal/dynim/fold.go
+
 go test ./...
 go test -race ./...
 
@@ -40,9 +61,6 @@ done
 # check fails, so a change that moves replay bytes fails here; it measures
 # nothing worth comparing — timing claims need the full `go run ./bench`.
 go run ./bench -quick
-
-tmpdir=$(mktemp -d)
-trap 'rm -rf "$tmpdir"' EXIT
 
 # Observability smoke: the example campaign must emit a loadable Chrome
 # trace and a metrics snapshot with nonzero counters for all four workflow
