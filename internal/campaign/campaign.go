@@ -51,7 +51,8 @@ type simRecord struct {
 	done bool
 }
 
-// Campaign is the replay engine. Create with NewCampaign, drive with Run.
+// Campaign is the replay engine. Create with NewCampaign, drive with Run or
+// Step.
 type Campaign struct {
 	cfg Config
 	clk *vclock.Virtual
@@ -85,18 +86,34 @@ type Campaign struct {
 	candAcc float64 // fractional AA-candidate accumulator
 	subAcc  float64 // fractional subsample accumulator
 
+	schedule    []RunSpec // one entry per allocation, in Table 1 order
 	totalWall   time.Duration
 	elapsedWall time.Duration
+	ckpt        []byte // the WM checkpoint the next allocation restores
 
 	res *Result
 
 	// per-run state
+	cur    *allocation // nil between allocations
 	active map[sched.JobID]activeJob
 	err    error // first error raised inside a clock callback (see fail)
 }
 
-// fail records the first error a clock callback cannot return; runOne stops
-// the allocation within the hour and Run returns it.
+// allocation is the rig of the allocation in progress: what begin builds
+// and end tears down.
+type allocation struct {
+	spec       RunSpec
+	start, end time.Time
+	machine    *cluster.Machine
+	s          *sched.Scheduler
+	wm         coordinator
+	prof       *profile.Profiler
+	failTicker *vclock.Ticker       // nil without Config.FailuresPerDay
+	hb         *telemetry.Heartbeat // nil without a heartbeat
+}
+
+// fail records the first error a clock callback cannot return; Step stops
+// the campaign after that event and Run returns it.
 func (c *Campaign) fail(err error) { c.err = cmp.Or(c.err, err) }
 
 type activeJob struct {
@@ -135,6 +152,7 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 			return nil, fmt.Errorf("campaign: bad fault plan: %w", err)
 		}
 		c.eng = faults.NewEngine(c.clk, c.tel, cfg.Faults)
+		c.startChaos()
 	}
 	if cfg.FeedbackEvery > 0 {
 		c.fbStore = c.newStore()
@@ -154,6 +172,9 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 	}
 	for _, r := range cfg.Runs {
 		c.totalWall += time.Duration(r.Count) * r.Wall
+		for range r.Count {
+			c.schedule = append(c.schedule, r)
+		}
 	}
 	c.queueSet = dynim.NewQueueSet(9, cfg.PatchQueueCap)
 	c.queueSet.DisableJournal()
@@ -221,41 +242,40 @@ func Run(cfg Config) (*Result, error) {
 
 // Run executes every allocation in sequence.
 func (c *Campaign) Run() (*Result, error) {
-	var ckpt []byte
-	kept1000, kept4000 := false, false
-	if c.eng != nil {
-		// One schedule for the whole campaign: windows are offsets from the
-		// campaign epoch, and pending faults roll across allocation
-		// boundaries (handlers are rebound per allocation in runOne).
-		c.eng.Start()
-		defer c.eng.Stop()
+	for c.Step() {
 	}
-	for _, spec := range c.cfg.Runs {
-		for i := 0; i < spec.Count; i++ {
-			keep := c.cfg.KeepTimelines &&
-				((spec.Nodes >= 1000 && spec.Nodes < 4000 && !kept1000) || (spec.Nodes >= 4000 && !kept4000))
-			tl, err := c.runOne(spec, &ckpt, keep)
-			if err != nil {
-				return nil, err
-			}
-			if keep && tl != nil {
-				if spec.Nodes >= 4000 {
-					c.res.Timeline4000 = tl
-					kept4000 = true
-				} else {
-					c.res.Timeline1000 = tl
-					kept1000 = true
-				}
-			}
-			c.res.Table1 = append(c.res.Table1, RunLedger{
-				Nodes: spec.Nodes, Wall: spec.Wall,
-				NodeHours: units.NodeHoursFor(spec.Nodes, spec.Wall),
-			})
-			c.elapsedWall += spec.Wall
-		}
+	if c.err != nil {
+		return nil, c.err
 	}
 	c.finalizeResult()
 	return c.res, nil
+}
+
+// Step advances the campaign by one move: it begins the next allocation,
+// runs the current allocation's next clock event, or ends the allocation
+// once no event is due by its end. It returns false when the schedule is
+// done or an error has stopped the campaign (Run returns the error).
+// Between Steps the replay is at rest, so observers attach there.
+func (c *Campaign) Step() bool {
+	switch a := c.cur; {
+	case c.err != nil || a == nil && c.res.RunsDone == len(c.schedule):
+		return false
+	case a == nil:
+		c.fail(c.begin(c.schedule[c.res.RunsDone]))
+	default:
+		// The end is a boundary, not a clock event: an end event queued at
+		// begin would run before same-instant events queued after it.
+		if t, ok := c.clk.Next(); ok && !t.After(a.end) {
+			c.clk.Step()
+			if c.err == nil {
+				return true
+			}
+		} else {
+			c.clk.RunUntil(a.end) // nothing is due: this only moves the clock
+		}
+		c.end()
+	}
+	return c.err == nil
 }
 
 // mpiBugActive reports whether the campaign is still in the miscompiled-MPI
@@ -267,27 +287,18 @@ func (c *Campaign) mpiBugActive() bool {
 // continuumNodes sizes the continuum allocation for a run (150 nodes when
 // the machine affords it, scaled down on small runs — the source of
 // Fig. 4's continuum performance modes).
-func continuumNodes(nodes int) int {
-	n := nodes / 2
-	if n > 150 {
-		n = 150
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+func continuumNodes(nodes int) int { return max(1, min(150, nodes/2)) }
 
-// runOne executes a single allocation: it builds the rig every allocation
-// shares — machine, scheduler, profiler, snapshot stream, failure ticker,
-// fault handlers, heartbeat, teardown — around a coordinator (see
-// coordinator.go), which is the only part that differs between a single
-// workflow manager and a fleet. ckpt carries WM state across runs, always in
+// begin builds the rig every allocation shares — machine, scheduler,
+// profiler, snapshot stream, failure ticker, heartbeat — around a
+// coordinator (see coordinator.go), which is the only part that differs
+// between a single workflow manager and a fleet, restores the previous
+// allocation's checkpoint into it and starts it. The checkpoint is always in
 // the single-WM format, so fleet size can change between allocations.
-func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]TimelinePoint, error) {
+func (c *Campaign) begin(spec RunSpec) error {
 	machine, err := cluster.New(cluster.Summit(spec.Nodes))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	statusPoll := time.Duration(0)
 	if c.cfg.ModelStatusLoad {
@@ -299,7 +310,7 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 		Telemetry: c.tel,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	totalGPUs := machine.Topology().TotalGPUs()
@@ -322,15 +333,18 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 
 	wm, err := c.newCoordinator(s, c.couplings(cgSlots, aaSlots, spec.Nodes), staticJobs)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if *ckpt != nil {
-		if err := wm.Restore(*ckpt); err != nil {
-			return nil, err
+	if c.ckpt != nil {
+		if err := wm.Restore(c.ckpt); err != nil {
+			return err
 		}
 	}
 
-	prof := profile.New(c.clk, c.cfg.ProfileEvery, func() profile.Event {
+	now := c.clk.Now()
+	a := &allocation{spec: spec, start: now, end: now.Add(spec.Wall),
+		machine: machine, s: s, wm: wm}
+	a.prof = profile.New(c.clk, c.cfg.ProfileEvery, func() profile.Event {
 		q, running, _ := s.Counts()
 		return profile.Event{
 			GPUFrac: machine.GPUOccupancy(),
@@ -339,18 +353,12 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 		}
 	})
 
-	// runActive gates every producer armed below against stale events: a
-	// snapshot, or a node revival armed in one allocation, must not touch the
-	// next one's rebuilt machine.
-	runActive := true
-
-	// Continuum snapshot stream: one snapshot per µs of continuum time.
-	runEnd := c.clk.Now().Add(spec.Wall)
+	// Continuum snapshot stream: one snapshot per µs of continuum time; one
+	// due after this allocation's end is dropped.
 	var scheduleSnapshot func()
 	scheduleSnapshot = func() {
-		wall := contRate.WallFor(1 * units.Microsecond)
-		c.clk.After(wall, func() {
-			if !runActive || c.clk.Now().After(runEnd) {
+		c.clk.After(contRate.WallFor(1*units.Microsecond), func() {
+			if c.cur != a {
 				return
 			}
 			c.onSnapshot(wm, contNodes)
@@ -363,10 +371,9 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 	// running simulation jobs. Progress up to the failure survives (the
 	// simulation checkpoints), so the resubmitted job resumes — the
 	// paper's resilience path, exercised continuously.
-	var failTicker *vclock.Ticker
 	if c.cfg.FailuresPerDay > 0 {
 		perTick := c.cfg.FailuresPerDay / 48
-		failTicker = vclock.NewTicker(c.clk, 30*time.Minute, func(time.Time) {
+		a.failTicker = vclock.NewTicker(c.clk, 30*time.Minute, func(time.Time) {
 			if c.rng.Float64() >= perTick {
 				return
 			}
@@ -389,49 +396,44 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 		})
 	}
 
-	if c.eng != nil {
-		c.bindChaos(s, machine, wm, &runActive)
-	}
-
 	// Heartbeat: the terminal stand-in for the paper's live dashboards.
-	var hb *telemetry.Heartbeat
 	if c.cfg.HeartbeatEvery > 0 && c.cfg.HeartbeatWriter != nil {
-		run := c.res.RunsDone + 1
-		hb = telemetry.NewHeartbeat(c.clk, c.cfg.HeartbeatEvery, c.cfg.HeartbeatWriter,
-			func(now time.Time) string {
-				return c.heartbeatLine(now, run, spec, machine, s, wm)
-			})
+		a.hb = telemetry.NewHeartbeat(c.clk, c.cfg.HeartbeatEvery, c.cfg.HeartbeatWriter,
+			func(now time.Time) string { return c.heartbeatLine(now, a) })
 	}
 
 	if err := wm.Start(); err != nil {
-		return nil, err
+		return err
 	}
-	start := c.clk.Now()
-	// Hour-sized steps run the same events in the same order as one
-	// RunUntil(runEnd), and let a c.fail cut the allocation short.
-	for d := time.Duration(0); c.err == nil && d < spec.Wall; {
-		d = min(d+time.Hour, spec.Wall)
-		c.clk.RunUntil(start.Add(d))
-	}
-	if failTicker != nil {
-		failTicker.Stop()
-	}
-	if hb != nil {
-		hb.Stop()
-	}
-	c.tel.RecordSpan("campaign", "allocation", start, c.clk.Now().Sub(start),
-		append([]any{"run", c.res.RunsDone + 1, "nodes", spec.Nodes}, wm.spanArgs()...)...)
+	c.cur = a
+	return nil
+}
 
-	// Allocation over: stop producers, flush the conductors (queued
-	// submissions fail back into WM state), settle running simulations,
-	// and checkpoint.
-	runActive = false
-	wm.Stop()
-	prof.Stop()
-	s.Close()
+// end tears the current allocation down: stop its producers, flush the
+// conductors (queued submissions fail back into WM state), settle the
+// running simulations, checkpoint, and merge the allocation into the result.
+// Known defect, kept because its fix moves Result bytes (ROADMAP item 4):
+// s.Close leaves running jobs' auto-completion events on the clock; they
+// fire in the next allocation, where the stopped manager's OnSimEnd deletes
+// a live job of the new scheduler from c.active when IDs collide (they
+// restart at 1) and credits trajectory this settle already accounted.
+func (c *Campaign) end() {
+	a := c.cur
+	c.cur = nil
+	if a.failTicker != nil {
+		a.failTicker.Stop()
+	}
+	if a.hb != nil {
+		a.hb.Stop()
+	}
+	c.tel.RecordSpan("campaign", "allocation", a.start, c.clk.Now().Sub(a.start),
+		append([]any{"run", c.res.RunsDone + 1, "nodes", a.spec.Nodes}, a.wm.spanArgs()...)...)
+	a.wm.Stop()
+	a.prof.Stop()
+	a.s.Close()
 	for _, id := range c.sortedActiveIDs() {
 		aj := c.active[id]
-		job, ok := s.Job(id)
+		job, ok := a.s.Job(id)
 		if !ok || job.State != sched.Running {
 			continue
 		}
@@ -439,71 +441,74 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 	}
 	c.active = nil
 	if c.err != nil {
-		return nil, c.err
+		return
 	}
-	b, err := wm.Checkpoint()
+	b, err := a.wm.Checkpoint()
 	if err != nil {
-		return nil, err
+		c.fail(err)
+		return
 	}
-	*ckpt = b
+	c.ckpt = b
 
 	// Merge profiling and stats.
-	wm.merge(c.res)
-	c.res.ProfileEvents = append(c.res.ProfileEvents, prof.Events()...)
+	a.wm.merge(c.res)
+	nh := units.NodeHoursFor(a.spec.Nodes, a.spec.Wall)
+	c.res.ProfileEvents = append(c.res.ProfileEvents, a.prof.Events()...)
 	c.res.RunsDone++
-	c.res.TotalNodeHours += units.NodeHoursFor(spec.Nodes, spec.Wall)
-	c.res.MatcherVisits += s.MatcherVisits()
+	c.res.TotalNodeHours += nh
+	c.res.MatcherVisits += a.s.MatcherVisits()
+	c.res.Table1 = append(c.res.Table1, RunLedger{Nodes: a.spec.Nodes, Wall: a.spec.Wall, NodeHours: nh})
+	c.elapsedWall += a.spec.Wall
 
-	if keepTimeline {
-		var tl []TimelinePoint
-		for _, p := range s.Timeline() {
-			tl = append(tl, TimelinePoint{Offset: p.Time.Sub(start), Job: int64(p.Job)})
-		}
-		return tl, nil
+	// Fig. 6 keeps the first placement timeline of each node class.
+	tl := &c.res.Timeline1000
+	if a.spec.Nodes >= 4000 {
+		tl = &c.res.Timeline4000
 	}
-	return nil, nil
+	if a.spec.Nodes >= 1000 && *tl == nil {
+		for _, p := range a.s.Timeline() {
+			*tl = append(*tl, TimelinePoint{Offset: p.Time.Sub(a.start), Job: int64(p.Job)})
+		}
+	}
 }
 
-// bindChaos rebinds the plan's timed fault classes to one allocation's
-// scheduler, machine and coordinator; *runActive gates stale events.
-func (c *Campaign) bindChaos(s *sched.Scheduler, machine *cluster.Machine, wm coordinator, runActive *bool) {
+// startChaos starts the plan on one schedule for the whole campaign: windows
+// are offsets from the epoch, pending faults roll across allocation
+// boundaries, and the timed classes act on whichever allocation is current
+// when they fire (no clock event runs between allocations).
+func (c *Campaign) startChaos() {
 	c.eng.SetHandler(faults.NodeCrash, func(r faults.Rule, rng *rand.Rand) {
-		if !*runActive {
-			return
-		}
-		node := rng.Intn(machine.NumNodes())
+		a := c.cur
+		node := rng.Intn(a.machine.NumNodes())
 		// Bank progress for the sims dying with the node; the workflow
 		// resubmits them and they resume from the banked progress (the
 		// simulations' own checkpoints survive the node).
 		for _, id := range c.sortedActiveIDs() {
-			job, ok := s.Job(id)
+			job, ok := a.s.Job(id)
 			if ok && job.State == sched.Running && allocOnNode(job.Alloc, node) {
 				c.bankActive(id)
 			}
 		}
-		victims := s.Crash(node)
+		victims := a.s.Crash(node)
 		c.res.NodeCrashes++
 		msg := fmt.Sprintf("node-crash node=%d killed=%d recovery=%s", node, len(victims), r.Recovery)
 		c.noteFault(msg)
 		c.eng.Note(msg)
 		c.clk.After(r.Recovery, func() {
-			if !*runActive {
+			if c.cur != a { // due after a's end: the machine is gone
 				return
 			}
-			s.Revive(node)
+			a.s.Revive(node)
 			c.noteFault(fmt.Sprintf("node-revive node=%d", node))
 		})
 	})
 	c.eng.SetHandler(faults.JobHang, func(r faults.Rule, rng *rand.Rand) {
-		if !*runActive {
-			return
-		}
 		ids := c.sortedActiveIDs()
 		if len(ids) == 0 {
 			return
 		}
 		id := ids[rng.Intn(len(ids))]
-		if !s.Hang(id) {
+		if !c.cur.s.Hang(id) {
 			return
 		}
 		// Bank progress up to the wedge; from here the job holds its GPU
@@ -518,23 +523,21 @@ func (c *Campaign) bindChaos(s *sched.Scheduler, machine *cluster.Machine, wm co
 		c.eng.Note(msg)
 	})
 	c.eng.SetHandler(faults.WMCrash, func(r faults.Rule, rng *rand.Rand) {
-		if *runActive {
-			wm.Crash(r, rng)
-		}
+		c.cur.wm.Crash(r, rng)
 	})
+	c.eng.Start()
 }
 
-// heartbeatLine renders one status line: machine occupancy, scheduler
-// queue state, and per-coupling progress — the numbers an operator watches
-// to keep a multi-day allocation alive.
-func (c *Campaign) heartbeatLine(now time.Time, run int, spec RunSpec,
-	machine *cluster.Machine, s *sched.Scheduler, wm coordinator) string {
-	q, running, finished := s.Counts()
+// heartbeatLine renders one status line of allocation a: machine occupancy,
+// scheduler queue state, and per-coupling progress — the numbers an
+// operator watches to keep a multi-day allocation alive.
+func (c *Campaign) heartbeatLine(now time.Time, a *allocation) string {
+	q, running, finished := a.s.Counts()
 	var b strings.Builder
 	fmt.Fprintf(&b, "[%s] run %d (%dn): gpu=%.0f%% cpu=%.0f%% queued=%d running=%d done=%d",
-		now.Format("2006-01-02 15:04"), run, spec.Nodes,
-		machine.GPUOccupancy()*100, machine.CPUOccupancy()*100, q, running, finished)
-	for _, cs := range wm.Stats() {
+		now.Format("2006-01-02 15:04"), c.res.RunsDone+1, a.spec.Nodes,
+		a.machine.GPUOccupancy()*100, a.machine.CPUOccupancy()*100, q, running, finished)
+	for _, cs := range a.wm.Stats() {
 		fmt.Fprintf(&b, " | %s: ready=%d run=%d done=%d fb=%d",
 			cs.Name, cs.Ready, cs.Running, cs.CompletedSims, cs.FeedbackRuns)
 	}
@@ -664,11 +667,7 @@ func (c *Campaign) couplings(cgSlots, aaSlots, nodes int) []core.CouplingSpec {
 // waiting on 1.5–2 h setup jobs, while keeping staleness and CPU burn
 // bounded; the separate MaxSetups cap governs concurrent setup jobs.
 func (c *Campaign) readyTarget(slots int) int {
-	t := int(float64(slots) * c.cfg.InventoryFraction)
-	if t < 2 {
-		t = 2
-	}
-	return t
+	return max(2, int(float64(slots)*c.cfg.InventoryFraction))
 }
 
 // record returns (creating on first use) the persistent record of one
@@ -683,11 +682,8 @@ func (c *Campaign) record(simID string, kind simKind, rng *rand.Rand) *simRecord
 		rec.size = sim.CGParticles(rng)
 		rec.rate = sim.CGPerf{MPIBugEra: c.mpiBugActive()}.Sample(rng, rec.size)
 		// Retirement hazard capped at the 5 µs maximum (see package doc).
-		rec.target = min(sim.CGMaxLength,
-			units.SimTime(rng.ExpFloat64()*float64(c.cfg.RetireMeanCG)))
-		if rec.target < 100*units.Nanosecond {
-			rec.target = 100 * units.Nanosecond
-		}
+		rec.target = max(100*units.Nanosecond, min(sim.CGMaxLength,
+			units.SimTime(rng.ExpFloat64()*float64(c.cfg.RetireMeanCG))))
 		c.res.CGSelected++
 		c.res.CGPerf = append(c.res.CGPerf,
 			PerfSample{Size: rec.size, PerDay: rec.rate.SimFor(24 * time.Hour).Microseconds()})
@@ -696,11 +692,8 @@ func (c *Campaign) record(simID string, kind simKind, rng *rand.Rand) *simRecord
 		rec.rate = sim.AAPerf{}.Sample(rng, rec.size)
 		span := float64(sim.AAMaxLength - sim.AAMinLength)
 		uniform := sim.AAMinLength + units.SimTime(rng.Float64()*span)
-		rec.target = min(uniform,
-			units.SimTime(rng.ExpFloat64()*float64(c.cfg.RetireMeanAA)))
-		if rec.target < units.Nanosecond {
-			rec.target = units.Nanosecond
-		}
+		rec.target = max(units.Nanosecond, min(uniform,
+			units.SimTime(rng.ExpFloat64()*float64(c.cfg.RetireMeanAA))))
 		c.res.AASelected++
 		c.res.AAPerf = append(c.res.AAPerf,
 			PerfSample{Size: rec.size, PerDay: rec.rate.SimFor(24 * time.Hour).Nanoseconds()})

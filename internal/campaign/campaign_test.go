@@ -10,6 +10,7 @@ import (
 	"mummi/internal/dynim"
 	"mummi/internal/sched"
 	"mummi/internal/units"
+	"mummi/internal/vclock"
 )
 
 // smallCfg is a laptop-scale campaign: 3 allocations on a few nodes with
@@ -28,7 +29,6 @@ func smallCfg(seed int64) Config {
 	cfg.SchedMode = sched.Async
 	cfg.ModelStatusLoad = false
 	cfg.FrameCandidateSubsample = 1.0
-	cfg.KeepTimelines = true
 	// Short simulations so several complete within the runs.
 	cfg.RetireMeanCG = 300 * units.Nanosecond
 	cfg.RetireMeanAA = 5 * units.Nanosecond
@@ -302,27 +302,76 @@ func TestFailureInjectionResubmitsWithoutLosingProgress(t *testing.T) {
 	}
 }
 
-// refusingSelector fails every Add; the rest is the embedded selector.
-type refusingSelector struct{ dynim.Selector }
+// refusingSelector fails every Add and notes when it first refused; the
+// rest is the embedded selector.
+type refusingSelector struct {
+	dynim.Selector
+	clk     *vclock.Virtual
+	refused time.Time
+}
 
-func (refusingSelector) Add(dynim.Point) error { return errRefused }
+func (r *refusingSelector) Add(dynim.Point) error {
+	if r.refused.IsZero() {
+		r.refused = r.clk.Now()
+	}
+	return errRefused
+}
 
 var errRefused = errors.New("selector refuses candidates")
 
 // A selector error raised inside a clock callback (the snapshot stream)
-// must come back from Run as an error, not take the process down.
+// must come back from Run as an error, not take the process down, and must
+// stop the campaign at that event.
 func TestSelectorErrorFailsRunWithoutPanic(t *testing.T) {
 	c, err := NewCampaign(smallCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.patchSel = refusingSelector{c.patchSel}
+	sel := &refusingSelector{Selector: c.patchSel, clk: c.clk}
+	c.patchSel = sel
 	res, err := c.Run()
 	if !errors.Is(err, errRefused) {
 		t.Fatalf("Run = %v, %v; want the selector's error", res, err)
 	}
-	if c.clk.Now().Sub(Epoch) > 2*time.Hour {
-		t.Errorf("allocation ran on to %v after the error", c.clk.Now())
+	if sel.refused.IsZero() || !c.clk.Now().Equal(sel.refused) {
+		t.Errorf("campaign stopped at %v; the first refused Add was at %v", c.clk.Now(), sel.refused)
+	}
+}
+
+// TestStepObserver drives a campaign by Step, as a harness-side observer
+// would: between Steps virtual time never goes back, and each allocation
+// adds exactly one to RunsDone and one row to Table 1.
+func TestStepObserver(t *testing.T) {
+	c, err := NewCampaign(smallCfg(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := c.clk.Now()
+	var ends []time.Time
+	for c.Step() {
+		now := c.clk.Now()
+		if now.Before(last) {
+			t.Fatalf("virtual time went back from %v to %v", last, now)
+		}
+		last = now
+		if done := c.res.RunsDone; done != len(ends) {
+			if done != len(ends)+1 || len(c.res.Table1) != done {
+				t.Fatalf("after %d allocations: RunsDone %d, %d Table 1 rows", len(ends), done, len(c.res.Table1))
+			}
+			ends = append(ends, now)
+		}
+	}
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	if len(ends) != 3 {
+		t.Fatalf("%d allocations ended, want 3", len(ends))
+	}
+	at := Epoch
+	for i, spec := range c.schedule {
+		if at = at.Add(spec.Wall); !ends[i].Equal(at) {
+			t.Errorf("allocation %d ended at %v, want %v", i+1, ends[i], at)
+		}
 	}
 }
 

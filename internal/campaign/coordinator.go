@@ -13,8 +13,8 @@ import (
 	"mummi/internal/wmfleet"
 )
 
-// coordinator is what an allocation's rig (runOne) needs from the layer that
-// coordinates its couplings. There are two: soloWM, one workflow manager that
+// coordinator is what an allocation's rig (begin, end) needs from the layer
+// that coordinates its couplings. There are two: soloWM, one manager that
 // a wm-crash restarts from its checkpoint, and fleetWM, N managers sharing
 // coupling ownership through store leases, where a wm-crash kills one
 // instance and a survivor adopts its couplings. Everything else about an

@@ -17,7 +17,7 @@ import (
 // per-sample series (which that JSON omits), of the metrics snapshot, of the
 // Chrome trace export, and of the heartbeat stream. The constants were
 // recorded at c0702be, the commit before the solo and fleet rigs were folded
-// into one, so a change to runOne, the coordinators, the couplings or the
+// into one, so a change to the rig, the coordinators, the couplings or the
 // store stack that moves a single event shows up here — in particular on the
 // solo restart path, which no committed scenario ledger reaches (wm_restarts
 // is 0 in all of them). The two fleet cases' metrics digests were re-recorded

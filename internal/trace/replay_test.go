@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,8 +12,8 @@ import (
 )
 
 // runWithMetrics replays cfg with a fresh telemetry registry attached and
-// returns the result's JSON and the metrics snapshot's JSON.
-func runWithMetrics(t *testing.T, cfg campaign.Config) ([]byte, []byte) {
+// returns the result, its JSON and the metrics snapshot's JSON.
+func runWithMetrics(t *testing.T, cfg campaign.Config) (*campaign.Result, []byte, []byte) {
 	t.Helper()
 	tel := telemetry.New(telemetry.Options{})
 	cfg.Telemetry = tel
@@ -28,21 +29,22 @@ func runWithMetrics(t *testing.T, cfg campaign.Config) ([]byte, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resJSON, metrics
+	return res, resJSON, metrics
 }
 
 // TestImportedTraceReplaysHandConfig is the replay-equivalence gate: a
 // campaign configured by hand and the same campaign round-tripped through
-// export→import produce byte-identical results and metrics snapshots.
+// export→import produce byte-identical results and metrics snapshots, and
+// the same Fig. 6 placement timeline (which the result's JSON leaves out).
 func TestImportedTraceReplaysHandConfig(t *testing.T) {
 	cfg := campaign.DefaultConfig()
 	cfg.Seed = 3
-	cfg.Runs = []campaign.RunSpec{{Nodes: 2, Wall: 2 * time.Hour, Count: 1}}
+	cfg.Runs = []campaign.RunSpec{
+		{Nodes: 2, Wall: 2 * time.Hour, Count: 1},
+		{Nodes: 1000, Wall: time.Hour, Count: 1},
+	}
 	cfg.FrameCandidateSubsample = 0.05
 	cfg.FeedbackEvery = 30 * time.Minute
-	// A trace carries no timeline-capture attachment, so the hand config
-	// must replay without it too for the comparison to be meaningful.
-	cfg.KeepTimelines = false
 
 	tr, err := FromConfig("equivalence", "", cfg)
 	if err != nil {
@@ -61,14 +63,21 @@ func TestImportedTraceReplaysHandConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wantRes, wantMetrics := runWithMetrics(t, cfg)
-	gotRes, gotMetrics := runWithMetrics(t, importedCfg)
+	want, wantRes, wantMetrics := runWithMetrics(t, cfg)
+	got, gotRes, gotMetrics := runWithMetrics(t, importedCfg)
 	if !bytes.Equal(wantRes, gotRes) {
 		t.Errorf("imported replay result diverged from hand-configured replay:\nhand:     %s\nimported: %s",
 			wantRes, gotRes)
 	}
 	if !bytes.Equal(wantMetrics, gotMetrics) {
 		t.Error("imported replay metrics snapshot diverged from hand-configured replay")
+	}
+	if len(want.Timeline1000) == 0 {
+		t.Fatal("the 1000-node allocation recorded no placement timeline")
+	}
+	if !reflect.DeepEqual(got.Timeline1000, want.Timeline1000) || !reflect.DeepEqual(got.Timeline4000, want.Timeline4000) {
+		t.Errorf("imported replay timelines diverged: %d/%d points, hand-configured %d/%d",
+			len(got.Timeline1000), len(got.Timeline4000), len(want.Timeline1000), len(want.Timeline4000))
 	}
 }
 
@@ -81,10 +90,9 @@ func TestTwoScaleReplay(t *testing.T) {
 	cfg.Runs = []campaign.RunSpec{{Nodes: 8, Wall: 6 * time.Hour, Count: 1}}
 	cfg.Scales = campaign.TwoScale
 	cfg.FrameCandidateSubsample = 0.2
-	cfg.KeepTimelines = false
 
-	res1, m1 := runWithMetrics(t, cfg)
-	res2, m2 := runWithMetrics(t, cfg)
+	_, res1, m1 := runWithMetrics(t, cfg)
+	_, res2, m2 := runWithMetrics(t, cfg)
 	if !bytes.Equal(res1, res2) || !bytes.Equal(m1, m2) {
 		t.Fatal("two-scale replay is not deterministic")
 	}

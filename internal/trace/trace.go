@@ -292,8 +292,8 @@ func FromConfig(name, description string, cfg campaign.Config) (*Trace, error) {
 }
 
 // Config converts the trace back into the campaign configuration it
-// records. The result carries no runtime attachments (telemetry, heartbeat,
-// timeline capture); callers wire those afterwards. The conversion is the
+// records. The result carries no runtime attachments (telemetry,
+// heartbeat); callers wire those afterwards. The conversion is the
 // exact inverse of FromConfig: Config(FromConfig(cfg)) equals
 // cfg.WithDefaults() field for field.
 func (t *Trace) Config() (campaign.Config, error) {

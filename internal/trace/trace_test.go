@@ -74,9 +74,8 @@ func TestConfigRoundTrip(t *testing.T) {
 	}
 	want := cfg.WithDefaults()
 	// A trace records only replay semantics; the runtime attachments a
-	// Config can carry (telemetry, heartbeat, timeline capture) are wired by
-	// the importer and come back zero.
-	want.KeepTimelines = false
+	// Config can carry (telemetry, heartbeat) are wired by the importer and
+	// come back zero.
 	want.Telemetry = nil
 	want.HeartbeatEvery = 0
 	want.HeartbeatWriter = nil

@@ -251,6 +251,36 @@ func TestCancelWithinSameTimestampRun(t *testing.T) {
 	}
 }
 
+// TestNextMatchesStep holds Next to the time of the event Step runs next,
+// including when the event ahead of it in the drain batch was canceled
+// while staged.
+func TestNextMatchesStep(t *testing.T) {
+	v := NewVirtual(epoch)
+	var ran []time.Time
+	record := func() { ran = append(ran, v.Now()) }
+	var staged EventID
+	v.After(time.Second, func() { record(); v.Cancel(staged) })
+	staged = v.After(time.Second, record)
+	v.After(3*time.Second, record)
+	v.After(3*time.Second, func() { record(); v.After(0, record) })
+	for {
+		next, ok := v.Next()
+		n := len(ran)
+		if !v.Step() {
+			if ok {
+				t.Fatalf("Next reported %v, but Step ran nothing", next)
+			}
+			break
+		}
+		if !ok || len(ran) != n+1 || !ran[n].Equal(next) {
+			t.Fatalf("Next reported %v (%v); Step ran events at %v", next, ok, ran[n:])
+		}
+	}
+	if len(ran) != 4 {
+		t.Errorf("%d events ran, want 4", len(ran))
+	}
+}
+
 // TestCancelEarlierInRunReturnsFalse pins Cancel-after-fire inside a
 // same-timestamp run: by the time a later event runs, its same-instant
 // predecessor has fired, so canceling it reports false.

@@ -230,7 +230,7 @@ func (v *Virtual) Run() {
 // the deadline (even if the event queue still holds later events).
 func (v *Virtual) RunUntil(deadline time.Time) {
 	for {
-		t, ok := v.peekTime()
+		t, ok := v.Next()
 		if !ok || t.After(deadline) {
 			break
 		}
@@ -260,8 +260,9 @@ func (v *Virtual) peekBatch() *event {
 	return nil
 }
 
-// peekTime reports the earliest pending event time.
-func (v *Virtual) peekTime() (time.Time, bool) {
+// Next reports the time of the event the next Step runs, or false when no
+// events remain.
+func (v *Virtual) Next() (time.Time, bool) {
 	if e := v.peekBatch(); e != nil {
 		return e.at, true
 	}

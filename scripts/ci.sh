@@ -21,6 +21,13 @@ if grep -rq channeldiscipline --include='*.go' .; then
 fi
 go build ./...
 
+# The campaign is a stepper (docs/RESILIENCE.md "The allocation rig"): its
+# clock advances only inside Campaign.Step, so an observer between Steps
+# sees every event.
+test "$(awk '/^func /{f=$0} /\.clk\.(Step|Run|RunUntil|RunFor)\(/{print FILENAME ": " f}' \
+	$(ls internal/campaign/*.go | grep -v _test.go) | sort -u)" = \
+	"internal/campaign/campaign.go: func (c *Campaign) Step() bool {"
+
 # The FPS distance kernel has an assembly body on amd64 only
 # (internal/dynim/fold_amd64.s; go vet's asmdecl checks it above). Every
 # other GOARCH runs the Go loop in fold.go, which is also the definition the
