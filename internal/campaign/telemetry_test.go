@@ -51,7 +51,7 @@ func TestCampaignTelemetryEndToEnd(t *testing.T) {
 	for _, name := range []string{
 		"wm.candidates_total{coupling=continuum-to-cg}", // Task 1
 		"wm.selections_total{coupling=continuum-to-cg}", // Task 2
-		"wm.polls_total",                                // Task 3
+		"wm.polls_total", // Task 3
 		"wm.sims_launched_total{coupling=continuum-to-cg}",
 		"wm.sims_completed_total{coupling=continuum-to-cg}",
 		"wm.feedback_runs_total{coupling=continuum-to-cg}", // Task 4

@@ -194,6 +194,33 @@ func Run(t *testing.T, mk func(t *testing.T) datastore.Store) {
 		}
 	})
 
+	t.Run("MoveWithinNamespaceKeepsValue", func(t *testing.T) {
+		// A move onto the key's own namespace is a no-op, as a Redis RENAME
+		// of a key onto itself is.
+		s := mk(t)
+		defer closeStore(t, s)
+		if err := s.Put("ns", "k", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Move("ns", "k", "ns"); err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Get("ns", "k")
+		if err != nil {
+			t.Fatalf("Get after self-move: %v", err)
+		}
+		if string(got) != "v" {
+			t.Errorf("value after self-move = %q, want v", got)
+		}
+		keys, err := s.Keys("ns")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(keys) != 1 || keys[0] != "k" {
+			t.Errorf("Keys after self-move = %v, want [k]", keys)
+		}
+	})
+
 	t.Run("ManyKeysScanExact", func(t *testing.T) {
 		s := mk(t)
 		defer closeStore(t, s)

@@ -197,7 +197,7 @@ func (s *Memory) Keys(ns string) ([]string, error) {
 	return keys, nil
 }
 
-// Move implements Store.
+// Move implements Store. A move onto the key's own namespace keeps it.
 func (s *Memory) Move(srcNS, key, dstNS string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -205,13 +205,13 @@ func (s *Memory) Move(srcNS, key, dstNS string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s/%s", ErrNotFound, srcNS, key)
 	}
+	delete(s.m[srcNS], key)
 	nsm, ok := s.m[dstNS]
 	if !ok {
 		nsm = make(map[string][]byte)
 		s.m[dstNS] = nsm
 	}
 	nsm[key] = v
-	delete(s.m[srcNS], key)
 	return nil
 }
 

@@ -32,8 +32,8 @@ type Injection struct {
 // ruleState is the mutable scheduling state of one plan rule.
 type ruleState struct {
 	rule    Rule
-	rng     *rand.Rand      // private stream: seed ^ f(rule index)
-	pending vclock.EventID  // armed timer for timed classes
+	rng     *rand.Rand     // private stream: seed ^ f(rule index)
+	pending vclock.EventID // armed timer for timed classes
 	armed   bool
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -14,14 +15,16 @@ import (
 // advances one RTT at a time. The AsyncClient decouples submission from
 // completion:
 //
-//   - each connection has a dedicated writer goroutine and reader
-//     goroutine. The writer drains queued requests, coalesces everything
-//     currently waiting into a single buffered write + flush, and the
-//     reader completes replies in FIFO wire order — so N concurrent
-//     callers share round trips instead of queueing for them;
+//   - a connection has no goroutines of its own. Callers queue commands
+//     and then drive the socket themselves while they wait: one takes the
+//     writer role and flushes everything queued in a single buffered write,
+//     one takes the reader role and completes replies in FIFO wire order.
+//     A serial caller on an idle connection writes and reads on its own
+//     goroutine, with no handoff; N concurrent callers still share one
+//     flush per burst instead of queueing for round trips;
 //   - an in-flight window (ClientOptions.Window) bounds outstanding
-//     requests per connection, providing backpressure instead of
-//     unbounded memory growth when the server stalls;
+//     requests per connection: a submitter that finds it full drives the
+//     connection until a slot frees, instead of buffering without bound;
 //   - a small connection pool (ClientOptions.PoolSize) multiplies the
 //     window. Requests carry an affinity key and all requests with the
 //     same key ride the same connection, so per-key operation order is
@@ -32,12 +35,9 @@ import (
 // the underlying error; recovery (redial, failover to a replica) is the
 // cluster layer's job, where the replacement address is known.
 type AsyncClient struct {
-	addr string
-	opts ClientOptions
-
-	mu     sync.RWMutex
+	addr   string
 	pipes  []*pipe
-	closed bool
+	closed atomic.Bool
 }
 
 // errClientClosed is returned for submissions after Close.
@@ -47,7 +47,7 @@ var errClientClosed = errors.New("kvstore: client closed")
 // addr. Dial failures close any connections already opened.
 func DialAsync(addr string, opts ClientOptions) (*AsyncClient, error) {
 	opts = opts.withDefaults()
-	a := &AsyncClient{addr: addr, opts: opts}
+	a := &AsyncClient{addr: addr}
 	for i := 0; i < opts.PoolSize; i++ {
 		p, err := newPipe(addr, opts)
 		if err != nil {
@@ -72,29 +72,16 @@ func (a *AsyncClient) Do(affinity string, args ...[]byte) (*reply, error) {
 	return c.wait()
 }
 
-// submit enqueues one command without waiting. The returned call completes
-// when the reply (or a transport error) arrives.
-//
-// The send happens outside a.mu: holding even the read lock across a
-// channel send means one stalled pipe (full window, dead server) wedges
-// Close — and, because a pending writer blocks new RLocks, every other
-// pipe's submitters with it. Instead each submitter registers on the
-// pipe's submitter count under the read lock; pipe.close waits for that
-// count to drain before closing reqCh, so the send can never race the
-// close. The Add happens-before Close's write lock, so a submitter that
-// passed the closed check is always awaited.
+// submit queues one command without waiting for its reply; call.wait
+// completes it. A pipe that Close has failed fails the call with
+// errClientClosed, so a submitter racing Close never hangs.
 func (a *AsyncClient) submit(affinity string, args ...[]byte) (*call, error) {
-	c := &call{args: args, done: make(chan struct{})}
-	a.mu.RLock()
-	if a.closed {
-		a.mu.RUnlock()
+	if a.closed.Load() {
 		return nil, errClientClosed
 	}
 	p := a.pipes[a.pick(affinity)]
-	p.subWg.Add(1)
-	a.mu.RUnlock()
-	p.reqCh <- c
-	p.subWg.Done()
+	c := &call{p: p, args: args}
+	p.submit(c)
 	return c, nil
 }
 
@@ -106,66 +93,54 @@ func (a *AsyncClient) pick(affinity string) int {
 	return int(fnv64a(affinity) % uint64(len(a.pipes)))
 }
 
-// Close tears down every connection and fails outstanding requests.
+// Close fails every outstanding request with errClientClosed and closes
+// the connections. It does not wait for a caller stuck in socket I/O:
+// closing the socket is what unsticks it.
 func (a *AsyncClient) Close() error {
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
+	if a.closed.Swap(true) {
 		return nil
 	}
-	a.closed = true
-	pipes := a.pipes
-	a.mu.Unlock()
-	var first error
-	for _, p := range pipes {
-		if err := p.close(); err != nil && first == nil {
-			first = err
-		}
+	var errs []error
+	for _, p := range a.pipes {
+		errs = append(errs, p.fail(errClientClosed))
 	}
-	return first
+	return errors.Join(errs...)
 }
 
 // ---------------------------------------------------------------------------
 // pipe: one pipelined connection
 
-// call is one in-flight request: arguments on the way out, a reply or
-// error on the way back, with done closed at completion.
+// call is one request: arguments on the way out, a reply or error on the
+// way back. rep, err and done are guarded by p.mu.
 type call struct {
+	p    *pipe
 	args [][]byte
 	rep  *reply
 	err  error
-	done chan struct{}
+	done bool
 }
 
-func (c *call) fail(err error) {
-	c.err = err
-	close(c.done)
-}
+// wait drives the call's pipe until the call completes.
+func (c *call) wait() (*reply, error) { return c.p.wait(c) }
 
-func (c *call) wait() (*reply, error) {
-	<-c.done
-	return c.rep, c.err
-}
-
-// pipe is one connection with its writer/reader goroutine pair. The writer
-// owns the buffered writer, the reader owns the buffered reader, and the
-// inflight channel carries calls between them in wire order; its capacity
-// is the in-flight window, so a full window blocks the writer (and
-// transitively submitters) until replies drain — bounded pipelining.
+// pipe is one connection driven by its callers. Calls move pending →
+// inflight → done, each list in wire order. At most one caller holds the
+// writer role (owning w) and at most one the reader role (owning r); a
+// role is claimed under mu, its socket I/O runs with mu released, and its
+// result is settled under mu again.
 type pipe struct {
-	conn     net.Conn
-	w        *bufio.Writer
-	r        *bufio.Reader
-	reqCh    chan *call
-	inflight chan *call
-	opts     ClientOptions
-	wg       sync.WaitGroup
-	// subWg counts submitters currently sending on reqCh (registered under
-	// the client's read lock); close waits for it before closing reqCh.
-	subWg sync.WaitGroup
+	conn net.Conn
+	w    *bufio.Writer
+	r    *bufio.Reader
+	opts ClientOptions
 
-	errMu  sync.Mutex
-	broken error
+	mu       sync.Mutex
+	cond     sync.Cond // signalled whenever a role is released or a call completes
+	pending  []*call   // submitted, not yet handed to a writer
+	inflight []*call   // handed to a writer, awaiting replies
+	writing  bool
+	reading  bool
+	broken   error // the first transport error, or errClientClosed
 }
 
 func newPipe(addr string, opts ClientOptions) (*pipe, error) {
@@ -178,153 +153,132 @@ func newPipe(addr string, opts ClientOptions) (*pipe, error) {
 		conn = opts.WrapConn(conn)
 	}
 	p := &pipe{
-		conn:     conn,
-		w:        bufio.NewWriterSize(conn, ioBufSize),
-		r:        bufio.NewReaderSize(conn, ioBufSize),
-		reqCh:    make(chan *call, opts.Window),
-		inflight: make(chan *call, opts.Window),
-		opts:     opts,
+		conn: conn,
+		w:    bufio.NewWriterSize(conn, ioBufSize),
+		r:    bufio.NewReaderSize(conn, ioBufSize),
+		opts: opts,
 	}
-	p.wg.Add(2)
-	go p.writeLoop()
-	go p.readLoop()
+	p.cond.L = &p.mu
 	return p, nil
 }
 
-// markBroken records the first transport error and closes the socket so
-// the peer goroutine unblocks; all later calls fail with this error. The
-// close happens after errMu is released — a socket teardown can block, and
-// loadErr is on the per-command hot path.
-func (p *pipe) markBroken(err error) {
-	p.errMu.Lock()
-	first := p.broken == nil
-	if first {
-		p.broken = err
-	}
-	p.errMu.Unlock()
-	if first {
-		p.conn.Close() // best-effort: already failing with the first transport error
-	}
-}
-
-func (p *pipe) loadErr() error {
-	p.errMu.Lock()
-	defer p.errMu.Unlock()
-	return p.broken
-}
-
-// writeLoop drains submissions: it blocks for the first queued call, then
-// coalesces everything else currently waiting into the same buffered
-// write, and flushes once — concurrent callers therefore share a single
-// syscall and a single server wakeup per burst, which is where the
-// pipelined throughput comes from.
-func (p *pipe) writeLoop() {
-	defer p.wg.Done()
-	defer close(p.inflight)
-	for c := range p.reqCh {
-		p.writeOne(c)
-		// Coalesce the rest of the burst without blocking.
-		for more := true; more; {
-			select {
-			case c2, ok := <-p.reqCh:
-				if !ok {
-					more = false
-					break
-				}
-				p.writeOne(c2)
-			default:
-				more = false
-			}
+// submit queues c. While the window is full it drives the pipe until the
+// older half of the outstanding calls completes: the replies that free
+// window slots only come back for commands someone writes and someone
+// reads, and a single-goroutine burst larger than the window has nobody
+// else to do it. Freeing half rather than one slot lets the rest of a long
+// burst leave in half-window flushes instead of one flush per command.
+func (p *pipe) submit(c *call) {
+	p.mu.Lock()
+	for p.broken == nil && len(p.pending)+len(p.inflight) >= p.opts.Window {
+		half, queue := (p.opts.Window-1)/2, p.inflight
+		if half >= len(queue) {
+			half, queue = half-len(queue), p.pending
 		}
-		p.flush()
+		target := queue[half]
+		p.mu.Unlock()
+		p.wait(target) //lint:allow errdiscipline -- the target call's owner reads its outcome; this only frees slots
+		p.mu.Lock()
 	}
+	if p.broken != nil {
+		c.done, c.err = true, p.broken
+	} else {
+		p.pending = append(p.pending, c)
+	}
+	p.mu.Unlock()
 }
 
-// writeOne reserves a window slot and buffers one command. When the
-// window is full it flushes before blocking on the slot: the replies
-// that free window slots can only arrive for commands that actually
-// reached the wire, so holding them buffered while waiting would
-// deadlock any burst larger than the window.
-func (p *pipe) writeOne(c *call) {
-	if err := p.loadErr(); err != nil {
-		c.fail(err)
-		return
+// wait drives the pipe until c completes. Each pass claims whichever role
+// has work and no holder — the writer role first, so queued commands reach
+// the wire before anyone blocks on a reply — or sleeps until a role is
+// released or a call completes.
+func (p *pipe) wait(c *call) (*reply, error) {
+	p.mu.Lock()
+	for !c.done {
+		switch {
+		case !p.writing && len(p.pending) > 0:
+			batch := p.pending
+			p.pending = nil
+			p.inflight = append(p.inflight, batch...)
+			p.writing = true
+			p.mu.Unlock()
+			err := p.write(batch)
+			if err != nil {
+				p.fail(err) //lint:allow errdiscipline -- the socket close is best-effort; the calls carry err
+			}
+			p.mu.Lock()
+			p.writing = false
+			p.cond.Broadcast()
+		case !p.reading && len(p.inflight) > 0:
+			p.reading = true
+			p.mu.Unlock()
+			rep, err := p.read()
+			if err != nil {
+				p.fail(err) //lint:allow errdiscipline -- the socket close is best-effort; the calls carry err
+			}
+			p.mu.Lock()
+			p.reading = false
+			if err == nil && p.broken == nil {
+				oldest := p.inflight[0]
+				p.inflight = p.inflight[1:]
+				oldest.done, oldest.rep = true, rep
+			}
+			p.cond.Broadcast()
+		default:
+			p.cond.Wait()
+		}
 	}
-	select {
-	case p.inflight <- c:
-	default:
-		p.flush()
-		p.inflight <- c
-	}
-	if err := writeCommand(p.w, c.args...); err != nil {
-		p.markBroken(err)
-	}
+	rep, err := c.rep, c.err
+	p.mu.Unlock()
+	return rep, err
 }
 
-func (p *pipe) flush() {
-	if p.loadErr() != nil {
-		return
-	}
+// write encodes batch and flushes it once — the writer role's I/O.
+func (p *pipe) write(batch []*call) error {
 	if p.opts.WriteTimeout > 0 {
 		// Socket deadlines are wall-clock by nature; they bound I/O stalls
 		// and never influence replayed state.
 		//lint:allow determinism -- wall-clock socket deadline, invisible to replay state
 		if err := p.conn.SetWriteDeadline(time.Now().Add(p.opts.WriteTimeout)); err != nil {
-			p.markBroken(err)
-			return
+			return err
 		}
 	}
-	if err := p.w.Flush(); err != nil {
-		p.markBroken(err)
+	for _, c := range batch {
+		if err := writeCommand(p.w, c.args...); err != nil {
+			return err
+		}
 	}
+	return p.w.Flush()
 }
 
-// readLoop completes calls in wire order. On a read error it fails the
-// current call, marks the pipe broken, and keeps draining so queued calls
-// fail promptly instead of hanging.
-func (p *pipe) readLoop() {
-	defer p.wg.Done()
-	for c := range p.inflight {
-		if err := p.loadErr(); err != nil {
-			c.fail(err)
-			continue
+// read reads one reply — the reader role's I/O.
+func (p *pipe) read() (*reply, error) {
+	if p.opts.ReadTimeout > 0 {
+		//lint:allow determinism -- wall-clock socket deadline, invisible to replay state
+		if err := p.conn.SetReadDeadline(time.Now().Add(p.opts.ReadTimeout)); err != nil {
+			return nil, err
 		}
-		if p.opts.ReadTimeout > 0 {
-			//lint:allow determinism -- wall-clock socket deadline, invisible to replay state
-			if err := p.conn.SetReadDeadline(time.Now().Add(p.opts.ReadTimeout)); err != nil {
-				p.markBroken(err)
-				c.fail(err)
-				continue
-			}
-		}
-		rep, err := readReply(p.r)
-		if err != nil {
-			p.markBroken(err)
-			c.fail(err)
-			continue
-		}
-		c.rep = rep
-		close(c.done)
 	}
+	return readReply(p.r)
 }
 
-// close shuts the pipe down: in-flight submitters drain (the client's
-// closed flag stops new ones registering), reqCh closes so the writer
-// exits, the reader completes or fails what is left, and both goroutines
-// are joined before the socket result is returned. The socket close
-// happens outside errMu, mirroring markBroken.
-func (p *pipe) close() error {
-	p.subWg.Wait()
-	close(p.reqCh)
-	p.wg.Wait()
-	p.errMu.Lock()
-	wasBroken := p.broken != nil
-	if !wasBroken {
-		p.broken = errClientClosed
+// fail records the pipe's first error, fails every pending and in-flight
+// call with it, and closes the socket — which is what unblocks a role
+// holder stuck in I/O. Later calls are no-ops returning nil.
+func (p *pipe) fail(err error) error {
+	p.mu.Lock()
+	first := p.broken == nil
+	if first {
+		p.broken = err
+		for _, c := range append(p.inflight, p.pending...) {
+			c.done, c.err = true, err
+		}
+		p.inflight, p.pending = nil, nil
+		p.cond.Broadcast()
 	}
-	p.errMu.Unlock()
-	if wasBroken {
-		return nil // socket already closed by markBroken
+	p.mu.Unlock()
+	if !first {
+		return nil
 	}
 	return p.conn.Close()
 }

@@ -117,9 +117,9 @@ func (s *shardConn) client() (*AsyncClient, uint64) {
 // and redials. The caller retries against whatever comes back.
 //
 // The dial and the old client's teardown both happen outside s.mu: a dial
-// can stall for its full timeout and closing the old client joins its
-// writer/reader goroutines, and neither may block the client() fast path
-// every other request on this shard takes. One caller claims the redial
+// can stall for its full timeout and closing the old client closes its
+// sockets, and neither may block the client() fast path every other
+// request on this shard takes. One caller claims the redial
 // (redialing flag); the rest wait on the condvar and re-check the
 // generation when woken.
 func (s *shardConn) recover(c *Cluster, gen uint64) (*AsyncClient, uint64, error) {
@@ -174,37 +174,31 @@ func (c *Cluster) do(placement string, args ...[]byte) (*reply, error) {
 }
 
 // doOnShard is do for an explicit shard index (scatter operations are not
-// placed by key). Every failed attempt recovers the shard connection —
-// failing over to the other node when one exists — before retrying.
-func (c *Cluster) doOnShard(i int, placement string, args ...[]byte) (*reply, error) {
-	sc := c.shards[i]
-	cl, gen := sc.client()
-	var rep *reply
-	first := true
-	_, err := c.opts.Retry.Do(time.Sleep, nil, func() error {
-		if !first {
-			var rerr error
-			if cl, gen, rerr = sc.recover(c, gen); rerr != nil {
-				return rerr
-			}
-		}
-		first = false
-		var derr error
+// placed by key).
+func (c *Cluster) doOnShard(i int, placement string, args ...[]byte) (rep *reply, err error) {
+	err = c.shards[i].retry(c, func(cl *AsyncClient) (derr error) {
 		rep, derr = cl.Do(placement, args...)
 		return derr
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return rep, err
 }
 
 // doBatch pipelines many commands onto one shard and waits for all
 // replies. On any transport error the whole batch is retried (after
 // recovery) — at-least-once, per the cluster contract.
-func (sc *shardConn) doBatch(c *Cluster, placements []string, cmds [][][]byte) ([]*reply, error) {
+func (sc *shardConn) doBatch(c *Cluster, placements []string, cmds [][][]byte) (reps []*reply, err error) {
+	err = sc.retry(c, func(cl *AsyncClient) (berr error) {
+		reps, berr = submitAll(cl, placements, cmds)
+		return berr
+	})
+	return reps, err
+}
+
+// retry runs op against the shard's client under the cluster's retry
+// policy. Every failed attempt recovers the shard connection — failing
+// over to the other node when one exists — before the next.
+func (sc *shardConn) retry(c *Cluster, op func(*AsyncClient) error) error {
 	cl, gen := sc.client()
-	var reps []*reply
 	first := true
 	_, err := c.opts.Retry.Do(time.Sleep, nil, func() error {
 		if !first {
@@ -214,14 +208,9 @@ func (sc *shardConn) doBatch(c *Cluster, placements []string, cmds [][][]byte) (
 			}
 		}
 		first = false
-		var berr error
-		reps, berr = submitAll(cl, placements, cmds)
-		return berr
+		return op(cl)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return reps, nil
+	return err
 }
 
 // submitAll enqueues every command before waiting on any reply — the

@@ -9,7 +9,9 @@
 package kvstore
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -21,22 +23,81 @@ var ErrNoSuchKey = errors.New("kvstore: no such key")
 // Engine is the in-memory keyspace. It is safe for concurrent use and is
 // shared by the embedded (in-process) and networked paths, so behaviour is
 // identical whichever way a component connects.
+//
+// The keyspace is partitioned by namespace: m maps a partition name — a
+// key's prefix through its first nsSep, or "" when it has none — to that
+// partition's keys. A KEYS "ns:*" scan walks one namespace, not the shard.
+// Every write goes through put and take.
 type Engine struct {
 	mu sync.RWMutex
-	m  map[string][]byte
+	m  map[string]map[string][]byte
 }
 
 // NewEngine returns an empty engine.
-func NewEngine() *Engine { return &Engine{m: make(map[string][]byte)} }
+func NewEngine() *Engine { return &Engine{m: make(map[string]map[string][]byte)} }
+
+// partOf names key's partition.
+func partOf(key string) string { return key[:strings.IndexByte(key, nsSep[0])+1] }
+
+// partOfBytes is partOf for a wire argument; indexing e.m with
+// string(partOfBytes(k)) does not allocate.
+func partOfBytes(key []byte) []byte { return key[:bytes.IndexByte(key, nsSep[0])+1] }
+
+// put stores value under key. Caller holds e.mu for writing.
+func (e *Engine) put(key string, value []byte) {
+	name := partOf(key)
+	part := e.m[name]
+	if part == nil {
+		part = make(map[string][]byte)
+		e.m[strings.Clone(name)] = part
+	}
+	part[key] = value
+}
+
+// take removes key and returns its value. Caller holds e.mu for writing.
+// An emptied partition stays, with its buckets, for the next round of
+// writes to that namespace.
+func (e *Engine) take(key string) ([]byte, bool) {
+	part := e.m[partOf(key)]
+	v, ok := part[key]
+	delete(part, key)
+	return v, ok
+}
+
+// partitions names, sorted, the partitions that can hold a key starting
+// with prefix: prefix's own, and for a prefix without nsSep also every
+// partition it prefixes. Caller holds e.mu.
+func (e *Engine) partitions(prefix string) []string {
+	var names []string
+	for name := range e.m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return slices.DeleteFunc(names, func(name string) bool {
+		return name != partOf(prefix) && !strings.HasPrefix(name, prefix)
+	})
+}
+
+// match returns the keys starting with prefix, unordered. Caller holds e.mu.
+func (e *Engine) match(prefix string) []string {
+	var out []string
+	for _, name := range e.partitions(prefix) {
+		for k := range e.m[name] { //lint:allow determinism -- every caller sorts the matches
+			if strings.HasPrefix(k, prefix) {
+				out = append(out, k)
+			}
+		}
+	}
+	return out
+}
 
 // Set stores value under key. The stored copy is always non-nil so that an
 // empty value stays distinguishable from a missing key on the wire (RESP
 // encodes missing as a nil bulk string, empty as a zero-length one).
 func (e *Engine) Set(key string, value []byte) {
-	v := make([]byte, len(value))
-	copy(v, value)
+	v := clone(value)
 	e.mu.Lock()
-	e.m[key] = v
+	e.put(key, v)
 	e.mu.Unlock()
 }
 
@@ -57,7 +118,7 @@ func (e *Engine) setOwned(key string, value []byte) {
 		value = []byte{}
 	}
 	e.mu.Lock()
-	e.m[key] = value
+	e.put(key, value)
 	e.mu.Unlock()
 }
 
@@ -71,7 +132,7 @@ func (e *Engine) msetOwned(kv [][]byte) {
 		if v == nil {
 			v = []byte{}
 		}
-		e.m[string(kv[i])] = v
+		e.put(string(kv[i]), v)
 	}
 	e.mu.Unlock()
 }
@@ -79,7 +140,7 @@ func (e *Engine) msetOwned(kv [][]byte) {
 // Get returns the value at key.
 func (e *Engine) Get(key string) ([]byte, error) {
 	e.mu.RLock()
-	v, ok := e.m[key]
+	v, ok := e.m[partOf(key)][key]
 	e.mu.RUnlock()
 	if !ok {
 		return nil, ErrNoSuchKey
@@ -94,7 +155,7 @@ func (e *Engine) Get(key string) ([]byte, error) {
 // Callers must not mutate the result.
 func (e *Engine) getRef(key []byte) ([]byte, bool) {
 	e.mu.RLock()
-	v, ok := e.m[string(key)]
+	v, ok := e.m[string(partOfBytes(key))][string(key)]
 	e.mu.RUnlock()
 	return v, ok
 }
@@ -105,7 +166,7 @@ func (e *Engine) mgetRef(keys [][]byte) [][]byte {
 	out := make([][]byte, len(keys))
 	e.mu.RLock()
 	for i, k := range keys {
-		if v, ok := e.m[string(k)]; ok {
+		if v, ok := e.m[string(partOfBytes(k))][string(k)]; ok {
 			out[i] = v
 		}
 	}
@@ -119,8 +180,7 @@ func (e *Engine) Del(keys ...string) int {
 	defer e.mu.Unlock()
 	n := 0
 	for _, k := range keys {
-		if _, ok := e.m[k]; ok {
-			delete(e.m, k)
+		if _, ok := e.take(k); ok {
 			n++
 		}
 	}
@@ -130,43 +190,39 @@ func (e *Engine) Del(keys ...string) int {
 // Exists reports whether key is present.
 func (e *Engine) Exists(key string) bool {
 	e.mu.RLock()
-	_, ok := e.m[key]
+	_, ok := e.m[partOf(key)][key]
 	e.mu.RUnlock()
 	return ok
 }
 
 // Keys returns all keys matching pattern, sorted. Patterns are literal
 // strings with an optional single trailing '*' wildcard — the only form the
-// workflow uses (namespace prefixes like "rdf:new:*").
+// workflow uses (namespace prefixes like "rdf:new:*"). Only the partitions
+// the pattern can match are walked, and the matches are sorted after the
+// read lock is released, so writers wait for the walk alone.
 func (e *Engine) Keys(pattern string) []string {
 	prefix, wildcard := strings.CutSuffix(pattern, "*")
 	e.mu.RLock()
-	defer e.mu.RUnlock()
-	all := make([]string, 0, len(e.m))
-	for k := range e.m {
-		all = append(all, k)
+	out := e.match(prefix)
+	e.mu.RUnlock()
+	if !wildcard {
+		out = slices.DeleteFunc(out, func(k string) bool { return k != pattern })
 	}
-	sort.Strings(all)
-	out := all[:0]
-	for _, k := range all {
-		if wildcard && strings.HasPrefix(k, prefix) || !wildcard && k == pattern {
-			out = append(out, k)
-		}
-	}
+	sort.Strings(out)
 	return out
 }
 
 // Rename moves the value at src to dst, the primitive behind feedback
-// tagging ("renaming keys in the database").
+// tagging ("renaming keys in the database"). Renaming a key onto itself
+// keeps it, as in Redis.
 func (e *Engine) Rename(src, dst string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	v, ok := e.m[src]
+	v, ok := e.take(src)
 	if !ok {
 		return ErrNoSuchKey
 	}
-	e.m[dst] = v
-	delete(e.m, src)
+	e.put(dst, v)
 	return nil
 }
 
@@ -176,7 +232,7 @@ func (e *Engine) MGet(keys ...string) [][]byte {
 	defer e.mu.RUnlock()
 	out := make([][]byte, len(keys))
 	for i, k := range keys {
-		if v, ok := e.m[k]; ok {
+		if v, ok := e.m[partOf(k)][k]; ok {
 			out[i] = clone(v)
 		}
 	}
@@ -187,12 +243,16 @@ func (e *Engine) MGet(keys ...string) [][]byte {
 func (e *Engine) Size() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return len(e.m)
+	n := 0
+	for _, name := range e.partitions("") {
+		n += len(e.m[name])
+	}
+	return n
 }
 
 // Flush removes every key.
 func (e *Engine) Flush() {
 	e.mu.Lock()
-	e.m = make(map[string][]byte)
+	e.m = make(map[string]map[string][]byte)
 	e.mu.Unlock()
 }

@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -75,6 +78,13 @@ func TestEngineRename(t *testing.T) {
 	if err := e.Rename("new:f1", "x"); !errors.Is(err, ErrNoSuchKey) {
 		t.Errorf("rename missing = %v", err)
 	}
+	// A rename onto itself keeps the key, as in Redis.
+	if err := e.Rename("done:f1", "done:f1"); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := e.Get("done:f1"); err != nil || string(v) != "rdf" {
+		t.Errorf("after self-rename Get = %q, %v", v, err)
+	}
 }
 
 func TestEngineMGetAndFlush(t *testing.T) {
@@ -107,35 +117,62 @@ func TestEngineValueIsolation(t *testing.T) {
 	}
 }
 
+// TestPropertyEngineMatchesMap drives the partitioned engine and a flat
+// map through the same random Set / Del / Rename (within and across
+// namespaces, onto itself included) / Flush / snapshot round trip, and
+// checks every KEYS pattern form against a brute-force scan-and-sort of
+// the map.
 func TestPropertyEngineMatchesMap(t *testing.T) {
+	keys := []string{"a:k0", "a:k1", "a:x:k2", "ab:k0", "b:k1", "k0", "k1", "ab"}
+	patterns := []string{"*", "a:*", "ab:*", "a:k*", "a:x:*", "a*", "ab*", "k*", "z*", ":*", "a:k0", "ab", "zz", ""}
+	snap := filepath.Join(t.TempDir(), "engine.snap")
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
 		model := map[string]string{}
-		keys := []string{"k0", "k1", "k2", "k3", "k4"}
-		for i := 0; i < 200; i++ {
+		for i := 0; i < 300; i++ {
 			k := keys[rng.Intn(len(keys))]
-			switch rng.Intn(3) {
-			case 0:
+			switch op := rng.Intn(20); {
+			case op < 7:
 				v := fmt.Sprintf("v%d", i)
 				e.Set(k, []byte(v))
 				model[k] = v
-			case 1:
+			case op < 10:
 				_, inModel := model[k]
 				if (e.Del(k) == 1) != inModel {
 					return false
 				}
 				delete(model, k)
-			case 2:
-				dst := keys[rng.Intn(len(keys))] + "-r"
+			case op < 15:
+				dst := keys[rng.Intn(len(keys))]
 				v, inModel := model[k]
-				err := e.Rename(k, dst)
-				if (err == nil) != inModel {
+				if err := e.Rename(k, dst); (err == nil) != inModel {
 					return false
 				}
 				if inModel {
 					delete(model, k)
 					model[dst] = v
+				}
+			case op < 18:
+				pat := patterns[rng.Intn(len(patterns))]
+				if got, want := e.Keys(pat), scanKeys(model, pat); !slices.Equal(got, want) {
+					t.Logf("Keys(%q) = %q, want %q", pat, got, want)
+					return false
+				}
+			case op < 19:
+				if err := e.SaveFile(snap); err != nil {
+					t.Log(err)
+					return false
+				}
+				e = NewEngine()
+				if err := e.LoadFile(snap); err != nil {
+					t.Log(err)
+					return false
+				}
+			default:
+				if rng.Intn(4) == 0 {
+					e.Flush()
+					clear(model)
 				}
 			}
 		}
@@ -153,6 +190,19 @@ func TestPropertyEngineMatchesMap(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// scanKeys is the KEYS oracle: every key of model matching pattern, sorted.
+func scanKeys(model map[string]string, pattern string) []string {
+	prefix, wildcard := strings.CutSuffix(pattern, "*")
+	var out []string
+	for k := range model {
+		if wildcard && strings.HasPrefix(k, prefix) || !wildcard && k == pattern {
+			out = append(out, k)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // ---------------------------------------------------------------------------

@@ -32,22 +32,19 @@ func (e *Engine) Save(w io.Writer) error {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(e.m))); err != nil {
-		return err
-	}
 	// Entries are written in sorted key order so that equal keyspaces always
 	// produce byte-identical snapshots (and map iteration order never leaks
 	// into persisted artifacts).
-	keys := make([]string, 0, len(e.m))
-	for k := range e.m {
-		keys = append(keys, k)
-	}
+	keys := e.match("")
 	sort.Strings(keys)
+	if err := binary.Write(bw, binary.LittleEndian, uint64(len(keys))); err != nil {
+		return err
+	}
 	for _, k := range keys {
 		if err := writeEntry(bw, []byte(k)); err != nil {
 			return err
 		}
-		if err := writeEntry(bw, e.m[k]); err != nil {
+		if err := writeEntry(bw, e.m[partOf(k)][k]); err != nil {
 			return err
 		}
 	}
@@ -76,7 +73,7 @@ func (e *Engine) Load(r io.Reader) error {
 	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
 		return fmt.Errorf("kvstore: short snapshot header: %w", err)
 	}
-	m := make(map[string][]byte, count)
+	fresh := NewEngine()
 	for i := uint64(0); i < count; i++ {
 		k, err := readEntry(br)
 		if err != nil {
@@ -86,10 +83,10 @@ func (e *Engine) Load(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("kvstore: snapshot value %d: %w", i, err)
 		}
-		m[string(k)] = v
+		fresh.put(string(k), v)
 	}
 	e.mu.Lock()
-	e.m = m
+	e.m = fresh.m
 	e.mu.Unlock()
 	return nil
 }

@@ -125,10 +125,11 @@ func (s *Store) Keys(ns string) ([]string, error) {
 
 // Move implements datastore.Store: copy into the destination archive, then
 // drop the source index entry. This is exactly the paper's "moving files to
-// tar archives" tagging primitive.
+// tar archives" tagging primitive. A move onto the key's own namespace keeps
+// it.
 func (s *Store) Move(srcNS, key, dstNS string) error {
 	b, err := s.Get(srcNS, key)
-	if err != nil {
+	if err != nil || srcNS == dstNS {
 		return err
 	}
 	if err := s.Put(dstNS, key, b); err != nil {

@@ -130,20 +130,24 @@ func TestParseRejectsUnknownFieldsAndTrailingData(t *testing.T) {
 
 func TestValidateRejectsBadTraces(t *testing.T) {
 	mutations := map[string]func(*Trace){
-		"bad name":            func(tr *Trace) { tr.Name = "Bad Name" },
-		"empty topology":      func(tr *Trace) { tr.Topology = nil },
-		"one node":            func(tr *Trace) { tr.Topology[0].Nodes = 1 },
-		"zero wall":           func(tr *Trace) { tr.Topology[0].Wall = 0 },
-		"zero count":          func(tr *Trace) { tr.Topology[0].Count = 0 },
-		"bad scale mode":      func(tr *Trace) { tr.Scales.Mode = "four-scale" },
-		"zero cg share":       func(tr *Trace) { tr.Scales.CGShare = 0 },
-		"zero subsample":      func(tr *Trace) { tr.Workload.FrameCandidateSubsample = 0 },
-		"zero mpi fraction":   func(tr *Trace) { tr.Workload.MPIBugFraction = 0 },
-		"zero retire mean":    func(tr *Trace) { tr.Workload.RetireMeanCGFs = 0 },
-		"bad policy":          func(tr *Trace) { tr.Scheduler.Policy = "best-fit" },
-		"bad mode":            func(tr *Trace) { tr.Scheduler.Mode = "half-duplex" },
-		"zero poll":           func(tr *Trace) { tr.Scheduler.PollEvery = 0 },
-		"all costs zero":      func(tr *Trace) { tr.Scheduler.SubmitMsgCost = 0; tr.Scheduler.StatusMsgCost = 0; tr.Scheduler.VertexVisitCost = 0 },
+		"bad name":          func(tr *Trace) { tr.Name = "Bad Name" },
+		"empty topology":    func(tr *Trace) { tr.Topology = nil },
+		"one node":          func(tr *Trace) { tr.Topology[0].Nodes = 1 },
+		"zero wall":         func(tr *Trace) { tr.Topology[0].Wall = 0 },
+		"zero count":        func(tr *Trace) { tr.Topology[0].Count = 0 },
+		"bad scale mode":    func(tr *Trace) { tr.Scales.Mode = "four-scale" },
+		"zero cg share":     func(tr *Trace) { tr.Scales.CGShare = 0 },
+		"zero subsample":    func(tr *Trace) { tr.Workload.FrameCandidateSubsample = 0 },
+		"zero mpi fraction": func(tr *Trace) { tr.Workload.MPIBugFraction = 0 },
+		"zero retire mean":  func(tr *Trace) { tr.Workload.RetireMeanCGFs = 0 },
+		"bad policy":        func(tr *Trace) { tr.Scheduler.Policy = "best-fit" },
+		"bad mode":          func(tr *Trace) { tr.Scheduler.Mode = "half-duplex" },
+		"zero poll":         func(tr *Trace) { tr.Scheduler.PollEvery = 0 },
+		"all costs zero": func(tr *Trace) {
+			tr.Scheduler.SubmitMsgCost = 0
+			tr.Scheduler.StatusMsgCost = 0
+			tr.Scheduler.VertexVisitCost = 0
+		},
 		"bad fault class":     func(tr *Trace) { tr.FaultPlan.Rules[0].Class = "meteor-strike" },
 		"zero inventory frac": func(tr *Trace) { tr.Selection.InventoryFraction = 0 },
 	}

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Minimal CI gate: static analysis first (vet + the project's own analyzer
+# Minimal CI gate: static analysis first (gofmt, vet + the project's own analyzer
 # suite, cmd/mummi-lint, stale-suppression audit included), then build, the
 # full test suite, and the race-detector pass over the whole module. Mirrors
 # the Makefile targets; stdlib toolchain only, no external dependencies.
@@ -8,6 +8,7 @@ set -eux
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
+test -z "$(gofmt -l .)"
 go vet ./...
 go run ./cmd/mummi-lint ./...
 
