@@ -64,11 +64,11 @@ type Campaign struct {
 	frameSel *dynim.Binned
 
 	// Task-4 state (wired when Config.FeedbackEvery > 0): frame records
-	// flow through fbStore's active namespaces and the modeled managers
+	// flow through fbStore's active namespaces and the feedback passes
 	// move them out ("tagging"). fbSeq numbers records deterministically.
 	fbStore datastore.Store
-	cgFB    *modeledFeedback
-	aaFB    *modeledFeedback
+	cgFB    *feedbackPass
+	aaFB    *feedbackPass
 	fbSeq   int64
 
 	// eng injects the chaos plan (nil when Config.Faults is nil).
@@ -156,10 +156,8 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 	}
 	if cfg.FeedbackEvery > 0 {
 		c.fbStore = c.newStore()
-		c.cgFB = &modeledFeedback{name: "cg-to-continuum", store: c.fbStore,
-			srcNS: "cg-active", dstNS: "cg-done", perProcess: fbCGProcess}
-		c.aaFB = &modeledFeedback{name: "aa-to-cg", store: c.fbStore,
-			srcNS: "aa-active", dstNS: "aa-done", perProcess: fbAAProcess}
+		c.cgFB = &feedbackPass{name: "cg-to-continuum", store: c.fbStore, srcNS: "cg-active", dstNS: "cg-done"}
+		c.aaFB = &feedbackPass{name: "aa-to-cg", store: c.fbStore, srcNS: "aa-active", dstNS: "aa-done"}
 	}
 	if cfg.WMInstances > 1 {
 		// The fleet's lease/checkpoint traffic crosses the same armored
@@ -620,7 +618,7 @@ func (c *Campaign) couplings(cgSlots, aaSlots, nodes int) []core.CouplingSpec {
 		setupCores         int
 		setupMean          time.Duration
 		simName            string
-		feedback           *modeledFeedback
+		feedback           *feedbackPass
 		slots, setupTarget int
 	}{
 		{"continuum-to-cg", "cg:", kindCG, c.patchSel, "createsim", sim.CreatesimCores,
@@ -750,7 +748,7 @@ func (c *Campaign) settle(simID string, delta units.SimTime, final bool) {
 		c.res.Bytes += framesDelta * int64(sim.AAFrameBytes)
 		if framesDelta > 0 {
 			c.fbSeq++
-			c.fbPut("aa-active", fmt.Sprintf("f%012d", c.fbSeq), 128)
+			c.fbPut("aa-active", fmt.Sprintf("f%012d", c.fbSeq))
 		}
 	}
 	if final || rec.progress >= rec.target {
@@ -782,7 +780,7 @@ func (c *Campaign) accountCG(simID string, rec *simRecord) {
 	if frames > 0 {
 		// One RDF batch record per settle feeds the CG→continuum loop.
 		c.fbSeq++
-		c.fbPut("cg-active", fmt.Sprintf("f%012d", c.fbSeq), 128)
+		c.fbPut("cg-active", fmt.Sprintf("f%012d", c.fbSeq))
 	}
 
 	c.candAcc += us * c.cfg.FrameCandidatesPerUs

@@ -36,11 +36,11 @@ type ArmorOptions struct {
 //	store.gaveup_total  — operations that exhausted the attempt budget
 //	store.backoff_ms    — histogram of scheduled backoff delays
 //
-// Like Instrument, Armor is capability-preserving: the returned Store
-// satisfies exactly the BatchGetter/BatchMover extensions the wrapped store
-// does. Compose the two as Armor(Instrument(s, …), …) when both are wanted:
-// the inner Instrument then observes every physical attempt while Armor's
-// counters report the retry discipline.
+// Like Instrument, Armor is capability-preserving (Extend): the returned
+// Store satisfies exactly the BatchGetter/BatchMover extensions the wrapped
+// store does. Compose the two as Armor(Instrument(s, …), …) when both are
+// wanted: the inner Instrument then observes every physical attempt while
+// Armor's counters report the retry discipline.
 func Armor(s Store, tel *telemetry.Telemetry, backend string, opts ArmorOptions) Store {
 	if s == nil {
 		return nil
@@ -51,19 +51,8 @@ func Armor(s Store, tel *telemetry.Telemetry, backend string, opts ArmorOptions)
 	if opts.Retryable == nil {
 		opts.Retryable = func(err error) bool { return errors.Is(err, ErrTransient) }
 	}
-	base := armored{s: s, tel: tel, backend: backend, opts: opts}
-	bg, hasBG := s.(BatchGetter)
-	bm, hasBM := s.(BatchMover)
-	switch {
-	case hasBG && hasBM:
-		return &armoredBatchBoth{armored: base, bg: bg, bm: bm}
-	case hasBG:
-		return &armoredBatchGet{armored: base, bg: bg}
-	case hasBM:
-		return &armoredBatchMove{armored: base, bm: bm}
-	default:
-		return &armored{s: s, tel: tel, backend: backend, opts: opts}
-	}
+	a := &armored{s: s, tel: tel, backend: backend, opts: opts}
+	return Extend(s, a, a.getBatch, a.moveBatch)
 }
 
 type armored struct {
@@ -133,52 +122,16 @@ func (a *armored) Move(srcNS, key, dstNS string) error {
 // Close implements Store. Close is not retried: teardown errors are final.
 func (a *armored) Close() error { return a.s.Close() }
 
-type armoredBatchGet struct {
-	armored
-	bg BatchGetter
-}
-
-// GetBatch implements BatchGetter.
-func (a *armoredBatchGet) GetBatch(ns string, keys []string) (map[string][]byte, error) {
-	return a.getBatch(a.bg, ns, keys)
-}
-
-type armoredBatchMove struct {
-	armored
-	bm BatchMover
-}
-
-// MoveBatch implements BatchMover.
-func (a *armoredBatchMove) MoveBatch(srcNS string, keys []string, dstNS string) error {
-	return a.moveBatch(a.bm, srcNS, keys, dstNS)
-}
-
-type armoredBatchBoth struct {
-	armored
-	bg BatchGetter
-	bm BatchMover
-}
-
-// GetBatch implements BatchGetter.
-func (a *armoredBatchBoth) GetBatch(ns string, keys []string) (map[string][]byte, error) {
-	return a.getBatch(a.bg, ns, keys)
-}
-
-// MoveBatch implements BatchMover.
-func (a *armoredBatchBoth) MoveBatch(srcNS string, keys []string, dstNS string) error {
-	return a.moveBatch(a.bm, srcNS, keys, dstNS)
-}
-
-func (a *armored) getBatch(bg BatchGetter, ns string, keys []string) (map[string][]byte, error) {
+func (a *armored) getBatch(ns string, keys []string) (map[string][]byte, error) {
 	var m map[string][]byte
 	err := a.do(func() error {
 		var err error
-		m, err = bg.GetBatch(ns, keys)
+		m, err = a.s.(BatchGetter).GetBatch(ns, keys)
 		return err
 	})
 	return m, err
 }
 
-func (a *armored) moveBatch(bm BatchMover, srcNS string, keys []string, dstNS string) error {
-	return a.do(func() error { return bm.MoveBatch(srcNS, keys, dstNS) })
+func (a *armored) moveBatch(srcNS string, keys []string, dstNS string) error {
+	return a.do(func() error { return a.s.(BatchMover).MoveBatch(srcNS, keys, dstNS) })
 }

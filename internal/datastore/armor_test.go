@@ -77,29 +77,6 @@ func (f *flakyStore) Move(srcNS, key, dstNS string) error {
 	return f.Store.Move(srcNS, key, dstNS)
 }
 
-// armorBatchMemory augments Memory with both batch capabilities for the
-// capability-preservation test.
-type armorBatchMemory struct{ *datastore.Memory }
-
-func (b armorBatchMemory) GetBatch(ns string, keys []string) (map[string][]byte, error) {
-	out := make(map[string][]byte, len(keys))
-	for _, k := range keys {
-		if v, err := b.Get(ns, k); err == nil {
-			out[k] = v
-		}
-	}
-	return out, nil
-}
-
-func (b armorBatchMemory) MoveBatch(srcNS string, keys []string, dstNS string) error {
-	for _, k := range keys {
-		if err := b.Move(srcNS, k, dstNS); err != nil && !errors.Is(err, datastore.ErrNotFound) {
-			return err
-		}
-	}
-	return nil
-}
-
 // TestArmorConformance runs the full Store conformance suite over an
 // Armor-wrapped memory store — and again over a flaky double whose every
 // operation fails transiently twice before succeeding, which the armor's
@@ -170,38 +147,6 @@ func TestArmorDoesNotRetryPermanentOrMiss(t *testing.T) {
 	}
 	if got := reg.Counter("store.gaveup_total{backend=memory}").Value(); got != 0 {
 		t.Errorf("gaveup_total = %d, want 0", got)
-	}
-}
-
-func TestArmorPreservesCapabilities(t *testing.T) {
-	tel := telemetry.Nop()
-
-	plain := datastore.Armor(datastore.NewMemory(), tel, "memory", datastore.ArmorOptions{})
-	if _, ok := plain.(datastore.BatchGetter); ok {
-		t.Fatal("plain store should not gain BatchGetter")
-	}
-	if _, ok := plain.(datastore.BatchMover); ok {
-		t.Fatal("plain store should not gain BatchMover")
-	}
-
-	both := datastore.Armor(armorBatchMemory{datastore.NewMemory()}, tel, "memory", datastore.ArmorOptions{})
-	bg, ok := both.(datastore.BatchGetter)
-	if !ok {
-		t.Fatal("batch store lost BatchGetter")
-	}
-	bm, ok := both.(datastore.BatchMover)
-	if !ok {
-		t.Fatal("batch store lost BatchMover")
-	}
-	if err := both.Put("ns", "a", []byte("xy")); err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	got, err := bg.GetBatch("ns", []string{"a"})
-	if err != nil || string(got["a"]) != "xy" {
-		t.Fatalf("GetBatch: %v %v", got, err)
-	}
-	if err := bm.MoveBatch("ns", []string{"a"}, "done"); err != nil {
-		t.Fatalf("MoveBatch: %v", err)
 	}
 }
 

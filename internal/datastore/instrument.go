@@ -13,10 +13,9 @@ import (
 // campaign's stores distinguishable when several backends run side by side
 // (the paper's deployments mix files, tar archives, and the database).
 //
-// The wrapper preserves the optional BatchGetter/BatchMover capabilities:
-// the returned Store satisfies exactly the extensions the wrapped store
-// does, so feedback loops still pick their batched paths by type
-// assertion.
+// The wrapper preserves the optional BatchGetter/BatchMover capabilities
+// (Extend): the returned Store satisfies exactly the extensions the wrapped
+// store does, counted as get_batch/move_batch ops.
 func Instrument(s Store, tel *telemetry.Telemetry, backend string) Store {
 	if s == nil {
 		return nil
@@ -24,19 +23,8 @@ func Instrument(s Store, tel *telemetry.Telemetry, backend string) Store {
 	if tel == nil {
 		tel = telemetry.Nop()
 	}
-	base := instrumented{s: s, tel: tel, backend: backend}
-	bg, hasBG := s.(BatchGetter)
-	bm, hasBM := s.(BatchMover)
-	switch {
-	case hasBG && hasBM:
-		return &instrumentedBatchBoth{instrumented: base, bg: bg, bm: bm}
-	case hasBG:
-		return &instrumentedBatchGet{instrumented: base, bg: bg}
-	case hasBM:
-		return &instrumentedBatchMove{instrumented: base, bm: bm}
-	default:
-		return &instrumented{s: s, tel: tel, backend: backend}
-	}
+	d := &instrumented{s: s, tel: tel, backend: backend}
+	return Extend(s, d, d.getBatch, d.moveBatch)
 }
 
 type instrumented struct {
@@ -112,45 +100,9 @@ func (d *instrumented) Move(srcNS, key, dstNS string) error {
 // Close implements Store.
 func (d *instrumented) Close() error { return d.s.Close() }
 
-type instrumentedBatchGet struct {
-	instrumented
-	bg BatchGetter
-}
-
-// GetBatch implements BatchGetter.
-func (d *instrumentedBatchGet) GetBatch(ns string, keys []string) (map[string][]byte, error) {
-	return d.getBatch(d.bg, ns, keys)
-}
-
-type instrumentedBatchMove struct {
-	instrumented
-	bm BatchMover
-}
-
-// MoveBatch implements BatchMover.
-func (d *instrumentedBatchMove) MoveBatch(srcNS string, keys []string, dstNS string) error {
-	return d.moveBatch(d.bm, srcNS, keys, dstNS)
-}
-
-type instrumentedBatchBoth struct {
-	instrumented
-	bg BatchGetter
-	bm BatchMover
-}
-
-// GetBatch implements BatchGetter.
-func (d *instrumentedBatchBoth) GetBatch(ns string, keys []string) (map[string][]byte, error) {
-	return d.getBatch(d.bg, ns, keys)
-}
-
-// MoveBatch implements BatchMover.
-func (d *instrumentedBatchBoth) MoveBatch(srcNS string, keys []string, dstNS string) error {
-	return d.moveBatch(d.bm, srcNS, keys, dstNS)
-}
-
-func (d *instrumented) getBatch(bg BatchGetter, ns string, keys []string) (map[string][]byte, error) {
+func (d *instrumented) getBatch(ns string, keys []string) (map[string][]byte, error) {
 	start := d.tel.Now()
-	m, err := bg.GetBatch(ns, keys)
+	m, err := d.s.(BatchGetter).GetBatch(ns, keys)
 	d.observeAt("get_batch", start, err)
 	if err == nil {
 		var n int64
@@ -162,9 +114,9 @@ func (d *instrumented) getBatch(bg BatchGetter, ns string, keys []string) (map[s
 	return m, err
 }
 
-func (d *instrumented) moveBatch(bm BatchMover, srcNS string, keys []string, dstNS string) error {
+func (d *instrumented) moveBatch(srcNS string, keys []string, dstNS string) error {
 	start := d.tel.Now()
-	err := bm.MoveBatch(srcNS, keys, dstNS)
+	err := d.s.(BatchMover).MoveBatch(srcNS, keys, dstNS)
 	d.observeAt("move_batch", start, err)
 	return err
 }

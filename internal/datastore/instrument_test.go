@@ -7,29 +7,6 @@ import (
 	"mummi/internal/telemetry"
 )
 
-// batchMemory augments Memory with both batch capabilities for the
-// capability-preservation test.
-type batchMemory struct{ *Memory }
-
-func (b batchMemory) GetBatch(ns string, keys []string) (map[string][]byte, error) {
-	out := make(map[string][]byte, len(keys))
-	for _, k := range keys {
-		if v, err := b.Get(ns, k); err == nil {
-			out[k] = v
-		}
-	}
-	return out, nil
-}
-
-func (b batchMemory) MoveBatch(srcNS string, keys []string, dstNS string) error {
-	for _, k := range keys {
-		if err := b.Move(srcNS, k, dstNS); err != nil && !errors.Is(err, ErrNotFound) {
-			return err
-		}
-	}
-	return nil
-}
-
 func TestInstrumentCountsOps(t *testing.T) {
 	tel := telemetry.Nop()
 	s := Instrument(NewMemory(), tel, "memory")
@@ -60,49 +37,5 @@ func TestInstrumentCountsOps(t *testing.T) {
 		if got := reg.Counter(name).Value(); got != want {
 			t.Errorf("%s: got %d want %d", name, got, want)
 		}
-	}
-}
-
-func TestInstrumentPreservesCapabilities(t *testing.T) {
-	tel := telemetry.Nop()
-
-	plain := Instrument(NewMemory(), tel, "memory")
-	if _, ok := plain.(BatchGetter); ok {
-		t.Fatal("plain store should not gain BatchGetter")
-	}
-	if _, ok := plain.(BatchMover); ok {
-		t.Fatal("plain store should not gain BatchMover")
-	}
-
-	both := Instrument(batchMemory{NewMemory()}, tel, "memory")
-	bg, ok := both.(BatchGetter)
-	if !ok {
-		t.Fatal("batch store lost BatchGetter")
-	}
-	bm, ok := both.(BatchMover)
-	if !ok {
-		t.Fatal("batch store lost BatchMover")
-	}
-
-	if err := both.Put("ns", "a", []byte("xy")); err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	got, err := bg.GetBatch("ns", []string{"a", "nope"})
-	if err != nil || len(got) != 1 || string(got["a"]) != "xy" {
-		t.Fatalf("GetBatch: %v %v", got, err)
-	}
-	if err := bm.MoveBatch("ns", []string{"a"}, "done"); err != nil {
-		t.Fatalf("MoveBatch: %v", err)
-	}
-	if _, err := both.Get("done", "a"); err != nil {
-		t.Fatalf("moved key missing: %v", err)
-	}
-
-	reg := tel.Registry()
-	if got := reg.Counter("store.ops_total{backend=memory,op=get_batch}").Value(); got != 1 {
-		t.Errorf("get_batch ops: got %d", got)
-	}
-	if got := reg.Counter("store.ops_total{backend=memory,op=move_batch}").Value(); got != 1 {
-		t.Errorf("move_batch ops: got %d", got)
 	}
 }

@@ -72,6 +72,52 @@ type BatchMover interface {
 	MoveBatch(srcNS string, keys []string, dstNS string) error
 }
 
+// Extend makes a store wrapper capability-preserving: it returns outer, which
+// wraps inner, extended with exactly the optional capabilities inner has —
+// BatchGetter served by getBatch, BatchMover by moveBatch. A function for a
+// capability inner lacks is never called, so it may assume the capability.
+func Extend(inner, outer Store,
+	getBatch func(ns string, keys []string) (map[string][]byte, error),
+	moveBatch func(srcNS string, keys []string, dstNS string) error) Store {
+	_, bg := inner.(BatchGetter)
+	_, bm := inner.(BatchMover)
+	switch {
+	case bg && bm:
+		return &struct {
+			Store
+			getBatchFunc
+			moveBatchFunc
+		}{outer, getBatch, moveBatch}
+	case bg:
+		return &struct {
+			Store
+			getBatchFunc
+		}{outer, getBatch}
+	case bm:
+		return &struct {
+			Store
+			moveBatchFunc
+		}{outer, moveBatch}
+	}
+	return outer
+}
+
+// getBatchFunc adapts a function to BatchGetter.
+type getBatchFunc func(ns string, keys []string) (map[string][]byte, error)
+
+// GetBatch implements BatchGetter.
+func (f getBatchFunc) GetBatch(ns string, keys []string) (map[string][]byte, error) {
+	return f(ns, keys)
+}
+
+// moveBatchFunc adapts a function to BatchMover.
+type moveBatchFunc func(srcNS string, keys []string, dstNS string) error
+
+// MoveBatch implements BatchMover.
+func (f moveBatchFunc) MoveBatch(srcNS string, keys []string, dstNS string) error {
+	return f(srcNS, keys, dstNS)
+}
+
 // Backend names accepted by Open.
 const (
 	BackendMemory = "memory"

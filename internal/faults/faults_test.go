@@ -314,17 +314,9 @@ func TestWrapStorePermanentEscapesArmor(t *testing.T) {
 	}
 }
 
-func TestWrapStorePreservesCapabilities(t *testing.T) {
-	clk := vclock.NewVirtual(epoch)
-	e := NewEngine(clk, telemetry.Nop(), &Plan{Seed: 1})
-	plain := WrapStore(datastore.NewMemory(), e)
-	if _, ok := plain.(datastore.BatchGetter); ok {
-		t.Fatal("plain store should not gain BatchGetter")
-	}
-	if _, ok := plain.(datastore.BatchMover); ok {
-		t.Fatal("plain store should not gain BatchMover")
-	}
-	if got := WrapStore(datastore.NewMemory(), nil); got == nil {
-		t.Fatal("nil engine must pass the store through")
+func TestWrapStoreNilEnginePassesThrough(t *testing.T) {
+	s := datastore.NewMemory()
+	if got := WrapStore(s, nil); got != datastore.Store(s) {
+		t.Fatalf("nil engine wrapped the store: %T", got)
 	}
 }

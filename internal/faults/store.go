@@ -18,25 +18,15 @@ import (
 // instrumentation still sees every surviving physical operation.
 //
 // Like datastore.Armor and datastore.Instrument, WrapStore preserves the
-// wrapped store's BatchGetter/BatchMover capabilities exactly. A nil engine
-// returns s unchanged.
+// wrapped store's BatchGetter/BatchMover capabilities exactly
+// (datastore.Extend), drawing one getbatch/movebatch fault per batch call.
+// A nil engine returns s unchanged.
 func WrapStore(s datastore.Store, e *Engine) datastore.Store {
 	if e == nil || s == nil {
 		return s
 	}
-	base := faultyStore{s: s, e: e}
-	bg, hasBG := s.(datastore.BatchGetter)
-	bm, hasBM := s.(datastore.BatchMover)
-	switch {
-	case hasBG && hasBM:
-		return &faultyBatchBoth{faultyStore: base, bg: bg, bm: bm}
-	case hasBG:
-		return &faultyBatchGet{faultyStore: base, bg: bg}
-	case hasBM:
-		return &faultyBatchMove{faultyStore: base, bm: bm}
-	default:
-		return &faultyStore{s: s, e: e}
-	}
+	f := &faultyStore{s: s, e: e}
+	return datastore.Extend(s, f, f.getBatch, f.moveBatch)
 }
 
 type faultyStore struct {
@@ -94,50 +84,16 @@ func (f *faultyStore) Move(srcNS, key, dstNS string) error {
 // Close implements datastore.Store. Teardown is never sabotaged.
 func (f *faultyStore) Close() error { return f.s.Close() }
 
-type faultyBatchGet struct {
-	faultyStore
-	bg datastore.BatchGetter
-}
-
-// GetBatch implements datastore.BatchGetter.
-func (f *faultyBatchGet) GetBatch(ns string, keys []string) (map[string][]byte, error) {
+func (f *faultyStore) getBatch(ns string, keys []string) (map[string][]byte, error) {
 	if err := f.inject("getbatch"); err != nil {
 		return nil, err
 	}
-	return f.bg.GetBatch(ns, keys)
+	return f.s.(datastore.BatchGetter).GetBatch(ns, keys)
 }
 
-type faultyBatchMove struct {
-	faultyStore
-	bm datastore.BatchMover
-}
-
-// MoveBatch implements datastore.BatchMover.
-func (f *faultyBatchMove) MoveBatch(srcNS string, keys []string, dstNS string) error {
+func (f *faultyStore) moveBatch(srcNS string, keys []string, dstNS string) error {
 	if err := f.inject("movebatch"); err != nil {
 		return err
 	}
-	return f.bm.MoveBatch(srcNS, keys, dstNS)
-}
-
-type faultyBatchBoth struct {
-	faultyStore
-	bg datastore.BatchGetter
-	bm datastore.BatchMover
-}
-
-// GetBatch implements datastore.BatchGetter.
-func (f *faultyBatchBoth) GetBatch(ns string, keys []string) (map[string][]byte, error) {
-	if err := f.inject("getbatch"); err != nil {
-		return nil, err
-	}
-	return f.bg.GetBatch(ns, keys)
-}
-
-// MoveBatch implements datastore.BatchMover.
-func (f *faultyBatchBoth) MoveBatch(srcNS string, keys []string, dstNS string) error {
-	if err := f.inject("movebatch"); err != nil {
-		return err
-	}
-	return f.bm.MoveBatch(srcNS, keys, dstNS)
+	return f.s.(datastore.BatchMover).MoveBatch(srcNS, keys, dstNS)
 }

@@ -3,7 +3,6 @@ package feedback
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -51,6 +50,9 @@ func NewAAToCG(cfg AAConfig) (*AAToCG, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
+	if cfg.Process == nil {
+		cfg.Process = func(fr *sim.AAFrame) (string, error) { return fr.SecStruct, nil }
+	}
 	return &AAToCG{cfg: cfg}, nil
 }
 
@@ -71,23 +73,16 @@ func (f *AAToCG) TotalFrames() int64 {
 	return f.frames
 }
 
-// Iterate implements Manager: fetch all new frames, process them through
-// the worker pool, derive the consensus, apply it, and tag the frames.
+// Iterate implements Manager: one Pass that processes the new frames through
+// the worker pool, derives the consensus and applies it.
 func (f *AAToCG) Iterate() (Report, error) {
-	var rep Report
-	t0 := time.Now()
-	keys, err := f.cfg.Store.Keys(f.cfg.NewNS)
-	if err != nil {
-		return rep, fmt.Errorf("feedback: scan: %w", err)
-	}
-	sort.Strings(keys)
-	rep.Scan = time.Since(t0)
+	return Pass(f.cfg.Store, f.cfg.NewNS, f.cfg.DoneNS, f.refine)
+}
 
-	t1 := time.Now()
-	values, fetched, err := fetchAll(f.cfg.Store, f.cfg.NewNS, keys)
-	if err != nil {
-		return rep, err
-	}
+// refine is AA's process step: decode and filter the frames, run the
+// external module over the eligible ones in the worker pool, and promote
+// the consensus secondary structure to the CG model.
+func (f *AAToCG) refine(values [][]byte) (int, error) {
 	var frames []*sim.AAFrame
 	for _, v := range values {
 		fr, err := sim.UnmarshalAAFrame(v)
@@ -99,74 +94,54 @@ func (f *AAToCG) Iterate() (Report, error) {
 		}
 		frames = append(frames, fr)
 	}
-	rep.Fetch = time.Since(t1)
 
-	t2 := time.Now()
-	processed := make([]*sim.AAFrame, 0, len(frames))
-	if len(frames) > 0 {
-		results := make([]string, len(frames))
-		errsCh := make(chan error, len(frames))
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < f.cfg.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					if f.cfg.Process == nil {
-						results[i] = frames[i].SecStruct
-						continue
-					}
-					ss, err := f.cfg.Process(frames[i])
-					if err != nil {
-						errsCh <- fmt.Errorf("feedback: process %s: %w", frames[i].ID(), err)
-						results[i] = ""
-						continue
-					}
+	results := make([]string, len(frames))
+	var wg sync.WaitGroup
+	work := make(chan int)
+	for w := 0; w < f.cfg.Workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				// A failed external call leaves "" and drops that frame
+				// below; the iteration proceeds (the paper tolerates
+				// per-frame failures, rerunning if needed).
+				if ss, err := f.cfg.Process(frames[i]); err == nil {
 					results[i] = ss
 				}
-			}()
-		}
-		for i := range frames {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-		close(errsCh)
-		// A failed external call drops that frame; the iteration proceeds
-		// (the paper tolerates per-frame failures, rerunning if needed).
-		for i, fr := range frames {
-			if results[i] != "" {
-				fr.SecStruct = results[i]
-				processed = append(processed, fr)
 			}
+		}()
+	}
+	for i := range frames {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
+	processed := make([]*sim.AAFrame, 0, len(frames))
+	for i, fr := range frames {
+		if results[i] != "" {
+			fr.SecStruct = results[i]
+			processed = append(processed, fr)
 		}
 	}
-	if len(processed) > 0 {
-		consensus, err := sim.ConsensusSecStruct(processed)
-		if err != nil {
-			return rep, err
-		}
-		f.mu.Lock()
-		f.version++
-		f.frames += int64(len(processed))
-		v := f.version
-		f.mu.Unlock()
-		rep.Frames = len(processed)
-		if f.cfg.Apply != nil {
-			if err := f.cfg.Apply(consensus, v); err != nil {
-				return rep, fmt.Errorf("feedback: apply: %w", err)
-			}
+	if len(processed) == 0 {
+		return 0, nil
+	}
+	consensus, err := sim.ConsensusSecStruct(processed)
+	if err != nil {
+		return 0, err
+	}
+	f.mu.Lock()
+	f.version++
+	f.frames += int64(len(processed))
+	v := f.version
+	f.mu.Unlock()
+	if f.cfg.Apply != nil {
+		if err := f.cfg.Apply(consensus, v); err != nil {
+			return len(processed), fmt.Errorf("feedback: apply: %w", err)
 		}
 	}
-	rep.Process = time.Since(t2)
-
-	t3 := time.Now()
-	if err := tagAll(f.cfg.Store, f.cfg.NewNS, fetched, f.cfg.DoneNS); err != nil {
-		return rep, err
-	}
-	rep.Tag = time.Since(t3)
-	return rep, nil
+	return len(processed), nil
 }
 
 // SimulatePoolTime computes how long a worker pool takes to drain per-frame

@@ -55,6 +55,43 @@ type Manager interface {
 	Name() string
 }
 
+// Pass is the one feedback iteration every Manager runs: scan newNS (sorted,
+// for a deterministic order), fetch every frame, run process over the values,
+// then tag the fetched frames — those process drops too, so none is rescanned
+// — by moving them to doneNS. A key consumed between scan and fetch is
+// skipped: not processed, not tagged, not an error. Phases are timed.
+func Pass(store datastore.Store, newNS, doneNS string, process func(values [][]byte) (frames int, err error)) (Report, error) {
+	var rep Report
+	t0 := time.Now()
+	keys, err := store.Keys(newNS)
+	if err != nil {
+		return rep, fmt.Errorf("feedback: scan: %w", err)
+	}
+	sort.Strings(keys)
+	rep.Scan = time.Since(t0)
+
+	t1 := time.Now()
+	values, keys, err := fetchAll(store, newNS, keys)
+	if err != nil {
+		return rep, err
+	}
+	rep.Fetch = time.Since(t1)
+
+	t2 := time.Now()
+	rep.Frames, err = process(values)
+	rep.Process = time.Since(t2)
+	if err != nil {
+		return rep, err
+	}
+
+	t3 := time.Now()
+	if err := tagAll(store, newNS, keys, doneNS); err != nil {
+		return rep, err
+	}
+	rep.Tag = time.Since(t3)
+	return rep, nil
+}
+
 // ---------------------------------------------------------------------------
 // CG → Continuum
 
@@ -84,7 +121,6 @@ type CGToContinuum struct {
 	mu     sync.Mutex
 	sum    [][]float64
 	count  [][]int64
-	iters  int
 	frames int64
 }
 
@@ -139,27 +175,16 @@ func (f *CGToContinuum) couplingsLocked() [][]float64 {
 	return out
 }
 
-// Iterate implements Manager: scan the active namespace, fetch and
-// aggregate every frame, apply couplings, then tag frames processed by
-// moving them out.
+// Iterate implements Manager: one Pass that aggregates every frame and
+// applies the updated couplings.
 func (f *CGToContinuum) Iterate() (Report, error) {
-	var rep Report
-	t0 := time.Now()
-	keys, err := f.cfg.Store.Keys(f.cfg.NewNS)
-	if err != nil {
-		return rep, fmt.Errorf("feedback: scan: %w", err)
-	}
-	sort.Strings(keys) // deterministic aggregation order
-	rep.Scan = time.Since(t0)
+	return Pass(f.cfg.Store, f.cfg.NewNS, f.cfg.DoneNS, f.aggregate)
+}
 
-	t1 := time.Now()
-	values, keys, err := fetchAll(f.cfg.Store, f.cfg.NewNS, keys)
-	if err != nil {
-		return rep, err
-	}
-	rep.Fetch = time.Since(t1)
-
-	t2 := time.Now()
+// aggregate is CG's process step: fold each frame's first-shell RDF excess
+// into the running means, then push the couplings into the continuum model.
+func (f *CGToContinuum) aggregate(values [][]byte) (int, error) {
+	frames := 0
 	f.mu.Lock()
 	for _, v := range values {
 		frame, err := sim.UnmarshalCGFrameAuto(v)
@@ -176,30 +201,23 @@ func (f *CGToContinuum) Iterate() (Report, error) {
 			f.count[frame.State][sp]++
 		}
 		f.frames++
-		rep.Frames++
+		frames++
 	}
-	f.iters++
 	couplings := f.couplingsLocked()
 	f.mu.Unlock()
-	if f.cfg.Apply != nil && rep.Frames > 0 {
+	if f.cfg.Apply != nil && frames > 0 {
 		if err := f.cfg.Apply(couplings); err != nil {
-			return rep, fmt.Errorf("feedback: apply: %w", err)
+			return frames, fmt.Errorf("feedback: apply: %w", err)
 		}
 	}
-	rep.Process = time.Since(t2)
-
-	t3 := time.Now()
-	if err := tagAll(f.cfg.Store, f.cfg.NewNS, keys, f.cfg.DoneNS); err != nil {
-		return rep, err
-	}
-	rep.Tag = time.Since(t3)
-	return rep, nil
+	return frames, nil
 }
 
 // fetchAll loads every key's value, batched when the backend supports it.
 // It returns the values and the keys actually found (concurrently consumed
-// keys are skipped), index-aligned.
+// keys are skipped), index-aligned; live reuses keys' backing array.
 func fetchAll(store datastore.Store, ns string, keys []string) (values [][]byte, live []string, err error) {
+	values, live = make([][]byte, 0, len(keys)), keys[:0]
 	if bg, ok := store.(datastore.BatchGetter); ok {
 		got, err := bg.GetBatch(ns, keys)
 		if err != nil {

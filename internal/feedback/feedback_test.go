@@ -27,6 +27,72 @@ func putCGFrames(t *testing.T, st datastore.Store, ns string, n int, species, st
 	}
 }
 
+// vanishingStore deletes one key right after listing it — a concurrent
+// consumer racing the pass between scan and fetch — and records the keys
+// moved.
+type vanishingStore struct {
+	datastore.Store
+	gone  string
+	moved []string
+}
+
+func (v *vanishingStore) Keys(ns string) ([]string, error) {
+	keys, err := v.Store.Keys(ns)
+	if err == nil {
+		err = v.Delete(ns, v.gone)
+	}
+	return keys, err
+}
+
+func (v *vanishingStore) Move(srcNS, key, dstNS string) error {
+	v.moved = append(v.moved, key)
+	return v.Store.Move(srcNS, key, dstNS)
+}
+
+func (v *vanishingStore) GetBatch(ns string, keys []string) (map[string][]byte, error) {
+	out := make(map[string][]byte, len(keys))
+	for _, k := range keys {
+		if b, err := v.Get(ns, k); err == nil {
+			out[k] = b
+		}
+	}
+	return out, nil
+}
+
+func TestPassSkipsKeyConsumedBetweenScanAndFetch(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("batch=%v", batch), func(t *testing.T) {
+			mem := datastore.NewMemory()
+			for _, k := range []string{"c", "b", "a"} {
+				if err := mem.Put("new", k, []byte(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			v := &vanishingStore{Store: mem, gone: "b"}
+			var st datastore.Store = struct{ datastore.Store }{v} // serial Get path
+			if batch {
+				st = v
+			}
+			var seen []string
+			rep, err := Pass(st, "new", "done", func(values [][]byte) (int, error) {
+				for _, b := range values {
+					seen = append(seen, string(b))
+				}
+				return len(values), nil
+			})
+			if err != nil {
+				t.Fatalf("vanished key is an error: %v", err)
+			}
+			if rep.Frames != 2 || strings.Join(seen, ",") != "a,c" {
+				t.Errorf("processed %d frames %v, want 2 [a c] in key order", rep.Frames, seen)
+			}
+			if left, _ := mem.Keys("new"); strings.Join(v.moved, ",") != "a,c" || len(left) != 0 {
+				t.Errorf("tagged %v, left %v; want [a c] tagged and nothing left", v.moved, left)
+			}
+		})
+	}
+}
+
 func newCG(t *testing.T, st datastore.Store, apply func([][]float64) error) *CGToContinuum {
 	t.Helper()
 	f, err := NewCGToContinuum(CGConfig{

@@ -29,6 +29,18 @@ test "$(awk '/^func /{f=$0} /\.clk\.(Step|Run|RunUntil|RunFor)\(/{print FILENAME
 	$(ls internal/campaign/*.go | grep -v _test.go) | sort -u)" = \
 	"internal/campaign/campaign.go: func (c *Campaign) Step() bool {"
 
+# One backward data path (docs/ARCHITECTURE.md "internal/feedback"): every
+# feedback manager, the campaign's included, is one feedback.Pass, the only
+# caller of the fetch and tag phases.
+test "$(awk '/^func /{f=$0; sub(/\(.*/, "", f); next} /(fetchAll|tagAll)\(/{print FILENAME ": " f}' \
+	$(ls internal/feedback/*.go | grep -v _test.go) | sort -u)" = "internal/feedback/feedback.go: func Pass"
+# One capability helper: the store wrappers preserve batch capabilities
+# through datastore.Extend, whose two adapters are the only GetBatch and
+# MoveBatch methods the wrapper packages declare.
+for m in GetBatch MoveBatch; do
+	test "$(grep -rE "^func \([^)]*\) $m\(" --include='*.go' --exclude='*_test.go' internal/datastore internal/faults | wc -l)" -eq 1
+done
+
 # The FPS distance kernel has an assembly body on amd64 only
 # (internal/dynim/fold_amd64.s; go vet's asmdecl checks it above). Every
 # other GOARCH runs the Go loop in fold.go, which is also the definition the
