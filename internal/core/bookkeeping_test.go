@@ -438,3 +438,52 @@ func TestSimFailureCostIgnoresReadyBuffer(t *testing.T) {
 		t.Errorf("a failed simulation allocates %d B with 5,000 ready, %d B with 10: cost follows the buffer", many, few)
 	}
 }
+
+// TestAddCandidateAllocatesNothing counts, not times: with tracing off, an
+// offer to a coupling whose counter is resolved allocates nothing — no
+// metric name built per offer, no span argument boxed for a span that is
+// not recorded.
+func TestAddCandidateAllocatesNothing(t *testing.T) {
+	spec := cgCoupling(dynim.NewFarthestPoint(1, 0), 1, 0)
+	r := newFakeRig(t, Config{Couplings: []CouplingSpec{spec}})
+	p := dynim.Point{ID: "p0", Coords: []float64{0}}
+	offer := func() {
+		if err := r.w.AddCandidate(spec.Name, p); err != nil { // re-offers are ignored, not refused
+			t.Fatal(err)
+		}
+	}
+	offer() // the first accepted offer resolves the counter
+	if n := testing.AllocsPerRun(100, offer); n != 0 {
+		t.Errorf("AddCandidate allocates %v times per offer, want 0", n)
+	}
+	if got := r.tel.Counter("wm.candidates_total{coupling=continuum-to-cg}").Value(); got != 102 {
+		t.Errorf("wm.candidates_total = %d, want 102 (one first offer, one warm-up, 100 counted)", got)
+	}
+}
+
+// TestAddCandidateCounterConcurrent races first offers on a cold coupling:
+// AddCandidate takes no lock, so the counter is resolved by whichever offer
+// gets there first and every offer lands on the same counter.
+func TestAddCandidateCounterConcurrent(t *testing.T) {
+	spec := cgCoupling(dynim.NewFarthestPoint(1, 0), 1, 0)
+	r := newFakeRig(t, Config{Couplings: []CouplingSpec{spec}})
+	const offerers, each = 4, 50
+	done := make(chan struct{})
+	for g := 0; g < offerers; g++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for i := 0; i < each; i++ {
+				p := dynim.Point{ID: fmt.Sprintf("g%d-%d", g, i), Coords: []float64{float64(i)}}
+				if err := r.w.AddCandidate(spec.Name, p); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	for g := 0; g < offerers; g++ {
+		<-done
+	}
+	if got := r.tel.Counter("wm.candidates_total{coupling=continuum-to-cg}").Value(); got != offerers*each {
+		t.Errorf("wm.candidates_total = %d, want %d", got, offerers*each)
+	}
+}

@@ -245,6 +245,9 @@ type couplingState struct {
 	failedSetups int
 	feedbackRuns int
 	feedbackBusy bool
+	// candidates is wm.candidates_total for this coupling; AddCandidate
+	// bumps it per offer without the lock.
+	candidates telemetry.LazyCounter
 }
 
 // Workflow is the workflow manager.
@@ -405,11 +408,14 @@ func (w *Workflow) AddCandidate(coupling string, p dynim.Point) error {
 	if cs == nil {
 		return fmt.Errorf("core: unknown coupling %q", coupling)
 	}
-	sp := w.tel.StartSpan("wm", "task1.ingest").Arg("coupling", coupling)
+	sp := w.tel.StartSpan("wm", "task1.ingest")
+	if sp != nil {
+		sp.Arg("coupling", coupling) // boxing the name costs an allocation
+	}
 	err := cs.spec.Selector.Add(p)
 	sp.End()
 	if err == nil {
-		w.tel.Counter(telemetry.Name("wm.candidates_total", "coupling", coupling)).Inc()
+		cs.candidates.Get(w.tel, "wm.candidates_total", "coupling", coupling).Inc()
 	}
 	return err
 }

@@ -1,10 +1,12 @@
 package dynim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -24,7 +26,7 @@ import (
 //
 // Every distance comes from one kernel, foldRows (fold.go defines it;
 // fold_amd64.s is the same arithmetic two lanes at a time), and every row a
-// refresh is owed is evaluated: nothing prunes. Five engine-level
+// refresh is owed is evaluated: nothing prunes. Six engine-level
 // optimizations ride on top of the caching scheme:
 //
 //   - Squared distances end-to-end: the cache holds *squared* L2 values and
@@ -55,11 +57,17 @@ import (
 //     the determinism contract every §5 replay figure depends on.
 //
 //   - Dirty-set refresh: staleness is tracked explicitly — new arrivals
-//     join a dirty list, and a selection promotes the whole store to dirty
-//     (every rank may shrink against the new point). Update re-ranks only
-//     the invalidated candidates and sifts just their heap entries, so the
-//     feedback loop's between-selection refreshes cost O(dirty·log n)
-//     instead of an O(n) counter scan plus a full re-heapify.
+//     join a dirty list and wait unsifted at their heap leaf, and a
+//     selection promotes the whole store to dirty (every rank may shrink
+//     against the new point). Update re-ranks only the invalidated
+//     candidates and inserts just their heap entries, so the feedback
+//     loop's between-selection refreshes cost O(dirty·log n) instead of an
+//     O(n) counter scan plus a full re-heapify, and an offer is appends.
+//
+//   - Threshold eviction: past the cap, the victims are every slot ranked
+//     below the m-th smallest rank plus the smallest IDs at it — one
+//     quickselect over the ranks' bit patterns into reused scratch, not a
+//     sort or a bounded heap.
 //
 //   - Lazy max-heap selection: an index heap keyed on (cached distance,
 //     ID) tracks the candidate order. A cached value is always an *upper
@@ -96,17 +104,22 @@ type FarthestPoint struct {
 	heapDirty bool
 
 	// Dirty-set staleness tracking. Every slot whose cached rank may be
-	// stale is either listed in dirty (new arrivals and restored candidates,
-	// appended in creation order, unranked until rankArrivals empties the
-	// list) or covered by allDirty (set after any selection, since a new
-	// selected point can tighten every rank). Update consults these instead
-	// of scanning all seenSel counters, so a refresh between selections
-	// re-ranks only the invalidated candidates and sifts just their heap
-	// entries — O(dirty·log n) instead of an O(n) sweep and full re-heapify
-	// per feedback tick.
-	dirty      []int32
-	allDirty   bool
-	scratchPos []int32 // reused position buffer for the dirty sift sweep
+	// stale is either listed in dirty (new arrivals, appended in creation
+	// order and left unsifted at the heap's tail, unranked until
+	// rankArrivals empties the list) or covered by allDirty (set after any
+	// selection, since a new selected point can tighten every rank). Update
+	// consults these instead of scanning all seenSel counters, so a refresh
+	// between selections re-ranks only the invalidated candidates and
+	// inserts just their heap entries — O(dirty·log n) instead of an O(n)
+	// sweep and full re-heapify per feedback tick.
+	dirty    []int32
+	allDirty bool
+
+	// Eviction scratch, reused across evictions: rank bit patterns for the
+	// threshold select, the victims, and the slots tied at the threshold.
+	evKeys    []uint64
+	evVictims []int32
+	evTies    []int32
 
 	// sweptSel is the selection count at the last full sweep. Once the
 	// arrival list is ranked no slot has seen fewer selections, so a walk
@@ -237,9 +250,11 @@ func (f *FarthestPoint) heapRemoveAt(pos int) {
 }
 
 // newSlot appends a candidate to the store and heap with an unranked
-// (+Inf) cache. An unranked push never sifts: +Inf ties resolve by ID and
-// slots are appended in arrival order, so the new leaf stays put unless
-// its ID sorts below its chain of +Inf ancestors.
+// (+Inf) cache. Against a non-empty selected set the arrival is stale until
+// rankArrivals, so it joins the dirty list and waits at its leaf: sifting
+// its +Inf toward the root now would only be undone once it is ranked, and
+// nothing reads the heap order before siftArrivals inserts it. With nothing
+// selected +Inf is the final rank, so it sifts at once.
 func (f *FarthestPoint) newSlot(p Point) {
 	s := int32(len(f.ids))
 	f.ids = append(f.ids, p.ID)
@@ -248,12 +263,10 @@ func (f *FarthestPoint) newSlot(p Point) {
 	f.seenSel = append(f.seenSel, 0)
 	f.heapPos = append(f.heapPos, int32(len(f.h)))
 	f.h = append(f.h, s)
-	if !f.heapDirty {
-		f.up(len(f.h) - 1)
-	}
 	if len(f.selPts) > 0 {
-		// Unranked against a non-empty selected set: stale until refreshed.
 		f.dirty = append(f.dirty, s)
+	} else if !f.heapDirty {
+		f.up(len(f.h) - 1)
 	}
 }
 
@@ -309,25 +322,16 @@ func (f *FarthestPoint) rankArrivals(n int) {
 	})
 }
 
-// siftArrivals restores the heap order after rankArrivals lowered the
-// arrivals' keys, and empties the list. Refreshes only lower ranks, so each
-// entry sifts toward the leaves. Arrivals can sit on a shared root-leaf path
-// (they surface near the root at +Inf), where repairing an ancestor before a
-// descendant leaves a violation behind — so sift in descending position
-// order, the bottom-up heapify sweep restricted to the arrivals' positions:
-// a sift at position p only moves content deeper than p, so every position
-// not yet processed still holds its slot and every subtree below a processed
-// position stays valid.
+// siftArrivals inserts the ranked arrivals into the heap order, and empties
+// the list. The arrivals wait unsifted at the heap's tail (newSlot) in
+// creation order, which is ascending position order, so this is sequential
+// heap insertion: one sift-up each, in creation order. A sift-up from p only
+// moves entries above p, so every later arrival is still where it was
+// appended, and each insertion finds a valid heap above it.
 func (f *FarthestPoint) siftArrivals() {
-	pos := f.scratchPos[:0]
 	for _, s := range f.dirty {
-		pos = append(pos, f.heapPos[s])
+		f.up(int(f.heapPos[s]))
 	}
-	slices.Sort(pos)
-	for i := len(pos) - 1; i >= 0; i-- {
-		f.down(int(pos[i]))
-	}
-	f.scratchPos = pos[:0]
 	f.dirty = f.dirty[:0]
 }
 
@@ -419,71 +423,87 @@ func (f *FarthestPoint) Add(p Point) error {
 	return nil
 }
 
-// evictDownTo drops the lowest-ranked (least novel) candidates until only
-// target remain; ties break by ID for determinism. Ranks are refreshed
-// first so victims are chosen on current distances (the former full sort
-// ranked on whatever the last refresh left behind); the refresh amortizes
-// over the eviction slack exactly like the batch itself. Partial selection
-// via a bounded heap costs O(n log m + m log n) for m victims instead of
-// the former O(n log n) full sort. Caller holds the lock.
+// evictDownTo drops the m least-novel candidates — least under (dist² asc,
+// ID asc) — until only target remain. Ranks are refreshed first so victims
+// are chosen on current distances; the refresh amortizes over the eviction
+// slack exactly like the batch itself. The victims come from one threshold
+// select: τ is the m-th smallest rank, and they are every slot ranked below
+// τ plus, of the slots at τ, the smallest IDs — O(n) expected, in scratch
+// reused across evictions. Caller holds the lock.
 func (f *FarthestPoint) evictDownTo(target int) {
 	f.updateLocked()
 	m := len(f.ids) - target
 	if m <= 0 {
 		return
 	}
-	// moreNovel orders slots most-novel-last-to-evict: under it the root of
-	// the bounded max-heap below is the most novel of the current victim
-	// set, so each surviving slot costs one root comparison.
-	moreNovel := func(a, b int32) bool {
-		if f.dist2[a] != f.dist2[b] {
-			return f.dist2[a] > f.dist2[b]
-		}
-		return f.ids[a] > f.ids[b]
+	// Ranks are ≥ 0 or +Inf, never NaN (checkPoint), so their IEEE bit
+	// patterns order as the values do.
+	keys := f.evKeys[:0]
+	for _, d := range f.dist2 {
+		keys = append(keys, math.Float64bits(d))
 	}
-	victims := make([]int32, 0, m)
-	vdown := func(i int) {
-		for {
-			l := 2*i + 1
-			if l >= len(victims) {
-				break
-			}
-			c := l
-			if r := l + 1; r < len(victims) && moreNovel(victims[r], victims[l]) {
-				c = r
-			}
-			if !moreNovel(victims[c], victims[i]) {
-				break
-			}
-			victims[i], victims[c] = victims[c], victims[i]
-			i = c
+	tau := nthKey(keys, m-1)
+	victims, ties := f.evVictims[:0], f.evTies[:0]
+	for s, d := range f.dist2 {
+		if k := math.Float64bits(d); k < tau {
+			victims = append(victims, int32(s))
+		} else if k == tau {
+			ties = append(ties, int32(s))
 		}
 	}
-	for s := int32(0); int(s) < len(f.ids); s++ {
-		if len(victims) < m {
-			victims = append(victims, s)
-			if len(victims) == m {
-				for i := m/2 - 1; i >= 0; i-- {
-					vdown(i)
-				}
-			}
-		} else if moreNovel(victims[0], s) {
-			victims[0] = s
-			vdown(0)
-		}
+	byID := func(a, b int32) int { return strings.Compare(f.ids[a], f.ids[b]) }
+	slices.SortFunc(ties, byID)
+	victims = append(victims, ties[:m-len(victims)]...)
+	if !f.journal.disabled {
+		// Only the journal sees the order: least novel first.
+		slices.SortFunc(victims, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(f.dist2[a], f.dist2[b]), byID(a, b))
+		})
 	}
-	// Deterministic least-novel-first journal order.
-	sort.Slice(victims, func(i, j int) bool { return moreNovel(victims[j], victims[i]) })
 	for _, v := range victims {
 		f.dd.release(f.ids[v])
 		f.journal.record("evict", f.ids[v])
 	}
 	// Free in descending slot order so each move pulls from a live slot.
-	bySlot := append([]int32(nil), victims...)
-	sort.Slice(bySlot, func(i, j int) bool { return bySlot[i] > bySlot[j] })
-	for _, v := range bySlot {
-		f.heapRemoveAt(int(f.heapPos[v]))
-		f.freeSlot(v)
+	slices.Sort(victims)
+	for i := len(victims) - 1; i >= 0; i-- {
+		f.heapRemoveAt(int(f.heapPos[victims[i]]))
+		f.freeSlot(victims[i])
+	}
+	f.evKeys, f.evVictims, f.evTies = keys, victims[:0], ties[:0]
+}
+
+// nthKey returns the k-th smallest of keys (0-based), reordering keys: a
+// quickselect with a median-of-three pivot and a three-way partition, so a
+// run of equal keys — every rank is +Inf before the first selection — ends
+// the search instead of degrading it.
+func nthKey(keys []uint64, k int) uint64 {
+	lo, hi := 0, len(keys)
+	for {
+		a, b, c := keys[lo], keys[lo+(hi-lo)/2], keys[hi-1]
+		p := max(min(a, b), min(max(a, b), c))
+		lt, i, gt := lo, lo, hi // [lo,lt) < p, [lt,i) == p, [gt,hi) > p
+		for i < gt {
+			switch x := keys[i]; {
+			case x < p:
+				keys[i], keys[lt] = keys[lt], x
+				lt++
+				i++
+			case x > p:
+				gt--
+				keys[i], keys[gt] = keys[gt], x
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return p
+		}
 	}
 }
 

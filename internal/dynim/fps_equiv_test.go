@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -50,6 +51,7 @@ type oracleFPS struct {
 	coords   map[string][]float64
 	taken    map[string]bool // queued or already selected
 	selected [][]float64
+	events   []Event // the journal the engine must write; Seq is not compared
 }
 
 func newOracleFPS(capacity int) *oracleFPS {
@@ -62,6 +64,7 @@ func (o *oracleFPS) add(id string, c []float64) {
 	}
 	o.taken[id] = true
 	o.coords[id] = append([]float64(nil), c...)
+	o.events = append(o.events, Event{Kind: "add", ID: id})
 	if o.capacity == 0 || len(o.coords) < o.capacity+max(1, o.capacity/16) {
 		return
 	}
@@ -77,9 +80,10 @@ func (o *oracleFPS) add(id string, c []float64) {
 		}
 		return ids[i] < ids[j]
 	})
-	for _, id := range ids[:len(ids)-o.capacity] {
+	for _, id := range ids[:len(ids)-o.capacity] { // least novel first
 		delete(o.coords, id)
 		delete(o.taken, id)
+		o.events = append(o.events, Event{Kind: "evict", ID: id})
 	}
 }
 
@@ -96,18 +100,49 @@ func (o *oracleFPS) selectN(n int) []string {
 		o.selected = append(o.selected, o.coords[bestID])
 		delete(o.coords, bestID)
 		out = append(out, bestID)
+		o.events = append(o.events, Event{Kind: "select", ID: bestID})
 	}
 	return out
 }
 
+// checkHeap asserts the index heap's invariants: h and heapPos are inverse
+// over the live slots; the arrivals on the dirty list are the heap's tail,
+// in creation order; and while the heap is not dirty no entry sorts above
+// its parent, except those arrivals, which wait unsifted until ranked.
+func checkHeap(t *testing.T, f *FarthestPoint) {
+	t.Helper()
+	if len(f.h) != len(f.ids) || len(f.heapPos) != len(f.ids) {
+		t.Fatalf("heap holds %d entries and %d positions for %d slots", len(f.h), len(f.heapPos), len(f.ids))
+	}
+	tail := len(f.h) - len(f.dirty)
+	for j, s := range f.dirty {
+		if int(f.heapPos[s]) != tail+j {
+			t.Fatalf("arrival %d (slot %d) at heap position %d, want %d", j, s, f.heapPos[s], tail+j)
+		}
+	}
+	for i, s := range f.h {
+		if int(f.heapPos[s]) != i {
+			t.Fatalf("h[%d] = slot %d, but heapPos[%d] = %d", i, s, s, f.heapPos[s])
+		}
+		if parent := (i - 1) / 2; i > 0 && i < tail && !f.heapDirty && f.heapAbove(s, f.h[parent]) {
+			t.Fatalf("heap position %d (%s, %v) sorts above its parent %d (%s, %v)",
+				i, f.ids[s], f.dist2[s], parent, f.ids[f.h[parent]], f.dist2[f.h[parent]])
+		}
+	}
+}
+
 // TestPropertyFPSMatchesOracle fuzzes the full engine — dirty-set refresh,
 // lazy heap, eager fallback, batched eviction — against the from-scratch
-// oracle: every selection burst must return the identical ID sequence,
-// unbounded and at capacities small enough that the victim set decides what
-// is left to select. The clustered case draws every point within 1e-3 of one
-// of three far-apart centres, so after three picks each selection sits a
-// tiny gap from an earlier one and far from the rest — the traffic the
-// removed triangle-inequality prune skipped rows on, evaluated in full.
+// oracle: the whole journal (adds, selections, and evictions in
+// least-novel-first order) must match, unbounded and at capacities small
+// enough that the victim set decides what is left to select, and the heap
+// invariants must hold after every operation. The clustered case draws every
+// point within 1e-3 of one of three far-apart centres, so after three picks
+// each selection sits a tiny gap from an earlier one and far from the rest —
+// the traffic the removed triangle-inequality prune skipped rows on,
+// evaluated in full. The lattice case draws every coordinate from {0, 1, 2},
+// so dist² ties are common and the eviction threshold usually falls inside a
+// tie group that only IDs can split.
 func TestPropertyFPSMatchesOracle(t *testing.T) {
 	const dim = 5 // odd, so the kernel's tail runs
 	gauss := func(rng *rand.Rand, c []float64) {
@@ -125,6 +160,14 @@ func TestPropertyFPSMatchesOracle(t *testing.T) {
 		testFPSMatchesOracle(t, dim, capacity, gauss)
 	}
 	testFPSMatchesOracle(t, dim, 0, clustered)
+	lattice := func(rng *rand.Rand, c []float64) {
+		for k := range c {
+			c[k] = float64(rng.Intn(3))
+		}
+	}
+	for _, capacity := range []int{16, 64} {
+		testFPSMatchesOracle(t, dim, capacity, lattice)
+	}
 }
 
 func testFPSMatchesOracle(t *testing.T, dim, capacity int, draw func(*rand.Rand, []float64)) {
@@ -149,6 +192,7 @@ func testFPSMatchesOracle(t *testing.T, dim, capacity int, draw func(*rand.Rand,
 						t.Fatal(err)
 					}
 					oracle.add(id, c)
+					checkHeap(t, fp)
 				}
 			case 2: // off-path refresh must never change what gets selected
 				fp.Update()
@@ -164,6 +208,18 @@ func testFPSMatchesOracle(t *testing.T, dim, capacity int, draw func(*rand.Rand,
 						t.Fatalf("cap %d seed %d op %d: selection[%d] = %s, oracle %s",
 							capacity, seed, op, i, got[i].ID, want[i])
 					}
+				}
+			}
+			checkHeap(t, fp)
+			journal := fp.History()
+			if len(journal) != len(oracle.events) {
+				t.Fatalf("cap %d seed %d op %d: journal holds %d events, oracle %d",
+					capacity, seed, op, len(journal), len(oracle.events))
+			}
+			for i, e := range oracle.events {
+				if journal[i].Kind != e.Kind || journal[i].ID != e.ID {
+					t.Fatalf("cap %d seed %d op %d: journal[%d] = %s %s, oracle %s %s",
+						capacity, seed, op, i, journal[i].Kind, journal[i].ID, e.Kind, e.ID)
 				}
 			}
 		}
@@ -183,6 +239,7 @@ func TestFPSUpdatePlacementInvariant(t *testing.T) {
 		for op := 0; op < 50; op++ {
 			if updateMask&(1<<uint(op%63)) != 0 {
 				fp.Update()
+				checkHeap(t, fp)
 			}
 			switch rng.Intn(3) {
 			case 0, 1:
@@ -191,10 +248,12 @@ func TestFPSUpdatePlacementInvariant(t *testing.T) {
 						ID:     fmt.Sprintf("p%04d", next),
 						Coords: []float64{rng.Float64(), rng.Float64(), rng.Float64()},
 					})
+					checkHeap(t, fp)
 					next++
 				}
 			case 2:
 				fp.Select(1 + rng.Intn(3))
+				checkHeap(t, fp)
 			}
 		}
 		return fp.History()
@@ -213,5 +272,46 @@ func TestFPSUpdatePlacementInvariant(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFPSEvictionAllocatesNoSlices counts, not times: at steady state an
+// eviction makes no slices — the rank keys, the victims and the
+// tie group live in scratch reused across evictions, and freeing victims in
+// slot order sorts in place.
+func TestFPSEvictionAllocatesNoSlices(t *testing.T) {
+	const capacity, evictions = 512, 20
+	slack := capacity / 16
+	rng := rand.New(rand.NewSource(1))
+	pts := make([]Point, capacity+(evictions+4)*slack)
+	for i := range pts {
+		pts[i] = Point{ID: fmt.Sprintf("p%05d", i), Coords: []float64{rng.Float64(), rng.Float64(), rng.Float64()}}
+	}
+	fp := NewFarthestPoint(3, capacity)
+	fp.SetWorkers(1)
+	fp.DisableJournal()
+	add := func(ps []Point) {
+		for _, p := range ps {
+			if err := fp.Add(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	add(pts[:capacity])
+	fp.Select(8)
+	warm := capacity + 4*slack // four evictions grow the scratch
+	add(pts[capacity:warm])
+	seq := fp.journal.seq // advances per add and per victim, journal off or on
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	add(pts[warm:])
+	runtime.ReadMemStats(&after)
+	if victims := fp.journal.seq - seq - int64(len(pts)-warm); victims != evictions*int64(slack) {
+		t.Fatalf("measured adds evicted %d, want %d evictions of %d", victims, evictions, slack)
+	}
+	// The rank refresh's parallel.For costs two closures a call; a victim
+	// slice, a slot-order copy or a sort swapper would each add one more.
+	if n := after.Mallocs - before.Mallocs; n >= 3*evictions {
+		t.Errorf("%d evictions made %d allocations, want fewer than three each", evictions, n)
 	}
 }

@@ -50,6 +50,23 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
+// LazyCounter is a labelled counter resolved on its first Get and cached
+// from then on: a per-event call site builds the metric name once, not once
+// per event, and the registry still gains the counter at that first event.
+// The zero value is ready; safe for concurrent use.
+type LazyCounter struct{ c atomic.Pointer[Counter] }
+
+// Get returns the counter Name(base, labels...) in t, resolving it on the
+// first call; later calls return that counter and ignore their arguments.
+func (l *LazyCounter) Get(t *Telemetry, base string, labels ...string) *Counter {
+	if c := l.c.Load(); c != nil {
+		return c
+	}
+	c := t.Counter(Name(base, labels...))
+	l.c.Store(c)
+	return c
+}
+
 // Gauge is a last-write-wins float64 metric (queue depth, occupancy).
 // Safe for concurrent use.
 type Gauge struct{ bits atomic.Uint64 }

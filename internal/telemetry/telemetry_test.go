@@ -37,6 +37,25 @@ func TestCounterMonotonic(t *testing.T) {
 	}
 }
 
+// TestLazyCounterResolvesOnFirstGet: the registry gains the counter at the
+// first Get, not before, so a snapshot taken before any event lacks it
+// exactly as it would without the cache.
+func TestLazyCounterResolvesOnFirstGet(t *testing.T) {
+	tel := Nop()
+	var l LazyCounter
+	if n := len(tel.Registry().Snapshot().Counters); n != 0 {
+		t.Fatalf("registry holds %d counters before the first Get", n)
+	}
+	l.Get(tel, "wm.candidates_total", "coupling", "cg").Inc()
+	l.Get(tel, "ignored").Inc()
+	if got := tel.Counter("wm.candidates_total{coupling=cg}").Value(); got != 2 {
+		t.Fatalf("resolved counter = %d, want 2", got)
+	}
+	if n := len(tel.Registry().Snapshot().Counters); n != 1 {
+		t.Fatalf("registry holds %d counters, want 1: later Gets must not resolve again", n)
+	}
+}
+
 func TestGaugeLastWriteWins(t *testing.T) {
 	var g Gauge
 	if got := g.Value(); got != 0 {

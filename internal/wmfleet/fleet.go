@@ -106,7 +106,8 @@ type Fleet struct {
 	instances []*instance
 	order     []string // canonical coupling order
 	specs     map[string]core.CouplingSpec
-	owner     map[string]int // coupling -> live owner index; -1 = orphaned
+	cands     map[string]*telemetry.LazyCounter // wm.candidates_total per coupling, for the orphan path
+	owner     map[string]int                    // coupling -> live owner index; -1 = orphaned
 	terms     map[string]int64
 	// parts holds the last known per-coupling checkpoint — the restore
 	// source at Start and the fallback when a crash-time store flush
@@ -216,6 +217,7 @@ func New(cfg Config) (*Fleet, error) {
 		tel:    tel,
 		ckptNS: cfg.Namespace + "-ckpt",
 		specs:  make(map[string]core.CouplingSpec, len(cfg.Couplings)),
+		cands:  make(map[string]*telemetry.LazyCounter, len(cfg.Couplings)),
 		owner:  make(map[string]int, len(cfg.Couplings)),
 		terms:  make(map[string]int64, len(cfg.Couplings)),
 		parts:  make(map[string]core.CouplingCheckpoint, len(cfg.Couplings)),
@@ -229,6 +231,7 @@ func New(cfg Config) (*Fleet, error) {
 		}
 		f.order = append(f.order, spec.Name)
 		f.specs[spec.Name] = spec
+		f.cands[spec.Name] = new(telemetry.LazyCounter)
 		f.owner[spec.Name] = i % cfg.Instances
 	}
 	f.disp.bind(cfg.Backend)
@@ -563,6 +566,7 @@ func (f *Fleet) storedPartLocked(name string) (core.CouplingCheckpoint, error) {
 func (f *Fleet) AddCandidate(coupling string, p dynim.Point) error {
 	f.mu.Lock()
 	spec, known := f.specs[coupling]
+	cands := f.cands[coupling]
 	o := -1
 	if known {
 		o = f.owner[coupling]
@@ -581,7 +585,7 @@ func (f *Fleet) AddCandidate(coupling string, p dynim.Point) error {
 	if err := spec.Selector.Add(p); err != nil {
 		return err
 	}
-	f.tel.Counter(telemetry.Name("wm.candidates_total", "coupling", coupling)).Inc()
+	cands.Get(f.tel, "wm.candidates_total", "coupling", coupling).Inc()
 	return nil
 }
 

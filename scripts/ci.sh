@@ -57,6 +57,10 @@ if grep -E 'FN?M(ADD|SUB)' "$tmpdir/fold-arm64.S"; then
 fi
 # The Go loop exists once.
 test "$(grep -rl 'a0 += ' internal/dynim --include='*.go' --exclude='*_test.go')" = internal/dynim/fold.go
+# FPS eviction is one threshold select over reused scratch (DESIGN.md
+# "dynim: what an offer costs"): no sort.Slice, with its per-call swapper,
+# in the samplers; victim order and slot frees sort in place.
+test -z "$(grep -rn 'sort\.Slice' internal/dynim --include='*.go' --exclude='*_test.go')"
 
 go test ./...
 go test -race ./...
