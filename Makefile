@@ -89,7 +89,7 @@ scenarios:
 	$(GO) run ./cmd/mummi-sim trace gen -seed 42 -n 3 -outdir scenarios/generated
 
 # Non-test Go lines per package — the tracked number the north star's
-# second aim (ROADMAP item 7) asks to fall or hold.
+# second aim (ROADMAP "Keep shrinking") asks to fall or hold.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './.*' ! -path '*/testdata/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

@@ -410,11 +410,12 @@ func (c *Campaign) begin(spec RunSpec) error {
 // end tears the current allocation down: stop its producers, flush the
 // conductors (queued submissions fail back into WM state), settle the
 // running simulations, checkpoint, and merge the allocation into the result.
-// Known defect, kept because its fix moves Result bytes (ROADMAP item 4):
-// s.Close leaves running jobs' auto-completion events on the clock; they
-// fire in the next allocation, where the stopped manager's OnSimEnd deletes
-// a live job of the new scheduler from c.active when IDs collide (they
-// restart at 1) and credits trajectory this settle already accounted.
+// Known defect, kept because its fix moves Result bytes (ROADMAP "An
+// allocation ends at its boundary"): s.Close leaves running jobs'
+// auto-completion events on the clock; they fire in the next allocation,
+// where the stopped manager's OnSimEnd deletes a live job of the new
+// scheduler from c.active when IDs collide (they restart at 1) and credits
+// trajectory this settle already accounted.
 func (c *Campaign) end() {
 	a := c.cur
 	c.cur = nil

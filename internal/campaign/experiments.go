@@ -63,11 +63,11 @@ func Fig7KVQueries(frameCounts []int, clusterNodes, valueBytes int) (_ []Fig7Row
 
 	var rows []Fig7Row
 	for _, n := range frameCounts {
-		kv := make(map[string][]byte, n)
-		for i := 0; i < n; i++ {
-			kv[fmt.Sprintf("rdf:new:%07d", i)] = value
+		names, values := make([]string, n), make([][]byte, n)
+		for i := range names {
+			names[i], values[i] = fmt.Sprintf("rdf:new:%07d", i), value
 		}
-		if err := c.MSet(kv); err != nil {
+		if err := c.MSetSlice(names, values); err != nil {
 			return nil, err
 		}
 
@@ -82,13 +82,19 @@ func Fig7KVQueries(frameCounts []int, clusterNodes, valueBytes int) (_ []Fig7Row
 		}
 
 		t1 := time.Now()
-		vals, err := c.MGet(keys)
+		vals, err := c.MGetSlice(keys)
 		if err != nil {
 			return nil, err
 		}
 		tVals := time.Since(t1)
-		if len(vals) != n {
-			return nil, fmt.Errorf("fig7: fetched %d/%d values", len(vals), n)
+		fetched := 0
+		for _, v := range vals {
+			if v != nil {
+				fetched++
+			}
+		}
+		if fetched != n {
+			return nil, fmt.Errorf("fig7: fetched %d/%d values", fetched, n)
 		}
 
 		t2 := time.Now()

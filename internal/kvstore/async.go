@@ -6,7 +6,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // AsyncClient is the pipelined connection to one server. A client that
@@ -144,7 +143,7 @@ type pipe struct {
 }
 
 func newPipe(addr string, opts ClientOptions) (*pipe, error) {
-	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +211,7 @@ func (p *pipe) wait(c *call) (*reply, error) {
 		case !p.reading && len(p.inflight) > 0:
 			p.reading = true
 			p.mu.Unlock()
-			rep, err := p.read()
+			rep, err := readReply(p.r)
 			if err != nil {
 				p.fail(err) //lint:allow errdiscipline -- the socket close is best-effort; the calls carry err
 			}
@@ -235,31 +234,12 @@ func (p *pipe) wait(c *call) (*reply, error) {
 
 // write encodes batch and flushes it once — the writer role's I/O.
 func (p *pipe) write(batch []*call) error {
-	if p.opts.WriteTimeout > 0 {
-		// Socket deadlines are wall-clock by nature; they bound I/O stalls
-		// and never influence replayed state.
-		//lint:allow determinism -- wall-clock socket deadline, invisible to replay state
-		if err := p.conn.SetWriteDeadline(time.Now().Add(p.opts.WriteTimeout)); err != nil {
-			return err
-		}
-	}
 	for _, c := range batch {
 		if err := writeCommand(p.w, c.args...); err != nil {
 			return err
 		}
 	}
 	return p.w.Flush()
-}
-
-// read reads one reply — the reader role's I/O.
-func (p *pipe) read() (*reply, error) {
-	if p.opts.ReadTimeout > 0 {
-		//lint:allow determinism -- wall-clock socket deadline, invisible to replay state
-		if err := p.conn.SetReadDeadline(time.Now().Add(p.opts.ReadTimeout)); err != nil {
-			return nil, err
-		}
-	}
-	return readReply(p.r)
 }
 
 // fail records the pipe's first error, fails every pending and in-flight

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,22 +12,23 @@ import (
 	"mummi/internal/parallel"
 )
 
-// Cluster is the client side of a multi-node deployment: the paper ran a
-// cluster of 20 Redis servers with compute nodes "allocated randomly" to
-// them. Keys are placed on shards by a consistent-hash ring (stable under
-// topology change, allocation-free per lookup); each shard is a primary
-// with an optional replica, reached through a pipelined AsyncClient; and
-// scatter operations (Keys/MGet/MSet/Del/Size/FlushAll) fan out to all
-// shards in parallel with a deterministic shard-order merge.
+// Cluster is the kvstore client — the one every caller uses, Store
+// included. The paper ran a cluster of 20 Redis servers with compute nodes
+// "allocated randomly" to them. A key's placement picks its shard on a
+// consistent-hash ring (stable under topology change, allocation-free per
+// lookup) and its pipe in that shard's pipelined AsyncClient; each shard
+// is a primary with an optional replica; and multi-key operations send one
+// pipelined burst per owning shard, all shards in parallel, with results
+// merged in key order.
 //
 // Failover is client-side: when a shard's node stops answering, the
 // cluster flips to the shard's other node, redials, and retries under the
 // configured retry policy. Together with the primary's synchronous
 // write-forwarding (Server.SetReplica) this gives at-least-once semantics
 // across a primary kill: every acknowledged write survives on the replica,
-// and a retried batch may re-apply operations that were in flight — which
-// is why Rename-class retries treat "no such key" on a key that already
-// reached its destination as success (see Store.MoveBatch).
+// and a retried burst may re-apply operations that were in flight — which
+// is why a replayed rename of a key that already reached its destination
+// counts as not moved, not as an error (see Rename).
 type Cluster struct {
 	opts      ClientOptions
 	ring      *Ring
@@ -60,16 +62,11 @@ type shardConn struct {
 // DialCluster connects to every node of an unreplicated cluster with
 // default options (one shard per address).
 func DialCluster(addrs []string) (*Cluster, error) {
-	return DialClusterOptions(addrs, ClientOptions{})
-}
-
-// DialClusterOptions is DialCluster with explicit client options.
-func DialClusterOptions(addrs []string, opts ClientOptions) (*Cluster, error) {
 	shards := make([]Shard, len(addrs))
 	for i, a := range addrs {
 		shards[i] = Shard{Primary: a}
 	}
-	return DialShards(shards, opts)
+	return DialShards(shards, ClientOptions{})
 }
 
 // DialShards connects to a replicated cluster: one pipelined client per
@@ -81,7 +78,7 @@ func DialShards(shards []Shard, opts ClientOptions) (*Cluster, error) {
 		return nil, errors.New("kvstore: empty cluster")
 	}
 	opts = opts.withDefaults()
-	c := &Cluster{opts: opts, ring: NewRing(len(shards), opts.VNodes)}
+	c := &Cluster{opts: opts, ring: NewRing(len(shards))}
 	for _, sh := range shards {
 		cl, err := DialAsync(sh.Primary, opts)
 		if err != nil {
@@ -101,8 +98,17 @@ func (c *Cluster) Nodes() int { return len(c.shards) }
 // replica or redial of the same node after a drop).
 func (c *Cluster) Failovers() int64 { return c.failovers.Load() }
 
-// shardFor returns the shard owning a placement key.
-func (c *Cluster) shardFor(key string) *shardConn { return c.shards[c.ring.Lookup(key)] }
+// placement is the part of a key that places it: the part after the first
+// nsSep, or the whole key when there is none. It picks the key's shard and
+// its pipe on that shard for every command that names the key. Changing
+// only a key's namespace (ns:k to done:k, the feedback tagging primitive)
+// therefore keeps both: a namespace move is one same-shard RENAME, and
+// every operation on one bare key is ordered end to end, onto the replica
+// included.
+func placement(key string) string { return key[strings.IndexByte(key, nsSep[0])+1:] }
+
+// shardOf returns the index of the shard owning key.
+func (c *Cluster) shardOf(key string) int { return c.ring.Lookup(placement(key)) }
 
 // client returns the shard's current pipelined client and its generation.
 func (s *shardConn) client() (*AsyncClient, uint64) {
@@ -165,19 +171,20 @@ func (s *shardConn) recover(c *Cluster, gen uint64) (*AsyncClient, uint64, error
 	return cl, g, nil
 }
 
-// do sends one command to the shard owning placement (which also pins the
-// pool connection, preserving per-key order), retrying through failover
-// under the cluster's retry policy. Only transport errors trigger
-// recovery; semantic errors arrive inside a reply and are returned as-is.
-func (c *Cluster) do(placement string, args ...[]byte) (*reply, error) {
-	return c.doOnShard(c.ring.Lookup(placement), placement, args...)
+// do sends one command naming key to the key's shard on the key's pipe,
+// retrying through failover under the cluster's retry policy. Only
+// transport errors trigger recovery; semantic errors arrive inside a reply
+// and are returned as-is.
+func (c *Cluster) do(key string, args ...[]byte) (*reply, error) {
+	p := placement(key)
+	return c.doOnShard(c.ring.Lookup(p), p, args...)
 }
 
-// doOnShard is do for an explicit shard index (scatter operations are not
-// placed by key).
-func (c *Cluster) doOnShard(i int, placement string, args ...[]byte) (rep *reply, err error) {
+// doOnShard is do for an explicit shard index and pipe affinity (scatter
+// commands name no single key).
+func (c *Cluster) doOnShard(i int, affinity string, args ...[]byte) (rep *reply, err error) {
 	err = c.shards[i].retry(c, func(cl *AsyncClient) (derr error) {
-		rep, derr = cl.Do(placement, args...)
+		rep, derr = cl.Do(affinity, args...)
 		return derr
 	})
 	return rep, err
@@ -186,9 +193,9 @@ func (c *Cluster) doOnShard(i int, placement string, args ...[]byte) (rep *reply
 // doBatch pipelines many commands onto one shard and waits for all
 // replies. On any transport error the whole batch is retried (after
 // recovery) — at-least-once, per the cluster contract.
-func (sc *shardConn) doBatch(c *Cluster, placements []string, cmds [][][]byte) (reps []*reply, err error) {
+func (sc *shardConn) doBatch(c *Cluster, affinities []string, cmds [][][]byte) (reps []*reply, err error) {
 	err = sc.retry(c, func(cl *AsyncClient) (berr error) {
-		reps, berr = submitAll(cl, placements, cmds)
+		reps, berr = submitAll(cl, affinities, cmds)
 		return berr
 	})
 	return reps, err
@@ -215,10 +222,10 @@ func (sc *shardConn) retry(c *Cluster, op func(*AsyncClient) error) error {
 
 // submitAll enqueues every command before waiting on any reply — the
 // client-side half of pipelining: one burst out, one burst back.
-func submitAll(cl *AsyncClient, placements []string, cmds [][][]byte) ([]*reply, error) {
+func submitAll(cl *AsyncClient, affinities []string, cmds [][][]byte) ([]*reply, error) {
 	calls := make([]*call, len(cmds))
 	for i, args := range cmds {
-		ca, err := cl.submit(placements[i], args...)
+		ca, err := cl.submit(affinities[i], args...)
 		if err != nil {
 			return nil, err
 		}
@@ -239,12 +246,12 @@ func submitAll(cl *AsyncClient, placements []string, cmds [][][]byte) ([]*reply,
 	return reps, nil
 }
 
-// fanout runs fn once per shard, in parallel over the cluster's worker
-// pool, and joins the per-shard errors in shard order — the deterministic
-// merge every scatter operation builds on.
+// fanout runs fn once per shard, in parallel over GOMAXPROCS workers, and
+// joins the per-shard errors in shard order — the deterministic merge
+// every scatter operation builds on.
 func (c *Cluster) fanout(fn func(shard int) error) error {
 	errs := make([]error, len(c.shards))
-	parallel.For(len(c.shards), parallel.Workers(c.opts.FanoutWorkers), 1, func(lo, hi int) {
+	parallel.For(len(c.shards), parallel.Workers(0), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			errs[i] = fn(i)
 		}
@@ -252,15 +259,47 @@ func (c *Cluster) fanout(fn func(shard int) error) error {
 	return errors.Join(errs...)
 }
 
-// group splits keys into per-shard lists, preserving input order within
-// each shard.
-func (c *Cluster) group(keys []string) [][]string {
-	groups := make([][]string, len(c.shards))
-	for _, k := range keys {
-		i := c.ring.Lookup(k)
-		groups[i] = append(groups[i], k)
+// group lists, per shard, the positions of the keys it owns, in input
+// order — the one per-shard grouping every multi-key operation uses.
+func (c *Cluster) group(keys []string) [][]int {
+	idx := make([][]int, len(c.shards))
+	for j, k := range keys {
+		i := c.shardOf(k)
+		idx[i] = append(idx[i], j)
 	}
-	return groups
+	return idx
+}
+
+// each sends cmd(j) for every keys[j] to the key's shard on the key's pipe
+// and returns the replies in key order. One key is one round trip; more
+// ride one pipelined burst per owning shard, all shards in parallel.
+func (c *Cluster) each(keys []string, cmd func(j int) [][]byte) ([]*reply, error) {
+	reps := make([]*reply, len(keys))
+	if len(keys) == 1 {
+		rep, err := c.do(keys[0], cmd(0)...)
+		reps[0] = rep
+		return reps, err
+	}
+	idx := c.group(keys)
+	err := c.fanout(func(i int) error {
+		if len(idx[i]) == 0 {
+			return nil
+		}
+		affinities := make([]string, len(idx[i]))
+		cmds := make([][][]byte, len(idx[i]))
+		for n, j := range idx[i] {
+			affinities[n], cmds[n] = placement(keys[j]), cmd(j)
+		}
+		got, err := c.shards[i].doBatch(c, affinities, cmds)
+		if err != nil {
+			return err
+		}
+		for n, j := range idx[i] {
+			reps[j] = got[n]
+		}
+		return nil
+	})
+	return reps, err
 }
 
 // Set stores value under key on its owning shard.
@@ -290,88 +329,47 @@ func (c *Cluster) Get(key string) ([]byte, error) {
 	return rep.bulk, nil
 }
 
-// Del removes keys (grouped per owning shard, deleted in parallel),
-// returning how many existed.
+// Del removes keys, returning how many existed.
 func (c *Cluster) Del(keys ...string) (int, error) {
-	groups := c.group(keys)
-	counts := make([]int, len(groups))
-	err := c.fanout(func(i int) error {
-		if len(groups[i]) == 0 {
-			return nil
-		}
-		cmds := make([][][]byte, len(groups[i]))
-		for j, k := range groups[i] {
-			cmds[j] = [][]byte{[]byte("DEL"), []byte(k)}
-		}
-		reps, err := c.shards[i].doBatch(c, groups[i], cmds)
-		if err != nil {
-			return err
-		}
-		for _, rep := range reps {
-			counts[i] += int(rep.n)
-		}
-		return nil
-	})
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	return total, err
-}
-
-// RenameError is the typed failure of a cross-shard Rename. Cross-shard
-// renames are copy-then-delete and therefore at-least-once, never atomic:
-// on failure, Surviving names the key whose copy is known to hold the
-// value, and Duplicated reports whether a second (stale) copy may also
-// remain at Src. Callers that need exactly-once must delete the survivor
-// themselves after acting on it.
-type RenameError struct {
-	Src, Dst   string
-	Surviving  string
-	Duplicated bool
-	Err        error
-}
-
-// Error implements error.
-func (e *RenameError) Error() string {
-	state := "value survives at " + e.Surviving
-	if e.Duplicated {
-		state += " (stale copy may remain at " + e.Src + ")"
-	}
-	return fmt.Sprintf("kvstore: rename %s -> %s: %s: %v", e.Src, e.Dst, state, e.Err)
-}
-
-// Unwrap exposes the underlying transport or reply error.
-func (e *RenameError) Unwrap() error { return e.Err }
-
-// Rename moves src to dst. On one shard it is the server's atomic RENAME;
-// across shards it degrades to copy-then-delete: the value is written to
-// dst before src is deleted, so the value is never lost — but a failure
-// between the two steps leaves both copies alive. The returned
-// *RenameError names the surviving copy.
-func (c *Cluster) Rename(src, dst string) error {
-	ss, ds := c.shardFor(src), c.shardFor(dst)
-	if ss == ds {
-		rep, err := c.do(src, []byte("RENAME"), []byte(src), []byte(dst))
-		if err != nil {
-			return err
-		}
-		if rep.kind == '-' {
-			return ErrNoSuchKey
-		}
-		return nil
-	}
-	v, err := c.Get(src)
+	reps, err := c.each(keys, func(j int) [][]byte { return [][]byte{[]byte("DEL"), []byte(keys[j])} })
 	if err != nil {
-		return err // nothing moved; src state unchanged
+		return 0, err
 	}
-	if err := c.Set(dst, v); err != nil {
-		return &RenameError{Src: src, Dst: dst, Surviving: src, Err: err}
+	n := 0
+	for _, rep := range reps {
+		n += int(rep.n)
 	}
-	if _, err := c.Del(src); err != nil {
-		return &RenameError{Src: src, Dst: dst, Surviving: dst, Duplicated: true, Err: err}
+	return n, nil
+}
+
+// Rename moves each srcs[j] to dsts[j] with the server's atomic RENAME,
+// returning how many sources existed. A pair must share its placement
+// (ns:k to done:k), which keeps it on one shard; a missing source is
+// skipped, not an error — that is what makes the failover retry of a
+// partially applied burst safe: a rename that already happened simply
+// reports "no such key" on replay.
+func (c *Cluster) Rename(srcs, dsts []string) (int, error) {
+	if len(srcs) != len(dsts) {
+		return 0, fmt.Errorf("kvstore: Rename: %d sources, %d destinations", len(srcs), len(dsts))
 	}
-	return nil
+	for j, src := range srcs {
+		if placement(src) != placement(dsts[j]) {
+			return 0, fmt.Errorf("kvstore: rename %s -> %s changes the key's placement", src, dsts[j])
+		}
+	}
+	reps, err := c.each(srcs, func(j int) [][]byte {
+		return [][]byte{[]byte("RENAME"), []byte(srcs[j]), []byte(dsts[j])}
+	})
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, rep := range reps {
+		if rep.kind != '-' {
+			n++
+		}
+	}
+	return n, nil
 }
 
 // Keys scans every shard for the pattern in parallel and merges the
@@ -404,33 +402,13 @@ func (c *Cluster) Keys(pattern string) ([]string, error) {
 	return all, nil
 }
 
-// MGet fetches many keys as a map; missing keys are absent. A convenience
-// wrapper over MGetSlice.
-func (c *Cluster) MGet(keys []string) (map[string][]byte, error) {
-	vals, err := c.MGetSlice(keys)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]byte, len(keys))
-	for j, k := range keys {
-		if vals[j] != nil {
-			out[k] = vals[j]
-		}
-	}
-	return out, nil
-}
-
 // MGetSlice fetches many keys positionally — vals[i] is the value of
-// keys[i], nil if missing. One pipelined MGET per owning shard, fanned out
-// in parallel; per-shard results land in a slice indexed by the key's
+// keys[i], nil if missing. One MGET per owning shard, all shards in
+// parallel; per-shard results land in a slice indexed by the key's
 // original position, so there is no per-key map traffic at all. This is
-// the read half of the feedback fast path.
+// the read half of the feedback path (Store.GetBatch).
 func (c *Cluster) MGetSlice(keys []string) ([][]byte, error) {
-	idx := make([][]int, len(c.shards))
-	for j, k := range keys {
-		i := c.ring.Lookup(k)
-		idx[i] = append(idx[i], j)
-	}
+	idx := c.group(keys)
 	vals := make([][]byte, len(keys))
 	err := c.fanout(func(i int) error {
 		if len(idx[i]) == 0 {
@@ -464,60 +442,36 @@ func (c *Cluster) MGetSlice(keys []string) ([][]byte, error) {
 // enough that chunks still pipeline and bursts stay bounded in memory.
 const msetChunk = 256
 
-// MSet stores many key-value pairs: keys are sorted (wire order must be a
-// pure function of the data, never of map iteration) and handed to
-// MSetSlice.
-func (c *Cluster) MSet(kv map[string][]byte) error {
-	keys := make([]string, 0, len(kv))
-	for k := range kv {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	vals := make([][]byte, len(keys))
-	for i, k := range keys {
-		vals[i] = kv[k]
-	}
-	return c.MSetSlice(keys, vals)
-}
-
 // MSetSlice stores vals[i] under keys[i]: keys are grouped per shard in
 // input order, and each shard's group rides chunked multi-key MSET
-// commands, all shards in parallel. This is the write half of the feedback
-// fast path — per-key cost inside an MSET is roughly an order of magnitude
-// below a SET round trip, which is where the pipelined client's bulk-write
-// speedup comes from. Wire order is a pure function of the input order;
-// callers feeding from a map must sort first (MSet does).
+// commands, all shards in parallel. Per-key cost inside an MSET is roughly
+// an order of magnitude below a SET round trip, which is where the
+// pipelined client's bulk-write speedup comes from. Wire order is a pure
+// function of the input order.
 func (c *Cluster) MSetSlice(keys []string, vals [][]byte) error {
 	if len(keys) != len(vals) {
 		return fmt.Errorf("kvstore: MSetSlice: %d keys, %d values", len(keys), len(vals))
 	}
-	idx := make([][]int, len(c.shards))
-	for j, k := range keys {
-		i := c.ring.Lookup(k)
-		idx[i] = append(idx[i], j)
-	}
+	idx := c.group(keys)
 	return c.fanout(func(i int) error {
 		g := idx[i]
 		if len(g) == 0 {
 			return nil
 		}
 		nChunks := (len(g) + msetChunk - 1) / msetChunk
-		placements := make([]string, 0, nChunks)
+		affinities := make([]string, 0, nChunks)
 		cmds := make([][][]byte, 0, nChunks)
 		for lo := 0; lo < len(g); lo += msetChunk {
-			hi := lo + msetChunk
-			if hi > len(g) {
-				hi = len(g)
-			}
+			hi := min(lo+msetChunk, len(g))
 			args := make([][]byte, 1, 1+2*(hi-lo))
 			args[0] = []byte("MSET")
 			for _, j := range g[lo:hi] {
 				args = append(args, []byte(keys[j]), vals[j])
 			}
-			placements = append(placements, keys[g[lo]])
+			affinities = append(affinities, placement(keys[g[lo]]))
 			cmds = append(cmds, args)
 		}
-		reps, err := c.shards[i].doBatch(c, placements, cmds)
+		reps, err := c.shards[i].doBatch(c, affinities, cmds)
 		if err != nil {
 			return err
 		}
@@ -527,32 +481,6 @@ func (c *Cluster) MSetSlice(keys []string, vals [][]byte) error {
 			}
 		}
 		return nil
-	})
-}
-
-// Size sums key counts across shards, queried in parallel.
-func (c *Cluster) Size() (int, error) {
-	counts := make([]int, len(c.shards))
-	err := c.fanout(func(i int) error {
-		rep, rerr := c.doOnShard(i, "", []byte("DBSIZE"))
-		if rerr != nil {
-			return rerr
-		}
-		counts[i] = int(rep.n)
-		return nil
-	})
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	return total, err
-}
-
-// FlushAll clears every shard in parallel.
-func (c *Cluster) FlushAll() error {
-	return c.fanout(func(i int) error {
-		_, err := c.doOnShard(i, "", []byte("FLUSHALL"))
-		return err
 	})
 }
 

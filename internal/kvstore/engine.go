@@ -1,8 +1,10 @@
 // Package kvstore is mummi-go's substitute for the Redis™ cluster the paper
 // uses for high-throughput, updatable in situ data (§4.2): an in-memory
 // key-value engine, a TCP server speaking a RESP-compatible wire protocol,
-// a pipelining client, and a cluster client that spreads keys across server
-// nodes. Feedback runs against this store instead of the filesystem, which
+// and one client, Cluster, which pipelines over a pool of connections per
+// server node and places every key by one function (placement). Store is
+// that client behind the abstract data interface, one Cluster call per
+// method. Feedback runs against this store instead of the filesystem, which
 // is what bought the paper its >12× faster feedback loop: key scans,
 // value reads, deletions, and renames (the "move out of namespace" tagging
 // primitive) all happen at memory speed, away from contended directories.

@@ -49,19 +49,19 @@ func TestReplicationMirrors(t *testing.T) {
 	}
 	defer cl.Close()
 
-	kv := map[string][]byte{}
-	for i := 0; i < 120; i++ {
-		kv[fmt.Sprintf("frame-%03d", i)] = []byte(fmt.Sprintf("payload-%d", i))
+	keys, vals := make([]string, 120), make([][]byte, 120)
+	for i := range keys {
+		keys[i], vals[i] = fmt.Sprintf("frame:%03d", i), []byte(fmt.Sprintf("payload-%d", i))
 	}
-	if err := cl.MSet(kv); err != nil {
+	if err := cl.MSetSlice(keys, vals); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		if err := cl.Rename(fmt.Sprintf("frame-%03d", i), fmt.Sprintf("tagged-%03d", i)); err != nil {
+		if _, err := cl.Rename([]string{fmt.Sprintf("frame:%03d", i)}, []string{fmt.Sprintf("tagged:%03d", i)}); err != nil {
 			t.Fatalf("rename %d: %v", i, err)
 		}
 	}
-	if _, err := cl.Del("frame-050", "frame-051", "frame-052"); err != nil {
+	if _, err := cl.Del("frame:050", "frame:051", "frame:052"); err != nil {
 		t.Fatal(err)
 	}
 

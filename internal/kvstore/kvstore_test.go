@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -372,21 +371,45 @@ func TestClientKeysRenameDBSize(t *testing.T) {
 	if err != nil || len(ks) != 5 {
 		t.Fatalf("Keys = %v, %v", ks, err)
 	}
-	if err := c.Rename("new:0", "done:0"); err != nil {
-		t.Fatal(err)
+	if n, err := c.Rename([]string{"new:0"}, []string{"done:0"}); err != nil || n != 1 {
+		t.Fatalf("Rename = %d, %v", n, err)
 	}
-	if err := c.Rename("new:0", "x"); !errors.Is(err, ErrNoSuchKey) {
-		t.Errorf("rename missing = %v", err)
+	if n, err := c.Rename([]string{"new:0"}, []string{"done:0"}); err != nil || n != 0 {
+		t.Errorf("rename missing = %d, %v", n, err)
 	}
-	n, err := c.Size()
-	if err != nil || n != 5 {
-		t.Fatalf("Size = %d, %v", n, err)
+	if _, err := c.Rename([]string{"done:0"}, []string{"x"}); err == nil {
+		t.Error("rename that changes the placement accepted")
 	}
-	if err := c.FlushAll(); err != nil {
-		t.Fatal(err)
+	if n := dbsize(t, c); n != 5 {
+		t.Fatalf("DBSIZE = %d", n)
 	}
-	if n, _ := c.Size(); n != 0 {
-		t.Errorf("Size after flush = %d", n)
+	flushAll(t, c)
+	if n := dbsize(t, c); n != 0 {
+		t.Errorf("DBSIZE after flush = %d", n)
+	}
+}
+
+// dbsize sums DBSIZE over the cluster's shards.
+func dbsize(t *testing.T, c *Cluster) int {
+	t.Helper()
+	total := 0
+	for i := range c.shards {
+		rep, err := c.doOnShard(i, "", []byte("DBSIZE"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += int(rep.n)
+	}
+	return total
+}
+
+// flushAll clears every shard of the cluster.
+func flushAll(t *testing.T, c *Cluster) {
+	t.Helper()
+	for i := range c.shards {
+		if _, err := c.doOnShard(i, "", []byte("FLUSHALL")); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -547,16 +570,15 @@ func startCluster(t *testing.T, n int) *Cluster {
 
 func TestClusterSpreadsKeys(t *testing.T) {
 	c := startCluster(t, 4)
-	kv := map[string][]byte{}
-	for i := 0; i < 200; i++ {
-		kv[fmt.Sprintf("frame:%04d", i)] = []byte("x")
+	keys, vals := make([]string, 200), make([][]byte, 200)
+	for i := range keys {
+		keys[i], vals[i] = fmt.Sprintf("frame:%04d", i), []byte("x")
 	}
-	if err := c.MSet(kv); err != nil {
+	if err := c.MSetSlice(keys, vals); err != nil {
 		t.Fatal(err)
 	}
-	total, err := c.Size()
-	if err != nil || total != 200 {
-		t.Fatalf("Size = %d, %v", total, err)
+	if total := dbsize(t, c); total != 200 {
+		t.Fatalf("DBSIZE = %d", total)
 	}
 	// Every shard should own a nontrivial share under ring hashing.
 	for i := range c.shards {
@@ -572,42 +594,39 @@ func TestClusterSpreadsKeys(t *testing.T) {
 
 func TestClusterScanAndMGet(t *testing.T) {
 	c := startCluster(t, 3)
-	want := map[string][]byte{}
-	for i := 0; i < 50; i++ {
-		k := fmt.Sprintf("rdf:new:%03d", i)
-		want[k] = []byte(fmt.Sprintf("payload-%d", i))
+	want, vals := make([]string, 50), make([][]byte, 50)
+	for i := range want {
+		want[i], vals[i] = fmt.Sprintf("rdf:new:%03d", i), []byte(fmt.Sprintf("payload-%d", i))
 	}
-	if err := c.MSet(want); err != nil {
+	if err := c.MSetSlice(want, vals); err != nil {
 		t.Fatal(err)
 	}
 	keys, err := c.Keys("rdf:new:*")
-	if err != nil || len(keys) != 50 {
-		t.Fatalf("Keys = %d, %v", len(keys), err)
+	if err != nil || !slices.Equal(keys, want) {
+		t.Fatalf("Keys = %q, %v", keys, err)
 	}
-	got, err := c.MGet(keys)
+	got, err := c.MGetSlice(keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(mapKeysOnly(got), mapKeysOnly(want)) {
-		t.Error("MGet returned different key set")
-	}
-	for k, v := range want {
-		if !bytes.Equal(got[k], v) {
-			t.Errorf("value mismatch at %s", k)
+	for i, k := range keys {
+		if !bytes.Equal(got[i], vals[i]) {
+			t.Errorf("value mismatch at %s: %q", k, got[i])
 		}
 	}
 }
 
 func TestClusterRenameAcrossNodes(t *testing.T) {
 	c := startCluster(t, 5)
-	// Rename many keys; hashing guarantees some pairs straddle nodes.
+	// Namespace renames of keys spread over five nodes: the bare key places
+	// both names, so each is one RENAME on the key's own shard.
 	for i := 0; i < 40; i++ {
 		k := fmt.Sprintf("new:%d", i)
 		if err := c.Set(k, []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Rename(k, fmt.Sprintf("done:%d", i)); err != nil {
-			t.Fatalf("Rename(%s): %v", k, err)
+		if n, err := c.Rename([]string{k}, []string{fmt.Sprintf("done:%d", i)}); err != nil || n != 1 {
+			t.Fatalf("Rename(%s) = %d, %v", k, n, err)
 		}
 	}
 	newKeys, _ := c.Keys("new:*")
@@ -633,11 +652,9 @@ func TestClusterDelAndFlush(t *testing.T) {
 	if err != nil || n != 20 {
 		t.Fatalf("Del = %d, %v", n, err)
 	}
-	if err := c.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if total, _ := c.Size(); total != 0 {
-		t.Errorf("Size after flush = %d", total)
+	flushAll(t, c)
+	if total := dbsize(t, c); total != 0 {
+		t.Errorf("DBSIZE after flush = %d", total)
 	}
 }
 
@@ -648,14 +665,6 @@ func TestDialClusterErrors(t *testing.T) {
 	if _, err := DialCluster([]string{"127.0.0.1:1"}); err == nil {
 		t.Error("unreachable cluster accepted")
 	}
-}
-
-func mapKeysOnly[V any](m map[string]V) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k := range m {
-		out[k] = true
-	}
-	return out
 }
 
 func TestClusterNodesAndServerAddr(t *testing.T) {
@@ -785,7 +794,7 @@ func TestPipeliningAmortizesRoundTrips(t *testing.T) {
 		rtt = time.Millisecond
 	)
 	s, _ := startServer(t)
-	c, err := DialClusterOptions([]string{s.Addr()}, ClientOptions{
+	c, err := DialShards([]Shard{{Primary: s.Addr()}}, ClientOptions{
 		WrapConn: func(conn net.Conn) net.Conn { return delayConn{conn, rtt} },
 	})
 	if err != nil {
@@ -828,7 +837,7 @@ func TestBurstLargerThanWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(shutdown)
-	c, err := DialClusterOptions(addrs, ClientOptions{PoolSize: 1, Window: 8})
+	c, err := DialShards([]Shard{{Primary: addrs[0]}, {Primary: addrs[1]}}, ClientOptions{PoolSize: 1, Window: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,8 +81,8 @@ func TestPersistFileAndServerRestart(t *testing.T) {
 	if err != nil || string(v) != "v" {
 		t.Fatalf("Get after restart = %q, %v", v, err)
 	}
-	if n, _ := c.Size(); n != 100 {
-		t.Errorf("Size after restart = %d", n)
+	if n := dbsize(t, c); n != 100 {
+		t.Errorf("DBSIZE after restart = %d", n)
 	}
 }
 

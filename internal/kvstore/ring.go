@@ -16,10 +16,10 @@ import (
 // (key, shard) assignment is untouched, which is what lets a deployment
 // grow without a stop-the-world rehash of the feedback keyspace.
 
-// defaultVNodes is the per-shard virtual-node count. 128 points per shard
-// keeps the max/mean ownership ratio under ~1.25 for small clusters while
-// the whole ring for a 20-shard deployment stays under 40 KB.
-const defaultVNodes = 128
+// vnodes is the per-shard virtual-node count. 128 points per shard keeps
+// the max/mean ownership ratio under ~1.25 for small clusters while the
+// whole ring for a 20-shard deployment stays under 40 KB.
+const vnodes = 128
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -63,17 +63,14 @@ type Ring struct {
 	shards int
 }
 
-// NewRing builds a ring over `shards` shards with `vnodes` points each
-// (vnodes <= 0 selects defaultVNodes). Shard identity is positional: point
-// positions depend only on (shard index, vnode index), so extending the
-// shard list leaves every existing point — and therefore every surviving
-// key assignment — exactly where it was.
-func NewRing(shards, vnodes int) *Ring {
+// NewRing builds a ring over `shards` shards with vnodes points each.
+// Shard identity is positional: point positions depend only on (shard
+// index, vnode index), so extending the shard list leaves every existing
+// point — and therefore every surviving key assignment — exactly where it
+// was.
+func NewRing(shards int) *Ring {
 	if shards < 1 {
 		panic("kvstore: ring needs at least one shard")
-	}
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
 	}
 	r := &Ring{points: make([]ringPoint, 0, shards*vnodes), shards: shards}
 	for s := 0; s < shards; s++ {

@@ -7,7 +7,7 @@ import (
 
 func TestRingDistribution(t *testing.T) {
 	const shards, keys = 4, 100000
-	r := NewRing(shards, 0)
+	r := NewRing(shards)
 	counts := make([]int, shards)
 	for i := 0; i < keys; i++ {
 		counts[r.Lookup(fmt.Sprintf("frame:%06d", i))]++
@@ -24,7 +24,7 @@ func TestRingDistribution(t *testing.T) {
 
 func TestRingStabilityUnderGrowth(t *testing.T) {
 	const keys = 20000
-	small, big := NewRing(4, 0), NewRing(5, 0)
+	small, big := NewRing(4), NewRing(5)
 	moved, stolen := 0, 0
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("key-%05d", i)
@@ -47,7 +47,7 @@ func TestRingStabilityUnderGrowth(t *testing.T) {
 }
 
 func TestRingDeterministic(t *testing.T) {
-	a, b := NewRing(7, 64), NewRing(7, 64)
+	a, b := NewRing(7), NewRing(7)
 	for i := 0; i < 1000; i++ {
 		k := fmt.Sprintf("k%d", i)
 		if a.Lookup(k) != b.Lookup(k) {
@@ -57,7 +57,7 @@ func TestRingDeterministic(t *testing.T) {
 }
 
 func TestRingSingleShard(t *testing.T) {
-	r := NewRing(1, 0)
+	r := NewRing(1)
 	for i := 0; i < 100; i++ {
 		if got := r.Lookup(fmt.Sprintf("k%d", i)); got != 0 {
 			t.Fatalf("single-shard ring returned %d", got)
@@ -66,7 +66,7 @@ func TestRingSingleShard(t *testing.T) {
 }
 
 func BenchmarkRingLookup(b *testing.B) {
-	r := NewRing(20, 0)
+	r := NewRing(20)
 	keys := make([]string, 512)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("pfu:new:frame-%06d", i)

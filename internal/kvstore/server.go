@@ -26,7 +26,6 @@ type Server struct {
 	engine      *Engine
 	ln          net.Listener
 	replicaAddr string
-	replOpts    ClientOptions
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -51,10 +50,6 @@ func NewServer(engine *Engine) *Server {
 // promoting it to shard primary. Must be called before Listen. An empty
 // addr (the default) serves standalone.
 func (s *Server) SetReplica(addr string) { s.replicaAddr = addr }
-
-// SetReplicaOptions overrides the dial/deadline options of replica links
-// (default: zero ClientOptions, i.e. 5s dial timeout, unbounded I/O).
-func (s *Server) SetReplicaOptions(opts ClientOptions) { s.replOpts = opts }
 
 // ReplicaDegraded reports whether the replica link failed and the primary
 // fell back to standalone serving.
@@ -183,7 +178,7 @@ func (s *Server) serveConn(conn net.Conn) {
 // Any link failure degrades the server to standalone (nil link).
 func (s *Server) forward(rl *replLink, args [][]byte) *replLink {
 	if rl == nil {
-		conn, err := net.DialTimeout("tcp", s.replicaAddr, s.replOpts.withDefaults().DialTimeout)
+		conn, err := net.DialTimeout("tcp", s.replicaAddr, dialTimeout)
 		if err != nil {
 			s.replDegraded.Store(true)
 			return nil

@@ -15,13 +15,9 @@ const nsSep = ":"
 // Store adapts a Cluster to the abstract data interface: namespaces become
 // key prefixes, Keys becomes a prefix scan, Move becomes a rename. This is
 // MuMMI's "redis interface": any component can talk to it while cluster
-// details stay hidden.
-//
-// Placement hashes only the bare key (not the namespace), so moving a key
-// between namespaces — the feedback tagging primitive — is always a
-// same-shard rename, never a cross-shard copy. The bare key is also the
-// pipe affinity, so all operations on one key are ordered end to end even
-// through the pooled async client and onto the replica.
+// details stay hidden. Each method checks its names and makes one Cluster
+// call; the Cluster places ns:key by the bare key (see placement), so a
+// move between namespaces never leaves the key's shard or pipe.
 type Store struct{ c *Cluster }
 
 // NewStore wraps an existing cluster connection.
@@ -29,21 +25,17 @@ func NewStore(c *Cluster) *Store { return &Store{c: c} }
 
 func init() {
 	datastore.Register(datastore.BackendKV, func(cfg datastore.Config) (datastore.Store, error) {
-		if len(cfg.Replicas) > 0 {
-			if len(cfg.Replicas) != len(cfg.Addrs) {
-				return nil, fmt.Errorf("kvstore: %d addrs but %d replicas", len(cfg.Addrs), len(cfg.Replicas))
-			}
-			shards := make([]Shard, len(cfg.Addrs))
-			for i, a := range cfg.Addrs {
-				shards[i] = Shard{Primary: a, Replica: cfg.Replicas[i]}
-			}
-			cl, err := DialShards(shards, ClientOptions{})
-			if err != nil {
-				return nil, err
-			}
-			return NewStore(cl), nil
+		if len(cfg.Replicas) > 0 && len(cfg.Replicas) != len(cfg.Addrs) {
+			return nil, fmt.Errorf("kvstore: %d addrs but %d replicas", len(cfg.Addrs), len(cfg.Replicas))
 		}
-		cl, err := DialCluster(cfg.Addrs)
+		shards := make([]Shard, len(cfg.Addrs))
+		for i, a := range cfg.Addrs {
+			shards[i].Primary = a
+			if len(cfg.Replicas) > 0 {
+				shards[i].Replica = cfg.Replicas[i]
+			}
+		}
+		cl, err := DialShards(shards, ClientOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -58,20 +50,24 @@ func nsKey(ns, key string) (string, error) {
 	return ns + nsSep + key, nil
 }
 
+// movePair names key in srcNS and in dstNS.
+func movePair(srcNS, key, dstNS string) (src, dst string, err error) {
+	if src, err = nsKey(srcNS, key); err != nil {
+		return "", "", err
+	}
+	dst, err = nsKey(dstNS, key)
+	return src, dst, err
+}
+
+func notFound(ns, key string) error { return fmt.Errorf("%w: %s/%s", datastore.ErrNotFound, ns, key) }
+
 // Put implements datastore.Store.
 func (s *Store) Put(ns, key string, data []byte) error {
 	k, err := nsKey(ns, key)
 	if err != nil {
 		return err
 	}
-	rep, err := s.c.doOnShard(s.c.ring.Lookup(key), key, []byte("SET"), []byte(k), data)
-	if err != nil {
-		return err
-	}
-	if rep.kind == '-' {
-		return errors.New(rep.str)
-	}
-	return nil
+	return s.c.Set(k, data)
 }
 
 // Get implements datastore.Store.
@@ -80,17 +76,11 @@ func (s *Store) Get(ns, key string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := s.c.doOnShard(s.c.ring.Lookup(key), key, []byte("GET"), []byte(k))
-	if err != nil {
-		return nil, err
+	v, err := s.c.Get(k)
+	if errors.Is(err, ErrNoSuchKey) {
+		return nil, notFound(ns, key)
 	}
-	if rep.kind != '$' {
-		return nil, errProtocol
-	}
-	if rep.bulk == nil {
-		return nil, fmt.Errorf("%w: %s/%s", datastore.ErrNotFound, ns, key)
-	}
-	return rep.bulk, nil
+	return v, err
 }
 
 // Delete implements datastore.Store.
@@ -99,14 +89,11 @@ func (s *Store) Delete(ns, key string) error {
 	if err != nil {
 		return err
 	}
-	rep, err := s.c.doOnShard(s.c.ring.Lookup(key), key, []byte("DEL"), []byte(k))
-	if err != nil {
-		return err
+	n, err := s.c.Del(k)
+	if err == nil && n == 0 {
+		return notFound(ns, key)
 	}
-	if rep.n == 0 {
-		return fmt.Errorf("%w: %s/%s", datastore.ErrNotFound, ns, key)
-	}
-	return nil
+	return err
 }
 
 // Keys implements datastore.Store.
@@ -125,116 +112,56 @@ func (s *Store) Keys(ns string) ([]string, error) {
 	return out, nil
 }
 
-// Move implements datastore.Store ("renaming keys in the database"):
-// bare-key placement makes this a single same-shard RENAME.
+// Move implements datastore.Store ("renaming keys in the database"): one
+// same-shard RENAME.
 func (s *Store) Move(srcNS, key, dstNS string) error {
-	src, err := nsKey(srcNS, key)
+	src, dst, err := movePair(srcNS, key, dstNS)
 	if err != nil {
 		return err
 	}
-	dst, err := nsKey(dstNS, key)
-	if err != nil {
-		return err
+	n, err := s.c.Rename([]string{src}, []string{dst})
+	if err == nil && n == 0 {
+		return notFound(srcNS, key)
 	}
-	rep, err := s.c.doOnShard(s.c.ring.Lookup(key), key, []byte("RENAME"), []byte(src), []byte(dst))
-	if err != nil {
-		return err
-	}
-	if rep.kind == '-' {
-		return fmt.Errorf("%w: %s/%s", datastore.ErrNotFound, srcNS, key)
-	}
-	return nil
+	return err
 }
 
-// groupBare splits bare keys into per-shard lists (input order preserved
-// within each shard), validating each against the namespace.
-func (s *Store) groupBare(ns string, keys []string) ([][]string, error) {
-	groups := make([][]string, len(s.c.shards))
-	for _, k := range keys {
-		if _, err := nsKey(ns, k); err != nil {
+// GetBatch implements datastore.BatchGetter: one MGET per owning shard,
+// all shards in parallel (Cluster.MGetSlice).
+func (s *Store) GetBatch(ns string, keys []string) (map[string][]byte, error) {
+	full := make([]string, len(keys))
+	for j, k := range keys {
+		var err error
+		if full[j], err = nsKey(ns, k); err != nil {
 			return nil, err
 		}
-		i := s.c.ring.Lookup(k)
-		groups[i] = append(groups[i], k)
 	}
-	return groups, nil
-}
-
-// GetBatch implements datastore.BatchGetter: one pipelined MGET per shard,
-// all shards queried in parallel.
-func (s *Store) GetBatch(ns string, keys []string) (map[string][]byte, error) {
-	groups, err := s.groupBare(ns, keys)
-	if err != nil {
-		return nil, err
-	}
-	per := make([]map[string][]byte, len(groups))
-	err = s.c.fanout(func(i int) error {
-		if len(groups[i]) == 0 {
-			return nil
-		}
-		args := make([][]byte, 1, len(groups[i])+1)
-		args[0] = []byte("MGET")
-		for _, k := range groups[i] {
-			args = append(args, []byte(ns+nsSep+k))
-		}
-		rep, err := s.c.doOnShard(i, "", args...)
-		if err != nil {
-			return err
-		}
-		if rep.kind != '*' || len(rep.array) != len(groups[i]) {
-			return errProtocol
-		}
-		m := make(map[string][]byte, len(groups[i]))
-		for j, k := range groups[i] {
-			if rep.array[j] != nil {
-				m[k] = rep.array[j]
-			}
-		}
-		per[i] = m
-		return nil
-	})
+	vals, err := s.c.MGetSlice(full)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string][]byte, len(keys))
-	for _, m := range per {
-		//lint:allow determinism -- map-to-map merge of disjoint key sets; result is order-independent
-		for k, v := range m {
-			out[k] = v
+	for j, v := range vals {
+		if v != nil {
+			out[keys[j]] = v
 		}
 	}
 	return out, nil
 }
 
-// MoveBatch implements datastore.BatchMover: with bare-key placement every
-// rename is same-shard, so the whole batch is one pipelined RENAME burst
-// per shard, all shards in parallel. Keys missing from srcNS are skipped
-// (not errors) — that contract is what makes the failover retry of a
-// partially applied burst safe: a rename that already happened simply
-// reports "no such key" on replay.
+// MoveBatch implements datastore.BatchMover: one pipelined RENAME burst
+// per owning shard, all shards in parallel (Cluster.Rename). Keys missing
+// from srcNS are skipped, not errors.
 func (s *Store) MoveBatch(srcNS string, keys []string, dstNS string) error {
-	groups := make([][]string, len(s.c.shards))
-	for _, k := range keys {
-		if _, err := nsKey(srcNS, k); err != nil {
+	srcs, dsts := make([]string, len(keys)), make([]string, len(keys))
+	for j, k := range keys {
+		var err error
+		if srcs[j], dsts[j], err = movePair(srcNS, k, dstNS); err != nil {
 			return err
 		}
-		if _, err := nsKey(dstNS, k); err != nil {
-			return err
-		}
-		i := s.c.ring.Lookup(k)
-		groups[i] = append(groups[i], k)
 	}
-	return s.c.fanout(func(i int) error {
-		if len(groups[i]) == 0 {
-			return nil
-		}
-		cmds := make([][][]byte, len(groups[i]))
-		for j, k := range groups[i] {
-			cmds[j] = [][]byte{[]byte("RENAME"), []byte(srcNS + nsSep + k), []byte(dstNS + nsSep + k)}
-		}
-		_, err := s.c.shards[i].doBatch(s.c, groups[i], cmds)
-		return err
-	})
+	_, err := s.c.Rename(srcs, dsts)
+	return err
 }
 
 // Close implements datastore.Store.

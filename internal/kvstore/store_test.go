@@ -157,3 +157,164 @@ func TestStoreMoveStaysOnNode(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreAndClusterAgreeOnPlacement: a Store and a Cluster over the same
+// shards are one client, so each reads, fetches and deletes what the other
+// wrote, under ns:key.
+func TestStoreAndClusterAgreeOnPlacement(t *testing.T) {
+	addrs, shutdown, err := kvstore.LaunchCluster(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown()
+	c, err := kvstore.DialCluster(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := kvstore.NewStore(c)
+	defer st.Close()
+	const ns, n = "rdf", 50
+	keys, full := make([]string, n), make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("f%03d", i)
+		full[i] = ns + ":" + keys[i]
+	}
+
+	for _, k := range keys {
+		if err := st.Put(ns, k, []byte("s-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	missed := 0
+	for i, k := range full {
+		if v, err := c.Get(k); err != nil || string(v) != "s-"+keys[i] {
+			missed++
+		}
+	}
+	vals, err := c.MGetSlice(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vals {
+		if string(v) != "s-"+keys[i] {
+			missed++
+		}
+	}
+	if missed != 0 {
+		t.Errorf("Cluster.Get and MGetSlice missed %d of %d reads of keys Store.Put wrote", missed, 2*n)
+	}
+	if d, err := c.Del(full...); err != nil || d != n {
+		t.Errorf("Cluster.Del removed %d of %d keys Store.Put wrote, %v", d, n, err)
+	}
+
+	for i, k := range full {
+		if err := c.Set(k, []byte("c-"+keys[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	missed = 0
+	for _, k := range keys {
+		if v, err := st.Get(ns, k); err != nil || string(v) != "c-"+k {
+			missed++
+		}
+	}
+	got, err := st.GetBatch(ns, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if string(got[k]) != "c-"+k {
+			missed++
+		}
+	}
+	if missed != 0 {
+		t.Errorf("Store.Get and GetBatch missed %d of %d reads of keys Cluster.Set wrote", missed, 2*n)
+	}
+	deleted := 0
+	for _, k := range keys {
+		if st.Delete(ns, k) == nil {
+			deleted++
+		}
+	}
+	if deleted != n {
+		t.Errorf("Store.Delete removed %d of %d keys Cluster.Set wrote", deleted, n)
+	}
+}
+
+// TestStoreWireShape pins the commands each Store method sends, counted
+// per server on a three-shard cluster: the traffic the feedback path (and
+// the feedback-kv benchmark workload) is made of.
+func TestStoreWireShape(t *testing.T) {
+	const shards = 3
+	servers := make([]*kvstore.Server, shards)
+	addrs := make([]string, shards)
+	for i := range servers {
+		servers[i] = kvstore.NewServer(nil)
+		addr, err := servers[i].Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer servers[i].Close()
+		addrs[i] = addr
+	}
+	c, err := kvstore.DialCluster(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := kvstore.NewStore(c)
+	defer st.Close()
+	ring := kvstore.NewRing(shards)
+
+	// delta runs op and returns the commands each server received meanwhile.
+	delta := func(op func() error) [shards]int64 {
+		t.Helper()
+		var before, d [shards]int64
+		for i, s := range servers {
+			before[i] = s.Commands()
+		}
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range servers {
+			d[i] = s.Commands() - before[i]
+		}
+		return d
+	}
+	// one is one command on the bare key's shard and none elsewhere.
+	one := func(key string) (want [shards]int64) {
+		want[ring.Lookup(key)] = 1
+		return want
+	}
+
+	const n = 40
+	keys := make([]string, n)
+	var perKey [shards]int64
+	for i := range keys {
+		keys[i] = fmt.Sprintf("frame%03d", i)
+		perKey[ring.Lookup(keys[i])]++
+		if got, want := delta(func() error { return st.Put("new", keys[i], []byte("v")) }), one(keys[i]); got != want {
+			t.Fatalf("Put(%s) sent %v, want %v", keys[i], got, want)
+		}
+	}
+	if got, want := delta(func() error { _, err := st.Get("new", keys[0]); return err }), one(keys[0]); got != want {
+		t.Errorf("Get sent %v, want %v", got, want)
+	}
+	var owners [shards]int64
+	for i, k := range perKey {
+		if k > 0 {
+			owners[i] = 1
+		}
+	}
+	if got := delta(func() error { _, err := st.GetBatch("new", keys); return err }); got != owners {
+		t.Errorf("GetBatch of %d keys sent %v, want one MGET per owning shard %v", n, got, owners)
+	}
+	if got := delta(func() error { return st.MoveBatch("new", keys, "done") }); got != perKey {
+		t.Errorf("MoveBatch of %d keys sent %v, want one RENAME per key on its shard %v", n, got, perKey)
+	}
+	if got, want := delta(func() error { return st.Move("done", keys[1], "new") }), one(keys[1]); got != want {
+		t.Errorf("Move sent %v, want %v", got, want)
+	}
+	if got, want := delta(func() error { return st.Delete("new", keys[1]) }), one(keys[1]); got != want {
+		t.Errorf("Delete sent %v, want %v", got, want)
+	}
+}

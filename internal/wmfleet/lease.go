@@ -1,8 +1,9 @@
 // Package wmfleet runs N workflow-manager instances over one campaign,
 // each owning a disjoint set of couplings, with ownership coordinated
 // through the datastore instead of a central orchestrator — the
-// stigmergy shape of ROADMAP item 5. Every coupling is guarded by a
-// virtual-clock lease written through the (armored) store: instances
+// stigmergy shape of ROADMAP "The store is the only channel". Every
+// coupling is guarded by a virtual-clock lease written through the
+// (armored) store: instances
 // acquire leases at start, renew them on a ticker, and when an instance
 // crashes its leases stop being renewed, expire, and a surviving
 // instance adopts the orphaned couplings by replaying their checkpointed
