@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mummi/internal/faults"
 	"mummi/internal/telemetry"
 )
 
@@ -159,5 +160,26 @@ func TestFeedbackOffPreservesReplay(t *testing.T) {
 	}
 	if !bytes.Equal(pj, ij) {
 		t.Fatal("instrumented run produced a different Result than the plain run")
+	}
+}
+
+// TestNoStructurallyZeroHistogram runs feedback, a three-instance fleet and
+// every fault class together and rejects any histogram that was observed
+// but sums to zero: under the virtual clock synchronous code takes no time,
+// so such a series times nothing.
+func TestNoStructurallyZeroHistogram(t *testing.T) {
+	cfg, tel := fleetCfg(7)
+	cfg.Faults = faults.AggressivePlan(7)
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	hists := tel.Registry().Snapshot().Histograms
+	if len(hists) == 0 {
+		t.Fatal("no histogram was recorded")
+	}
+	for _, h := range hists {
+		if h.Count > 0 && h.Sum == 0 {
+			t.Errorf("histogram %s: %d observations, all zero", h.Name, h.Count)
+		}
 	}
 }

@@ -122,7 +122,7 @@ func scanSweepLocked(w *Workflow) []sched.JobID {
 		}
 		name := w.couplings[rec.coupling].spec.Name
 		key := name + "/" + rec.point.ID
-		if w.watchdogKills[key] >= w.watchdogMaxKills {
+		if w.watchdogKills[key] >= watchdogMaxKills {
 			w.tel.Counter(telemetry.Name("wm.watchdog_exhausted_total", "coupling", name)).Inc()
 			// Stop reconsidering it every poll: zero the deadline.
 			rec.deadline = time.Time{}
@@ -154,8 +154,8 @@ func scanPoll(w *Workflow) {
 // TestWatchdogSweepMatchesSortedScan runs two workflows in lockstep through
 // the same random script — start times, durations (some exempt), completions
 // and failures between polls, repeated start notices, a backend that refuses
-// every fifth kill, a kill budget small enough to exhaust — one polled by Poll, one by the scan
-// oracle. Kill lists, kill budgets, counters and coupling stats must agree
+// every fifth kill, a kill budget the script exhausts — one polled by Poll,
+// one by the scan oracle. Kill lists, kill budgets, counters and coupling stats must agree
 // at every poll.
 func TestWatchdogSweepMatchesSortedScan(t *testing.T) {
 	counters := []string{
@@ -178,7 +178,7 @@ func TestWatchdogSweepMatchesSortedScan(t *testing.T) {
 				}
 				specs = append(specs, spec)
 			}
-			r := newFakeRig(t, Config{Couplings: specs, Seed: seed, WatchdogGrace: 1.2, WatchdogMaxKills: 2})
+			r := newFakeRig(t, Config{Couplings: specs, Seed: seed, WatchdogGrace: 1.2})
 			r.be.stubborn = func(id sched.JobID) bool { return id%5 == 0 }
 			for i := 0; i < 400; i++ {
 				p := dynim.Point{ID: fmt.Sprintf("c%03d", i), Coords: []float64{float64(i)}}

@@ -59,9 +59,6 @@ type CouplingSpec struct {
 	// allocations) while CPU-core demand stays within what the machine can
 	// place without stalling the FCFS queue.
 	MaxSetups int
-	// TotalCap bounds how many simulations this coupling ever launches
-	// (0 = unlimited); the campaign driver uses it for selection budgets.
-	TotalCap int
 	// Feedback, when non-nil, runs every FeedbackEvery (Task 4).
 	Feedback      feedback.Manager
 	FeedbackEvery time.Duration
@@ -103,13 +100,9 @@ type Config struct {
 	// hung (a wedged simulation never reports completion on its own), is
 	// killed through the conductor, and re-enters the machine through the
 	// normal failure/resubmission path. Jobs submitted without a Duration
-	// are exempt. A sensible grace is 1.2–2.0.
+	// are exempt. A sensible grace is 1.2–2.0. Each configuration gets at
+	// most watchdogMaxKills kills.
 	WatchdogGrace float64
-	// WatchdogMaxKills caps watchdog kills per configuration (default 3
-	// when the watchdog is armed) so one persistently hung configuration
-	// cannot kill/resubmit forever; past the cap the job is left alone and
-	// wm.watchdog_exhausted_total counts it.
-	WatchdogMaxKills int
 	// Telemetry receives per-task spans and WM metrics (nil = discarded).
 	// See docs/OBSERVABILITY.md for the emitted names.
 	Telemetry *telemetry.Telemetry
@@ -134,6 +127,11 @@ type CouplingStats struct {
 	FailedSetups  int    `json:"failed_setups"`
 	FeedbackRuns  int    `json:"feedback_runs"`
 }
+
+// watchdogMaxKills caps watchdog kills per configuration so one
+// persistently hung configuration cannot kill/resubmit forever; past the cap
+// the job is left alone and wm.watchdog_exhausted_total counts it.
+const watchdogMaxKills = 3
 
 type jobRole int
 
@@ -274,9 +272,8 @@ type Workflow struct {
 	// Hung-job watchdog state (Task 3 armoring): kills are counted per
 	// coupling/configuration so a wedged configuration is abandoned after
 	// watchdogMaxKills rather than looping forever.
-	watchdogGrace    float64
-	watchdogMaxKills int
-	watchdogKills    map[string]int
+	watchdogGrace float64
+	watchdogKills map[string]int
 	// deadlines holds one appointment per deadline ever set; an entry whose
 	// job is gone, or whose recorded deadline has since changed, is dropped
 	// when it comes due (lazy deletion).
@@ -298,20 +295,16 @@ func New(cfg Config) (*Workflow, error) {
 	if tel == nil {
 		tel = telemetry.Nop()
 	}
-	if cfg.WatchdogGrace > 0 && cfg.WatchdogMaxKills <= 0 {
-		cfg.WatchdogMaxKills = 3
-	}
 	w := &Workflow{
-		clk:              cfg.Clock,
-		cond:             cfg.Conductor,
-		rng:              rand.New(rand.NewSource(cfg.Seed + 1)),
-		tel:              tel,
-		jobs:             make(map[sched.JobID]jobRecord),
-		static:           cfg.StaticJobs,
-		pollEvery:        cfg.PollEvery,
-		watchdogGrace:    cfg.WatchdogGrace,
-		watchdogMaxKills: cfg.WatchdogMaxKills,
-		watchdogKills:    make(map[string]int),
+		clk:           cfg.Clock,
+		cond:          cfg.Conductor,
+		rng:           rand.New(rand.NewSource(cfg.Seed + 1)),
+		tel:           tel,
+		jobs:          make(map[sched.JobID]jobRecord),
+		static:        cfg.StaticJobs,
+		pollEvery:     cfg.PollEvery,
+		watchdogGrace: cfg.WatchdogGrace,
+		watchdogKills: make(map[string]int),
 	}
 	names := map[string]bool{}
 	for i := range cfg.Couplings {
@@ -431,16 +424,10 @@ func (w *Workflow) findCoupling(name string) *couplingState {
 
 // Poll performs one Task-3 scan: replace finished simulations and keep the
 // ready buffers topped up. It is normally driven by the ticker but exposed
-// for deterministic tests. Poll is the instrumented entry into the WM's
-// blocking lock: it observes both how long the lock took to acquire (wait)
-// and how long the scan held it (hold) — the paper's locking mix made
-// exactly this contention visible on the real system.
+// for deterministic tests.
 func (w *Workflow) Poll() {
 	sp := w.tel.StartSpan("wm", "task3.poll")
-	waitStart := w.tel.Now()
 	w.mu.Lock()
-	w.tel.Histogram("wm.lock_wait_ms", "ms", nil).Observe(w.tel.MsSince(waitStart))
-	holdStart := w.tel.Now()
 	if w.stopped {
 		w.mu.Unlock()
 		sp.End()
@@ -451,8 +438,6 @@ func (w *Workflow) Poll() {
 		w.pollCoupling(i)
 	}
 	overdue := w.watchdogSweepLocked()
-	w.tel.Histogram("wm.lock_hold_ms", "ms", nil).Observe(w.tel.MsSince(holdStart))
-	w.tel.Histogram("wm.poll_ms", "ms", nil).Observe(w.tel.MsSince(waitStart))
 	w.mu.Unlock()
 	sp.End()
 	// Kills happen outside the lock: Fail drives the backend's terminal
@@ -486,7 +471,7 @@ func (w *Workflow) watchdogSweepLocked() []sched.JobID {
 		rec := w.jobs[id]
 		name := w.couplings[rec.coupling].spec.Name
 		key := name + "/" + rec.point.ID
-		if w.watchdogKills[key] >= w.watchdogMaxKills {
+		if w.watchdogKills[key] >= watchdogMaxKills {
 			w.tel.Counter(telemetry.Name("wm.watchdog_exhausted_total", "coupling", name)).Inc()
 			// Stop reconsidering it every poll: zero the deadline.
 			rec.deadline = time.Time{}
@@ -509,9 +494,8 @@ func (w *Workflow) pollCoupling(i int) {
 	defer w.updateGaugesLocked(i)
 
 	// 1. Spawn simulations from the ready buffer up to the concurrency
-	// target (and total cap).
-	for cs.running+cs.pendingSim < spec.MaxSims && cs.ready.Len() > 0 &&
-		(spec.TotalCap == 0 || cs.launched < spec.TotalCap) {
+	// target.
+	for cs.running+cs.pendingSim < spec.MaxSims && cs.ready.Len() > 0 {
 		p := cs.ready.PopFront()
 		cs.pendingSim++
 		cs.launched++
@@ -525,9 +509,6 @@ func (w *Workflow) pollCoupling(i int) {
 
 	// 2. Keep the prepared buffer at target: new selections trigger setup
 	// jobs. A full buffer deliberately idles CPUs (anti-staleness).
-	if spec.TotalCap > 0 && cs.launched+cs.ready.Len()+cs.inSetup+cs.pendingSetup >= spec.TotalCap {
-		return
-	}
 	want := spec.ReadyTarget - (cs.ready.Len() + cs.inSetup + cs.pendingSetup)
 	if spec.MaxSetups > 0 {
 		if room := spec.MaxSetups - (cs.inSetup + cs.pendingSetup); room < want {
@@ -546,14 +527,13 @@ func (w *Workflow) pollCoupling(i int) {
 		want--
 	}
 	if want > 0 {
-		// Task 2: drive the importance sampler. The selection duration is
-		// measured on the telemetry clock (virtual in campaign replays), so
-		// the span and histogram are deterministic replay artifacts.
+		// Task 2: drive the importance sampler. The span is stamped on the
+		// telemetry clock (virtual in campaign replays), so it is a
+		// deterministic replay artifact.
 		selStart := w.tel.Now()
 		sel := spec.Selector.Select(want)
 		w.tel.RecordSpan("wm", "task2.select", selStart, w.tel.Now().Sub(selStart),
 			"coupling", spec.Name, "want", want, "got", len(sel))
-		w.tel.Histogram("wm.select_ms", "ms", nil).Observe(w.tel.MsSince(selStart))
 		w.tel.Counter(telemetry.Name("wm.selections_total", "coupling", spec.Name)).Add(int64(len(sel)))
 		points = append(points, sel...)
 	}
@@ -698,10 +678,8 @@ func (w *Workflow) runFeedback(i int) {
 	w.mu.Unlock()
 
 	sp := w.tel.StartSpan("wm", "task4.feedback").Arg("coupling", name)
-	fbStart := w.tel.Now()
 	_, err := mgr.Iterate()
 	sp.End()
-	w.tel.Histogram("wm.feedback_ms", "ms", nil).Observe(w.tel.MsSince(fbStart))
 	if err == nil {
 		w.tel.Counter(telemetry.Name("wm.feedback_runs_total", "coupling", name)).Inc()
 	} else {

@@ -124,24 +124,6 @@ func TestReadyBufferTargetRespected(t *testing.T) {
 	}
 }
 
-func TestTotalCapStopsLaunching(t *testing.T) {
-	r := newRig(t, 2)
-	sel := dynim.NewFarthestPoint(1, 0)
-	spec := cgCoupling(sel, 12, 6)
-	spec.TotalCap = 5
-	spec.SimDuration = func(rng *rand.Rand, p dynim.Point) time.Duration { return 30 * time.Minute }
-	w, _ := New(Config{Clock: r.clk, Conductor: r.cond, Couplings: []CouplingSpec{spec}})
-	for i := 0; i < 50; i++ {
-		w.AddCandidate("continuum-to-cg", dynim.Point{ID: fmt.Sprintf("p%03d", i), Coords: []float64{float64(i)}})
-	}
-	w.Start()
-	r.clk.RunFor(48 * time.Hour)
-	st := w.Stats()[0]
-	if st.Launched != 5 || st.CompletedSims != 5 {
-		t.Errorf("cap violated: launched=%d completed=%d", st.Launched, st.CompletedSims)
-	}
-}
-
 func TestFailedSimResubmitted(t *testing.T) {
 	r := newRig(t, 1)
 	sel := dynim.NewFarthestPoint(1, 0)
@@ -416,18 +398,18 @@ func TestWatchdogKillBudgetExhausted(t *testing.T) {
 	}
 	tel := telemetry.Nop()
 	w, _ := New(Config{Clock: r.clk, Conductor: r.cond, Couplings: []CouplingSpec{spec},
-		PollEvery: 2 * time.Minute, WatchdogGrace: 1.5, WatchdogMaxKills: 2, Telemetry: tel})
+		PollEvery: 2 * time.Minute, WatchdogGrace: 1.5, Telemetry: tel})
 	w.AddCandidate("continuum-to-cg", dynim.Point{ID: "cursed", Coords: []float64{1}})
 	w.Start()
 	r.clk.RunFor(48 * time.Hour)
-	// Two kills, then the budget is exhausted and the third run is left
-	// alone rather than cycling forever.
-	if starts != 3 {
-		t.Errorf("starts = %d, want 3 (initial + 2 watchdog retries)", starts)
+	// watchdogMaxKills kills, then the budget is exhausted and the last run
+	// is left alone rather than cycling forever.
+	if starts != watchdogMaxKills+1 {
+		t.Errorf("starts = %d, want %d (initial + one per watchdog kill)", starts, watchdogMaxKills+1)
 	}
 	reg := tel.Registry()
-	if got := reg.Counter("wm.watchdog_kills_total{coupling=continuum-to-cg}").Value(); got != 2 {
-		t.Errorf("watchdog_kills_total = %d, want 2", got)
+	if got := reg.Counter("wm.watchdog_kills_total{coupling=continuum-to-cg}").Value(); got != watchdogMaxKills {
+		t.Errorf("watchdog_kills_total = %d, want %d", got, watchdogMaxKills)
 	}
 	if got := reg.Counter("wm.watchdog_exhausted_total{coupling=continuum-to-cg}").Value(); got == 0 {
 		t.Error("watchdog_exhausted_total never counted")

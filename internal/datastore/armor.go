@@ -67,7 +67,7 @@ type armored struct {
 func (a *armored) do(op func() error) error {
 	sleep := func(d time.Duration) {
 		a.tel.Counter(telemetry.Name("store.retries_total", "backend", a.backend)).Inc()
-		a.tel.Histogram(telemetry.Name("store.backoff_ms", "backend", a.backend), "ms", nil).
+		a.tel.Histogram(telemetry.Name("store.backoff_ms", "backend", a.backend)).
 			Observe(float64(d) / float64(time.Millisecond))
 		if a.opts.Sleep != nil {
 			a.opts.Sleep(d)

@@ -2,16 +2,15 @@ package datastore
 
 import (
 	"errors"
-	"time"
 
 	"mummi/internal/telemetry"
 )
 
 // Instrument wraps a Store so every operation feeds the telemetry
-// registry: per-backend op counters, read/write byte counters, per-op
-// latency histograms, and miss/error counters. The backend label keeps one
-// campaign's stores distinguishable when several backends run side by side
-// (the paper's deployments mix files, tar archives, and the database).
+// registry: per-backend op counters, read/write byte counters, and
+// miss/error counters. The backend label keeps one campaign's stores
+// distinguishable when several backends run side by side (the paper's
+// deployments mix files, tar archives, and the database).
 //
 // The wrapper preserves the optional BatchGetter/BatchMover capabilities
 // (Extend): the returned Store satisfies exactly the extensions the wrapped
@@ -33,14 +32,12 @@ type instrumented struct {
 	backend string
 }
 
-// observeAt records one finished op: count, latency, and the error split.
+// observe records one finished op: its count and the error split.
 // ErrNotFound counts as a miss, not an error — lookups of
 // not-yet-produced frames are part of normal feedback operation.
-func (d *instrumented) observeAt(op string, start time.Time, err error) {
+func (d *instrumented) observe(op string, err error) {
 	t := d.tel
 	t.Counter(telemetry.Name("store.ops_total", "backend", d.backend, "op", op)).Inc()
-	t.Histogram(telemetry.Name("store.op_ms", "backend", d.backend, "op", op), "ms", nil).
-		Observe(t.MsSince(start))
 	if err == nil {
 		return
 	}
@@ -53,9 +50,8 @@ func (d *instrumented) observeAt(op string, start time.Time, err error) {
 
 // Put implements Store.
 func (d *instrumented) Put(ns, key string, data []byte) error {
-	start := d.tel.Now()
 	err := d.s.Put(ns, key, data)
-	d.observeAt("put", start, err)
+	d.observe("put", err)
 	if err == nil {
 		d.tel.Counter(telemetry.Name("store.write_bytes_total", "backend", d.backend)).Add(int64(len(data)))
 	}
@@ -64,9 +60,8 @@ func (d *instrumented) Put(ns, key string, data []byte) error {
 
 // Get implements Store.
 func (d *instrumented) Get(ns, key string) ([]byte, error) {
-	start := d.tel.Now()
 	v, err := d.s.Get(ns, key)
-	d.observeAt("get", start, err)
+	d.observe("get", err)
 	if err == nil {
 		d.tel.Counter(telemetry.Name("store.read_bytes_total", "backend", d.backend)).Add(int64(len(v)))
 	}
@@ -75,25 +70,22 @@ func (d *instrumented) Get(ns, key string) ([]byte, error) {
 
 // Delete implements Store.
 func (d *instrumented) Delete(ns, key string) error {
-	start := d.tel.Now()
 	err := d.s.Delete(ns, key)
-	d.observeAt("delete", start, err)
+	d.observe("delete", err)
 	return err
 }
 
 // Keys implements Store.
 func (d *instrumented) Keys(ns string) ([]string, error) {
-	start := d.tel.Now()
 	ks, err := d.s.Keys(ns)
-	d.observeAt("keys", start, err)
+	d.observe("keys", err)
 	return ks, err
 }
 
 // Move implements Store.
 func (d *instrumented) Move(srcNS, key, dstNS string) error {
-	start := d.tel.Now()
 	err := d.s.Move(srcNS, key, dstNS)
-	d.observeAt("move", start, err)
+	d.observe("move", err)
 	return err
 }
 
@@ -101,9 +93,8 @@ func (d *instrumented) Move(srcNS, key, dstNS string) error {
 func (d *instrumented) Close() error { return d.s.Close() }
 
 func (d *instrumented) getBatch(ns string, keys []string) (map[string][]byte, error) {
-	start := d.tel.Now()
 	m, err := d.s.(BatchGetter).GetBatch(ns, keys)
-	d.observeAt("get_batch", start, err)
+	d.observe("get_batch", err)
 	if err == nil {
 		var n int64
 		for _, v := range m {
@@ -115,8 +106,7 @@ func (d *instrumented) getBatch(ns string, keys []string) (map[string][]byte, er
 }
 
 func (d *instrumented) moveBatch(srcNS string, keys []string, dstNS string) error {
-	start := d.tel.Now()
 	err := d.s.(BatchMover).MoveBatch(srcNS, keys, dstNS)
-	d.observeAt("move_batch", start, err)
+	d.observe("move_batch", err)
 	return err
 }

@@ -245,7 +245,6 @@ func (b *Binned) Select(n int) []Point {
 		out = append(out, p)
 	}
 	if b.tel != nil {
-		b.tel.Histogram("dynim.select_ms", "ms", nil).Observe(b.tel.MsSince(selStart))
 		b.tel.RecordSpan("dynim", "select", selStart, b.tel.Now().Sub(selStart),
 			"want", n, "got", len(out))
 		b.tel.Counter("dynim.selected_total").Add(int64(len(out)))

@@ -554,7 +554,6 @@ func (f *FarthestPoint) updateLocked() {
 		f.sweptSel = n
 	}
 	if f.tel != nil {
-		f.tel.Histogram("dynim.rank_refresh_ms", "ms", nil).Observe(f.tel.MsSince(start))
 		f.tel.RecordSpan("dynim", "rank_refresh", start, f.tel.Now().Sub(start),
 			"candidates", ranked)
 	}
@@ -636,7 +635,6 @@ func (f *FarthestPoint) Select(n int) []Point {
 		f.allDirty = true
 	}
 	if f.tel != nil {
-		f.tel.Histogram("dynim.select_ms", "ms", nil).Observe(f.tel.MsSince(selStart))
 		f.tel.RecordSpan("dynim", "select", selStart, f.tel.Now().Sub(selStart),
 			"want", n, "got", len(out))
 		f.tel.Counter("dynim.selected_total").Add(int64(len(out)))

@@ -215,7 +215,7 @@ func (e *Engine) DrawStore(op string) (spike time.Duration, err error) {
 		switch r.Class {
 		case StoreLatency:
 			spike += r.Latency
-			e.tel.Histogram("faults.store_latency_ms", "ms", nil).
+			e.tel.Histogram("faults.store_latency_ms").
 				Observe(float64(r.Latency) / float64(time.Millisecond))
 		case StoreTransient:
 			if err == nil {

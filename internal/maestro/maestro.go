@@ -70,21 +70,18 @@ type Conductor struct {
 	clk     vclock.Clock
 	period  time.Duration // min spacing between submissions
 
-	mu      sync.Mutex
-	queue   []pendingSub
-	next    int64 // local ticket ids for queued submissions
-	tickets map[int64]sched.JobID
-	timer   vclock.EventID
-	armed   bool
-	closed  bool
+	mu     sync.Mutex
+	queue  []pendingSub
+	timer  vclock.EventID
+	armed  bool
+	closed bool
 	// submitted counts backend submissions (throughput accounting).
 	submitted int64
 }
 
 type pendingSub struct {
-	ticket int64
-	req    sched.Request
-	onSub  func(sched.JobID, error)
+	req   sched.Request
+	onSub func(sched.JobID, error)
 }
 
 // NewConductor wraps a backend with a rate limit of jobsPerMinute
@@ -97,8 +94,7 @@ func NewConductor(clk vclock.Clock, backend Backend, jobsPerMinute int) (*Conduc
 	if jobsPerMinute > 0 {
 		period = time.Minute / time.Duration(jobsPerMinute)
 	}
-	return &Conductor{backend: backend, clk: clk, period: period,
-		tickets: make(map[int64]sched.JobID)}, nil
+	return &Conductor{backend: backend, clk: clk, period: period}, nil
 }
 
 // Submit enqueues a request; onSub (optional) is invoked with the backend's
@@ -109,8 +105,7 @@ func (c *Conductor) Submit(req sched.Request, onSub func(sched.JobID, error)) er
 	if c.closed {
 		return errors.New("maestro: conductor closed")
 	}
-	c.next++
-	c.queue = append(c.queue, pendingSub{ticket: c.next, req: req, onSub: onSub})
+	c.queue = append(c.queue, pendingSub{req: req, onSub: onSub})
 	if !c.armed {
 		c.armed = true
 		c.timer = c.clk.After(0, c.tick)
@@ -139,9 +134,6 @@ func (c *Conductor) tick() {
 	id, err := c.backend.Submit(p.req)
 	c.mu.Lock()
 	c.submitted++
-	if err == nil {
-		c.tickets[p.ticket] = id
-	}
 	c.mu.Unlock()
 	if p.onSub != nil {
 		p.onSub(id, err)

@@ -96,9 +96,6 @@ func NewMatcher(m *cluster.Machine, policy Policy) *Matcher {
 // Visits returns the cumulative vertex-visit count.
 func (mt *Matcher) Visits() int64 { return mt.visits }
 
-// ResetVisits zeroes the counter (per-experiment accounting).
-func (mt *Matcher) ResetVisits() { mt.visits = 0 }
-
 // Match attempts to place req, reserving resources on success. It returns
 // the allocation, the vertex visits this call performed, and whether the
 // placement succeeded.

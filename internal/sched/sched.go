@@ -211,7 +211,7 @@ func (s *Scheduler) noteMatchLocked(job *Job, visits int64, cost time.Duration, 
 	if !placed {
 		s.tel.Counter("sched.match_blocked_total").Inc()
 	}
-	s.tel.Histogram("sched.match_ms", "ms", nil).Observe(float64(cost) / float64(time.Millisecond))
+	s.tel.Histogram("sched.match_ms").Observe(float64(cost) / float64(time.Millisecond))
 }
 
 // updateGaugesLocked refreshes queue-depth and occupancy gauges. Caller
@@ -346,7 +346,7 @@ func (s *Scheduler) startLocked(job *Job, alloc cluster.Alloc) {
 	s.running++
 	s.timeline = append(s.timeline, Placement{Time: job.StartTime, Job: job.ID})
 	s.tel.Counter("sched.started_total").Inc()
-	s.tel.Histogram("sched.queue_wait_ms", "ms", nil).
+	s.tel.Histogram("sched.queue_wait_ms").
 		Observe(float64(job.StartTime.Sub(job.SubmitTime)) / float64(time.Millisecond))
 	s.updateGaugesLocked()
 	if job.Req.Duration > 0 {

@@ -7,8 +7,8 @@ import (
 	"mummi/internal/vclock"
 )
 
-// clockHolder is the rebindable clock shared by the registry's histograms
-// and the tracer. A plain RWMutex keeps it race-safe; the campaign rebinds
+// clockHolder is the rebindable clock shared by Telemetry.Now and the
+// tracer. A plain RWMutex keeps it race-safe; the campaign rebinds
 // it exactly once, before any concurrent use.
 type clockHolder struct {
 	mu  sync.RWMutex
@@ -21,10 +21,9 @@ func (c *clockHolder) set(clk vclock.Clock) {
 	c.mu.Unlock()
 }
 
-func (c *clockHolder) get() vclock.Clock {
+func (c *clockHolder) now() time.Time {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.clk
+	clk := c.clk
+	c.mu.RUnlock()
+	return clk.Now()
 }
-
-func (c *clockHolder) now() time.Time { return c.get().Now() }

@@ -77,14 +77,12 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the last stored value (0 before the first Set).
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram is a fixed-bucket histogram: bounds are ascending bucket upper
-// limits and an implicit +Inf bucket catches the overflow, so the bucket
-// layout — and therefore the snapshot shape — is fixed at creation.
+// Histogram is a fixed-bucket millisecond histogram: LatencyBucketsMs are
+// its ascending bucket upper limits and an implicit +Inf bucket catches the
+// overflow, so every histogram's snapshot has the same shape.
 // Observations also stream count/sum/min/max. Safe for concurrent use.
 type Histogram struct {
 	mu     sync.Mutex
-	unit   string
-	bounds []float64
 	counts []int64
 	count  int64
 	sum    float64
@@ -98,7 +96,7 @@ func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		v = 0
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
+	i := sort.SearchFloat64s(LatencyBucketsMs, v)
 	h.mu.Lock()
 	h.counts[i]++
 	if h.count == 0 || v < h.min {
@@ -112,12 +110,9 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// LatencyBucketsMs is the default bucket layout for millisecond latency
-// histograms: roughly exponential from 10 µs to one minute.
+// LatencyBucketsMs is every histogram's bucket layout, in milliseconds:
+// roughly exponential from 10 µs to one minute.
 var LatencyBucketsMs = []float64{0.01, 0.05, 0.1, 0.5, 1, 5, 10, 50, 100, 500, 1000, 5000, 10000, 60000}
-
-// SizeBucketsBytes is the default bucket layout for byte-size histograms.
-var SizeBucketsBytes = []float64{64, 256, 1024, 4096, 16384, 65536, 262144, 1 << 20, 4 << 20, 16 << 20}
 
 // Registry is a deterministic metrics registry: metrics are created on
 // first use and snapshots render them in sorted name order, so two runs
@@ -162,22 +157,14 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it on first use with the
-// given unit and bucket bounds (nil bounds = LatencyBucketsMs). Unit and
-// bounds are fixed by the first caller; later calls reuse the metric.
-func (r *Registry) Histogram(name, unit string, bounds []float64) *Histogram {
+// Histogram returns the named histogram, creating it on first use. Every
+// histogram is in milliseconds over LatencyBucketsMs.
+func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		if bounds == nil {
-			bounds = LatencyBucketsMs
-		}
-		h = &Histogram{
-			unit:   unit,
-			bounds: append([]float64(nil), bounds...),
-			counts: make([]int64, len(bounds)+1),
-		}
+		h = &Histogram{counts: make([]int64, len(LatencyBucketsMs)+1)}
 		r.hists[name] = h
 	}
 	return h
@@ -265,8 +252,8 @@ func (r *Registry) Snapshot() Snapshot {
 		h.mu.Lock()
 		s.Histograms = append(s.Histograms, HistogramSnap{
 			Name:   n,
-			Unit:   h.unit,
-			Bounds: append([]float64(nil), h.bounds...),
+			Unit:   "ms",
+			Bounds: append([]float64(nil), LatencyBucketsMs...),
 			Counts: append([]int64(nil), h.counts...),
 			Count:  h.count,
 			Sum:    h.sum,

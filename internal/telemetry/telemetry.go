@@ -32,7 +32,7 @@ import (
 
 // Options configures a Telemetry instance.
 type Options struct {
-	// Clock supplies timestamps for spans, histograms, and heartbeats.
+	// Clock supplies the timestamps of spans and of Now.
 	// Nil defaults to the real clock; the campaign driver rebinds to its
 	// virtual clock via SetClock so replays stay deterministic.
 	Clock vclock.Clock
@@ -90,9 +90,6 @@ func (t *Telemetry) SetClock(clk vclock.Clock) {
 // Now returns the current time on the telemetry clock.
 func (t *Telemetry) Now() time.Time { return t.clk.now() }
 
-// Clock returns the bound clock (never nil).
-func (t *Telemetry) Clock() vclock.Clock { return t.clk.get() }
-
 // Registry returns the metrics registry.
 func (t *Telemetry) Registry() *Registry { return t.reg }
 
@@ -108,11 +105,8 @@ func (t *Telemetry) Counter(name string) *Counter { return t.reg.Counter(name) }
 // Gauge returns (creating on first use) the named gauge.
 func (t *Telemetry) Gauge(name string) *Gauge { return t.reg.Gauge(name) }
 
-// Histogram returns (creating on first use) the named histogram; unit and
-// bounds apply only at creation.
-func (t *Telemetry) Histogram(name, unit string, bounds []float64) *Histogram {
-	return t.reg.Histogram(name, unit, bounds)
-}
+// Histogram returns (creating on first use) the named millisecond histogram.
+func (t *Telemetry) Histogram(name string) *Histogram { return t.reg.Histogram(name) }
 
 // StartSpan opens a span at Now. It returns nil when tracing is off; a nil
 // *Span accepts Arg and End as no-ops, so call sites need no guards.
@@ -131,10 +125,4 @@ func (t *Telemetry) RecordSpan(cat, name string, start time.Time, dur time.Durat
 		return
 	}
 	t.tracer.record(cat, name, start, dur, kvArgs(kv))
-}
-
-// MsSince returns the elapsed time from start to Now in milliseconds — the
-// histogram unit used across the codebase.
-func (t *Telemetry) MsSince(start time.Time) float64 {
-	return float64(t.clk.now().Sub(start)) / float64(time.Millisecond)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -70,8 +71,8 @@ func TestGaugeLastWriteWins(t *testing.T) {
 
 func TestHistogramBucketsAndClamp(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("h", "ms", []float64{1, 10, 100})
-	for _, v := range []float64{0.5, 1, 5, 50, 500, math.NaN(), math.Inf(1)} {
+	h := r.Histogram("h")
+	for _, v := range []float64{0.005, 0.01, 5, 50, 500, 1e5, math.NaN(), math.Inf(1)} {
 		h.Observe(v)
 	}
 	s := r.Snapshot()
@@ -79,15 +80,18 @@ func TestHistogramBucketsAndClamp(t *testing.T) {
 		t.Fatalf("want 1 histogram, got %d", len(s.Histograms))
 	}
 	hs := s.Histograms[0]
-	// NaN and +Inf clamp to 0 → first bucket. Bounds are inclusive upper
-	// limits (SearchFloat64s), so 1 lands in the first bucket too.
-	wantCounts := []int64{4, 1, 1, 1}
-	for i, want := range wantCounts {
-		if hs.Counts[i] != want {
-			t.Fatalf("bucket %d: got %d want %d (counts %v)", i, hs.Counts[i], want, hs.Counts)
-		}
+	if hs.Unit != "ms" || !slices.Equal(hs.Bounds, LatencyBucketsMs) {
+		t.Fatalf("layout: unit %q bounds %v", hs.Unit, hs.Bounds)
 	}
-	if hs.Count != 7 || hs.Min != 0 || hs.Max != 500 {
+	// NaN and +Inf clamp to 0 → first bucket. Bounds are inclusive upper
+	// limits (SearchFloat64s), so 0.01 lands in the first bucket too, and
+	// 1e5 overflows into the trailing +Inf bucket.
+	wantCounts := make([]int64, len(LatencyBucketsMs)+1)
+	wantCounts[0], wantCounts[5], wantCounts[7], wantCounts[9], wantCounts[14] = 4, 1, 1, 1, 1
+	if !slices.Equal(hs.Counts, wantCounts) {
+		t.Fatalf("buckets: got %v want %v", hs.Counts, wantCounts)
+	}
+	if hs.Count != 8 || hs.Min != 0 || hs.Max != 1e5 {
 		t.Fatalf("stream stats: count=%d min=%g max=%g", hs.Count, hs.Min, hs.Max)
 	}
 }
@@ -106,7 +110,7 @@ func TestSnapshotDeterministicUnderConcurrency(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				r.Counter(Name("ops_total", "worker", "w")).Inc()
 				r.Gauge("depth").Set(42)
-				r.Histogram("lat_ms", "ms", nil).Observe(float64(i % 7))
+				r.Histogram("lat_ms").Observe(float64(i % 7))
 			}
 		}
 		if concurrent {
@@ -329,13 +333,3 @@ func TestHeartbeat(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
-func TestMsSince(t *testing.T) {
-	clk := vclock.NewVirtual(testEpoch())
-	tel := New(Options{Clock: clk})
-	start := tel.Now()
-	clk.RunFor(1500 * time.Microsecond)
-	if got := tel.MsSince(start); got != 1.5 {
-		t.Fatalf("MsSince: got %g want 1.5", got)
-	}
-}

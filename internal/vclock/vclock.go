@@ -1,9 +1,10 @@
 // Package vclock abstracts wall-clock time behind a Clock interface with two
 // implementations: Real (backed by the system clock) and Virtual (a
 // deterministic discrete-event scheduler). The same workflow-manager,
-// scheduler, and feedback code runs under either clock; examples run in real
-// time, while the campaign driver replays a 600,000-node-hour Summit
-// campaign in virtual time on one machine.
+// scheduler, and feedback code runs under either clock. The examples and the
+// campaign driver all run in virtual time — the driver replays a
+// 600,000-node-hour Summit campaign on one machine; Real is what a
+// telemetry.Telemetry measures with until a campaign rebinds it.
 package vclock
 
 import (

@@ -142,7 +142,7 @@ func (l *LeaseTable) Renew(holder int, term int64, coupling string) (ok bool, er
 		return false, nil
 	}
 	granted := rec.ExpiresNs - l.ttl.Nanoseconds()
-	l.tel.Histogram("wmfleet.lease_renew_age_ms", "ms", nil).
+	l.tel.Histogram("wmfleet.lease_renew_age_ms").
 		Observe(float64(now-granted) / 1e6)
 	rec.ExpiresNs = now + l.ttl.Nanoseconds()
 	b, err := json.Marshal(rec)

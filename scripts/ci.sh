@@ -95,7 +95,8 @@ go run ./bench -quick
 
 # Observability smoke: the example campaign must emit a loadable Chrome
 # trace and a metrics snapshot with nonzero counters for all four workflow
-# tasks (tracecheck fails on empty or unparsable artifacts).
+# tasks (tracecheck fails on empty or unparsable artifacts, and on a
+# histogram with observations and a zero sum).
 go run ./cmd/mummi-sim campaign -scale 0.02 \
 	-trace "$tmpdir/trace.json" -metrics "$tmpdir/metrics.json"
 go run ./scripts/tracecheck "$tmpdir/trace.json" "$tmpdir/metrics.json"
@@ -116,6 +117,7 @@ diff "$tmpdir/chaos1.cmp" "$tmpdir/chaos2.cmp"
 diff "$tmpdir/chaos1-metrics.json" "$tmpdir/chaos2-metrics.json"
 diff "$tmpdir/chaos1-trace.json" "$tmpdir/chaos2-trace.json"
 grep -q 'wm restarts' "$tmpdir/chaos1.out"
+go run ./scripts/tracecheck "$tmpdir/chaos1-trace.json" "$tmpdir/chaos1-metrics.json"
 
 # The same plan and seed over a three-instance WM fleet: crash, lease expiry,
 # adoption, the hung-job watchdog and job-hang faults through the CLI, held
@@ -129,6 +131,7 @@ diff "$tmpdir/fleet1.cmp" "$tmpdir/fleet2.cmp"
 diff "$tmpdir/fleet1-metrics.json" "$tmpdir/fleet2-metrics.json"
 diff "$tmpdir/fleet1-trace.json" "$tmpdir/fleet2-trace.json"
 grep -q 'wm-adopt' "$tmpdir/fleet1.out"
+go run ./scripts/tracecheck "$tmpdir/fleet1-trace.json" "$tmpdir/fleet1-metrics.json"
 
 # Worker-count smoke: the selector splits its rank refresh over -workers
 # goroutines and promises the same selections for every count. Hold it

@@ -3,7 +3,8 @@
 // snapshot JSON (-metrics flag output). CI runs it after the example
 // campaign to fail the build if either file is empty, unparsable, or
 // missing the spans/counters the instrumentation contract promises
-// (all four workflow-manager tasks and at least one scheduler match).
+// (all four workflow-manager tasks and at least one scheduler match), or if
+// any histogram was observed but sums to zero — a series that times nothing.
 //
 // Usage:
 //
@@ -83,8 +84,9 @@ func checkTrace(path string) error {
 	return nil
 }
 
-// checkMetrics parses a metrics snapshot and verifies the sections exist
-// and the workflow-manager counters are present and nonzero.
+// checkMetrics parses a metrics snapshot and verifies the sections exist,
+// the workflow-manager counters are present and nonzero, and no histogram
+// is structurally zero (observations, zero sum).
 func checkMetrics(path string) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -99,7 +101,11 @@ func checkMetrics(path string) error {
 			Value int64  `json:"value"`
 		} `json:"counters"`
 		Gauges     []json.RawMessage `json:"gauges"`
-		Histograms []json.RawMessage `json:"histograms"`
+		Histograms []struct {
+			Name  string  `json:"name"`
+			Count int64   `json:"count"`
+			Sum   float64 `json:"sum"`
+		} `json:"histograms"`
 	}
 	if err := json.Unmarshal(b, &doc); err != nil {
 		return fmt.Errorf("not a metrics snapshot: %w", err)
@@ -107,6 +113,11 @@ func checkMetrics(path string) error {
 	if len(doc.Counters) == 0 || len(doc.Histograms) == 0 {
 		return fmt.Errorf("snapshot has %d counters, %d histograms; want both nonzero",
 			len(doc.Counters), len(doc.Histograms))
+	}
+	for _, h := range doc.Histograms {
+		if h.Count > 0 && h.Sum == 0 {
+			return fmt.Errorf("histogram %q has %d observations and a zero sum", h.Name, h.Count)
+		}
 	}
 	// One nonzero counter per workflow-manager task (labels vary by
 	// coupling, so match on prefix).
