@@ -81,10 +81,8 @@ type Campaign struct {
 
 	recs    map[string]*simRecord
 	walks   [][]float64 // per-protein 9-D encodings, random-walking
-	nextCG  int
-	nextAA  int
-	candAcc float64 // fractional AA-candidate accumulator
-	subAcc  float64 // fractional subsample accumulator
+	candAcc float64     // fractional AA-candidate accumulator
+	subAcc  float64     // fractional subsample accumulator
 
 	schedule    []RunSpec // one entry per allocation, in Table 1 order
 	totalWall   time.Duration

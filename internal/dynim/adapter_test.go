@@ -39,7 +39,7 @@ func TestQueueSetAsSelector(t *testing.T) {
 	if len(rest) != 5 {
 		t.Errorf("Select drained %d", len(rest))
 	}
-	sel.Update() // must not panic on drained queues
+	qs.Update() // must not panic on drained queues
 	if h := sel.History(); len(h) == 0 {
 		t.Error("merged history empty")
 	}

@@ -212,10 +212,6 @@ func (b *Binned) Add(p Point) error {
 	return nil
 }
 
-// Update implements Selector. Occupancy is maintained incrementally, so a
-// refresh is a no-op; the method exists to satisfy the Selector contract.
-func (b *Binned) Update() {}
-
 // Select implements Selector.
 func (b *Binned) Select(n int) []Point {
 	b.mu.Lock()

@@ -60,9 +60,6 @@ type Selector interface {
 	// Select returns up to n candidates, removing them from the queue and
 	// marking them selected. Expensive rank refreshes happen here.
 	Select(n int) []Point
-	// Update refreshes candidate ranks without selecting. The workflow never
-	// calls it: Select and eviction refresh what they need themselves.
-	Update()
 	// Len returns the current number of queued candidates.
 	Len() int
 	// History returns the journal of selection events so far.

@@ -507,8 +507,8 @@ func nthKey(keys []uint64, k int) uint64 {
 	}
 }
 
-// Update implements Selector: refresh every candidate's cached distance
-// against selections made since its last refresh.
+// Update refreshes every candidate's cached distance against selections
+// made since its last refresh.
 func (f *FarthestPoint) Update() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -835,8 +835,6 @@ type queueSelector struct {
 func (s queueSelector) Add(p Point) error { return s.qs.Add(s.route(p), p) }
 
 func (s queueSelector) Select(n int) []Point { return s.qs.Select(n) }
-
-func (s queueSelector) Update() { s.qs.Update() }
 
 func (s queueSelector) Len() int { return s.qs.Len() }
 

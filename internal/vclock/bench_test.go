@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// BenchmarkVirtualDenseSameTimestamp drains bursts of events that all fire
+// BenchmarkVirtualDenseSameTimestamp runs bursts of events that all fire
 // at the same instant — the shape a campaign's zero-cost callbacks and
-// aligned poll ticks produce. This is the run-draining heap's best case.
+// aligned poll ticks produce — so every pop is ordered by seq alone.
 func BenchmarkVirtualDenseSameTimestamp(b *testing.B) {
 	const burst = 10000
 	b.ReportAllocs()

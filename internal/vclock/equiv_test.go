@@ -146,7 +146,8 @@ func driveScript(clk desClock, seed int64, initial int) []string {
 			if rng.Intn(3) == 0 {
 				// Cancel a pseudo-random earlier label: may be pending,
 				// already fired, or already canceled — all three results
-				// must match.
+				// must match. A fired or canceled label's slot is usually
+				// reused by then, so its stale ID meets a newer generation.
 				victim := 1 + rng.Intn(me)
 				trace = append(trace, fmt.Sprintf("cancel %d by %d = %v", victim, me, clk.Cancel(ids[victim])))
 			}
@@ -157,6 +158,11 @@ func driveScript(clk desClock, seed int64, initial int) []string {
 	}
 	for i := 0; i < initial; i++ {
 		schedule(0, 0)
+	}
+	// The zero ID and an ID never issued name no event in either engine;
+	// the second carries slot 0 (live here) under a generation it never had.
+	for _, id := range []EventID{0, 1<<32 | 1<<20} {
+		trace = append(trace, fmt.Sprintf("cancel unissued %#x = %v", int64(id), clk.Cancel(id)))
 	}
 	// Interleave stepping with mid-run cancels and a deadline stop.
 	steps := 0
@@ -223,9 +229,9 @@ func TestVirtualRunUntilEquivalence(t *testing.T) {
 	}
 }
 
-// TestCancelWithinSameTimestampRun pins the drain-batch semantics: an event
-// already staged for execution (same timestamp as the currently running
-// event) must still be cancelable, exactly as when it sat in the heap.
+// TestCancelWithinSameTimestampRun pins that an event due at the same
+// instant as the running one, and queued behind it, is still cancelable,
+// exactly once.
 func TestCancelWithinSameTimestampRun(t *testing.T) {
 	v := NewVirtual(epoch)
 	var fired []int
@@ -236,7 +242,7 @@ func TestCancelWithinSameTimestampRun(t *testing.T) {
 			t.Error("Cancel of later same-timestamp event returned false")
 		}
 		if v.Cancel(id3) {
-			t.Error("double Cancel of batched event returned true")
+			t.Error("double Cancel of same-timestamp event returned true")
 		}
 	})
 	id2 = v.After(time.Second, func() { fired = append(fired, 2) })
@@ -252,8 +258,8 @@ func TestCancelWithinSameTimestampRun(t *testing.T) {
 }
 
 // TestNextMatchesStep holds Next to the time of the event Step runs next,
-// including when the event ahead of it in the drain batch was canceled
-// while staged.
+// including when a same-instant event queued behind the running one was
+// canceled by it.
 func TestNextMatchesStep(t *testing.T) {
 	v := NewVirtual(epoch)
 	var ran []time.Time
@@ -314,9 +320,8 @@ func TestCancelSelfDuringExecutionReturnsFalse(t *testing.T) {
 	v.Run()
 }
 
-// TestEventStructsRecycled checks the freelist actually reuses structs:
-// steady-state scheduling must not grow the pending set or leak into the
-// index.
+// TestEventStructsRecycled checks that fired events' structs and slots are
+// reused: a smaller second wave must not grow the slot table.
 func TestEventStructsRecycled(t *testing.T) {
 	v := NewVirtual(epoch)
 	for i := 0; i < 1000; i++ {
@@ -326,16 +331,12 @@ func TestEventStructsRecycled(t *testing.T) {
 	if v.Pending() != 0 {
 		t.Fatalf("Pending = %d", v.Pending())
 	}
-	if len(v.free) == 0 {
-		t.Fatal("freelist empty after a full run")
-	}
-	// A second wave must be served from the freelist without growing it.
-	grew := len(v.free)
+	slots := len(v.slots)
 	for i := 0; i < 500; i++ {
 		v.After(time.Duration(i)*time.Millisecond, func() {})
 	}
 	v.Run()
-	if len(v.free) != grew {
-		t.Errorf("freelist grew from %d to %d on a smaller second wave", grew, len(v.free))
+	if len(v.slots) != slots {
+		t.Errorf("slot table grew from %d to %d on a smaller second wave", slots, len(v.slots))
 	}
 }

@@ -8,7 +8,6 @@
 package vclock
 
 import (
-	"slices"
 	"sync"
 	"time"
 )
@@ -75,17 +74,18 @@ func (r *Real) Cancel(id EventID) bool {
 // ---------------------------------------------------------------------------
 // Virtual clock (discrete-event scheduler)
 
-// event is one pending callback. pos is its index in the four-ary heap, or
-// -1 while the event is staged in the current drain batch. Fired and
-// canceled events return to a freelist with fn cleared, so a campaign
-// holding 100k+ pending events reuses the same structs instead of churning
+// event is one pending callback. pos is its index in the four-ary heap;
+// slot is its fixed place in the slot table, and gen counts the times the
+// struct has fired or been canceled. A struct is reused for every event its
+// slot ever holds, so a campaign holding 100k+ pending events does not churn
 // the garbage collector.
 type event struct {
-	at  time.Time
-	seq int64 // tie-break: FIFO among events at the same instant
-	id  EventID
-	fn  func()
-	pos int32
+	at   time.Time
+	seq  int64 // tie-break: FIFO among events at the same instant
+	fn   func()
+	pos  int32
+	slot int32
+	gen  uint32
 }
 
 // Virtual is a single-threaded discrete-event clock. Events execute in
@@ -93,62 +93,25 @@ type event struct {
 // campaign replays deterministic. Virtual is not safe for concurrent use;
 // the DES is intentionally single-threaded (see DESIGN.md §6).
 //
-// Engineering (DESIGN.md §11): the pending set lives in an index-tracked
-// four-ary heap — half the depth of a binary heap and better cache locality
-// per level, with every sift updating the events' stored positions. The
-// position index makes Cancel O(log n) (a targeted removal) instead of the
-// former O(n) confirmation scan, and lets Step drain a whole run of
-// same-timestamp events in one pass: equal-time events form a rooted
-// subtree of the heap, so the run is collected by a short DFS and removed
-// with targeted sifts instead of full root-cascading pops, then executed
-// FIFO from a flat batch.
+// Engineering (DESIGN.md §11): the pending set is one index-tracked
+// four-ary heap keyed on (at, seq) — half the depth of a binary heap, with
+// every sift updating the events' stored positions. An EventID names a slot
+// and the generation it was issued under, so Cancel is a table lookup plus
+// one targeted heap removal, and an ID whose event already fired or was
+// canceled no longer matches its slot's generation.
 type Virtual struct {
-	now    time.Time
-	seq    int64
-	nextID EventID
-
-	heap []*event
-
-	// Pending-event index: pages of 2^pageBits slots keyed by id>>pageBits.
-	// IDs are sequential, so inserts always land on the newest page and the
-	// one-page cache makes the common lookup map-free; a page is dropped as
-	// soon as its last live event fires or is canceled. This is what makes
-	// Cancel O(log n) — a direct lookup plus one targeted heap sift —
-	// instead of the former O(n) scan over the event slice.
-	pages      map[EventID]*eventPage
-	cachedNo   EventID
-	cachedPage *eventPage
-	pending    int
-
-	// batch is the current same-timestamp run being executed, sorted by
-	// seq; batchPos is the cursor. Canceled batch entries have fn == nil
-	// and are skipped (and recycled) as the cursor passes them.
-	batch    []*event
-	batchPos int
-
-	free     []*event // recycled event structs
-	scratch  []int32  // DFS stack reused across drains
+	now      time.Time
+	seq      int64
+	heap     []*event
+	slots    []*event // every event struct ever allocated, by slot
+	free     []int32  // slots whose event is neither pending nor running
 	executed int64
-}
-
-const (
-	pageBits = 10
-	pageSize = 1 << pageBits
-	pageMask = pageSize - 1
-)
-
-// eventPage is one dense window of the pending-event index.
-type eventPage struct {
-	events [pageSize]*event
-	live   int
 }
 
 // NewVirtual returns a virtual clock starting at the given epoch. The paper's
 // campaign ran Dec 2020 – Mar 2021; the campaign driver uses that epoch for
 // flavor, but any epoch works.
-func NewVirtual(epoch time.Time) *Virtual {
-	return &Virtual{now: epoch, pages: make(map[EventID]*eventPage), cachedNo: -1}
-}
+func NewVirtual(epoch time.Time) *Virtual { return &Virtual{now: epoch} }
 
 // Now returns the current virtual time.
 func (v *Virtual) Now() time.Time { return v.now }
@@ -167,35 +130,47 @@ func (v *Virtual) At(t time.Time, fn func()) EventID {
 	if t.Before(v.now) {
 		t = v.now
 	}
-	v.nextID++
+	var e *event
+	if n := len(v.free); n > 0 {
+		e = v.slots[v.free[n-1]]
+		v.free = v.free[:n-1]
+	} else {
+		e = &event{slot: int32(len(v.slots))}
+		v.slots = append(v.slots, e)
+	}
 	v.seq++
-	e := v.alloc()
-	e.at, e.seq, e.id, e.fn = t, v.seq, v.nextID, fn
-	v.indexPut(e)
+	e.at, e.seq, e.fn = t, v.seq, fn
 	v.heapPush(e)
-	return v.nextID
+	// slot+1 keeps the zero EventID from naming slot 0.
+	return EventID(int64(e.slot+1)<<32 | int64(e.gen))
 }
 
 // Cancel revokes a pending event. It returns false if the event already
 // fired, was already canceled, or never existed.
 func (v *Virtual) Cancel(id EventID) bool {
-	e := v.indexTake(id)
-	if e == nil {
+	slot := int64(id>>32) - 1
+	if slot < 0 || slot >= int64(len(v.slots)) {
 		return false
 	}
-	if e.pos >= 0 {
-		v.heapRemove(int(e.pos))
-		v.recycle(e)
-	} else {
-		// Staged in the drain batch: mark dead; the struct is reclaimed
-		// when the batch cursor passes it.
-		e.fn = nil
+	e := v.slots[slot]
+	if e.fn == nil || e.gen != uint32(id) {
+		return false
 	}
+	v.heapRemove(int(e.pos))
+	v.release(e)
 	return true
 }
 
+// release retires an event that fired or was canceled: it drops the
+// closure, invalidates every ID issued for it, and frees its slot.
+func (v *Virtual) release(e *event) {
+	e.fn = nil
+	e.gen++
+	v.free = append(v.free, e.slot)
+}
+
 // Pending returns the number of scheduled (uncanceled) events.
-func (v *Virtual) Pending() int { return v.pending }
+func (v *Virtual) Pending() int { return len(v.heap) }
 
 // Executed returns the total number of events that have run.
 func (v *Virtual) Executed() int64 { return v.executed }
@@ -203,20 +178,15 @@ func (v *Virtual) Executed() int64 { return v.executed }
 // Step runs the single earliest event, advancing time to it.
 // It returns false when no events remain.
 func (v *Virtual) Step() bool {
-	e := v.peekBatch()
-	if e == nil {
-		if !v.drainRun() {
-			return false
-		}
-		e = v.peekBatch()
+	if len(v.heap) == 0 {
+		return false
 	}
-	v.batch[v.batchPos] = nil
-	v.batchPos++
+	e := v.heap[0]
+	v.heapRemove(0)
 	v.now = e.at
 	v.executed++
 	fn := e.fn
-	v.indexTake(e.id)
-	v.recycle(e)
+	v.release(e)
 	fn()
 	return true
 }
@@ -245,84 +215,13 @@ func (v *Virtual) RunUntil(deadline time.Time) {
 // RunFor executes events within the next d of virtual time.
 func (v *Virtual) RunFor(d time.Duration) { v.RunUntil(v.now.Add(d)) }
 
-// peekBatch returns the next live event of the current drain batch without
-// consuming it, recycling any canceled entries it skips. Returns nil when
-// the batch is exhausted.
-func (v *Virtual) peekBatch() *event {
-	for v.batchPos < len(v.batch) {
-		e := v.batch[v.batchPos]
-		if e.fn != nil {
-			return e
-		}
-		v.batch[v.batchPos] = nil
-		v.batchPos++
-		v.recycle(e)
-	}
-	return nil
-}
-
 // Next reports the time of the event the next Step runs, or false when no
 // events remain.
 func (v *Virtual) Next() (time.Time, bool) {
-	if e := v.peekBatch(); e != nil {
-		return e.at, true
-	}
-	if len(v.heap) > 0 {
-		return v.heap[0].at, true
-	}
-	return time.Time{}, false
-}
-
-// drainRun moves the earliest same-timestamp run of events from the heap
-// into the execution batch, sorted FIFO by seq. Equal-time events form a
-// subtree rooted at the heap root (an ancestor of an equal-time node sorts
-// between the root and that node, so it carries the same timestamp), which
-// lets the run be collected with a short DFS that only descends into
-// equal-time children, then removed with one targeted sift each — no
-// re-heapify between pops. Returns false when the heap is empty.
-func (v *Virtual) drainRun() bool {
 	if len(v.heap) == 0 {
-		return false
+		return time.Time{}, false
 	}
-	v.batch = v.batch[:0]
-	v.batchPos = 0
-	t := v.heap[0].at
-	stack := append(v.scratch[:0], 0)
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		v.batch = append(v.batch, v.heap[i])
-		for c := 4*i + 1; c <= 4*i+4 && int(c) < len(v.heap); c++ {
-			if v.heap[c].at.Equal(t) {
-				stack = append(stack, c)
-			}
-		}
-	}
-	v.scratch = stack[:0]
-	if len(v.batch) == len(v.heap) {
-		// The whole heap fires at once (dense same-timestamp burst): just
-		// clear it — no targeted sifts needed when nothing is left behind.
-		for i := range v.heap {
-			v.heap[i] = nil
-		}
-		v.heap = v.heap[:0]
-		for _, e := range v.batch {
-			e.pos = -1
-		}
-	} else {
-		for _, e := range v.batch {
-			v.heapRemove(int(e.pos))
-			e.pos = -1
-		}
-	}
-	slices.SortFunc(v.batch, func(a, b *event) int {
-		// Same timestamp throughout the run: FIFO order is seq order.
-		if a.seq < b.seq {
-			return -1
-		}
-		return 1
-	})
-	return true
+	return v.heap[0].at, true
 }
 
 // ---------------------------------------------------------------------------
@@ -406,83 +305,6 @@ func (v *Virtual) siftDown(i int) bool {
 	v.heap[i] = e
 	e.pos = int32(i)
 	return i != start
-}
-
-// ---------------------------------------------------------------------------
-// Paged pending-event index
-
-// indexPut registers a freshly scheduled event. IDs are assigned
-// sequentially, so the insert lands on the newest page, which stays cached.
-func (v *Virtual) indexPut(e *event) {
-	no := e.id >> pageBits
-	p := v.cachedPage
-	if no != v.cachedNo || p == nil {
-		p = v.pages[no]
-		if p == nil {
-			p = &eventPage{}
-			v.pages[no] = p
-		}
-		v.cachedNo, v.cachedPage = no, p
-	}
-	p.events[e.id&pageMask] = e
-	p.live++
-	v.pending++
-}
-
-// indexTake removes and returns the pending event with the given id, or nil
-// if it already fired, was canceled, or never existed. Pages are dropped the
-// moment their last live event leaves, so a long campaign's index stays
-// proportional to the pending set, not to the total events ever scheduled.
-func (v *Virtual) indexTake(id EventID) *event {
-	if id <= 0 {
-		return nil
-	}
-	no := id >> pageBits
-	p := v.cachedPage
-	if no != v.cachedNo || p == nil {
-		p = v.pages[no]
-		if p == nil {
-			return nil
-		}
-		v.cachedNo, v.cachedPage = no, p
-	}
-	slot := id & pageMask
-	e := p.events[slot]
-	if e == nil {
-		return nil
-	}
-	p.events[slot] = nil
-	p.live--
-	v.pending--
-	if p.live == 0 {
-		delete(v.pages, no)
-		if v.cachedNo == no {
-			v.cachedPage = nil
-		}
-	}
-	return e
-}
-
-// ---------------------------------------------------------------------------
-// Event freelist
-
-// alloc returns a recycled event struct, or a new one when the freelist is
-// empty.
-func (v *Virtual) alloc() *event {
-	if n := len(v.free); n > 0 {
-		e := v.free[n-1]
-		v.free[n-1] = nil
-		v.free = v.free[:n-1]
-		return e
-	}
-	return &event{}
-}
-
-// recycle clears an event (releasing its closure) and returns it to the
-// freelist.
-func (v *Virtual) recycle(e *event) {
-	e.fn = nil
-	v.free = append(v.free, e)
 }
 
 // Ticker invokes fn every period until Stop is called, under any Clock.
