@@ -1,56 +1,67 @@
 #include "textflag.h"
 
-// func foldRows(q, rows []float64, dim, lo, hi int, best float64) float64
+// func foldBlocks(q, blocks []float64, dim int, best float64) float64
 //
-// foldRowsGo (fold.go) two lanes at a time. SSE2 only, which GOAMD64=v1
-// guarantees; packed IEEE double arithmetic rounds each lane exactly as the
-// scalar instruction does, so the result equals foldRowsGo's bit for bit.
+// foldRowsGo (fold.go) over whole blocks of four rows, one row per YMM lane.
+// Coordinate j of a block's four rows is one 32-byte load; q[j] is
+// broadcast. Each lane does foldRowsGo's operations in its order — q−row,
+// the product rounded, then added (never fused) into a0..a3, the tail into
+// a0, (a0+a1)+(a2+a3) — and packed IEEE arithmetic rounds each lane as the
+// scalar instruction does, so every row's distance is foldRowsGo's bit for
+// bit. VMINPD with acc as its first source returns acc only if acc < best,
+// NaN included, which is Go's <. The four lanes' minima are reduced at the
+// end; with no NaN landing and no −0 that is order-free.
 //
-//	X0       best
-//	X1, X2   (a0, a1), (a2, a3)
-//	SI, DI   q, cursor into rows
+//	Y0       best, per lane
+//	Y1..Y4   a0..a3
+//	Y5..Y8   q[j] broadcast, then q[j]−row, then its square
+//	SI, DI   q, cursor into blocks
+//	BX       end of blocks
 //	R8, R9   dim/4, dim%4
-//	R10, R11 cursor into q, blocks or tail elements left in this row
-//	BX       rows left
-TEXT ·foldRows(SB), NOSPLIT, $0-88
-	MOVQ  q_base+0(FP), SI
-	MOVQ  rows_base+24(FP), DI
-	MOVQ  dim+48(FP), CX
-	MOVQ  lo+56(FP), AX
-	MOVQ  hi+64(FP), BX
-	MOVSD best+72(FP), X0
-	SUBQ  AX, BX
-	JLE   done
-	IMULQ CX, AX
-	LEAQ  (DI)(AX*8), DI // &rows[lo*dim]
-	MOVQ  CX, R8
-	SHRQ  $2, R8
-	MOVQ  CX, R9
-	ANDQ  $3, R9
-
-row:
-	XORPS X1, X1
-	XORPS X2, X2
-	MOVQ  SI, R10
-	MOVQ  R8, R11
-	TESTQ R11, R11
-	JZ    tail
+//	R10, R11 cursor into q, groups or tail coordinates left in this block
+TEXT ·foldBlocks(SB), NOSPLIT, $0-72
+	MOVQ         q_base+0(FP), SI
+	MOVQ         blocks_base+24(FP), DI
+	MOVQ         blocks_len+32(FP), BX
+	MOVQ         dim+48(FP), CX
+	VBROADCASTSD best+56(FP), Y0
+	LEAQ         (DI)(BX*8), BX
+	MOVQ         CX, R8
+	SHRQ         $2, R8
+	MOVQ         CX, R9
+	ANDQ         $3, R9
 
 block:
-	MOVUPD (R10), X3
-	MOVUPD 16(R10), X4
-	MOVUPD (DI), X5
-	MOVUPD 16(DI), X6
-	SUBPD  X5, X3 // q - row
-	SUBPD  X6, X4
-	MULPD  X3, X3
-	MULPD  X4, X4
-	ADDPD  X3, X1
-	ADDPD  X4, X2
-	ADDQ   $32, R10
-	ADDQ   $32, DI
-	DECQ   R11
-	JNZ    block
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	MOVQ   SI, R10
+	MOVQ   R8, R11
+	TESTQ  R11, R11
+	JZ     tail
+
+group:
+	VBROADCASTSD (R10), Y5
+	VBROADCASTSD 8(R10), Y6
+	VBROADCASTSD 16(R10), Y7
+	VBROADCASTSD 24(R10), Y8
+	VSUBPD       (DI), Y5, Y5 // q - row
+	VSUBPD       32(DI), Y6, Y6
+	VSUBPD       64(DI), Y7, Y7
+	VSUBPD       96(DI), Y8, Y8
+	VMULPD       Y5, Y5, Y5
+	VMULPD       Y6, Y6, Y6
+	VMULPD       Y7, Y7, Y7
+	VMULPD       Y8, Y8, Y8
+	VADDPD       Y5, Y1, Y1
+	VADDPD       Y6, Y2, Y2
+	VADDPD       Y7, Y3, Y3
+	VADDPD       Y8, Y4, Y4
+	ADDQ         $32, R10
+	ADDQ         $128, DI
+	DECQ         R11
+	JNZ          group
 
 tail:
 	MOVQ  R9, R11
@@ -58,28 +69,45 @@ tail:
 	JZ    sum
 
 tailloop:
-	MOVSD (R10), X3
-	SUBSD (DI), X3
-	MULSD X3, X3
-	ADDSD X3, X1 // the a0 lane; a1 stays
-	ADDQ  $8, R10
-	ADDQ  $8, DI
-	DECQ  R11
-	JNZ   tailloop
+	VBROADCASTSD (R10), Y5
+	VSUBPD       (DI), Y5, Y5
+	VMULPD       Y5, Y5, Y5
+	VADDPD       Y5, Y1, Y1 // a0
+	ADDQ         $8, R10
+	ADDQ         $32, DI
+	DECQ         R11
+	JNZ          tailloop
 
 sum:
-	MOVAPD   X1, X3
-	UNPCKHPD X3, X3
-	ADDSD    X3, X1 // a0 + a1
-	MOVAPD   X2, X4
-	UNPCKHPD X4, X4
-	ADDSD    X4, X2 // a2 + a3
-	ADDSD    X2, X1
-	MINSD    X0, X1 // acc < best ? acc : best — best when either is NaN, as Go's <
-	MOVAPD   X1, X0
-	DECQ     BX
-	JNZ      row
+	VADDPD Y2, Y1, Y1 // a0 + a1
+	VADDPD Y4, Y3, Y3 // a2 + a3
+	VADDPD Y3, Y1, Y1
+	VMINPD Y0, Y1, Y0 // acc < best ? acc : best, per lane
+	CMPQ   DI, BX
+	JB     block
 
-done:
-	MOVSD X0, ret+80(FP)
+	VEXTRACTF128 $1, Y0, X1
+	VMINPD       X1, X0, X0
+	VPERMILPD    $1, X0, X1
+	VMINSD       X1, X0, X0
+	VZEROUPPER
+	MOVSD        X0, ret+64(FP)
+	RET
+
+// func cpuid(leaf, sub uint32) (a, b, c, d uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, a+8(FP)
+	MOVL BX, b+12(FP)
+	MOVL CX, c+16(FP)
+	MOVL DX, d+20(FP)
+	RET
+
+// func xgetbv() uint32
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
+	MOVL   $0, CX
+	XGETBV
+	MOVL   AX, ret+0(FP)
 	RET

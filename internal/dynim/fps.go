@@ -25,9 +25,9 @@ import (
 // keeps "the cost of adding new candidates negligible" (§4.4).
 //
 // Every distance comes from one kernel, foldRows (fold.go defines it;
-// fold_amd64.s is the same arithmetic two lanes at a time), and every row a
-// refresh is owed is evaluated: nothing prunes. Six engine-level
-// optimizations ride on top of the caching scheme:
+// fold_amd64.s is the same arithmetic on AVX2 hosts, one selected row per
+// lane), and every row a refresh is owed is evaluated: nothing prunes. Six
+// engine-level optimizations ride on top of the caching scheme:
 //
 //   - Squared distances end-to-end: the cache holds *squared* L2 values and
 //     every comparison is squared-vs-squared, removing one math.Sqrt per
@@ -38,8 +38,10 @@ import (
 //     (structure-of-arrays) indexed by slot — coordinates in one row-major
 //     arena, cached ranks and staleness counters in flat slices. A rank
 //     refresh streams those arrays in slot order instead of chasing one
-//     heap pointer per candidate; the selected rows are one arena too, so
-//     the kernel is bound by floating-point issue, not by loads.
+//     heap pointer per candidate. The selected rows are one arena too,
+//     stored four rows to a block with each coordinate's four values
+//     adjacent, so the kernel ranks four rows per vector instruction and is
+//     bound by floating-point issue, not by loads or horizontal adds.
 //
 //   - Sharded rank updates: what is split is distance work, and it is split
 //     in two steps. Candidates that arrived since the last pick are unranked
@@ -126,7 +128,7 @@ type FarthestPoint struct {
 	// over the slot range costs at most len(selPts)-sweptSel rows per slot.
 	sweptSel int
 
-	selRows []float64 // selected coordinates, row-major, append-only
+	selRows []float64 // selected coordinates, four rows a block (fold.go), append-only
 	selPts  []Point
 	journal journal
 	dd      dedupe
@@ -135,10 +137,12 @@ type FarthestPoint struct {
 
 // fpsMinWork is the fewest distance evaluations (one candidate against one
 // selected row) worth a goroutine: below it, spawn latency dominates the
-// arithmetic. At foldRows' ~2.7 ns a 9-D row that is ~22 µs of work. Measured
-// again under that kernel (2 vCPU): 2,048 through 65,536 are within
-// run-to-run noise of each other on BenchmarkFPSCampaignTraffic (698–737
-// µs/op) and on replay-paper (6.58–6.79 s), so the value stands.
+// arithmetic. At foldRows' ~1.8 ns a 9-D row (AVX2, 2 vCPU) that is ~15 µs
+// of work. Re-measured under that kernel: 2,048 through 65,536 are within
+// run-to-run noise of each other on BenchmarkFPSCampaignTraffic (530–830
+// µs/op, no value ahead in 5 interleaved rounds) and on replay-paper (3
+// rounds, medians 6.9–7.7 s); the best-looking value, 32,768, won 2 of the
+// first 5 pairs against 8,192, so the value stands.
 const fpsMinWork = 8192
 
 // minChunk is parallel.For's minChunk for a fan-out whose slots each fold in
@@ -292,15 +296,15 @@ func (f *FarthestPoint) freeSlot(s int32) {
 }
 
 // refreshSlot folds selections [seenSel[s], n) into slot s's cached rank.
-// rows is the selected set's row-major storage for rows [0, n). Every rank
-// comparison in the engine goes through this one call into foldRows, so the
-// ordering stays internally consistent; a slot's value depends on its own
-// coordinates and the selected rows alone, never on chunk boundaries, so
-// sharded passes stay bit-identical for every worker count.
+// rows is the selected set's blocked storage (fold.go) for rows [0, n).
+// Every rank comparison in the engine goes through this one call into
+// foldRows, so the ordering stays internally consistent; a slot's value
+// depends on its own coordinates and the selected rows alone, never on chunk
+// boundaries, so sharded passes stay bit-identical for every worker count.
 func (f *FarthestPoint) refreshSlot(s int32, n int, rows []float64) {
 	dim := f.dim
 	q := f.coords[int(s)*dim : int(s)*dim+dim]
-	f.dist2[s] = foldRows(q, rows[:n*dim], dim, int(f.seenSel[s]), n, f.dist2[s])
+	f.dist2[s] = foldRows(q, rows, dim, int(f.seenSel[s]), n, f.dist2[s])
 	f.seenSel[s] = int32(n)
 }
 
@@ -625,7 +629,7 @@ func (f *FarthestPoint) Select(n int) []Point {
 		id := f.ids[s]
 		coords := append([]float64(nil), f.coords[int(s)*f.dim:int(s+1)*f.dim]...)
 		f.freeSlot(s)
-		f.selRows = append(f.selRows, coords...)
+		f.selRows = appendRow(f.selRows, len(f.selPts), coords)
 		p := Point{ID: id, Coords: coords}
 		f.selPts = append(f.selPts, p)
 		f.journal.record("select", id)

@@ -144,6 +144,10 @@ func checkHeap(t *testing.T, f *FarthestPoint) {
 // so dist² ties are common and the eviction threshold usually falls inside a
 // tie group that only IDs can split.
 func TestPropertyFPSMatchesOracle(t *testing.T) {
+	withGoBody(t, testPropertyFPSMatchesOracle)
+}
+
+func testPropertyFPSMatchesOracle(t *testing.T) {
 	const dim = 5 // odd, so the kernel's tail runs
 	gauss := func(rng *rand.Rand, c []float64) {
 		for k := range c {

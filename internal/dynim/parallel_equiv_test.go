@@ -57,6 +57,10 @@ func equivWorkerCounts() []int {
 }
 
 func TestPropertyParallelSelectionMatchesSerial(t *testing.T) {
+	withGoBody(t, testPropertyParallelSelectionMatchesSerial)
+}
+
+func testPropertyParallelSelectionMatchesSerial(t *testing.T) {
 	f := func(seed int64, cappedQueue bool) bool {
 		capacity := 0
 		if cappedQueue {
@@ -82,6 +86,10 @@ func TestPropertyParallelSelectionMatchesSerial(t *testing.T) {
 }
 
 func TestParallelSelectionMatchesSerialAtScale(t *testing.T) {
+	withGoBody(t, testParallelSelectionMatchesSerialAtScale)
+}
+
+func testParallelSelectionMatchesSerialAtScale(t *testing.T) {
 	// One deterministic run past fpsMinWork so the slot-range fan-out really
 	// spawns goroutines (the property test's queues stay below the
 	// serial-inline threshold).
@@ -135,6 +143,10 @@ type campaignRun struct {
 // for every worker count. It is long enough that the arrival fan-out
 // splits: 158 arrivals against more than 2·fpsMinWork/158 selections.
 func TestCampaignTrafficMatchesSerial(t *testing.T) {
+	withGoBody(t, testCampaignTrafficMatchesSerial)
+}
+
+func testCampaignTrafficMatchesSerial(t *testing.T) {
 	const dim, capacity, addsPerSelect, picks = 9, 2000, 158, 260
 	run := func(workers int) campaignRun {
 		rng := rand.New(rand.NewSource(17))
@@ -217,6 +229,10 @@ func TestArrivalBurstIsNotChurn(t *testing.T) {
 }
 
 func TestQueueSetParallelMatchesSerial(t *testing.T) {
+	withGoBody(t, testQueueSetParallelMatchesSerial)
+}
+
+func testQueueSetParallelMatchesSerial(t *testing.T) {
 	// QueueSet-wide updates and round-robin selection under the worker knob.
 	run := func(workers int) []string {
 		rng := rand.New(rand.NewSource(7))

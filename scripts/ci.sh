@@ -48,13 +48,21 @@ for cmd in GET SET DEL RENAME MGET MSET KEYS; do
 	test "$(grep -rhoF "[]byte(\"$cmd\")" --include='*.go' --exclude='*_test.go' internal/kvstore | wc -l)" -eq 1
 done
 
-# The FPS distance kernel has an assembly body on amd64 only
-# (internal/dynim/fold_amd64.s; go vet's asmdecl checks it above). Every
-# other GOARCH runs the Go loop in fold.go, which is also the definition the
-# assembly is tested against — cross-build the module so that body cannot
-# rot, and hold its arm64 listing free of fused multiply-adds: they round
-# once where amd64 rounds twice, and every replay digest follows from those
-# bits. Compile-only; nothing here runs arm64 code.
+# The FPS distance kernel (internal/dynim/fold*.go; DESIGN.md "dynim: the
+# distance kernel") folds selected rows stored four to a block, one row per
+# SIMD lane. It has two bodies: the Go loop in fold.go, which is the
+# definition, and an AVX2 one in fold_amd64.s (go vet's asmdecl checks it
+# above) that a CPUID + XGETBV probe picks once at init on amd64; a host
+# without AVX2, and every other GOARCH, runs the Go loop. Every replay digest
+# follows from the kernel's bits, and a fused multiply-add rounds once where
+# the definition rounds twice, so: the assembly names no fused mnemonic; the
+# module cross-builds for arm64, so the Go body cannot rot; and fold.go's
+# arm64 listing holds no fused multiply-add. Compile-only; nothing here runs
+# arm64 code.
+if grep -E 'VFN?M(ADD|SUB)' internal/dynim/fold_amd64.s; then
+	echo "ci: internal/dynim/fold_amd64.s fuses a multiply-add" >&2
+	exit 1
+fi
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go build -gcflags=-S ./internal/dynim 2>&1 | grep 'fold\.go' >"$tmpdir/fold-arm64.S"
 grep -q FMULD "$tmpdir/fold-arm64.S"
@@ -62,7 +70,8 @@ if grep -E 'FN?M(ADD|SUB)' "$tmpdir/fold-arm64.S"; then
 	echo "ci: arm64 fuses a multiply-add in internal/dynim/fold.go" >&2
 	exit 1
 fi
-# The Go loop exists once.
+# The Go loop, with the strided head and tail rows foldRows hands it, exists
+# once.
 test "$(grep -rl 'a0 += ' internal/dynim --include='*.go' --exclude='*_test.go')" = internal/dynim/fold.go
 # FPS eviction is one threshold select over reused scratch (DESIGN.md
 # "dynim: what an offer costs"): no sort.Slice, with its per-call swapper,
