@@ -72,6 +72,7 @@ chaos:
 matrix:
 	$(GO) run ./scripts/matrix
 	$(GO) run ./scripts/matrix -scenarios scenarios/generated
+	$(GO) run ./scripts/matrix -scenarios scenarios/paper
 
 # Rewrite the committed per-scenario ledgers after an intentional
 # behaviour change; commit the resulting diff alongside the change that
@@ -79,6 +80,7 @@ matrix:
 matrix-update:
 	$(GO) run ./scripts/matrix -update
 	$(GO) run ./scripts/matrix -scenarios scenarios/generated -update
+	$(GO) run ./scripts/matrix -scenarios scenarios/paper -update
 
 # Regenerate the committed scenario files: the named catalog
 # (internal/trace/catalog.go) plus the fixed Gen(42, 3) sweep that ci.sh

@@ -16,8 +16,8 @@ import (
 type experiment struct {
 	name, title string
 	// needsReplay marks the rows that read the one shared virtual-time
-	// campaign replay; the systems experiments run directly against the
-	// real components.
+	// campaign replay; the systems experiments (experiments.go) run
+	// directly against the real components.
 	needsReplay bool
 	body        func(x expInput) (string, error)
 }
@@ -63,13 +63,13 @@ var experiments = []experiment{
 	{"counts", "§5.1 campaign counts", true, replayed((*campaign.Result).CountsText)},
 	{"fig7", "Figure 7: in-memory DB feedback queries", false, func(x expInput) (string, error) {
 		// -full is the paper's Redis cluster size.
-		return rendered(campaign.Fig7Text)(campaign.Fig7KVQueries([]int{1000, 5000, 10000, 20000, 40000, 70000}, x.size(8, 20), 850))
+		return rendered(fig7Text)(fig7KVQueries([]int{1000, 5000, 10000, 20000, 40000, 70000}, x.size(8, 20), 850))
 	}},
 	{"fig8", "Figure 8: AA-to-CG feedback latency", false, func(x expInput) (string, error) {
-		return campaign.Fig8Text(campaign.Fig8AAFeedback(2000, 6, 2*time.Second, x.seed)), nil
+		return fig8Text(fig8AAFeedback(2000, 6, 2*time.Second, x.seed)), nil
 	}},
 	{"fluxfix", "Flux fix: first-match vs exhaustive matching", false, func(x expInput) (string, error) {
-		return rendered(campaign.FluxFixText)(campaign.FluxFix670(x.size(1000, 4000), x.size(6000, 24000)))
+		return rendered(fluxFixText)(fluxFix670(x.size(1000, 4000), x.size(6000, 24000)))
 	}},
 	{"taridx", "§5.2 taridx throughput", false, func(x expInput) (string, error) {
 		dir, err := os.MkdirTemp("", "mummi-taridx")
@@ -77,7 +77,7 @@ var experiments = []experiment{
 			return "", err
 		}
 		defer os.RemoveAll(dir)
-		return rendered(campaign.TaridxText)(campaign.TaridxThroughput(dir, x.size(2000, 20000), 156_000))
+		return rendered(taridxText)(taridxThroughput(dir, x.size(2000, 20000), 156_000))
 	}},
 	{"feedback12x", "§4.2 feedback backends (the >12x claim)", false, func(x expInput) (string, error) {
 		dir, err := os.MkdirTemp("", "mummi-fb")
@@ -85,17 +85,17 @@ var experiments = []experiment{
 			return "", err
 		}
 		defer os.RemoveAll(dir)
-		return rendered(campaign.FeedbackText)(campaign.Feedback12x(dir, x.size(5000, 20000)))
+		return rendered(feedbackText)(feedback12x(dir, x.size(5000, 20000)))
 	}},
 	{"ml165x", "§4.4 selector scaling (the 165x claim)", false, func(x expInput) (string, error) {
 		// -full is the campaign's 9M frame candidates.
-		return rendered(campaign.SelectorText)(campaign.SelectorScaling(35000, x.size(1_000_000, 9_000_000), x.workers, x.seed))
+		return rendered(selectorText)(selectorScaling(35000, x.size(1_000_000, 9_000_000), x.workers, x.seed))
 	}},
 	{"bundling", "§4.3 bundling ablation", false, func(x expInput) (string, error) {
-		return rendered(campaign.BundlingText)(campaign.BundlingAblation(16, 4, x.seed))
+		return rendered(bundlingText)(bundlingAblation(16, 4, x.seed))
 	}},
 	{"inventory", "§4.4 inventory ablation (readiness vs staleness)", false, func(x expInput) (string, error) {
-		return rendered(campaign.InventoryText)(campaign.InventoryAblation([]float64{0.02, 0.1, 0.25, 0.5, 1.0}, x.seed))
+		return rendered(inventoryText)(inventoryAblation([]float64{0.02, 0.1, 0.25, 0.5, 1.0}, x.seed))
 	}},
 }
 

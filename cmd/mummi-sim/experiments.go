@@ -1,4 +1,4 @@
-package campaign
+package main
 
 import (
 	"fmt"
@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"mummi/internal/campaign"
 	"mummi/internal/cluster"
 	"mummi/internal/datastore"
 	"mummi/internal/dynim"
@@ -23,30 +24,31 @@ import (
 	"mummi/internal/vclock"
 )
 
-// This file holds the standalone experiments of §5.2 that are not part of
-// the virtual-time campaign replay: the Redis-feedback query measurements
+// This file holds the bodies of exp's systems experiments (§4–5), the rows
+// of the experiments table that run against the real components instead of
+// reading the campaign replay: the Redis-feedback query measurements
 // (Fig. 7), the AA-feedback latency model (Fig. 8), the Flux first-match
 // fix (the "670×" comparison), the taridx read-throughput and inode
 // numbers, the filesystem-vs-database feedback comparison (the ≥12× claim),
 // the selector scaling comparison (the "165× more data" claim), and the
-// bundled-vs-unbundled scheduling ablation.
+// bundling and inventory ablations.
 
 // ---------------------------------------------------------------------------
 // Fig. 7 — KV-store feedback queries
 
-// Fig7Row is one sweep point: wall time for the three query types the
+// fig7Row is one sweep point: wall time for the three query types the
 // CG→continuum feedback performs against the in-memory store.
-type Fig7Row struct {
+type fig7Row struct {
 	Frames         int
 	RetrieveKeys   time.Duration
 	RetrieveValues time.Duration
 	Delete         time.Duration
 }
 
-// Fig7KVQueries stands up a KV cluster (the paper used 20 Redis nodes),
+// fig7KVQueries stands up a KV cluster (the paper used 20 Redis nodes),
 // loads it with RDF-sized frames, and measures key retrieval, value
 // retrieval, and deletion for each frame count.
-func Fig7KVQueries(frameCounts []int, clusterNodes, valueBytes int) (_ []Fig7Row, err error) {
+func fig7KVQueries(frameCounts []int, clusterNodes, valueBytes int) (_ []fig7Row, err error) {
 	addrs, shutdown, err := kvstore.LaunchCluster(clusterNodes)
 	if err != nil {
 		return nil, err
@@ -61,7 +63,7 @@ func Fig7KVQueries(frameCounts []int, clusterNodes, valueBytes int) (_ []Fig7Row
 	value := make([]byte, valueBytes)
 	rand.New(rand.NewSource(1)).Read(value)
 
-	var rows []Fig7Row
+	var rows []fig7Row
 	for _, n := range frameCounts {
 		names, values := make([]string, n), make([][]byte, n)
 		for i := range names {
@@ -106,13 +108,13 @@ func Fig7KVQueries(frameCounts []int, clusterNodes, valueBytes int) (_ []Fig7Row
 		if deleted != n {
 			return nil, fmt.Errorf("fig7: deleted %d/%d", deleted, n)
 		}
-		rows = append(rows, Fig7Row{Frames: n, RetrieveKeys: tKeys, RetrieveValues: tVals, Delete: tDel})
+		rows = append(rows, fig7Row{Frames: n, RetrieveKeys: tKeys, RetrieveValues: tVals, Delete: tDel})
 	}
 	return rows, nil
 }
 
-// Fig7Text renders the sweep with derived throughputs.
-func Fig7Text(rows []Fig7Row) string {
+// fig7Text renders the sweep with derived throughputs.
+func fig7Text(rows []fig7Row) string {
 	t := stats.Table{Header: []string{"frames", "keys", "values", "delete", "keys/s", "reads/s", "dels/s"}}
 	for _, r := range rows {
 		t.AddRow(fmt.Sprintf("%d", r.Frames),
@@ -136,29 +138,29 @@ func rate(n int, d time.Duration) string {
 // ---------------------------------------------------------------------------
 // Fig. 8 — AA→CG feedback latency
 
-// Fig8Row is one iteration class: frames processed vs modeled wall time.
-type Fig8Row struct {
+// fig8Row is one iteration class: frames processed vs modeled wall time.
+type fig8Row struct {
 	Frames int
 	Time   time.Duration
 }
 
-// Fig8Result is the modeled distribution of AA-feedback iterations.
-type Fig8Result struct {
-	Rows         []Fig8Row
+// fig8Result is the modeled distribution of AA-feedback iterations.
+type fig8Result struct {
+	Rows         []fig8Row
 	WithinTarget float64 // fraction of iterations within the 10-min target
 	Target       time.Duration
 }
 
-// Fig8AAFeedback models AA→CG feedback iterations: each frame costs ~2 s of
+// fig8AAFeedback models AA→CG feedback iterations: each frame costs ~2 s of
 // external-module calls (±20%), drained by a worker pool, plus a fixed
 // overhead for process spawning and staging. The iteration sizes follow the
 // campaign cadence: 2400 AA simulations produce one eligible frame every
 // ~10 min each, thinned by eligibility; occasionally a backlog burst (the
 // paper's restart accumulations) pushes past 1600 frames where the target
 // is missed but scaling stays linear.
-func Fig8AAFeedback(iterations, workers int, perFrame time.Duration, seed int64) Fig8Result {
+func fig8AAFeedback(iterations, workers int, perFrame time.Duration, seed int64) fig8Result {
 	rng := rand.New(rand.NewSource(seed))
-	res := Fig8Result{Target: 10 * time.Minute}
+	res := fig8Result{Target: 10 * time.Minute}
 	within := 0
 	for i := 0; i < iterations; i++ {
 		frames := int(rng.ExpFloat64() * 400)
@@ -174,7 +176,7 @@ func Fig8AAFeedback(iterations, workers int, perFrame time.Duration, seed int64)
 		}
 		overhead := 30*time.Second + time.Duration(rng.Intn(20))*time.Second
 		total := overhead + feedback.SimulatePoolTime(costs, workers)
-		res.Rows = append(res.Rows, Fig8Row{Frames: frames, Time: total})
+		res.Rows = append(res.Rows, fig8Row{Frames: frames, Time: total})
 		if total <= res.Target {
 			within++
 		}
@@ -183,8 +185,8 @@ func Fig8AAFeedback(iterations, workers int, perFrame time.Duration, seed int64)
 	return res
 }
 
-// Fig8Text renders the iteration scatter as binned means plus the headline.
-func Fig8Text(r Fig8Result) string {
+// fig8Text renders the iteration scatter as binned means plus the headline.
+func fig8Text(r fig8Result) string {
 	bins := stats.NewHistogram(0, 7000, 14)
 	sums := make([]time.Duration, 14)
 	counts := make([]int, 14)
@@ -213,8 +215,8 @@ func Fig8Text(r Fig8Result) string {
 // ---------------------------------------------------------------------------
 // Flux fix — first-match + async vs exhaustive + sync (the 670×)
 
-// FluxFixResult compares matcher work for the paper's emulated job mix.
-type FluxFixResult struct {
+// fluxFixResult compares matcher work for the paper's emulated job mix.
+type fluxFixResult struct {
 	Nodes            int
 	Jobs             int
 	ExhaustiveVisits int64
@@ -223,22 +225,22 @@ type FluxFixResult struct {
 	FirstMatchWall   time.Duration
 }
 
-// VisitRatio returns the matcher-work improvement factor.
-func (r FluxFixResult) VisitRatio() float64 {
+// visitRatio returns the matcher-work improvement factor.
+func (r fluxFixResult) visitRatio() float64 {
 	if r.FirstMatchVisits == 0 {
 		return 0
 	}
 	return float64(r.ExhaustiveVisits) / float64(r.FirstMatchVisits)
 }
 
-// FluxFix670 reproduces the §5.2 emulated-environment experiment: "a
+// fluxFix670 reproduces the §5.2 emulated-environment experiment: "a
 // resource graph configuration similar to 4000 Summit nodes and the same
 // job mix (24,000 jobs with 1 GPU and 3 CPU cores each, and 1 job with 150
 // nodes, each with 24 cores)", matched under the original policy
 // (exhaustive lowest-ID traversal) and under the fix (first-match), with
 // the traversal work and wall time measured.
-func FluxFix670(nodes, gpuJobs int) (FluxFixResult, error) {
-	res := FluxFixResult{Nodes: nodes, Jobs: gpuJobs + 1}
+func fluxFix670(nodes, gpuJobs int) (fluxFixResult, error) {
+	res := fluxFixResult{Nodes: nodes, Jobs: gpuJobs + 1}
 	run := func(policy sched.Policy) (int64, time.Duration, error) {
 		m, err := cluster.New(cluster.Summit(nodes))
 		if err != nil {
@@ -272,21 +274,21 @@ func FluxFix670(nodes, gpuJobs int) (FluxFixResult, error) {
 	return res, nil
 }
 
-// FluxFixText renders the comparison.
-func FluxFixText(r FluxFixResult) string {
+// fluxFixText renders the comparison.
+func fluxFixText(r fluxFixResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Flux scheduling fix (emulated %d-node graph, %d-job mix)\n", r.Nodes, r.Jobs)
 	fmt.Fprintf(&b, "exhaustive low-ID: %d vertex visits, %v wall\n", r.ExhaustiveVisits, r.ExhaustiveWall.Round(time.Millisecond))
 	fmt.Fprintf(&b, "first-match:       %d vertex visits, %v wall\n", r.FirstMatchVisits, r.FirstMatchWall.Round(time.Millisecond))
-	fmt.Fprintf(&b, "improvement: %.0fx in matcher work (paper measured 670x with async Q-R)\n", r.VisitRatio())
+	fmt.Fprintf(&b, "improvement: %.0fx in matcher work (paper measured 670x with async Q-R)\n", r.visitRatio())
 	return b.String()
 }
 
 // ---------------------------------------------------------------------------
 // Taridx throughput and inode reduction (§5.2)
 
-// TaridxResult reports archive read performance.
-type TaridxResult struct {
+// taridxResult reports archive read performance.
+type taridxResult struct {
 	Files     int
 	FileBytes int
 	Inodes    int
@@ -294,22 +296,22 @@ type TaridxResult struct {
 	ReadWall  time.Duration
 }
 
-// FilesPerSec returns read throughput in files/s.
-func (r TaridxResult) FilesPerSec() float64 { return float64(r.Files) / r.ReadWall.Seconds() }
+// filesPerSec returns read throughput in files/s.
+func (r taridxResult) filesPerSec() float64 { return float64(r.Files) / r.ReadWall.Seconds() }
 
-// MBPerSec returns read throughput in MB/s.
-func (r TaridxResult) MBPerSec() float64 {
+// mbPerSec returns read throughput in MB/s.
+func (r taridxResult) mbPerSec() float64 {
 	return float64(r.Files) * float64(r.FileBytes) / 1e6 / r.ReadWall.Seconds()
 }
 
-// TaridxThroughput writes `files` entries of `fileBytes` each into one
+// taridxThroughput writes `files` entries of `fileBytes` each into one
 // indexed archive, then reads every entry back in random order, measuring
 // the §5.2 read numbers (~575 files/s, ~87.56 MB/s at ~156 KB/file on
 // Summit's GPFS; local disk is faster — the shape claim is that archives
 // deliver sequential-class throughput under random access while occupying
 // two inodes).
-func TaridxThroughput(dir string, files, fileBytes int) (_ TaridxResult, err error) {
-	res := TaridxResult{Files: files, FileBytes: fileBytes}
+func taridxThroughput(dir string, files, fileBytes int) (_ taridxResult, err error) {
+	res := taridxResult{Files: files, FileBytes: fileBytes}
 	a, err := taridx.Open(filepath.Join(dir, "bench.tar"))
 	if err != nil {
 		return res, err
@@ -348,49 +350,49 @@ func TaridxThroughput(dir string, files, fileBytes int) (_ TaridxResult, err err
 	return res, nil
 }
 
-// TaridxText renders the throughput result.
-func TaridxText(r TaridxResult) string {
+// taridxText renders the throughput result.
+func taridxText(r taridxResult) string {
 	return fmt.Sprintf("# taridx: %d files x %s in one archive (%d inodes; 9000x-class reduction)\n"+
 		"write: %v   read (random order): %v = %.0f files/s, %.1f MB/s\n"+
 		"(paper on GPFS: ~575 files/s, ~87.56 MB/s at ~156 KB/file)\n",
 		r.Files, units.ByteSize(r.FileBytes), r.Inodes,
 		r.WriteWall.Round(time.Millisecond), r.ReadWall.Round(time.Millisecond),
-		r.FilesPerSec(), r.MBPerSec())
+		r.filesPerSec(), r.mbPerSec())
 }
 
 // ---------------------------------------------------------------------------
 // Feedback backends — the ≥12× faster feedback loop
 
-// FeedbackCompareResult compares one CG→continuum feedback iteration over
+// feedbackCompareResult compares one CG→continuum feedback iteration over
 // the filesystem backend vs the in-memory database backend.
-type FeedbackCompareResult struct {
+type feedbackCompareResult struct {
 	Frames int
 	FSTime time.Duration
 	KVTime time.Duration
 }
 
-// Speedup returns FS/KV.
-func (r FeedbackCompareResult) Speedup() float64 {
+// speedup returns FS/KV.
+func (r feedbackCompareResult) speedup() float64 {
 	if r.KVTime <= 0 {
 		return 0
 	}
 	return float64(r.FSTime) / float64(r.KVTime)
 }
 
-// GPFSOpLatency models per-operation latency of a contended parallel
-// filesystem in the Feedback12x comparison. The paper's GPFS feedback
+// gpfsOpLatency models per-operation latency of a contended parallel
+// filesystem in the feedback12x comparison. The paper's GPFS feedback
 // suffered directory locking, metadata storms and explicit I/O throttling;
 // 200 µs per metadata/file operation is a conservative stand-in (real
 // contended GPFS metadata operations are millisecond-class).
-const GPFSOpLatency = 200 * time.Microsecond
+const gpfsOpLatency = 200 * time.Microsecond
 
-// Feedback12x loads the same CG frames into a filesystem store (with
+// feedback12x loads the same CG frames into a filesystem store (with
 // GPFS-like per-operation latency injected) and a KV cluster store, and
 // runs one full feedback iteration against each. The paper's prior
 // filesystem-based feedback took ~2 h per iteration; moving to Redis
 // brought it under 10 min (>12×).
-func Feedback12x(dir string, frames int) (_ FeedbackCompareResult, err error) {
-	res := FeedbackCompareResult{Frames: frames}
+func feedback12x(dir string, frames int) (_ feedbackCompareResult, err error) {
+	res := feedbackCompareResult{Frames: frames}
 	gen := func(store datastore.Store) error {
 		g := sim.NewCGSim("cmp", 8, 1, nil, 9)
 		for i := 0; i < frames; i++ {
@@ -424,7 +426,7 @@ func Feedback12x(dir string, frames int) (_ FeedbackCompareResult, err error) {
 
 	fs, err := fsstore.New(filepath.Join(dir, "fs"),
 		fsstore.WithFaultHook(func(op, path string) error {
-			time.Sleep(GPFSOpLatency) // contended-GPFS latency model
+			time.Sleep(gpfsOpLatency) // contended-GPFS latency model
 			return nil
 		}))
 	if err != nil {
@@ -458,18 +460,18 @@ func Feedback12x(dir string, frames int) (_ FeedbackCompareResult, err error) {
 	return res, nil
 }
 
-// FeedbackText renders the backend comparison.
-func FeedbackText(r FeedbackCompareResult) string {
+// feedbackText renders the backend comparison.
+func feedbackText(r feedbackCompareResult) string {
 	return fmt.Sprintf("# feedback iteration, %d CG frames\nfilesystem backend: %v\nkv-database backend: %v\nspeedup: %.1fx (paper: >12x, 2h -> <10min)\n",
-		r.Frames, r.FSTime.Round(time.Millisecond), r.KVTime.Round(time.Millisecond), r.Speedup())
+		r.Frames, r.FSTime.Round(time.Millisecond), r.KVTime.Round(time.Millisecond), r.speedup())
 }
 
 // ---------------------------------------------------------------------------
 // Selector scaling — "165× more data" for dynamic decisions
 
-// SelectorScalingResult compares rank-update cost of the two samplers at
+// selectorScalingResult compares rank-update cost of the two samplers at
 // their campaign scales.
-type SelectorScalingResult struct {
+type selectorScalingResult struct {
 	FPSQueue       int
 	FPSUpdateTime  time.Duration
 	BinnedN        int
@@ -478,15 +480,15 @@ type SelectorScalingResult struct {
 	CandidateRatio float64
 }
 
-// SelectorScaling fills a farthest-point queue to fpsQueue points (the
+// selectorScaling fills a farthest-point queue to fpsQueue points (the
 // paper's 35,000-patch queues; rank update takes 3–4 min at that size in
 // Python/FAISS) and a binned sampler to binnedN candidates (9 M in the
 // campaign — ~165× more than the prior work's selector held), measuring
 // the cost of a full rank refresh on each. workers sizes the rank-update
 // fan-out (0 = GOMAXPROCS); the selection sequence is identical for every
 // value, so the knob only moves the measured wall-clock.
-func SelectorScaling(fpsQueue, binnedN, workers int, seed int64) (SelectorScalingResult, error) {
-	res := SelectorScalingResult{FPSQueue: fpsQueue, BinnedN: binnedN,
+func selectorScaling(fpsQueue, binnedN, workers int, seed int64) (selectorScalingResult, error) {
+	res := selectorScalingResult{FPSQueue: fpsQueue, BinnedN: binnedN,
 		CandidateRatio: float64(binnedN) / float64(fpsQueue)}
 	rng := rand.New(rand.NewSource(seed))
 
@@ -540,8 +542,8 @@ func SelectorScaling(fpsQueue, binnedN, workers int, seed int64) (SelectorScalin
 	return res, nil
 }
 
-// SelectorText renders the comparison.
-func SelectorText(r SelectorScalingResult) string {
+// selectorText renders the comparison.
+func selectorText(r selectorScalingResult) string {
 	return fmt.Sprintf("# selector scaling\nfarthest-point: %d-candidate queue, rank refresh + select = %v (paper: 3-4 min)\n"+
 		"binned: %d candidates ingested in %v (O(1)/add), 100 selections = %v (paper: 3-4 min refresh for 9M)\n"+
 		"candidate ratio: %.0fx (paper claims ~165x more data than prior selector)\n",
@@ -553,10 +555,10 @@ func SelectorText(r SelectorScalingResult) string {
 // ---------------------------------------------------------------------------
 // Bundling ablation (§4.3)
 
-// BundlingResult compares effective GPU utilization of bundled (one job per
+// bundlingResult compares effective GPU utilization of bundled (one job per
 // node, 6 simulations) vs unbundled (one job per simulation) placement on a
 // straggler-prone ensemble.
-type BundlingResult struct {
+type bundlingResult struct {
 	Nodes              int
 	Rounds             int
 	BundledUtilization float64
@@ -565,13 +567,13 @@ type BundlingResult struct {
 	UnbundledMakespan  time.Duration
 }
 
-// BundlingAblation runs the same ensemble (nodes×6 simulations per round,
+// bundlingAblation runs the same ensemble (nodes×6 simulations per round,
 // lognormal durations with stragglers) both ways through the real
 // scheduler. Under bundling, a node's job ends only when its slowest
 // simulation does — "the worst case utilization of 1/6, when a single
 // simulation keeps the job alive and continues to occupy the node".
-func BundlingAblation(nodes, rounds int, seed int64) (BundlingResult, error) {
-	res := BundlingResult{Nodes: nodes, Rounds: rounds}
+func bundlingAblation(nodes, rounds int, seed int64) (bundlingResult, error) {
+	res := bundlingResult{Nodes: nodes, Rounds: rounds}
 	durations := make([][]time.Duration, rounds*nodes)
 	rng := rand.New(rand.NewSource(seed))
 	var useful time.Duration
@@ -589,7 +591,7 @@ func BundlingAblation(nodes, rounds int, seed int64) (BundlingResult, error) {
 	}
 
 	run := func(bundled bool) (time.Duration, float64, error) {
-		clk := vclockVirtual()
+		clk := vclock.NewVirtual(campaign.Epoch)
 		m, err := cluster.New(cluster.Summit(nodes))
 		if err != nil {
 			return 0, 0, err
@@ -617,11 +619,15 @@ func BundlingAblation(nodes, rounds int, seed int64) (BundlingResult, error) {
 				}
 			}
 		}
+		jobs := rounds * nodes
+		if !bundled {
+			jobs *= 6
+		}
 		start := clk.Now()
 		for i := 0; i < 1000; i++ {
 			clk.RunFor(time.Hour)
 			_, running, finished := s.Counts()
-			if running == 0 && finished == rounds*nodes*boolTo(bundled, 1, 6) {
+			if running == 0 && finished == jobs {
 				break
 			}
 		}
@@ -639,15 +645,8 @@ func BundlingAblation(nodes, rounds int, seed int64) (BundlingResult, error) {
 	return res, nil
 }
 
-func boolTo(b bool, t, f int) int {
-	if b {
-		return t
-	}
-	return f
-}
-
-// BundlingText renders the ablation.
-func BundlingText(r BundlingResult) string {
+// bundlingText renders the ablation.
+func bundlingText(r bundlingResult) string {
 	return fmt.Sprintf("# bundling ablation: %d nodes x %d rounds of 6 straggler-prone sims\n"+
 		"bundled (6 GPUs/job):   makespan %v, useful-GPU utilization %.0f%%\n"+
 		"unbundled (1 GPU/job):  makespan %v, useful-GPU utilization %.0f%%\n"+
@@ -657,31 +656,28 @@ func BundlingText(r BundlingResult) string {
 		r.UnbundledMakespan.Round(time.Minute), r.UnbundledUtil*100)
 }
 
-// vclockVirtual returns a fresh virtual clock at the campaign epoch.
-func vclockVirtual() *vclock.Virtual { return vclock.NewVirtual(Epoch) }
-
 // ---------------------------------------------------------------------------
 // Inventory ablation (§4.4 Task 3)
 
-// InventoryRow is one sweep point of the prepared-configuration trade-off.
-type InventoryRow struct {
+// inventoryRow is one sweep point of the prepared-configuration trade-off.
+type inventoryRow struct {
 	Fraction   float64
 	GPUMeanPct float64
 	CPUMeanPct float64
 }
 
-// InventoryAblation sweeps the prepared-configuration inventory size — the
+// inventoryAblation sweeps the prepared-configuration inventory size — the
 // paper's readiness-vs-staleness knob ("the sizes of these sets are a
 // trade-off between readiness for availability of resources and simulating
 // stale configurations"; it "governs the utilization of CPUs"). Small
 // inventories starve GPU turnover; large ones burn CPU cores banking
 // configurations that go stale.
-func InventoryAblation(fractions []float64, seed int64) ([]InventoryRow, error) {
-	var rows []InventoryRow
+func inventoryAblation(fractions []float64, seed int64) ([]inventoryRow, error) {
+	var rows []inventoryRow
 	for _, f := range fractions {
-		cfg := DefaultConfig()
+		cfg := campaign.DefaultConfig()
 		cfg.Seed = seed
-		cfg.Runs = []RunSpec{{Nodes: 8, Wall: 72 * time.Hour, Count: 1}}
+		cfg.Runs = []campaign.RunSpec{{Nodes: 8, Wall: 72 * time.Hour, Count: 1}}
 		cfg.PatchesPerSnapshot = 20
 		cfg.PatchQueueCap = 500
 		cfg.SubmitPerMinute = 300
@@ -691,7 +687,7 @@ func InventoryAblation(fractions []float64, seed int64) ([]InventoryRow, error) 
 		cfg.RetireMeanCG = units.Microsecond
 		cfg.RetireMeanAA = 40 * units.Nanosecond
 		cfg.InventoryFraction = f
-		res, err := Run(cfg)
+		res, err := campaign.Run(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -703,13 +699,13 @@ func InventoryAblation(fractions []float64, seed int64) ([]InventoryRow, error) 
 			gpu.Add(ev.GPUFrac * 100)
 			cpu.Add(ev.CPUFrac * 100)
 		}
-		rows = append(rows, InventoryRow{Fraction: f, GPUMeanPct: gpu.Mean(), CPUMeanPct: cpu.Mean()})
+		rows = append(rows, inventoryRow{Fraction: f, GPUMeanPct: gpu.Mean(), CPUMeanPct: cpu.Mean()})
 	}
 	return rows, nil
 }
 
-// InventoryText renders the sweep.
-func InventoryText(rows []InventoryRow) string {
+// inventoryText renders the sweep.
+func inventoryText(rows []inventoryRow) string {
 	t := stats.Table{Header: []string{"inventory (x slots)", "GPU mean %", "CPU mean %"}}
 	for _, r := range rows {
 		t.AddRow(fmt.Sprintf("%.2f", r.Fraction),

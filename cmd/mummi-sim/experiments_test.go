@@ -1,4 +1,4 @@
-package campaign
+package main
 
 import (
 	"strings"
@@ -7,7 +7,7 @@ import (
 )
 
 func TestFig7KVQueries(t *testing.T) {
-	rows, err := Fig7KVQueries([]int{100, 500, 2000}, 4, 850)
+	rows, err := fig7KVQueries([]int{100, 500, 2000}, 4, 850)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,14 +25,14 @@ func TestFig7KVQueries(t *testing.T) {
 	if big.RetrieveValues <= big.RetrieveKeys/2 {
 		t.Logf("note: value reads unusually fast (%v vs keys %v)", big.RetrieveValues, big.RetrieveKeys)
 	}
-	out := Fig7Text(rows)
+	out := fig7Text(rows)
 	if !strings.Contains(out, "Fig 7") || !strings.Contains(out, "2000") {
-		t.Errorf("Fig7Text malformed:\n%s", out)
+		t.Errorf("fig7Text malformed:\n%s", out)
 	}
 }
 
 func TestFig8AAFeedback(t *testing.T) {
-	res := Fig8AAFeedback(400, 6, 2*time.Second, 1)
+	res := fig8AAFeedback(400, 6, 2*time.Second, 1)
 	if len(res.Rows) != 400 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -62,14 +62,14 @@ func TestFig8AAFeedback(t *testing.T) {
 			t.Errorf("scaling ratio = %.1f, want ~3 (linear)", ratio)
 		}
 	}
-	if !strings.Contains(Fig8Text(res), "10-min target") {
-		t.Error("Fig8Text malformed")
+	if !strings.Contains(fig8Text(res), "10-min target") {
+		t.Error("fig8Text malformed")
 	}
 }
 
 func TestFluxFixSmall(t *testing.T) {
 	// Scaled-down emulation: 200 nodes, 1200 GPU jobs.
-	res, err := FluxFix670(200, 1200)
+	res, err := fluxFix670(200, 1200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,32 +78,32 @@ func TestFluxFixSmall(t *testing.T) {
 			res.ExhaustiveVisits, res.FirstMatchVisits)
 	}
 	// The improvement should be orders of magnitude even at this scale.
-	if res.VisitRatio() < 50 {
-		t.Errorf("visit ratio = %.0f, want >> 50", res.VisitRatio())
+	if res.visitRatio() < 50 {
+		t.Errorf("visit ratio = %.0f, want >> 50", res.visitRatio())
 	}
-	if !strings.Contains(FluxFixText(res), "improvement") {
-		t.Error("FluxFixText malformed")
+	if !strings.Contains(fluxFixText(res), "improvement") {
+		t.Error("fluxFixText malformed")
 	}
 }
 
 func TestTaridxThroughputSmall(t *testing.T) {
-	res, err := TaridxThroughput(t.TempDir(), 200, 156_000)
+	res, err := taridxThroughput(t.TempDir(), 200, 156_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Inodes != 2 {
 		t.Errorf("inodes = %d, want 2 (tar + index)", res.Inodes)
 	}
-	if res.FilesPerSec() <= 0 || res.MBPerSec() <= 0 {
+	if res.filesPerSec() <= 0 || res.mbPerSec() <= 0 {
 		t.Error("throughput not measured")
 	}
-	if !strings.Contains(TaridxText(res), "files/s") {
-		t.Error("TaridxText malformed")
+	if !strings.Contains(taridxText(res), "files/s") {
+		t.Error("taridxText malformed")
 	}
 }
 
 func TestFeedback12xSmall(t *testing.T) {
-	res, err := Feedback12x(t.TempDir(), 2000)
+	res, err := feedback12x(t.TempDir(), 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,16 +112,16 @@ func TestFeedback12xSmall(t *testing.T) {
 	}
 	// On local disk the gap is narrower than GPFS-vs-Redis, but the
 	// database path must not lose.
-	if res.Speedup() < 1.0 {
-		t.Errorf("kv backend slower than fs: %.2fx", res.Speedup())
+	if res.speedup() < 1.0 {
+		t.Errorf("kv backend slower than fs: %.2fx", res.speedup())
 	}
-	if !strings.Contains(FeedbackText(res), "speedup") {
-		t.Error("FeedbackText malformed")
+	if !strings.Contains(feedbackText(res), "speedup") {
+		t.Error("feedbackText malformed")
 	}
 }
 
 func TestSelectorScalingSmall(t *testing.T) {
-	res, err := SelectorScaling(5000, 200_000, 0, 3)
+	res, err := selectorScaling(5000, 200_000, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +137,13 @@ func TestSelectorScalingSmall(t *testing.T) {
 	if res.CandidateRatio != 40 {
 		t.Errorf("candidate ratio = %v", res.CandidateRatio)
 	}
-	if !strings.Contains(SelectorText(res), "selector scaling") {
-		t.Error("SelectorText malformed")
+	if !strings.Contains(selectorText(res), "selector scaling") {
+		t.Error("selectorText malformed")
 	}
 }
 
 func TestBundlingAblationSmall(t *testing.T) {
-	res, err := BundlingAblation(4, 3, 5)
+	res, err := bundlingAblation(4, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,13 +156,13 @@ func TestBundlingAblationSmall(t *testing.T) {
 		t.Errorf("unbundled makespan %v >= bundled %v",
 			res.UnbundledMakespan, res.BundledMakespan)
 	}
-	if !strings.Contains(BundlingText(res), "bundling ablation") {
-		t.Error("BundlingText malformed")
+	if !strings.Contains(bundlingText(res), "bundling ablation") {
+		t.Error("bundlingText malformed")
 	}
 }
 
 func TestInventoryAblation(t *testing.T) {
-	rows, err := InventoryAblation([]float64{0.02, 0.5}, 4)
+	rows, err := inventoryAblation([]float64{0.02, 0.5}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestInventoryAblation(t *testing.T) {
 		t.Errorf("tiny inventory GPU %.1f%% not below healthy %.1f%%",
 			rows[0].GPUMeanPct, rows[1].GPUMeanPct)
 	}
-	if !strings.Contains(InventoryText(rows), "inventory ablation") {
-		t.Error("InventoryText malformed")
+	if !strings.Contains(inventoryText(rows), "inventory ablation") {
+		t.Error("inventoryText malformed")
 	}
 }

@@ -34,13 +34,15 @@ func run(args []string) (err error) {
 		return usage()
 	}
 	cmd, path := args[0], args[1]
+	var data []byte
 	switch cmd {
-	case "put":
+	case "put", "get", "delete":
 		if len(args) < 3 {
 			return usage()
 		}
-		var data []byte
-		var err error
+		if cmd != "put" {
+			break
+		}
 		if len(args) >= 4 {
 			data, err = os.ReadFile(args[3])
 		} else {
@@ -49,21 +51,28 @@ func run(args []string) (err error) {
 		if err != nil {
 			return err
 		}
-		a, err := taridx.Open(path)
-		if err != nil {
+	case "rebuild":
+		// Open rebuilds automatically when the index is missing; force it
+		// by removing the sidecar first.
+		if err := os.Remove(path + taridx.IndexSuffix); err != nil && !os.IsNotExist(err) {
 			return err
 		}
-		defer errutil.CaptureClose(&err, a.Close)
+	case "list", "stats":
+	default:
+		return usage()
+	}
+
+	a, err := taridx.Open(path)
+	if err != nil {
+		return err
+	}
+	// The archive is append-mode: a failed close can mean lost index
+	// appends, so it fails the command.
+	defer errutil.CaptureClose(&err, a.Close)
+	switch cmd {
+	case "put":
 		return a.Put(args[2], data)
 	case "get":
-		if len(args) < 3 {
-			return usage()
-		}
-		a, err := taridx.Open(path)
-		if err != nil {
-			return err
-		}
-		defer errutil.CaptureClose(&err, a.Close)
 		b, err := a.Get(args[2])
 		if err != nil {
 			return err
@@ -71,51 +80,19 @@ func run(args []string) (err error) {
 		_, err = os.Stdout.Write(b)
 		return err
 	case "list":
-		a, err := taridx.Open(path)
-		if err != nil {
-			return err
-		}
-		defer errutil.CaptureClose(&err, a.Close)
 		for _, k := range a.Keys() {
 			fmt.Println(k)
 		}
-		return nil
 	case "delete":
-		if len(args) < 3 {
-			return usage()
-		}
-		a, err := taridx.Open(path)
-		if err != nil {
-			return err
-		}
-		defer errutil.CaptureClose(&err, a.Close)
 		return a.Delete(args[2])
 	case "stats":
-		a, err := taridx.Open(path)
-		if err != nil {
-			return err
-		}
-		defer errutil.CaptureClose(&err, a.Close)
 		s := a.Stats()
 		fmt.Printf("keys=%d appends=%d reads=%d bytes_read=%d archive_bytes=%d\n",
 			s.Keys, s.Appends, s.Reads, s.BytesRead, s.ArchiveLen)
-		return nil
 	case "rebuild":
-		// Open rebuilds automatically when the index is missing; force it
-		// by removing the sidecar first.
-		if err := os.Remove(path + taridx.IndexSuffix); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-		a, err := taridx.Open(path)
-		if err != nil {
-			return err
-		}
-		defer errutil.CaptureClose(&err, a.Close)
 		fmt.Printf("rebuilt index: %d keys\n", a.Len())
-		return nil
-	default:
-		return usage()
 	}
+	return nil
 }
 
 func usage() error {

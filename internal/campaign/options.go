@@ -14,7 +14,8 @@ import (
 // plan parsing, fault-seed defaulting) identical across every command.
 type Options struct {
 	// Scale shrinks the paper schedule via ScaledRuns when it is in (0, 1);
-	// 0 or 1 keeps the full Table 1 schedule.
+	// 0 or 1 keeps the full Table 1 schedule, and Build rejects any other
+	// value.
 	Scale float64
 	// Seed is the campaign seed; it also seeds the fault plan when the plan
 	// does not carry its own.
@@ -52,6 +53,9 @@ func (o Options) Build() (Config, error) {
 			return Config{}, fmt.Errorf("campaign: unknown scale mode %q", o.Scales)
 		}
 		cfg.Scales = o.Scales
+	}
+	if !(o.Scale >= 0 && o.Scale <= 1) { // NaN fails both comparisons
+		return Config{}, fmt.Errorf("campaign: scale must be in [0, 1], got %v", o.Scale)
 	}
 	if o.Scale > 0 && o.Scale < 1 {
 		cfg.Runs = ScaledRuns(o.Scale)

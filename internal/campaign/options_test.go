@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -27,6 +28,19 @@ func TestOptionsBuild(t *testing.T) {
 	}
 	if !reflect.DeepEqual(full.Runs, DefaultConfig().Runs) {
 		t.Error("scale 1.0 should keep the full paper schedule")
+	}
+
+	// A scale outside [0, 1] is an error, not the full campaign.
+	for _, scale := range []float64{-3, -0.25, 1.0001, 7, math.NaN(), math.Inf(1)} {
+		if _, err := (Options{Scale: scale, Seed: 1}).Build(); err == nil {
+			t.Errorf("scale %v accepted", scale)
+		}
+	}
+	for _, scale := range []float64{0, 1} {
+		cfg, err := Options{Scale: scale, Seed: 1}.Build()
+		if err != nil || !reflect.DeepEqual(cfg.Runs, DefaultConfig().Runs) {
+			t.Errorf("scale %v: err %v; want the full paper schedule", scale, err)
+		}
 	}
 
 	if _, err := (Options{Seed: 1, Scales: "four-scale"}).Build(); err == nil {

@@ -262,7 +262,8 @@ func testQueueSetParallelMatchesSerial(t *testing.T) {
 
 // BenchmarkFPSSelectBurst is the selector hot path in isolation: fill a
 // paper-sized queue, then time eight picks, a full refresh, and a ninth
-// pick — the same window campaign.SelectorScaling measures.
+// pick — the same window mummi-sim exp -exp ml165x (selectorScaling in
+// cmd/mummi-sim) measures.
 func BenchmarkFPSSelectBurst(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	pts := make([]Point, 35000)

@@ -242,3 +242,58 @@ func TestCommittedScenariosMatchCatalog(t *testing.T) {
 		}
 	}
 }
+
+// TestCommittedPaperTracesMatchOptions pins the files under scenarios/paper/
+// to the configurations they claim to be: the paper's schedule at seed 1
+// and no feedback, at quarter scale (bench's replay-paper, exp's default)
+// and at full scale (EXPERIMENTS.md), byte for byte as
+// campaign.Options builds them. Only the description is read from the file.
+func TestCommittedPaperTracesMatchOptions(t *testing.T) {
+	dir := filepath.Join("..", "..", "scenarios", "paper")
+	scales := map[string]float64{"paper-quarter": 0.25, "paper-full": 1.0}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := map[string]bool{}
+	for _, e := range ents {
+		name, ok := strings.CutSuffix(e.Name(), ".trace.json")
+		if !ok {
+			continue
+		}
+		committed[name] = true
+		scale, ok := scales[name]
+		if !ok {
+			t.Errorf("%s is committed but is not a paper configuration", e.Name())
+			continue
+		}
+		got, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := Parse(got)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		cfg, err := campaign.Options{Scale: scale, Seed: 1}.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := FromConfig(name, parsed.Description, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := tr.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s is not campaign.Options{Scale: %v, Seed: 1}", e.Name(), scale)
+		}
+	}
+	for name := range scales {
+		if !committed[name] {
+			t.Errorf("scenarios/paper/%s.trace.json is not committed", name)
+		}
+	}
+}

@@ -44,15 +44,12 @@ func main() {
 	}
 }
 
-// ledger is the committed per-scenario report: a fixed mummi-bench/v1
-// header (only the seed varies between scenarios) over one flat numeric
-// metric map per experiment.
+// ledger is the committed per-scenario report: a mummi-bench/v1 schema
+// tag and the scenario's seed over one flat numeric metric map per
+// experiment.
 type ledger struct {
 	Schema      string                        `json:"schema"`
-	Scale       float64                       `json:"scale"`
 	Seed        int64                         `json:"seed"`
-	Full        bool                          `json:"full"`
-	Workers     int                           `json:"workers"`
 	Experiments map[string]map[string]float64 `json:"experiments"`
 }
 
@@ -231,19 +228,27 @@ func replay(t *trace.Trace) (*ledger, error) {
 
 	rep := &ledger{Schema: "mummi-bench/v1", Seed: cfg.Seed, Experiments: map[string]map[string]float64{}}
 	rep.Experiments["scenario"] = map[string]float64{
-		"runs_done":           float64(res.RunsDone),
-		"node_hours":          float64(res.TotalNodeHours),
-		"matcher_visits":      float64(res.MatcherVisits),
-		"snapshots":           float64(res.Snapshots),
-		"patches":             float64(res.Patches),
-		"cg_selected":         float64(res.CGSelected),
-		"cg_frames":           float64(res.CGFrames),
-		"cg_frame_candidates": float64(res.CGFrameCandidates),
-		"aa_selected":         float64(res.AASelected),
-		"files":               float64(res.Files),
-		"bytes":               float64(res.Bytes),
-		"injected_failures":   float64(res.InjectedFailures),
-		"anomalies":           float64(len(res.Anomalies)),
+		"runs_done":            float64(res.RunsDone),
+		"node_hours":           float64(res.TotalNodeHours),
+		"matcher_visits":       float64(res.MatcherVisits),
+		"snapshots":            float64(res.Snapshots),
+		"continuum_total_fs":   float64(res.ContinuumTotal),
+		"patches":              float64(res.Patches),
+		"cg_selected":          float64(res.CGSelected),
+		"cg_frames":            float64(res.CGFrames),
+		"cg_frame_candidates":  float64(res.CGFrameCandidates),
+		"cg_total_fs":          float64(res.CGTotal),
+		"aa_selected":          float64(res.AASelected),
+		"aa_total_fs":          float64(res.AATotal),
+		"files":                float64(res.Files),
+		"bytes":                float64(res.Bytes),
+		"injected_failures":    float64(res.InjectedFailures),
+		"anomalies":            float64(len(res.Anomalies)),
+		"gpu_at_least_98_frac": res.GPUAtLeast98Frac,
+		"gpu_mean_pct":         res.GPUMeanPct,
+		"gpu_median_pct":       res.GPUMedianPct,
+		"cpu_mean_pct":         res.CPUMeanPct,
+		"cpu_median_pct":       res.CPUMedianPct,
 	}
 	if cfg.Faults != nil {
 		rep.Experiments["chaos"] = map[string]float64{
