@@ -523,7 +523,6 @@ func selectorScaling(fpsQueue, binnedN, workers int, seed int64) (selectorScalin
 		return res, err
 	}
 	bn.DisableJournal()
-	bn.SetTrackDuplicates(false)
 	t1 := time.Now()
 	c3 := make([]float64, 3)
 	for i := 0; i < binnedN; i++ {

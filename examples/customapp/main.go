@@ -97,7 +97,7 @@ func main() {
 	weather := vclock.NewTicker(clk, 30*time.Minute, func(now time.Time) {
 		for i := 0; i < 6; i++ {
 			err := wm.AddCandidate("city-to-canyon", dynim.Point{
-				ID: fmt.Sprintf("wx-%s-%d", now.Format("150405"), i),
+				ID: fmt.Sprintf("wx-%s-%d", now.Format("0102-150405"), i),
 				Coords: []float64{
 					rng.Float64() * 30,
 					rng.NormFloat64() * 2,

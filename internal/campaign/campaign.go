@@ -194,7 +194,6 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 		return nil, err
 	}
 	fs.DisableJournal()
-	fs.SetTrackDuplicates(false)
 	fs.SetTelemetry(cfg.Telemetry)
 	c.frameSel = fs
 	// 9-D protein walks seed patch encodings.

@@ -25,12 +25,6 @@ func Summit(nodes int) Topology {
 	return Topology{Nodes: nodes, SocketsPerNode: 2, CoresPerSocket: 22, GPUsPerNode: 6}
 }
 
-// Lassen returns Lassen's per-node shape (the paper's development machine,
-// "similar but smaller": 2×22-core POWER9, 4 V100s).
-func Lassen(nodes int) Topology {
-	return Topology{Nodes: nodes, SocketsPerNode: 2, CoresPerSocket: 22, GPUsPerNode: 4}
-}
-
 // CoresPerNode returns the total CPU cores per node.
 func (t Topology) CoresPerNode() int { return t.SocketsPerNode * t.CoresPerSocket }
 

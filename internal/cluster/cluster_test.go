@@ -26,13 +26,6 @@ func TestSummitTopology(t *testing.T) {
 	}
 }
 
-func TestLassenTopology(t *testing.T) {
-	l := Lassen(100)
-	if l.GPUsPerNode != 4 || l.CoresPerNode() != 44 {
-		t.Errorf("Lassen = %+v", l)
-	}
-}
-
 func TestValidateRejectsBadTopology(t *testing.T) {
 	for _, bad := range []Topology{
 		{Nodes: 0, SocketsPerNode: 2, CoresPerSocket: 22, GPUsPerNode: 6},

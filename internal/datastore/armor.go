@@ -8,27 +8,23 @@ import (
 	"mummi/internal/telemetry"
 )
 
-// ArmorOptions parameterizes Armor.
+// ArmorOptions parameterizes Armor. The retry schedule is the retry
+// package's one fixed schedule.
 type ArmorOptions struct {
-	// Policy is the bounded-backoff schedule (zero fields take the retry
-	// package defaults). Its Seed drives the deterministic jitter, so two
-	// same-seed runs retry on identical schedules.
-	Policy retry.Policy
 	// Sleep, when non-nil, is called with each backoff delay between
 	// attempts. Real-time deployments pass a real sleep; virtual-time
 	// replays leave it nil — a discrete-event callback cannot block, so the
 	// delay is accounted in the store.backoff_ms histogram instead of slept.
 	Sleep func(time.Duration)
-	// Retryable classifies errors; nil means errors.Is(err, ErrTransient).
-	Retryable func(error) bool
 }
 
 // Armor wraps a Store with the paper's I/O armoring (§4.4: "all I/O
-// operations are armored with retries"): every operation is retried under a
-// capped exponential backoff with deterministic jitter while the error is
-// transient, and gives up — surfacing the last error — when the attempt
-// budget is exhausted or the error is permanent. ErrNotFound is never
-// retried (misses are normal feedback operation, not faults).
+// operations are armored with retries"): every operation is retried under
+// retry's capped exponential backoff with deterministic jitter while the
+// error is transient (errors.Is(err, ErrTransient)), and gives up —
+// surfacing the last error — when the attempt budget is exhausted or the
+// error is permanent. ErrNotFound is never retried (misses are normal
+// feedback operation, not faults).
 //
 // Telemetry (labeled by backend):
 //
@@ -48,9 +44,6 @@ func Armor(s Store, tel *telemetry.Telemetry, backend string, opts ArmorOptions)
 	if tel == nil {
 		tel = telemetry.Nop()
 	}
-	if opts.Retryable == nil {
-		opts.Retryable = func(err error) bool { return errors.Is(err, ErrTransient) }
-	}
 	a := &armored{s: s, tel: tel, backend: backend, opts: opts}
 	return Extend(s, a, a.getBatch, a.moveBatch)
 }
@@ -62,7 +55,7 @@ type armored struct {
 	opts    ArmorOptions
 }
 
-// do runs one operation under the retry policy, accounting retries, backoff
+// do runs one operation under the retry schedule, accounting retries, backoff
 // delays, and give-ups.
 func (a *armored) do(op func() error) error {
 	sleep := func(d time.Duration) {
@@ -73,14 +66,16 @@ func (a *armored) do(op func() error) error {
 			a.opts.Sleep(d)
 		}
 	}
-	_, err := a.opts.Policy.Do(sleep, a.opts.Retryable, op)
-	if err != nil && a.opts.Retryable(err) {
+	err := retry.Do(sleep, transient, op)
+	if transient(err) {
 		// A transient error escaping Do means the attempt budget ran out:
 		// the armor gave up.
 		a.tel.Counter(telemetry.Name("store.gaveup_total", "backend", a.backend)).Inc()
 	}
 	return err
 }
+
+func transient(err error) bool { return errors.Is(err, ErrTransient) }
 
 // Put implements Store.
 func (a *armored) Put(ns, key string, data []byte) error {

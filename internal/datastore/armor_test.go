@@ -118,14 +118,14 @@ func TestArmorRetriesTransientThenSucceeds(t *testing.T) {
 func TestArmorGivesUpAfterBudget(t *testing.T) {
 	tel := telemetry.Nop()
 	flaky := newFlaky(datastore.NewMemory(), 100) // more failures than any budget
-	s := datastore.Armor(flaky, tel, "memory", datastore.ArmorOptions{Policy: retry.Policy{MaxAttempts: 3}})
+	s := datastore.Armor(flaky, tel, "memory", datastore.ArmorOptions{})
 	err := s.Put("ns", "k", []byte("v"))
 	if !errors.Is(err, datastore.ErrTransient) {
 		t.Fatalf("want transient error to surface after budget, got %v", err)
 	}
 	reg := tel.Registry()
-	if got := reg.Counter("store.retries_total{backend=memory}").Value(); got != 2 {
-		t.Errorf("retries_total = %d, want 2 (3 attempts)", got)
+	if got := reg.Counter("store.retries_total{backend=memory}").Value(); got != 3 {
+		t.Errorf("retries_total = %d, want 3 (4 attempts)", got)
 	}
 	if got := reg.Counter("store.gaveup_total{backend=memory}").Value(); got != 1 {
 		t.Errorf("gaveup_total = %d, want 1", got)
@@ -154,8 +154,7 @@ func TestArmorSleepHookReceivesBackoff(t *testing.T) {
 	var slept []time.Duration
 	flaky := newFlaky(datastore.NewMemory(), 2)
 	s := datastore.Armor(flaky, telemetry.Nop(), "memory", datastore.ArmorOptions{
-		Policy: retry.Policy{BaseDelay: 10 * time.Millisecond, Seed: 3},
-		Sleep:  func(d time.Duration) { slept = append(slept, d) },
+		Sleep: func(d time.Duration) { slept = append(slept, d) },
 	})
 	if err := s.Put("ns", "k", nil); err != nil {
 		t.Fatal(err)
@@ -163,9 +162,8 @@ func TestArmorSleepHookReceivesBackoff(t *testing.T) {
 	if len(slept) != 2 {
 		t.Fatalf("sleep hook called %d times, want 2", len(slept))
 	}
-	p := retry.Policy{BaseDelay: 10 * time.Millisecond, Seed: 3}
 	for i, d := range slept {
-		if want := p.Backoff(i + 1); d != want {
+		if want := retry.Backoff(i + 1); d != want {
 			t.Errorf("backoff %d = %v, want deterministic %v", i+1, d, want)
 		}
 	}

@@ -71,22 +71,24 @@ func TestFPSDisableJournal(t *testing.T) {
 	}
 }
 
+// TestBinnedTrackDuplicatesToggle: Binned keeps no ID set, so duplicate
+// tracking is always off — a re-offered ID is queued and selected again.
 func TestBinnedTrackDuplicatesToggle(t *testing.T) {
 	b, err := NewBinned([]BinDim{{0, 10, 5}}, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.SetTrackDuplicates(false)
 	b.Add(Point{ID: "dup", Coords: []float64{1}})
 	b.Add(Point{ID: "dup", Coords: []float64{1}})
 	if b.Len() != 2 {
-		t.Errorf("Len with dedupe off = %d, want 2", b.Len())
+		t.Errorf("Len after a re-offer = %d, want 2", b.Len())
 	}
-	b.SetTrackDuplicates(true)
-	b.Add(Point{ID: "x", Coords: []float64{2}})
-	b.Add(Point{ID: "x", Coords: []float64{2}})
-	if b.Len() != 3 {
-		t.Errorf("Len with dedupe on = %d, want 3", b.Len())
+	got := b.Select(2)
+	if len(got) != 2 || got[0].ID != "dup" || got[1].ID != "dup" {
+		t.Errorf("Select(2) = %v, want both offers of dup", got)
+	}
+	if b.Len() != 0 {
+		t.Errorf("Len after selecting both = %d, want 0", b.Len())
 	}
 }
 

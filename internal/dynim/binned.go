@@ -31,6 +31,10 @@ import (
 // draw into one prefix-sum descent in ascending bin order. Add and Select
 // keep both current, so either costs O(log bins) however many bins are
 // non-empty.
+//
+// Binned keeps no set of IDs: its producers (the campaign's frame stream)
+// mint unique IDs by construction, and a set of every ID ever offered would
+// grow with the campaign. A re-offered ID is queued again.
 type Binned struct {
 	mu sync.Mutex
 
@@ -49,10 +53,8 @@ type Binned struct {
 	nbins     int // joint bin count, ∏ dims[i].Bins
 	total     int // queued candidate count
 
-	journal  journal
-	dd       dedupe
-	trackDup bool
-	tel      *telemetry.Telemetry // nil = no instrumentation
+	journal journal
+	tel     *telemetry.Telemetry // nil = no instrumentation
 }
 
 // binState is one joint bin.
@@ -127,13 +129,11 @@ func NewBinned(dims []BinDim, balance float64, seed int64) (*Binned, error) {
 		return nil, fmt.Errorf("dynim: balance %v outside [0,1]", balance)
 	}
 	return &Binned{
-		dims:     append([]BinDim(nil), dims...),
-		balance:  balance,
-		rng:      rand.New(rand.NewSource(seed)),
-		bins:     make(map[int]*binState),
-		nbins:    nbins,
-		dd:       newDedupe(),
-		trackDup: true,
+		dims:    append([]BinDim(nil), dims...),
+		balance: balance,
+		rng:     rand.New(rand.NewSource(seed)),
+		bins:    make(map[int]*binState),
+		nbins:   nbins,
 	}, nil
 }
 
@@ -170,15 +170,6 @@ func (b *Binned) SetTelemetry(tel *telemetry.Telemetry) {
 	b.mu.Unlock()
 }
 
-// SetTrackDuplicates toggles duplicate-ID rejection. Producers that
-// guarantee unique IDs (the campaign driver does, by construction) turn it
-// off so the dedupe set does not grow with every candidate ever offered.
-func (b *Binned) SetTrackDuplicates(on bool) {
-	b.mu.Lock()
-	b.trackDup = on
-	b.mu.Unlock()
-}
-
 // Add implements Selector: increment the bin's occupancy, queue the
 // candidate and keep the select index current.
 func (b *Binned) Add(p Point) error {
@@ -187,9 +178,6 @@ func (b *Binned) Add(p Point) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.trackDup && !b.dd.claim(p.ID) {
-		return nil
-	}
 	bin := b.binOf(p.Coords)
 	st := b.bins[bin]
 	if st == nil {

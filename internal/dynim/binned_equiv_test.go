@@ -205,7 +205,6 @@ func TestBinnedSelectCostIgnoresNonEmptyBins(t *testing.T) {
 			t.Fatal(err)
 		}
 		b.DisableJournal()
-		b.SetTrackDuplicates(false)
 		for i := 0; i < 4*nonEmpty; i++ {
 			if err := b.Add(Point{ID: "f", Coords: binCentre20(i % nonEmpty)}); err != nil {
 				t.Fatal(err)
@@ -233,7 +232,6 @@ func BenchmarkBinnedSelect(b *testing.B) {
 		b.Fatal(err)
 	}
 	bn.DisableJournal()
-	bn.SetTrackDuplicates(false)
 	rng := rand.New(rand.NewSource(42))
 	offers := make([]Point, 8000*4+b.N*addsPerSelect)
 	for i := range offers {

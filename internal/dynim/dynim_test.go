@@ -411,6 +411,8 @@ func TestBinnedOutOfRangeClamps(t *testing.T) {
 	}
 }
 
+// TestBinnedDimMismatchAndDuplicates: a wrong-dimension point is refused;
+// Binned keeps no ID set, so a re-offered ID is queued again.
 func TestBinnedDimMismatchAndDuplicates(t *testing.T) {
 	b, _ := NewBinned(dims3(), 1, 1)
 	if err := b.Add(Point{ID: "bad", Coords: []float64{1}}); err == nil {
@@ -418,8 +420,8 @@ func TestBinnedDimMismatchAndDuplicates(t *testing.T) {
 	}
 	b.Add(Point{ID: "dup", Coords: []float64{1, 0.5, 0}})
 	b.Add(Point{ID: "dup", Coords: []float64{2, 0.5, 0}})
-	if b.Len() != 1 {
-		t.Errorf("Len after duplicate = %d", b.Len())
+	if b.Len() != 2 {
+		t.Errorf("Len after a re-offer = %d, want 2", b.Len())
 	}
 }
 

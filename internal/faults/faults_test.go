@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mummi/internal/datastore"
-	"mummi/internal/retry"
 	"mummi/internal/telemetry"
 	"mummi/internal/vclock"
 )
@@ -275,23 +274,39 @@ func TestWrapStoreInjectsAndArmorAbsorbs(t *testing.T) {
 		{Class: StoreTransient, Rate: 0.4},
 	}})
 	e.Start()
-	// At p=0.4 the default 4-attempt budget fails an op with p≈2.6%; over
-	// 400 ops that would (deterministically) hit, so give the armor a deep
-	// budget — the test is about faults reaching and being absorbed by it.
-	s := datastore.Armor(WrapStore(datastore.NewMemory(), e), tel, "memory",
-		datastore.ArmorOptions{Policy: retry.Policy{MaxAttempts: 20}})
+	// At p=0.4 the 4-attempt budget fails an op with p≈2.6%, so some of
+	// the 400 ops (deterministically) give up: every error that escapes the
+	// armor must be transient and counted in store.gaveup_total.
+	s := datastore.Armor(WrapStore(datastore.NewMemory(), e), tel, "memory", datastore.ArmorOptions{})
+	var gaveUp int64
+	check := func(op string, i int, err error) {
+		if err == nil {
+			return
+		}
+		if !errors.Is(err, datastore.ErrTransient) {
+			t.Fatalf("armored %s %d: %v, want a transient give-up", op, i, err)
+		}
+		gaveUp++
+	}
+	written := map[string]bool{}
 	for i := 0; i < 200; i++ {
 		key := string(rune('a'+i%26)) + "x"
-		if err := s.Put("ns", key, []byte("v")); err != nil {
-			t.Fatalf("armored put %d failed despite retries: %v", i, err)
-		}
-		if _, err := s.Get("ns", key); err != nil {
-			t.Fatalf("armored get %d failed despite retries: %v", i, err)
+		err := s.Put("ns", key, []byte("v"))
+		check("put", i, err)
+		written[key] = written[key] || err == nil
+		if _, err := s.Get("ns", key); !errors.Is(err, datastore.ErrNotFound) || written[key] {
+			check("get", i, err)
 		}
 	}
 	reg := tel.Registry()
 	if got := reg.Counter("store.retries_total{backend=memory}").Value(); got == 0 {
 		t.Error("no retries recorded — faults never reached the armor")
+	}
+	if gaveUp == 0 {
+		t.Error("no op exhausted the budget — the give-up path went unexercised")
+	}
+	if got := reg.Counter("store.gaveup_total{backend=memory}").Value(); got != gaveUp {
+		t.Errorf("gaveup_total = %d, want %d (one per error returned)", got, gaveUp)
 	}
 	if got := reg.Counter("faults.injected_total{class=store-transient-error}").Value(); got == 0 {
 		t.Error("no injections counted")

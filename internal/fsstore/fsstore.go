@@ -1,11 +1,9 @@
 // Package fsstore is the filesystem backend of the abstract data interface
 // (paper §4.2). It is the right backend for small files that hold simulation
 // state (checkpoints, logs) or must interface with external tools, and it
-// carries the paper's "I/O armoring": atomic writes (temp file + rename),
-// bounded retries when reads or writes fail, and optional backups of
-// checkpoint-class files so a corrupted write never loses the previous good
-// version. A fault-injection hook lets tests exercise the armoring the way
-// a loaded parallel filesystem would.
+// carries the paper's "I/O armoring": atomic writes (temp file + rename) and
+// bounded retries when reads or writes fail. A fault-injection hook lets
+// tests exercise the armoring the way a loaded parallel filesystem would.
 package fsstore
 
 import (
@@ -24,20 +22,6 @@ import (
 // Option configures a Store.
 type Option func(*Store)
 
-// WithRetries sets how many times failed I/O operations are retried
-// (default 3) and the delay between attempts (default 1ms; the real system
-// would back off longer, tests keep it short).
-func WithRetries(n int, delay time.Duration) Option {
-	return func(s *Store) { s.retries, s.retryDelay = n, delay }
-}
-
-// WithBackups enables keeping the previous value of every key in a ".bak"
-// sibling, and falling back to it when the primary read fails. This is the
-// paper's checkpoint-backup armoring.
-func WithBackups() Option {
-	return func(s *Store) { s.backups = true }
-}
-
 // WithFaultHook installs a hook consulted before every primitive filesystem
 // operation. Returning a non-nil error makes that operation fail (once);
 // used by tests to inject transient filesystem failures.
@@ -45,21 +29,24 @@ func WithFaultHook(h func(op, path string) error) Option {
 	return func(s *Store) { s.fault = h }
 }
 
+// A failed I/O operation is retried this many times, this far apart.
+const (
+	retries    = 3
+	retryDelay = time.Millisecond
+)
+
 // Store implements datastore.Store on a directory tree: one subdirectory per
 // namespace, one file per key.
 type Store struct {
-	root       string
-	retries    int
-	retryDelay time.Duration
-	backups    bool
-	fault      func(op, path string) error
+	root  string
+	fault func(op, path string) error
 
-	mu sync.Mutex // serializes multi-step operations (backup+rename, move)
+	mu sync.Mutex // serializes multi-step operations (write+rename, move)
 }
 
 // New creates (if needed) root and returns a Store over it.
 func New(root string, opts ...Option) (*Store, error) {
-	s := &Store{root: root, retries: 3, retryDelay: time.Millisecond}
+	s := &Store{root: root}
 	for _, o := range opts {
 		o(s)
 	}
@@ -85,15 +72,15 @@ func (s *Store) inject(op, path string) error {
 // retry runs f up to 1+retries times, sleeping retryDelay between attempts.
 func (s *Store) retry(f func() error) error {
 	var err error
-	for attempt := 0; attempt <= s.retries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if err = f(); err == nil {
 			return nil
 		}
 		if errors.Is(err, datastore.ErrNotFound) {
 			return err // not transient; don't burn retries
 		}
-		if attempt < s.retries {
-			time.Sleep(s.retryDelay)
+		if attempt < retries {
+			time.Sleep(retryDelay)
 		}
 	}
 	return err
@@ -120,8 +107,7 @@ func (s *Store) path(ns, key string) (string, error) {
 	return filepath.Join(s.root, n, k), nil
 }
 
-// Put implements datastore.Store with atomic write-then-rename and, when
-// enabled, a backup of the previous value.
+// Put implements datastore.Store with atomic write-then-rename.
 func (s *Store) Put(ns, key string, data []byte) error {
 	p, err := s.path(ns, key)
 	if err != nil {
@@ -136,14 +122,6 @@ func (s *Store) Put(ns, key string, data []byte) error {
 		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 			return err
 		}
-		if s.backups {
-			// Preserve the previous good value before overwriting.
-			if _, err := os.Stat(p); err == nil {
-				if err := copyFile(p, p+".bak"); err != nil {
-					return err
-				}
-			}
-		}
 		tmp := p + ".tmp"
 		if err := os.WriteFile(tmp, data, 0o644); err != nil {
 			return err
@@ -152,8 +130,7 @@ func (s *Store) Put(ns, key string, data []byte) error {
 	})
 }
 
-// Get implements datastore.Store; with backups enabled it falls back to the
-// ".bak" copy when the primary is missing or unreadable.
+// Get implements datastore.Store.
 func (s *Store) Get(ns, key string) ([]byte, error) {
 	p, err := s.path(ns, key)
 	if err != nil {
@@ -168,12 +145,6 @@ func (s *Store) Get(ns, key string) ([]byte, error) {
 		if err == nil {
 			out = b
 			return nil
-		}
-		if s.backups {
-			if bb, bErr := os.ReadFile(p + ".bak"); bErr == nil {
-				out = bb
-				return nil
-			}
 		}
 		if errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("%w: %s/%s", datastore.ErrNotFound, ns, key)
@@ -196,9 +167,6 @@ func (s *Store) Delete(ns, key string) error {
 		err := os.Remove(p)
 		if errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("%w: %s/%s", datastore.ErrNotFound, ns, key)
-		}
-		if err == nil {
-			os.Remove(p + ".bak") // best effort; the value is gone either way
 		}
 		return err
 	})
@@ -227,7 +195,7 @@ func (s *Store) Keys(ns string) ([]string, error) {
 		keys = keys[:0]
 		for _, e := range ents {
 			name := e.Name()
-			if e.IsDir() || strings.HasSuffix(name, ".tmp") || strings.HasSuffix(name, ".bak") {
+			if e.IsDir() || strings.HasSuffix(name, ".tmp") {
 				continue
 			}
 			keys = append(keys, name)
@@ -237,7 +205,7 @@ func (s *Store) Keys(ns string) ([]string, error) {
 	return keys, err
 }
 
-// Move implements datastore.Store via rename, falling back to copy+delete.
+// Move implements datastore.Store via rename.
 func (s *Store) Move(srcNS, key, dstNS string) error {
 	src, err := s.path(srcNS, key)
 	if err != nil {
@@ -268,11 +236,3 @@ func (s *Store) Close() error { return nil }
 
 // Root returns the store's root directory.
 func (s *Store) Root() string { return s.root }
-
-func copyFile(src, dst string) error {
-	b, err := os.ReadFile(src)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(dst, b, 0o644)
-}

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"mummi/internal/datastore"
 	"mummi/internal/datastore/dstest"
@@ -70,7 +69,6 @@ func TestRetriesRecoverFromTransientFaults(t *testing.T) {
 	var failures atomic.Int32
 	failures.Store(2) // first two attempts fail, third succeeds
 	s, err := New(t.TempDir(),
-		WithRetries(3, time.Microsecond),
 		WithFaultHook(func(op, path string) error {
 			if op == "put" && failures.Add(-1) >= 0 {
 				return errors.New("injected EIO")
@@ -90,10 +88,11 @@ func TestRetriesRecoverFromTransientFaults(t *testing.T) {
 }
 
 func TestRetriesExhausted(t *testing.T) {
+	var puts atomic.Int32
 	s, err := New(t.TempDir(),
-		WithRetries(2, time.Microsecond),
 		WithFaultHook(func(op, path string) error {
 			if op == "put" {
+				puts.Add(1)
 				return errors.New("injected permanent EIO")
 			}
 			return nil
@@ -104,12 +103,14 @@ func TestRetriesExhausted(t *testing.T) {
 	if err := s.Put("ns", "k", []byte("x")); err == nil {
 		t.Fatal("Put succeeded despite permanent faults")
 	}
+	if got := puts.Load(); got != 1+retries {
+		t.Errorf("Put attempted %d times, want %d", got, 1+retries)
+	}
 }
 
 func TestNotFoundDoesNotRetry(t *testing.T) {
 	var gets atomic.Int32
 	s, err := New(t.TempDir(),
-		WithRetries(5, time.Microsecond),
 		WithFaultHook(func(op, path string) error {
 			if op == "get" {
 				gets.Add(1)
@@ -127,50 +128,13 @@ func TestNotFoundDoesNotRetry(t *testing.T) {
 	}
 }
 
-func TestBackupPreservesPreviousCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	s, err := New(dir, WithBackups())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("ckpt", "sim42", []byte("step-100")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("ckpt", "sim42", []byte("step-200")); err != nil {
-		t.Fatal(err)
-	}
-	// The backup must hold the previous value.
-	bak, err := os.ReadFile(filepath.Join(dir, "ckpt", "sim42.bak"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(bak) != "step-100" {
-		t.Errorf("backup = %q, want step-100", bak)
-	}
-	// Corrupt (remove) the primary: Get must fall back to the backup,
-	// modeling a filesystem failure during checkpointing.
-	if err := os.Remove(filepath.Join(dir, "ckpt", "sim42")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Get("ckpt", "sim42")
-	if err != nil {
-		t.Fatalf("Get after primary loss: %v", err)
-	}
-	if string(got) != "step-100" {
-		t.Errorf("fallback read = %q, want step-100", got)
-	}
-}
-
 func TestKeysHidesInternalFiles(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(dir, WithBackups())
+	s, err := New(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Put("ns", "k", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("ns", "k", []byte("v2")); err != nil { // creates k.bak
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "ns", "junk.tmp"), []byte("x"), 0o644); err != nil {
@@ -190,7 +154,6 @@ func TestPutIsAtomicNoPartialFiles(t *testing.T) {
 	// exist — the temp-then-rename protocol guarantees it.
 	dir := t.TempDir()
 	s, err := New(dir,
-		WithRetries(0, 0),
 		WithFaultHook(func(op, path string) error {
 			if op == "put" {
 				return errors.New("boom")

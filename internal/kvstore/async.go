@@ -21,12 +21,12 @@ import (
 //     A serial caller on an idle connection writes and reads on its own
 //     goroutine, with no handoff; N concurrent callers still share one
 //     flush per burst instead of queueing for round trips;
-//   - an in-flight window (ClientOptions.Window) bounds outstanding
-//     requests per connection: a submitter that finds it full drives the
+//   - an in-flight window of 128 requests per connection bounds
+//     outstanding requests: a submitter that finds it full drives the
 //     connection until a slot frees, instead of buffering without bound;
-//   - a small connection pool (ClientOptions.PoolSize) multiplies the
-//     window. Requests carry an affinity key and all requests with the
-//     same key ride the same connection, so per-key operation order is
+//   - a pool of 4 connections multiplies the window. Requests carry an
+//     affinity key and all requests with the same key ride the same
+//     connection, so per-key operation order is
 //     exactly submission order end to end — the property replication
 //     forwarding relies on.
 //
@@ -42,12 +42,11 @@ type AsyncClient struct {
 // errClientClosed is returned for submissions after Close.
 var errClientClosed = errors.New("kvstore: client closed")
 
-// DialAsync opens a pipelined client with opts.PoolSize connections to
-// addr. Dial failures close any connections already opened.
+// DialAsync opens a pipelined client with poolSize connections to addr.
+// Dial failures close any connections already opened.
 func DialAsync(addr string, opts ClientOptions) (*AsyncClient, error) {
-	opts = opts.withDefaults()
 	a := &AsyncClient{addr: addr}
-	for i := 0; i < opts.PoolSize; i++ {
+	for i := 0; i < poolSize; i++ {
 		p, err := newPipe(addr, opts)
 		if err != nil {
 			return nil, errors.Join(err, a.Close())
@@ -131,7 +130,6 @@ type pipe struct {
 	conn net.Conn
 	w    *bufio.Writer
 	r    *bufio.Reader
-	opts ClientOptions
 
 	mu       sync.Mutex
 	cond     sync.Cond // signalled whenever a role is released or a call completes
@@ -155,7 +153,6 @@ func newPipe(addr string, opts ClientOptions) (*pipe, error) {
 		conn: conn,
 		w:    bufio.NewWriterSize(conn, ioBufSize),
 		r:    bufio.NewReaderSize(conn, ioBufSize),
-		opts: opts,
 	}
 	p.cond.L = &p.mu
 	return p, nil
@@ -169,8 +166,8 @@ func newPipe(addr string, opts ClientOptions) (*pipe, error) {
 // burst leave in half-window flushes instead of one flush per command.
 func (p *pipe) submit(c *call) {
 	p.mu.Lock()
-	for p.broken == nil && len(p.pending)+len(p.inflight) >= p.opts.Window {
-		half, queue := (p.opts.Window-1)/2, p.inflight
+	for p.broken == nil && len(p.pending)+len(p.inflight) >= window {
+		half, queue := (window-1)/2, p.inflight
 		if half >= len(queue) {
 			half, queue = half-len(queue), p.pending
 		}

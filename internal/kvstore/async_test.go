@@ -41,7 +41,7 @@ func TestAsyncClientBasic(t *testing.T) {
 
 func TestAsyncClientConcurrent(t *testing.T) {
 	const workers, ops = 8, 200
-	s, a := startAsync(t, ClientOptions{PoolSize: 3, Window: 32})
+	s, a := startAsync(t, ClientOptions{})
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	for w := 0; w < workers; w++ {
@@ -83,7 +83,7 @@ func TestAsyncClientConcurrent(t *testing.T) {
 // only holds if per-key submission order survives the pool and pipelining.
 func TestAsyncClientPerKeyOrder(t *testing.T) {
 	const keys, writes = 16, 100
-	_, a := startAsync(t, ClientOptions{PoolSize: 4, Window: 16})
+	_, a := startAsync(t, ClientOptions{})
 	var wg sync.WaitGroup
 	for k := 0; k < keys; k++ {
 		wg.Add(1)
@@ -109,7 +109,7 @@ func TestAsyncClientPerKeyOrder(t *testing.T) {
 }
 
 func TestAsyncClientServerGone(t *testing.T) {
-	s, a := startAsync(t, ClientOptions{PoolSize: 2})
+	s, a := startAsync(t, ClientOptions{})
 	if _, err := a.Do("k", []byte("PING")); err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +169,12 @@ func lockWithin(t *testing.T, mu sync.Locker, d time.Duration, what string) {
 
 // TestStalledPipeDoesNotWedgeClient holds the pipe to its rule that no
 // socket I/O runs under pipe.mu. One caller takes the writer role and is
-// stuck in a flush that never drains; with Window=1 the other callers on
-// that pipe drive the window-full path, one of them blocked reading for a
-// reply that cannot come. The pipe lock must stay acquirable, Close must
-// return and make new submissions fail fast without waiting out the stuck
-// writer, and everything must unwind once the flush is released.
+// stuck in a flush that never drains; the other callers' bursts on that
+// pipe fill the window and drive the window-full path, one of them blocked
+// reading for a reply that cannot come. The pipe lock must stay
+// acquirable, Close must return and make new submissions fail fast without
+// waiting out the stuck writer, and everything must unwind once the flush
+// is released.
 func TestStalledPipeDoesNotWedgeClient(t *testing.T) {
 	unblock := make(chan struct{})
 	release := sync.OnceFunc(func() { close(unblock) })
@@ -182,8 +183,6 @@ func TestStalledPipeDoesNotWedgeClient(t *testing.T) {
 	var conns int
 	var connMu sync.Mutex
 	opts := ClientOptions{
-		PoolSize: 2,
-		Window:   1,
 		WrapConn: func(c net.Conn) net.Conn {
 			connMu.Lock()
 			defer connMu.Unlock()
@@ -208,11 +207,17 @@ func TestStalledPipeDoesNotWedgeClient(t *testing.T) {
 		}
 	}
 
-	const callers = 6
+	// Six bursts of half a window each: three times what the window holds.
+	const callers, burst = 6, window / 2
 	errs := make(chan error, callers)
 	for i := 0; i < callers; i++ {
 		go func() {
-			_, err := a.Do(k0, []byte("PING"))
+			placements := make([]string, burst)
+			cmds := make([][][]byte, burst)
+			for j := range cmds {
+				placements[j], cmds[j] = k0, [][]byte{[]byte("PING")}
+			}
+			_, err := submitAll(a, placements, cmds)
 			errs <- err
 		}()
 	}
@@ -223,8 +228,17 @@ func TestStalledPipeDoesNotWedgeClient(t *testing.T) {
 	}
 	time.Sleep(50 * time.Millisecond) // let the other callers queue behind it
 
-	// Assertion 1: a caller stuck in socket I/O holds no lock.
-	lockWithin(t, &a.pipes[0].mu, 5*time.Second, "pipe lock held across a stalled flush:")
+	// Assertion 1: a caller stuck in socket I/O holds no lock, and the
+	// window is full, so the submitters behind it are on the window-full
+	// path.
+	p := a.pipes[0]
+	lockWithin(t, &p.mu, 5*time.Second, "pipe lock held across a stalled flush:")
+	p.mu.Lock()
+	outstanding := len(p.pending) + len(p.inflight)
+	p.mu.Unlock()
+	if outstanding != window {
+		t.Fatalf("stalled pipe holds %d calls, want a full window of %d", outstanding, window)
+	}
 
 	// Assertion 2: Close returns while the flush is still stuck, and new
 	// submissions fail fast.
@@ -248,7 +262,7 @@ func TestStalledPipeDoesNotWedgeClient(t *testing.T) {
 		select {
 		case err := <-errs:
 			if !errors.Is(err, errClientClosed) {
-				t.Errorf("stalled Do = %v, want errClientClosed", err)
+				t.Errorf("stalled burst = %v, want errClientClosed", err)
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%d of %d stalled callers never returned", callers-i, callers)
@@ -261,8 +275,8 @@ func TestStalledPipeDoesNotWedgeClient(t *testing.T) {
 // must be the caller's own value: a reply completed against the wrong
 // call shows up as a foreign value (run under -race in CI).
 func TestPipeRepliesStayAligned(t *testing.T) {
-	const workers, rounds, burst = 8, 30, 20
-	_, a := startAsync(t, ClientOptions{PoolSize: 2, Window: 8})
+	const workers, rounds, burst = 8, 10, window
+	_, a := startAsync(t, ClientOptions{})
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	for w := 0; w < workers; w++ {
@@ -327,8 +341,8 @@ func alignedRounds(a *AsyncClient, w, rounds, burst int) error {
 // mid-burst: every call must come back with a reply or an error, none may
 // hang, and every caller must see the failure.
 func TestKillMidBurstFailsEveryCall(t *testing.T) {
-	const workers, burst = 6, 32
-	s, a := startAsync(t, ClientOptions{PoolSize: 2, Window: 4})
+	const workers, burst = 6, 2 * window
+	s, a := startAsync(t, ClientOptions{})
 	var served atomic.Int64
 	done := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -376,7 +390,7 @@ func TestDialAsyncStartsNoGoroutines(t *testing.T) {
 	}
 	defer ln.Close()
 	before := runtime.NumGoroutine()
-	a, err := DialAsync(ln.Addr().String(), ClientOptions{PoolSize: 4})
+	a, err := DialAsync(ln.Addr().String(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mummi/internal/parallel"
+	"mummi/internal/retry"
 )
 
 // Cluster is the kvstore client — the one every caller uses, Store
@@ -23,7 +24,7 @@ import (
 //
 // Failover is client-side: when a shard's node stops answering, the
 // cluster flips to the shard's other node, redials, and retries under the
-// configured retry policy. Together with the primary's synchronous
+// retry package's schedule. Together with the primary's synchronous
 // write-forwarding (Server.SetReplica) this gives at-least-once semantics
 // across a primary kill: every acknowledged write survives on the replica,
 // and a retried burst may re-apply operations that were in flight — which
@@ -77,7 +78,6 @@ func DialShards(shards []Shard, opts ClientOptions) (*Cluster, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("kvstore: empty cluster")
 	}
-	opts = opts.withDefaults()
 	c := &Cluster{opts: opts, ring: NewRing(len(shards))}
 	for _, sh := range shards {
 		cl, err := DialAsync(sh.Primary, opts)
@@ -172,7 +172,7 @@ func (s *shardConn) recover(c *Cluster, gen uint64) (*AsyncClient, uint64, error
 }
 
 // do sends one command naming key to the key's shard on the key's pipe,
-// retrying through failover under the cluster's retry policy. Only
+// retrying through failover under the retry package's schedule. Only
 // transport errors trigger recovery; semantic errors arrive inside a reply
 // and are returned as-is.
 func (c *Cluster) do(key string, args ...[]byte) (*reply, error) {
@@ -201,13 +201,13 @@ func (sc *shardConn) doBatch(c *Cluster, affinities []string, cmds [][][]byte) (
 	return reps, err
 }
 
-// retry runs op against the shard's client under the cluster's retry
-// policy. Every failed attempt recovers the shard connection — failing
+// retry runs op against the shard's client under the retry package's
+// schedule. Every failed attempt recovers the shard connection — failing
 // over to the other node when one exists — before the next.
 func (sc *shardConn) retry(c *Cluster, op func(*AsyncClient) error) error {
 	cl, gen := sc.client()
 	first := true
-	_, err := c.opts.Retry.Do(time.Sleep, nil, func() error {
+	err := retry.Do(time.Sleep, nil, func() error {
 		if !first {
 			var rerr error
 			if cl, gen, rerr = sc.recover(c, gen); rerr != nil {

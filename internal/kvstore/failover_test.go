@@ -12,13 +12,9 @@ import (
 	"mummi/internal/faults"
 	"mummi/internal/feedback"
 	"mummi/internal/kvstore"
-	"mummi/internal/retry"
 	"mummi/internal/sim"
 	"mummi/internal/vclock"
 )
-
-// fastRetry keeps failover tests quick: real backoff sleeps, but tiny.
-var fastRetry = retry.Policy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond, Jitter: -1}
 
 func engineDump(t *testing.T, e *kvstore.Engine) map[string]string {
 	t.Helper()
@@ -43,7 +39,7 @@ func TestReplicationMirrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	cl, err := kvstore.DialShards(d.Shards(), kvstore.ClientOptions{Retry: fastRetry})
+	cl, err := kvstore.DialShards(d.Shards(), kvstore.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +87,7 @@ func TestFailoverMidMoveBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	cl, err := kvstore.DialShards(d.Shards(), kvstore.ClientOptions{Retry: fastRetry})
+	cl, err := kvstore.DialShards(d.Shards(), kvstore.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +144,7 @@ func TestFailoverSetGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	cl, err := kvstore.DialShards(d.Shards(), kvstore.ClientOptions{Retry: fastRetry})
+	cl, err := kvstore.DialShards(d.Shards(), kvstore.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +251,7 @@ func runChaosCampaign(t *testing.T, seed int64) chaosResult {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	cl, err := kvstore.DialShards(d.Shards(), kvstore.ClientOptions{Retry: fastRetry})
+	cl, err := kvstore.DialShards(d.Shards(), kvstore.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +369,7 @@ func TestReplicaHoldsAckedWritesAtKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	cl, err := kvstore.DialShards(d.Shards(), kvstore.ClientOptions{Retry: fastRetry})
+	cl, err := kvstore.DialShards(d.Shards(), kvstore.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

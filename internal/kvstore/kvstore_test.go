@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -118,13 +117,11 @@ func TestEngineValueIsolation(t *testing.T) {
 
 // TestPropertyEngineMatchesMap drives the partitioned engine and a flat
 // map through the same random Set / Del / Rename (within and across
-// namespaces, onto itself included) / Flush / snapshot round trip, and
-// checks every KEYS pattern form against a brute-force scan-and-sort of
-// the map.
+// namespaces, onto itself included) / Flush, and checks every KEYS
+// pattern form against a brute-force scan-and-sort of the map.
 func TestPropertyEngineMatchesMap(t *testing.T) {
 	keys := []string{"a:k0", "a:k1", "a:x:k2", "ab:k0", "b:k1", "k0", "k1", "ab"}
 	patterns := []string{"*", "a:*", "ab:*", "a:k*", "a:x:*", "a*", "ab*", "k*", "z*", ":*", "a:k0", "ab", "zz", ""}
-	snap := filepath.Join(t.TempDir(), "engine.snap")
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
@@ -158,18 +155,8 @@ func TestPropertyEngineMatchesMap(t *testing.T) {
 					t.Logf("Keys(%q) = %q, want %q", pat, got, want)
 					return false
 				}
-			case op < 19:
-				if err := e.SaveFile(snap); err != nil {
-					t.Log(err)
-					return false
-				}
-				e = NewEngine()
-				if err := e.LoadFile(snap); err != nil {
-					t.Log(err)
-					return false
-				}
 			default:
-				if rng.Intn(4) == 0 {
+				if rng.Intn(8) == 0 {
 					e.Flush()
 					clear(model)
 				}
@@ -686,14 +673,6 @@ func TestClusterNodesAndServerAddr(t *testing.T) {
 	}
 }
 
-func TestSaveFileFailurePaths(t *testing.T) {
-	e := NewEngine()
-	e.Set("k", []byte("v"))
-	if err := e.SaveFile("/nonexistent-dir/snapshot.mkv"); err == nil {
-		t.Error("SaveFile into missing directory succeeded")
-	}
-}
-
 func TestServerMSet(t *testing.T) {
 	s, c := startServer(t)
 	rep, err := c.doOnShard(0, "", []byte("MSET"),
@@ -764,8 +743,8 @@ func TestWrapConnHook(t *testing.T) {
 	if err != nil || rep.kind != '+' {
 		t.Fatalf("async SET through wrapped conn = %+v, %v", rep, err)
 	}
-	if int(wrapped.Load()) != DefaultPoolSize {
-		t.Errorf("WrapConn invoked %d times for a pool of %d", wrapped.Load(), DefaultPoolSize)
+	if int(wrapped.Load()) != poolSize {
+		t.Errorf("WrapConn invoked %d times for a pool of %d", wrapped.Load(), poolSize)
 	}
 }
 
@@ -837,13 +816,13 @@ func TestBurstLargerThanWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(shutdown)
-	c, err := DialShards([]Shard{{Primary: addrs[0]}, {Primary: addrs[1]}}, ClientOptions{PoolSize: 1, Window: 8})
+	c, err := DialShards([]Shard{{Primary: addrs[0]}, {Primary: addrs[1]}}, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
 
-	const n = 600 // per-shard bursts of ~300 single-key commands, window 8
+	const n = 8 * poolSize * window // ~4 windows of single-key commands per pipe
 	keys := make([]string, n)
 	vals := make([][]byte, n)
 	for i := range keys {
@@ -869,5 +848,41 @@ func TestBurstLargerThanWindow(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("burst larger than window deadlocked")
+	}
+}
+
+// TestClientRedialsRestartedNode: a node dies and a server comes back at
+// the same address over the same keyspace; the cluster's shard recovery
+// redials that address and the client sees every key again.
+func TestClientRedialsRestartedNode(t *testing.T) {
+	e := NewEngine()
+	srv := NewServer(e)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := DialCluster([]string{addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 100; i++ {
+		if err := c.Set(fmt.Sprintf("k%03d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Close() // node dies
+
+	srv2 := NewServer(e)
+	if _, err := srv2.Listen(addr); err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	v, err := c.Get("k042") // the shard redials the same address
+	if err != nil || string(v) != "v" {
+		t.Fatalf("Get after restart = %q, %v", v, err)
+	}
+	if n := dbsize(t, c); n != 100 {
+		t.Errorf("DBSIZE after restart = %d", n)
 	}
 }

@@ -306,3 +306,71 @@ func TestRepoIsLintClean(t *testing.T) {
 		t.Errorf("repo not lint-clean: %s", d)
 	}
 }
+
+// reachAllow names the exported declarations that no non-test file
+// references yet, each with the ROADMAP item that decides its fate: wired
+// into an artifact or deleted. The list only shrinks.
+var reachAllow = map[string]string{
+	"internal/continuum.StateRASOnly":          "Wire it or delete it",
+	"internal/continuum.PlanRanks":             "Wire it or delete it",
+	"internal/continuum.UnmarshalSnapshot":     "Wire it or delete it",
+	"internal/continuum.FullScaleSnapshotSize": "Wire it or delete it",
+	"internal/mlenc.DefaultFrameEncoder":       "Wire it or delete it",
+	"internal/feedback.NewAAToCG":              "Wire it or delete it",
+	"internal/feedback.ExecProcessor":          "Wire it or delete it",
+	"internal/sim.NewAASim":                    "Wire it or delete it",
+	"internal/npy.Marshal":                     "A checkpoint is bytes, not text",
+	"internal/npy.NewFloat64":                  "A checkpoint is bytes, not text",
+	"internal/npy.NewFloat32":                  "A checkpoint is bytes, not text",
+}
+
+// TestEveryExportIsReached holds the module's surface to what its programs
+// use: every exported package-level func, type, var and const of a
+// non-main package must be referenced from some non-test file (its own
+// package's included), or sit in reachAllow. A name only tests reach is
+// code kept alive by its own test suite. internal/datastore/dstest is the
+// shared test harness and is exempt, as scripts/ci.sh's importer check
+// exempts it.
+func TestEveryExportIsReached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped with -short")
+	}
+	mod, err := LoadModule(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[types.Object]bool{}
+	for _, p := range mod.Pkgs {
+		for _, obj := range p.Info.Uses {
+			used[obj] = true
+		}
+	}
+	seen := map[string]bool{}
+	for _, p := range mod.Pkgs {
+		rel := strings.TrimPrefix(p.ImportPath, mod.Path+"/")
+		if p.Types.Name() == "main" || rel == "internal/datastore/dstest" {
+			continue
+		}
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if !obj.Exported() {
+				continue
+			}
+			key := rel + "." + name
+			_, allowed := reachAllow[key]
+			seen[key] = allowed
+			switch {
+			case allowed && used[obj]:
+				t.Errorf("%s is reached now: drop it from reachAllow", key)
+			case !allowed && !used[obj]:
+				t.Errorf("%s: no non-test file references it; use it, delete it, or unexport it", key)
+			}
+		}
+	}
+	for key, item := range reachAllow {
+		if !seen[key] {
+			t.Errorf("reachAllow names %s (ROADMAP %q), which is no longer declared", key, item)
+		}
+	}
+}

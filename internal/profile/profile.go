@@ -22,9 +22,6 @@ type Event struct {
 	Pending int
 }
 
-// DefaultInterval is the campaign's profiling frequency.
-const DefaultInterval = 10 * time.Minute
-
 // Profiler samples a callback on a fixed cadence under any Clock.
 type Profiler struct {
 	mu     sync.Mutex

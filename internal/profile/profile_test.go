@@ -13,7 +13,8 @@ var epoch = time.Date(2020, 12, 1, 0, 0, 0, 0, time.UTC)
 func TestProfilerSamplesOnCadence(t *testing.T) {
 	clk := vclock.NewVirtual(epoch)
 	frac := 0.0
-	p := New(clk, DefaultInterval, func() Event {
+	const every = 10 * time.Minute
+	p := New(clk, every, func() Event {
 		frac += 0.1
 		return Event{GPUFrac: frac, Running: int(frac * 10)}
 	})
@@ -24,7 +25,7 @@ func TestProfilerSamplesOnCadence(t *testing.T) {
 		t.Fatalf("events = %d, want 5 in 55 min at 10-min cadence", len(evs))
 	}
 	for i, ev := range evs {
-		want := epoch.Add(time.Duration(i+1) * DefaultInterval)
+		want := epoch.Add(time.Duration(i+1) * every)
 		if !ev.Time.Equal(want) {
 			t.Errorf("event %d at %v, want %v", i, ev.Time, want)
 		}

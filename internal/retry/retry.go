@@ -1,67 +1,35 @@
-// Package retry provides the repo's shared bounded-backoff policy: capped
-// exponential backoff with deterministic, seed-derived jitter. It is the
-// single implementation behind every armored I/O path (datastore.Armor, the
-// kvstore client's transparent reconnect) so that retry behaviour — attempt
-// budgets, delay growth, jitter — is uniform and, crucially, reproducible:
-// the jitter stream is a pure function of (Seed, attempt), never of the
-// wall clock or a global random source, so same-seed chaos replays schedule
-// byte-identical backoff sequences.
+// Package retry provides the repo's one bounded-backoff schedule: capped
+// exponential backoff with deterministic jitter. It is the single
+// implementation behind every armored I/O path (datastore.Armor, the
+// kvstore cluster's shard recovery), and the schedule is fixed — every
+// command, experiment, benchmark and replay runs the defaults below, so they
+// are constants, not settings. The jitter is a pure function of the attempt
+// number, never of the wall clock or a global random source, so same-seed
+// chaos replays schedule byte-identical backoff sequences.
 package retry
 
 import (
 	"time"
 )
 
-// Policy describes one bounded-backoff schedule. The zero value is usable:
-// each zero field takes the default documented on it.
-type Policy struct {
-	// MaxAttempts is the total number of attempts, including the first
-	// (default 4: one try plus three retries).
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry (default 100ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the grown backoff (default 5s).
-	MaxDelay time.Duration
-	// Multiplier grows the delay between retries (default 2.0).
-	Multiplier float64
-	// Jitter is the fraction of each delay that is randomized (default 0.5:
-	// delays land in [0.75d, 1.25d]). Set negative to disable entirely.
-	Jitter float64
-	// Seed selects the deterministic jitter stream. Two policies with the
-	// same Seed produce identical backoff sequences.
-	Seed uint64
-}
-
-// Defaults for the zero Policy.
+// The schedule.
 const (
+	// DefaultMaxAttempts is the total number of attempts, including the
+	// first: one try plus three retries.
 	DefaultMaxAttempts = 4
-	DefaultBaseDelay   = 100 * time.Millisecond
-	DefaultMaxDelay    = 5 * time.Second
-	DefaultMultiplier  = 2.0
-	DefaultJitter      = 0.5
+	// DefaultBaseDelay is the backoff before the first retry.
+	DefaultBaseDelay = 100 * time.Millisecond
+	// DefaultMaxDelay caps the grown backoff.
+	DefaultMaxDelay = 5 * time.Second
+	// DefaultMultiplier grows the delay between retries.
+	DefaultMultiplier = 2.0
+	// DefaultJitter is the fraction of each delay that is randomized:
+	// delays land in [0.75d, 1.25d].
+	DefaultJitter = 0.5
 )
 
-func (p Policy) withDefaults() Policy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = DefaultMaxAttempts
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = DefaultBaseDelay
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = DefaultMaxDelay
-	}
-	if p.Multiplier <= 0 {
-		p.Multiplier = DefaultMultiplier
-	}
-	if p.Jitter == 0 {
-		p.Jitter = DefaultJitter
-	}
-	return p
-}
-
 // mix64 is the splitmix64 finalizer: a stateless bijective hash good enough
-// to derive an independent-looking jitter fraction from (seed, attempt)
+// to derive an independent-looking jitter fraction from the attempt number
 // without carrying any mutable RNG state.
 func mix64(z uint64) uint64 {
 	z += 0x9e3779b97f4a7c15
@@ -72,57 +40,44 @@ func mix64(z uint64) uint64 {
 
 // Backoff returns the delay to sleep after failed attempt n (1-based): the
 // capped exponential base delay, spread by the deterministic jitter. It is a
-// pure function of the policy and n.
-func (p Policy) Backoff(attempt int) time.Duration {
-	p = p.withDefaults()
+// pure function of n.
+func Backoff(attempt int) time.Duration {
 	if attempt < 1 {
 		attempt = 1
 	}
-	d := float64(p.BaseDelay)
+	d := float64(DefaultBaseDelay)
 	for i := 1; i < attempt; i++ {
-		d *= p.Multiplier
-		if d >= float64(p.MaxDelay) {
-			d = float64(p.MaxDelay)
+		d *= DefaultMultiplier
+		if d >= float64(DefaultMaxDelay) {
+			d = float64(DefaultMaxDelay)
 			break
 		}
 	}
-	if p.Jitter > 0 {
-		// frac in [0,1) from the hash of (seed, attempt); shift the delay
-		// into [d*(1-J/2), d*(1+J/2)].
-		frac := float64(mix64(p.Seed^uint64(attempt)*0x9e3779b97f4a7c15)>>11) / float64(1<<53)
-		d *= 1 - p.Jitter/2 + p.Jitter*frac
-	}
-	if d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
+	// frac in [0,1) from the hash of the attempt; shift the delay into
+	// [d*(1-J/2), d*(1+J/2)].
+	frac := float64(mix64(uint64(attempt)*0x9e3779b97f4a7c15)>>11) / float64(1<<53)
+	d *= 1 - DefaultJitter/2 + DefaultJitter*frac
+	if d > float64(DefaultMaxDelay) {
+		d = float64(DefaultMaxDelay)
 	}
 	return time.Duration(d)
 }
 
-// Do runs op under the policy: it retries while op fails, retryable(err)
+// Do runs op under the schedule: it retries while op fails, retryable(err)
 // reports true, and the attempt budget lasts. Between attempts it calls
-// sleep with the Backoff delay; a nil sleep skips the wait but keeps the
-// schedule accounting (virtual-time callers cannot block inside an event
-// callback, so they account the delay instead of sleeping it — see
-// datastore.Armor). A nil retryable retries every error.
-//
-// Do returns the number of attempts made and op's last error (nil on
-// success).
-func (p Policy) Do(sleep func(time.Duration), retryable func(error) bool, op func() error) (int, error) {
-	p = p.withDefaults()
-	var err error
+// sleep with the Backoff delay (virtual-time callers cannot block inside an
+// event callback, so they account the delay instead of sleeping it — see
+// datastore.Armor); a nil sleep skips the wait but keeps the attempt budget.
+// A nil retryable retries every error. Do returns op's last error, nil on
+// success.
+func Do(sleep func(time.Duration), retryable func(error) bool, op func() error) error {
 	for attempt := 1; ; attempt++ {
-		err = op()
-		if err == nil {
-			return attempt, nil
-		}
-		if retryable != nil && !retryable(err) {
-			return attempt, err
-		}
-		if attempt >= p.MaxAttempts {
-			return attempt, err
+		err := op()
+		if err == nil || (retryable != nil && !retryable(err)) || attempt >= DefaultMaxAttempts {
+			return err
 		}
 		if sleep != nil {
-			sleep(p.Backoff(attempt))
+			sleep(Backoff(attempt))
 		}
 	}
 }

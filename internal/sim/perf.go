@@ -39,18 +39,16 @@ const (
 
 // Wall-clock cadences and data volumes (§4.1).
 var (
-	// CGFrameEvery: ddcMD produces ~4.6 MB of new data every 41.5 s.
-	CGFrameEvery = 41*time.Second + 500*time.Millisecond
-	// CGFrameBytes is the trajectory data per CG frame.
+	// CGFrameBytes is the trajectory data per CG frame (ddcMD produces it
+	// every ~41.5 s).
 	CGFrameBytes = units.ByteSize(4_600_000)
 	// CGAnalysisBytes is the per-frame analysis output (~17 KB).
 	CGAnalysisBytes = units.ByteSize(17_000)
 	// CGFrameIdentBytes is the identifying info the distributed analysis
 	// emits per interesting frame (~850 B).
 	CGFrameIdentBytes = units.ByteSize(850)
-	// AAFrameEvery: one 18 MB AA frame every ~10.3 min at 0.1 ns framing.
-	AAFrameEvery = 10*time.Minute + 18*time.Second
-	// AAFrameBytes is the trajectory data per AA frame.
+	// AAFrameBytes is the trajectory data per AA frame (one every ~10.3 min
+	// at 0.1 ns framing).
 	AAFrameBytes = units.ByteSize(18_000_000)
 	// CreatesimDuration is the average continuum→CG setup time (~1.5 h).
 	CreatesimDuration = 90 * time.Minute
@@ -62,10 +60,6 @@ var (
 	// Summit placement so all setup jobs share one shape; the tool itself
 	// uses 18).
 	BackmapCores = 24
-	// BackmapLocalBytes / BackmapGPFSBytes: 2.9 GB staged on node-local RAM
-	// disk, ~0.5 GB backed up to the shared filesystem per run.
-	BackmapLocalBytes = units.ByteSize(2_900_000_000)
-	BackmapGPFSBytes  = units.ByteSize(500_000_000)
 )
 
 // ContinuumPerf models GridSim2D throughput as a function of allocated CPU

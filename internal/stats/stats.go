@@ -122,17 +122,6 @@ func (h *Histogram) FractionAtLeast(x float64) float64 {
 	return float64(c) / float64(h.n)
 }
 
-// Mode returns the center of the most populated bin.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
-}
-
 // Render prints the histogram as rows of "center count" with an ASCII bar,
 // so `mummi-sim exp` output can be eyeballed or piped into a plotter.
 func (h *Histogram) Render(label string) string {
@@ -176,35 +165,6 @@ func Percentile(xs []float64, p float64) float64 {
 
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
-// FractionWithin returns the fraction of xs with value <= limit.
-func FractionWithin(xs []float64, limit float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := 0
-	for _, x := range xs {
-		if x <= limit {
-			c++
-		}
-	}
-	return float64(c) / float64(len(xs))
-}
-
-// Series is a labeled (x, y) series for figure output.
-type Series struct {
-	Name string
-	X, Y []float64
-}
-
-// Append adds one point.
-func (s *Series) Append(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.X) }
 
 // Table is a simple column-aligned text table used by the bench harness to
 // print paper-style rows.

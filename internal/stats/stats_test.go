@@ -88,16 +88,6 @@ func TestHistogramFractionAtLeast(t *testing.T) {
 	}
 }
 
-func TestHistogramMode(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(0.6)
-	h.Add(0.65)
-	h.Add(0.1)
-	if m := h.Mode(); math.Abs(m-0.625) > 1e-9 {
-		t.Errorf("Mode = %v, want 0.625", m)
-	}
-}
-
 func TestHistogramDegenerateConstruction(t *testing.T) {
 	h := NewHistogram(5, 5, 0) // hi<=lo and bins<1 both repaired
 	h.Add(5)
@@ -141,26 +131,10 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestMedianAndFractionWithin(t *testing.T) {
+func TestMedian(t *testing.T) {
 	xs := []float64{10, 2, 8, 4, 6}
 	if m := Median(xs); m != 6 {
 		t.Errorf("Median = %v", m)
-	}
-	if f := FractionWithin(xs, 6); math.Abs(f-0.6) > 1e-9 {
-		t.Errorf("FractionWithin(6) = %v, want 0.6", f)
-	}
-	if FractionWithin(nil, 1) != 0 {
-		t.Error("empty FractionWithin must be 0")
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Name = "GPU"
-	s.Append(0, 1)
-	s.Append(1, 2)
-	if s.Len() != 2 || s.Y[1] != 2 {
-		t.Errorf("series = %+v", s)
 	}
 }
 

@@ -36,13 +36,10 @@ type Options struct {
 	// Nil defaults to the real clock; the campaign driver rebinds to its
 	// virtual clock via SetClock so replays stay deterministic.
 	Clock vclock.Clock
-	// Trace enables the span recorder. Off, StartSpan/RecordSpan are
-	// no-ops and no span memory is ever allocated.
+	// Trace enables the span recorder, which keeps at most traceCap spans.
+	// Off, StartSpan/RecordSpan are no-ops and no span memory is ever
+	// allocated.
 	Trace bool
-	// TraceCap bounds the recorded span count (0 = DefaultTraceCap).
-	// Spans beyond the cap are dropped and counted, never resized into
-	// unbounded memory — campaign replays record millions of events.
-	TraceCap int
 }
 
 // Telemetry bundles a metrics registry, an optional span recorder, and the
@@ -63,7 +60,7 @@ func New(opts Options) *Telemetry {
 	}
 	t.clk.set(clk)
 	if opts.Trace {
-		t.tracer = newTracer(&t.clk, opts.TraceCap)
+		t.tracer = newTracer(&t.clk, traceCap)
 	}
 	return t
 }

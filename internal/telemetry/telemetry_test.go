@@ -248,7 +248,8 @@ func TestTraceExportSchema(t *testing.T) {
 }
 
 func TestTraceCapDrops(t *testing.T) {
-	tel := New(Options{Clock: vclock.NewVirtual(testEpoch()), Trace: true, TraceCap: 3})
+	tel := New(Options{Clock: vclock.NewVirtual(testEpoch()), Trace: true})
+	tel.tracer = newTracer(&tel.clk, 3) // traceCap's drop path, at a testable size
 	for i := 0; i < 5; i++ {
 		tel.RecordSpan("c", "op", tel.Now(), 0)
 	}

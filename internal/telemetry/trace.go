@@ -9,8 +9,10 @@ import (
 	"time"
 )
 
-// DefaultTraceCap bounds recorded spans when Options.TraceCap is zero.
-const DefaultTraceCap = 1 << 20
+// traceCap bounds the recorded span count. Spans beyond the cap are dropped
+// and counted, never resized into unbounded memory — campaign replays
+// record millions of events.
+const traceCap = 1 << 20
 
 // Arg is one key/value span argument; values must be JSON-marshalable.
 type Arg struct {
@@ -57,9 +59,6 @@ type Tracer struct {
 }
 
 func newTracer(clk *clockHolder, cap int) *Tracer {
-	if cap <= 0 {
-		cap = DefaultTraceCap
-	}
 	return &Tracer{clk: clk, epoch: clk.now(), cap: cap}
 }
 

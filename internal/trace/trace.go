@@ -195,6 +195,19 @@ type FaultSpec struct {
 	Rules []FaultRule `json:"rules"`
 }
 
+// plan decodes the spec into the faults.Plan it encodes, seed as recorded.
+func (fs *FaultSpec) plan() *faults.Plan {
+	plan := &faults.Plan{Seed: fs.Seed}
+	for _, r := range fs.Rules {
+		plan.Rules = append(plan.Rules, faults.Rule{
+			Class: faults.Class(r.Class), Rate: r.Rate, Instance: r.Instance,
+			Start: time.Duration(r.Start), End: time.Duration(r.End),
+			Latency: time.Duration(r.Latency), Recovery: time.Duration(r.Recovery),
+		})
+	}
+	return plan
+}
+
 // Trace is one workflow instance: everything that determines a campaign
 // replay, as portable data.
 type Trace struct {
@@ -345,14 +358,7 @@ func (t *Trace) Config() (campaign.Config, error) {
 		cfg.SchedMode = sched.Async
 	}
 	if t.FaultPlan != nil {
-		plan := &faults.Plan{Seed: t.FaultPlan.Seed}
-		for _, r := range t.FaultPlan.Rules {
-			plan.Rules = append(plan.Rules, faults.Rule{
-				Class: faults.Class(r.Class), Rate: r.Rate, Instance: r.Instance,
-				Start: time.Duration(r.Start), End: time.Duration(r.End),
-				Latency: time.Duration(r.Latency), Recovery: time.Duration(r.Recovery),
-			})
-		}
+		plan := t.FaultPlan.plan()
 		if plan.Seed == 0 {
 			plan.Seed = cfg.Seed
 		}
@@ -446,15 +452,7 @@ func (t *Trace) Validate() error {
 			t.Name, t.Coordination.WMInstances)
 	}
 	if t.FaultPlan != nil {
-		plan := faults.Plan{Seed: t.FaultPlan.Seed}
-		for _, r := range t.FaultPlan.Rules {
-			plan.Rules = append(plan.Rules, faults.Rule{
-				Class: faults.Class(r.Class), Rate: r.Rate, Instance: r.Instance,
-				Start: time.Duration(r.Start), End: time.Duration(r.End),
-				Latency: time.Duration(r.Latency), Recovery: time.Duration(r.Recovery),
-			})
-		}
-		if err := plan.Validate(); err != nil {
+		if err := t.FaultPlan.plan().Validate(); err != nil {
 			return fmt.Errorf("trace %s: fault plan: %w", t.Name, err)
 		}
 	}

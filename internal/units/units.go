@@ -92,12 +92,6 @@ func (r Rate) SimFor(d time.Duration) SimTime {
 	return SimTime(float64(r.Sim) * float64(d) / float64(r.Wall))
 }
 
-// Scale returns the rate multiplied by factor f (e.g. a 20% slowdown is
-// Scale(0.8)).
-func (r Rate) Scale(f float64) Rate {
-	return Rate{Sim: SimTime(float64(r.Sim) * f), Wall: r.Wall}
-}
-
 // String renders the rate in a paper-style "X/day" form.
 func (r Rate) String() string {
 	perDay := SimTime(float64(r.Sim) * float64(24*time.Hour) / float64(r.Wall))

@@ -51,13 +51,6 @@ type Config struct {
 	SubmitPerMinute int
 	// WatchdogGrace arms each instance's hung-job watchdog (core.Config).
 	WatchdogGrace float64
-	// LeaseTTL is how long an unrenewed lease stays live (default 10m).
-	// A crashed instance's couplings become adoptable one TTL after its
-	// last renewal.
-	LeaseTTL time.Duration
-	// RenewEvery is the renew/sweep ticker period (default LeaseTTL/3,
-	// so a healthy instance has two chances to renew before expiry).
-	RenewEvery time.Duration
 	// Namespace prefixes the lease and checkpoint key namespaces. The
 	// campaign scopes it per allocation so one allocation's leases can
 	// never leak into the next.
@@ -202,12 +195,6 @@ func New(cfg Config) (*Fleet, error) {
 	if len(cfg.Couplings) == 0 {
 		return nil, errors.New("wmfleet: no couplings")
 	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 10 * time.Minute
-	}
-	if cfg.RenewEvery <= 0 {
-		cfg.RenewEvery = cfg.LeaseTTL / 3
-	}
 	tel := cfg.Telemetry
 	if tel == nil {
 		tel = telemetry.Nop()
@@ -223,7 +210,7 @@ func New(cfg Config) (*Fleet, error) {
 		parts:  make(map[string]core.CouplingCheckpoint, len(cfg.Couplings)),
 		disp:   &dispatcher{},
 	}
-	f.leases = NewLeaseTable(cfg.Clock, cfg.Store, tel, cfg.Namespace+"-lease", cfg.LeaseTTL)
+	f.leases = NewLeaseTable(cfg.Clock, cfg.Store, tel, cfg.Namespace+"-lease")
 	f.leases.onExpire = func() { f.acc.LeaseExpirations++ }
 	for i, spec := range cfg.Couplings {
 		if _, dup := f.specs[spec.Name]; dup {
@@ -342,7 +329,7 @@ func (f *Fleet) Start() error {
 	}
 	for _, inst := range f.instances {
 		inst := inst
-		inst.renew = vclock.NewTicker(f.cfg.Clock, f.cfg.RenewEvery, func(time.Time) {
+		inst.renew = vclock.NewTicker(f.cfg.Clock, renewEvery, func(time.Time) {
 			f.renewTick(inst)
 		})
 	}

@@ -93,13 +93,11 @@ func TestFleetAdoptionAfterCrash(t *testing.T) {
 			testCoupling("cg", 2, 8, 3, 6*time.Hour),
 			testCoupling("aa", 2, 4, 2, 3*time.Hour),
 		},
-		PollEvery:  2 * time.Minute,
-		Seed:       7,
-		LeaseTTL:   30 * time.Minute,
-		RenewEvery: 10 * time.Minute,
-		Namespace:  "t1",
-		OnEvent:    func(msg string) { events = append(events, msg) },
-		OnAnomaly:  func(msg string) { anomalies = append(anomalies, msg) },
+		PollEvery: 2 * time.Minute,
+		Seed:      7,
+		Namespace: "t1",
+		OnEvent:   func(msg string) { events = append(events, msg) },
+		OnAnomaly: func(msg string) { anomalies = append(anomalies, msg) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,13 +259,11 @@ func TestFleetAdoptionUnderStoreFaultBurst(t *testing.T) {
 	fl, err := New(Config{
 		Clock: r.clk, Backend: maestro.FluxBackend{S: r.s},
 		Store: store, Instances: 2,
-		Couplings:  []core.CouplingSpec{testCoupling("cg", 2, 8, 3, 6*time.Hour)},
-		PollEvery:  2 * time.Minute,
-		Seed:       7,
-		LeaseTTL:   30 * time.Minute,
-		RenewEvery: 10 * time.Minute,
-		Namespace:  "b1",
-		OnAnomaly:  func(msg string) { anomalies = append(anomalies, msg) },
+		Couplings: []core.CouplingSpec{testCoupling("cg", 2, 8, 3, 6*time.Hour)},
+		PollEvery: 2 * time.Minute,
+		Seed:      7,
+		Namespace: "b1",
+		OnAnomaly: func(msg string) { anomalies = append(anomalies, msg) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -331,13 +327,11 @@ func TestFleetAdoptsSameStateFromStoreAndMirror(t *testing.T) {
 		fl, err := New(Config{
 			Clock: r.clk, Backend: maestro.FluxBackend{S: r.s},
 			Store: store, Instances: 2,
-			Couplings:  []core.CouplingSpec{testCoupling("cg", 2, 8, 3, 6*time.Hour)},
-			PollEvery:  2 * time.Minute,
-			Seed:       7,
-			LeaseTTL:   30 * time.Minute,
-			RenewEvery: 10 * time.Minute,
-			Namespace:  "m1",
-			OnAnomaly:  func(msg string) { anomalies = append(anomalies, msg) },
+			Couplings: []core.CouplingSpec{testCoupling("cg", 2, 8, 3, 6*time.Hour)},
+			PollEvery: 2 * time.Minute,
+			Seed:      7,
+			Namespace: "m1",
+			OnAnomaly: func(msg string) { anomalies = append(anomalies, msg) },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -464,11 +458,9 @@ func TestFleetSweepSurvivesLeaseReadFailure(t *testing.T) {
 			testCoupling("c1", 2, 4, 2, 6*time.Hour),
 			testCoupling("c2", 2, 4, 2, 6*time.Hour),
 		},
-		PollEvery:  2 * time.Minute,
-		LeaseTTL:   25 * time.Minute, // expires between two renew ticks
-		RenewEvery: 10 * time.Minute,
-		Namespace:  "sw",
-		OnAnomaly:  func(msg string) { anomalies = append(anomalies, msg) },
+		PollEvery: 2 * time.Minute,
+		Namespace: "sw",
+		OnAnomaly: func(msg string) { anomalies = append(anomalies, msg) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -483,19 +475,21 @@ func TestFleetSweepSurvivesLeaseReadFailure(t *testing.T) {
 		return out
 	}
 
-	// Instance 0 renews at 1h00 and dies at 1h05: its leases run to 1h25,
-	// and the survivor's sweeps at 1h10 and 1h20 must leave them alone.
+	// The tickers fire every renewEvery (3m20s). Instance 0 renews at
+	// 1h03m20s and dies at 1h05: its leases run one leaseTTL to 1h13m20s,
+	// and the survivor's sweeps at 1h06m40s and 1h10m must leave them
+	// alone.
 	r.clk.RunFor(time.Hour + 5*time.Minute)
 	if _, err := fl.Crash(0); err != nil {
 		t.Fatal(err)
 	}
-	r.clk.RunFor(22 * time.Minute)
+	r.clk.RunFor(8 * time.Minute)
 	if got := owners(); got != [3]int{-1, 1, -1} || len(anomalies) != 0 {
 		t.Fatalf("before expiry: owners %v anomalies %q, want [-1 1 -1] and none", got, anomalies)
 	}
 
 	store.failOnce = "c0"
-	returns(t, "the 1h30 sweep", func() { r.clk.RunFor(5 * time.Minute) })
+	returns(t, "the 1h13m20s sweep", func() { r.clk.RunFor(time.Minute) })
 	if len(anomalies) != 1 || !strings.Contains(anomalies[0], "lease check for c0 failed") {
 		t.Fatalf("anomalies = %q, want the one failed lease check", anomalies)
 	}
@@ -508,7 +502,7 @@ func TestFleetSweepSurvivesLeaseReadFailure(t *testing.T) {
 		t.Fatalf("after the failed check: owners %v, want [-1 1 1] (c2 adopted past the failure)", got)
 	}
 
-	r.clk.RunFor(10 * time.Minute)
+	r.clk.RunFor(renewEvery)
 	if got := owners(); got != [3]int{1, 1, 1} || len(anomalies) != 1 {
 		t.Errorf("one sweep later: owners %v anomalies %q, want all adopted and no new report", got, anomalies)
 	}
@@ -523,12 +517,10 @@ func TestFleetCandidateDuringOrphanWindow(t *testing.T) {
 	fl, err := New(Config{
 		Clock: r.clk, Backend: maestro.FluxBackend{S: r.s},
 		Store: datastore.NewMemory(), Instances: 2,
-		Couplings:  []core.CouplingSpec{testCoupling("cg", 2, 8, 3, 6*time.Hour)},
-		PollEvery:  2 * time.Minute,
-		Seed:       7,
-		LeaseTTL:   30 * time.Minute,
-		RenewEvery: 10 * time.Minute,
-		Namespace:  "w1",
+		Couplings: []core.CouplingSpec{testCoupling("cg", 2, 8, 3, 6*time.Hour)},
+		PollEvery: 2 * time.Minute,
+		Seed:      7,
+		Namespace: "w1",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -606,12 +598,10 @@ func TestFleetStartSurvivesLeaseStoreFailure(t *testing.T) {
 			fl, err := New(Config{
 				Clock: r.clk, Backend: maestro.FluxBackend{S: r.s},
 				Store: tc.store, Instances: 2,
-				Couplings:  []core.CouplingSpec{testCoupling("cg", 2, 8, 3, 6*time.Hour)},
-				PollEvery:  2 * time.Minute,
-				LeaseTTL:   30 * time.Minute,
-				RenewEvery: 10 * time.Minute,
-				Namespace:  "s1",
-				OnAnomaly:  func(msg string) { anomalies = append(anomalies, msg) },
+				Couplings: []core.CouplingSpec{testCoupling("cg", 2, 8, 3, 6*time.Hour)},
+				PollEvery: 2 * time.Minute,
+				Namespace: "s1",
+				OnAnomaly: func(msg string) { anomalies = append(anomalies, msg) },
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -47,6 +47,15 @@ type Lease struct {
 	ExpiresNs int64 `json:"expires_ns"`
 }
 
+const (
+	// leaseTTL is how long an unrenewed lease stays live. A crashed
+	// instance's couplings become adoptable one TTL after its last renewal.
+	leaseTTL = 10 * time.Minute
+	// renewEvery is the renew/sweep ticker period: a healthy instance has
+	// two chances to renew before expiry.
+	renewEvery = leaseTTL / 3
+)
+
 // LeaseTable implements acquire/renew/load over one store namespace.
 // All methods must be called from virtual-clock callbacks (the fleet's
 // tickers and fault handlers), which serializes them; the table performs
@@ -56,24 +65,19 @@ type LeaseTable struct {
 	store datastore.Store
 	tel   *telemetry.Telemetry
 	ns    string
-	ttl   time.Duration
 	// onExpire observes each takeover of an expired lease (fleet
 	// accounting); nil is allowed.
 	onExpire func()
 }
 
-// NewLeaseTable builds a lease table over one store namespace with the
-// given time-to-live. tel may be nil (metrics discarded).
-func NewLeaseTable(clk vclock.Clock, store datastore.Store, tel *telemetry.Telemetry,
-	ns string, ttl time.Duration) *LeaseTable {
+// NewLeaseTable builds a lease table over one store namespace; leases live
+// leaseTTL. tel may be nil (metrics discarded).
+func NewLeaseTable(clk vclock.Clock, store datastore.Store, tel *telemetry.Telemetry, ns string) *LeaseTable {
 	if tel == nil {
 		tel = telemetry.Nop()
 	}
-	return &LeaseTable{clk: clk, store: store, tel: tel, ns: ns, ttl: ttl}
+	return &LeaseTable{clk: clk, store: store, tel: tel, ns: ns}
 }
-
-// TTL returns the table's lease time-to-live.
-func (l *LeaseTable) TTL() time.Duration { return l.ttl }
 
 // Acquire attempts to take the lease on coupling for holder. It succeeds
 // when the lease is unheld, expired, or already held by this holder, and
@@ -105,7 +109,7 @@ func (l *LeaseTable) Acquire(holder int, coupling string) (term int64, ok bool, 
 			}
 		}
 	}
-	rec = Lease{Holder: holder, Term: rec.Term + 1, ExpiresNs: now + l.ttl.Nanoseconds()}
+	rec = Lease{Holder: holder, Term: rec.Term + 1, ExpiresNs: now + leaseTTL.Nanoseconds()}
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return 0, false, err
@@ -141,10 +145,10 @@ func (l *LeaseTable) Renew(holder int, term int64, coupling string) (ok bool, er
 	if rec.Holder != holder || rec.Term != term || now >= rec.ExpiresNs {
 		return false, nil
 	}
-	granted := rec.ExpiresNs - l.ttl.Nanoseconds()
+	granted := rec.ExpiresNs - leaseTTL.Nanoseconds()
 	l.tel.Histogram("wmfleet.lease_renew_age_ms").
 		Observe(float64(now-granted) / 1e6)
-	rec.ExpiresNs = now + l.ttl.Nanoseconds()
+	rec.ExpiresNs = now + leaseTTL.Nanoseconds()
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return false, err

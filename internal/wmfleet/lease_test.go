@@ -12,13 +12,13 @@ import (
 
 var epoch = time.Date(2020, 12, 1, 0, 0, 0, 0, time.UTC)
 
-func newTestTable(ttl time.Duration) (*vclock.Virtual, *LeaseTable) {
+func newTestTable() (*vclock.Virtual, *LeaseTable) {
 	clk := vclock.NewVirtual(epoch)
-	return clk, NewLeaseTable(clk, datastore.NewMemory(), nil, "lease", ttl)
+	return clk, NewLeaseTable(clk, datastore.NewMemory(), nil, "lease")
 }
 
 func TestLeaseAcquireExcludesLiveHolder(t *testing.T) {
-	_, lt := newTestTable(10 * time.Minute)
+	_, lt := newTestTable()
 	term, ok, err := lt.Acquire(0, "c")
 	if err != nil || !ok || term != 1 {
 		t.Fatalf("first acquire: term=%d ok=%v err=%v", term, ok, err)
@@ -34,7 +34,7 @@ func TestLeaseAcquireExcludesLiveHolder(t *testing.T) {
 }
 
 func TestRenewChecksHolderAndTerm(t *testing.T) {
-	_, lt := newTestTable(10 * time.Minute)
+	_, lt := newTestTable()
 	term, _, _ := lt.Acquire(0, "c")
 	if ok, err := lt.Renew(0, term, "c"); err != nil || !ok {
 		t.Fatalf("renew by holder: ok=%v err=%v", ok, err)
@@ -54,11 +54,10 @@ func TestRenewChecksHolderAndTerm(t *testing.T) {
 // at the exact virtual instant the lease expires must lose, so the holder
 // can never extend a lease an adopter is entitled to take at that instant.
 func TestRenewRacingExpirySameTimestamp(t *testing.T) {
-	ttl := 10 * time.Minute
-	clk, lt := newTestTable(ttl)
+	clk, lt := newTestTable()
 	term, _, _ := lt.Acquire(0, "c")
 	done := false
-	clk.After(ttl, func() {
+	clk.After(leaseTTL, func() {
 		if ok, err := lt.Renew(0, term, "c"); err != nil || ok {
 			t.Errorf("renew at expiry instant: ok=%v err=%v (want ok=false)", ok, err)
 		}
@@ -69,7 +68,7 @@ func TestRenewRacingExpirySameTimestamp(t *testing.T) {
 		}
 		done = true
 	})
-	clk.RunUntil(epoch.Add(ttl))
+	clk.RunUntil(epoch.Add(leaseTTL))
 	if !done {
 		t.Fatal("race callback never ran")
 	}
@@ -80,12 +79,11 @@ func TestRenewRacingExpirySameTimestamp(t *testing.T) {
 // acquire reports a live lease and the dead holder's stale renewals stay
 // rejected.
 func TestDoubleAdoptionPrevention(t *testing.T) {
-	ttl := 10 * time.Minute
-	clk, lt := newTestTable(ttl)
+	clk, lt := newTestTable()
 	expirations := 0
 	lt.onExpire = func() { expirations++ }
 	oldTerm, _, _ := lt.Acquire(0, "c")
-	clk.After(ttl+time.Minute, func() {
+	clk.After(leaseTTL+time.Minute, func() {
 		term1, ok, err := lt.Acquire(1, "c")
 		if err != nil || !ok {
 			t.Errorf("first adopter: ok=%v err=%v", ok, err)
@@ -100,7 +98,7 @@ func TestDoubleAdoptionPrevention(t *testing.T) {
 			t.Errorf("adopter renew: ok=%v err=%v", ok, err)
 		}
 	})
-	clk.RunUntil(epoch.Add(ttl + 2*time.Minute))
+	clk.RunUntil(epoch.Add(leaseTTL + 2*time.Minute))
 	if expirations != 1 {
 		t.Fatalf("expiration takeovers = %d, want 1", expirations)
 	}
@@ -120,14 +118,13 @@ func TestLeaseOpsSurviveTransientBurst(t *testing.T) {
 	defer eng.Stop()
 	store := datastore.Armor(faults.WrapStore(datastore.NewMemory(), eng),
 		telemetry.Nop(), "memory", datastore.ArmorOptions{})
-	ttl := 10 * time.Minute
-	lt := NewLeaseTable(clk, store, nil, "lease", ttl)
+	lt := NewLeaseTable(clk, store, nil, "lease")
 	term, ok, err := lt.Acquire(0, "c")
 	if err != nil || !ok {
 		t.Fatalf("acquire under burst: ok=%v err=%v", ok, err)
 	}
 	renewed, failed := 0, 0
-	tick := vclock.NewTicker(clk, ttl/3, func(time.Time) {
+	tick := vclock.NewTicker(clk, renewEvery, func(time.Time) {
 		ok, err := lt.Renew(0, term, "c")
 		if err == nil && ok {
 			renewed++

@@ -225,3 +225,10 @@ rm "$tmpdir/smoke.tar.tari"
 "$tmpdir/taridx" rebuild "$tmpdir/smoke.tar"
 "$tmpdir/taridx" get "$tmpdir/smoke.tar" blob >"$tmpdir/taridx-out"
 cmp "$tmpdir/taridx-in" "$tmpdir/taridx-out"
+
+# Examples smoke: each examples/ program must run to a zero exit. Their
+# output is not compared — they print wall times — but a removal that
+# breaks one at run time fails here, not only one that breaks its build.
+for ex in examples/*/; do
+	go run "./$ex" >/dev/null
+done
