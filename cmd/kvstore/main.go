@@ -21,7 +21,7 @@ import (
 
 func main() {
 	if len(os.Args) < 2 {
-		fatal(fmt.Errorf("usage: kvstore serve|set|get|keys|del [-addr host:port] args..."))
+		fatal(fmt.Errorf("kvstore: usage: kvstore serve|set|get|keys|del [-addr host:port] args..."))
 	}
 	cmd := os.Args[1]
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
@@ -63,14 +63,14 @@ func main() {
 	switch cmd {
 	case "set":
 		if len(args) != 2 {
-			fatal(fmt.Errorf("set needs key and value"))
+			fatal(fmt.Errorf("kvstore: set needs key and value"))
 		}
 		if err := c.Set(args[0], []byte(args[1])); err != nil {
 			fatal(err)
 		}
 	case "get":
 		if len(args) != 1 {
-			fatal(fmt.Errorf("get needs a key"))
+			fatal(fmt.Errorf("kvstore: get needs a key"))
 		}
 		v, err := c.Get(args[0])
 		if err != nil {
@@ -79,7 +79,7 @@ func main() {
 		fmt.Println(string(v))
 	case "keys":
 		if len(args) != 1 {
-			fatal(fmt.Errorf("keys needs a pattern"))
+			fatal(fmt.Errorf("kvstore: keys needs a pattern"))
 		}
 		ks, err := c.Keys(args[0])
 		if err != nil {
@@ -90,7 +90,7 @@ func main() {
 		}
 	case "del":
 		if len(args) == 0 {
-			fatal(fmt.Errorf("del needs keys"))
+			fatal(fmt.Errorf("kvstore: del needs keys"))
 		}
 		n, err := c.Del(args...)
 		if err != nil {
@@ -98,11 +98,11 @@ func main() {
 		}
 		fmt.Println(n)
 	default:
-		fatal(fmt.Errorf("unknown command %q", cmd))
+		fatal(fmt.Errorf("kvstore: unknown command %q", cmd))
 	}
 }
 
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "kvstore:", err)
+	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
 }

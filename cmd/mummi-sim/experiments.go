@@ -493,7 +493,6 @@ func selectorScaling(fpsQueue, binnedN, workers int, seed int64) (selectorScalin
 	rng := rand.New(rand.NewSource(seed))
 
 	fp := dynim.NewFarthestPoint(9, 0)
-	fp.DisableJournal()
 	fp.SetWorkers(workers)
 	coords := make([]float64, 9)
 	for i := 0; i < fpsQueue; i++ {
@@ -522,7 +521,6 @@ func selectorScaling(fpsQueue, binnedN, workers int, seed int64) (selectorScalin
 	if err != nil {
 		return res, err
 	}
-	bn.DisableJournal()
 	t1 := time.Now()
 	c3 := make([]float64, 3)
 	for i := 0; i < binnedN; i++ {

@@ -43,8 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	queues := dynim.NewQueueSet(9, 1000)
-	selector := queues.AsSelector(func(p dynim.Point) string { return "all" })
+	selector := dynim.NewQueueSet(9, 1000, func(dynim.Point) string { return "all" })
 
 	// 3. The feedback loop: CG analyses write RDF frames into a store; the
 	// feedback manager aggregates them and updates the continuum couplings.

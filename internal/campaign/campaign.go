@@ -60,7 +60,6 @@ type Campaign struct {
 	tel *telemetry.Telemetry
 
 	patchSel dynim.Selector
-	queueSet *dynim.QueueSet
 	frameSel *dynim.Binned
 
 	// Task-4 state (wired when Config.FeedbackEvery > 0): frame records
@@ -154,8 +153,8 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 	}
 	if cfg.FeedbackEvery > 0 {
 		c.fbStore = c.newStore()
-		c.cgFB = &feedbackPass{name: "cg-to-continuum", store: c.fbStore, srcNS: "cg-active", dstNS: "cg-done"}
-		c.aaFB = &feedbackPass{name: "aa-to-cg", store: c.fbStore, srcNS: "aa-active", dstNS: "aa-done"}
+		c.cgFB = &feedbackPass{store: c.fbStore, srcNS: "cg-active", dstNS: "cg-done"}
+		c.aaFB = &feedbackPass{store: c.fbStore, srcNS: "aa-active", dstNS: "aa-done"}
 	}
 	if cfg.WMInstances > 1 {
 		// The fleet's lease/checkpoint traffic crosses the same armored
@@ -172,11 +171,7 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 			c.schedule = append(c.schedule, r)
 		}
 	}
-	c.queueSet = dynim.NewQueueSet(9, cfg.PatchQueueCap)
-	c.queueSet.DisableJournal()
-	c.queueSet.SetWorkers(cfg.SelectorWorkers)
-	c.queueSet.SetTelemetry(cfg.Telemetry)
-	c.patchSel = c.queueSet.AsSelector(func(p dynim.Point) string {
+	qs := dynim.NewQueueSet(9, cfg.PatchQueueCap, func(p dynim.Point) string {
 		// Five queues by protein configuration, as in the paper; route on a
 		// stable hash of the candidate id.
 		h := uint32(2166136261)
@@ -185,6 +180,9 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 		}
 		return patchQueues[h%uint32(len(patchQueues))]
 	})
+	qs.SetWorkers(cfg.SelectorWorkers)
+	qs.SetTelemetry(cfg.Telemetry)
+	c.patchSel = qs
 	dims := make([]dynim.BinDim, 3)
 	for i := range dims {
 		dims[i] = dynim.BinDim{Lo: 0, Hi: 1, Bins: cfg.FrameBins}
@@ -193,7 +191,6 @@ func NewCampaign(cfg Config) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs.DisableJournal()
 	fs.SetTelemetry(cfg.Telemetry)
 	c.frameSel = fs
 	// 9-D protein walks seed patch encodings.

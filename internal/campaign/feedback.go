@@ -14,12 +14,9 @@ import (
 // counts them. It consumes no randomness and never touches the job flow, so
 // wiring it in (Config.FeedbackEvery) keeps replays deterministic.
 type feedbackPass struct {
-	name, srcNS, dstNS string
-	store              datastore.Store
+	srcNS, dstNS string
+	store        datastore.Store
 }
-
-// Name implements feedback.Manager.
-func (m *feedbackPass) Name() string { return m.name }
 
 // Iterate implements feedback.Manager.
 func (m *feedbackPass) Iterate() (feedback.Report, error) {

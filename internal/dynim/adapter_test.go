@@ -2,17 +2,18 @@ package dynim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
-func TestQueueSetAsSelector(t *testing.T) {
-	qs := NewQueueSet(1, 0)
-	sel := qs.AsSelector(func(p Point) string {
+func TestQueueSetIsSelector(t *testing.T) {
+	var sel Selector = NewQueueSet(1, 0, func(p Point) string {
 		if p.Coords[0] < 50 {
 			return "low"
 		}
 		return "high"
 	})
+	qs := sel.(*QueueSet)
 	for i := 0; i < 10; i++ {
 		if err := sel.Add(Point{ID: fmt.Sprintf("p%02d", i), Coords: []float64{float64(i * 10)}}); err != nil {
 			t.Fatal(err)
@@ -21,11 +22,11 @@ func TestQueueSetAsSelector(t *testing.T) {
 	if sel.Len() != 10 {
 		t.Errorf("Len = %d", sel.Len())
 	}
-	if got := qs.Queues(); len(got) != 2 {
-		t.Fatalf("queues = %v", got)
+	if len(qs.order) != 2 {
+		t.Fatalf("queues = %v", qs.order)
 	}
 	// Routing is respected: "low" holds coords 0..40, "high" 50..90.
-	low := qs.SelectFrom("low", 100)
+	low := qs.queues["low"].Select(100)
 	for _, p := range low {
 		if p.Coords[0] >= 50 {
 			t.Errorf("misrouted point %v", p)
@@ -39,35 +40,23 @@ func TestQueueSetAsSelector(t *testing.T) {
 	if len(rest) != 5 {
 		t.Errorf("Select drained %d", len(rest))
 	}
-	qs.Update() // must not panic on drained queues
-	if h := sel.History(); len(h) == 0 {
-		t.Error("merged history empty")
-	}
 }
 
-func TestQueueSetDisableJournalPropagates(t *testing.T) {
-	qs := NewQueueSet(1, 0)
-	qs.Add("pre", Point{ID: "a", Coords: []float64{1}})
-	qs.DisableJournal()
-	qs.Add("pre", Point{ID: "b", Coords: []float64{2}})
-	qs.Add("post", Point{ID: "c", Coords: []float64{3}}) // new queue after disable
-	sel := qs.AsSelector(func(Point) string { return "pre" })
-	h := sel.History()
-	// Only the one event recorded before DisableJournal survives.
-	if len(h) != 1 || h[0].ID != "a" {
-		t.Errorf("history = %v", h)
+// TestQueueSetRejectedPointMakesNoQueue: a point its queue would refuse —
+// wrong dimension, non-finite coordinate — is refused before it is routed,
+// so it leaves no empty queue for every later round-robin pass to visit.
+func TestQueueSetRejectedPointMakesNoQueue(t *testing.T) {
+	qs := NewQueueSet(2, 0, func(p Point) string { return p.ID })
+	for _, p := range []Point{
+		{ID: "short", Coords: []float64{1}},
+		{ID: "nan", Coords: []float64{math.NaN(), 0}},
+	} {
+		if err := qs.Add(p); err == nil {
+			t.Errorf("%s accepted", p.ID)
+		}
 	}
-}
-
-func TestFPSDisableJournal(t *testing.T) {
-	f := NewFarthestPoint(1, 0)
-	f.Add(Point{ID: "a", Coords: []float64{1}})
-	f.DisableJournal()
-	f.Add(Point{ID: "b", Coords: []float64{2}})
-	f.Select(2)
-	h := f.History()
-	if len(h) != 1 {
-		t.Errorf("history after disable = %v", h)
+	if len(qs.queues) != 0 || len(qs.order) != 0 {
+		t.Errorf("refused points left queues %v", qs.order)
 	}
 }
 

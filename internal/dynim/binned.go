@@ -53,8 +53,7 @@ type Binned struct {
 	nbins     int // joint bin count, ∏ dims[i].Bins
 	total     int // queued candidate count
 
-	journal journal
-	tel     *telemetry.Telemetry // nil = no instrumentation
+	tel *telemetry.Telemetry // nil = no instrumentation
 }
 
 // binState is one joint bin.
@@ -154,13 +153,6 @@ func (b *Binned) binOf(coords []float64) int {
 	return idx
 }
 
-// DisableJournal stops event recording (campaign-scale memory bound).
-func (b *Binned) DisableJournal() {
-	b.mu.Lock()
-	b.journal.disabled = true
-	b.mu.Unlock()
-}
-
 // SetTelemetry routes selection timings to tel (nil disables
 // instrumentation). Timings are measured on the telemetry clock, never the
 // wall clock, so instrumented replays stay deterministic.
@@ -196,7 +188,6 @@ func (b *Binned) Add(p Point) error {
 	}
 	b.fenAdd(bin, 1)
 	b.total++
-	b.journal.record("add", p.ID)
 	return nil
 }
 
@@ -225,7 +216,6 @@ func (b *Binned) Select(n int) []Point {
 		}
 		b.fenAdd(st.bin, -1)
 		b.total--
-		b.journal.record("select", p.ID)
 		out = append(out, p)
 	}
 	if b.tel != nil {
@@ -264,21 +254,4 @@ func (b *Binned) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.total
-}
-
-// Occupancy returns the occupancy count of the joint bin containing coords.
-func (b *Binned) Occupancy(coords []float64) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if st := b.bins[b.binOf(coords)]; st != nil {
-		return st.occupancy
-	}
-	return 0
-}
-
-// History implements Selector.
-func (b *Binned) History() []Event {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.journal.history()
 }

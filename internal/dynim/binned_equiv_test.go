@@ -204,7 +204,6 @@ func TestBinnedSelectCostIgnoresNonEmptyBins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.DisableJournal()
 		for i := 0; i < 4*nonEmpty; i++ {
 			if err := b.Add(Point{ID: "f", Coords: binCentre20(i % nonEmpty)}); err != nil {
 				t.Fatal(err)
@@ -231,7 +230,6 @@ func BenchmarkBinnedSelect(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bn.DisableJournal()
 	rng := rand.New(rand.NewSource(42))
 	offers := make([]Point, 8000*4+b.N*addsPerSelect)
 	for i := range offers {

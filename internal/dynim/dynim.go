@@ -17,9 +17,12 @@
 //     each dimension separately through binning and exposes a control over
 //     the balance between importance and randomness.
 //
-// Both samplers maintain a replayable history journal, supporting the
-// paper's resilience strategy ("key components (ML and job scheduling) also
-// maintain elaborate history files that may be replayed exactly").
+// The selectors keep no history: what was added, selected or evicted lives
+// only in their queues and selected sets. The paper's replayable history
+// files ("key components (ML and job scheduling) also maintain elaborate
+// history files that may be replayed exactly") belong to a recovery journal
+// the workflow manager owns in the store — ROADMAP "Honest recovery, one
+// path, checked from outside".
 package dynim
 
 import (
@@ -51,8 +54,8 @@ func checkPoint(p Point, dim int) error {
 	return nil
 }
 
-// Selector is the abstract selection API shared by both samplers and by any
-// application-defined replacement (§4.5).
+// Selector is the abstract selection API shared by both samplers, the patch
+// QueueSet, and any application-defined replacement (§4.5).
 type Selector interface {
 	// Add ingests a new candidate. It must be cheap: candidates arrive at
 	// data-production rate (thousands per minute at scale).
@@ -62,36 +65,6 @@ type Selector interface {
 	Select(n int) []Point
 	// Len returns the current number of queued candidates.
 	Len() int
-	// History returns the journal of selection events so far.
-	History() []Event
-}
-
-// Event is one journal entry. Kind is "add", "select", or "evict".
-type Event struct {
-	Seq  int64  `json:"seq"`
-	Kind string `json:"kind"`
-	ID   string `json:"id"`
-}
-
-// journal is an embedded, mutex-free event log; the owning sampler's lock
-// guards it. Campaign-scale runs (millions of adds) disable recording to
-// bound memory; the sequence counter keeps advancing either way.
-type journal struct {
-	seq      int64
-	events   []Event
-	disabled bool
-}
-
-func (j *journal) record(kind, id string) {
-	j.seq++
-	if j.disabled {
-		return
-	}
-	j.events = append(j.events, Event{Seq: j.seq, Kind: kind, ID: id})
-}
-
-func (j *journal) history() []Event {
-	return append([]Event(nil), j.events...)
 }
 
 // dedupe guards against re-adding an ID that is queued or already selected;

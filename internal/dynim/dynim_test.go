@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -131,22 +132,8 @@ func TestFPSCapacityEvictsLeastNovel(t *testing.T) {
 	f.Update()
 	// A fourth add overflows the cap: the least novel ("near") must go.
 	f.Add(Point{ID: "new", Coords: []float64{7, 0}})
-	if f.Len() != 3 {
-		t.Fatalf("Len = %d", f.Len())
-	}
-	for _, ev := range f.History() {
-		if ev.Kind == "evict" && ev.ID != "near" {
-			t.Errorf("evicted %q, want near", ev.ID)
-		}
-	}
-	evicted := false
-	for _, ev := range f.History() {
-		if ev.Kind == "evict" {
-			evicted = true
-		}
-	}
-	if !evicted {
-		t.Error("no eviction recorded")
+	if got := queuedIDs(f); !reflect.DeepEqual(got, []string{"far", "mid", "new"}) {
+		t.Errorf("queued after eviction = %v, want near evicted", got)
 	}
 }
 
@@ -159,11 +146,15 @@ func TestFPSLenAndSelected(t *testing.T) {
 		t.Errorf("Len = %d", f.Len())
 	}
 	sel := f.Select(2)
-	if f.Len() != 3 || len(f.Selected()) != 2 {
-		t.Errorf("after select: Len=%d selected=%d", f.Len(), len(f.Selected()))
+	if f.Len() != 3 || f.nsel != 2 {
+		t.Errorf("after select: Len=%d selected=%d", f.Len(), f.nsel)
 	}
-	if !reflect.DeepEqual(f.Selected(), sel) {
-		t.Error("Selected() disagrees with Select() return")
+	var rows []float64
+	for i, p := range sel {
+		rows = appendRow(rows, i, p.Coords)
+	}
+	if !reflect.DeepEqual(f.selRows, rows) {
+		t.Error("selected rows disagree with Select() return")
 	}
 }
 
@@ -176,25 +167,6 @@ func TestFPSSelectMoreThanAvailable(t *testing.T) {
 	}
 	if got2 := f.Select(1); len(got2) != 0 {
 		t.Errorf("Select on empty = %v", got2)
-	}
-}
-
-func TestFPSHistoryJournal(t *testing.T) {
-	f := fp2(t, 0)
-	f.Add(Point{ID: "a", Coords: []float64{0, 0}})
-	f.Add(Point{ID: "b", Coords: []float64{1, 1}})
-	f.Select(1)
-	h := f.History()
-	if len(h) != 3 {
-		t.Fatalf("history = %v", h)
-	}
-	if h[0].Kind != "add" || h[2].Kind != "select" {
-		t.Errorf("history kinds = %v", h)
-	}
-	for i := 1; i < len(h); i++ {
-		if h[i].Seq <= h[i-1].Seq {
-			t.Error("journal sequence not increasing")
-		}
 	}
 }
 
@@ -250,17 +222,22 @@ func TestPropertyFPSCacheEqualsRecompute(t *testing.T) {
 }
 
 func TestQueueSetRoutesAndRoundRobins(t *testing.T) {
-	qs := NewQueueSet(2, 0)
 	// Two protein-configuration queues, as in the paper's five-queue setup.
+	qs := NewQueueSet(2, 0, func(p Point) string {
+		if p.ID[0] == 'a' {
+			return "ras-only"
+		}
+		return "ras-raf"
+	})
 	for i := 0; i < 5; i++ {
-		qs.Add("ras-only", Point{ID: fmt.Sprintf("a%d", i), Coords: []float64{float64(i), 0}})
-		qs.Add("ras-raf", Point{ID: fmt.Sprintf("b%d", i), Coords: []float64{float64(i), 5}})
+		qs.Add(Point{ID: fmt.Sprintf("a%d", i), Coords: []float64{float64(i), 0}})
+		qs.Add(Point{ID: fmt.Sprintf("b%d", i), Coords: []float64{float64(i), 5}})
 	}
 	if qs.Len() != 10 {
 		t.Errorf("Len = %d", qs.Len())
 	}
-	if got := qs.Queues(); !reflect.DeepEqual(got, []string{"ras-only", "ras-raf"}) {
-		t.Errorf("Queues = %v", got)
+	if !reflect.DeepEqual(qs.order, []string{"ras-only", "ras-raf"}) {
+		t.Errorf("queues = %v", qs.order)
 	}
 	sel := qs.Select(4)
 	if len(sel) != 4 {
@@ -276,17 +253,14 @@ func TestQueueSetRoutesAndRoundRobins(t *testing.T) {
 	if fromA != 2 {
 		t.Errorf("round-robin picked %d from queue A, want 2", fromA)
 	}
-	if got := qs.SelectFrom("ras-only", 100); len(got) != 3 {
-		t.Errorf("SelectFrom drained %d, want 3 remaining", len(got))
-	}
-	if got := qs.SelectFrom("missing", 1); got != nil {
-		t.Errorf("SelectFrom(missing) = %v", got)
+	if got := qs.queues["ras-only"].Len(); got != 3 {
+		t.Errorf("ras-only holds %d, want 3 remaining", got)
 	}
 }
 
 func TestQueueSetExhaustsGracefully(t *testing.T) {
-	qs := NewQueueSet(1, 0)
-	qs.Add("q", Point{ID: "only", Coords: []float64{1}})
+	qs := NewQueueSet(1, 0, func(Point) string { return "q" })
+	qs.Add(Point{ID: "only", Coords: []float64{1}})
 	got := qs.Select(5)
 	if len(got) != 1 {
 		t.Errorf("Select past exhaustion = %d", len(got))
@@ -393,8 +367,8 @@ func TestBinnedOccupancyCountsAllOffered(t *testing.T) {
 	}
 	b.Select(2)
 	// Occupancy is density-of-seen, not density-of-queued: still 5.
-	if occ := b.Occupancy([]float64{3.5}); occ != 5 {
-		t.Errorf("Occupancy = %d, want 5", occ)
+	if occ := occupancy(b, []float64{3.5}); occ != 5 {
+		t.Errorf("occupancy = %d, want 5", occ)
 	}
 }
 
@@ -406,7 +380,7 @@ func TestBinnedOutOfRangeClamps(t *testing.T) {
 	if err := b.Add(Point{ID: "high", Coords: []float64{+99}}); err != nil {
 		t.Fatal(err)
 	}
-	if b.Occupancy([]float64{-99}) != 1 || b.Occupancy([]float64{99}) != 1 {
+	if occupancy(b, []float64{-99}) != 1 || occupancy(b, []float64{99}) != 1 {
 		t.Error("clamped bins not counted")
 	}
 }
@@ -481,4 +455,19 @@ func idsOf(ps []Point) []string {
 		out[i] = p.ID
 	}
 	return out
+}
+
+// queuedIDs returns the IDs f holds in its queue, sorted.
+func queuedIDs(f *FarthestPoint) []string {
+	ids := slices.Clone(f.ids)
+	slices.Sort(ids)
+	return ids
+}
+
+// occupancy returns the occupancy count of the joint bin containing coords.
+func occupancy(b *Binned, coords []float64) int {
+	if st := b.bins[b.binOf(coords)]; st != nil {
+		return st.occupancy
+	}
+	return 0
 }

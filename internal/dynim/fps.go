@@ -1,7 +1,6 @@
 package dynim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -125,12 +124,11 @@ type FarthestPoint struct {
 
 	// sweptSel is the selection count at the last full sweep. Once the
 	// arrival list is ranked no slot has seen fewer selections, so a walk
-	// over the slot range costs at most len(selPts)-sweptSel rows per slot.
+	// over the slot range costs at most nsel-sweptSel rows per slot.
 	sweptSel int
 
 	selRows []float64 // selected coordinates, four rows a block (fold.go), append-only
-	selPts  []Point
-	journal journal
+	nsel    int       // rows in selRows
 	dd      dedupe
 	tel     *telemetry.Telemetry // nil = no instrumentation
 }
@@ -267,7 +265,7 @@ func (f *FarthestPoint) newSlot(p Point) {
 	f.seenSel = append(f.seenSel, 0)
 	f.heapPos = append(f.heapPos, int32(len(f.h)))
 	f.h = append(f.h, s)
-	if len(f.selPts) > 0 {
+	if f.nsel > 0 {
 		f.dirty = append(f.dirty, s)
 	} else if !f.heapDirty {
 		f.up(len(f.h) - 1)
@@ -363,7 +361,7 @@ func (f *FarthestPoint) siftArrivals() {
 // is all the determinism contract promises (selection sequences, not cache
 // residue; Update canonicalizes the caches).
 func (f *FarthestPoint) pickEager() int32 {
-	n := len(f.selPts)
+	n := f.nsel
 	f.rankArrivals(n)
 	f.dirty = f.dirty[:0]
 	rows := f.selRows
@@ -410,7 +408,6 @@ func (f *FarthestPoint) Add(p Point) error {
 		return nil
 	}
 	f.newSlot(p)
-	f.journal.record("add", p.ID)
 	if f.capacity > 0 && len(f.ids) > f.capacity {
 		// Evict in amortized batches: a single-victim scan per add would be
 		// O(queue) for every candidate past the cap, which the campaign's
@@ -455,18 +452,10 @@ func (f *FarthestPoint) evictDownTo(target int) {
 			ties = append(ties, int32(s))
 		}
 	}
-	byID := func(a, b int32) int { return strings.Compare(f.ids[a], f.ids[b]) }
-	slices.SortFunc(ties, byID)
+	slices.SortFunc(ties, func(a, b int32) int { return strings.Compare(f.ids[a], f.ids[b]) })
 	victims = append(victims, ties[:m-len(victims)]...)
-	if !f.journal.disabled {
-		// Only the journal sees the order: least novel first.
-		slices.SortFunc(victims, func(a, b int32) int {
-			return cmp.Or(cmp.Compare(f.dist2[a], f.dist2[b]), byID(a, b))
-		})
-	}
 	for _, v := range victims {
 		f.dd.release(f.ids[v])
-		f.journal.record("evict", f.ids[v])
 	}
 	// Free in descending slot order so each move pulls from a live slot.
 	slices.Sort(victims)
@@ -526,7 +515,7 @@ func (f *FarthestPoint) Update() {
 // heapify that follows sees the same arrays either way. Caller holds the
 // lock.
 func (f *FarthestPoint) updateLocked() {
-	n := len(f.selPts)
+	n := f.nsel
 	if !f.allDirty && len(f.dirty) == 0 {
 		// Nothing is stale; at most a burst left the heap unordered.
 		if f.heapDirty {
@@ -599,7 +588,7 @@ func (f *FarthestPoint) Select(n int) []Point {
 		if f.heapDirty {
 			s = f.pickEager()
 		} else {
-			nSel := len(f.selPts)
+			nSel := f.nsel
 			f.rankArrivals(nSel)
 			f.siftArrivals()
 			rows := f.selRows
@@ -629,11 +618,9 @@ func (f *FarthestPoint) Select(n int) []Point {
 		id := f.ids[s]
 		coords := append([]float64(nil), f.coords[int(s)*f.dim:int(s+1)*f.dim]...)
 		f.freeSlot(s)
-		f.selRows = appendRow(f.selRows, len(f.selPts), coords)
-		p := Point{ID: id, Coords: coords}
-		f.selPts = append(f.selPts, p)
-		f.journal.record("select", id)
-		out = append(out, p)
+		f.selRows = appendRow(f.selRows, f.nsel, coords)
+		f.nsel++
+		out = append(out, Point{ID: id, Coords: coords})
 		// The new selection can tighten every remaining rank: the whole
 		// store is dirty (the arrival list was emptied before the pick).
 		f.allDirty = true
@@ -646,14 +633,6 @@ func (f *FarthestPoint) Select(n int) []Point {
 	return out
 }
 
-// DisableJournal stops event recording (campaign-scale memory bound);
-// History returns only events recorded before the call.
-func (f *FarthestPoint) DisableJournal() {
-	f.mu.Lock()
-	f.journal.disabled = true
-	f.mu.Unlock()
-}
-
 // Len implements Selector.
 func (f *FarthestPoint) Len() int {
 	f.mu.Lock()
@@ -661,37 +640,25 @@ func (f *FarthestPoint) Len() int {
 	return len(f.ids)
 }
 
-// Selected returns the points selected so far, in selection order.
-func (f *FarthestPoint) Selected() []Point {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]Point(nil), f.selPts...)
-}
-
-// History implements Selector.
-func (f *FarthestPoint) History() []Event {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.journal.history()
-}
-
 // QueueSet groups several independently-capped FarthestPoint queues, as the
 // paper's Patch Selector does with five in-memory queues keyed by protein
-// configuration. Selection can target one queue or round-robin across all.
+// configuration. It is a Selector: route picks each added point's queue, and
+// Select round-robins across the queues.
 type QueueSet struct {
-	mu        sync.Mutex
-	dim       int
-	cap       int
-	workers   int
-	queues    map[string]*FarthestPoint
-	order     []string
-	noJournal bool
-	tel       *telemetry.Telemetry
+	mu      sync.Mutex
+	dim     int
+	cap     int
+	route   func(Point) string
+	workers int
+	queues  map[string]*FarthestPoint
+	order   []string
+	tel     *telemetry.Telemetry
 }
 
-// NewQueueSet creates an empty set whose queues share dim and capacity.
-func NewQueueSet(dim, capacity int) *QueueSet {
-	return &QueueSet{dim: dim, cap: capacity, queues: make(map[string]*FarthestPoint)}
+// NewQueueSet creates an empty set whose queues share dim and capacity;
+// route names the queue each added point joins.
+func NewQueueSet(dim, capacity int, route func(Point) string) *QueueSet {
+	return &QueueSet{dim: dim, cap: capacity, route: route, queues: make(map[string]*FarthestPoint)}
 }
 
 // SetWorkers sets the rank-update fan-out (0 = GOMAXPROCS) on all current
@@ -718,15 +685,17 @@ func (q *QueueSet) SetTelemetry(tel *telemetry.Telemetry) {
 	q.mu.Unlock()
 }
 
-// Add routes a candidate to the named queue, creating it on first use.
-func (q *QueueSet) Add(queue string, p Point) error {
+// Add implements Selector: it routes a candidate to its queue, creating the
+// queue on first use. A point the queue would refuse creates no queue.
+func (q *QueueSet) Add(p Point) error {
+	if err := checkPoint(p, q.dim); err != nil {
+		return err
+	}
+	queue := q.route(p)
 	q.mu.Lock()
 	fp, ok := q.queues[queue]
 	if !ok {
 		fp = NewFarthestPoint(q.dim, q.cap)
-		if q.noJournal {
-			fp.DisableJournal()
-		}
 		fp.SetWorkers(q.workers)
 		fp.SetTelemetry(q.tel)
 		q.queues[queue] = fp
@@ -735,17 +704,6 @@ func (q *QueueSet) Add(queue string, p Point) error {
 	}
 	q.mu.Unlock()
 	return fp.Add(p)
-}
-
-// SelectFrom selects from one queue.
-func (q *QueueSet) SelectFrom(queue string, n int) []Point {
-	q.mu.Lock()
-	fp := q.queues[queue]
-	q.mu.Unlock()
-	if fp == nil {
-		return nil
-	}
-	return fp.Select(n)
 }
 
 // snapshotQueues returns the queues in name order under one lock
@@ -761,10 +719,10 @@ func (q *QueueSet) snapshotQueues() []*FarthestPoint {
 	return fps
 }
 
-// Select round-robins one selection at a time across the queues (sorted by
-// name for determinism) until n points are gathered or all queues drain.
-// The queue list is snapshotted once; queues created during the pass join
-// the next Select call.
+// Select implements Selector: it round-robins one selection at a time across
+// the queues (sorted by name for determinism) until n points are gathered or
+// all queues drain. The queue list is snapshotted once; queues created during
+// the pass join the next Select call.
 func (q *QueueSet) Select(n int) []Point {
 	fps := q.snapshotQueues()
 	var out []Point
@@ -786,15 +744,7 @@ func (q *QueueSet) Select(n int) []Point {
 	return out
 }
 
-// Update refreshes candidate ranks in every queue; each queue's refresh is
-// itself sharded over the worker pool.
-func (q *QueueSet) Update() {
-	for _, fp := range q.snapshotQueues() {
-		fp.Update()
-	}
-}
-
-// Len sums candidates across queues.
+// Len implements Selector: it sums candidates across queues.
 func (q *QueueSet) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -804,50 +754,4 @@ func (q *QueueSet) Len() int {
 		total += fp.Len()
 	}
 	return total
-}
-
-// Queues returns the queue names, sorted.
-func (q *QueueSet) Queues() []string {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return append([]string(nil), q.order...)
-}
-
-// DisableJournal turns off journaling in all current and future queues.
-func (q *QueueSet) DisableJournal() {
-	q.mu.Lock()
-	q.noJournal = true
-	//lint:allow determinism -- applies the same knob to every queue; iteration order cannot affect state
-	for _, fp := range q.queues {
-		fp.DisableJournal()
-	}
-	q.mu.Unlock()
-}
-
-// AsSelector adapts the QueueSet to the Selector interface: route picks the
-// queue for each added point (the paper routes patches by protein
-// configuration), Select round-robins across queues.
-func (q *QueueSet) AsSelector(route func(Point) string) Selector {
-	return queueSelector{qs: q, route: route}
-}
-
-type queueSelector struct {
-	qs    *QueueSet
-	route func(Point) string
-}
-
-func (s queueSelector) Add(p Point) error { return s.qs.Add(s.route(p), p) }
-
-func (s queueSelector) Select(n int) []Point { return s.qs.Select(n) }
-
-func (s queueSelector) Len() int { return s.qs.Len() }
-
-// History merges the per-queue journals in sequence order within each
-// queue; cross-queue ordering is by queue name.
-func (s queueSelector) History() []Event {
-	var out []Event
-	for _, fp := range s.qs.snapshotQueues() {
-		out = append(out, fp.History()...)
-	}
-	return out
 }

@@ -24,7 +24,6 @@ func BenchmarkFPSCampaignTraffic(b *testing.B) {
 		return Point{ID: fmt.Sprintf("p%08d", i), Coords: c}
 	}
 	fp := NewFarthestPoint(dim, capacity)
-	fp.DisableJournal()
 	for i := 0; i < capacity; i++ {
 		if err := fp.Add(point(i)); err != nil {
 			b.Fatal(err)

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -42,16 +44,16 @@ func oracleDist2(q []float64, sel [][]float64) float64 {
 // oracleFPS is an executable specification of farthest-point selection: a
 // plain map of candidates, ranked from scratch on every pick by the shared
 // kernel — no caches, no heap, no dirty sets. The production engine's
-// selection sequence must match it exactly. With a capacity it also states
-// the eviction rule: once the queue reaches capacity plus the cap/16 slack,
-// rank from scratch and drop the lowest (dist², ID) down to capacity; an
-// evicted ID may be offered again.
+// selection sequence must match it exactly, and so must the set of queued
+// candidates. With a capacity it also states the eviction rule: once the
+// queue reaches capacity plus the cap/16 slack, rank from scratch and drop
+// the lowest (dist², ID) down to capacity; an evicted ID may be offered
+// again.
 type oracleFPS struct {
 	capacity int
-	coords   map[string][]float64
-	taken    map[string]bool // queued or already selected
+	coords   map[string][]float64 // the queue
+	taken    map[string]bool      // queued or already selected
 	selected [][]float64
-	events   []Event // the journal the engine must write; Seq is not compared
 }
 
 func newOracleFPS(capacity int) *oracleFPS {
@@ -64,7 +66,6 @@ func (o *oracleFPS) add(id string, c []float64) {
 	}
 	o.taken[id] = true
 	o.coords[id] = append([]float64(nil), c...)
-	o.events = append(o.events, Event{Kind: "add", ID: id})
 	if o.capacity == 0 || len(o.coords) < o.capacity+max(1, o.capacity/16) {
 		return
 	}
@@ -80,10 +81,9 @@ func (o *oracleFPS) add(id string, c []float64) {
 		}
 		return ids[i] < ids[j]
 	})
-	for _, id := range ids[:len(ids)-o.capacity] { // least novel first
+	for _, id := range ids[:len(ids)-o.capacity] {
 		delete(o.coords, id)
 		delete(o.taken, id)
-		o.events = append(o.events, Event{Kind: "evict", ID: id})
 	}
 }
 
@@ -100,9 +100,36 @@ func (o *oracleFPS) selectN(n int) []string {
 		o.selected = append(o.selected, o.coords[bestID])
 		delete(o.coords, bestID)
 		out = append(out, bestID)
-		o.events = append(o.events, Event{Kind: "select", ID: bestID})
 	}
 	return out
+}
+
+// queued returns the oracle's queued IDs, sorted.
+func (o *oracleFPS) queued() []string {
+	ids := make([]string, 0, len(o.coords))
+	for id := range o.coords {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// checkOracle asserts that f queues exactly the oracle's candidates and holds
+// exactly its IDs as taken, so an eviction that drops the wrong victim — or
+// frees the wrong ID for a re-offer — fails at the operation that made it.
+func checkOracle(t *testing.T, f *FarthestPoint, o *oracleFPS, where string) {
+	t.Helper()
+	if got, want := queuedIDs(f), o.queued(); !slices.Equal(got, want) {
+		t.Fatalf("%s: queue holds %v, oracle %v", where, got, want)
+	}
+	if len(f.dd.seen) != len(o.taken) {
+		t.Fatalf("%s: %d IDs taken, oracle %d", where, len(f.dd.seen), len(o.taken))
+	}
+	for id := range o.taken {
+		if !f.dd.seen[id] {
+			t.Fatalf("%s: %s is free, oracle has it taken", where, id)
+		}
+	}
 }
 
 // checkHeap asserts the index heap's invariants: h and heapPos are inverse
@@ -133,10 +160,10 @@ func checkHeap(t *testing.T, f *FarthestPoint) {
 
 // TestPropertyFPSMatchesOracle fuzzes the full engine — dirty-set refresh,
 // lazy heap, eager fallback, batched eviction — against the from-scratch
-// oracle: the whole journal (adds, selections, and evictions in
-// least-novel-first order) must match, unbounded and at capacities small
-// enough that the victim set decides what is left to select, and the heap
-// invariants must hold after every operation. The clustered case draws every
+// oracle: every selection, and after every operation the queued and taken
+// IDs, must match, unbounded and at capacities small enough that the victim
+// set decides what is left to select, and the heap invariants must hold
+// after every operation. The clustered case draws every
 // point within 1e-3 of one of three far-apart centres, so after three picks
 // each selection sits a tiny gap from an earlier one and far from the rest —
 // the traffic the removed triangle-inequality prune skipped rows on,
@@ -197,6 +224,7 @@ func testFPSMatchesOracle(t *testing.T, dim, capacity int, draw func(*rand.Rand,
 					}
 					oracle.add(id, c)
 					checkHeap(t, fp)
+					checkOracle(t, fp, oracle, fmt.Sprintf("cap %d seed %d op %d add %s", capacity, seed, op, id))
 				}
 			case 2: // off-path refresh must never change what gets selected
 				fp.Update()
@@ -215,30 +243,21 @@ func testFPSMatchesOracle(t *testing.T, dim, capacity int, draw func(*rand.Rand,
 				}
 			}
 			checkHeap(t, fp)
-			journal := fp.History()
-			if len(journal) != len(oracle.events) {
-				t.Fatalf("cap %d seed %d op %d: journal holds %d events, oracle %d",
-					capacity, seed, op, len(journal), len(oracle.events))
-			}
-			for i, e := range oracle.events {
-				if journal[i].Kind != e.Kind || journal[i].ID != e.ID {
-					t.Fatalf("cap %d seed %d op %d: journal[%d] = %s %s, oracle %s %s",
-						capacity, seed, op, i, journal[i].Kind, journal[i].ID, e.Kind, e.ID)
-				}
-			}
+			checkOracle(t, fp, oracle, fmt.Sprintf("cap %d seed %d op %d", capacity, seed, op))
 		}
 	}
 }
 
 // TestFPSUpdatePlacementInvariant pins that the dirty-set refresh is
 // behavior-neutral: running the same capped Add/Select scenario with extra
-// Update calls injected at arbitrary points must produce an identical
-// journal (selections AND evictions) — refresh timing can change how much
-// work happens, never what is chosen.
+// Update calls injected at arbitrary points must produce identical
+// selections and, after every operation, identical queues — refresh timing
+// can change how much work happens, never what is chosen or evicted.
 func TestFPSUpdatePlacementInvariant(t *testing.T) {
-	run := func(seed int64, updateMask int64) []Event {
+	run := func(seed int64, updateMask int64) [][]string {
 		rng := rand.New(rand.NewSource(seed))
 		fp := NewFarthestPoint(3, 64) // small cap: evictions fire constantly
+		var trace [][]string          // per operation: the selections, then the queue
 		next := 0
 		for op := 0; op < 50; op++ {
 			if updateMask&(1<<uint(op%63)) != 0 {
@@ -256,23 +275,23 @@ func TestFPSUpdatePlacementInvariant(t *testing.T) {
 					next++
 				}
 			case 2:
-				fp.Select(1 + rng.Intn(3))
+				trace = append(trace, idsOf(fp.Select(1+rng.Intn(3))))
 				checkHeap(t, fp)
 			}
+			trace = append(trace, queuedIDs(fp))
 		}
-		return fp.History()
+		return trace
 	}
 	for seed := int64(1); seed <= 10; seed++ {
 		base := run(seed, 0)
 		for _, mask := range []int64{^int64(0), 0x5555555555555555, 1 << 7} {
 			got := run(seed, mask)
 			if len(got) != len(base) {
-				t.Fatalf("seed %d mask %x: journal length %d vs %d", seed, mask, len(got), len(base))
+				t.Fatalf("seed %d mask %x: %d trace entries vs %d", seed, mask, len(got), len(base))
 			}
 			for i := range got {
-				if got[i].Kind != base[i].Kind || got[i].ID != base[i].ID {
-					t.Fatalf("seed %d mask %x: journal[%d] = %s %s, want %s %s",
-						seed, mask, i, got[i].Kind, got[i].ID, base[i].Kind, base[i].ID)
+				if !reflect.DeepEqual(got[i], base[i]) {
+					t.Fatalf("seed %d mask %x: trace[%d] = %v, want %v", seed, mask, i, got[i], base[i])
 				}
 			}
 		}
@@ -293,7 +312,6 @@ func TestFPSEvictionAllocatesNoSlices(t *testing.T) {
 	}
 	fp := NewFarthestPoint(3, capacity)
 	fp.SetWorkers(1)
-	fp.DisableJournal()
 	add := func(ps []Point) {
 		for _, p := range ps {
 			if err := fp.Add(p); err != nil {
@@ -305,12 +323,12 @@ func TestFPSEvictionAllocatesNoSlices(t *testing.T) {
 	fp.Select(8)
 	warm := capacity + 4*slack // four evictions grow the scratch
 	add(pts[capacity:warm])
-	seq := fp.journal.seq // advances per add and per victim, journal off or on
+	queued := fp.Len()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	add(pts[warm:])
 	runtime.ReadMemStats(&after)
-	if victims := fp.journal.seq - seq - int64(len(pts)-warm); victims != evictions*int64(slack) {
+	if victims := len(pts) - warm - (fp.Len() - queued); victims != evictions*slack {
 		t.Fatalf("measured adds evicted %d, want %d evictions of %d", victims, evictions, slack)
 	}
 	// The rank refresh's parallel.For costs two closures a call; a victim

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -14,16 +16,16 @@ import (
 
 // The determinism contract of the parallel selector engine: for ANY worker
 // count, interleaved Add/Update/Select traffic produces the identical
-// selection sequence, eviction set, and journal as the serial (workers=1)
-// path. Every §5 replay figure depends on this. The tests in this file run
+// selection sequence and queue after every operation as the serial
+// (workers=1) path. Every §5 replay figure depends on this. The tests in this file run
 // the same randomized scenario at workers 1, 2, 3, 7, and GOMAXPROCS and
 // require bit-identical outcomes; `go test -race ./internal/dynim/...`
 // additionally proves the sharded refresh is data-race-free.
 
 // fpScenario drives one randomized Add/Update/Select workload against a
-// sampler with the given worker count and returns the full journal plus the
-// selection sequence.
-func fpScenario(seed int64, capacity, workers int) (events []Event, selections []string) {
+// sampler with the given worker count and returns the queue, in slot order,
+// after every operation, plus the selection sequence.
+func fpScenario(seed int64, capacity, workers int) (queues [][]string, selections []string) {
 	rng := rand.New(rand.NewSource(seed))
 	fp := NewFarthestPoint(3, capacity)
 	fp.SetWorkers(workers)
@@ -45,11 +47,12 @@ func fpScenario(seed int64, capacity, workers int) (events []Event, selections [
 				selections = append(selections, p.ID)
 			}
 		}
+		queues = append(queues, slices.Clone(fp.ids))
 	}
 	for _, p := range fp.Select(10) {
 		selections = append(selections, p.ID)
 	}
-	return fp.History(), selections
+	return queues, selections
 }
 
 func equivWorkerCounts() []int {
@@ -66,15 +69,15 @@ func testPropertyParallelSelectionMatchesSerial(t *testing.T) {
 		if cappedQueue {
 			capacity = 48 // forces eviction batches through the heap path
 		}
-		refEvents, refSel := fpScenario(seed, capacity, 1)
+		refQueues, refSel := fpScenario(seed, capacity, 1)
 		for _, workers := range equivWorkerCounts()[1:] {
-			events, sel := fpScenario(seed, capacity, workers)
+			queues, sel := fpScenario(seed, capacity, workers)
 			if !reflect.DeepEqual(sel, refSel) {
 				t.Logf("seed %d workers %d: selection sequence diverged", seed, workers)
 				return false
 			}
-			if !reflect.DeepEqual(events, refEvents) {
-				t.Logf("seed %d workers %d: journal diverged", seed, workers)
+			if !reflect.DeepEqual(queues, refQueues) {
+				t.Logf("seed %d workers %d: queue diverged", seed, workers)
 				return false
 			}
 		}
@@ -100,7 +103,6 @@ func testParallelSelectionMatchesSerialAtScale(t *testing.T) {
 		rng := rand.New(rand.NewSource(99))
 		fp := NewFarthestPoint(9, 0)
 		fp.SetWorkers(workers)
-		fp.DisableJournal()
 		for i := 0; i < fpsMinWork; i++ {
 			c := make([]float64, 9)
 			for j := range c {
@@ -126,11 +128,10 @@ func testParallelSelectionMatchesSerialAtScale(t *testing.T) {
 }
 
 // campaignRun is what TestCampaignTrafficMatchesSerial compares across
-// worker counts: the journal, the selections, and the candidate store with
-// its rank caches after a final Update.
+// worker counts: the selections, and the candidate store with its rank
+// caches after a final Update.
 type campaignRun struct {
-	events   []Event
-	selected []Point
+	selected []string
 	ids      []string
 	dist2    []uint64 // math.Float64bits, so the comparison is bitwise
 	seenSel  []int32
@@ -139,7 +140,7 @@ type campaignRun struct {
 // TestCampaignTrafficMatchesSerial drives the traffic the replay-paper
 // ledger shows for a patch queue — a capped queue, 158 offers per
 // Select(1), the batched eviction firing about once a pick — and requires
-// the same journal, selections and, after Update, bit-identical rank caches
+// the same selections, queue and, after Update, bit-identical rank caches
 // for every worker count. It is long enough that the arrival fan-out
 // splits: 158 arrivals against more than 2·fpsMinWork/158 selections.
 func TestCampaignTrafficMatchesSerial(t *testing.T) {
@@ -152,6 +153,7 @@ func testCampaignTrafficMatchesSerial(t *testing.T) {
 		rng := rand.New(rand.NewSource(17))
 		fp := NewFarthestPoint(dim, capacity)
 		fp.SetWorkers(workers)
+		var r campaignRun
 		next := 0
 		for pick := 0; pick < picks; pick++ {
 			for i := 0; i < addsPerSelect; i++ {
@@ -164,12 +166,14 @@ func testCampaignTrafficMatchesSerial(t *testing.T) {
 				}
 				next++
 			}
-			if len(fp.Select(1)) != 1 {
+			got := fp.Select(1)
+			if len(got) != 1 {
 				t.Fatal("empty selection")
 			}
+			r.selected = append(r.selected, got[0].ID)
 		}
 		fp.Update()
-		r := campaignRun{events: fp.History(), selected: fp.Selected(), ids: fp.ids, seenSel: fp.seenSel}
+		r.ids, r.seenSel = fp.ids, fp.seenSel
 		for _, d := range fp.dist2 {
 			r.dist2 = append(r.dist2, math.Float64bits(d))
 		}
@@ -179,17 +183,13 @@ func testCampaignTrafficMatchesSerial(t *testing.T) {
 	if parallel.Chunks(addsPerSelect, 2, minChunk(len(ref.selected))) < 2 {
 		t.Fatalf("arrival fan-out never splits: %d selections", len(ref.selected))
 	}
-	evicted := false
-	for _, e := range ref.events {
-		evicted = evicted || e.Kind == "evict"
-	}
-	if !evicted {
+	if len(ref.ids) == picks*addsPerSelect-picks {
 		t.Fatal("eviction never fired")
 	}
 	for _, workers := range equivWorkerCounts()[1:] {
 		if got := run(workers); !reflect.DeepEqual(got, ref) {
-			t.Errorf("workers=%d: journal %v, selections %v, store %v, dist2 %v, seenSel %v (true = same as serial)",
-				workers, reflect.DeepEqual(got.events, ref.events), reflect.DeepEqual(got.selected, ref.selected),
+			t.Errorf("workers=%d: selections %v, store %v, dist2 %v, seenSel %v (true = same as serial)",
+				workers, reflect.DeepEqual(got.selected, ref.selected),
 				reflect.DeepEqual(got.ids, ref.ids), reflect.DeepEqual(got.dist2, ref.dist2),
 				reflect.DeepEqual(got.seenSel, ref.seenSel))
 		}
@@ -236,18 +236,20 @@ func testQueueSetParallelMatchesSerial(t *testing.T) {
 	// QueueSet-wide updates and round-robin selection under the worker knob.
 	run := func(workers int) []string {
 		rng := rand.New(rand.NewSource(7))
-		qs := NewQueueSet(3, 64)
+		qs := NewQueueSet(3, 64, func(p Point) string { return p.ID[:strings.IndexByte(p.ID, '/')] })
 		qs.SetWorkers(workers)
 		queues := []string{"ras-a", "ras-b", "ras-raf"}
 		var out []string
 		for round := 0; round < 8; round++ {
 			for i := 0; i < 120; i++ {
-				qs.Add(queues[rng.Intn(len(queues))], Point{
-					ID:     fmt.Sprintf("r%dp%03d", round, i),
+				qs.Add(Point{
+					ID:     fmt.Sprintf("%s/r%dp%03d", queues[rng.Intn(len(queues))], round, i),
 					Coords: []float64{rng.Float64(), rng.Float64(), rng.Float64()},
 				})
 			}
-			qs.Update()
+			for _, fp := range qs.snapshotQueues() {
+				fp.Update()
+			}
 			out = append(out, idsOf(qs.Select(9))...)
 		}
 		return out
@@ -278,7 +280,6 @@ func BenchmarkFPSSelectBurst(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		fp := NewFarthestPoint(9, 0)
-		fp.DisableJournal()
 		for _, p := range pts {
 			if err := fp.Add(p); err != nil {
 				b.Fatal(err)

@@ -56,9 +56,6 @@ func NewAAToCG(cfg AAConfig) (*AAToCG, error) {
 	return &AAToCG{cfg: cfg}, nil
 }
 
-// Name implements Manager.
-func (f *AAToCG) Name() string { return "aa-to-cg" }
-
 // Version returns the current CG parameter version.
 func (f *AAToCG) Version() int {
 	f.mu.Lock()

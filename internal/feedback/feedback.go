@@ -51,8 +51,6 @@ func (r Report) String() string {
 type Manager interface {
 	// Iterate performs one feedback pass over all unprocessed data.
 	Iterate() (Report, error)
-	// Name labels the feedback type in logs and profiles.
-	Name() string
 }
 
 // Pass is the one feedback iteration every Manager runs: scan newNS (sorted,
@@ -141,9 +139,6 @@ func NewCGToContinuum(cfg CGConfig) (*CGToContinuum, error) {
 	}
 	return f, nil
 }
-
-// Name implements Manager.
-func (f *CGToContinuum) Name() string { return "cg-to-continuum" }
 
 // TotalFrames returns the cumulative number of frames aggregated.
 func (f *CGToContinuum) TotalFrames() int64 {

@@ -96,8 +96,7 @@ func TestThreeScalePipelineOverKVStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	patchQueues := dynim.NewQueueSet(9, 500)
-	patchSel := patchQueues.AsSelector(func(p dynim.Point) string { return "all" })
+	patchSel := dynim.NewQueueSet(9, 500, func(dynim.Point) string { return "all" })
 	frameEnc := mlenc.DefaultFrameEncoder()
 	frameSel, err := dynim.NewBinned([]dynim.BinDim{
 		{Lo: 0, Hi: 1, Bins: 8}, {Lo: 0, Hi: 1, Bins: 8}, {Lo: 0, Hi: 1, Bins: 8}}, 0.8, 4)

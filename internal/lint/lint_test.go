@@ -324,14 +324,10 @@ var reachAllow = map[string]string{
 	"internal/npy.NewFloat32":                  "A checkpoint is bytes, not text",
 }
 
-// TestEveryExportIsReached holds the module's surface to what its programs
-// use: every exported package-level func, type, var and const of a
-// non-main package must be referenced from some non-test file (its own
-// package's included), or sit in reachAllow. A name only tests reach is
-// code kept alive by its own test suite. internal/datastore/dstest is the
-// shared test harness and is exempt, as scripts/ci.sh's importer check
-// exempts it.
-func TestEveryExportIsReached(t *testing.T) {
+// loadUses type-checks the module's non-test files and returns every object
+// they reference.
+func loadUses(t *testing.T) (*Module, map[types.Object]bool) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped with -short")
 	}
@@ -345,6 +341,18 @@ func TestEveryExportIsReached(t *testing.T) {
 			used[obj] = true
 		}
 	}
+	return mod, used
+}
+
+// TestEveryExportIsReached holds the module's surface to what its programs
+// use: every exported package-level func, type, var and const of a
+// non-main package must be referenced from some non-test file (its own
+// package's included), or sit in reachAllow. A name only tests reach is
+// code kept alive by its own test suite. internal/datastore/dstest is the
+// shared test harness and is exempt, as scripts/ci.sh's importer check
+// exempts it.
+func TestEveryExportIsReached(t *testing.T) {
+	mod, used := loadUses(t)
 	seen := map[string]bool{}
 	for _, p := range mod.Pkgs {
 		rel := strings.TrimPrefix(p.ImportPath, mod.Path+"/")
@@ -371,6 +379,38 @@ func TestEveryExportIsReached(t *testing.T) {
 	for key, item := range reachAllow {
 		if !seen[key] {
 			t.Errorf("reachAllow names %s (ROADMAP %q), which is no longer declared", key, item)
+		}
+	}
+}
+
+// TestEveryInterfaceMethodIsCalled holds every interface to what its callers
+// use: each method of a package-level interface type in a non-main package
+// must be called through the interface from some non-test file. A method
+// nothing calls that way is an obligation every implementation carries for
+// no caller; delete it from the interface and from its implementations.
+// internal/datastore/dstest is exempt, as in TestEveryExportIsReached.
+func TestEveryInterfaceMethodIsCalled(t *testing.T) {
+	mod, used := loadUses(t)
+	for _, p := range mod.Pkgs {
+		rel := strings.TrimPrefix(p.ImportPath, mod.Path+"/")
+		if p.Types.Name() == "main" || rel == "internal/datastore/dstest" {
+			continue
+		}
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			iface, ok := tn.Type().Underlying().(*types.Interface)
+			if !ok {
+				continue
+			}
+			for i := 0; i < iface.NumExplicitMethods(); i++ {
+				if m := iface.ExplicitMethod(i); !used[m] {
+					t.Errorf("%s.%s.%s: no non-test file calls it through the interface", rel, name, m.Name())
+				}
+			}
 		}
 	}
 }

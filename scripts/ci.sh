@@ -226,6 +226,35 @@ rm "$tmpdir/smoke.tar.tari"
 "$tmpdir/taridx" get "$tmpdir/smoke.tar" blob >"$tmpdir/taridx-out"
 cmp "$tmpdir/taridx-in" "$tmpdir/taridx-out"
 
+# kvstore CLI smoke: serve on a free port (the first line of output names
+# it), then set, get, keys and del one key against it; a get of the deleted
+# key must fail. SIGINT must stop the server with a zero exit.
+go build -o "$tmpdir/kvstore" ./cmd/kvstore
+"$tmpdir/kvstore" serve -addr 127.0.0.1:0 >"$tmpdir/kv-serve.out" &
+kvpid=$!
+trap 'kill "$kvpid"; rm -rf "$tmpdir"' EXIT
+for _ in $(seq 100); do
+	test -s "$tmpdir/kv-serve.out" && break
+	sleep 0.1
+done
+kvaddr=$(sed -n '1s/^kvstore listening on //p' "$tmpdir/kv-serve.out")
+kv() {
+	kvcmd=$1
+	shift
+	"$tmpdir/kvstore" "$kvcmd" -addr "$kvaddr" "$@"
+}
+kv set fb:k1 hello
+test "$(kv get fb:k1)" = hello
+test "$(kv keys 'fb:*')" = fb:k1
+test "$(kv del fb:k1)" = 1
+if kv get fb:k1; then
+	echo "ci: kvstore get of a deleted key succeeded" >&2
+	exit 1
+fi
+kill -INT "$kvpid"
+wait "$kvpid"
+trap 'rm -rf "$tmpdir"' EXIT
+
 # Examples smoke: each examples/ program must run to a zero exit. Their
 # output is not compared — they print wall times — but a removal that
 # breaks one at run time fails here, not only one that breaks its build.
