@@ -12,7 +12,6 @@ package core
 
 import (
 	"container/heap"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -116,16 +115,16 @@ type Config struct {
 
 // CouplingStats reports one coupling's live state.
 type CouplingStats struct {
-	Name          string `json:"name"`
-	Candidates    int    `json:"candidates"`
-	Ready         int    `json:"ready"`
-	InSetup       int    `json:"in_setup"`
-	Running       int    `json:"running"`
-	Launched      int    `json:"launched"`
-	CompletedSims int    `json:"completed_sims"`
-	FailedSims    int    `json:"failed_sims"`
-	FailedSetups  int    `json:"failed_setups"`
-	FeedbackRuns  int    `json:"feedback_runs"`
+	Name          string
+	Candidates    int
+	Ready         int
+	InSetup       int
+	Running       int
+	Launched      int
+	CompletedSims int
+	FailedSims    int
+	FailedSetups  int
+	FeedbackRuns  int
 }
 
 // watchdogMaxKills caps watchdog kills per configuration so one
@@ -721,74 +720,9 @@ func (w *Workflow) couplingStatsLocked(cs *couplingState) CouplingStats {
 	}
 }
 
-// ---------------------------------------------------------------------------
 // Checkpoint / restore (§4.4 resilience: "can be restored completely after
-// any such crash without much loss of data"). docs/RESILIENCE.md
-// "Checkpoint record" is the format's specification.
-
-// CouplingCheckpoint is one coupling's recoverable state: exactly what a
-// restore reads. Selectors are not in it — they are campaign state that
-// outlives any manager.
-type CouplingCheckpoint struct {
-	Name string `json:"name"`
-	// Ready holds prepared configurations. RunningSims holds configurations
-	// whose simulation was live at checkpoint time — on restore they return
-	// to the front of the ready queue and resume without a new setup
-	// (simulations restart from their own checkpoints in the real system).
-	// InSetup holds configurations whose setup job was live or owed — their
-	// setup re-runs; the selection stands.
-	Ready       []dynim.Point `json:"ready"`
-	RunningSims []dynim.Point `json:"running_sims"`
-	InSetup     []dynim.Point `json:"in_setup"`
-	Launched    int           `json:"launched"`
-	Completed   int           `json:"completed"`
-}
-
-// Selections counts the selected configurations the record holds — what a
-// restore must account for as ready or in setup.
-func (c CouplingCheckpoint) Selections() int {
-	return len(c.Ready) + len(c.RunningSims) + len(c.InSetup)
-}
-
-// Stats reports the record's counts for a coupling no manager owns (the
-// fleet's orphan window): running simulations count as ready, matching
-// what a restore yields; Launched is the count as recorded.
-func (c CouplingCheckpoint) Stats() CouplingStats {
-	return CouplingStats{
-		Name:          c.Name,
-		Ready:         len(c.Ready) + len(c.RunningSims),
-		InSetup:       len(c.InSetup),
-		Launched:      c.Launched,
-		CompletedSims: c.Completed,
-	}
-}
-
-// checkpoint is the one document shape: a WM checkpoint lists every
-// coupling, a fleet store record lists one.
-type checkpoint struct {
-	Couplings []CouplingCheckpoint `json:"couplings"`
-}
-
-// EncodeCheckpoint serializes coupling records as one checkpoint document.
-// Bytes exist only where the modelled system has a process boundary:
-// allocation end to the next allocation, a crashed manager to its
-// replacement, a fleet flush through the store to an adopter.
-func EncodeCheckpoint(couplings ...CouplingCheckpoint) ([]byte, error) {
-	return json.Marshal(checkpoint{Couplings: couplings})
-}
-
-// DecodeCheckpoint parses a checkpoint document into its coupling records
-// (at least one).
-func DecodeCheckpoint(data []byte) ([]CouplingCheckpoint, error) {
-	var ck checkpoint
-	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, fmt.Errorf("core: corrupt checkpoint: %w", err)
-	}
-	if len(ck.Couplings) == 0 {
-		return nil, errors.New("core: corrupt checkpoint: no couplings")
-	}
-	return ck.Couplings, nil
-}
+// any such crash without much loss of data"). The record and its codec
+// are in checkpoint.go.
 
 // sortedJobIDsLocked returns the live job IDs in ascending order — the
 // only sanctioned way to sweep w.jobs (the determinism analyzer rejects a

@@ -28,7 +28,7 @@ type rig struct {
 	cond *maestro.Conductor
 }
 
-func newRig(t *testing.T, nodes int) *rig {
+func newRig(t testing.TB, nodes int) *rig {
 	t.Helper()
 	clk := vclock.NewVirtual(epoch)
 	m, err := cluster.New(cluster.Summit(nodes))
@@ -322,24 +322,27 @@ func TestRestoreErrors(t *testing.T) {
 	w, _ := New(Config{Clock: r.clk, Conductor: r.cond,
 		Couplings: []CouplingSpec{cgCoupling(dynim.NewFarthestPoint(1, 0), 1, 1)}})
 	for _, tc := range []struct {
-		doc, want string
-		decodes   bool
+		name    string
+		doc     []byte
+		want    string
+		decodes bool
 	}{
-		{doc: "junk", want: "core: corrupt checkpoint: invalid character"},
-		{doc: `{"couplings":[]}`, want: "core: corrupt checkpoint: no couplings"},
-		{doc: `{}`, want: "core: corrupt checkpoint: no couplings"},
-		{doc: `{"couplings":[{"name":"ghost"}]}`, want: `core: checkpoint has unknown coupling "ghost"`, decodes: true},
+		{name: "junk", doc: []byte("junk"), want: "core: corrupt checkpoint: no version-1 header"},
+		{name: "header only", doc: []byte(checkpointMagic), want: "core: corrupt checkpoint: bad coupling count"},
+		{name: "no couplings", doc: mustEncode(t), want: "core: corrupt checkpoint: no couplings"},
+		{name: "ghost", doc: mustEncode(t, CouplingCheckpoint{Name: "ghost"}),
+			want: `core: checkpoint has unknown coupling "ghost"`, decodes: true},
 	} {
-		_, err := DecodeCheckpoint([]byte(tc.doc))
+		_, err := DecodeCheckpoint(tc.doc)
 		if tc.decodes != (err == nil) || (err != nil && !strings.HasPrefix(err.Error(), tc.want)) {
-			t.Errorf("DecodeCheckpoint(%s) = %v, want %q", tc.doc, err, tc.want)
+			t.Errorf("DecodeCheckpoint(%s) = %v, want %q", tc.name, err, tc.want)
 		}
-		if err := w.RestoreState([]byte(tc.doc)); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
-			t.Errorf("RestoreState(%s) = %v, want %q", tc.doc, err, tc.want)
+		if err := w.RestoreState(tc.doc); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("RestoreState(%s) = %v, want %q", tc.name, err, tc.want)
 		}
 	}
 	w.Start()
-	err := w.RestoreState([]byte(`{"couplings":[{"name":"continuum-to-cg"}]}`))
+	err := w.RestoreState(mustEncode(t, CouplingCheckpoint{Name: "continuum-to-cg"}))
 	if err == nil || err.Error() != "core: restore must precede Start" {
 		t.Errorf("restore after Start = %v", err)
 	}

@@ -33,8 +33,8 @@ import (
 // Point is one selection candidate: an application object (patch, CG frame)
 // reduced to a coordinate vector by some encoder.
 type Point struct {
-	ID     string    `json:"id"`
-	Coords []float64 `json:"coords"`
+	ID     string
+	Coords []float64
 }
 
 // checkPoint is both samplers' admission check: dim coordinates, all finite.

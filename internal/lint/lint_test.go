@@ -319,9 +319,6 @@ var reachAllow = map[string]string{
 	"internal/feedback.NewAAToCG":              "Wire it or delete it",
 	"internal/feedback.ExecProcessor":          "Wire it or delete it",
 	"internal/sim.NewAASim":                    "Wire it or delete it",
-	"internal/npy.Marshal":                     "A checkpoint is bytes, not text",
-	"internal/npy.NewFloat64":                  "A checkpoint is bytes, not text",
-	"internal/npy.NewFloat32":                  "A checkpoint is bytes, not text",
 }
 
 // loadUses type-checks the module's non-test files and returns every object

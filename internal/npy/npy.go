@@ -13,11 +13,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"reflect"
 	"strconv"
 	"strings"
 )
 
 var magic = []byte("\x93NUMPY")
+
+// dtypeSize is the element size of each supported little-endian dtype.
+var dtypeSize = map[string]int{"<f4": 4, "<f8": 8, "<i4": 4, "<i8": 8}
 
 // Array is an n-dimensional array with a concrete element slice.
 // Data must be one of []float32, []float64, []int32, []int64, with
@@ -29,15 +34,6 @@ type Array struct {
 
 // NewFloat64 builds a float64 Array, validating the shape/data agreement.
 func NewFloat64(shape []int, data []float64) (*Array, error) {
-	a := &Array{Shape: shape, Data: data}
-	if err := a.validate(); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// NewFloat32 builds a float32 Array.
-func NewFloat32(shape []int, data []float32) (*Array, error) {
 	a := &Array{Shape: shape, Data: data}
 	if err := a.validate(); err != nil {
 		return nil, err
@@ -108,18 +104,7 @@ func (a *Array) validate() error {
 			return fmt.Errorf("npy: negative dimension %d", s)
 		}
 	}
-	var n int
-	switch d := a.Data.(type) {
-	case []float32:
-		n = len(d)
-	case []float64:
-		n = len(d)
-	case []int32:
-		n = len(d)
-	case []int64:
-		n = len(d)
-	}
-	if n != a.Len() {
+	if n := reflect.ValueOf(a.Data).Len(); n != a.Len() {
 		return fmt.Errorf("npy: shape %v implies %d elements, data has %d", a.Shape, a.Len(), n)
 	}
 	return nil
@@ -127,12 +112,22 @@ func (a *Array) validate() error {
 
 // Write encodes the array to w in .npy v1.0 format.
 func Write(w io.Writer, a *Array) error {
-	if err := a.validate(); err != nil {
-		return err
-	}
-	descr, _, err := a.descrAndSize()
+	b, err := Marshal(a)
 	if err != nil {
 		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// Marshal encodes the array to a byte slice in .npy v1.0 format.
+func Marshal(a *Array) ([]byte, error) {
+	if err := a.validate(); err != nil {
+		return nil, err
+	}
+	descr, size, err := a.descrAndSize()
+	if err != nil {
+		return nil, err
 	}
 	shape := make([]string, len(a.Shape))
 	for i, s := range a.Shape {
@@ -150,107 +145,106 @@ func Write(w io.Writer, a *Array) error {
 	pad := (64 - total%64) % 64
 	header += strings.Repeat(" ", pad) + "\n"
 	if len(header) > 0xFFFF {
-		return errors.New("npy: header too large for v1.0")
+		return nil, errors.New("npy: header too large for v1.0")
 	}
-	if _, err := w.Write(magic); err != nil {
-		return err
-	}
-	if _, err := w.Write([]byte{1, 0}); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint16(len(header))); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, header); err != nil {
-		return err
-	}
+	le := binary.LittleEndian
+	out := make([]byte, 0, pre+len(header)+a.Len()*size)
+	out = append(append(out, magic...), 1, 0)
+	out = append(le.AppendUint16(out, uint16(len(header))), header...)
 	switch d := a.Data.(type) {
 	case []float32:
-		return binary.Write(w, binary.LittleEndian, d)
+		for _, v := range d {
+			out = le.AppendUint32(out, math.Float32bits(v))
+		}
 	case []float64:
-		return binary.Write(w, binary.LittleEndian, d)
+		for _, v := range d {
+			out = le.AppendUint64(out, math.Float64bits(v))
+		}
 	case []int32:
-		return binary.Write(w, binary.LittleEndian, d)
+		for _, v := range d {
+			out = le.AppendUint32(out, uint32(v))
+		}
 	case []int64:
-		return binary.Write(w, binary.LittleEndian, d)
+		for _, v := range d {
+			out = le.AppendUint64(out, uint64(v))
+		}
 	}
-	return nil
+	return out, nil
 }
 
-// Marshal encodes the array to a byte slice.
-func Marshal(a *Array) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := Write(&buf, a); err != nil {
-		return nil, err
+// Unmarshal decodes one .npy array that fills b exactly. Every size the
+// header claims is checked against the bytes that follow it before
+// anything is allocated, so a corrupt header is an error, not a crash.
+func Unmarshal(b []byte) (*Array, error) {
+	pre := len(magic) + 2 + 2
+	if len(b) < pre {
+		return nil, fmt.Errorf("npy: short header: %d bytes", len(b))
 	}
-	return buf.Bytes(), nil
-}
-
-// Read decodes one .npy array from r.
-func Read(r io.Reader) (*Array, error) {
-	head := make([]byte, len(magic)+2+2)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, fmt.Errorf("npy: short header: %w", err)
-	}
-	if !bytes.Equal(head[:len(magic)], magic) {
+	if !bytes.Equal(b[:len(magic)], magic) {
 		return nil, errors.New("npy: bad magic")
 	}
-	if head[6] != 1 || head[7] != 0 {
-		return nil, fmt.Errorf("npy: unsupported version %d.%d", head[6], head[7])
+	if b[6] != 1 || b[7] != 0 {
+		return nil, fmt.Errorf("npy: unsupported version %d.%d", b[6], b[7])
 	}
-	hlen := int(binary.LittleEndian.Uint16(head[8:10]))
-	hdr := make([]byte, hlen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("npy: short header dict: %w", err)
+	le := binary.LittleEndian
+	hlen := int(le.Uint16(b[8:10]))
+	if len(b)-pre < hlen {
+		return nil, fmt.Errorf("npy: short header dict: %d of %d bytes", len(b)-pre, hlen)
 	}
-	descr, fortran, shape, err := parseHeader(string(hdr))
+	descr, fortran, shape, err := parseHeader(string(b[pre : pre+hlen]))
 	if err != nil {
 		return nil, err
 	}
 	if fortran {
 		return nil, errors.New("npy: fortran_order arrays not supported")
 	}
+	size, ok := dtypeSize[descr]
+	if !ok {
+		return nil, fmt.Errorf("npy: unsupported dtype %q", descr)
+	}
 	n := 1
 	for _, s := range shape {
 		if s < 0 {
 			return nil, fmt.Errorf("npy: negative dimension %d", s)
 		}
+		if s > 0 && n > math.MaxInt/s {
+			return nil, fmt.Errorf("npy: shape %v overflows int", shape)
+		}
 		n *= s
+	}
+	body := b[pre+hlen:]
+	if n > len(body)/size || n*size != len(body) {
+		return nil, fmt.Errorf("npy: shape %v of %s does not fill the %d data bytes", shape, descr, len(body))
 	}
 	a := &Array{Shape: shape}
 	switch descr {
 	case "<f4":
 		d := make([]float32, n)
-		if err := binary.Read(r, binary.LittleEndian, d); err != nil {
-			return nil, fmt.Errorf("npy: short data: %w", err)
+		for i := range d {
+			d[i] = math.Float32frombits(le.Uint32(body[4*i:]))
 		}
 		a.Data = d
 	case "<f8":
 		d := make([]float64, n)
-		if err := binary.Read(r, binary.LittleEndian, d); err != nil {
-			return nil, fmt.Errorf("npy: short data: %w", err)
+		for i := range d {
+			d[i] = math.Float64frombits(le.Uint64(body[8*i:]))
 		}
 		a.Data = d
 	case "<i4":
 		d := make([]int32, n)
-		if err := binary.Read(r, binary.LittleEndian, d); err != nil {
-			return nil, fmt.Errorf("npy: short data: %w", err)
-		}
-		a.Data = d
-	case "<i8":
-		d := make([]int64, n)
-		if err := binary.Read(r, binary.LittleEndian, d); err != nil {
-			return nil, fmt.Errorf("npy: short data: %w", err)
+		for i := range d {
+			d[i] = int32(le.Uint32(body[4*i:]))
 		}
 		a.Data = d
 	default:
-		return nil, fmt.Errorf("npy: unsupported dtype %q", descr)
+		d := make([]int64, n)
+		for i := range d {
+			d[i] = int64(le.Uint64(body[8*i:]))
+		}
+		a.Data = d
 	}
 	return a, nil
 }
-
-// Unmarshal decodes one .npy array from a byte slice.
-func Unmarshal(b []byte) (*Array, error) { return Read(bytes.NewReader(b)) }
 
 // parseHeader parses the python-dict-literal header numpy writes. It
 // tolerates arbitrary key order and whitespace but not nested structures

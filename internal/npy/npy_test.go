@@ -38,11 +38,7 @@ func TestRoundTrip2DFloat32(t *testing.T) {
 	for i := range data {
 		data[i] = float32(i) * 0.001
 	}
-	a, err := NewFloat32([]int{37, 37}, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Marshal(a)
+	b, err := Marshal(&Array{Shape: []int{37, 37}, Data: data})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,6 +171,36 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Unmarshal(good[:len(good)-8]); err == nil {
 		t.Error("truncated data decoded without error")
 	}
+	if _, err := Unmarshal(append(good, 0)); err == nil {
+		t.Error("trailing byte decoded without error")
+	}
+}
+
+// headerOnly builds a v1.0 .npy prefix around a header dict, with data
+// bytes after it.
+func headerOnly(dict string, data int) []byte {
+	b := append(append([]byte{}, magic...), 1, 0, byte(len(dict)), byte(len(dict)>>8))
+	return append(append(b, dict...), make([]byte, data)...)
+}
+
+// TestCorruptShapeIsAnError: a header is untrusted input. A shape whose
+// element count overflows int, or whose data is longer than the bytes
+// that follow, must fail before anything is allocated: allocating what a
+// 100-byte input claims (2^40 elements) is a fatal out-of-memory error
+// that no recover catches.
+func TestCorruptShapeIsAnError(t *testing.T) {
+	for _, tc := range []struct{ shape, want string }{
+		{"(1099511627776,)", "does not fill"},
+		{"(4611686018427387904, 4)", "overflows int"},
+		{"(4, 4611686018427387904)", "overflows int"},
+		{"(3037000500, 3037000500)", "overflows int"},
+		{"(2, 3)", "does not fill"},
+	} {
+		b := headerOnly("{'descr': '<f8', 'fortran_order': False, 'shape': "+tc.shape+", }\n", 40)
+		if _, err := Unmarshal(b); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("shape %s: err = %v, want %q", tc.shape, err, tc.want)
+		}
+	}
 }
 
 func TestParseHeaderKeyOrderTolerance(t *testing.T) {
@@ -197,7 +223,7 @@ func TestParseHeaderRejectsFortran(t *testing.T) {
 	buf.Write([]byte{byte(len(hdrOnly)), 0})
 	buf.WriteString(hdrOnly)
 	buf.Write(make([]byte, 16))
-	if _, err := Read(&buf); err == nil {
+	if _, err := Unmarshal(buf.Bytes()); err == nil {
 		t.Error("fortran_order=True must be rejected")
 	}
 }

@@ -179,9 +179,11 @@ fi
 test "$(grep -rl '"feedback-every"' cmd | wc -l)" -eq 1
 
 # One home for the checkpoint format (docs/RESILIENCE.md "Checkpoint
-# record"): its JSON field names are declared in exactly one non-test Go
-# file, and the fleet parses no JSON but its lease records.
-test "$(grep -rl '"running_sims"' --include='*.go' --exclude='*_test.go' internal)" = internal/core/workflow.go
+# record"): its magic-and-version header is declared in exactly one
+# non-test Go file, no non-test file of the workflow manager speaks JSON,
+# and the fleet parses no JSON but its lease records.
+test "$(grep -rl 'MUMMI-CKPT' --include='*.go' --exclude='*_test.go' internal cmd scripts examples bench)" = internal/core/checkpoint.go
+test -z "$(grep -l 'encoding/json' internal/core/*.go | grep -v _test.go)"
 test "$(grep -l 'encoding/json' internal/wmfleet/*.go | grep -v _test.go)" = internal/wmfleet/lease.go
 
 # Scenario-matrix gate: replay every committed workflow instance under
