@@ -375,6 +375,57 @@ func TestStepObserver(t *testing.T) {
 	}
 }
 
+// TestPatchIDsAscend pins the traffic the patch selector's dedupe is fast
+// on: FarthestPoint.Add admits an ID above every ID it has admitted after one
+// comparison, and checks one at or below that mark against its whole queue.
+// Patches are offered in (snapshot, patch) order, and appendPatchID's bytes
+// sort in that order while a snapshot yields at most 1,000 patches and the
+// campaign cuts fewer than 10^7 snapshots (the paper's full campaign cuts
+// 20,507). At 1,000 patches or 10^7 snapshots a field outgrows its padding
+// and the order breaks: selections stay exact, but every offer after the
+// break that sorts below the mark pays a queue scan.
+func TestPatchIDsAscend(t *testing.T) {
+	type patch struct{ snap, i int }
+	id := func(p patch) string { return string(appendPatchID(nil, p.snap, p.i)) }
+	var inside []patch
+	for _, snap := range []int{1, 2, 999_999, 1_000_000, 9_999_998, 9_999_999} {
+		for _, i := range []int{0, 1, 9, 10, 99, 100, 998, 999} {
+			inside = append(inside, patch{snap, i})
+		}
+	}
+	for k := 1; k < len(inside); k++ {
+		if a, b := id(inside[k-1]), id(inside[k]); a >= b {
+			t.Errorf("patch %v = %q sorts at or above the next patch %v = %q", inside[k-1], a, inside[k], b)
+		}
+	}
+	// The domain's ends: the next patch sorts below the one before it.
+	for _, edge := range [][2]patch{
+		{{1, 999}, {1, 1000}},
+		{{9_999_999, 0}, {10_000_000, 0}},
+	} {
+		if a, b := id(edge[0]), id(edge[1]); a < b {
+			t.Errorf("patch %v = %q sorts below %v = %q; the ascending domain ends later than documented", edge[0], a, edge[1], b)
+		}
+	}
+	// Every yield the tree configures: DefaultConfig and every scenario
+	// (333), bench's replay-coord and replay-chaos (10), mummi-sim's
+	// experiments (20) and examples/threescale (40).
+	if got := DefaultConfig().PatchesPerSnapshot; got != 333 {
+		t.Errorf("DefaultConfig().PatchesPerSnapshot = %d, not in the list below", got)
+	}
+	for _, yield := range []int{10, 20, 40, 333} {
+		prev := id(patch{1, 0})
+		for k := 1; k < 2*yield; k++ {
+			next := id(patch{1 + k/yield, k % yield})
+			if next <= prev {
+				t.Errorf("yield %d: %q follows %q; it leaves the ascending domain", yield, next, prev)
+				break
+			}
+			prev = next
+		}
+	}
+}
+
 // TestPatchIDMatchesSprintf pins appendPatchID to the format it replaced,
 // including what Sprintf prints once a field outgrows its padding.
 func TestPatchIDMatchesSprintf(t *testing.T) {

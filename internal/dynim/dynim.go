@@ -9,8 +9,10 @@
 //     already selected — the patch selector's novelty criterion over 9-D
 //     encodings. Candidates are ingested as data arrives; selections happen
 //     only when simulations turn over, so ranks are cached and refreshed
-//     lazily: adding a candidate is O(1) and the expensive distance work is
-//     deferred to selection time, exactly the paper's caching scheme.
+//     lazily: adding a candidate is O(1) when its ID is above every ID
+//     admitted before (O(queue) at or below that mark, where a re-offer is
+//     checked exactly), and the expensive distance work is deferred to
+//     selection time, exactly the paper's caching scheme.
 //
 //   - Binned: the new histogram sampler developed for CG frames, whose 3-D
 //     encoding mixes disparate quantities where L2 is meaningless. It treats
@@ -66,21 +68,3 @@ type Selector interface {
 	// Len returns the current number of queued candidates.
 	Len() int
 }
-
-// dedupe guards against re-adding an ID that is queued or already selected;
-// the workflow may legitimately re-offer frames after a producer restart.
-type dedupe struct {
-	seen map[string]bool
-}
-
-func newDedupe() dedupe { return dedupe{seen: make(map[string]bool)} }
-
-// claim reports whether id was free, and takes it. One map operation: the
-// insert either grows the map or lands on the existing entry.
-func (d *dedupe) claim(id string) bool {
-	n := len(d.seen)
-	d.seen[id] = true
-	return len(d.seen) > n
-}
-
-func (d *dedupe) release(id string) { delete(d.seen, id) }

@@ -118,6 +118,47 @@ func TestFPSDuplicateIDsIgnored(t *testing.T) {
 	if f.Len() != 0 {
 		t.Errorf("selected ID re-queued; Len = %d", f.Len())
 	}
+	// Below the high-water mark (the greatest ID admitted) Add checks an
+	// offer exactly instead of by one comparison: a never-seen ID is queued,
+	// and queueing it leaves the mark where it was; a selected ID is
+	// ignored; an evicted ID is queued again.
+	t.Run("never seen", func(t *testing.T) {
+		f := fp2(t, 0)
+		f.Add(Point{ID: "m", Coords: []float64{0, 0}})
+		f.Add(Point{ID: "a", Coords: []float64{1, 0}})
+		// Had "a" lowered the mark, "m" would now pass as new.
+		f.Add(Point{ID: "m", Coords: []float64{2, 0}})
+		if got := queuedIDs(f); !reflect.DeepEqual(got, []string{"a", "m"}) {
+			t.Errorf("queued = %v, want [a m]", got)
+		}
+	})
+	t.Run("selected", func(t *testing.T) {
+		f := fp2(t, 0)
+		f.Add(Point{ID: "a", Coords: []float64{0, 0}})
+		f.Add(Point{ID: "m", Coords: []float64{1, 0}})
+		if got := idsOf(f.Select(1)); !reflect.DeepEqual(got, []string{"a"}) {
+			t.Fatalf("selected %v, want [a]", got)
+		}
+		f.Add(Point{ID: "a", Coords: []float64{9, 9}})
+		if got := queuedIDs(f); !reflect.DeepEqual(got, []string{"m"}) {
+			t.Errorf("queued = %v after re-offering selected a, want [m]", got)
+		}
+	})
+	t.Run("evicted", func(t *testing.T) {
+		f := fp2(t, 1) // slack 1: the second queued point triggers eviction
+		f.Add(Point{ID: "a", Coords: []float64{0, 0}})
+		f.Select(1)
+		f.Add(Point{ID: "b", Coords: []float64{1, 0}})
+		f.Add(Point{ID: "c", Coords: []float64{9, 0}}) // evicts b, the nearer
+		if got := queuedIDs(f); !reflect.DeepEqual(got, []string{"c"}) {
+			t.Fatalf("queued = %v, want b evicted", got)
+		}
+		// Offered again, farther out, b is queued and c is the one evicted.
+		f.Add(Point{ID: "b", Coords: []float64{20, 0}})
+		if got := queuedIDs(f); !reflect.DeepEqual(got, []string{"b"}) {
+			t.Errorf("queued = %v after re-offering evicted b, want [b]", got)
+		}
+	})
 }
 
 func TestFPSCapacityEvictsLeastNovel(t *testing.T) {

@@ -20,7 +20,8 @@ import (
 // Rank caching: a candidate's distance-to-selected can only shrink as new
 // selections are made, so each candidate caches its distance together with
 // the number of selected points it has been compared against; Update only
-// compares against selections made since. This is what makes Add O(1) and
+// compares against selections made since. This is what keeps distance work
+// out of Add — whose dedupe is one comparison for an ascending ID — and
 // keeps "the cost of adding new candidates negligible" (§4.4).
 //
 // Every distance comes from one kernel, foldRows (fold.go defines it;
@@ -129,8 +130,14 @@ type FarthestPoint struct {
 
 	selRows []float64 // selected coordinates, four rows a block (fold.go), append-only
 	nsel    int       // rows in selRows
-	dd      dedupe
-	tel     *telemetry.Telemetry // nil = no instrumentation
+
+	// Add's dedupe: hi is the greatest ID ever admitted and selected every
+	// ID picked (it only grows); a queued ID is in ids, an evicted one in
+	// neither.
+	hi       string
+	selected map[string]struct{}
+
+	tel *telemetry.Telemetry // nil = no instrumentation
 }
 
 // fpsMinWork is the fewest distance evaluations (one candidate against one
@@ -156,7 +163,7 @@ func NewFarthestPoint(dim, capacity int) *FarthestPoint {
 	return &FarthestPoint{
 		dim:      dim,
 		capacity: capacity,
-		dd:       newDedupe(),
+		selected: make(map[string]struct{}),
 	}
 }
 
@@ -398,13 +405,22 @@ func (f *FarthestPoint) pickEager() int32 {
 // Add implements Selector. Duplicate IDs (already queued or selected) are
 // ignored without error, so producers may safely re-offer after restarts; a
 // point of the wrong dimension or with a NaN or ±Inf coordinate is an error.
+//
+// The dedupe check is O(1) for an ID above every ID admitted so far — one
+// string comparison, which is every offer from a producer whose IDs ascend —
+// and O(queue) at or below that mark, where a possible re-offer is checked
+// exactly against the selected set and the queued IDs. Accepting such an ID
+// leaves the mark where it is: lowering it would let a queued ID between
+// the two through the fast path.
 func (f *FarthestPoint) Add(p Point) error {
 	if err := checkPoint(p, f.dim); err != nil {
 		return err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if !f.dd.claim(p.ID) {
+	if p.ID > f.hi {
+		f.hi = p.ID
+	} else if _, ok := f.selected[p.ID]; ok || slices.Contains(f.ids, p.ID) {
 		return nil
 	}
 	f.newSlot(p)
@@ -454,9 +470,6 @@ func (f *FarthestPoint) evictDownTo(target int) {
 	}
 	slices.SortFunc(ties, func(a, b int32) int { return strings.Compare(f.ids[a], f.ids[b]) })
 	victims = append(victims, ties[:m-len(victims)]...)
-	for _, v := range victims {
-		f.dd.release(f.ids[v])
-	}
 	// Free in descending slot order so each move pulls from a live slot.
 	slices.Sort(victims)
 	for i := len(victims) - 1; i >= 0; i-- {
@@ -618,6 +631,7 @@ func (f *FarthestPoint) Select(n int) []Point {
 		id := f.ids[s]
 		coords := append([]float64(nil), f.coords[int(s)*f.dim:int(s+1)*f.dim]...)
 		f.freeSlot(s)
+		f.selected[id] = struct{}{}
 		f.selRows = appendRow(f.selRows, f.nsel, coords)
 		f.nsel++
 		out = append(out, Point{ID: id, Coords: coords})

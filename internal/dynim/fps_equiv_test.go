@@ -115,18 +115,26 @@ func (o *oracleFPS) queued() []string {
 }
 
 // checkOracle asserts that f queues exactly the oracle's candidates and holds
-// exactly its IDs as taken, so an eviction that drops the wrong victim — or
-// frees the wrong ID for a re-offer — fails at the operation that made it.
+// exactly its IDs as taken — its selected set and its queue together — so an
+// eviction that drops the wrong victim, or a dedupe that frees the wrong ID
+// for a re-offer or keeps an evicted one, fails at the operation that made it.
 func checkOracle(t *testing.T, f *FarthestPoint, o *oracleFPS, where string) {
 	t.Helper()
 	if got, want := queuedIDs(f), o.queued(); !slices.Equal(got, want) {
 		t.Fatalf("%s: queue holds %v, oracle %v", where, got, want)
 	}
-	if len(f.dd.seen) != len(o.taken) {
-		t.Fatalf("%s: %d IDs taken, oracle %d", where, len(f.dd.seen), len(o.taken))
+	taken := make(map[string]bool, len(f.ids)+len(f.selected))
+	for _, id := range f.ids {
+		taken[id] = true
+	}
+	for id := range f.selected {
+		taken[id] = true
+	}
+	if len(taken) != len(o.taken) {
+		t.Fatalf("%s: %d IDs taken, oracle %d", where, len(taken), len(o.taken))
 	}
 	for id := range o.taken {
-		if !f.dd.seen[id] {
+		if !taken[id] {
 			t.Fatalf("%s: %s is free, oracle has it taken", where, id)
 		}
 	}
@@ -163,7 +171,12 @@ func checkHeap(t *testing.T, f *FarthestPoint) {
 // oracle: every selection, and after every operation the queued and taken
 // IDs, must match, unbounded and at capacities small enough that the victim
 // set decides what is left to select, and the heap invariants must hold
-// after every operation. The clustered case draws every
+// after every operation. Every case runs with its fresh IDs in three
+// orders: ascending, where each fresh offer is above the high-water mark and
+// takes Add's one-comparison path; descending, where each one after the
+// first is below it and takes the exact fallback; and shuffled, which mixes
+// the two (a fresh ID is fast only when it is a new maximum). The clustered
+// case draws every
 // point within 1e-3 of one of three far-apart centres, so after three picks
 // each selection sits a tiny gap from an earlier one and far from the rest —
 // the traffic the removed triangle-inequality prune skipped rows on,
@@ -187,23 +200,40 @@ func testPropertyFPSMatchesOracle(t *testing.T) {
 			c[k] = centre + 1e-3*rng.NormFloat64()
 		}
 	}
-	for _, capacity := range []int{0, 16, 64} {
-		testFPSMatchesOracle(t, dim, capacity, gauss)
-	}
-	testFPSMatchesOracle(t, dim, 0, clustered)
 	lattice := func(rng *rand.Rand, c []float64) {
 		for k := range c {
 			c[k] = float64(rng.Intn(3))
 		}
 	}
-	for _, capacity := range []int{16, 64} {
-		testFPSMatchesOracle(t, dim, capacity, lattice)
+	for _, order := range []string{"ascending", "descending", "shuffled"} {
+		t.Run(order, func(t *testing.T) {
+			for _, capacity := range []int{0, 16, 64} {
+				testFPSMatchesOracle(t, dim, capacity, gauss, order)
+			}
+			testFPSMatchesOracle(t, dim, 0, clustered, order)
+			for _, capacity := range []int{16, 64} {
+				testFPSMatchesOracle(t, dim, capacity, lattice, order)
+			}
+		})
 	}
 }
 
-func testFPSMatchesOracle(t *testing.T, dim, capacity int, draw func(*rand.Rand, []float64)) {
+// testFPSMatchesOracle runs one case with its fresh IDs in the named order.
+func testFPSMatchesOracle(t *testing.T, dim, capacity int, draw func(*rand.Rand, []float64), order string) {
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		perm := make([]int, 10000) // the i-th fresh ID is p%04d of perm[i]
+		for i := range perm {
+			perm[i] = i
+		}
+		switch order {
+		case "descending":
+			slices.Reverse(perm)
+		case "shuffled":
+			shuffle := rand.New(rand.NewSource(-seed))
+			shuffle.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		}
+		name := func(i int) string { return fmt.Sprintf("p%04d", perm[i]) }
 		fp := NewFarthestPoint(dim, capacity)
 		oracle := newOracleFPS(capacity)
 		next := 0
@@ -211,9 +241,9 @@ func testFPSMatchesOracle(t *testing.T, dim, capacity int, draw func(*rand.Rand,
 			switch rng.Intn(4) {
 			case 0, 1: // add burst, with occasional duplicate re-offers
 				for i := rng.Intn(30); i >= 0; i-- {
-					id := fmt.Sprintf("p%04d", next)
+					id := name(next)
 					if rng.Intn(10) == 0 && next > 0 {
-						id = fmt.Sprintf("p%04d", rng.Intn(next))
+						id = name(rng.Intn(next))
 					} else {
 						next++
 					}

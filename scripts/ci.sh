@@ -86,6 +86,11 @@ test "$(grep -rl 'a0 += ' internal/dynim --include='*.go' --exclude='*_test.go')
 # "dynim: what an offer costs"): no sort.Slice, with its per-call swapper,
 # in the samplers; victim order and slot frees sort in place.
 test -z "$(grep -rn 'sort\.Slice' internal/dynim --include='*.go' --exclude='*_test.go')"
+# FPS dedupes by a high-water mark, a selected set that only grows and the
+# queue's own IDs (DESIGN.md "dynim: what an offer costs"): nothing in the
+# samplers is ever deleted from a map, so a delete means the churned ID map
+# came back.
+test -z "$(grep -rn 'delete(' internal/dynim --include='*.go' --exclude='*_test.go')"
 # The virtual clock has one pending structure, the four-ary heap (DESIGN.md
 # §11): no same-timestamp drain batch, paged index or ID map beside it.
 test -z "$(grep -rnE 'batch|eventPage|indexTake|map\[EventID\]\*event' internal/vclock --include='*.go' --exclude='*_test.go')"
