@@ -19,6 +19,7 @@ import (
 	"mummi/internal/profile"
 	"mummi/internal/sched"
 	"mummi/internal/sim"
+	"mummi/internal/stats"
 	"mummi/internal/telemetry"
 	"mummi/internal/units"
 	"mummi/internal/vclock"
@@ -65,10 +66,11 @@ type Campaign struct {
 	// Task-4 state (wired when Config.FeedbackEvery > 0): frame records
 	// flow through fbStore's active namespaces and the feedback passes
 	// move them out ("tagging"). fbSeq numbers records deterministically.
-	fbStore datastore.Store
-	cgFB    *feedbackPass
-	aaFB    *feedbackPass
-	fbSeq   int64
+	fbStore   datastore.Store
+	cgFB      *feedbackPass
+	aaFB      *feedbackPass
+	fbSeq     int64
+	putErrors telemetry.Lazy[telemetry.Counter]
 
 	// eng injects the chaos plan (nil when Config.Faults is nil).
 	eng *faults.Engine
@@ -92,8 +94,8 @@ type Campaign struct {
 
 	// per-run state
 	cur    *allocation // nil between allocations
-	active map[sched.JobID]activeJob
-	err    error // first error raised inside a clock callback (see fail)
+	active activeSet   // the current allocation's running simulation jobs
+	err    error       // first error raised inside a clock callback (see fail)
 }
 
 // allocation is the rig of the allocation in progress: what begin builds
@@ -114,9 +116,56 @@ type allocation struct {
 func (c *Campaign) fail(err error) { c.err = cmp.Or(c.err, err) }
 
 type activeJob struct {
-	simID string
+	simID string // never empty: the campaign's simulation IDs carry a scale prefix
 	rate  units.Rate
 	start time.Time
+}
+
+// activeSet holds the allocation's running simulation jobs. Job IDs are
+// dense from 1, so a slice indexed by ID holds the records and a Fenwick
+// tree over ID presence draws a victim in O(log n), sorting nothing.
+type activeSet struct {
+	jobs []activeJob // by ID; an empty simID marks an absent ID
+	live stats.Fenwick
+	n    int
+}
+
+func (s *activeSet) get(id sched.JobID) (activeJob, bool) {
+	if id <= 0 || id >= sched.JobID(len(s.jobs)) || s.jobs[id].simID == "" {
+		return activeJob{}, false
+	}
+	return s.jobs[id], true
+}
+
+func (s *activeSet) put(id sched.JobID, aj activeJob) {
+	if id >= sched.JobID(len(s.jobs)) {
+		s.live.Grow(int(id) + 1)
+		s.jobs = append(s.jobs, make([]activeJob, s.live.Len()-len(s.jobs))...)
+	}
+	if s.jobs[id].simID == "" {
+		s.live.Add(int(id), 1)
+		s.n++
+	}
+	s.jobs[id] = aj
+}
+
+// remove drops id; an absent ID, or one above every ID put (a late end
+// from the previous allocation's scheduler), is a no-op.
+func (s *activeSet) remove(id sched.JobID) {
+	if _, ok := s.get(id); ok {
+		s.jobs[id] = activeJob{}
+		s.live.Add(int(id), -1)
+		s.n--
+	}
+}
+
+// pick returns the live ID of ascending rank rng.Intn(n), or 0 without a
+// draw when the set is empty.
+func (s *activeSet) pick(rng *rand.Rand) sched.JobID {
+	if s.n == 0 {
+		return 0
+	}
+	return sched.JobID(s.live.Kth(rng.Intn(s.n)))
 }
 
 // NewCampaign builds the engine.
@@ -308,7 +357,6 @@ func (c *Campaign) begin(spec RunSpec) error {
 	totalGPUs := machine.Topology().TotalGPUs()
 	cgSlots := int(float64(totalGPUs) * c.cfg.CGShare)
 	aaSlots := max(1, totalGPUs-cgSlots)
-	c.active = make(map[sched.JobID]activeJob)
 
 	// In the three-scale regime a live continuum job occupies contNodes and
 	// produces the snapshot stream; in the two-scale (mini-MuMMI) regime the
@@ -363,19 +411,24 @@ func (c *Campaign) begin(spec RunSpec) error {
 	// running simulation jobs. Progress up to the failure survives (the
 	// simulation checkpoints), so the resubmitted job resumes — the
 	// paper's resilience path, exercised continuously.
+	// Known defect, kept because its fix moves Result bytes (ROADMAP
+	// "Failures at the configured rate"): perTick is used as a probability
+	// and a tick kills at most one job, so the rate saturates at 48 a day
+	// whatever Config.FailuresPerDay asks (replay-coord asks 400/day and
+	// injects 430 in 9 × 24 h).
 	if c.cfg.FailuresPerDay > 0 {
 		perTick := c.cfg.FailuresPerDay / 48
 		a.failTicker = vclock.NewTicker(c.clk, 30*time.Minute, func(time.Time) {
 			if c.rng.Float64() >= perTick {
 				return
 			}
-			victim := c.pickActiveJob()
+			victim := c.active.pick(c.rng)
 			if victim == 0 {
 				return
 			}
 			// Bank the progress made so far, then kill the job.
 			c.bankActive(victim)
-			delete(c.active, victim)
+			c.active.remove(victim)
 			c.res.InjectedFailures++
 			if err := s.Fail(victim); err != nil && !errors.Is(err, sched.ErrAlreadyTerminal) {
 				// The victim was picked from the active set, so the
@@ -424,15 +477,15 @@ func (c *Campaign) end() {
 	a.wm.Stop()
 	a.prof.Stop()
 	a.s.Close()
-	for _, id := range c.sortedActiveIDs() {
-		aj := c.active[id]
-		job, ok := a.s.Job(id)
-		if !ok || job.State != sched.Running {
+	for id, aj := range c.active.jobs { // ascending IDs: the settle order feeds the replay
+		if aj.simID == "" {
 			continue
 		}
-		c.settle(aj.simID, aj.rate.SimFor(c.clk.Now().Sub(aj.start)), false)
+		if job, ok := a.s.Job(sched.JobID(id)); ok && job.State == sched.Running {
+			c.settle(aj.simID, aj.rate.SimFor(c.clk.Now().Sub(aj.start)), false)
+		}
 	}
-	c.active = nil
+	c.active = activeSet{}
 	if c.err != nil {
 		return
 	}
@@ -476,10 +529,12 @@ func (c *Campaign) startChaos() {
 		// Bank progress for the sims dying with the node; the workflow
 		// resubmits them and they resume from the banked progress (the
 		// simulations' own checkpoints survive the node).
-		for _, id := range c.sortedActiveIDs() {
-			job, ok := a.s.Job(id)
-			if ok && job.State == sched.Running && allocOnNode(job.Alloc, node) {
-				c.bankActive(id)
+		for id, aj := range c.active.jobs {
+			if aj.simID == "" {
+				continue
+			}
+			if job, ok := a.s.Job(sched.JobID(id)); ok && job.State == sched.Running && allocOnNode(job.Alloc, node) {
+				c.bankActive(sched.JobID(id))
 			}
 		}
 		victims := a.s.Crash(node)
@@ -496,20 +551,16 @@ func (c *Campaign) startChaos() {
 		})
 	})
 	c.eng.SetHandler(faults.JobHang, func(r faults.Rule, rng *rand.Rand) {
-		ids := c.sortedActiveIDs()
-		if len(ids) == 0 {
-			return
-		}
-		id := ids[rng.Intn(len(ids))]
-		if !c.cur.s.Hang(id) {
+		id := c.active.pick(rng)
+		if id == 0 || !c.cur.s.Hang(id) {
 			return
 		}
 		// Bank progress up to the wedge; from here the job holds its GPU
 		// while advancing nothing (zero rate) until the watchdog kills it
 		// or the allocation ends.
 		c.bankActive(id)
-		aj := c.active[id]
-		c.active[id] = activeJob{simID: aj.simID, start: c.clk.Now()}
+		aj, _ := c.active.get(id)
+		c.active.put(id, activeJob{simID: aj.simID, start: c.clk.Now()})
 		c.res.JobHangs++
 		msg := fmt.Sprintf("job-hang job=%d sim=%s", id, aj.simID)
 		c.noteFault(msg)
@@ -582,15 +633,25 @@ func (c *Campaign) onSnapshot(wm coordinator, contNodes int) {
 // fmt.Sprintf("p%07d_%03d", snap, i) without the formatter: a campaign names
 // millions of patches, one at a time, on the event loop.
 func appendPatchID(buf []byte, snap, i int) []byte {
-	buf = appendZeroPadded(append(buf, 'p'), snap, 7)
-	return appendZeroPadded(append(buf, '_'), i, 3)
+	buf = appendZeroPadded(append(buf, 'p'), int64(snap), 7)
+	return appendZeroPadded(append(buf, '_'), int64(i), 3)
+}
+
+// appendFeedbackKey appends fmt.Sprintf("f%012d", seq)'s bytes.
+func appendFeedbackKey(buf []byte, seq int64) []byte {
+	return appendZeroPadded(append(buf, 'f'), seq, 12)
+}
+
+// appendFrameID appends fmt.Sprintf("%s_c%06d", simID, i)'s bytes.
+func appendFrameID(buf []byte, simID string, i int64) []byte {
+	return appendZeroPadded(append(append(buf, simID...), "_c"...), i, 6)
 }
 
 // appendZeroPadded appends v >= 0 in decimal, zero-padded to width digits
 // and wider when v needs more, as %0*d does.
-func appendZeroPadded(buf []byte, v, width int) []byte {
+func appendZeroPadded(buf []byte, v int64, width int) []byte {
 	var scratch [20]byte
-	digits := strconv.AppendInt(scratch[:0], int64(v), 10)
+	digits := strconv.AppendInt(scratch[:0], v, 10)
 	for n := len(digits); n < width; n++ {
 		buf = append(buf, '0')
 	}
@@ -703,11 +764,11 @@ func (c *Campaign) onSimStart(simID string, id sched.JobID) {
 	if rec == nil {
 		return
 	}
-	c.active[id] = activeJob{simID: simID, rate: rec.rate, start: c.clk.Now()}
+	c.active.put(id, activeJob{simID: simID, rate: rec.rate, start: c.clk.Now()})
 }
 
 func (c *Campaign) onSimEnd(simID string, id sched.JobID, st sched.State) {
-	delete(c.active, id)
+	c.active.remove(id)
 	rec := c.recs[simID]
 	if rec == nil {
 		return
@@ -742,8 +803,7 @@ func (c *Campaign) settle(simID string, delta units.SimTime, final bool) {
 		c.res.Files += 1 * framesDelta // trajectory frames
 		c.res.Bytes += framesDelta * int64(sim.AAFrameBytes)
 		if framesDelta > 0 {
-			c.fbSeq++
-			c.fbPut("aa-active", fmt.Sprintf("f%012d", c.fbSeq))
+			c.fbPut("aa-active")
 		}
 	}
 	if final || rec.progress >= rec.target {
@@ -774,8 +834,7 @@ func (c *Campaign) accountCG(simID string, rec *simRecord) {
 	c.res.Bytes += frames * int64(sim.CGFrameBytes+sim.CGAnalysisBytes)
 	if frames > 0 {
 		// One RDF batch record per settle feeds the CG→continuum loop.
-		c.fbSeq++
-		c.fbPut("cg-active", fmt.Sprintf("f%012d", c.fbSeq))
+		c.fbPut("cg-active")
 	}
 
 	c.candAcc += us * c.cfg.FrameCandidatesPerUs
@@ -797,7 +856,7 @@ func (c *Campaign) accountCG(simID string, rec *simRecord) {
 			clamp01(rec.base[1] + c.rng.NormFloat64()*0.08),
 			clamp01(rec.base[2] + c.rng.NormFloat64()*0.08),
 		}
-		id := fmt.Sprintf("%s_c%06d", simID, c.res.CGFrameCandidates-int64(n)+int64(i))
+		id := string(appendFrameID(make([]byte, 0, 64), simID, c.res.CGFrameCandidates-int64(n)+int64(i)))
 		if err := c.frameSel.Add(dynim.Point{ID: id, Coords: coords}); err != nil {
 			c.fail(fmt.Errorf("campaign: offer frame %s: %w", id, err))
 			return
@@ -807,33 +866,11 @@ func (c *Campaign) accountCG(simID string, rec *simRecord) {
 
 func clamp01(v float64) float64 { return math.Min(1, math.Max(0, v)) }
 
-// pickActiveJob deterministically samples one running simulation job id
-// (0 when none are active).
-func (c *Campaign) pickActiveJob() sched.JobID {
-	ids := c.sortedActiveIDs()
-	if len(ids) == 0 {
-		return 0
-	}
-	return ids[c.rng.Intn(len(ids))]
-}
-
-// sortedActiveIDs returns the active simulation job ids in ascending order —
-// the sanctioned way to sweep c.active (map order must not leak into the
-// replay).
-func (c *Campaign) sortedActiveIDs() []sched.JobID {
-	ids := make([]sched.JobID, 0, len(c.active))
-	for id := range c.active {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // bankActive settles a live simulation job's progress up to now and marks
 // the candidate accounting caught up — the step before anything kills the
 // job, so the progress its checkpoints hold is not lost and not recounted.
 func (c *Campaign) bankActive(id sched.JobID) {
-	aj, ok := c.active[id]
+	aj, ok := c.active.get(id)
 	if !ok {
 		return
 	}

@@ -3,6 +3,8 @@ package campaign
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -426,6 +428,27 @@ func TestPatchIDsAscend(t *testing.T) {
 	}
 }
 
+// TestRecordKeysMatchSprintf pins the feedback-record key and the
+// frame-candidate ID to the formats they replaced, including what Sprintf
+// prints once a number outgrows its padding (fbSeq ≥ 10^12, candidate index
+// ≥ 10^6).
+func TestRecordKeysMatchSprintf(t *testing.T) {
+	for _, seq := range []int64{0, 1, 42, 999_999_999_999, 1_000_000_000_000, 1<<63 - 1} {
+		want := fmt.Sprintf("f%012d", seq)
+		if got := string(appendFeedbackKey(nil, seq)); got != want {
+			t.Errorf("appendFeedbackKey(%d) = %q, want %q", seq, got, want)
+		}
+	}
+	for _, simID := range []string{"cg:p0000001_000", "cg:p9999999_332", ""} {
+		for _, i := range []int64{0, 7, 999_999, 1_000_000, 123_456_789_012} {
+			want := fmt.Sprintf("%s_c%06d", simID, i)
+			if got := string(appendFrameID(nil, simID, i)); got != want {
+				t.Errorf("appendFrameID(%q, %d) = %q, want %q", simID, i, got, want)
+			}
+		}
+	}
+}
+
 // TestPatchIDMatchesSprintf pins appendPatchID to the format it replaced,
 // including what Sprintf prints once a field outgrows its padding.
 func TestPatchIDMatchesSprintf(t *testing.T) {
@@ -436,5 +459,96 @@ func TestPatchIDMatchesSprintf(t *testing.T) {
 				t.Errorf("appendPatchID(%d, %d) = %q, want %q", snap, i, got, want)
 			}
 		}
+	}
+}
+
+// TestActiveSetMatchesOracle holds activeSet to the map and sorted-ID sweep
+// it replaced: random puts (IDs ascending with gaps, as setup jobs take IDs
+// between simulations, growing far past the first size), re-puts of live
+// IDs (the hang handler's), removes of live, absent and never-seen IDs, and
+// an allocation boundary after which the previous scheduler's IDs — above
+// every new ID or colliding with one — are removed. After every operation
+// the ascending sweep and a victim draw must match the oracle's, with the
+// same rng draws.
+func TestActiveSetMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var s activeSet
+	oracle := map[sched.JobID]activeJob{}
+	var next sched.JobID // the scheduler's last ID
+	grown := 0           // the largest index the set reached
+	sorted := func() []sched.JobID {
+		ids := make([]sched.JobID, 0, len(oracle))
+		for id := range oracle {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		return ids
+	}
+	for op := 0; op < 4000; op++ {
+		switch r := rng.Intn(20); {
+		case r < 8: // a simulation starts
+			next += sched.JobID(1 + rng.Intn(3))
+			aj := activeJob{simID: fmt.Sprintf("cg:p%d", next), start: Epoch.Add(time.Duration(op))}
+			s.put(next, aj)
+			oracle[next] = aj
+		case r < 10 && len(oracle) > 0: // a live job is re-put
+			ids := sorted()
+			id := ids[rng.Intn(len(ids))]
+			aj := activeJob{simID: oracle[id].simID, start: Epoch.Add(time.Duration(op))}
+			s.put(id, aj)
+			oracle[id] = aj
+		case r < 18: // a job ends: live, absent, or never seen
+			id := sched.JobID(rng.Intn(int(next) + 20))
+			s.remove(id)
+			delete(oracle, id)
+		case r < 19: // the allocation ends
+			prev := next
+			s, oracle, next = activeSet{}, map[sched.JobID]activeJob{}, 0
+			for range 1 + rng.Intn(10) {
+				next++
+				aj := activeJob{simID: fmt.Sprintf("aa:f%d", next)}
+				s.put(next, aj)
+				oracle[next] = aj
+			}
+			// Late ends of the previous scheduler's jobs, above every new
+			// ID or colliding with one.
+			for range 5 {
+				id := 1 + sched.JobID(rng.Intn(int(prev)+1))
+				s.remove(id)
+				delete(oracle, id)
+			}
+		default: // a failure tick draws a victim
+			seed := rng.Int63()
+			got := s.pick(rand.New(rand.NewSource(seed)))
+			var want sched.JobID
+			if ids := sorted(); len(ids) > 0 {
+				want = ids[rand.New(rand.NewSource(seed)).Intn(len(ids))]
+			}
+			if got != want {
+				t.Fatalf("op %d: pick = %d, want %d", op, got, want)
+			}
+		}
+		var walked []sched.JobID
+		for id, aj := range s.jobs {
+			if aj.simID == "" {
+				continue
+			}
+			walked = append(walked, sched.JobID(id))
+			if got, ok := s.get(sched.JobID(id)); !ok || got != oracle[sched.JobID(id)] {
+				t.Fatalf("op %d: job %d = %+v, want %+v", op, id, got, oracle[sched.JobID(id)])
+			}
+		}
+		if want := sorted(); !slices.Equal(walked, want) || s.n != len(want) {
+			t.Fatalf("op %d: sweep %v (n=%d), want %v", op, walked, s.n, want)
+		}
+		grown = max(grown, s.live.Len())
+		for _, id := range []sched.JobID{0, -1, next + 1, next + 1000} {
+			if _, ok := s.get(id); ok {
+				t.Fatalf("op %d: get(%d) found a job", op, id)
+			}
+		}
+	}
+	if grown < 64 {
+		t.Fatalf("the index never grew past %d IDs", grown)
 	}
 }

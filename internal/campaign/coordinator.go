@@ -249,7 +249,7 @@ func (a *fleetWM) Crash(r faults.Rule, rng *rand.Rand) {
 func (c *Campaign) killJobs(s *sched.Scheduler, ids []sched.JobID) (orphans int) {
 	for _, id := range ids {
 		c.bankActive(id)
-		delete(c.active, id)
+		c.active.remove(id)
 		if job, ok := s.Job(id); ok && job.State == sched.Running {
 			if err := s.Fail(id); err != nil && !errors.Is(err, sched.ErrAlreadyTerminal) {
 				c.res.Anomalies = append(c.res.Anomalies,

@@ -27,19 +27,21 @@ func (m *feedbackPass) Iterate() (feedback.Report, error) {
 // here only the key flow matters). Stores copy what they are handed.
 var fbRecord = make([]byte, 128)
 
-// fbPut stores one frame record in the feedback store's active namespace
-// (no-op when feedback is off).
-func (c *Campaign) fbPut(ns, key string) {
+// fbPut numbers the next frame record and stores it in the feedback store's
+// active namespace (numbering only when feedback is off).
+func (c *Campaign) fbPut(ns string) {
+	c.fbSeq++
 	if c.fbStore == nil {
 		return
 	}
+	key := string(appendFeedbackKey(make([]byte, 0, 20), c.fbSeq))
 	if err := c.fbStore.Put(ns, key, fbRecord); err != nil {
 		if c.eng != nil {
 			// Chaos replay: an injected permanent fault (or an exhausted
 			// retry budget) legitimately loses this record. Count it — the
 			// ledger stays deterministic — and move on.
 			c.res.StorePutErrors++
-			c.tel.Counter("campaign.store_put_errors_total").Inc()
+			c.putErrors.Get(c.tel, "campaign.store_put_errors_total").Inc()
 			return
 		}
 		// The in-memory store cannot fail a Put; treat one as a bug.

@@ -123,14 +123,14 @@ func scanSweepLocked(w *Workflow) []sched.JobID {
 		name := w.couplings[rec.coupling].spec.Name
 		key := name + "/" + rec.point.ID
 		if w.watchdogKills[key] >= watchdogMaxKills {
-			w.tel.Counter(telemetry.Name("wm.watchdog_exhausted_total", "coupling", name)).Inc()
+			w.tel.Registry().Counter(telemetry.Name("wm.watchdog_exhausted_total", "coupling", name)).Inc()
 			// Stop reconsidering it every poll: zero the deadline.
 			rec.deadline = time.Time{}
 			w.jobs[id] = rec
 			continue
 		}
 		w.watchdogKills[key]++
-		w.tel.Counter(telemetry.Name("wm.watchdog_kills_total", "coupling", name)).Inc()
+		w.tel.Registry().Counter(telemetry.Name("wm.watchdog_kills_total", "coupling", name)).Inc()
 		overdue = append(overdue, id)
 	}
 	return overdue
@@ -146,7 +146,7 @@ func scanPoll(w *Workflow) {
 	w.mu.Unlock()
 	for _, id := range overdue {
 		if err := w.cond.Fail(id); err != nil && !errors.Is(err, sched.ErrAlreadyTerminal) {
-			w.tel.Counter("wm.watchdog_kill_errors_total").Inc()
+			w.tel.Registry().Counter("wm.watchdog_kill_errors_total").Inc()
 		}
 	}
 }
@@ -456,7 +456,7 @@ func TestAddCandidateAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, offer); n != 0 {
 		t.Errorf("AddCandidate allocates %v times per offer, want 0", n)
 	}
-	if got := r.tel.Counter("wm.candidates_total{coupling=continuum-to-cg}").Value(); got != 102 {
+	if got := r.tel.Registry().Counter("wm.candidates_total{coupling=continuum-to-cg}").Value(); got != 102 {
 		t.Errorf("wm.candidates_total = %d, want 102 (one first offer, one warm-up, 100 counted)", got)
 	}
 }
@@ -483,7 +483,7 @@ func TestAddCandidateCounterConcurrent(t *testing.T) {
 	for g := 0; g < offerers; g++ {
 		<-done
 	}
-	if got := r.tel.Counter("wm.candidates_total{coupling=continuum-to-cg}").Value(); got != offerers*each {
+	if got := r.tel.Registry().Counter("wm.candidates_total{coupling=continuum-to-cg}").Value(); got != offerers*each {
 		t.Errorf("wm.candidates_total = %d, want %d", got, offerers*each)
 	}
 }

@@ -242,9 +242,15 @@ type couplingState struct {
 	failedSetups int
 	feedbackRuns int
 	feedbackBusy bool
-	// candidates is wm.candidates_total for this coupling; AddCandidate
-	// bumps it per offer without the lock.
-	candidates telemetry.LazyCounter
+	m            couplingMetrics // AddCandidate bumps m.candidates without the lock
+}
+
+// couplingMetrics are one coupling's wm.* handles, labelled by coupling.
+type couplingMetrics struct {
+	candidates, simsLaunched, selections, setupsLaunched, setupsCompleted, setupsFailed,
+	simsCompleted, simsFailed, watchdogKills, watchdogExhausted,
+	feedbackRuns, feedbackFailed, feedbackSkipped telemetry.Lazy[telemetry.Counter]
+	ready, running, inSetup telemetry.Lazy[telemetry.Gauge]
 }
 
 // Workflow is the workflow manager.
@@ -253,6 +259,8 @@ type Workflow struct {
 	cond *maestro.Conductor
 	rng  *rand.Rand
 	tel  *telemetry.Telemetry
+
+	polls, watchdogKillErrors telemetry.Lazy[telemetry.Counter]
 
 	// The WM's shared objects are guarded by a blocking lock; the feedback
 	// path additionally uses a per-coupling nonblocking busy flag so a slow
@@ -407,7 +415,7 @@ func (w *Workflow) AddCandidate(coupling string, p dynim.Point) error {
 	err := cs.spec.Selector.Add(p)
 	sp.End()
 	if err == nil {
-		cs.candidates.Get(w.tel, "wm.candidates_total", "coupling", coupling).Inc()
+		cs.m.candidates.Get(w.tel, "wm.candidates_total", "coupling", coupling).Inc()
 	}
 	return err
 }
@@ -432,7 +440,7 @@ func (w *Workflow) Poll() {
 		sp.End()
 		return
 	}
-	w.tel.Counter("wm.polls_total").Inc()
+	w.polls.Get(w.tel, "wm.polls_total").Inc()
 	for i := range w.couplings {
 		w.pollCoupling(i)
 	}
@@ -443,7 +451,7 @@ func (w *Workflow) Poll() {
 	// callback, which re-enters onJobFinish and takes w.mu itself.
 	for _, id := range overdue {
 		if err := w.cond.Fail(id); err != nil && !errors.Is(err, sched.ErrAlreadyTerminal) {
-			w.tel.Counter("wm.watchdog_kill_errors_total").Inc()
+			w.watchdogKillErrors.Get(w.tel, "wm.watchdog_kill_errors_total").Inc()
 		}
 	}
 }
@@ -468,17 +476,18 @@ func (w *Workflow) watchdogSweepLocked() []sched.JobID {
 	var overdue []sched.JobID
 	for _, id := range slices.Compact(due) {
 		rec := w.jobs[id]
-		name := w.couplings[rec.coupling].spec.Name
+		cs := w.couplings[rec.coupling]
+		name := cs.spec.Name
 		key := name + "/" + rec.point.ID
 		if w.watchdogKills[key] >= watchdogMaxKills {
-			w.tel.Counter(telemetry.Name("wm.watchdog_exhausted_total", "coupling", name)).Inc()
+			cs.m.watchdogExhausted.Get(w.tel, "wm.watchdog_exhausted_total", "coupling", name).Inc()
 			// Stop reconsidering it every poll: zero the deadline.
 			rec.deadline = time.Time{}
 			w.jobs[id] = rec
 			continue
 		}
 		w.watchdogKills[key]++
-		w.tel.Counter(telemetry.Name("wm.watchdog_kills_total", "coupling", name)).Inc()
+		cs.m.watchdogKills.Get(w.tel, "wm.watchdog_kills_total", "coupling", name).Inc()
 		overdue = append(overdue, id)
 		// If the kill fails the job is still overdue at the next poll.
 		heap.Push(&w.deadlines, jobDeadline{rec.deadline, id})
@@ -502,7 +511,7 @@ func (w *Workflow) pollCoupling(i int) {
 		if spec.SimDuration != nil {
 			req.Duration = spec.SimDuration(w.rng, p)
 		}
-		w.tel.Counter(telemetry.Name("wm.sims_launched_total", "coupling", spec.Name)).Inc()
+		cs.m.simsLaunched.Get(w.tel, "wm.sims_launched_total", "coupling", spec.Name).Inc()
 		w.submitLocked(req, i, roleSim, p)
 	}
 
@@ -533,7 +542,7 @@ func (w *Workflow) pollCoupling(i int) {
 		sel := spec.Selector.Select(want)
 		w.tel.RecordSpan("wm", "task2.select", selStart, w.tel.Now().Sub(selStart),
 			"coupling", spec.Name, "want", want, "got", len(sel))
-		w.tel.Counter(telemetry.Name("wm.selections_total", "coupling", spec.Name)).Add(int64(len(sel)))
+		cs.m.selections.Get(w.tel, "wm.selections_total", "coupling", spec.Name).Add(int64(len(sel)))
 		points = append(points, sel...)
 	}
 	for _, p := range points {
@@ -542,7 +551,7 @@ func (w *Workflow) pollCoupling(i int) {
 		if spec.SetupDuration != nil {
 			req.Duration = spec.SetupDuration(w.rng)
 		}
-		w.tel.Counter(telemetry.Name("wm.setups_launched_total", "coupling", spec.Name)).Inc()
+		cs.m.setupsLaunched.Get(w.tel, "wm.setups_launched_total", "coupling", spec.Name).Inc()
 		w.submitLocked(req, i, roleSetup, p)
 	}
 }
@@ -552,9 +561,9 @@ func (w *Workflow) pollCoupling(i int) {
 func (w *Workflow) updateGaugesLocked(i int) {
 	cs := w.couplings[i]
 	name := cs.spec.Name
-	w.tel.Gauge(telemetry.Name("wm.ready", "coupling", name)).Set(float64(cs.ready.Len()))
-	w.tel.Gauge(telemetry.Name("wm.running", "coupling", name)).Set(float64(cs.running + cs.pendingSim))
-	w.tel.Gauge(telemetry.Name("wm.in_setup", "coupling", name)).Set(float64(cs.inSetup + cs.pendingSetup))
+	cs.m.ready.Get(w.tel, "wm.ready", "coupling", name).Set(float64(cs.ready.Len()))
+	cs.m.running.Get(w.tel, "wm.running", "coupling", name).Set(float64(cs.running + cs.pendingSim))
+	cs.m.inSetup.Get(w.tel, "wm.in_setup", "coupling", name).Set(float64(cs.inSetup + cs.pendingSetup))
 }
 
 // submitLocked routes one job through the conductor. Caller holds w.mu; the
@@ -618,12 +627,12 @@ func (w *Workflow) onJobFinish(id sched.JobID, st sched.State) {
 			// Setup produced a runnable configuration: queue it for the
 			// corresponding simulation.
 			cs.ready.PushBack(rec.point)
-			w.tel.Counter(telemetry.Name("wm.setups_completed_total", "coupling", cs.spec.Name)).Inc()
+			cs.m.setupsCompleted.Get(w.tel, "wm.setups_completed_total", "coupling", cs.spec.Name).Inc()
 		} else {
 			cs.failedSetups++
 			// "resubmits failed ones": the same configuration re-runs setup.
 			cs.redoSetup = append(cs.redoSetup, rec.point)
-			w.tel.Counter(telemetry.Name("wm.setups_failed_total", "coupling", cs.spec.Name)).Inc()
+			cs.m.setupsFailed.Get(w.tel, "wm.setups_failed_total", "coupling", cs.spec.Name).Inc()
 		}
 	case roleSim:
 		cs.running--
@@ -631,14 +640,14 @@ func (w *Workflow) onJobFinish(id sched.JobID, st sched.State) {
 			cs.completed++
 			// A clean completion clears the configuration's watchdog budget.
 			delete(w.watchdogKills, cs.spec.Name+"/"+rec.point.ID)
-			w.tel.Counter(telemetry.Name("wm.sims_completed_total", "coupling", cs.spec.Name)).Inc()
+			cs.m.simsCompleted.Get(w.tel, "wm.sims_completed_total", "coupling", cs.spec.Name).Inc()
 		} else {
 			cs.failedSims++
 			// "resubmits failed ones": the configuration returns to the
 			// front of the ready queue.
 			cs.ready.PushFront(rec.point)
 			cs.launched--
-			w.tel.Counter(telemetry.Name("wm.sims_failed_total", "coupling", cs.spec.Name)).Inc()
+			cs.m.simsFailed.Get(w.tel, "wm.sims_failed_total", "coupling", cs.spec.Name).Inc()
 		}
 		onEnd = cs.spec.OnSimEnd
 	}
@@ -668,7 +677,7 @@ func (w *Workflow) runFeedback(i int) {
 		stopped := w.stopped
 		w.mu.Unlock()
 		if !stopped {
-			w.tel.Counter(telemetry.Name("wm.feedback_skipped_total", "coupling", name)).Inc()
+			cs.m.feedbackSkipped.Get(w.tel, "wm.feedback_skipped_total", "coupling", name).Inc()
 		}
 		return
 	}
@@ -680,9 +689,9 @@ func (w *Workflow) runFeedback(i int) {
 	_, err := mgr.Iterate()
 	sp.End()
 	if err == nil {
-		w.tel.Counter(telemetry.Name("wm.feedback_runs_total", "coupling", name)).Inc()
+		cs.m.feedbackRuns.Get(w.tel, "wm.feedback_runs_total", "coupling", name).Inc()
 	} else {
-		w.tel.Counter(telemetry.Name("wm.feedback_failed_total", "coupling", name)).Inc()
+		cs.m.feedbackFailed.Get(w.tel, "wm.feedback_failed_total", "coupling", name).Inc()
 	}
 
 	w.mu.Lock()

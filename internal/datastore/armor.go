@@ -53,14 +53,17 @@ type armored struct {
 	tel     *telemetry.Telemetry
 	backend string
 	opts    ArmorOptions
+
+	retries, gaveUp telemetry.Lazy[telemetry.Counter]
+	backoff         telemetry.Lazy[telemetry.Histogram]
 }
 
 // do runs one operation under the retry schedule, accounting retries, backoff
 // delays, and give-ups.
 func (a *armored) do(op func() error) error {
 	sleep := func(d time.Duration) {
-		a.tel.Counter(telemetry.Name("store.retries_total", "backend", a.backend)).Inc()
-		a.tel.Histogram(telemetry.Name("store.backoff_ms", "backend", a.backend)).
+		a.retries.Get(a.tel, "store.retries_total", "backend", a.backend).Inc()
+		a.backoff.Get(a.tel, "store.backoff_ms", "backend", a.backend).
 			Observe(float64(d) / float64(time.Millisecond))
 		if a.opts.Sleep != nil {
 			a.opts.Sleep(d)
@@ -70,7 +73,7 @@ func (a *armored) do(op func() error) error {
 	if transient(err) {
 		// A transient error escaping Do means the attempt budget ran out:
 		// the armor gave up.
-		a.tel.Counter(telemetry.Name("store.gaveup_total", "backend", a.backend)).Inc()
+		a.gaveUp.Get(a.tel, "store.gaveup_total", "backend", a.backend).Inc()
 	}
 	return err
 }

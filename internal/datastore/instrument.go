@@ -30,30 +30,34 @@ type instrumented struct {
 	s       Store
 	tel     *telemetry.Telemetry
 	backend string
+
+	// store.ops_total per op, then the per-backend counters.
+	putOps, getOps, deleteOps, keysOps, moveOps, getBatchOps, moveBatchOps telemetry.Lazy[telemetry.Counter]
+	misses, errs, writeBytes, readBytes                                    telemetry.Lazy[telemetry.Counter]
 }
 
 // observe records one finished op: its count and the error split.
 // ErrNotFound counts as a miss, not an error — lookups of
 // not-yet-produced frames are part of normal feedback operation.
-func (d *instrumented) observe(op string, err error) {
+func (d *instrumented) observe(ops *telemetry.Lazy[telemetry.Counter], op string, err error) {
 	t := d.tel
-	t.Counter(telemetry.Name("store.ops_total", "backend", d.backend, "op", op)).Inc()
+	ops.Get(t, "store.ops_total", "backend", d.backend, "op", op).Inc()
 	if err == nil {
 		return
 	}
 	if errors.Is(err, ErrNotFound) {
-		t.Counter(telemetry.Name("store.misses_total", "backend", d.backend)).Inc()
+		d.misses.Get(t, "store.misses_total", "backend", d.backend).Inc()
 	} else {
-		t.Counter(telemetry.Name("store.errors_total", "backend", d.backend)).Inc()
+		d.errs.Get(t, "store.errors_total", "backend", d.backend).Inc()
 	}
 }
 
 // Put implements Store.
 func (d *instrumented) Put(ns, key string, data []byte) error {
 	err := d.s.Put(ns, key, data)
-	d.observe("put", err)
+	d.observe(&d.putOps, "put", err)
 	if err == nil {
-		d.tel.Counter(telemetry.Name("store.write_bytes_total", "backend", d.backend)).Add(int64(len(data)))
+		d.writeBytes.Get(d.tel, "store.write_bytes_total", "backend", d.backend).Add(int64(len(data)))
 	}
 	return err
 }
@@ -61,9 +65,9 @@ func (d *instrumented) Put(ns, key string, data []byte) error {
 // Get implements Store.
 func (d *instrumented) Get(ns, key string) ([]byte, error) {
 	v, err := d.s.Get(ns, key)
-	d.observe("get", err)
+	d.observe(&d.getOps, "get", err)
 	if err == nil {
-		d.tel.Counter(telemetry.Name("store.read_bytes_total", "backend", d.backend)).Add(int64(len(v)))
+		d.readBytes.Get(d.tel, "store.read_bytes_total", "backend", d.backend).Add(int64(len(v)))
 	}
 	return v, err
 }
@@ -71,21 +75,21 @@ func (d *instrumented) Get(ns, key string) ([]byte, error) {
 // Delete implements Store.
 func (d *instrumented) Delete(ns, key string) error {
 	err := d.s.Delete(ns, key)
-	d.observe("delete", err)
+	d.observe(&d.deleteOps, "delete", err)
 	return err
 }
 
 // Keys implements Store.
 func (d *instrumented) Keys(ns string) ([]string, error) {
 	ks, err := d.s.Keys(ns)
-	d.observe("keys", err)
+	d.observe(&d.keysOps, "keys", err)
 	return ks, err
 }
 
 // Move implements Store.
 func (d *instrumented) Move(srcNS, key, dstNS string) error {
 	err := d.s.Move(srcNS, key, dstNS)
-	d.observe("move", err)
+	d.observe(&d.moveOps, "move", err)
 	return err
 }
 
@@ -94,19 +98,19 @@ func (d *instrumented) Close() error { return d.s.Close() }
 
 func (d *instrumented) getBatch(ns string, keys []string) (map[string][]byte, error) {
 	m, err := d.s.(BatchGetter).GetBatch(ns, keys)
-	d.observe("get_batch", err)
+	d.observe(&d.getBatchOps, "get_batch", err)
 	if err == nil {
 		var n int64
 		for _, v := range m {
 			n += int64(len(v))
 		}
-		d.tel.Counter(telemetry.Name("store.read_bytes_total", "backend", d.backend)).Add(n)
+		d.readBytes.Get(d.tel, "store.read_bytes_total", "backend", d.backend).Add(n)
 	}
 	return m, err
 }
 
 func (d *instrumented) moveBatch(srcNS string, keys []string, dstNS string) error {
 	err := d.s.(BatchMover).MoveBatch(srcNS, keys, dstNS)
-	d.observe("move_batch", err)
+	d.observe(&d.moveBatchOps, "move_batch", err)
 	return err
 }

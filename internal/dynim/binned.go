@@ -3,11 +3,11 @@ package dynim
 import (
 	"container/heap"
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"sync"
 	"time"
 
+	"mummi/internal/stats"
 	"mummi/internal/telemetry"
 )
 
@@ -47,13 +47,14 @@ type Binned struct {
 	// nonEmpty is the min-heap of bins with queued candidates. Occupancy
 	// only rises, so an Add to a queued bin can only sift it down.
 	nonEmpty binHeap
-	// queuedFen is the Fenwick tree (1-based) of queued counts per joint
-	// bin, allocated at the first Add.
-	queuedFen []int
+	// queuedFen is the Fenwick tree of queued counts per joint bin, sized
+	// at the first Add.
+	queuedFen stats.Fenwick
 	nbins     int // joint bin count, ∏ dims[i].Bins
 	total     int // queued candidate count
 
-	tel *telemetry.Telemetry // nil = no instrumentation
+	tel      *telemetry.Telemetry // nil = no instrumentation
+	selCount telemetry.Lazy[telemetry.Counter]
 }
 
 // binState is one joint bin.
@@ -159,6 +160,7 @@ func (b *Binned) binOf(coords []float64) int {
 func (b *Binned) SetTelemetry(tel *telemetry.Telemetry) {
 	b.mu.Lock()
 	b.tel = tel
+	b.selCount = telemetry.Lazy[telemetry.Counter]{}
 	b.mu.Unlock()
 }
 
@@ -183,10 +185,8 @@ func (b *Binned) Add(p Point) error {
 	} else {
 		heap.Fix(&b.nonEmpty, st.pos)
 	}
-	if b.queuedFen == nil {
-		b.queuedFen = make([]int, b.nbins+1)
-	}
-	b.fenAdd(bin, 1)
+	b.queuedFen.Grow(b.nbins) // sized at the first Add, a no-op after it
+	b.queuedFen.Add(bin, 1)
 	b.total++
 	return nil
 }
@@ -205,7 +205,8 @@ func (b *Binned) Select(n int) []Point {
 		if b.rng.Float64() < b.balance {
 			st = b.nonEmpty[0]
 		} else {
-			st = b.bins[b.randomNonEmpty()]
+			// A uniform draw: the bin holding the k-th queued candidate.
+			st = b.bins[b.queuedFen.Kth(b.rng.Intn(b.total))]
 		}
 		p := st.queued[0]
 		st.queued[0] = Point{} // the backing array must not pin the popped point
@@ -214,39 +215,16 @@ func (b *Binned) Select(n int) []Point {
 			st.queued = nil
 			heap.Remove(&b.nonEmpty, st.pos)
 		}
-		b.fenAdd(st.bin, -1)
+		b.queuedFen.Add(st.bin, -1)
 		b.total--
 		out = append(out, p)
 	}
 	if b.tel != nil {
 		b.tel.RecordSpan("dynim", "select", selStart, b.tel.Now().Sub(selStart),
 			"want", n, "got", len(out))
-		b.tel.Counter("dynim.selected_total").Add(int64(len(out)))
+		b.selCount.Get(b.tel, "dynim.selected_total").Add(int64(len(out)))
 	}
 	return out
-}
-
-// fenAdd adds d to bin's queued count. Caller holds the lock.
-func (b *Binned) fenAdd(bin, d int) {
-	for i := bin + 1; i < len(b.queuedFen); i += i & -i {
-		b.queuedFen[i] += d
-	}
-}
-
-// randomNonEmpty picks a queued candidate uniformly at random (weighting
-// bins by their queue length) and returns its bin: the first, in ascending
-// index order, whose cumulative queued count exceeds the draw. Caller holds
-// the lock.
-func (b *Binned) randomNonEmpty() int {
-	k := b.rng.Intn(b.total)
-	bin := 0
-	for step := 1 << (bits.Len(uint(b.nbins)) - 1); step > 0; step >>= 1 {
-		if next := bin + step; next <= b.nbins && b.queuedFen[next] <= k {
-			bin = next
-			k -= b.queuedFen[next]
-		}
-	}
-	return bin
 }
 
 // Len implements Selector.

@@ -137,7 +137,8 @@ type FarthestPoint struct {
 	hi       string
 	selected map[string]struct{}
 
-	tel *telemetry.Telemetry // nil = no instrumentation
+	tel      *telemetry.Telemetry // nil = no instrumentation
+	selCount telemetry.Lazy[telemetry.Counter]
 }
 
 // fpsMinWork is the fewest distance evaluations (one candidate against one
@@ -181,6 +182,7 @@ func (f *FarthestPoint) SetWorkers(n int) {
 func (f *FarthestPoint) SetTelemetry(tel *telemetry.Telemetry) {
 	f.mu.Lock()
 	f.tel = tel
+	f.selCount = telemetry.Lazy[telemetry.Counter]{}
 	f.mu.Unlock()
 }
 
@@ -642,7 +644,7 @@ func (f *FarthestPoint) Select(n int) []Point {
 	if f.tel != nil {
 		f.tel.RecordSpan("dynim", "select", selStart, f.tel.Now().Sub(selStart),
 			"want", n, "got", len(out))
-		f.tel.Counter("dynim.selected_total").Add(int64(len(out)))
+		f.selCount.Get(f.tel, "dynim.selected_total").Add(int64(len(out)))
 	}
 	return out
 }

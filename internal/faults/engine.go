@@ -31,10 +31,11 @@ type Injection struct {
 
 // ruleState is the mutable scheduling state of one plan rule.
 type ruleState struct {
-	rule    Rule
-	rng     *rand.Rand     // private stream: seed ^ f(rule index)
-	pending vclock.EventID // armed timer for timed classes
-	armed   bool
+	rule     Rule
+	rng      *rand.Rand     // private stream: seed ^ f(rule index)
+	pending  vclock.EventID // armed timer for timed classes
+	armed    bool
+	injected telemetry.Lazy[telemetry.Counter] // faults.injected_total for the rule's class
 }
 
 // Engine executes a Plan against a clock. One engine serves a whole
@@ -46,8 +47,9 @@ type ruleState struct {
 // discrete-event clock the mutex is uncontended and exists to keep the
 // engine correct under go test -race and real-clock deployments.
 type Engine struct {
-	clk vclock.Clock
-	tel *telemetry.Telemetry
+	clk          vclock.Clock
+	tel          *telemetry.Telemetry
+	storeLatency telemetry.Lazy[telemetry.Histogram]
 
 	mu        sync.Mutex
 	rules     []*ruleState
@@ -149,7 +151,7 @@ func (e *Engine) fire(rs *ruleState) {
 	if inWindow {
 		h = e.handlers[rs.rule.Class]
 		e.log = append(e.log, Injection{At: now, Class: rs.rule.Class})
-		e.tel.Counter(telemetry.Name("faults.injected_total", "class", string(rs.rule.Class))).Inc()
+		rs.injected.Get(e.tel, "faults.injected_total", "class", string(rs.rule.Class)).Inc()
 		e.tel.RecordSpan("faults", string(rs.rule.Class), now, 0)
 	}
 	e.armLocked(rs)
@@ -211,11 +213,11 @@ func (e *Engine) DrawStore(op string) (spike time.Duration, err error) {
 		if rs.rng.Float64() >= r.Rate {
 			continue
 		}
-		e.tel.Counter(telemetry.Name("faults.injected_total", "class", string(r.Class))).Inc()
+		rs.injected.Get(e.tel, "faults.injected_total", "class", string(r.Class)).Inc()
 		switch r.Class {
 		case StoreLatency:
 			spike += r.Latency
-			e.tel.Histogram("faults.store_latency_ms").
+			e.storeLatency.Get(e.tel, "faults.store_latency_ms").
 				Observe(float64(r.Latency) / float64(time.Millisecond))
 		case StoreTransient:
 			if err == nil {

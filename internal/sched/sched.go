@@ -100,6 +100,7 @@ type Scheduler struct {
 	mode    Mode
 	costs   Costs
 	tel     *telemetry.Telemetry
+	m       metrics
 
 	mu           sync.Mutex
 	nextID       JobID
@@ -121,6 +122,14 @@ type Scheduler struct {
 	onFinish     func(*Job)
 	poll         *vclock.Ticker
 	closed       bool
+}
+
+// metrics are the scheduler's metric handles, resolved at their first events.
+type metrics struct {
+	submitted, matches, matchVisits, matchBlocked, started, autocompleteErrors,
+	completed, failed, canceled, hung, nodeCrashes, crashKillErrors telemetry.Lazy[telemetry.Counter]
+	matchMs, queueWaitMs                            telemetry.Lazy[telemetry.Histogram]
+	queueDepth, running, gpuOccupancy, cpuOccupancy telemetry.Lazy[telemetry.Gauge]
 }
 
 // New builds a scheduler over the machine described in cfg.
@@ -193,7 +202,7 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 	job := &Job{ID: s.nextID, Req: req, State: Pending, SubmitTime: s.clk.Now()}
 	s.jobs[job.ID] = job
 	s.inbox = append(s.inbox, qMsg{kind: "submit", job: job, cost: s.costs.SubmitMsg})
-	s.tel.Counter("sched.submitted_total").Inc()
+	s.m.submitted.Get(s.tel, "sched.submitted_total").Inc()
 	s.updateGaugesLocked()
 	s.kickQ()
 	return job, nil
@@ -206,12 +215,12 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 func (s *Scheduler) noteMatchLocked(job *Job, visits int64, cost time.Duration, placed bool) {
 	s.tel.RecordSpan("sched", "match", s.clk.Now(), cost,
 		"job", int64(job.ID), "visits", visits, "placed", placed)
-	s.tel.Counter("sched.matches_total").Inc()
-	s.tel.Counter("sched.match_visits_total").Add(visits)
+	s.m.matches.Get(s.tel, "sched.matches_total").Inc()
+	s.m.matchVisits.Get(s.tel, "sched.match_visits_total").Add(visits)
 	if !placed {
-		s.tel.Counter("sched.match_blocked_total").Inc()
+		s.m.matchBlocked.Get(s.tel, "sched.match_blocked_total").Inc()
 	}
-	s.tel.Histogram("sched.match_ms").Observe(float64(cost) / float64(time.Millisecond))
+	s.m.matchMs.Get(s.tel, "sched.match_ms").Observe(float64(cost) / float64(time.Millisecond))
 }
 
 // updateGaugesLocked refreshes queue-depth and occupancy gauges. Caller
@@ -223,10 +232,10 @@ func (s *Scheduler) updateGaugesLocked() {
 			q++
 		}
 	}
-	s.tel.Gauge("sched.queue_depth").Set(float64(q))
-	s.tel.Gauge("sched.running").Set(float64(s.running))
-	s.tel.Gauge("sched.gpu_occupancy_pct").Set(s.machine.GPUOccupancy() * 100)
-	s.tel.Gauge("sched.cpu_occupancy_pct").Set(s.machine.CPUOccupancy() * 100)
+	s.m.queueDepth.Get(s.tel, "sched.queue_depth").Set(float64(q))
+	s.m.running.Get(s.tel, "sched.running").Set(float64(s.running))
+	s.m.gpuOccupancy.Get(s.tel, "sched.gpu_occupancy_pct").Set(s.machine.GPUOccupancy() * 100)
+	s.m.cpuOccupancy.Get(s.tel, "sched.cpu_occupancy_pct").Set(s.machine.CPUOccupancy() * 100)
 }
 
 // kickQ advances the queue manager. Caller holds s.mu.
@@ -345,8 +354,8 @@ func (s *Scheduler) startLocked(job *Job, alloc cluster.Alloc) {
 	job.Alloc = alloc
 	s.running++
 	s.timeline = append(s.timeline, Placement{Time: job.StartTime, Job: job.ID})
-	s.tel.Counter("sched.started_total").Inc()
-	s.tel.Histogram("sched.queue_wait_ms").
+	s.m.started.Get(s.tel, "sched.started_total").Inc()
+	s.m.queueWaitMs.Get(s.tel, "sched.queue_wait_ms").
 		Observe(float64(job.StartTime.Sub(job.SubmitTime)) / float64(time.Millisecond))
 	s.updateGaugesLocked()
 	if job.Req.Duration > 0 {
@@ -355,7 +364,7 @@ func (s *Scheduler) startLocked(job *Job, alloc cluster.Alloc) {
 			// Auto-completion may race a manual Complete/Fail; that race is
 			// the one benign outcome, anything else is a real bug.
 			if err := s.finish(id, Completed); err != nil && !errors.Is(err, ErrAlreadyTerminal) {
-				s.tel.Counter("sched.autocomplete_errors_total").Inc()
+				s.m.autocompleteErrors.Get(s.tel, "sched.autocomplete_errors_total").Inc()
 			}
 		})
 	}
@@ -394,9 +403,9 @@ func (s *Scheduler) finish(id JobID, st State) error {
 	s.machine.Release(job.Alloc)
 	s.matcher.NoteRelease(job.Alloc)
 	if st == Completed {
-		s.tel.Counter("sched.completed_total").Inc()
+		s.m.completed.Get(s.tel, "sched.completed_total").Inc()
 	} else {
-		s.tel.Counter("sched.failed_total").Inc()
+		s.m.failed.Get(s.tel, "sched.failed_total").Inc()
 	}
 	s.updateGaugesLocked()
 	// Freed resources may unblock queue heads.
@@ -425,7 +434,7 @@ func (s *Scheduler) Cancel(id JobID) bool {
 	job.EndTime = s.clk.Now()
 	s.pending = removeJob(s.pending, id)
 	s.rQueue = removeJob(s.rQueue, id)
-	s.tel.Counter("sched.canceled_total").Inc()
+	s.m.canceled.Get(s.tel, "sched.canceled_total").Inc()
 	s.updateGaugesLocked()
 	cb := s.onFinish
 	s.mu.Unlock()
@@ -481,7 +490,7 @@ func (s *Scheduler) Hang(id JobID) bool {
 		delete(s.autoDone, id)
 	}
 	s.hung[id] = true
-	s.tel.Counter("sched.hung_total").Inc()
+	s.m.hung.Get(s.tel, "sched.hung_total").Inc()
 	return true
 }
 
@@ -517,13 +526,13 @@ func (s *Scheduler) Crash(node int) []JobID {
 	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
 	s.machine.Drain(node)
 	s.matcher.NoteDrainChange()
-	s.tel.Counter("sched.node_crashes_total").Inc()
+	s.m.nodeCrashes.Get(s.tel, "sched.node_crashes_total").Inc()
 	s.mu.Unlock()
 	for _, id := range victims {
 		// A victim may already be terminal if an auto-completion fired
 		// between collection and the kill; that race is benign.
 		if err := s.finish(id, Failed); err != nil && !errors.Is(err, ErrAlreadyTerminal) {
-			s.tel.Counter("sched.crash_kill_errors_total").Inc()
+			s.m.crashKillErrors.Get(s.tel, "sched.crash_kill_errors_total").Inc()
 		}
 	}
 	return victims

@@ -12,8 +12,8 @@ import (
 
 func TestMetricsServer(t *testing.T) {
 	tel := Nop()
-	tel.Counter("req_total").Add(7)
-	tel.Gauge("depth").Set(2)
+	tel.Registry().Counter("req_total").Add(7)
+	tel.Registry().Gauge("depth").Set(2)
 
 	srv, err := StartMetricsServer("127.0.0.1:0", tel)
 	if err != nil {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -50,21 +51,37 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// LazyCounter is a labelled counter resolved on its first Get and cached
-// from then on: a per-event call site builds the metric name once, not once
-// per event, and the registry still gains the counter at that first event.
-// The zero value is ready; safe for concurrent use.
-type LazyCounter struct{ c atomic.Pointer[Counter] }
+// metric is the set of registry metric kinds.
+type metric interface{ Counter | Gauge | Histogram }
 
-// Get returns the counter Name(base, labels...) in t, resolving it on the
-// first call; later calls return that counter and ignore their arguments.
-func (l *LazyCounter) Get(t *Telemetry, base string, labels ...string) *Counter {
-	if c := l.c.Load(); c != nil {
-		return c
+// Lazy is a metric handle resolved on its first Get and cached from then
+// on: a per-event call site builds the metric name and takes the registry
+// lock once, not once per event, and the registry still gains the metric
+// at that first event, so snapshots are the same as without the handle.
+// The zero value is ready; safe for concurrent use.
+type Lazy[M metric] struct{ m atomic.Pointer[M] }
+
+// Get returns the metric Name(base, labels...) in t, resolving it on the
+// first call; later calls return that metric and ignore their arguments.
+func (l *Lazy[M]) Get(t *Telemetry, base string, labels ...string) *M {
+	if m := l.m.Load(); m != nil {
+		return m
 	}
-	c := t.Counter(Name(base, labels...))
-	l.c.Store(c)
-	return c
+	return l.resolve(t, Name(base, labels...))
+}
+
+func (l *Lazy[M]) resolve(t *Telemetry, name string) *M {
+	var m any
+	switch any((*M)(nil)).(type) {
+	case *Counter:
+		m = t.reg.Counter(name)
+	case *Gauge:
+		m = t.reg.Gauge(name)
+	case *Histogram:
+		m = t.reg.Histogram(name)
+	}
+	l.m.Store(m.(*M))
+	return m.(*M)
 }
 
 // Gauge is a last-write-wins float64 metric (queue depth, occupancy).
@@ -83,7 +100,7 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // Observations also stream count/sum/min/max. Safe for concurrent use.
 type Histogram struct {
 	mu     sync.Mutex
-	counts []int64
+	counts [len(LatencyBucketsMs) + 1]int64
 	count  int64
 	sum    float64
 	min    float64
@@ -96,7 +113,7 @@ func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		v = 0
 	}
-	i := sort.SearchFloat64s(LatencyBucketsMs, v)
+	i := sort.SearchFloat64s(LatencyBucketsMs[:], v)
 	h.mu.Lock()
 	h.counts[i]++
 	if h.count == 0 || v < h.min {
@@ -112,7 +129,7 @@ func (h *Histogram) Observe(v float64) {
 
 // LatencyBucketsMs is every histogram's bucket layout, in milliseconds:
 // roughly exponential from 10 µs to one minute.
-var LatencyBucketsMs = []float64{0.01, 0.05, 0.1, 0.5, 1, 5, 10, 50, 100, 500, 1000, 5000, 10000, 60000}
+var LatencyBucketsMs = [...]float64{0.01, 0.05, 0.1, 0.5, 1, 5, 10, 50, 100, 500, 1000, 5000, 10000, 60000}
 
 // Registry is a deterministic metrics registry: metrics are created on
 // first use and snapshots render them in sorted name order, so two runs
@@ -134,40 +151,25 @@ func NewRegistry() *Registry {
 }
 
 // Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
+func (r *Registry) Counter(name string) *Counter { return lookup(r, r.counters, name) }
 
 // Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
+func (r *Registry) Gauge(name string) *Gauge { return lookup(r, r.gauges, name) }
 
 // Histogram returns the named histogram, creating it on first use. Every
 // histogram is in milliseconds over LatencyBucketsMs.
-func (r *Registry) Histogram(name string) *Histogram {
+func (r *Registry) Histogram(name string) *Histogram { return lookup(r, r.hists, name) }
+
+// lookup returns the metric m holds under name, creating it on first use.
+func lookup[M metric](r *Registry, m map[string]*M, name string) *M {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.hists[name]
+	v, ok := m[name]
 	if !ok {
-		h = &Histogram{counts: make([]int64, len(LatencyBucketsMs)+1)}
-		r.hists[name] = h
+		v = new(M)
+		m[name] = v
 	}
-	return h
+	return v
 }
 
 // CounterSnap is one counter in a Snapshot.
@@ -207,18 +209,7 @@ type Snapshot struct {
 // Snapshot captures the registry's current state.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
+	counters, gauges, hists := maps.Clone(r.counters), maps.Clone(r.gauges), maps.Clone(r.hists)
 	r.mu.Unlock()
 
 	s := Snapshot{
@@ -253,8 +244,8 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms = append(s.Histograms, HistogramSnap{
 			Name:   n,
 			Unit:   "ms",
-			Bounds: append([]float64(nil), LatencyBucketsMs...),
-			Counts: append([]int64(nil), h.counts...),
+			Bounds: append([]float64(nil), LatencyBucketsMs[:]...),
+			Counts: append([]int64(nil), h.counts[:]...),
 			Count:  h.count,
 			Sum:    h.sum,
 			Min:    h.min,

@@ -96,15 +96,6 @@ func (t *Telemetry) Tracer() *Tracer { return t.tracer }
 // Tracing reports whether spans are being recorded.
 func (t *Telemetry) Tracing() bool { return t.tracer != nil }
 
-// Counter returns (creating on first use) the named counter.
-func (t *Telemetry) Counter(name string) *Counter { return t.reg.Counter(name) }
-
-// Gauge returns (creating on first use) the named gauge.
-func (t *Telemetry) Gauge(name string) *Gauge { return t.reg.Gauge(name) }
-
-// Histogram returns (creating on first use) the named millisecond histogram.
-func (t *Telemetry) Histogram(name string) *Histogram { return t.reg.Histogram(name) }
-
 // StartSpan opens a span at Now. It returns nil when tracing is off; a nil
 // *Span accepts Arg and End as no-ops, so call sites need no guards.
 func (t *Telemetry) StartSpan(cat, name string) *Span {

@@ -38,23 +38,58 @@ func TestCounterMonotonic(t *testing.T) {
 	}
 }
 
-// TestLazyCounterResolvesOnFirstGet: the registry gains the counter at the
-// first Get, not before, so a snapshot taken before any event lacks it
-// exactly as it would without the cache.
+// TestLazyCounterResolvesOnFirstGet: a Lazy handle of each metric kind
+// registers its metric at the first Get, not before, so a snapshot taken
+// before any event lacks it exactly as it would without the handle; later
+// Gets, concurrent ones included, return the same metric and register
+// nothing more.
 func TestLazyCounterResolvesOnFirstGet(t *testing.T) {
-	tel := Nop()
-	var l LazyCounter
-	if n := len(tel.Registry().Snapshot().Counters); n != 0 {
-		t.Fatalf("registry holds %d counters before the first Get", n)
+	metrics := func(tel *Telemetry) int {
+		s := tel.Registry().Snapshot()
+		return len(s.Counters) + len(s.Gauges) + len(s.Histograms)
 	}
-	l.Get(tel, "wm.candidates_total", "coupling", "cg").Inc()
-	l.Get(tel, "ignored").Inc()
-	if got := tel.Counter("wm.candidates_total{coupling=cg}").Value(); got != 2 {
-		t.Fatalf("resolved counter = %d, want 2", got)
+	check := func(t *testing.T, get func(tel *Telemetry, base string, labels ...string) any, lookup func(tel *Telemetry, name string) any) {
+		tel := Nop()
+		if n := metrics(tel); n != 0 {
+			t.Fatalf("registry holds %d metrics before the first Get", n)
+		}
+		first := get(tel, "wm.ready", "coupling", "cg")
+		if n := metrics(tel); n != 1 {
+			t.Fatalf("registry holds %d metrics after the first Get, want 1", n)
+		}
+		if want := lookup(tel, "wm.ready{coupling=cg}"); first != want {
+			t.Fatalf("first Get = %p, want the registry's %p", first, want)
+		}
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if m := get(tel, "ignored"); m != first {
+					t.Errorf("a later Get = %p, want %p", m, first)
+				}
+			}()
+		}
+		wg.Wait()
+		if n := metrics(tel); n != 1 {
+			t.Fatalf("registry holds %d metrics, want 1: later Gets must not resolve again", n)
+		}
 	}
-	if n := len(tel.Registry().Snapshot().Counters); n != 1 {
-		t.Fatalf("registry holds %d counters, want 1: later Gets must not resolve again", n)
-	}
+	t.Run("counter", func(t *testing.T) {
+		var l Lazy[Counter]
+		check(t, func(tel *Telemetry, base string, labels ...string) any { return l.Get(tel, base, labels...) },
+			func(tel *Telemetry, name string) any { return tel.Registry().Counter(name) })
+	})
+	t.Run("gauge", func(t *testing.T) {
+		var l Lazy[Gauge]
+		check(t, func(tel *Telemetry, base string, labels ...string) any { return l.Get(tel, base, labels...) },
+			func(tel *Telemetry, name string) any { return tel.Registry().Gauge(name) })
+	})
+	t.Run("histogram", func(t *testing.T) {
+		var l Lazy[Histogram]
+		check(t, func(tel *Telemetry, base string, labels ...string) any { return l.Get(tel, base, labels...) },
+			func(tel *Telemetry, name string) any { return tel.Registry().Histogram(name) })
+	})
 }
 
 func TestGaugeLastWriteWins(t *testing.T) {
@@ -80,7 +115,7 @@ func TestHistogramBucketsAndClamp(t *testing.T) {
 		t.Fatalf("want 1 histogram, got %d", len(s.Histograms))
 	}
 	hs := s.Histograms[0]
-	if hs.Unit != "ms" || !slices.Equal(hs.Bounds, LatencyBucketsMs) {
+	if hs.Unit != "ms" || !slices.Equal(hs.Bounds, LatencyBucketsMs[:]) {
 		t.Fatalf("layout: unit %q bounds %v", hs.Unit, hs.Bounds)
 	}
 	// NaN and +Inf clamp to 0 → first bucket. Bounds are inclusive upper

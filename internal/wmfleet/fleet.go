@@ -92,15 +92,17 @@ type Fleet struct {
 	cfg    Config
 	tel    *telemetry.Telemetry
 	leases *LeaseTable
-	disp   *dispatcher
-	ckptNS string
+	// wmfleet.wm_crashes_total, wmfleet.wm_adoptions_total
+	crashes, adoptions telemetry.Lazy[telemetry.Counter]
+	disp               *dispatcher
+	ckptNS             string
 
 	mu        sync.Mutex
 	instances []*instance
 	order     []string // canonical coupling order
 	specs     map[string]core.CouplingSpec
-	cands     map[string]*telemetry.LazyCounter // wm.candidates_total per coupling, for the orphan path
-	owner     map[string]int                    // coupling -> live owner index; -1 = orphaned
+	cands     map[string]*telemetry.Lazy[telemetry.Counter] // wm.candidates_total per coupling, for the orphan path
+	owner     map[string]int                                // coupling -> live owner index; -1 = orphaned
 	terms     map[string]int64
 	// parts holds the last known per-coupling checkpoint — the restore
 	// source at Start and the fallback when a crash-time store flush
@@ -204,7 +206,7 @@ func New(cfg Config) (*Fleet, error) {
 		tel:    tel,
 		ckptNS: cfg.Namespace + "-ckpt",
 		specs:  make(map[string]core.CouplingSpec, len(cfg.Couplings)),
-		cands:  make(map[string]*telemetry.LazyCounter, len(cfg.Couplings)),
+		cands:  make(map[string]*telemetry.Lazy[telemetry.Counter], len(cfg.Couplings)),
 		owner:  make(map[string]int, len(cfg.Couplings)),
 		terms:  make(map[string]int64, len(cfg.Couplings)),
 		parts:  make(map[string]core.CouplingCheckpoint, len(cfg.Couplings)),
@@ -218,7 +220,7 @@ func New(cfg Config) (*Fleet, error) {
 		}
 		f.order = append(f.order, spec.Name)
 		f.specs[spec.Name] = spec
-		f.cands[spec.Name] = new(telemetry.LazyCounter)
+		f.cands[spec.Name] = new(telemetry.Lazy[telemetry.Counter])
 		f.owner[spec.Name] = i % cfg.Instances
 	}
 	f.disp.bind(cfg.Backend)
@@ -407,7 +409,7 @@ func (f *Fleet) Crash(idx int) (CrashInfo, error) {
 	}
 	inst.alive = false
 	f.acc.Crashes++
-	f.tel.Counter("wmfleet.wm_crashes_total").Inc()
+	f.crashes.Get(f.tel, "wmfleet.wm_crashes_total").Inc()
 	now := f.cfg.Clock.Now()
 	f.tel.RecordSpan("wmfleet", "crash", now, 0,
 		"instance", idx, "couplings", len(info.Couplings))
@@ -521,7 +523,7 @@ func (f *Fleet) adoptLocked(inst *instance, name string) {
 	f.owner[name] = inst.idx
 	f.terms[name] = term
 	f.acc.Adoptions++
-	f.tel.Counter("wmfleet.wm_adoptions_total").Inc()
+	f.adoptions.Get(f.tel, "wmfleet.wm_adoptions_total").Inc()
 	f.tel.RecordSpan("wmfleet", "adopt", start, f.cfg.Clock.Now().Sub(start),
 		"coupling", name, "instance", inst.idx, "term", term)
 	f.event(fmt.Sprintf("wm-adopt coupling=%s instance=%d term=%d", name, inst.idx+1, term))

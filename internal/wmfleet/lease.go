@@ -68,6 +68,9 @@ type LeaseTable struct {
 	// onExpire observes each takeover of an expired lease (fleet
 	// accounting); nil is allowed.
 	onExpire func()
+	// wmfleet.lease_* metric handles
+	expirations, acquired, renewals telemetry.Lazy[telemetry.Counter]
+	renewAge                        telemetry.Lazy[telemetry.Histogram]
 }
 
 // NewLeaseTable builds a lease table over one store namespace; leases live
@@ -103,7 +106,7 @@ func (l *LeaseTable) Acquire(holder int, coupling string) (term int64, ok bool, 
 		}
 		if rec.Holder != holder {
 			// Taking over a dead holder's expired lease.
-			l.tel.Counter("wmfleet.lease_expirations_total").Inc()
+			l.expirations.Get(l.tel, "wmfleet.lease_expirations_total").Inc()
 			if l.onExpire != nil {
 				l.onExpire()
 			}
@@ -117,7 +120,7 @@ func (l *LeaseTable) Acquire(holder int, coupling string) (term int64, ok bool, 
 	if err := l.store.Put(l.ns, coupling, b); err != nil {
 		return 0, false, err
 	}
-	l.tel.Counter("wmfleet.lease_acquired_total").Inc()
+	l.acquired.Get(l.tel, "wmfleet.lease_acquired_total").Inc()
 	return rec.Term, true, nil
 }
 
@@ -146,7 +149,7 @@ func (l *LeaseTable) Renew(holder int, term int64, coupling string) (ok bool, er
 		return false, nil
 	}
 	granted := rec.ExpiresNs - leaseTTL.Nanoseconds()
-	l.tel.Histogram("wmfleet.lease_renew_age_ms").
+	l.renewAge.Get(l.tel, "wmfleet.lease_renew_age_ms").
 		Observe(float64(now-granted) / 1e6)
 	rec.ExpiresNs = now + leaseTTL.Nanoseconds()
 	b, err := json.Marshal(rec)
@@ -156,7 +159,7 @@ func (l *LeaseTable) Renew(holder int, term int64, coupling string) (ok bool, er
 	if err := l.store.Put(l.ns, coupling, b); err != nil {
 		return false, err
 	}
-	l.tel.Counter("wmfleet.lease_renewals_total").Inc()
+	l.renewals.Get(l.tel, "wmfleet.lease_renewals_total").Inc()
 	return true, nil
 }
 

@@ -91,6 +91,14 @@ test -z "$(grep -rn 'sort\.Slice' internal/dynim --include='*.go' --exclude='*_t
 # samplers is ever deleted from a map, so a delete means the churned ID map
 # came back.
 test -z "$(grep -rn 'delete(' internal/dynim --include='*.go' --exclude='*_test.go')"
+# The event loop pays per event, not per name or per live job (DESIGN.md
+# "Coordinator bookkeeping follows events"). Outside internal/telemetry a
+# metric is a telemetry.Lazy handle resolved at its first event, never a
+# registry lookup by name on every event; and the campaign draws victims
+# from its live-job index and sweeps it in ID order, so nothing in it sorts
+# with sort.Slice.
+test -z "$(grep -rnE '\.(Counter|Gauge|Histogram)\(' internal --include='*.go' --exclude='*_test.go' | grep -v '^internal/telemetry/')"
+test -z "$(grep -rn 'sort\.Slice' internal/campaign --include='*.go' --exclude='*_test.go')"
 # The virtual clock has one pending structure, the four-ary heap (DESIGN.md
 # §11): no same-timestamp drain batch, paged index or ID map beside it.
 test -z "$(grep -rnE 'batch|eventPage|indexTake|map\[EventID\]\*event' internal/vclock --include='*.go' --exclude='*_test.go')"
