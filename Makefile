@@ -17,9 +17,12 @@ test:
 	$(GO) test ./...
 
 # The selector engine's determinism contract is only believable under the
-# race detector, and the coordination layers (workflow manager, scheduler,
-# network store, feedback loop) drive real goroutine interleavings in their
-# tests — so the whole module runs under -race, not a hand-picked subset.
+# race detector (its rank refresh fans out over parallel.For workers), and
+# the network store, the metrics endpoint and the feedback worker pool
+# drive real goroutine interleavings in their tests. The coordination
+# layers run on one goroutine (DESIGN.md §6), and -race also catches a test
+# that shares one of them across goroutines — so the whole module runs
+# under -race, not a hand-picked subset.
 race:
 	$(GO) test -race ./...
 

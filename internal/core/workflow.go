@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"time"
 
 	"mummi/internal/dynim"
@@ -241,19 +240,22 @@ type couplingState struct {
 	failedSims   int
 	failedSetups int
 	feedbackRuns int
-	feedbackBusy bool
-	m            couplingMetrics // AddCandidate bumps m.candidates without the lock
+	m            couplingMetrics
 }
 
 // couplingMetrics are one coupling's wm.* handles, labelled by coupling.
 type couplingMetrics struct {
 	candidates, simsLaunched, selections, setupsLaunched, setupsCompleted, setupsFailed,
 	simsCompleted, simsFailed, watchdogKills, watchdogExhausted,
-	feedbackRuns, feedbackFailed, feedbackSkipped telemetry.Lazy[telemetry.Counter]
+	feedbackRuns, feedbackFailed telemetry.Lazy[telemetry.Counter]
 	ready, running, inSetup telemetry.Lazy[telemetry.Gauge]
 }
 
-// Workflow is the workflow manager.
+// Workflow is the workflow manager. Its four tasks are callbacks on the
+// clock — candidate ingest, the poll ticker, the scheduler's start and finish
+// callbacks, the feedback tickers — so a Workflow is not safe for concurrent
+// use: event order on the goroutine that drives the clock stands in for the
+// paper's locking (DESIGN.md §6).
 type Workflow struct {
 	clk  vclock.Clock
 	cond *maestro.Conductor
@@ -262,11 +264,6 @@ type Workflow struct {
 
 	polls, watchdogKillErrors telemetry.Lazy[telemetry.Counter]
 
-	// The WM's shared objects are guarded by a blocking lock; the feedback
-	// path additionally uses a per-coupling nonblocking busy flag so a slow
-	// iteration skips rather than stalls job management — the paper's "mix
-	// of blocking and nonblocking locks".
-	mu        sync.Mutex
 	couplings []*couplingState
 	jobs      map[sched.JobID]jobRecord
 	poll      *vclock.Ticker
@@ -334,35 +331,26 @@ func New(cfg Config) (*Workflow, error) {
 // submission): simulation start observers see real start times, which the
 // campaign's progress accounting depends on.
 func (w *Workflow) onJobStart(id sched.JobID) {
-	w.mu.Lock()
 	rec, ok := w.jobs[id]
 	if ok && w.watchdogGrace > 0 && rec.dur > 0 {
 		rec.deadline = w.clk.Now().Add(time.Duration(w.watchdogGrace * float64(rec.dur)))
 		w.jobs[id] = rec
 		heap.Push(&w.deadlines, jobDeadline{rec.deadline, id})
 	}
-	var cb func(dynim.Point, sched.JobID)
 	if ok && rec.role == roleSim {
-		cb = w.couplings[rec.coupling].spec.OnSimStart
-	}
-	w.mu.Unlock()
-	if cb != nil {
-		cb(rec.point, id)
+		if cb := w.couplings[rec.coupling].spec.OnSimStart; cb != nil {
+			cb(rec.point, id)
+		}
 	}
 }
 
 // Start submits static jobs and begins the poll and feedback tickers.
 func (w *Workflow) Start() error {
-	w.mu.Lock()
 	if w.started {
-		w.mu.Unlock()
 		return errors.New("core: already started")
 	}
 	w.started = true
-	static := w.static
-	w.mu.Unlock()
-
-	for _, req := range static {
+	for _, req := range w.static {
 		if err := w.cond.Submit(req, nil); err != nil {
 			return err
 		}
@@ -384,19 +372,14 @@ func (w *Workflow) Start() error {
 
 // Stop halts tickers; running jobs continue in the scheduler.
 func (w *Workflow) Stop() {
-	w.mu.Lock()
 	if w.stopped {
-		w.mu.Unlock()
 		return
 	}
 	w.stopped = true
-	poll := w.poll
-	fbs := w.fbTickers
-	w.mu.Unlock()
-	if poll != nil {
-		poll.Stop()
+	if w.poll != nil {
+		w.poll.Stop()
 	}
-	for _, t := range fbs {
+	for _, t := range w.fbTickers {
 		t.Stop()
 	}
 }
@@ -434,9 +417,7 @@ func (w *Workflow) findCoupling(name string) *couplingState {
 // for deterministic tests.
 func (w *Workflow) Poll() {
 	sp := w.tel.StartSpan("wm", "task3.poll")
-	w.mu.Lock()
 	if w.stopped {
-		w.mu.Unlock()
 		sp.End()
 		return
 	}
@@ -444,11 +425,10 @@ func (w *Workflow) Poll() {
 	for i := range w.couplings {
 		w.pollCoupling(i)
 	}
-	overdue := w.watchdogSweepLocked()
-	w.mu.Unlock()
+	overdue := w.watchdogSweep()
 	sp.End()
-	// Kills happen outside the lock: Fail drives the backend's terminal
-	// callback, which re-enters onJobFinish and takes w.mu itself.
+	// Kills follow the sweep: Fail drives the backend's terminal callback,
+	// which re-enters onJobFinish and must see the sweep's bookkeeping done.
 	for _, id := range overdue {
 		if err := w.cond.Fail(id); err != nil && !errors.Is(err, sched.ErrAlreadyTerminal) {
 			w.watchdogKillErrors.Get(w.tel, "wm.watchdog_kill_errors_total").Inc()
@@ -456,11 +436,10 @@ func (w *Workflow) Poll() {
 	}
 }
 
-// watchdogSweepLocked finds tracked jobs past their deadlines and charges
+// watchdogSweep finds tracked jobs past their deadlines and charges
 // their kill budgets, returning the IDs to kill in ascending order. It
 // visits only the appointments that have come due, not every tracked job.
-// Caller holds w.mu.
-func (w *Workflow) watchdogSweepLocked() []sched.JobID {
+func (w *Workflow) watchdogSweep() []sched.JobID {
 	if w.watchdogGrace <= 0 {
 		return nil
 	}
@@ -495,11 +474,11 @@ func (w *Workflow) watchdogSweepLocked() []sched.JobID {
 	return overdue
 }
 
-// pollCoupling holds w.mu.
+// pollCoupling is one coupling's share of Poll.
 func (w *Workflow) pollCoupling(i int) {
 	cs := w.couplings[i]
 	spec := &cs.spec
-	defer w.updateGaugesLocked(i)
+	defer w.updateGauges(i)
 
 	// 1. Spawn simulations from the ready buffer up to the concurrency
 	// target.
@@ -512,7 +491,7 @@ func (w *Workflow) pollCoupling(i int) {
 			req.Duration = spec.SimDuration(w.rng, p)
 		}
 		cs.m.simsLaunched.Get(w.tel, "wm.sims_launched_total", "coupling", spec.Name).Inc()
-		w.submitLocked(req, i, roleSim, p)
+		w.submit(req, i, roleSim, p)
 	}
 
 	// 2. Keep the prepared buffer at target: new selections trigger setup
@@ -552,13 +531,12 @@ func (w *Workflow) pollCoupling(i int) {
 			req.Duration = spec.SetupDuration(w.rng)
 		}
 		cs.m.setupsLaunched.Get(w.tel, "wm.setups_launched_total", "coupling", spec.Name).Inc()
-		w.submitLocked(req, i, roleSetup, p)
+		w.submit(req, i, roleSetup, p)
 	}
 }
 
-// updateGaugesLocked refreshes the per-coupling live-state gauges. Caller
-// holds w.mu.
-func (w *Workflow) updateGaugesLocked(i int) {
+// updateGauges refreshes the per-coupling live-state gauges.
+func (w *Workflow) updateGauges(i int) {
 	cs := w.couplings[i]
 	name := cs.spec.Name
 	cs.m.ready.Get(w.tel, "wm.ready", "coupling", name).Set(float64(cs.ready.Len()))
@@ -566,11 +544,10 @@ func (w *Workflow) updateGaugesLocked(i int) {
 	cs.m.inSetup.Get(w.tel, "wm.in_setup", "coupling", name).Set(float64(cs.inSetup + cs.pendingSetup))
 }
 
-// submitLocked routes one job through the conductor. Caller holds w.mu; the
-// conductor callback re-acquires it.
-func (w *Workflow) submitLocked(req sched.Request, coupling int, role jobRole, p dynim.Point) {
+// submit routes one job through the conductor; the conductor's callback
+// records the job once the throttled submission happens.
+func (w *Workflow) submit(req sched.Request, coupling int, role jobRole, p dynim.Point) {
 	err := w.cond.Submit(req, func(id sched.JobID, err error) {
-		w.mu.Lock()
 		cs := w.couplings[coupling]
 		switch role {
 		case roleSetup:
@@ -594,7 +571,6 @@ func (w *Workflow) submitLocked(req sched.Request, coupling int, role jobRole, p
 				w.jobs[id] = jobRecord{role: roleSim, coupling: coupling, point: p, dur: req.Duration}
 			}
 		}
-		w.mu.Unlock()
 	})
 	if err != nil {
 		// Conductor closed: undo optimistic counters.
@@ -611,10 +587,8 @@ func (w *Workflow) submitLocked(req sched.Request, coupling int, role jobRole, p
 // onJobFinish is the conductor's terminal-state callback (Task 3's
 // completion scan, event-driven).
 func (w *Workflow) onJobFinish(id sched.JobID, st sched.State) {
-	w.mu.Lock()
 	rec, ok := w.jobs[id]
 	if !ok {
-		w.mu.Unlock()
 		return // static or foreign job
 	}
 	delete(w.jobs, id)
@@ -651,70 +625,49 @@ func (w *Workflow) onJobFinish(id sched.JobID, st sched.State) {
 		}
 		onEnd = cs.spec.OnSimEnd
 	}
-	idx := rec.coupling
+	// Re-engage resources immediately rather than waiting for the next
+	// poll tick — unless the manager was already stopped when the job
+	// finished.
 	stopped := w.stopped
-	w.mu.Unlock()
 	if onEnd != nil {
 		onEnd(rec.point, id, st)
 	}
-	// Re-engage resources immediately rather than waiting for the next
-	// poll tick.
 	if !stopped {
-		w.mu.Lock()
-		w.pollCoupling(idx)
-		w.mu.Unlock()
+		w.pollCoupling(rec.coupling)
 	}
 }
 
-// runFeedback performs one Task-4 iteration for coupling i. The busy flag
-// is the nonblocking side of the locking mix: if the previous iteration is
-// still running, this tick is skipped instead of queueing behind it.
+// runFeedback performs one Task-4 iteration for coupling i. An iteration
+// runs to completion inside its tick, so the next tick can never find the
+// previous one still running.
 func (w *Workflow) runFeedback(i int) {
-	w.mu.Lock()
-	cs := w.couplings[i]
-	name := cs.spec.Name
-	if cs.feedbackBusy || w.stopped {
-		stopped := w.stopped
-		w.mu.Unlock()
-		if !stopped {
-			cs.m.feedbackSkipped.Get(w.tel, "wm.feedback_skipped_total", "coupling", name).Inc()
-		}
+	if w.stopped {
 		return
 	}
-	cs.feedbackBusy = true
-	mgr := cs.spec.Feedback
-	w.mu.Unlock()
-
+	cs := w.couplings[i]
+	name := cs.spec.Name
 	sp := w.tel.StartSpan("wm", "task4.feedback").Arg("coupling", name)
-	_, err := mgr.Iterate()
+	_, err := cs.spec.Feedback.Iterate()
 	sp.End()
 	if err == nil {
+		cs.feedbackRuns++
 		cs.m.feedbackRuns.Get(w.tel, "wm.feedback_runs_total", "coupling", name).Inc()
 	} else {
 		cs.m.feedbackFailed.Get(w.tel, "wm.feedback_failed_total", "coupling", name).Inc()
 	}
-
-	w.mu.Lock()
-	cs.feedbackBusy = false
-	if err == nil {
-		cs.feedbackRuns++
-	}
-	w.mu.Unlock()
 }
 
 // Stats snapshots every coupling's state.
 func (w *Workflow) Stats() []CouplingStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	out := make([]CouplingStats, len(w.couplings))
 	for i, cs := range w.couplings {
-		out[i] = w.couplingStatsLocked(cs)
+		out[i] = w.couplingStats(cs)
 	}
 	return out
 }
 
-// couplingStatsLocked snapshots one coupling's state. Caller holds mu.
-func (w *Workflow) couplingStatsLocked(cs *couplingState) CouplingStats {
+// couplingStats snapshots one coupling's state.
+func (w *Workflow) couplingStats(cs *couplingState) CouplingStats {
 	return CouplingStats{
 		Name:          cs.spec.Name,
 		Candidates:    cs.spec.Selector.Len(),
@@ -733,10 +686,10 @@ func (w *Workflow) couplingStatsLocked(cs *couplingState) CouplingStats {
 // any such crash without much loss of data"). The record and its codec
 // are in checkpoint.go.
 
-// sortedJobIDsLocked returns the live job IDs in ascending order — the
+// sortedJobIDs returns the live job IDs in ascending order — the
 // only sanctioned way to sweep w.jobs (the determinism analyzer rejects a
-// bare map range here). Caller holds mu.
-func (w *Workflow) sortedJobIDsLocked() []sched.JobID {
+// bare map range here).
+func (w *Workflow) sortedJobIDs() []sched.JobID {
 	ids := make([]sched.JobID, 0, len(w.jobs))
 	for id := range w.jobs {
 		ids = append(ids, id)
@@ -745,9 +698,9 @@ func (w *Workflow) sortedJobIDsLocked() []sched.JobID {
 	return ids
 }
 
-// couplingCkptLocked captures one coupling's checkpoint record. ids is the
-// sorted live-job sweep shared by every coupling. Caller holds mu.
-func (w *Workflow) couplingCkptLocked(cs *couplingState, ids []sched.JobID) CouplingCheckpoint {
+// couplingCkpt captures one coupling's checkpoint record. ids is the
+// sorted live-job sweep shared by every coupling.
+func (w *Workflow) couplingCkpt(cs *couplingState, ids []sched.JobID) CouplingCheckpoint {
 	c := CouplingCheckpoint{
 		Name:      cs.spec.Name,
 		Ready:     cs.ready.appendTo(nil),
@@ -771,15 +724,13 @@ func (w *Workflow) couplingCkptLocked(cs *couplingState, ids []sched.JobID) Coup
 
 // Checkpoint serializes the WM's recoverable state.
 func (w *Workflow) Checkpoint() ([]byte, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	// Deterministic checkpoint: job-map iteration order must not leak into
 	// the restore order (campaign replays depend on it). One sorted sweep
 	// serves every coupling.
-	ids := w.sortedJobIDsLocked()
+	ids := w.sortedJobIDs()
 	cks := make([]CouplingCheckpoint, len(w.couplings))
 	for i, cs := range w.couplings {
-		cks[i] = w.couplingCkptLocked(cs, ids)
+		cks[i] = w.couplingCkpt(cs, ids)
 	}
 	return EncodeCheckpoint(cks...)
 }
@@ -788,13 +739,11 @@ func (w *Workflow) Checkpoint() ([]byte, error) {
 // per-coupling unit a distributed WM fleet flushes through the datastore so
 // a surviving instance can adopt the coupling after its owner crashes.
 func (w *Workflow) CheckpointCoupling(name string) (CouplingCheckpoint, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	cs := w.findCoupling(name)
 	if cs == nil {
 		return CouplingCheckpoint{}, fmt.Errorf("core: unknown coupling %q", name)
 	}
-	return w.couplingCkptLocked(cs, w.sortedJobIDsLocked()), nil
+	return w.couplingCkpt(cs, w.sortedJobIDs()), nil
 }
 
 // RestoreState rehydrates a Workflow built with the same coupling specs
@@ -834,8 +783,6 @@ func restoreCouplingState(cs *couplingState, c CouplingCheckpoint) {
 // record. It must precede Start; a fleet uses it to route each coupling of
 // a campaign checkpoint to the instance that owns it.
 func (w *Workflow) RestoreCoupling(c CouplingCheckpoint) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.started {
 		return errors.New("core: restore must precede Start")
 	}
@@ -861,32 +808,25 @@ func (w *Workflow) AdoptCoupling(spec CouplingSpec, ckpt CouplingCheckpoint) (Co
 	if ckpt.Name != spec.Name {
 		return CouplingStats{}, fmt.Errorf("core: checkpoint is for coupling %q, adopting %q", ckpt.Name, spec.Name)
 	}
-	w.mu.Lock()
 	if w.stopped {
-		w.mu.Unlock()
 		return CouplingStats{}, errors.New("core: workflow stopped")
 	}
 	if w.findCoupling(spec.Name) != nil {
-		w.mu.Unlock()
 		return CouplingStats{}, fmt.Errorf("core: duplicate coupling %q", spec.Name)
 	}
 	cs := &couplingState{spec: spec}
 	w.couplings = append(w.couplings, cs)
 	idx := len(w.couplings) - 1
 	restoreCouplingState(cs, ckpt)
-	st := w.couplingStatsLocked(cs)
-	started := w.started
-	if started && spec.Feedback != nil {
-		w.fbTickers = append(w.fbTickers,
-			vclock.NewTicker(w.clk, spec.FeedbackEvery, func(time.Time) {
-				w.runFeedback(idx)
-			}))
-	}
-	w.mu.Unlock()
-	if started {
-		w.mu.Lock()
+	st := w.couplingStats(cs)
+	if w.started {
+		if spec.Feedback != nil {
+			w.fbTickers = append(w.fbTickers,
+				vclock.NewTicker(w.clk, spec.FeedbackEvery, func(time.Time) {
+					w.runFeedback(idx)
+				}))
+		}
 		w.pollCoupling(idx)
-		w.mu.Unlock()
 	}
 	return st, nil
 }
@@ -894,8 +834,4 @@ func (w *Workflow) AdoptCoupling(spec CouplingSpec, ckpt CouplingCheckpoint) (Co
 // LiveJobIDs returns the IDs of every job the manager is currently
 // tracking, in ascending order — the set a fleet crash handler kills when
 // this instance dies (static jobs are untracked and survive).
-func (w *Workflow) LiveJobIDs() []sched.JobID {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.sortedJobIDsLocked()
-}
+func (w *Workflow) LiveJobIDs() []sched.JobID { return w.sortedJobIDs() }

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"mummi/internal/stats"
@@ -36,8 +35,6 @@ import (
 // mint unique IDs by construction, and a set of every ID ever offered would
 // grow with the campaign. A re-offered ID is queued again.
 type Binned struct {
-	mu sync.Mutex
-
 	dims    []BinDim
 	balance float64
 	rng     *rand.Rand
@@ -158,10 +155,8 @@ func (b *Binned) binOf(coords []float64) int {
 // instrumentation). Timings are measured on the telemetry clock, never the
 // wall clock, so instrumented replays stay deterministic.
 func (b *Binned) SetTelemetry(tel *telemetry.Telemetry) {
-	b.mu.Lock()
 	b.tel = tel
 	b.selCount = telemetry.Lazy[telemetry.Counter]{}
-	b.mu.Unlock()
 }
 
 // Add implements Selector: increment the bin's occupancy, queue the
@@ -170,8 +165,6 @@ func (b *Binned) Add(p Point) error {
 	if err := checkPoint(p, len(b.dims)); err != nil {
 		return err
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	bin := b.binOf(p.Coords)
 	st := b.bins[bin]
 	if st == nil {
@@ -193,8 +186,6 @@ func (b *Binned) Add(p Point) error {
 
 // Select implements Selector.
 func (b *Binned) Select(n int) []Point {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	var selStart time.Time
 	if b.tel != nil {
 		selStart = b.tel.Now()
@@ -228,8 +219,4 @@ func (b *Binned) Select(n int) []Point {
 }
 
 // Len implements Selector.
-func (b *Binned) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.total
-}
+func (b *Binned) Len() int { return b.total }

@@ -236,8 +236,6 @@ func TestPropertyFPSCacheEqualsRecompute(t *testing.T) {
 		// Recompute each remaining candidate's squared distance from scratch
 		// and compare with the cached value (the cache is squared end-to-end;
 		// sqrt only happens at API boundaries).
-		fp.mu.Lock()
-		defer fp.mu.Unlock()
 		for slot, got := range fp.dist2 {
 			coords := fp.coords[slot*fp.dim : (slot+1)*fp.dim]
 			want := math.Inf(1)

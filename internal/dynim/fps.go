@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"mummi/internal/parallel"
@@ -82,8 +81,6 @@ import (
 // The queue is capped (35,000 in the paper's patch queues); beyond the cap
 // the lowest-ranked (least novel) candidate is evicted.
 type FarthestPoint struct {
-	mu sync.Mutex
-
 	dim      int
 	capacity int
 	workers  int // rank-update fan-out; <=0 means GOMAXPROCS
@@ -170,24 +167,18 @@ func NewFarthestPoint(dim, capacity int) *FarthestPoint {
 
 // SetWorkers sets the rank-update fan-out (0 = GOMAXPROCS). Selection
 // output is identical for every value — the knob trades wall-clock only.
-func (f *FarthestPoint) SetWorkers(n int) {
-	f.mu.Lock()
-	f.workers = n
-	f.mu.Unlock()
-}
+func (f *FarthestPoint) SetWorkers(n int) { f.workers = n }
 
 // SetTelemetry routes rank-refresh and selection timings to tel (nil
 // disables instrumentation). Timings are measured on the telemetry clock,
 // never the wall clock, so instrumented replays stay deterministic.
 func (f *FarthestPoint) SetTelemetry(tel *telemetry.Telemetry) {
-	f.mu.Lock()
 	f.tel = tel
 	f.selCount = telemetry.Lazy[telemetry.Counter]{}
-	f.mu.Unlock()
 }
 
 // ---------------------------------------------------------------------------
-// Slot store and index heap (caller holds the lock throughout)
+// Slot store and index heap
 
 // heapAbove reports whether slot a sorts above slot b: most novel first
 // (larger cached squared distance), ties broken by smaller ID — the same
@@ -360,7 +351,7 @@ func (f *FarthestPoint) siftArrivals() {
 // stale ranks go only downward, so typically just the few prefix-maxima of
 // the scan refresh, and everything else costs two sequential loads. Slots
 // that survive the screen are refreshed. Skipped slots stay stale; the exact
-// catch-up happens in the next updateLocked.
+// catch-up happens in the next Update.
 //
 // Each chunk computes its local argmax; the cross-chunk reduce runs on the
 // calling goroutine in chunk order. Which slots refresh varies with chunk
@@ -418,8 +409,6 @@ func (f *FarthestPoint) Add(p Point) error {
 	if err := checkPoint(p, f.dim); err != nil {
 		return err
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if p.ID > f.hi {
 		f.hi = p.ID
 	} else if _, ok := f.selected[p.ID]; ok || slices.Contains(f.ids, p.ID) {
@@ -448,9 +437,9 @@ func (f *FarthestPoint) Add(p Point) error {
 // slack exactly like the batch itself. The victims come from one threshold
 // select: τ is the m-th smallest rank, and they are every slot ranked below
 // τ plus, of the slots at τ, the smallest IDs — O(n) expected, in scratch
-// reused across evictions. Caller holds the lock.
+// reused across evictions.
 func (f *FarthestPoint) evictDownTo(target int) {
-	f.updateLocked()
+	f.Update()
 	m := len(f.ids) - target
 	if m <= 0 {
 		return
@@ -517,19 +506,14 @@ func nthKey(keys []uint64, k int) uint64 {
 
 // Update refreshes every candidate's cached distance against selections
 // made since its last refresh.
+//
+// The refresh is sharded over the worker pool, then the heap invariant is
+// restored. Each slot's refresh reads the immutable selected rows and
+// writes only that slot's own cache, so the refreshed values are
+// bit-identical for every worker count; the serial heapify that follows
+// sees the same arrays either way. The workers are joined before Update
+// returns.
 func (f *FarthestPoint) Update() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.updateLocked()
-}
-
-// updateLocked refreshes all stale candidate ranks, sharded over the worker
-// pool, then restores the heap invariant. Each slot's refresh reads the
-// immutable selected rows and writes only that slot's own cache, so the
-// refreshed values are bit-identical for every worker count; the serial
-// heapify that follows sees the same arrays either way. Caller holds the
-// lock.
-func (f *FarthestPoint) updateLocked() {
 	n := f.nsel
 	if !f.allDirty && len(f.dirty) == 0 {
 		// Nothing is stale; at most a burst left the heap unordered.
@@ -582,8 +566,6 @@ func (f *FarthestPoint) updateLocked() {
 // re-sifted; the first *fresh* candidate to hold the top is the true
 // argmax under (distance, ID) — identical to the serial full-refresh scan.
 func (f *FarthestPoint) Select(n int) []Point {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	var selStart time.Time
 	if f.tel != nil {
 		selStart = f.tel.Now()
@@ -650,18 +632,13 @@ func (f *FarthestPoint) Select(n int) []Point {
 }
 
 // Len implements Selector.
-func (f *FarthestPoint) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.ids)
-}
+func (f *FarthestPoint) Len() int { return len(f.ids) }
 
 // QueueSet groups several independently-capped FarthestPoint queues, as the
 // paper's Patch Selector does with five in-memory queues keyed by protein
 // configuration. It is a Selector: route picks each added point's queue, and
 // Select round-robins across the queues.
 type QueueSet struct {
-	mu      sync.Mutex
 	dim     int
 	cap     int
 	route   func(Point) string
@@ -680,25 +657,21 @@ func NewQueueSet(dim, capacity int, route func(Point) string) *QueueSet {
 // SetWorkers sets the rank-update fan-out (0 = GOMAXPROCS) on all current
 // and future queues. Selection output is identical for every value.
 func (q *QueueSet) SetWorkers(n int) {
-	q.mu.Lock()
 	q.workers = n
 	//lint:allow determinism -- applies the same knob to every queue; iteration order cannot affect state
 	for _, fp := range q.queues {
 		fp.SetWorkers(n)
 	}
-	q.mu.Unlock()
 }
 
 // SetTelemetry routes selection timings from all current and future queues
 // to tel (nil disables instrumentation).
 func (q *QueueSet) SetTelemetry(tel *telemetry.Telemetry) {
-	q.mu.Lock()
 	q.tel = tel
 	//lint:allow determinism -- applies the same knob to every queue; iteration order cannot affect state
 	for _, fp := range q.queues {
 		fp.SetTelemetry(tel)
 	}
-	q.mu.Unlock()
 }
 
 // Add implements Selector: it routes a candidate to its queue, creating the
@@ -708,7 +681,6 @@ func (q *QueueSet) Add(p Point) error {
 		return err
 	}
 	queue := q.route(p)
-	q.mu.Lock()
 	fp, ok := q.queues[queue]
 	if !ok {
 		fp = NewFarthestPoint(q.dim, q.cap)
@@ -718,37 +690,21 @@ func (q *QueueSet) Add(p Point) error {
 		q.order = append(q.order, queue)
 		sort.Strings(q.order)
 	}
-	q.mu.Unlock()
 	return fp.Add(p)
-}
-
-// snapshotQueues returns the queues in name order under one lock
-// acquisition, so round-robin passes do not re-take the set lock once per
-// queue per point.
-func (q *QueueSet) snapshotQueues() []*FarthestPoint {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	fps := make([]*FarthestPoint, 0, len(q.order))
-	for _, name := range q.order {
-		fps = append(fps, q.queues[name])
-	}
-	return fps
 }
 
 // Select implements Selector: it round-robins one selection at a time across
 // the queues (sorted by name for determinism) until n points are gathered or
-// all queues drain. The queue list is snapshotted once; queues created during
-// the pass join the next Select call.
+// all queues drain.
 func (q *QueueSet) Select(n int) []Point {
-	fps := q.snapshotQueues()
 	var out []Point
 	for len(out) < n {
 		progress := false
-		for _, fp := range fps {
+		for _, name := range q.order {
 			if len(out) >= n {
 				break
 			}
-			if got := fp.Select(1); len(got) > 0 {
+			if got := q.queues[name].Select(1); len(got) > 0 {
 				out = append(out, got...)
 				progress = true
 			}
@@ -762,8 +718,6 @@ func (q *QueueSet) Select(n int) []Point {
 
 // Len implements Selector: it sums candidates across queues.
 func (q *QueueSet) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	total := 0
 	//lint:allow determinism -- commutative sum; iteration order cannot affect the total
 	for _, fp := range q.queues {

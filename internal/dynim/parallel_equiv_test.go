@@ -247,8 +247,8 @@ func testQueueSetParallelMatchesSerial(t *testing.T) {
 					Coords: []float64{rng.Float64(), rng.Float64(), rng.Float64()},
 				})
 			}
-			for _, fp := range qs.snapshotQueues() {
-				fp.Update()
+			for _, name := range qs.order {
+				qs.queues[name].Update()
 			}
 			out = append(out, idsOf(qs.Select(9))...)
 		}

@@ -3,7 +3,6 @@ package faults
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"mummi/internal/datastore"
@@ -43,22 +42,20 @@ type ruleState struct {
 // are consulted synchronously by wrapped stores (WrapStore), and every
 // injection is recorded for the campaign's anomaly report.
 //
-// All methods are safe for concurrent use; under the single-threaded
-// discrete-event clock the mutex is uncontended and exists to keep the
-// engine correct under go test -race and real-clock deployments.
+// An Engine is not safe for concurrent use: its timed faults are clock
+// callbacks, and wrapped stores draw from it on the same goroutine that
+// drives the clock (DESIGN.md §6).
 type Engine struct {
 	clk          vclock.Clock
 	tel          *telemetry.Telemetry
 	storeLatency telemetry.Lazy[telemetry.Histogram]
 
-	mu        sync.Mutex
-	rules     []*ruleState
-	handlers  map[Class]Handler
-	log       []Injection
-	start     time.Time
-	started   bool
-	stopped   bool
-	lastDelay time.Duration // most recent latency spike, for WrapStore accounting
+	rules    []*ruleState
+	handlers map[Class]Handler
+	log      []Injection
+	start    time.Time
+	started  bool
+	stopped  bool
 }
 
 // NewEngine builds an engine for plan. The plan must already validate; an
@@ -88,17 +85,11 @@ func NewEngine(clk vclock.Clock, tel *telemetry.Telemetry, plan *Plan) *Engine {
 // previous one. A nil handler makes the class fire into the void (still
 // recorded and counted). The campaign rebinds handlers at the start of each
 // allocation, since the victims (scheduler, workflow manager) are rebuilt.
-func (e *Engine) SetHandler(c Class, h Handler) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.handlers[c] = h
-}
+func (e *Engine) SetHandler(c Class, h Handler) { e.handlers[c] = h }
 
 // Start fixes the window origin at the current virtual time and arms the
 // timed-fault schedules. Starting twice is a no-op.
 func (e *Engine) Start() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.started {
 		return
 	}
@@ -107,15 +98,13 @@ func (e *Engine) Start() {
 	e.start = e.clk.Now()
 	for _, rs := range e.rules {
 		if rs.rule.Class.timed() && rs.rule.Rate > 0 {
-			e.armLocked(rs)
+			e.arm(rs)
 		}
 	}
 }
 
 // Stop cancels all pending timed faults and disables store-fault draws.
 func (e *Engine) Stop() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.stopped = true
 	for _, rs := range e.rules {
 		if rs.armed {
@@ -125,9 +114,9 @@ func (e *Engine) Stop() {
 	}
 }
 
-// armLocked schedules the next arrival of a timed rule: exponential
+// arm schedules the next arrival of a timed rule: exponential
 // interarrival with mean 24h/rate, the Poisson process of the plan.
-func (e *Engine) armLocked(rs *ruleState) {
+func (e *Engine) arm(rs *ruleState) {
 	mean := float64(24*time.Hour) / rs.rule.Rate
 	d := time.Duration(rs.rng.ExpFloat64() * mean)
 	if d < time.Second {
@@ -139,32 +128,26 @@ func (e *Engine) armLocked(rs *ruleState) {
 
 // fire delivers one timed fault occurrence and re-arms the rule.
 func (e *Engine) fire(rs *ruleState) {
-	e.mu.Lock()
 	if e.stopped {
-		e.mu.Unlock()
 		return
 	}
 	rs.armed = false
 	now := e.clk.Now()
-	inWindow := e.inWindowLocked(rs.rule, now)
 	var h Handler
-	if inWindow {
+	if e.inWindow(rs.rule, now) {
 		h = e.handlers[rs.rule.Class]
 		e.log = append(e.log, Injection{At: now, Class: rs.rule.Class})
 		rs.injected.Get(e.tel, "faults.injected_total", "class", string(rs.rule.Class)).Inc()
 		e.tel.RecordSpan("faults", string(rs.rule.Class), now, 0)
 	}
-	e.armLocked(rs)
-	rng := rs.rng
-	rule := rs.rule
-	e.mu.Unlock()
+	e.arm(rs)
 	if h != nil {
-		h(rule, rng)
+		h(rs.rule, rs.rng)
 	}
 }
 
-// inWindowLocked reports whether t falls inside the rule's window.
-func (e *Engine) inWindowLocked(r Rule, t time.Time) bool {
+// inWindow reports whether t falls inside the rule's window.
+func (e *Engine) inWindow(r Rule, t time.Time) bool {
 	off := t.Sub(e.start)
 	if off < r.Start {
 		return false
@@ -176,8 +159,6 @@ func (e *Engine) inWindowLocked(r Rule, t time.Time) bool {
 // ("node 3", "job sim-12"); handlers call it so the anomaly log names what
 // the fault actually hit.
 func (e *Engine) Note(detail string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if n := len(e.log); n > 0 {
 		e.log[n-1].Detail = detail
 	}
@@ -185,8 +166,6 @@ func (e *Engine) Note(detail string) {
 
 // Injections returns a copy of everything injected so far, in order.
 func (e *Engine) Injections() []Injection {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	out := make([]Injection, len(e.log))
 	copy(out, e.log)
 	return out
@@ -199,15 +178,13 @@ func (e *Engine) Injections() []Injection {
 // functions of (plan, virtual time, operation sequence), keeping replays
 // identical.
 func (e *Engine) DrawStore(op string) (spike time.Duration, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if !e.started || e.stopped {
 		return 0, nil
 	}
 	now := e.clk.Now()
 	for _, rs := range e.rules {
 		r := rs.rule
-		if r.Class.timed() || r.Rate <= 0 || !e.inWindowLocked(r, now) {
+		if r.Class.timed() || r.Rate <= 0 || !e.inWindow(r, now) {
 			continue
 		}
 		if rs.rng.Float64() >= r.Rate {

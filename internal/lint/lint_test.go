@@ -144,7 +144,7 @@ func TestDeterminismGolden(t *testing.T) {
 }
 
 func TestLockDisciplineGolden(t *testing.T) {
-	runGolden(t, RunOptions{Analyzers: []*Analyzer{LockDiscipline}}, fixture("lab/internal/core", "lockdiscipline"))
+	runGolden(t, RunOptions{Analyzers: []*Analyzer{LockDiscipline}}, fixture("lab/internal/kvstore", "lockdiscipline"))
 }
 
 func TestErrDisciplineGolden(t *testing.T) {
@@ -157,11 +157,11 @@ func TestDocCommentGolden(t *testing.T) {
 }
 
 func TestGoroutineLifecycleGolden(t *testing.T) {
-	runGolden(t, RunOptions{Analyzers: []*Analyzer{GoroutineLifecycle}}, fixture("lab/internal/sched", "goroutinelifecycle"))
+	runGolden(t, RunOptions{Analyzers: []*Analyzer{GoroutineLifecycle}}, fixture("lab/internal/parallel", "goroutinelifecycle"))
 }
 
 func TestLockOrderGolden(t *testing.T) {
-	runGolden(t, RunOptions{Analyzers: []*Analyzer{LockOrder}}, fixture("lab/internal/core", "lockorder"))
+	runGolden(t, RunOptions{Analyzers: []*Analyzer{LockOrder}}, fixture("lab/internal/telemetry", "lockorder"))
 }
 
 // concurrency is the three analyzers that read the interprocedural
@@ -174,7 +174,7 @@ var concurrency = []*Analyzer{LockDiscipline, GoroutineLifecycle, LockOrder}
 // behind an import, and join evidence living in the other package.
 func TestInterprocGolden(t *testing.T) {
 	runGolden(t, RunOptions{Analyzers: concurrency},
-		fixture("lab/internal/core", "interproc", "a"), fixture("lab/internal/sched", "interproc", "b"))
+		fixture("lab/internal/telemetry", "interproc", "a"), fixture("lab/internal/feedback", "interproc", "b"))
 }
 
 // TestScopeFiltersPackages re-runs the determinism golden package under an

@@ -4,12 +4,14 @@ import (
 	"strings"
 )
 
-// LockDiscipline mechanizes the §4.4 rule that the workflow manager's four
-// tasks share state "under explicit locking": the WM and the scheduler mix
-// blocking locks with nonblocking busy flags, and every past deadlock and
-// state-corruption bug in that mix falls into one of two shapes, both
-// checked here (the third, a by-value copy of a lock-bearing struct, is
-// go vet's copylocks, which runs before this suite):
+// LockDiscipline checks the packages that share state across goroutines
+// under mutexes — the store client and server, telemetry, the feedback and
+// selector worker pools (concScope). The coordination layers hold no lock:
+// they run on the virtual clock's one goroutine (DESIGN.md §6). Every past
+// deadlock and state-corruption bug under a mutex here falls into one of
+// two shapes, both checked here (the third, a by-value copy of a
+// lock-bearing struct, is go vet's copylocks, which runs before this
+// suite):
 //
 //  1. a mutex Lock() without an Unlock() on some return path (and without
 //     a defer) — the classic leaked lock, with its relatives: branches that
@@ -29,8 +31,7 @@ import (
 // structural and per function, tracking held locks through if/else, switch,
 // select, and loops. Helper functions documented as "caller holds mu" are
 // therefore analyzed as lock-neutral, which matches the repo's convention.
-// Callbacks passed as values are opaque to it: that they run after Unlock
-// is held by tests (sched's TestOnFinishMayCallBack), not here.
+// Callbacks passed as values are opaque to it.
 var LockDiscipline = &Analyzer{
 	Name:  "lockdiscipline",
 	Doc:   "flags leaked locks and blocking operations under a held mutex, directly or through a module callee",

@@ -16,9 +16,10 @@ import (
 // degenerate self-cycle: holding a lock while calling a function that
 // (transitively) re-acquires the same lock.
 //
-// The canonical lock keys come from the summary layer, so "s.mu" in sched
-// and "w.sched.mu" in core are the same node, and cross-package order
-// inversions are visible even though no single function exhibits them.
+// The canonical lock keys come from the summary layer — a field keys by its
+// defining type, "kvstore.pipe.mu" — so one lock reached through different
+// expressions is one node, and cross-package order inversions are visible
+// even though no single function exhibits them.
 var LockOrder = &Analyzer{
 	Name:  "lockorder",
 	Doc:   "reports cycles in the module-wide lock-acquisition-order graph (deadlock risk)",

@@ -5,7 +5,7 @@ package b
 import (
 	"sync"
 
-	a "lab/internal/core"
+	a "lab/internal/telemetry"
 )
 
 var mu sync.Mutex

@@ -11,7 +11,6 @@ package maestro
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"mummi/internal/sched"
@@ -64,13 +63,14 @@ func (f FluxBackend) OnStart(fn func(sched.JobID)) {
 }
 
 // Conductor queues submissions and drains them to the backend at a bounded
-// rate. All methods are safe for concurrent use.
+// rate. Its drain loop is a callback on the clock, so a Conductor is not
+// safe for concurrent use: every method runs on the goroutine that drives
+// the clock (DESIGN.md §6).
 type Conductor struct {
 	backend Backend
 	clk     vclock.Clock
 	period  time.Duration // min spacing between submissions
 
-	mu     sync.Mutex
 	queue  []pendingSub
 	timer  vclock.EventID
 	armed  bool
@@ -100,8 +100,6 @@ func NewConductor(clk vclock.Clock, backend Backend, jobsPerMinute int) (*Conduc
 // Submit enqueues a request; onSub (optional) is invoked with the backend's
 // job id once the throttled submission actually happens.
 func (c *Conductor) Submit(req sched.Request, onSub func(sched.JobID, error)) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
 		return errors.New("maestro: conductor closed")
 	}
@@ -115,10 +113,8 @@ func (c *Conductor) Submit(req sched.Request, onSub func(sched.JobID, error)) er
 
 // tick submits one queued request and re-arms.
 func (c *Conductor) tick() {
-	c.mu.Lock()
 	if c.closed || len(c.queue) == 0 {
 		c.armed = false
-		c.mu.Unlock()
 		return
 	}
 	p := c.queue[0]
@@ -129,30 +125,19 @@ func (c *Conductor) tick() {
 	} else {
 		c.armed = false
 	}
-	c.mu.Unlock()
 
 	id, err := c.backend.Submit(p.req)
-	c.mu.Lock()
 	c.submitted++
-	c.mu.Unlock()
 	if p.onSub != nil {
 		p.onSub(id, err)
 	}
 }
 
 // Queued returns the locally queued (not yet submitted) count.
-func (c *Conductor) Queued() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.queue)
-}
+func (c *Conductor) Queued() int { return len(c.queue) }
 
 // Submitted returns how many jobs reached the backend.
-func (c *Conductor) Submitted() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.submitted
-}
+func (c *Conductor) Submitted() int64 { return c.submitted }
 
 // Cancel forwards to the backend.
 func (c *Conductor) Cancel(id sched.JobID) bool { return c.backend.Cancel(id) }
@@ -177,9 +162,7 @@ var ErrClosed = errors.New("maestro: conductor closed")
 // each pending callback is invoked with ErrClosed so the workflow can
 // checkpoint those configurations.
 func (c *Conductor) Close() {
-	c.mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
 		return
 	}
 	c.closed = true
@@ -189,7 +172,6 @@ func (c *Conductor) Close() {
 		c.clk.Cancel(c.timer)
 		c.armed = false
 	}
-	c.mu.Unlock()
 	for _, p := range q {
 		if p.onSub != nil {
 			p.onSub(0, ErrClosed)

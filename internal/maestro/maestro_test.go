@@ -2,7 +2,6 @@ package maestro
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,7 +14,6 @@ var epoch = time.Date(2020, 12, 1, 0, 0, 0, 0, time.UTC)
 
 // fakeBackend records submissions and lets tests fire callbacks.
 type fakeBackend struct {
-	mu       sync.Mutex
 	subs     []sched.Request
 	subTimes []time.Time
 	clk      vclock.Clock
@@ -25,8 +23,6 @@ type fakeBackend struct {
 }
 
 func (f *fakeBackend) Submit(req sched.Request) (sched.JobID, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.failNext {
 		f.failNext = false
 		return 0, errors.New("backend rejected")

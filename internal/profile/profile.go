@@ -6,7 +6,6 @@ package profile
 
 import (
 	"math"
-	"sync"
 	"time"
 
 	"mummi/internal/stats"
@@ -24,7 +23,6 @@ type Event struct {
 
 // Profiler samples a callback on a fixed cadence under any Clock.
 type Profiler struct {
-	mu     sync.Mutex
 	events []Event
 	ticker *vclock.Ticker
 }
@@ -36,9 +34,7 @@ func New(clk vclock.Clock, interval time.Duration, sample func() Event) *Profile
 	p.ticker = vclock.NewTicker(clk, interval, func(now time.Time) {
 		ev := sample()
 		ev.Time = now
-		p.mu.Lock()
 		p.events = append(p.events, ev)
-		p.mu.Unlock()
 	})
 	return p
 }
@@ -48,18 +44,12 @@ func (p *Profiler) Stop() { p.ticker.Stop() }
 
 // Events returns a copy of the samples so far.
 func (p *Profiler) Events() []Event {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return append([]Event(nil), p.events...)
 }
 
 // Add records an externally produced sample (used when merging profiles
 // from several runs into one campaign-wide distribution, as Fig. 5 does).
-func (p *Profiler) Add(ev Event) {
-	p.mu.Lock()
-	p.events = append(p.events, ev)
-	p.mu.Unlock()
-}
+func (p *Profiler) Add(ev Event) { p.events = append(p.events, ev) }
 
 // clampPct sanitizes an occupancy percentage: non-finite samples (a
 // zero-resource topology divides 0/0 upstream) collapse to 0 and finite

@@ -7,9 +7,8 @@
 // Fig. 6; the asynchronous + first-match configuration is the fix whose
 // matcher-work improvement the paper measures at 670×.
 //
-// The scheduler runs under any vclock.Clock: the campaign driver replays
-// Summit-scale job streams in virtual time, while examples run it in real
-// time unchanged.
+// The scheduler runs on a vclock.Clock: the campaign driver replays
+// Summit-scale job streams in virtual time.
 package sched
 
 import (

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"mummi/internal/cluster"
@@ -31,8 +30,9 @@ const (
 	// bottleneck: scheduling "happened in large chunks followed by large
 	// periods of inactivity".
 	Sync Mode = iota
-	// Async is the paper's fix: Q ingestion and R matching proceed
-	// concurrently.
+	// Async is the paper's fix: Q ingestion and R matching overlap in
+	// virtual time — Q forwards each job to R's queue and keeps ingesting
+	// while R's match is in flight.
 	Async
 )
 
@@ -90,9 +90,9 @@ type qMsg struct {
 	cost time.Duration
 }
 
-// Scheduler is the Flux-like workload manager. All methods are safe for
-// concurrent use; under a virtual clock everything is single-threaded and
-// deterministic.
+// Scheduler is the Flux-like workload manager. Its Q and R servers are
+// callbacks on the clock, so a Scheduler is not safe for concurrent use:
+// every method runs on the goroutine that drives the clock (DESIGN.md §6).
 type Scheduler struct {
 	clk     vclock.Clock
 	machine *cluster.Machine
@@ -102,7 +102,6 @@ type Scheduler struct {
 	tel     *telemetry.Telemetry
 	m       metrics
 
-	mu           sync.Mutex
 	nextID       JobID
 	jobs         map[JobID]*Job
 	inbox        []qMsg
@@ -158,33 +157,25 @@ func New(clk vclock.Clock, cfg Config) (*Scheduler, error) {
 	}
 	if cfg.StatusPollEvery > 0 {
 		s.poll = vclock.NewTicker(clk, cfg.StatusPollEvery, func(time.Time) {
-			s.mu.Lock()
 			n := len(s.pending) + len(s.rQueue) + s.running
 			if n > 0 {
 				s.inbox = append(s.inbox, qMsg{kind: "status",
 					cost: time.Duration(n) * s.costs.StatusMsg})
 				s.kickQ()
 			}
-			s.mu.Unlock()
 		})
 	}
 	return s, nil
 }
 
-// OnStart registers a callback invoked (outside the scheduler lock) when a
-// job begins running.
-func (s *Scheduler) OnStart(fn func(*Job)) {
-	s.mu.Lock()
-	s.onStart = fn
-	s.mu.Unlock()
-}
+// OnStart registers a callback invoked when a job begins running, after the
+// scheduler's state is updated; it may call back into the scheduler.
+func (s *Scheduler) OnStart(fn func(*Job)) { s.onStart = fn }
 
-// OnFinish registers a callback invoked when a job reaches a terminal state.
-func (s *Scheduler) OnFinish(fn func(*Job)) {
-	s.mu.Lock()
-	s.onFinish = fn
-	s.mu.Unlock()
-}
+// OnFinish registers a callback invoked when a job reaches a terminal state,
+// after the scheduler's state is updated; it may call back into the
+// scheduler.
+func (s *Scheduler) OnFinish(fn func(*Job)) { s.onFinish = fn }
 
 // Submit enqueues a job. Ingestion is modeled through Q: the job becomes
 // visible to matching only after Q processes the submission message.
@@ -193,8 +184,6 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 	if err := req.validate(s.machine.Topology()); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
 		return nil, errors.New("sched: scheduler closed")
 	}
@@ -203,16 +192,16 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 	s.jobs[job.ID] = job
 	s.inbox = append(s.inbox, qMsg{kind: "submit", job: job, cost: s.costs.SubmitMsg})
 	s.m.submitted.Get(s.tel, "sched.submitted_total").Inc()
-	s.updateGaugesLocked()
+	s.updateGauges()
 	s.kickQ()
 	return job, nil
 }
 
-// noteMatchLocked records one matcher invocation. The span's duration is
+// noteMatch records one matcher invocation. The span's duration is
 // the modeled match cost (visits × VertexVisit), charged from the moment R
 // begins the match — under a virtual clock this makes the trace an exact
-// picture of R's duty cycle. Caller holds s.mu.
-func (s *Scheduler) noteMatchLocked(job *Job, visits int64, cost time.Duration, placed bool) {
+// picture of R's duty cycle.
+func (s *Scheduler) noteMatch(job *Job, visits int64, cost time.Duration, placed bool) {
 	s.tel.RecordSpan("sched", "match", s.clk.Now(), cost,
 		"job", int64(job.ID), "visits", visits, "placed", placed)
 	s.m.matches.Get(s.tel, "sched.matches_total").Inc()
@@ -223,9 +212,8 @@ func (s *Scheduler) noteMatchLocked(job *Job, visits int64, cost time.Duration, 
 	s.m.matchMs.Get(s.tel, "sched.match_ms").Observe(float64(cost) / float64(time.Millisecond))
 }
 
-// updateGaugesLocked refreshes queue-depth and occupancy gauges. Caller
-// holds s.mu.
-func (s *Scheduler) updateGaugesLocked() {
+// updateGauges refreshes queue-depth and occupancy gauges.
+func (s *Scheduler) updateGauges() {
 	q := len(s.pending) + len(s.rQueue)
 	for _, m := range s.inbox {
 		if m.kind == "submit" {
@@ -238,7 +226,7 @@ func (s *Scheduler) updateGaugesLocked() {
 	s.m.cpuOccupancy.Get(s.tel, "sched.cpu_occupancy_pct").Set(s.machine.CPUOccupancy() * 100)
 }
 
-// kickQ advances the queue manager. Caller holds s.mu.
+// kickQ advances the queue manager.
 func (s *Scheduler) kickQ() {
 	if s.qBusy || s.closed {
 		return
@@ -249,13 +237,11 @@ func (s *Scheduler) kickQ() {
 		s.inbox = s.inbox[1:]
 		s.qBusy = true
 		s.clk.After(msg.cost, func() {
-			s.mu.Lock()
 			if msg.kind == "submit" && msg.job.State == Pending {
 				s.pending = append(s.pending, msg.job)
 			}
 			s.qBusy = false
 			s.kickQ()
-			s.mu.Unlock()
 		})
 		return
 	}
@@ -271,19 +257,17 @@ func (s *Scheduler) kickQ() {
 	s.pending = s.pending[1:]
 	s.qBusy = true
 	s.clk.After(s.costs.SubmitMsg, func() {
-		s.mu.Lock()
 		if job.State == Pending {
 			s.rQueue = append(s.rQueue, job)
 		}
 		s.qBusy = false
 		s.kickR()
 		s.kickQ()
-		s.mu.Unlock()
 	})
 }
 
 // syncMatchHead performs one synchronous match with Q blocked for its
-// duration. Caller holds s.mu.
+// duration.
 func (s *Scheduler) syncMatchHead() {
 	if s.headBlocked {
 		return // FCFS without backfilling: a blocked head stalls the queue
@@ -293,29 +277,24 @@ func (s *Scheduler) syncMatchHead() {
 	s.matching[job.ID] = true
 	alloc, visits, ok := s.matcher.Match(job.Req)
 	cost := time.Duration(visits) * s.costs.VertexVisit
-	s.noteMatchLocked(job, visits, cost, ok)
+	s.noteMatch(job, visits, cost, ok)
 	s.clk.After(cost, func() {
-		s.mu.Lock()
 		delete(s.matching, job.ID)
-		var started *Job
 		if ok {
 			s.pending = s.pending[1:]
-			s.startLocked(job, alloc)
-			started = job
+			s.start(job, alloc)
 		} else {
 			s.headBlocked = true
 		}
 		s.qBusy = false
 		s.kickQ()
-		cb := s.onStart
-		s.mu.Unlock()
-		if started != nil && cb != nil {
-			cb(started)
+		if ok && s.onStart != nil {
+			s.onStart(job)
 		}
 	})
 }
 
-// kickR advances the matcher server (async mode). Caller holds s.mu.
+// kickR advances the matcher server (async mode).
 func (s *Scheduler) kickR() {
 	if s.rBusy || s.rHeadBlocked || len(s.rQueue) == 0 || s.closed {
 		return
@@ -325,30 +304,25 @@ func (s *Scheduler) kickR() {
 	s.matching[job.ID] = true
 	alloc, visits, ok := s.matcher.Match(job.Req)
 	cost := time.Duration(visits) * s.costs.VertexVisit
-	s.noteMatchLocked(job, visits, cost, ok)
+	s.noteMatch(job, visits, cost, ok)
 	s.clk.After(cost, func() {
-		s.mu.Lock()
 		delete(s.matching, job.ID)
-		var started *Job
 		if ok {
 			s.rQueue = s.rQueue[1:]
-			s.startLocked(job, alloc)
-			started = job
+			s.start(job, alloc)
 		} else {
 			s.rHeadBlocked = true
 		}
 		s.rBusy = false
 		s.kickR()
-		cb := s.onStart
-		s.mu.Unlock()
-		if started != nil && cb != nil {
-			cb(started)
+		if ok && s.onStart != nil {
+			s.onStart(job)
 		}
 	})
 }
 
-// startLocked transitions a matched job to Running. Caller holds s.mu.
-func (s *Scheduler) startLocked(job *Job, alloc cluster.Alloc) {
+// start transitions a matched job to Running.
+func (s *Scheduler) start(job *Job, alloc cluster.Alloc) {
 	job.State = Running
 	job.StartTime = s.clk.Now()
 	job.Alloc = alloc
@@ -357,7 +331,7 @@ func (s *Scheduler) startLocked(job *Job, alloc cluster.Alloc) {
 	s.m.started.Get(s.tel, "sched.started_total").Inc()
 	s.m.queueWaitMs.Get(s.tel, "sched.queue_wait_ms").
 		Observe(float64(job.StartTime.Sub(job.SubmitTime)) / float64(time.Millisecond))
-	s.updateGaugesLocked()
+	s.updateGauges()
 	if job.Req.Duration > 0 {
 		id := job.ID
 		s.autoDone[id] = s.clk.After(job.Req.Duration, func() {
@@ -378,14 +352,11 @@ func (s *Scheduler) Complete(id JobID) error { return s.finish(id, Completed) }
 func (s *Scheduler) Fail(id JobID) error { return s.finish(id, Failed) }
 
 func (s *Scheduler) finish(id JobID, st State) error {
-	s.mu.Lock()
 	job, ok := s.jobs[id]
 	if !ok {
-		s.mu.Unlock()
 		return fmt.Errorf("sched: unknown job %d", id)
 	}
 	if job.State != Running {
-		s.mu.Unlock()
 		if job.State == Completed || job.State == Failed {
 			return fmt.Errorf("sched: job %d: %w", id, ErrAlreadyTerminal)
 		}
@@ -407,16 +378,14 @@ func (s *Scheduler) finish(id JobID, st State) error {
 	} else {
 		s.m.failed.Get(s.tel, "sched.failed_total").Inc()
 	}
-	s.updateGaugesLocked()
+	s.updateGauges()
 	// Freed resources may unblock queue heads.
 	s.headBlocked = false
 	s.rHeadBlocked = false
 	s.kickQ()
 	s.kickR()
-	cb := s.onFinish
-	s.mu.Unlock()
-	if cb != nil {
-		cb(job)
+	if s.onFinish != nil {
+		s.onFinish(job)
 	}
 	return nil
 }
@@ -424,10 +393,8 @@ func (s *Scheduler) finish(id JobID, st State) error {
 // Cancel removes a job that has not started. Jobs currently being matched
 // or already running cannot be canceled (use Fail for running jobs).
 func (s *Scheduler) Cancel(id JobID) bool {
-	s.mu.Lock()
 	job, ok := s.jobs[id]
 	if !ok || job.State != Pending || s.matching[id] {
-		s.mu.Unlock()
 		return false
 	}
 	job.State = Canceled
@@ -435,11 +402,9 @@ func (s *Scheduler) Cancel(id JobID) bool {
 	s.pending = removeJob(s.pending, id)
 	s.rQueue = removeJob(s.rQueue, id)
 	s.m.canceled.Get(s.tel, "sched.canceled_total").Inc()
-	s.updateGaugesLocked()
-	cb := s.onFinish
-	s.mu.Unlock()
-	if cb != nil {
-		cb(job)
+	s.updateGauges()
+	if s.onFinish != nil {
+		s.onFinish(job)
 	}
 	return true
 }
@@ -455,22 +420,18 @@ func removeJob(js []*Job, id JobID) []*Job {
 
 // Drain marks a node unschedulable (running jobs unaffected).
 func (s *Scheduler) Drain(node int) {
-	s.mu.Lock()
 	s.machine.Drain(node)
 	s.matcher.NoteDrainChange()
-	s.mu.Unlock()
 }
 
 // Undrain restores a node and wakes the queues.
 func (s *Scheduler) Undrain(node int) {
-	s.mu.Lock()
 	s.machine.Undrain(node)
 	s.matcher.NoteDrainChange()
 	s.headBlocked = false
 	s.rHeadBlocked = false
 	s.kickQ()
 	s.kickR()
-	s.mu.Unlock()
 }
 
 // Hang makes a running job never report completion: its modeled
@@ -479,8 +440,6 @@ func (s *Scheduler) Undrain(node int) {
 // workflow's hung-job watchdog (or a manual Fail) gets it off the machine.
 // Returns false if the job is not currently running.
 func (s *Scheduler) Hang(id JobID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	job, ok := s.jobs[id]
 	if !ok || job.State != Running {
 		return false
@@ -496,11 +455,7 @@ func (s *Scheduler) Hang(id JobID) bool {
 
 // Hung reports whether the job was hung via Hang and has not yet been
 // forced to a terminal state.
-func (s *Scheduler) Hung(id JobID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hung[id]
-}
+func (s *Scheduler) Hung(id JobID) bool { return s.hung[id] }
 
 // Crash simulates a node failure: the node is drained first (so resources
 // freed by its dying jobs are not immediately re-placed onto it), then
@@ -508,7 +463,6 @@ func (s *Scheduler) Hung(id JobID) bool {
 // resubmit those under their attempt budgets (§4.4). Returns the killed job
 // IDs in ascending order. Revive brings the node back.
 func (s *Scheduler) Crash(node int) []JobID {
-	s.mu.Lock()
 	var victims []JobID
 	for id, job := range s.jobs {
 		if job.State != Running {
@@ -527,7 +481,6 @@ func (s *Scheduler) Crash(node int) []JobID {
 	s.machine.Drain(node)
 	s.matcher.NoteDrainChange()
 	s.m.nodeCrashes.Get(s.tel, "sched.node_crashes_total").Inc()
-	s.mu.Unlock()
 	for _, id := range victims {
 		// A victim may already be terminal if an auto-completion fired
 		// between collection and the kill; that race is benign.
@@ -546,22 +499,18 @@ func (s *Scheduler) Revive(node int) { s.Undrain(node) }
 // ascending order. The campaign's WM crash-restart uses it to clear the
 // crashed manager's job set before restoring from checkpoint.
 func (s *Scheduler) LiveJobs() []JobID {
-	s.mu.Lock()
 	ids := make([]JobID, 0, len(s.jobs))
 	for id, job := range s.jobs {
 		if job.State == Pending || job.State == Running {
 			ids = append(ids, id)
 		}
 	}
-	s.mu.Unlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
 // Job returns a copy of the job record.
 func (s *Scheduler) Job(id JobID) (Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
 		return Job{}, false
@@ -572,8 +521,6 @@ func (s *Scheduler) Job(id JobID) (Job, bool) {
 // Counts returns (queued, running, finished) job counts. Queued includes
 // jobs in Q's inbox, the pending FIFO, and R's queue.
 func (s *Scheduler) Counts() (queued, running, finished int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	q := len(s.pending) + len(s.rQueue)
 	for _, m := range s.inbox {
 		if m.kind == "submit" {
@@ -585,28 +532,19 @@ func (s *Scheduler) Counts() (queued, running, finished int) {
 
 // Timeline returns the placement history (Fig. 6 series).
 func (s *Scheduler) Timeline() []Placement {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return append([]Placement(nil), s.timeline...)
 }
 
 // MatcherVisits returns R's cumulative vertex-visit count.
-func (s *Scheduler) MatcherVisits() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.matcher.Visits()
-}
+func (s *Scheduler) MatcherVisits() int64 { return s.matcher.Visits() }
 
 // Machine exposes the underlying machine (occupancy profiling).
 func (s *Scheduler) Machine() *cluster.Machine { return s.machine }
 
 // Close stops the status-poll ticker and rejects further submissions.
 func (s *Scheduler) Close() {
-	s.mu.Lock()
 	s.closed = true
-	p := s.poll
-	s.mu.Unlock()
-	if p != nil {
-		p.Stop()
+	if s.poll != nil {
+		s.poll.Stop()
 	}
 }

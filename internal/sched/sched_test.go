@@ -257,12 +257,13 @@ func TestFailAndResubmit(t *testing.T) {
 	}
 }
 
-// TestOnFinishMayCallBack holds the callbacks-after-unlock convention the
-// workflow manager is built on (DESIGN.md §8): the OnFinish callback runs
-// with the scheduler lock released, so it may call back into the scheduler
-// — for every way a job can finish. No analyzer sees this edge (it runs
-// through a func value), so a callback moved under the lock self-deadlocks
-// here and nowhere else.
+// TestOnFinishMayCallBack holds the re-entrancy convention the workflow
+// manager is built on (DESIGN.md §6): the OnFinish callback runs after the
+// scheduler's state is updated, so it may call back into the scheduler —
+// for every way a job can finish — and see the finished job counted. No
+// analyzer sees this edge (it runs through a func value), so a finish path
+// that calls back too early miscounts here, and one that guards itself
+// against re-entry hangs here, and nowhere else.
 func TestOnFinishMayCallBack(t *testing.T) {
 	clk, s := newSched(t, 1, FirstMatch, Async)
 	var finished []int
@@ -295,7 +296,7 @@ func TestOnFinishMayCallBack(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("a finish path invoked OnFinish with the scheduler lock held: the callback's Counts() never returned")
+		t.Fatal("a finish path never returned: the OnFinish callback's call back into the scheduler did not return")
 	}
 	if want := []int{0, 1, 2}; fmt.Sprint(finished) != fmt.Sprint(want) {
 		t.Errorf("finished counts seen by the callback = %v, want %v (Cancel, Complete, Fail)", finished, want)
@@ -578,77 +579,69 @@ func TestHangSuppressesAutoCompletion(t *testing.T) {
 	}
 }
 
+// TestAutoCompleteRacesManualFail holds the benign race between a job's
+// modeled auto-completion and a manual Fail at the same virtual instant. The
+// clock runs same-instant events in FIFO order, so the Fail is scheduled
+// once ahead of the auto-completion event and once behind it. Whichever runs
+// second loses: an auto-completion behind the Fail is canceled by it, and a
+// Fail behind the auto-completion gets ErrAlreadyTerminal and nothing else.
+// Either way the job finishes once, no GPU or core leaks, and the
+// auto-completion counts no unexpected error.
 func TestAutoCompleteRacesManualFail(t *testing.T) {
-	// Under the real clock the modeled auto-completion timer genuinely
-	// races a concurrent manual Fail; whichever wins, the loser must see
-	// ErrAlreadyTerminal and nothing else (the -race gate covers this
-	// path's locking).
-	clk := vclock.NewReal()
-	m, _ := cluster.New(cluster.Summit(2))
-	tel := telemetry.Nop()
-	s, err := New(clk, Config{Machine: m, Policy: FirstMatch, Mode: Async,
-		Costs: Costs{SubmitMsg: time.Microsecond, StatusMsg: time.Microsecond,
-			VertexVisit: time.Nanosecond},
-		Telemetry: tel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 24
-	started := make(chan JobID, n)
-	finished := make(chan JobID, n)
-	s.OnStart(func(j *Job) { started <- j.ID })
-	s.OnFinish(func(j *Job) { finished <- j.ID })
-	go func() {
-		for id := range started {
-			if err := s.Fail(id); err != nil && !errors.Is(err, ErrAlreadyTerminal) {
-				t.Errorf("manual Fail of %d: %v", id, err)
-			}
-		}
-	}()
-	for i := 0; i < n; i++ {
-		if _, err := s.Submit(Request{Name: fmt.Sprintf("r%d", i), GPUs: 1, Cores: 2,
-			Duration: time.Millisecond}); err != nil {
+	rig := func() (*vclock.Virtual, *Scheduler, *telemetry.Telemetry, *Job) {
+		clk := vclock.NewVirtual(epoch)
+		m, err := cluster.New(cluster.Summit(2))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case <-finished:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("only %d/%d jobs finished", i, n)
+		tel := telemetry.Nop()
+		s, err := New(clk, Config{Machine: m, Policy: FirstMatch, Mode: Async, Telemetry: tel})
+		if err != nil {
+			t.Fatal(err)
 		}
+		j, err := s.Submit(Request{Name: "r", GPUs: 1, Cores: 2, Duration: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return clk, s, tel, j
 	}
-	if m.UsedGPUs() != 0 || m.UsedCores() != 0 {
-		t.Errorf("resources leaked: %d GPUs %d cores", m.UsedGPUs(), m.UsedCores())
+	// A probe run finds the instant the job auto-completes.
+	clk, _, _, probe := rig()
+	clk.Run()
+	if probe.State != Completed {
+		t.Fatalf("probe job is %v, want completed", probe.State)
 	}
-	if got := tel.Registry().Counter("sched.autocomplete_errors_total").Value(); got != 0 {
-		t.Errorf("autocomplete saw %d unexpected errors", got)
-	}
-}
-
-func TestSchedulerWithRealClock(t *testing.T) {
-	// The same scheduler runs under the wall clock (examples do this);
-	// costs are scaled down so the test finishes in milliseconds.
-	clk := vclock.NewReal()
-	m, _ := cluster.New(cluster.Summit(1))
-	s, err := New(clk, Config{Machine: m, Policy: FirstMatch, Mode: Async,
-		Costs: Costs{SubmitMsg: time.Microsecond, StatusMsg: time.Microsecond,
-			VertexVisit: time.Nanosecond}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	s.OnFinish(func(j *Job) { close(done) })
-	if _, err := s.Submit(Request{Name: "quick", GPUs: 1, Cores: 2,
-		Duration: 10 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("job never finished under the real clock")
-	}
-	if m.UsedGPUs() != 0 {
-		t.Error("GPU not released")
+	autoAt := probe.EndTime
+	for _, failFirst := range []bool{true, false} {
+		clk, s, tel, j := rig()
+		var failErr error
+		var finished []State
+		s.OnFinish(func(j *Job) { finished = append(finished, j.State) })
+		fail := func() { failErr = s.Fail(j.ID) }
+		want := State(Completed)
+		if failFirst {
+			// Queued before the job starts: ahead of the auto-completion.
+			clk.At(autoAt, fail)
+			want = Failed
+		} else {
+			// Queued once the start has armed the auto-completion: behind it.
+			s.OnStart(func(*Job) { clk.At(autoAt, fail) })
+		}
+		clk.Run()
+		switch {
+		case failFirst && failErr != nil:
+			t.Errorf("Fail ahead of the auto-completion: %v", failErr)
+		case !failFirst && !errors.Is(failErr, ErrAlreadyTerminal):
+			t.Errorf("Fail behind the auto-completion got %v, want ErrAlreadyTerminal", failErr)
+		}
+		if fmt.Sprint(finished) != fmt.Sprint([]State{want}) || !j.EndTime.Equal(autoAt) {
+			t.Errorf("failFirst=%v: finished %v at %v, want [%v] at %v", failFirst, finished, j.EndTime, want, autoAt)
+		}
+		if m := s.Machine(); m.UsedGPUs() != 0 || m.UsedCores() != 0 {
+			t.Errorf("failFirst=%v: resources leaked: %d GPUs %d cores", failFirst, m.UsedGPUs(), m.UsedCores())
+		}
+		if got := tel.Registry().Counter("sched.autocomplete_errors_total").Value(); got != 0 {
+			t.Errorf("failFirst=%v: autocomplete saw %d unexpected errors", failFirst, got)
+		}
 	}
 }

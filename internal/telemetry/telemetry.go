@@ -9,7 +9,7 @@
 //
 // Two properties shape the design:
 //
-//   - Determinism. All timestamps and durations come from a vclock.Clock.
+//   - Determinism. All timestamps and durations come from one clock's Now.
 //     Under the campaign's virtual clock, every measurement is a pure
 //     function of the replay, so metric snapshots are byte-identical
 //     across runs with the same seed and traces replay event-for-event
@@ -24,18 +24,14 @@
 // DESIGN.md §9 for the architecture.
 package telemetry
 
-import (
-	"time"
-
-	"mummi/internal/vclock"
-)
+import "time"
 
 // Options configures a Telemetry instance.
 type Options struct {
-	// Clock supplies the timestamps of spans and of Now.
-	// Nil defaults to the real clock; the campaign driver rebinds to its
-	// virtual clock via SetClock so replays stay deterministic.
-	Clock vclock.Clock
+	// Clock supplies the timestamps of spans and of Now; a *vclock.Virtual
+	// is one. Nil defaults to the wall clock; the campaign driver rebinds to
+	// its virtual clock via SetClock so replays stay deterministic.
+	Clock interface{ Now() time.Time }
 	// Trace enables the span recorder, which keeps at most traceCap spans.
 	// Off, StartSpan/RecordSpan are no-ops and no span memory is ever
 	// allocated.
@@ -54,9 +50,9 @@ type Telemetry struct {
 // New builds a Telemetry from opts.
 func New(opts Options) *Telemetry {
 	t := &Telemetry{reg: NewRegistry()}
-	clk := opts.Clock
-	if clk == nil {
-		clk = vclock.NewReal()
+	var clk nower = wallClock{}
+	if opts.Clock != nil {
+		clk = opts.Clock
 	}
 	t.clk.set(clk)
 	if opts.Trace {
@@ -65,7 +61,7 @@ func New(opts Options) *Telemetry {
 	return t
 }
 
-// Nop returns a fresh Telemetry with tracing disabled and a real clock: a
+// Nop returns a fresh Telemetry with tracing disabled and the wall clock: a
 // working sink components fall back to when no telemetry was configured.
 // Metrics written to it are recorded but never exported unless the caller
 // keeps the instance.
@@ -74,7 +70,7 @@ func Nop() *Telemetry { return New(Options{}) }
 // SetClock rebinds the measurement clock. The campaign driver calls it
 // after constructing its virtual clock; spans recorded earlier keep the
 // timestamps they were measured with.
-func (t *Telemetry) SetClock(clk vclock.Clock) {
+func (t *Telemetry) SetClock(clk interface{ Now() time.Time }) {
 	if clk == nil {
 		return
 	}

@@ -1,16 +1,12 @@
-// Package vclock abstracts wall-clock time behind a Clock interface with two
-// implementations: Real (backed by the system clock) and Virtual (a
-// deterministic discrete-event scheduler). The same workflow-manager,
-// scheduler, and feedback code runs under either clock. The examples and the
-// campaign driver all run in virtual time — the driver replays a
-// 600,000-node-hour Summit campaign on one machine; Real is what a
-// telemetry.Telemetry measures with until a campaign rebinds it.
+// Package vclock abstracts time behind a Clock interface, implemented by
+// Virtual, a deterministic discrete-event scheduler. The workflow manager,
+// scheduler, fleet and fault layers program against Clock and run as
+// callbacks on one Virtual, driven by one goroutine: the campaign driver
+// replays a 600,000-node-hour Summit campaign on one machine, and event
+// order, not locking, is what orders their state changes (DESIGN.md §6).
 package vclock
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // EventID identifies a scheduled callback so it can be canceled.
 type EventID int64
@@ -22,53 +18,6 @@ type Clock interface {
 	Now() time.Time
 	After(d time.Duration, fn func()) EventID
 	Cancel(id EventID) bool
-}
-
-// ---------------------------------------------------------------------------
-// Real clock
-
-// Real is a Clock backed by the system clock and time.AfterFunc.
-// The zero value is ready to use.
-type Real struct {
-	mu     sync.Mutex
-	nextID EventID
-	timers map[EventID]*time.Timer
-}
-
-// NewReal returns a real-time clock.
-func NewReal() *Real { return &Real{timers: make(map[EventID]*time.Timer)} }
-
-// Now returns the current wall-clock time.
-func (r *Real) Now() time.Time { return time.Now() }
-
-// After schedules fn after real duration d.
-func (r *Real) After(d time.Duration, fn func()) EventID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.timers == nil {
-		r.timers = make(map[EventID]*time.Timer)
-	}
-	r.nextID++
-	id := r.nextID
-	r.timers[id] = time.AfterFunc(d, func() {
-		r.mu.Lock()
-		delete(r.timers, id)
-		r.mu.Unlock()
-		fn()
-	})
-	return id
-}
-
-// Cancel stops a pending timer.
-func (r *Real) Cancel(id EventID) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.timers[id]
-	if !ok {
-		return false
-	}
-	delete(r.timers, id)
-	return t.Stop()
 }
 
 // ---------------------------------------------------------------------------
@@ -312,7 +261,6 @@ type Ticker struct {
 	clk    Clock
 	period time.Duration
 	fn     func(now time.Time)
-	mu     sync.Mutex
 	cur    EventID
 	done   bool
 }
@@ -321,27 +269,20 @@ type Ticker struct {
 // from now.
 func NewTicker(clk Clock, period time.Duration, fn func(now time.Time)) *Ticker {
 	t := &Ticker{clk: clk, period: period, fn: fn}
-	t.mu.Lock()
 	t.cur = clk.After(period, t.tick)
-	t.mu.Unlock()
 	return t
 }
 
 func (t *Ticker) tick() {
-	t.mu.Lock()
 	if t.done {
-		t.mu.Unlock()
 		return
 	}
 	t.cur = t.clk.After(t.period, t.tick)
-	t.mu.Unlock()
 	t.fn(t.clk.Now())
 }
 
 // Stop cancels future ticks.
 func (t *Ticker) Stop() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.done = true
 	t.clk.Cancel(t.cur)
 }

@@ -2,7 +2,6 @@ package vclock
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -186,42 +185,6 @@ func TestTickerStopInsideCallback(t *testing.T) {
 	v.Run()
 	if n != 2 {
 		t.Errorf("ticker fired %d times after Stop at 2", n)
-	}
-}
-
-func TestRealClockAfterAndCancel(t *testing.T) {
-	r := NewReal()
-	var fired atomic.Bool
-	done := make(chan struct{})
-	r.After(5*time.Millisecond, func() { fired.Store(true); close(done) })
-	id := r.After(time.Hour, func() { t.Error("canceled real event fired") })
-	if !r.Cancel(id) {
-		t.Error("Cancel of pending real timer returned false")
-	}
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("real timer never fired")
-	}
-	if !fired.Load() {
-		t.Error("flag not set")
-	}
-	if r.Cancel(id) {
-		t.Error("double cancel returned true")
-	}
-	if now := r.Now(); time.Since(now) > time.Minute {
-		t.Errorf("Real.Now looks wrong: %v", now)
-	}
-}
-
-func TestRealZeroValueUsable(t *testing.T) {
-	var r Real
-	done := make(chan struct{})
-	r.After(time.Millisecond, func() { close(done) })
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("zero-value Real timer never fired")
 	}
 }
 

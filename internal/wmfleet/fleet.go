@@ -3,7 +3,6 @@ package wmfleet
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"mummi/internal/core"
@@ -86,8 +85,9 @@ type Accounting struct {
 
 // Fleet is N workflow-manager instances over one scheduler, coordinating
 // coupling ownership through store leases. Create with New, drive with
-// Start/Stop; Crash models an instance failure. All methods must run on
-// virtual-clock callbacks or between clock runs (they are serialized).
+// Start/Stop; Crash models an instance failure. A Fleet is not safe for
+// concurrent use: its methods run on clock callbacks or between clock
+// steps, on the goroutine that drives the clock (DESIGN.md §6).
 type Fleet struct {
 	cfg    Config
 	tel    *telemetry.Telemetry
@@ -97,7 +97,6 @@ type Fleet struct {
 	disp               *dispatcher
 	ckptNS             string
 
-	mu        sync.Mutex
 	instances []*instance
 	order     []string // canonical coupling order
 	specs     map[string]core.CouplingSpec
@@ -128,27 +127,18 @@ type instance struct {
 // dispatcher registers once and forwards to all registered listeners
 // (each WM ignores job IDs it does not track).
 type dispatcher struct {
-	mu     sync.Mutex
 	finish []func(sched.JobID, sched.State)
 	start  []func(sched.JobID)
 }
 
 func (d *dispatcher) bind(b maestro.Backend) {
 	b.OnFinish(func(id sched.JobID, st sched.State) {
-		d.mu.Lock()
-		fns := make([]func(sched.JobID, sched.State), len(d.finish))
-		copy(fns, d.finish)
-		d.mu.Unlock()
-		for _, fn := range fns {
+		for _, fn := range d.finish {
 			fn(id, st)
 		}
 	})
 	b.OnStart(func(id sched.JobID) {
-		d.mu.Lock()
-		fns := make([]func(sched.JobID), len(d.start))
-		copy(fns, d.start)
-		d.mu.Unlock()
-		for _, fn := range fns {
+		for _, fn := range d.start {
 			fn(id)
 		}
 	})
@@ -167,16 +157,10 @@ func (p *port) Cancel(id sched.JobID) bool                    { return p.backend
 func (p *port) Fail(id sched.JobID) error                     { return p.backend.Fail(id) }
 
 func (p *port) OnFinish(fn func(sched.JobID, sched.State)) {
-	p.disp.mu.Lock()
 	p.disp.finish = append(p.disp.finish, fn)
-	p.disp.mu.Unlock()
 }
 
-func (p *port) OnStart(fn func(sched.JobID)) {
-	p.disp.mu.Lock()
-	p.disp.start = append(p.disp.start, fn)
-	p.disp.mu.Unlock()
-}
+func (p *port) OnStart(fn func(sched.JobID)) { p.disp.start = append(p.disp.start, fn) }
 
 // New builds a fleet of cfg.Instances workflow managers. Coupling i goes
 // to instance i mod N; every instance is built with AllowNoCouplings so
@@ -270,8 +254,6 @@ func New(cfg Config) (*Fleet, error) {
 // allocation's Checkpoint output, fleet-produced or single-WM), routing
 // each coupling's record to its initial owner. Must precede Start.
 func (f *Fleet) Restore(data []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.started {
 		return errors.New("wmfleet: restore must precede Start")
 	}
@@ -302,8 +284,6 @@ func (f *Fleet) Restore(data []byte) error {
 // first flush still leaves adopters a record), starts every instance,
 // and arms the renew/sweep tickers.
 func (f *Fleet) Start() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.started {
 		return errors.New("wmfleet: already started")
 	}
@@ -320,7 +300,7 @@ func (f *Fleet) Start() error {
 			return fmt.Errorf("wmfleet: lease for %s unexpectedly held at start", name)
 		}
 		f.terms[name] = term
-		if err := f.flushCouplingLocked(f.instances[holder], name); err != nil {
+		if err := f.flushCoupling(f.instances[holder], name); err != nil {
 			f.anomaly(fmt.Sprintf("wmfleet: start flush of %s failed: %v (in-memory copy retained)", name, err))
 		}
 	}
@@ -341,15 +321,11 @@ func (f *Fleet) Start() error {
 // Stop halts every live instance's tickers and conductor; running jobs
 // continue in the scheduler.
 func (f *Fleet) Stop() {
-	f.mu.Lock()
 	if f.stopped {
-		f.mu.Unlock()
 		return
 	}
 	f.stopped = true
-	live := f.liveLocked()
-	f.mu.Unlock()
-	for _, inst := range live {
+	for _, inst := range f.live() {
 		if inst.renew != nil {
 			inst.renew.Stop()
 		}
@@ -365,24 +341,16 @@ func (f *Fleet) Stop() {
 // survivors adopt on. The last live instance refuses to crash (a fleet
 // of zero cannot finish the campaign).
 func (f *Fleet) Crash(idx int) (CrashInfo, error) {
-	f.mu.Lock()
 	if idx < 0 || idx >= len(f.instances) {
-		f.mu.Unlock()
 		return CrashInfo{}, fmt.Errorf("wmfleet: no instance %d", idx)
 	}
 	inst := f.instances[idx]
 	if !inst.alive {
-		f.mu.Unlock()
 		return CrashInfo{}, fmt.Errorf("wmfleet: instance %d already dead", idx)
 	}
-	if len(f.liveLocked()) <= 1 {
-		f.mu.Unlock()
+	if len(f.live()) <= 1 {
 		return CrashInfo{}, errors.New("wmfleet: refusing to crash the last live instance")
 	}
-	f.mu.Unlock()
-
-	// Stop the victim outside the fleet lock: Stop/Close drive callbacks
-	// that may re-enter WM state.
 	if inst.renew != nil {
 		inst.renew.Stop()
 	}
@@ -390,8 +358,6 @@ func (f *Fleet) Crash(idx int) (CrashInfo, error) {
 	inst.wm.Stop()
 	inst.cond.Close() // queued submissions fail back into the victim's state
 
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	info := CrashInfo{Jobs: jobs}
 	for _, name := range f.order {
 		if f.owner[name] != idx {
@@ -401,7 +367,7 @@ func (f *Fleet) Crash(idx int) (CrashInfo, error) {
 		// dying, but its last periodic flush would hold the same state;
 		// capturing it at crash time models that without a redundant
 		// flush schedule.
-		if err := f.flushCouplingLocked(inst, name); err != nil {
+		if err := f.flushCoupling(inst, name); err != nil {
 			f.anomaly(fmt.Sprintf("wmfleet: crash flush of %s failed: %v (in-memory copy retained)", name, err))
 		}
 		f.owner[name] = -1
@@ -416,11 +382,10 @@ func (f *Fleet) Crash(idx int) (CrashInfo, error) {
 	return info, nil
 }
 
-// flushCouplingLocked checkpoints one coupling from inst and publishes
+// flushCoupling checkpoints one coupling from inst and publishes
 // it to the checkpoint namespace as a one-coupling checkpoint document,
-// keeping the in-memory copy as the fallback adoption source. Caller
-// holds f.mu.
-func (f *Fleet) flushCouplingLocked(inst *instance, name string) error {
+// keeping the in-memory copy as the fallback adoption source.
+func (f *Fleet) flushCoupling(inst *instance, name string) error {
 	ck, err := inst.wm.CheckpointCoupling(name)
 	if err != nil {
 		return err
@@ -436,9 +401,7 @@ func (f *Fleet) flushCouplingLocked(inst *instance, name string) error {
 // renewTick is one instance's periodic lease maintenance: renew every
 // owned coupling, then sweep for orphans to adopt.
 func (f *Fleet) renewTick(inst *instance) {
-	f.mu.Lock()
 	if f.stopped || !inst.alive {
-		f.mu.Unlock()
 		return
 	}
 	for _, name := range f.order {
@@ -465,18 +428,17 @@ func (f *Fleet) renewTick(inst *instance) {
 			f.terms[name] = term
 		}
 	}
-	f.sweepLocked(inst)
-	f.mu.Unlock()
+	f.sweep(inst)
 }
 
-// sweepLocked adopts couplings whose owner is dead and whose store lease
+// sweep adopts couplings whose owner is dead and whose store lease
 // has expired. Requiring both is the split-brain guard: the fleet shares
 // a process, so instance liveness is reliable in-process knowledge
 // (modeling the fleet-gossip a real deployment would run), and the lease
 // expiry gates WHEN adoption is safe — a slow-but-alive owner whose
 // renewals are failing keeps its couplings. The lease term bump inside
-// Acquire is the true double-adoption gate. Caller holds f.mu.
-func (f *Fleet) sweepLocked(inst *instance) {
+// Acquire is the true double-adoption gate.
+func (f *Fleet) sweep(inst *instance) {
 	for _, name := range f.order {
 		o := f.owner[name]
 		if o >= 0 && f.instances[o].alive {
@@ -490,15 +452,15 @@ func (f *Fleet) sweepLocked(inst *instance) {
 		if !expired {
 			continue // the dead owner's lease has not run out yet
 		}
-		f.adoptLocked(inst, name)
+		f.adopt(inst, name)
 	}
 }
 
-// adoptLocked has inst take over one orphaned coupling: win the lease,
+// adopt has inst take over one orphaned coupling: win the lease,
 // replay the checkpointed state, and verify conservation (everything
 // ready, running, or in setup before the crash must be ready or in setup
-// after adoption). Caller holds f.mu.
-func (f *Fleet) adoptLocked(inst *instance, name string) {
+// after adoption).
+func (f *Fleet) adopt(inst *instance, name string) {
 	term, ok, err := f.leases.Acquire(inst.idx, name)
 	if err != nil {
 		f.anomaly(fmt.Sprintf("wmfleet: instance %d adopt-acquire of %s failed: %v", inst.idx, name, err))
@@ -508,7 +470,7 @@ func (f *Fleet) adoptLocked(inst *instance, name string) {
 		return // another instance won the lease first
 	}
 	start := f.cfg.Clock.Now()
-	part, err := f.storedPartLocked(name)
+	part, err := f.storedPart(name)
 	var st core.CouplingStats
 	if err == nil {
 		st, err = inst.wm.AdoptCoupling(f.specs[name], part)
@@ -529,10 +491,10 @@ func (f *Fleet) adoptLocked(inst *instance, name string) {
 	f.event(fmt.Sprintf("wm-adopt coupling=%s instance=%d term=%d", name, inst.idx+1, term))
 }
 
-// storedPartLocked reads one coupling's record back from the checkpoint
+// storedPart reads one coupling's record back from the checkpoint
 // namespace. When the store cannot serve it (fault burst or lost flush)
-// the in-memory mirror stands in. Caller holds f.mu.
-func (f *Fleet) storedPartLocked(name string) (core.CouplingCheckpoint, error) {
+// the in-memory mirror stands in.
+func (f *Fleet) storedPart(name string) (core.CouplingCheckpoint, error) {
 	doc, err := f.cfg.Store.Get(f.ckptNS, name)
 	if err != nil {
 		return f.parts[name], nil
@@ -553,28 +515,17 @@ func (f *Fleet) storedPartLocked(name string) (core.CouplingCheckpoint, error) {
 // shared campaign state, so nothing is lost while ownership is in
 // flight.
 func (f *Fleet) AddCandidate(coupling string, p dynim.Point) error {
-	f.mu.Lock()
 	spec, known := f.specs[coupling]
-	cands := f.cands[coupling]
-	o := -1
-	if known {
-		o = f.owner[coupling]
-	}
-	var inst *instance
-	if o >= 0 && f.instances[o].alive {
-		inst = f.instances[o]
-	}
-	f.mu.Unlock()
 	if !known {
 		return fmt.Errorf("wmfleet: unknown coupling %q", coupling)
 	}
-	if inst != nil {
-		return inst.wm.AddCandidate(coupling, p)
+	if o := f.owner[coupling]; o >= 0 && f.instances[o].alive {
+		return f.instances[o].wm.AddCandidate(coupling, p)
 	}
 	if err := spec.Selector.Add(p); err != nil {
 		return err
 	}
-	cands.Get(f.tel, "wm.candidates_total", "coupling", coupling).Inc()
+	f.cands[coupling].Get(f.tel, "wm.candidates_total", "coupling", coupling).Inc()
 	return nil
 }
 
@@ -582,8 +533,6 @@ func (f *Fleet) AddCandidate(coupling string, p dynim.Point) error {
 // canonical coupling order — the document a single WM writes, so a fleet
 // campaign's next allocation can restore at any fleet size.
 func (f *Fleet) Checkpoint() ([]byte, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	parts := make([]core.CouplingCheckpoint, 0, len(f.order))
 	for _, name := range f.order {
 		o := f.owner[name]
@@ -609,8 +558,6 @@ func (f *Fleet) Checkpoint() ([]byte, error) {
 // checkpointed counts (running simulations counted as ready, matching
 // what adoption will restore).
 func (f *Fleet) Stats() []core.CouplingStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	out := make([]core.CouplingStats, 0, len(f.order))
 	for _, name := range f.order {
 		o := f.owner[name]
@@ -632,8 +579,6 @@ func (f *Fleet) Stats() []core.CouplingStats {
 
 // Accounting returns the fleet's robustness tallies.
 func (f *Fleet) Accounting() Accounting {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return f.acc
 }
 
@@ -642,16 +587,12 @@ func (f *Fleet) Instances() int { return len(f.instances) }
 
 // Alive reports whether instance idx is still live.
 func (f *Fleet) Alive(idx int) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return idx >= 0 && idx < len(f.instances) && f.instances[idx].alive
 }
 
 // LiveInstances returns the live instance indices, ascending — the
 // deterministic victim pool for random-target crash injection.
 func (f *Fleet) LiveInstances() []int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	out := make([]int, 0, len(f.instances))
 	for _, inst := range f.instances {
 		if inst.alive {
@@ -664,8 +605,6 @@ func (f *Fleet) LiveInstances() []int {
 // Owner returns the live owner index of a coupling (-1 while orphaned)
 // and whether the coupling is managed by this fleet.
 func (f *Fleet) Owner(coupling string) (int, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	o, ok := f.owner[coupling]
 	if !ok {
 		return -1, false
@@ -676,9 +615,8 @@ func (f *Fleet) Owner(coupling string) (int, bool) {
 	return o, true
 }
 
-// liveLocked returns the live instances in index order. Caller holds
-// f.mu.
-func (f *Fleet) liveLocked() []*instance {
+// live returns the live instances in index order.
+func (f *Fleet) live() []*instance {
 	var out []*instance
 	for _, inst := range f.instances {
 		if inst.alive {

@@ -381,8 +381,9 @@ func TestFleetAdoptsSameStateFromStoreAndMirror(t *testing.T) {
 }
 
 // returns runs fn on its own goroutine and fails the test if it is still
-// running after ten seconds, so a wedged fleet lock is a named failure
-// rather than the suite's timeout.
+// running after ten seconds, so a fleet call that never comes back — a
+// refusal or sweep path that re-enters itself or loops — is a named
+// failure rather than the suite's timeout.
 func returns(t *testing.T, what string, fn func()) {
 	t.Helper()
 	done := make(chan struct{})
@@ -393,14 +394,14 @@ func returns(t *testing.T, what string, fn func()) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatalf("%s did not return: the fleet lock is wedged", what)
+		t.Fatalf("%s did not return within ten seconds", what)
 	}
 }
 
 // TestFleetRefusesLastInstanceCrash: a fleet of zero cannot finish the
 // campaign, so the last live instance will not crash — and that refusal,
-// like the one for an index the fleet does not have, releases the fleet
-// lock on its way out.
+// like the one for an index the fleet does not have, leaves the fleet
+// answering afterwards.
 func TestFleetRefusesLastInstanceCrash(t *testing.T) {
 	r := newFleetRig(t, 1)
 	fl, err := New(Config{
@@ -425,7 +426,7 @@ func TestFleetRefusesLastInstanceCrash(t *testing.T) {
 			}
 		})
 	}
-	fl.Stop() // not deferred: Stop takes the lock a failure above has shown wedged
+	fl.Stop() // not deferred: a Stop that hangs after a failure above would hide it
 }
 
 // leaseGetStore refuses the next read of one coupling's lease record.
@@ -444,8 +445,7 @@ func (s *leaseGetStore) Get(ns, key string) ([]byte, error) {
 
 // TestFleetSweepSurvivesLeaseReadFailure: a sweep that cannot read one
 // orphan's lease reports that once, carries on to the next orphan, and
-// leaves the fleet lock free; the skipped coupling is adopted on the next
-// sweep.
+// returns; the skipped coupling is adopted on the next sweep.
 func TestFleetSweepSurvivesLeaseReadFailure(t *testing.T) {
 	r := newFleetRig(t, 2)
 	store := &leaseGetStore{Store: datastore.NewMemory()}

@@ -22,6 +22,24 @@ if grep -rq channeldiscipline --include='*.go' .; then
 fi
 go build ./...
 
+# One goroutine drives the coordination layers (DESIGN.md §6): the WM, its
+# fleet, the conductor, the scheduler, the selectors, the fault engine, the
+# profiler and the virtual clock are callbacks on one clock, ordered by its
+# event order, not by locks. So none of them imports sync or sync/atomic,
+# and none has a go statement outside its tests; the selectors' rank
+# refresh fans out through internal/parallel, which joins its workers
+# before it returns.
+for pkg in core sched wmfleet dynim maestro faults profile vclock; do
+	if go list -f '{{join .Imports "\n"}}' "./internal/$pkg" | grep -xE 'sync|sync/atomic'; then
+		echo "ci: internal/$pkg imports sync; it runs on the clock's one goroutine" >&2
+		exit 1
+	fi
+	if grep -nE '^[[:space:]]*go[[:space:]]+[[:alnum:]_(]' $(ls internal/$pkg/*.go | grep -v _test.go); then
+		echo "ci: internal/$pkg starts a goroutine; it runs on the clock's one goroutine" >&2
+		exit 1
+	fi
+done
+
 # The campaign package is the replay and nothing else: the systems
 # experiments that drive the kv store, the filesystem store and taridx live
 # in cmd/mummi-sim beside exp's table, so none of those packages is in the
