@@ -121,51 +121,76 @@ type activeJob struct {
 	start time.Time
 }
 
-// activeSet holds the allocation's running simulation jobs. Job IDs are
-// dense from 1, so a slice indexed by ID holds the records and a Fenwick
-// tree over ID presence draws a victim in O(log n), sorting nothing.
+// activeSet holds the allocation's running simulation jobs: their records
+// packed in recs, and per job ID (dense from 1, setup and static jobs
+// included) only a 4-byte slot and a Fenwick count over ID presence, which
+// draws a victim in O(log n), sorting nothing.
 type activeSet struct {
-	jobs []activeJob // by ID; an empty simID marks an absent ID
+	recs []activeRec // live simulation jobs, in no order
+	slot []int32     // by ID: 1 + the ID's index in recs, 0 when absent
 	live stats.Fenwick
-	n    int
+}
+
+type activeRec struct {
+	id sched.JobID
+	activeJob
 }
 
 func (s *activeSet) get(id sched.JobID) (activeJob, bool) {
-	if id <= 0 || id >= sched.JobID(len(s.jobs)) || s.jobs[id].simID == "" {
+	if id <= 0 || id >= sched.JobID(len(s.slot)) || s.slot[id] == 0 {
 		return activeJob{}, false
 	}
-	return s.jobs[id], true
+	return s.recs[s.slot[id]-1].activeJob, true
 }
 
 func (s *activeSet) put(id sched.JobID, aj activeJob) {
-	if id >= sched.JobID(len(s.jobs)) {
+	if id >= sched.JobID(len(s.slot)) {
 		s.live.Grow(int(id) + 1)
-		s.jobs = append(s.jobs, make([]activeJob, s.live.Len()-len(s.jobs))...)
+		s.slot = append(s.slot, make([]int32, s.live.Len()-len(s.slot))...)
 	}
-	if s.jobs[id].simID == "" {
-		s.live.Add(int(id), 1)
-		s.n++
+	if k := s.slot[id]; k > 0 {
+		s.recs[k-1].activeJob = aj
+		return
 	}
-	s.jobs[id] = aj
+	s.recs = append(s.recs, activeRec{id, aj})
+	s.slot[id] = int32(len(s.recs))
+	s.live.Add(int(id), 1)
 }
 
 // remove drops id; an absent ID, or one above every ID put (a late end
 // from the previous allocation's scheduler), is a no-op.
 func (s *activeSet) remove(id sched.JobID) {
-	if _, ok := s.get(id); ok {
-		s.jobs[id] = activeJob{}
-		s.live.Add(int(id), -1)
-		s.n--
+	if _, ok := s.get(id); !ok {
+		return
 	}
+	k, last := s.slot[id]-1, len(s.recs)-1
+	s.recs[k] = s.recs[last]
+	s.slot[s.recs[k].id] = k + 1
+	s.recs[last] = activeRec{}
+	s.recs = s.recs[:last]
+	s.slot[id] = 0
+	s.live.Add(int(id), -1)
 }
 
 // pick returns the live ID of ascending rank rng.Intn(n), or 0 without a
 // draw when the set is empty.
 func (s *activeSet) pick(rng *rand.Rand) sched.JobID {
-	if s.n == 0 {
+	if len(s.recs) == 0 {
 		return 0
 	}
-	return sched.JobID(s.live.Kth(rng.Intn(s.n)))
+	return sched.JobID(s.live.Kth(rng.Intn(len(s.recs))))
+}
+
+// ascending returns the live IDs in ascending order: the order settles and
+// banks feed the replay in.
+func (s *activeSet) ascending() []sched.JobID {
+	ids := make([]sched.JobID, 0, len(s.recs))
+	for id, k := range s.slot {
+		if k > 0 {
+			ids = append(ids, sched.JobID(id))
+		}
+	}
+	return ids
 }
 
 // NewCampaign builds the engine.
@@ -477,11 +502,9 @@ func (c *Campaign) end() {
 	a.wm.Stop()
 	a.prof.Stop()
 	a.s.Close()
-	for id, aj := range c.active.jobs { // ascending IDs: the settle order feeds the replay
-		if aj.simID == "" {
-			continue
-		}
-		if job, ok := a.s.Job(sched.JobID(id)); ok && job.State == sched.Running {
+	for _, id := range c.active.ascending() {
+		if job, ok := a.s.Job(id); ok && job.State == sched.Running {
+			aj, _ := c.active.get(id)
 			c.settle(aj.simID, aj.rate.SimFor(c.clk.Now().Sub(aj.start)), false)
 		}
 	}
@@ -506,13 +529,16 @@ func (c *Campaign) end() {
 	c.res.Table1 = append(c.res.Table1, RunLedger{Nodes: a.spec.Nodes, Wall: a.spec.Wall, NodeHours: nh})
 	c.elapsedWall += a.spec.Wall
 
-	// Fig. 6 keeps the first placement timeline of each node class.
+	// Fig. 6 keeps the first placement timeline of each node class. Every
+	// scheduler's timeline is taken, so late events reaching the closed
+	// scheduler do not keep it alive.
+	placements := a.s.Timeline()
 	tl := &c.res.Timeline1000
 	if a.spec.Nodes >= 4000 {
 		tl = &c.res.Timeline4000
 	}
 	if a.spec.Nodes >= 1000 && *tl == nil {
-		for _, p := range a.s.Timeline() {
+		for _, p := range placements {
 			*tl = append(*tl, TimelinePoint{Offset: p.Time.Sub(a.start), Job: int64(p.Job)})
 		}
 	}
@@ -529,12 +555,9 @@ func (c *Campaign) startChaos() {
 		// Bank progress for the sims dying with the node; the workflow
 		// resubmits them and they resume from the banked progress (the
 		// simulations' own checkpoints survive the node).
-		for id, aj := range c.active.jobs {
-			if aj.simID == "" {
-				continue
-			}
-			if job, ok := a.s.Job(sched.JobID(id)); ok && job.State == sched.Running && allocOnNode(job.Alloc, node) {
-				c.bankActive(sched.JobID(id))
+		for _, id := range c.active.ascending() {
+			if job, ok := a.s.Job(id); ok && job.State == sched.Running && allocOnNode(job.Alloc, node) {
+				c.bankActive(id)
 			}
 		}
 		victims := a.s.Crash(node)
@@ -851,14 +874,16 @@ func (c *Campaign) accountCG(simID string, rec *simRecord) {
 			continue
 		}
 		c.subAcc--
-		coords := []float64{
+		coords := [3]float64{ // Add copies them
 			clamp01(rec.base[0] + c.rng.NormFloat64()*0.08),
 			clamp01(rec.base[1] + c.rng.NormFloat64()*0.08),
 			clamp01(rec.base[2] + c.rng.NormFloat64()*0.08),
 		}
 		id := string(appendFrameID(make([]byte, 0, 64), simID, c.res.CGFrameCandidates-int64(n)+int64(i)))
-		if err := c.frameSel.Add(dynim.Point{ID: id, Coords: coords}); err != nil {
-			c.fail(fmt.Errorf("campaign: offer frame %s: %w", id, err))
+		if err := c.frameSel.Add(dynim.Point{ID: id, Coords: coords[:]}); err != nil {
+			// The sampler's error names the point. Formatting id here too
+			// would move it to the heap, which Add's copy avoids.
+			c.fail(fmt.Errorf("campaign: offer frame: %w", err))
 			return
 		}
 	}

@@ -528,18 +528,14 @@ func TestActiveSetMatchesOracle(t *testing.T) {
 				t.Fatalf("op %d: pick = %d, want %d", op, got, want)
 			}
 		}
-		var walked []sched.JobID
-		for id, aj := range s.jobs {
-			if aj.simID == "" {
-				continue
-			}
-			walked = append(walked, sched.JobID(id))
-			if got, ok := s.get(sched.JobID(id)); !ok || got != oracle[sched.JobID(id)] {
-				t.Fatalf("op %d: job %d = %+v, want %+v", op, id, got, oracle[sched.JobID(id)])
+		walked := s.ascending()
+		for _, id := range walked {
+			if got, ok := s.get(id); !ok || got != oracle[id] {
+				t.Fatalf("op %d: job %d = %+v, want %+v", op, id, got, oracle[id])
 			}
 		}
-		if want := sorted(); !slices.Equal(walked, want) || s.n != len(want) {
-			t.Fatalf("op %d: sweep %v (n=%d), want %v", op, walked, s.n, want)
+		if want := sorted(); !slices.Equal(walked, want) || len(s.recs) != len(want) {
+			t.Fatalf("op %d: sweep %v (%d records), want %v", op, walked, len(s.recs), want)
 		}
 		grown = max(grown, s.live.Len())
 		for _, id := range []sched.JobID{0, -1, next + 1, next + 1000} {

@@ -14,6 +14,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"time"
@@ -370,7 +371,10 @@ func (w *Workflow) Start() error {
 	return nil
 }
 
-// Stop halts tickers; running jobs continue in the scheduler.
+// Stop halts tickers; running jobs continue in the scheduler. The job map
+// is re-packed to its live entries: it took an allocation's churn of
+// inserts, a Go map never shrinks, and the running jobs' finish callbacks
+// keep a stopped Workflow reachable.
 func (w *Workflow) Stop() {
 	if w.stopped {
 		return
@@ -382,6 +386,9 @@ func (w *Workflow) Stop() {
 	for _, t := range w.fbTickers {
 		t.Stop()
 	}
+	live := make(map[sched.JobID]jobRecord, len(w.jobs))
+	maps.Copy(live, w.jobs)
+	w.jobs = live
 }
 
 // AddCandidate offers a coarse-scale candidate to a coupling's selector

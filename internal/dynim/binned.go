@@ -3,7 +3,9 @@ package dynim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"mummi/internal/stats"
@@ -34,6 +36,12 @@ import (
 // Binned keeps no set of IDs: its producers (the campaign's frame stream)
 // mint unique IDs by construction, and a set of every ID ever offered would
 // grow with the campaign. A re-offered ID is queued again.
+//
+// Candidates are stored once, append-only, in chunks of candChunk: their
+// coordinates and ID bytes back to back. A new chunk leaves the full ones
+// in place, a candidate is no object of its own, and nothing stored is a
+// pointer, so the collector does not scan the backlog; a bin queues 4-byte
+// indices into the chunks. Select builds each returned Point afresh.
 type Binned struct {
 	dims    []BinDim
 	balance float64
@@ -50,6 +58,9 @@ type Binned struct {
 	nbins     int // joint bin count, ∏ dims[i].Bins
 	total     int // queued candidate count
 
+	chunks []candidates // candidate i is entry i%candChunk of chunk i/candChunk
+	stored int          // candidates stored
+
 	tel      *telemetry.Telemetry // nil = no instrumentation
 	selCount telemetry.Lazy[telemetry.Counter]
 }
@@ -60,8 +71,18 @@ type binState struct {
 	// occupancy counts every point ever offered (queued or selected); it is
 	// the "seen" density estimate novelty is measured against.
 	occupancy int
-	queued    []Point // insertion-ordered
-	pos       int     // index in Binned.nonEmpty while queued is non-empty
+	queued    []uint32 // candidate indices, insertion-ordered
+	pos       int      // index in Binned.nonEmpty while queued is non-empty
+}
+
+// candChunk is the candidate count of one storage chunk.
+const candChunk = 1 << 10
+
+// candidates is one storage chunk.
+type candidates struct {
+	coords []float64 // len(dims) values per candidate
+	ids    []byte    // the IDs, concatenated
+	idEnd  []uint32  // idEnd[k] is where entry k's ID ends in ids
 }
 
 // binHeap orders non-empty bins least-occupied first, ties broken by bin
@@ -159,11 +180,15 @@ func (b *Binned) SetTelemetry(tel *telemetry.Telemetry) {
 	b.selCount = telemetry.Lazy[telemetry.Counter]{}
 }
 
-// Add implements Selector: increment the bin's occupancy, queue the
-// candidate and keep the select index current.
+// Add implements Selector: store the candidate, increment its bin's
+// occupancy, queue it and keep the select index current. The coordinates
+// are copied, so the caller may reuse p.Coords.
 func (b *Binned) Add(p Point) error {
 	if err := checkPoint(p, len(b.dims)); err != nil {
 		return err
+	}
+	if uint64(b.stored) > math.MaxUint32 {
+		return fmt.Errorf("dynim: binned sampler full at %d candidates", b.stored)
 	}
 	bin := b.binOf(p.Coords)
 	st := b.bins[bin]
@@ -172,7 +197,7 @@ func (b *Binned) Add(p Point) error {
 		b.bins[bin] = st
 	}
 	st.occupancy++
-	st.queued = append(st.queued, p)
+	st.queued = append(st.queued, b.store(p))
 	if len(st.queued) == 1 {
 		heap.Push(&b.nonEmpty, st)
 	} else {
@@ -182,6 +207,34 @@ func (b *Binned) Add(p Point) error {
 	b.queuedFen.Add(bin, 1)
 	b.total++
 	return nil
+}
+
+// store copies p into the candidate chunks and returns its index.
+func (b *Binned) store(p Point) uint32 {
+	if b.stored%candChunk == 0 {
+		b.chunks = append(b.chunks, candidates{
+			coords: make([]float64, 0, candChunk*len(b.dims)),
+			ids:    make([]byte, 0, candChunk*len(p.ID)), // a longer ID grows it
+			idEnd:  make([]uint32, 0, candChunk),
+		})
+	}
+	ch := &b.chunks[len(b.chunks)-1]
+	ch.coords = append(ch.coords, p.Coords...)
+	ch.ids = append(ch.ids, p.ID...)
+	ch.idEnd = append(ch.idEnd, uint32(len(ch.ids)))
+	b.stored++
+	return uint32(b.stored - 1)
+}
+
+// point returns stored candidate i as a Point that shares no memory with
+// the chunks.
+func (b *Binned) point(i int) Point {
+	ch, k, dim := &b.chunks[i/candChunk], i%candChunk, len(b.dims)
+	var start uint32
+	if k > 0 {
+		start = ch.idEnd[k-1]
+	}
+	return Point{ID: string(ch.ids[start:ch.idEnd[k]]), Coords: slices.Clone(ch.coords[k*dim : (k+1)*dim])}
 }
 
 // Select implements Selector.
@@ -199,8 +252,7 @@ func (b *Binned) Select(n int) []Point {
 			// A uniform draw: the bin holding the k-th queued candidate.
 			st = b.bins[b.queuedFen.Kth(b.rng.Intn(b.total))]
 		}
-		p := st.queued[0]
-		st.queued[0] = Point{} // the backing array must not pin the popped point
+		p := b.point(int(st.queued[0]))
 		st.queued = st.queued[1:]
 		if len(st.queued) == 0 {
 			st.queued = nil

@@ -155,24 +155,34 @@ func TestBinnedSelectMatchesScanOracle(t *testing.T) {
 	}
 }
 
-// TestBinnedSelectReleasesPoppedPoint: a selected point must not stay
-// reachable from its bin's backing array.
+// TestBinnedSelectReleasesPoppedPoint: a selected point shares no memory
+// with the sampler, so the sampler does not pin it — bins queue indices,
+// and the storage holds floats and bytes — and Add copies the coordinates,
+// so a caller reusing its slice changes nothing queued.
 func TestBinnedSelectReleasesPoppedPoint(t *testing.T) {
 	b, err := NewBinned([]BinDim{{0, 1, 4}}, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	coords := make([]float64, 1)
 	for i := 0; i < 3; i++ {
-		if err := b.Add(Point{ID: fmt.Sprintf("f%d", i), Coords: []float64{0.1}}); err != nil {
+		coords[0] = float64(i+1) / 16 // all in bin 0
+		if err := b.Add(Point{ID: fmt.Sprintf("f%d", i), Coords: coords}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	backing := b.bins[0].queued
-	if got := b.Select(1); len(got) != 1 || got[0].ID != "f0" {
-		t.Fatalf("Select(1) = %v", got)
+	coords[0] = 0.9 // the caller reuses its buffer
+	got := b.Select(1)
+	if len(got) != 1 || got[0].ID != "f0" || len(got[0].Coords) != 1 || got[0].Coords[0] != 1.0/16 {
+		t.Fatalf("Select(1) = %v, want [{f0 [0.0625]}]", got)
 	}
-	if backing[0].ID != "" || backing[0].Coords != nil {
-		t.Errorf("popped slot still holds %+v", backing[0])
+	got[0].Coords[0] = 0.5 // the caller owns the selected point
+	if p := b.point(0); p.ID != "f0" || p.Coords[0] != 1.0/16 {
+		t.Errorf("stored candidate 0 = %v after the caller wrote its selection", p)
+	}
+	if rest := b.Select(2); len(rest) != 2 || rest[0].ID != "f1" || rest[0].Coords[0] != 2.0/16 ||
+		rest[1].ID != "f2" || rest[1].Coords[0] != 3.0/16 {
+		t.Errorf("Select(2) = %v, want f1 at 0.125 and f2 at 0.1875", rest)
 	}
 }
 

@@ -30,6 +30,7 @@ package dynim
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Point is one selection candidate: an application object (patch, CG frame)
@@ -45,12 +46,14 @@ type Point struct {
 // total, and converting a non-finite bin offset to int is
 // implementation-defined, so Binned would file it differently per GOARCH.
 func checkPoint(p Point, dim int) error {
+	// The ID is quoted before formatting so that p does not escape: Binned
+	// copies a point, and its callers pass IDs and coordinates on the stack.
 	if len(p.Coords) != dim {
-		return fmt.Errorf("dynim: point %q has dim %d, sampler dim %d", p.ID, len(p.Coords), dim)
+		return fmt.Errorf("dynim: point %s has dim %d, sampler dim %d", strconv.Quote(p.ID), len(p.Coords), dim)
 	}
 	for i, c := range p.Coords {
 		if math.IsNaN(c) || math.IsInf(c, 0) {
-			return fmt.Errorf("dynim: point %q has non-finite coordinate %d (%v)", p.ID, i, c)
+			return fmt.Errorf("dynim: point %s has non-finite coordinate %d (%v)", strconv.Quote(p.ID), i, c)
 		}
 	}
 	return nil

@@ -118,6 +118,7 @@ func (c *Conductor) tick() {
 		return
 	}
 	p := c.queue[0]
+	c.queue[0] = pendingSub{} // a popped slot must not pin its callback
 	c.queue = c.queue[1:]
 	more := len(c.queue) > 0
 	if more {

@@ -168,3 +168,27 @@ func TestFluxBackendEndToEnd(t *testing.T) {
 		t.Errorf("job state = %v", j.State)
 	}
 }
+
+// TestConductorReleasesPoppedSubmission: a drained submission's request and
+// callback must not stay reachable from the queue's backing array.
+func TestConductorReleasesPoppedSubmission(t *testing.T) {
+	clk := vclock.NewVirtual(epoch)
+	fb := &fakeBackend{clk: clk}
+	c, _ := NewConductor(clk, fb, 60)
+	done := 0
+	for i := 0; i < 3; i++ {
+		if err := c.Submit(sched.Request{Name: "x", Cores: 1}, func(sched.JobID, error) { done++ }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	backing := c.queue // the three queued submissions
+	clk.RunFor(time.Hour)
+	if done != 3 || c.Queued() != 0 {
+		t.Fatalf("%d submitted, %d still queued", done, c.Queued())
+	}
+	for i, p := range backing {
+		if p.onSub != nil || p.req.Name != "" {
+			t.Errorf("popped slot %d still holds %+v", i, p)
+		}
+	}
+}

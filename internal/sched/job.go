@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"mummi/internal/cluster"
+	"mummi/internal/vclock"
 )
 
 // JobID identifies a submitted job.
@@ -90,7 +91,9 @@ func (r Request) validate(t cluster.Topology) error {
 	return nil
 }
 
-// Job is the scheduler's record of one submitted job.
+// Job is the scheduler's record of one submitted job. The scheduler holds
+// it while the job is pending or running; the OnFinish callback receives it
+// whole at the job's end, after which the scheduler keeps only its State.
 type Job struct {
 	ID    JobID
 	Req   Request
@@ -101,6 +104,10 @@ type Job struct {
 	EndTime    time.Time
 
 	Alloc cluster.Alloc
+
+	autoDone vclock.EventID // the armed auto-completion; zero when none is
+	hung     bool           // Hang suppressed the auto-completion
+	matching bool           // R is matching the job, so Cancel is refused
 }
 
 // Placement is one entry of the placement timeline (Fig. 6's x-axis).

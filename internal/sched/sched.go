@@ -3,7 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"mummi/internal/cluster"
@@ -102,8 +102,11 @@ type Scheduler struct {
 	tel     *telemetry.Telemetry
 	m       metrics
 
-	nextID       JobID
-	jobs         map[JobID]*Job
+	// jobs is indexed by JobID, which is dense from 1: the record of a
+	// pending or running job, nil once the job is terminal (or for ID 0).
+	// ended holds a retired job's terminal State, one byte per ID.
+	jobs         []*Job
+	ended        []uint8
 	inbox        []qMsg
 	pending      []*Job
 	rQueue       []*Job
@@ -111,9 +114,6 @@ type Scheduler struct {
 	rBusy        bool
 	headBlocked  bool
 	rHeadBlocked bool
-	matching     map[JobID]bool
-	autoDone     map[JobID]vclock.EventID
-	hung         map[JobID]bool
 	running      int
 	finished     int
 	timeline     []Placement
@@ -144,16 +144,14 @@ func New(clk vclock.Clock, cfg Config) (*Scheduler, error) {
 		tel = telemetry.Nop()
 	}
 	s := &Scheduler{
-		clk:      clk,
-		machine:  cfg.Machine,
-		matcher:  NewMatcher(cfg.Machine, cfg.Policy),
-		mode:     cfg.Mode,
-		costs:    cfg.Costs,
-		tel:      tel,
-		jobs:     make(map[JobID]*Job),
-		matching: make(map[JobID]bool),
-		autoDone: make(map[JobID]vclock.EventID),
-		hung:     make(map[JobID]bool),
+		clk:     clk,
+		machine: cfg.Machine,
+		matcher: NewMatcher(cfg.Machine, cfg.Policy),
+		mode:    cfg.Mode,
+		costs:   cfg.Costs,
+		tel:     tel,
+		jobs:    []*Job{nil},
+		ended:   []uint8{0},
 	}
 	if cfg.StatusPollEvery > 0 {
 		s.poll = vclock.NewTicker(clk, cfg.StatusPollEvery, func(time.Time) {
@@ -187,9 +185,9 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 	if s.closed {
 		return nil, errors.New("sched: scheduler closed")
 	}
-	s.nextID++
-	job := &Job{ID: s.nextID, Req: req, State: Pending, SubmitTime: s.clk.Now()}
-	s.jobs[job.ID] = job
+	job := &Job{ID: JobID(len(s.jobs)), Req: req, State: Pending, SubmitTime: s.clk.Now()}
+	s.jobs = append(s.jobs, job)
+	s.ended = append(s.ended, 0)
 	s.inbox = append(s.inbox, qMsg{kind: "submit", job: job, cost: s.costs.SubmitMsg})
 	s.m.submitted.Get(s.tel, "sched.submitted_total").Inc()
 	s.updateGauges()
@@ -234,6 +232,7 @@ func (s *Scheduler) kickQ() {
 	// Message handling has priority over forwarding/matching.
 	if len(s.inbox) > 0 {
 		msg := s.inbox[0]
+		s.inbox[0] = qMsg{} // a popped slot must not pin its job
 		s.inbox = s.inbox[1:]
 		s.qBusy = true
 		s.clk.After(msg.cost, func() {
@@ -254,6 +253,7 @@ func (s *Scheduler) kickQ() {
 	}
 	// Async: forward the head to R's queue and keep going.
 	job := s.pending[0]
+	s.pending[0] = nil
 	s.pending = s.pending[1:]
 	s.qBusy = true
 	s.clk.After(s.costs.SubmitMsg, func() {
@@ -274,13 +274,14 @@ func (s *Scheduler) syncMatchHead() {
 	}
 	job := s.pending[0]
 	s.qBusy = true
-	s.matching[job.ID] = true
+	job.matching = true
 	alloc, visits, ok := s.matcher.Match(job.Req)
 	cost := time.Duration(visits) * s.costs.VertexVisit
 	s.noteMatch(job, visits, cost, ok)
 	s.clk.After(cost, func() {
-		delete(s.matching, job.ID)
+		job.matching = false
 		if ok {
+			s.pending[0] = nil
 			s.pending = s.pending[1:]
 			s.start(job, alloc)
 		} else {
@@ -301,13 +302,14 @@ func (s *Scheduler) kickR() {
 	}
 	job := s.rQueue[0]
 	s.rBusy = true
-	s.matching[job.ID] = true
+	job.matching = true
 	alloc, visits, ok := s.matcher.Match(job.Req)
 	cost := time.Duration(visits) * s.costs.VertexVisit
 	s.noteMatch(job, visits, cost, ok)
 	s.clk.After(cost, func() {
-		delete(s.matching, job.ID)
+		job.matching = false
 		if ok {
+			s.rQueue[0] = nil
 			s.rQueue = s.rQueue[1:]
 			s.start(job, alloc)
 		} else {
@@ -334,7 +336,7 @@ func (s *Scheduler) start(job *Job, alloc cluster.Alloc) {
 	s.updateGauges()
 	if job.Req.Duration > 0 {
 		id := job.ID
-		s.autoDone[id] = s.clk.After(job.Req.Duration, func() {
+		job.autoDone = s.clk.After(job.Req.Duration, func() {
 			// Auto-completion may race a manual Complete/Fail; that race is
 			// the one benign outcome, anything else is a real bug.
 			if err := s.finish(id, Completed); err != nil && !errors.Is(err, ErrAlreadyTerminal) {
@@ -352,23 +354,25 @@ func (s *Scheduler) Complete(id JobID) error { return s.finish(id, Completed) }
 func (s *Scheduler) Fail(id JobID) error { return s.finish(id, Failed) }
 
 func (s *Scheduler) finish(id JobID, st State) error {
-	job, ok := s.jobs[id]
-	if !ok {
+	if id <= 0 || int(id) >= len(s.jobs) {
 		return fmt.Errorf("sched: unknown job %d", id)
 	}
-	if job.State != Running {
-		if job.State == Completed || job.State == Failed {
-			return fmt.Errorf("sched: job %d: %w", id, ErrAlreadyTerminal)
+	job := s.jobs[id]
+	if job == nil {
+		if ended := State(s.ended[id]); ended == Canceled {
+			return fmt.Errorf("sched: job %d is %v, not running", id, ended)
 		}
+		return fmt.Errorf("sched: job %d: %w", id, ErrAlreadyTerminal)
+	}
+	if job.State != Running {
 		return fmt.Errorf("sched: job %d is %v, not running", id, job.State)
 	}
-	if ev, ok := s.autoDone[id]; ok {
-		s.clk.Cancel(ev)
-		delete(s.autoDone, id)
+	if job.autoDone != 0 {
+		s.clk.Cancel(job.autoDone)
+		job.autoDone = 0
 	}
-	delete(s.hung, id)
-	job.State = st
-	job.EndTime = s.clk.Now()
+	job.hung = false
+	s.retire(job, st)
 	s.running--
 	s.finished++
 	s.machine.Release(job.Alloc)
@@ -390,15 +394,31 @@ func (s *Scheduler) finish(id JobID, st State) error {
 	return nil
 }
 
+// retire moves job to terminal state st: the table forgets the record and
+// keeps the state byte.
+func (s *Scheduler) retire(job *Job, st State) {
+	job.State = st
+	job.EndTime = s.clk.Now()
+	s.jobs[job.ID] = nil
+	s.ended[job.ID] = uint8(st)
+}
+
+// live returns the record of a pending or running job, or nil.
+func (s *Scheduler) live(id JobID) *Job {
+	if id <= 0 || int(id) >= len(s.jobs) {
+		return nil
+	}
+	return s.jobs[id]
+}
+
 // Cancel removes a job that has not started. Jobs currently being matched
 // or already running cannot be canceled (use Fail for running jobs).
 func (s *Scheduler) Cancel(id JobID) bool {
-	job, ok := s.jobs[id]
-	if !ok || job.State != Pending || s.matching[id] {
+	job := s.live(id)
+	if job == nil || job.State != Pending || job.matching {
 		return false
 	}
-	job.State = Canceled
-	job.EndTime = s.clk.Now()
+	s.retire(job, Canceled)
 	s.pending = removeJob(s.pending, id)
 	s.rQueue = removeJob(s.rQueue, id)
 	s.m.canceled.Get(s.tel, "sched.canceled_total").Inc()
@@ -412,7 +432,7 @@ func (s *Scheduler) Cancel(id JobID) bool {
 func removeJob(js []*Job, id JobID) []*Job {
 	for i, j := range js {
 		if j.ID == id {
-			return append(js[:i], js[i+1:]...)
+			return slices.Delete(js, i, i+1) // clears the vacated tail slot
 		}
 	}
 	return js
@@ -440,22 +460,25 @@ func (s *Scheduler) Undrain(node int) {
 // workflow's hung-job watchdog (or a manual Fail) gets it off the machine.
 // Returns false if the job is not currently running.
 func (s *Scheduler) Hang(id JobID) bool {
-	job, ok := s.jobs[id]
-	if !ok || job.State != Running {
+	job := s.live(id)
+	if job == nil || job.State != Running {
 		return false
 	}
-	if ev, armed := s.autoDone[id]; armed {
-		s.clk.Cancel(ev)
-		delete(s.autoDone, id)
+	if job.autoDone != 0 {
+		s.clk.Cancel(job.autoDone)
+		job.autoDone = 0
 	}
-	s.hung[id] = true
+	job.hung = true
 	s.m.hung.Get(s.tel, "sched.hung_total").Inc()
 	return true
 }
 
 // Hung reports whether the job was hung via Hang and has not yet been
 // forced to a terminal state.
-func (s *Scheduler) Hung(id JobID) bool { return s.hung[id] }
+func (s *Scheduler) Hung(id JobID) bool {
+	job := s.live(id)
+	return job != nil && job.hung
+}
 
 // Crash simulates a node failure: the node is drained first (so resources
 // freed by its dying jobs are not immediately re-placed onto it), then
@@ -464,20 +487,17 @@ func (s *Scheduler) Hung(id JobID) bool { return s.hung[id] }
 // IDs in ascending order. Revive brings the node back.
 func (s *Scheduler) Crash(node int) []JobID {
 	var victims []JobID
-	for id, job := range s.jobs {
-		if job.State != Running {
+	for _, job := range s.jobs { // ascending IDs
+		if job == nil || job.State != Running {
 			continue
 		}
 		for _, part := range job.Alloc.Parts {
 			if part.Node == node {
-				victims = append(victims, id)
+				victims = append(victims, job.ID)
 				break
 			}
 		}
 	}
-	// The map walk above is unordered; sorting restores determinism before
-	// any side effects happen.
-	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
 	s.machine.Drain(node)
 	s.matcher.NoteDrainChange()
 	s.m.nodeCrashes.Get(s.tel, "sched.node_crashes_total").Inc()
@@ -499,23 +519,26 @@ func (s *Scheduler) Revive(node int) { s.Undrain(node) }
 // ascending order. The campaign's WM crash-restart uses it to clear the
 // crashed manager's job set before restoring from checkpoint.
 func (s *Scheduler) LiveJobs() []JobID {
-	ids := make([]JobID, 0, len(s.jobs))
-	for id, job := range s.jobs {
-		if job.State == Pending || job.State == Running {
-			ids = append(ids, id)
+	var ids []JobID
+	for _, job := range s.jobs { // ascending IDs
+		if job != nil {
+			ids = append(ids, job.ID)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
-// Job returns a copy of the job record.
+// Job returns a copy of a pending or running job's record. A terminal job's
+// record is gone (OnFinish received it whole): Job reports only its ID and
+// State. An ID never issued reports false.
 func (s *Scheduler) Job(id JobID) (Job, bool) {
-	j, ok := s.jobs[id]
-	if !ok {
+	if id <= 0 || int(id) >= len(s.jobs) {
 		return Job{}, false
 	}
-	return *j, true
+	if j := s.jobs[id]; j != nil {
+		return *j, true
+	}
+	return Job{ID: id, State: State(s.ended[id])}, true
 }
 
 // Counts returns (queued, running, finished) job counts. Queued includes
@@ -530,9 +553,13 @@ func (s *Scheduler) Counts() (queued, running, finished int) {
 	return q, s.running, s.finished
 }
 
-// Timeline returns the placement history (Fig. 6 series).
+// Timeline hands over the placement history (Fig. 6 series) and forgets
+// it, so a closed scheduler that late events still reach does not pin it:
+// a later call returns only the placements made since.
 func (s *Scheduler) Timeline() []Placement {
-	return append([]Placement(nil), s.timeline...)
+	tl := s.timeline
+	s.timeline = nil
+	return tl
 }
 
 // MatcherVisits returns R's cumulative vertex-visit count.

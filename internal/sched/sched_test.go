@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -35,9 +36,10 @@ func gpuJob(d time.Duration) Request {
 
 func TestSubmitRunComplete(t *testing.T) {
 	clk, s := newSched(t, 1, FirstMatch, Async)
-	var started, finished []JobID
+	var started []JobID
+	var finished []Job
 	s.OnStart(func(j *Job) { started = append(started, j.ID) })
-	s.OnFinish(func(j *Job) { finished = append(finished, j.ID) })
+	s.OnFinish(func(j *Job) { finished = append(finished, *j) })
 	job, err := s.Submit(gpuJob(time.Hour))
 	if err != nil {
 		t.Fatal(err)
@@ -50,18 +52,20 @@ func TestSubmitRunComplete(t *testing.T) {
 		t.Error("GPU not reserved")
 	}
 	clk.RunFor(2 * time.Hour)
-	got, _ := s.Job(job.ID)
-	if got.State != Completed {
+	if got, _ := s.Job(job.ID); got.State != Completed {
 		t.Fatalf("state after duration = %v", got.State)
-	}
-	if got.EndTime.Sub(got.StartTime) != time.Hour {
-		t.Errorf("ran for %v, want 1h", got.EndTime.Sub(got.StartTime))
 	}
 	if s.Machine().UsedGPUs() != 0 {
 		t.Error("GPU not released")
 	}
 	if len(started) != 1 || len(finished) != 1 {
-		t.Errorf("callbacks: started=%v finished=%v", started, finished)
+		t.Fatalf("callbacks: started=%v finished=%v", started, finished)
+	}
+	// The finished record reaches OnFinish whole; the scheduler keeps only
+	// its state.
+	if rec := finished[0]; rec.ID != job.ID || rec.State != Completed || rec.EndTime.Sub(rec.StartTime) != time.Hour {
+		t.Errorf("OnFinish record %d %v ran for %v, want job %d completed after 1h",
+			rec.ID, rec.State, rec.EndTime.Sub(rec.StartTime), job.ID)
 	}
 }
 
@@ -643,5 +647,177 @@ func TestAutoCompleteRacesManualFail(t *testing.T) {
 		if got := tel.Registry().Counter("sched.autocomplete_errors_total").Value(); got != 0 {
 			t.Errorf("failFirst=%v: autocomplete saw %d unexpected errors", failFirst, got)
 		}
+	}
+}
+
+// TestQueuesReleasePoppedJobs: a job popped from Q's inbox, the pending
+// FIFO or R's queue must not stay reachable from that queue's backing
+// array. Each queue is captured while it holds jobs and checked once they
+// have all left it, with no append in between to move the array.
+func TestQueuesReleasePoppedJobs(t *testing.T) {
+	// Async, one node: eight submissions queue in the inbox, gather in the
+	// pending FIFO (messages have priority over forwarding, so the first is
+	// forwarded only as the last arrives), and the two that do not fit wait
+	// in R's queue behind a blocked head.
+	clk, s := newSched(t, 1, FirstMatch, Async)
+	var jobs []*Job
+	for i := 0; i < 8; i++ {
+		j, err := s.Submit(gpuJob(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	inbox := s.inbox // the first submission was popped on arrival
+	for len(s.pending) < 7 && clk.Step() {
+	}
+	pending := s.pending
+	clk.RunFor(time.Minute)
+	rQueue := s.rQueue
+	if len(inbox) != 7 || len(pending) != 7 || len(rQueue) != 2 {
+		t.Fatalf("captured %d inbox, %d pending, %d R-queue jobs, want 7, 7, 2", len(inbox), len(pending), len(rQueue))
+	}
+	for _, j := range jobs[:2] {
+		if err := s.Complete(j.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.RunFor(time.Minute)
+	if q, running, _ := s.Counts(); q != 0 || running != 6 {
+		t.Fatalf("%d queued, %d running after the frees, want 0, 6", q, running)
+	}
+	for i, m := range inbox {
+		if m.job != nil {
+			t.Errorf("inbox slot %d still holds job %d", i, m.job.ID)
+		}
+	}
+	for i, j := range pending {
+		if j != nil {
+			t.Errorf("pending slot %d still holds job %d", i, j.ID)
+		}
+	}
+	for i, j := range rQueue {
+		if j != nil {
+			t.Errorf("R-queue slot %d still holds job %d", i, j.ID)
+		}
+	}
+
+	// Sync: the pending FIFO's head is popped when its match lands.
+	clk, s = newSched(t, 1, FirstMatch, Sync)
+	jobs = jobs[:0]
+	for i := 0; i < 8; i++ {
+		j, _ := s.Submit(gpuJob(0))
+		jobs = append(jobs, j)
+	}
+	clk.RunFor(time.Minute)
+	pending = s.pending
+	if len(pending) != 2 {
+		t.Fatalf("sync: %d pending, want 2", len(pending))
+	}
+	for _, j := range jobs[:2] {
+		if err := s.Complete(j.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.RunFor(time.Minute)
+	for i, j := range pending {
+		if j != nil {
+			t.Errorf("sync pending slot %d still holds job %d", i, j.ID)
+		}
+	}
+}
+
+// TestTableHoldsLiveJobsOnly: after 10,000 submissions ended every way a
+// job can end — completed, failed, canceled, auto-completed — the table's
+// non-nil entries are exactly the pending and running jobs, and a retired
+// ID still answers with its terminal state and nothing else.
+func TestTableHoldsLiveJobsOnly(t *testing.T) {
+	clk, s := newSched(t, 2, FirstMatch, Async)
+	rng := rand.New(rand.NewSource(5))
+	retired := map[JobID]State{}
+	s.OnFinish(func(j *Job) { retired[j.ID] = j.State })
+	var open []JobID // submitted, not seen retired
+	for i := 1; i <= 10_000; i++ {
+		d := time.Duration(0)
+		if rng.Intn(4) == 0 {
+			d = time.Duration(1+rng.Intn(30)) * time.Minute
+		}
+		j, err := s.Submit(gpuJob(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		open = append(open, j.ID)
+		clk.RunFor(time.Duration(rng.Intn(90)) * time.Second)
+		open = slices.DeleteFunc(open, func(id JobID) bool { _, done := retired[id]; return done })
+		if len(open) == 0 {
+			continue
+		}
+		// End a random open job the way its state allows.
+		id := open[rng.Intn(len(open))]
+		switch j, _ := s.Job(id); j.State {
+		case Pending:
+			s.Cancel(id)
+		case Running:
+			if rng.Intn(2) == 0 {
+				s.Complete(id)
+			} else {
+				s.Fail(id)
+			}
+		}
+	}
+	var live []JobID // the IDs OnFinish never reported
+	for id := JobID(1); id <= 10_000; id++ {
+		if _, done := retired[id]; !done {
+			live = append(live, id)
+		}
+	}
+	nonNil := 0
+	for _, j := range s.jobs {
+		if j != nil {
+			nonNil++
+		}
+	}
+	q, running, _ := s.Counts()
+	if nonNil != q+running || nonNil != len(live) {
+		t.Errorf("%d table entries, want %d pending + %d running (%d live)", nonNil, q, running, len(live))
+	}
+	ends := map[State]int{}
+	for _, st := range retired {
+		ends[st]++
+	}
+	if len(retired) < 9_000 || ends[Completed] == 0 || ends[Failed] == 0 || ends[Canceled] == 0 {
+		t.Errorf("%d of 10,000 jobs retired, by state %v", len(retired), ends)
+	}
+	if !slices.Equal(s.LiveJobs(), live) {
+		t.Errorf("LiveJobs = %d IDs, want the %d live ones in order", len(s.LiveJobs()), len(live))
+	}
+	for id, st := range retired {
+		if got, ok := s.Job(id); !ok || got.ID != id || got.State != st || got.Alloc.Parts != nil {
+			t.Fatalf("Job(%d) = %+v, %v; want only ID and state %v", id, got, ok, st)
+		}
+	}
+}
+
+// TestFinishedJobKeepsItsState: Job on a finished ID reports the terminal
+// state alone, and finishing it again still returns ErrAlreadyTerminal.
+func TestFinishedJobKeepsItsState(t *testing.T) {
+	clk, s := newSched(t, 1, FirstMatch, Async)
+	j, _ := s.Submit(gpuJob(0))
+	clk.RunFor(time.Minute)
+	if err := s.Complete(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := s.Job(j.ID)
+	if !ok || got.State != Completed || got.ID != j.ID {
+		t.Fatalf("Job(%d) = %+v, %v; want completed", j.ID, got, ok)
+	}
+	if !got.StartTime.IsZero() || got.Alloc.Parts != nil {
+		t.Errorf("Job(%d) still carries the retired record: %+v", j.ID, got)
+	}
+	if err := s.Complete(j.ID); !errors.Is(err, ErrAlreadyTerminal) {
+		t.Errorf("Complete of a finished job = %v, want ErrAlreadyTerminal", err)
+	}
+	if _, ok := s.Job(j.ID + 1); ok {
+		t.Error("Job of an ID never issued reported a job")
 	}
 }

@@ -117,6 +117,11 @@ test -z "$(grep -rn 'delete(' internal/dynim --include='*.go' --exclude='*_test.
 # with sort.Slice.
 test -z "$(grep -rnE '\.(Counter|Gauge|Histogram)\(' internal --include='*.go' --exclude='*_test.go' | grep -v '^internal/telemetry/')"
 test -z "$(grep -rn 'sort\.Slice' internal/campaign --include='*.go' --exclude='*_test.go')"
+# The scheduler holds live jobs only (DESIGN.md "Per-allocation state"):
+# its job table is a slice by dense JobID, and a map keyed by JobID is how
+# a table of every job ever submitted grew, so non-test internal/sched
+# declares none.
+test -z "$(grep -rnE 'map\[(sched\.)?JobID\]' internal/sched --include='*.go' --exclude='*_test.go')"
 # The virtual clock has one pending structure, the four-ary heap (DESIGN.md
 # §11): no same-timestamp drain batch, paged index or ID map beside it.
 test -z "$(grep -rnE 'batch|eventPage|indexTake|map\[EventID\]\*event' internal/vclock --include='*.go' --exclude='*_test.go')"
