@@ -46,9 +46,8 @@ vet:
 	$(GO) vet ./...
 
 # Static analysis: go vet plus the project's own analyzer suite
-# (determinism, lockdiscipline, errdiscipline, doccomment,
-# goroutinelifecycle, lockorder), stale-suppression audit included. See
-# docs/LINT.md. Non-zero exit on any finding.
+# (determinism, errdiscipline, doccomment), stale-suppression audit
+# included. See docs/LINT.md. Non-zero exit on any finding.
 lint: vet
 	$(GO) run ./cmd/mummi-lint ./...
 

@@ -1,8 +1,8 @@
 // Command mummi-lint runs the project's static-analysis suite (package
-// internal/lint; docs/LINT.md): determinism, lockdiscipline, errdiscipline,
-// doccomment, goroutinelifecycle and lockorder. It is wired into `make lint`
-// and scripts/ci.sh and exits non-zero on findings, so a violated invariant
-// fails the build rather than waiting for a test to happen to trip over it.
+// internal/lint; docs/LINT.md): determinism, errdiscipline and doccomment.
+// It is wired into `make lint` and scripts/ci.sh and exits non-zero on
+// findings, so a violated invariant fails the build rather than waiting for
+// a test to happen to trip over it.
 //
 // Usage:
 //
@@ -10,13 +10,13 @@
 //
 //	patterns        ./...-style package patterns relative to the module
 //	                root (default ./...)
-//	-analyzers      comma-separated subset (default: all)
 //	-list           print the analyzers and exit
 //
 // Findings are suppressed with a `//lint:allow <analyzer> -- reason`
 // comment on the offending line or the line above it; an allow comment that
-// suppresses nothing is itself a finding. The errdiscipline allowlist is
-// .errallow at the module root, if present.
+// suppresses nothing, or names no analyzer of the suite, is itself a
+// finding. The errdiscipline allowlist is .errallow at the module root, if
+// present.
 package main
 
 import (
@@ -32,7 +32,6 @@ import (
 )
 
 func main() {
-	analyzerList := flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	flag.Parse()
 
@@ -42,7 +41,7 @@ func main() {
 		}
 		return
 	}
-	findings, err := run(*analyzerList, flag.Args())
+	findings, err := run(flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -56,11 +55,7 @@ func main() {
 	}
 }
 
-func run(analyzerList string, patterns []string) ([]lint.Diagnostic, error) {
-	analyzers, err := lint.Select(analyzerList)
-	if err != nil {
-		return nil, err
-	}
+func run(patterns []string) ([]lint.Diagnostic, error) {
 	cwd, err := os.Getwd()
 	if err != nil {
 		return nil, err
@@ -73,7 +68,7 @@ func run(analyzerList string, patterns []string) ([]lint.Diagnostic, error) {
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("mummi-lint: reading allowlist: %w", err)
 	}
-	findings := mod.Run(lint.RunOptions{Analyzers: analyzers, ErrAllow: errAllow, Patterns: patterns})
+	findings := mod.Run(lint.RunOptions{Analyzers: lint.All(), ErrAllow: errAllow, Patterns: patterns})
 
 	// Report paths relative to the working directory, like go vet.
 	for i := range findings {

@@ -455,7 +455,8 @@ func TestServerWrongArity(t *testing.T) {
 // connection handler has exited. The handler is parked inside a command (on
 // the engine lock the test holds), so it provably has not exited while
 // Close runs; a handler left out of the server's WaitGroup lets Close
-// return under it, and only goroutinelifecycle said so before this test.
+// return under it. It is the gate for seeded rows 1, C1 and C8 of
+// docs/LINT.md "What each analyzer is a gate for".
 func TestServerCloseWaitsForHandlers(t *testing.T) {
 	s, c := startServer(t)
 	served := s.Commands()

@@ -1,42 +1,27 @@
 // Package lint is a from-scratch static-analysis framework for the MuMMI
 // codebase, built entirely on the stdlib go/parser + go/ast + go/types
-// stack (no golang.org/x/tools dependency). It exists because two of the
-// project's load-bearing invariants — the §4.4 locking discipline of the
-// workflow manager and the PR 1 determinism contract of the selector
-// engine — were previously enforced only by the tests that happened to
-// exercise them. The analyzers here turn those invariants into properties
-// checked on every build. Six ship with the framework; docs/LINT.md has
-// each one's scope and the seeded-bug record of what it is the gate for.
+// stack (no golang.org/x/tools dependency). It turns invariants that Go's
+// type system cannot state — above all the determinism contract of the
+// replay — into properties checked on every build. Three analyzers ship;
+// docs/LINT.md has each one's scope and the seeded-bug record of what it is
+// the only gate for.
 //
 //   - determinism: no iteration-order, RNG, or wall-clock nondeterminism
 //     inside the determinism-contracted packages.
-//   - lockdiscipline: every Lock has an unlock on all return paths, and no
-//     blocking operation while a mutex is held, directly or through a
-//     module callee; by-value lock copies are go vet's copylocks.
 //   - errdiscipline: no silently discarded errors anywhere in the module,
 //     modulo an explicit allowlist.
 //   - doccomment: every exported identifier in the instrumented packages
 //     carries a doc comment.
-//   - goroutinelifecycle: every go statement must have a provable
-//     shutdown/join path (WaitGroup, context cancellation, or a
-//     close-signaled channel).
-//   - lockorder: the module-wide lock-acquisition-order graph must be
-//     acyclic; cycles are deadlock risks and self-cycles through a call
-//     are guaranteed deadlocks.
-//
-// The last three and lockdiscipline read a shared interprocedural layer
-// (summary.go): a module-wide call graph and per-function summaries —
-// locks acquired, channel operations, goroutines spawned, blocking calls —
-// built at most once per run, for the analyzers that ask.
 //
 // Findings can be suppressed with a
 //
 //	//lint:allow <analyzer> [<analyzer>...] -- <reason>
 //
 // comment on the offending line or the line directly above it; the reason
-// is mandatory by convention, and any allow comment that no longer matches
-// a finding is its own diagnostic, so stale exceptions cannot accumulate.
-// The self-clean test keeps the repo honest under all of the above.
+// is mandatory by convention. An allow comment that no longer matches a
+// finding, or that names no analyzer of the suite, is its own diagnostic,
+// so stale exceptions cannot accumulate. The self-clean test keeps the repo
+// honest under all of the above.
 package lint
 
 import (
@@ -65,9 +50,7 @@ func (d Diagnostic) String() string {
 }
 
 // Analyzer is one named invariant checker. Run inspects a single
-// type-checked package and reports findings through the Pass; an analyzer
-// whose property only exists across function and package boundaries reads
-// the rest of the module through Pass.Summaries.
+// type-checked package and reports findings through the Pass.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -85,8 +68,7 @@ type Pass struct {
 	// the errdiscipline analyzer consults it.
 	ErrAllow []string
 
-	summaries func() *Summaries
-	diags     []Diagnostic
+	diags []Diagnostic
 }
 
 // Reportf records a finding at pos.
@@ -109,35 +91,9 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	return p.Info.TypeOf(e)
 }
 
-// Summaries returns the interprocedural summaries of the whole module —
-// every loaded package, in or out of the analyzer's scope, so facts flow
-// through code that findings are never anchored in.
-func (p *Pass) Summaries() *Summaries { return p.summaries() }
-
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, LockDiscipline, ErrDiscipline, DocComment, GoroutineLifecycle, LockOrder}
-}
-
-// Select resolves a comma-separated analyzer list
-// ("determinism,lockorder"); an empty list selects the whole suite.
-func Select(names string) ([]*Analyzer, error) {
-	if names == "" {
-		return All(), nil
-	}
-	all := All()
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		if n = strings.TrimSpace(n); n == "" {
-			continue
-		}
-		i := slices.IndexFunc(all, func(a *Analyzer) bool { return a.Name == n })
-		if i < 0 {
-			return nil, fmt.Errorf("lint: unknown analyzer %q", n)
-		}
-		out = append(out, all[i])
-	}
-	return out, nil
+	return []*Analyzer{Determinism, ErrDiscipline, DocComment}
 }
 
 // ---------------------------------------------------------------------------
@@ -160,7 +116,7 @@ func (c *allowComment) allows(d Diagnostic) bool {
 	if d.File != c.file || (d.Line != c.line && d.Line != c.line+1) {
 		return false
 	}
-	return c.names[d.Analyzer] || c.names["all"]
+	return c.names[d.Analyzer]
 }
 
 // SuppressionTable indexes every //lint:allow comment in a run and tracks
@@ -210,40 +166,41 @@ func (t *SuppressionTable) Allows(d Diagnostic) bool {
 	return hit
 }
 
-// Unused returns one synthetic finding per comment that suppressed nothing,
-// restricted to comments whose analyzers all actually ran (a determinism
-// allow is not stale just because only errdiscipline ran). Comments naming
-// "all" are only auditable on a full run, so they are judged whenever any
-// analyzer ran.
+// Unused returns one synthetic finding per comment that names an analyzer
+// outside All() — a misspelt or deleted name can never suppress anything —
+// and per comment that suppressed nothing although all its analyzers ran
+// (a determinism allow is not stale just because only errdiscipline ran).
 func (t *SuppressionTable) Unused(ran map[string]bool) []Diagnostic {
+	known := map[string]bool{}
+	for _, a := range All() {
+		known[a.Name] = true
+	}
 	var out []Diagnostic
 	for _, c := range t.all {
-		if c.used {
-			continue
-		}
-		judgeable := true
-		for name := range c.names {
-			if name != "all" && !ran[name] {
-				judgeable = false
-				break
-			}
-		}
-		if !judgeable {
-			continue
-		}
 		names := make([]string, 0, len(c.names))
+		var unknown []string
+		judgeable := !c.used
 		for name := range c.names {
 			names = append(names, name)
+			if !known[name] {
+				unknown = append(unknown, name)
+			}
+			judgeable = judgeable && ran[name]
 		}
 		sort.Strings(names)
-		out = append(out, Diagnostic{
-			Analyzer: "unused-suppression",
-			File:     c.file,
-			Line:     c.line,
-			Col:      1,
-			Message: fmt.Sprintf("//lint:allow %s suppresses nothing; delete the stale comment",
-				strings.Join(names, ",")),
-		})
+		sort.Strings(unknown)
+		msg := ""
+		switch {
+		case len(unknown) > 0:
+			msg = fmt.Sprintf("//lint:allow names %s, not an analyzer of this suite (mummi-lint -list)",
+				strings.Join(unknown, ","))
+		case judgeable:
+			msg = fmt.Sprintf("//lint:allow %s suppresses nothing; delete the stale comment",
+				strings.Join(names, ","))
+		default:
+			continue
+		}
+		out = append(out, Diagnostic{Analyzer: "unused-suppression", File: c.file, Line: c.line, Col: 1, Message: msg})
 	}
 	return out
 }
@@ -256,15 +213,15 @@ type RunOptions struct {
 	Analyzers []*Analyzer
 	ErrAllow  []string
 	// Patterns restricts which packages findings may be reported in
-	// (./...-style, nil = all). Summaries still cover the whole module.
+	// (./...-style, nil = all).
 	Patterns []string
 }
 
 // Run is the single entry point the CLI, the golden tests and the
 // self-clean test share: it applies each analyzer to every matched package
 // in its scope, drops suppressed findings, adds an "unused-suppression"
-// finding for every //lint:allow comment that suppressed nothing, and
-// returns the lot sorted by position.
+// finding for every //lint:allow comment that suppressed nothing or names
+// no analyzer of the suite, and returns the lot sorted by position.
 func (m *Module) Run(opts RunOptions) []Diagnostic {
 	table := NewSuppressionTable()
 	var matched []*Package
@@ -274,14 +231,6 @@ func (m *Module) Run(opts RunOptions) []Diagnostic {
 			table.Add(pkg.Fset, pkg.Files)
 		}
 	}
-	var sums *Summaries
-	summaries := func() *Summaries {
-		if sums == nil {
-			sums = BuildSummaries(m.Pkgs)
-		}
-		return sums
-	}
-
 	var out []Diagnostic
 	ran := map[string]bool{}
 	for _, a := range opts.Analyzers {
@@ -290,7 +239,7 @@ func (m *Module) Run(opts RunOptions) []Diagnostic {
 				continue
 			}
 			ran[a.Name] = true
-			pass := &Pass{Analyzer: a, Package: pkg, ErrAllow: opts.ErrAllow, summaries: summaries}
+			pass := &Pass{Analyzer: a, Package: pkg, ErrAllow: opts.ErrAllow}
 			a.Run(pass)
 			for _, d := range pass.diags {
 				if !table.Allows(d) {

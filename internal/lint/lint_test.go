@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -42,15 +43,20 @@ func (ci *chainImporter) Import(path string) (*types.Package, error) {
 	return ci.std.Import(path)
 }
 
+// fixtureFset and fixtureStd are shared by every fixture load, so the stdlib
+// packages the fixtures import are type-checked from source once per run.
+var (
+	fixtureFset = token.NewFileSet()
+	fixtureStd  = importer.ForCompiler(fixtureFset, "source", nil)
+)
+
 // loadTestModule parses and type-checks several testdata directories as a
-// set of packages sharing one fset, in the given {dir, importPath} order
-// (dependencies first) so later fixtures can import earlier ones — the
-// multi-package setting the interprocedural analyzers exist for.
+// set of packages, in the given {dir, importPath} order (dependencies
+// first) so later fixtures can import earlier ones.
 func loadTestModule(t *testing.T, specs [][2]string) ([]*Package, []wantDiag) {
 	t.Helper()
-	fset := token.NewFileSet()
 	byPath := map[string]*Package{}
-	imp := &chainImporter{pkgs: byPath, std: importer.ForCompiler(fset, "source", nil)}
+	imp := &chainImporter{pkgs: byPath, std: fixtureStd}
 	var pkgs []*Package
 	var wants []wantDiag
 	for _, spec := range specs {
@@ -59,13 +65,13 @@ func loadTestModule(t *testing.T, specs [][2]string) ([]*Package, []wantDiag) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkg := &Package{Dir: dir, ImportPath: importPath, Fset: fset}
+		pkg := &Package{Dir: dir, ImportPath: importPath, Fset: fixtureFset}
 		for _, e := range entries {
 			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 				continue
 			}
 			path := filepath.Join(dir, e.Name())
-			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+			f, err := parser.ParseFile(fixtureFset, path, nil, parser.ParseComments)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +90,7 @@ func loadTestModule(t *testing.T, specs [][2]string) ([]*Package, []wantDiag) {
 				}
 			}
 		}
-		if err := typeCheck(fset, pkg, imp); err != nil {
+		if err := typeCheck(fixtureFset, pkg, imp); err != nil {
 			t.Fatal(err)
 		}
 		byPath[importPath] = pkg
@@ -143,10 +149,6 @@ func TestDeterminismGolden(t *testing.T) {
 	runGolden(t, RunOptions{Analyzers: []*Analyzer{Determinism}}, fixture("lab/internal/dynim", "determinism"))
 }
 
-func TestLockDisciplineGolden(t *testing.T) {
-	runGolden(t, RunOptions{Analyzers: []*Analyzer{LockDiscipline}}, fixture("lab/internal/kvstore", "lockdiscipline"))
-}
-
 func TestErrDisciplineGolden(t *testing.T) {
 	runGolden(t, RunOptions{Analyzers: []*Analyzer{ErrDiscipline}, ErrAllow: []string{"os.RemoveAll"}},
 		fixture("errprog", "errdiscipline"))
@@ -154,27 +156,6 @@ func TestErrDisciplineGolden(t *testing.T) {
 
 func TestDocCommentGolden(t *testing.T) {
 	runGolden(t, RunOptions{Analyzers: []*Analyzer{DocComment}}, fixture("lab/internal/telemetry", "doccomment"))
-}
-
-func TestGoroutineLifecycleGolden(t *testing.T) {
-	runGolden(t, RunOptions{Analyzers: []*Analyzer{GoroutineLifecycle}}, fixture("lab/internal/parallel", "goroutinelifecycle"))
-}
-
-func TestLockOrderGolden(t *testing.T) {
-	runGolden(t, RunOptions{Analyzers: []*Analyzer{LockOrder}}, fixture("lab/internal/telemetry", "lockorder"))
-}
-
-// concurrency is the three analyzers that read the interprocedural
-// summaries.
-var concurrency = []*Analyzer{LockDiscipline, GoroutineLifecycle, LockOrder}
-
-// TestInterprocGolden loads two fixture packages where every finding (and
-// every proof of safety) requires summaries to propagate across the
-// package boundary: a cross-package lock-order cycle, a blocking callee
-// behind an import, and join evidence living in the other package.
-func TestInterprocGolden(t *testing.T) {
-	runGolden(t, RunOptions{Analyzers: concurrency},
-		fixture("lab/internal/telemetry", "interproc", "a"), fixture("lab/internal/feedback", "interproc", "b"))
 }
 
 // TestScopeFiltersPackages re-runs the determinism golden package under an
@@ -187,30 +168,36 @@ func TestScopeFiltersPackages(t *testing.T) {
 	}
 }
 
-// TestModuleScopeFilters does the same for the concurrency analyzers: the
-// lockdiscipline and goroutinelifecycle fixtures under import paths outside
-// concScope are summarized but never reported on.
+// TestModuleScopeFilters holds RunOptions.Patterns to its word: of two
+// fixtures full of findings, a run whose pattern names one reports in that
+// one alone.
 func TestModuleScopeFilters(t *testing.T) {
 	pkgs, _ := loadTestModule(t, [][2]string{
-		fixture("lab/internal/ui", "lockdiscipline"), fixture("lab/internal/units", "goroutinelifecycle")})
-	if diags := (&Module{Pkgs: pkgs}).Run(RunOptions{Analyzers: concurrency}); len(diags) != 0 {
-		t.Errorf("out-of-scope packages produced %d diagnostics: %v", len(diags), diags)
+		fixture("lab/internal/dynim", "determinism"), fixture("errprog", "errdiscipline")})
+	m := &Module{Root: filepath.Join("testdata", "src"), Pkgs: pkgs}
+	diags := m.Run(RunOptions{Analyzers: All(), Patterns: []string{"./errdiscipline"}})
+	if len(diags) == 0 {
+		t.Fatal("no findings in the fixture the pattern names")
+	}
+	for _, d := range diags {
+		if filepath.Base(filepath.Dir(d.File)) != "errdiscipline" {
+			t.Errorf("finding outside the pattern: %s", d)
+		}
 	}
 }
 
 // inlinePackage type-checks one source string as a single-package module.
 func inlinePackage(t *testing.T, importPath, src string) *Module {
 	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "inline.go", src, parser.ParseComments)
+	f, err := parser.ParseFile(fixtureFset, "inline.go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg := &Package{Dir: ".", ImportPath: importPath, Fset: fset, Files: []*ast.File{f}}
-	if err := typeCheck(fset, pkg, importer.ForCompiler(fset, "source", nil)); err != nil {
+	pkg := &Package{Dir: ".", ImportPath: importPath, Fset: fixtureFset, Files: []*ast.File{f}}
+	if err := typeCheck(fixtureFset, pkg, fixtureStd); err != nil {
 		t.Fatal(err)
 	}
-	return &Module{Root: ".", Path: "lab", Fset: fset, Pkgs: []*Package{pkg}}
+	return &Module{Root: ".", Path: "lab", Fset: fixtureFset, Pkgs: []*Package{pkg}}
 }
 
 // TestSuppressionPlacement pins down the two blessed comment placements:
@@ -249,41 +236,59 @@ func tooFar() int64 {
 	}
 }
 
-// TestModuleSuppressionAndUnused drives an interprocedural analyzer through
-// the same path: a //lint:allow must absorb a finding that comes out of the
-// summaries, a comment that matches nothing must surface as a synthetic
-// unused-suppression finding, and a comment naming an analyzer that did not
-// run is not judged.
+// TestModuleSuppressionAndUnused runs the whole suite, then errdiscipline
+// alone, over one package: a //lint:allow must absorb its finding, a comment
+// that matches nothing is a synthetic unused-suppression finding unless one
+// of its analyzers did not run, and so is a comment naming an analyzer the
+// suite does not have, whether or not it matches a finding.
 func TestModuleSuppressionAndUnused(t *testing.T) {
-	m := inlinePackage(t, "lab/internal/kvstore", `package p
+	m := inlinePackage(t, "lab/internal/dynim", `package p
 
-import "sync"
+import "time"
 
-type box struct {
-	mu sync.Mutex
-	ch chan int
+func suppressed() int64 {
+	//lint:allow determinism -- exercising suppression through Module.Run
+	return time.Now().UnixNano()
 }
 
-func (b *box) suppressed(v int) {
-	b.mu.Lock()
-	//lint:allow lockdiscipline -- exercising suppression of summary-based findings
-	b.ch <- v
-	b.mu.Unlock()
-}
+//lint:allow errdiscipline -- stale: matches nothing
+func clean() {}
 
-//lint:allow lockdiscipline -- stale: matches nothing
-func (b *box) clean() {}
+func misspelt() int64 {
+	return time.Now().UnixNano() //lint:allow determinism lockdiscipline -- one name is no analyzer
+}
 `)
-	diags := m.Run(RunOptions{Analyzers: concurrency})
-	if len(diags) != 1 {
-		t.Fatalf("want exactly the stale-comment finding, got %d: %v", len(diags), diags)
+	// With errdiscipline alone the determinism allow at line 7 absorbs
+	// nothing, but determinism did not run, so it is not judged stale.
+	for _, analyzers := range [][]*Analyzer{All(), {ErrDiscipline}} {
+		diags := m.Run(RunOptions{Analyzers: analyzers})
+		if len(diags) != 2 {
+			t.Fatalf("%d analyzers: want the stale comment and the unknown name, got %d: %v",
+				len(analyzers), len(diags), diags)
+		}
+		if d := diags[0]; d.Analyzer != "unused-suppression" || d.Line != 10 || !strings.Contains(d.Message, "suppresses nothing") {
+			t.Errorf("%d analyzers: got %s, want the stale errdiscipline comment at line 10", len(analyzers), d)
+		}
+		if d := diags[1]; d.Analyzer != "unused-suppression" || d.Line != 14 || !strings.Contains(d.Message, "names lockdiscipline") {
+			t.Errorf("%d analyzers: got %s, want the unknown name lockdiscipline at line 14", len(analyzers), d)
+		}
 	}
-	if diags[0].Analyzer != "unused-suppression" || diags[0].Line != 17 {
-		t.Errorf("got %s, want unused-suppression at line 17", diags[0])
+}
+
+// repoModule is the module this package sits in, type-checked once for the
+// three tests that read all of it.
+var repoModule = sync.OnceValues(func() (*Module, error) { return LoadModule(filepath.Join("..", "..")) })
+
+func loadRepo(t *testing.T) *Module {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped with -short")
 	}
-	if diags := m.Run(RunOptions{Analyzers: []*Analyzer{LockOrder}}); len(diags) != 0 {
-		t.Errorf("lockdiscipline comments judged on a run without lockdiscipline: %v", diags)
+	mod, err := repoModule()
+	if err != nil {
+		t.Fatal(err)
 	}
+	return mod
 }
 
 // TestRepoIsLintClean loads the real module and runs the full suite, stale-
@@ -291,13 +296,7 @@ func (b *box) clean() {}
 // stay finding-free, exactly as `go run ./cmd/mummi-lint ./...` enforces in
 // CI.
 func TestRepoIsLintClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped with -short")
-	}
-	mod, err := LoadModule(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mod := loadRepo(t)
 	errAllow, err := LoadErrAllow(filepath.Join(mod.Root, ".errallow"))
 	if err != nil {
 		t.Fatal(err)
@@ -321,17 +320,11 @@ var reachAllow = map[string]string{
 	"internal/sim.NewAASim":                    "Wire it or delete it",
 }
 
-// loadUses type-checks the module's non-test files and returns every object
-// they reference.
+// loadUses returns the module and every object its non-test files
+// reference.
 func loadUses(t *testing.T) (*Module, map[types.Object]bool) {
 	t.Helper()
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped with -short")
-	}
-	mod, err := LoadModule(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mod := loadRepo(t)
 	used := map[types.Object]bool{}
 	for _, p := range mod.Pkgs {
 		for _, obj := range p.Info.Uses {

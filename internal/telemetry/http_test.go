@@ -51,11 +51,10 @@ func TestMetricsServer(t *testing.T) {
 	}
 }
 
-// TestMetricsServerCloseJoinsServeGoroutine is the regression test for the
-// unjoined serve goroutine the goroutinelifecycle analyzer surfaced: Close
-// used to return while srv.Serve could still be running, so a request
-// handler could observe state torn down after Close. Close must not return
-// until the serve goroutine has exited (done closed).
+// TestMetricsServerCloseJoinsServeGoroutine is the gate for the serve
+// goroutine's join (docs/LINT.md, row C9): Close must not return while
+// srv.Serve could still be running, so no request handler observes state
+// torn down after Close; the serve goroutine has exited (done closed).
 func TestMetricsServerCloseJoinsServeGoroutine(t *testing.T) {
 	srv, err := StartMetricsServer("127.0.0.1:0", Nop())
 	if err != nil {
