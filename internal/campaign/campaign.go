@@ -122,75 +122,50 @@ type activeJob struct {
 }
 
 // activeSet holds the allocation's running simulation jobs: their records
-// packed in recs, and per job ID (dense from 1, setup and static jobs
-// included) only a 4-byte slot and a Fenwick count over ID presence, which
-// draws a victim in O(log n), sorting nothing.
+// in a sched.JobTable, and a Fenwick count over ID presence (dense from 1,
+// setup and static jobs included), which draws a victim in O(log n),
+// sorting nothing. end resets it in place, so each allocation reuses the
+// previous one's arrays.
 type activeSet struct {
-	recs []activeRec // live simulation jobs, in no order
-	slot []int32     // by ID: 1 + the ID's index in recs, 0 when absent
+	jobs sched.JobTable[activeJob]
 	live stats.Fenwick
 }
 
-type activeRec struct {
-	id sched.JobID
-	activeJob
-}
+func (s *activeSet) get(id sched.JobID) (activeJob, bool) { return s.jobs.Get(id) }
 
-func (s *activeSet) get(id sched.JobID) (activeJob, bool) {
-	if id <= 0 || id >= sched.JobID(len(s.slot)) || s.slot[id] == 0 {
-		return activeJob{}, false
-	}
-	return s.recs[s.slot[id]-1].activeJob, true
-}
+// ascending returns the live IDs in ascending order: the order settles and
+// banks feed the replay in.
+func (s *activeSet) ascending() []sched.JobID { return s.jobs.Ascending() }
 
 func (s *activeSet) put(id sched.JobID, aj activeJob) {
-	if id >= sched.JobID(len(s.slot)) {
+	if s.jobs.Put(id, aj) {
 		s.live.Grow(int(id) + 1)
-		s.slot = append(s.slot, make([]int32, s.live.Len()-len(s.slot))...)
+		s.live.Add(int(id), 1)
 	}
-	if k := s.slot[id]; k > 0 {
-		s.recs[k-1].activeJob = aj
-		return
-	}
-	s.recs = append(s.recs, activeRec{id, aj})
-	s.slot[id] = int32(len(s.recs))
-	s.live.Add(int(id), 1)
 }
 
 // remove drops id; an absent ID, or one above every ID put (a late end
 // from the previous allocation's scheduler), is a no-op.
 func (s *activeSet) remove(id sched.JobID) {
-	if _, ok := s.get(id); !ok {
-		return
+	if s.jobs.Remove(id) {
+		s.live.Add(int(id), -1)
 	}
-	k, last := s.slot[id]-1, len(s.recs)-1
-	s.recs[k] = s.recs[last]
-	s.slot[s.recs[k].id] = k + 1
-	s.recs[last] = activeRec{}
-	s.recs = s.recs[:last]
-	s.slot[id] = 0
-	s.live.Add(int(id), -1)
+}
+
+// reset empties the set, keeping its arrays.
+func (s *activeSet) reset() {
+	for _, id := range s.ascending() {
+		s.remove(id)
+	}
 }
 
 // pick returns the live ID of ascending rank rng.Intn(n), or 0 without a
 // draw when the set is empty.
 func (s *activeSet) pick(rng *rand.Rand) sched.JobID {
-	if len(s.recs) == 0 {
+	if s.jobs.Len() == 0 {
 		return 0
 	}
-	return sched.JobID(s.live.Kth(rng.Intn(len(s.recs))))
-}
-
-// ascending returns the live IDs in ascending order: the order settles and
-// banks feed the replay in.
-func (s *activeSet) ascending() []sched.JobID {
-	ids := make([]sched.JobID, 0, len(s.recs))
-	for id, k := range s.slot {
-		if k > 0 {
-			ids = append(ids, sched.JobID(id))
-		}
-	}
-	return ids
+	return sched.JobID(s.live.Kth(rng.Intn(s.jobs.Len())))
 }
 
 // NewCampaign builds the engine.
@@ -373,7 +348,7 @@ func (c *Campaign) begin(spec RunSpec) error {
 	s, err := sched.New(c.clk, sched.Config{
 		Machine: machine, Policy: c.cfg.SchedPolicy, Mode: c.cfg.SchedMode,
 		Costs: c.cfg.SchedCosts, StatusPollEvery: statusPoll,
-		Telemetry: c.tel,
+		Telemetry: c.tel, RecordTimeline: c.keptTimeline(spec.Nodes) != nil,
 	})
 	if err != nil {
 		return err
@@ -497,8 +472,10 @@ func (c *Campaign) end() {
 	if a.hb != nil {
 		a.hb.Stop()
 	}
-	c.tel.RecordSpan("campaign", "allocation", a.start, c.clk.Now().Sub(a.start),
-		append([]any{"run", c.res.RunsDone + 1, "nodes", a.spec.Nodes}, a.wm.spanArgs()...)...)
+	if c.tel.Tracing() { // boxing the arguments costs allocations
+		c.tel.RecordSpan("campaign", "allocation", a.start, c.clk.Now().Sub(a.start),
+			append([]any{"run", c.res.RunsDone + 1, "nodes", a.spec.Nodes}, a.wm.spanArgs()...)...)
+	}
 	a.wm.Stop()
 	a.prof.Stop()
 	a.s.Close()
@@ -508,7 +485,7 @@ func (c *Campaign) end() {
 			c.settle(aj.simID, aj.rate.SimFor(c.clk.Now().Sub(aj.start)), false)
 		}
 	}
-	c.active = activeSet{}
+	c.active.reset()
 	if c.err != nil {
 		return
 	}
@@ -529,19 +506,28 @@ func (c *Campaign) end() {
 	c.res.Table1 = append(c.res.Table1, RunLedger{Nodes: a.spec.Nodes, Wall: a.spec.Wall, NodeHours: nh})
 	c.elapsedWall += a.spec.Wall
 
-	// Fig. 6 keeps the first placement timeline of each node class. Every
-	// scheduler's timeline is taken, so late events reaching the closed
-	// scheduler do not keep it alive.
-	placements := a.s.Timeline()
-	tl := &c.res.Timeline1000
-	if a.spec.Nodes >= 4000 {
-		tl = &c.res.Timeline4000
-	}
-	if a.spec.Nodes >= 1000 && *tl == nil {
-		for _, p := range placements {
+	// Fig. 6 keeps the first placement timeline of each node class: only
+	// the scheduler begin asked to record has one. Its timeline is taken,
+	// so late events reaching the closed scheduler do not keep it alive.
+	if tl := c.keptTimeline(a.spec.Nodes); tl != nil {
+		for _, p := range a.s.Timeline() {
 			*tl = append(*tl, TimelinePoint{Offset: p.Time.Sub(a.start), Job: int64(p.Job)})
 		}
 	}
+}
+
+// keptTimeline returns the Fig. 6 series an allocation of the given node
+// count fills, or nil when Fig. 6 does not keep its placements: the first
+// timeline of each node class (1000+ and 4000+ nodes) is kept.
+func (c *Campaign) keptTimeline(nodes int) *[]TimelinePoint {
+	tl := &c.res.Timeline1000
+	if nodes >= 4000 {
+		tl = &c.res.Timeline4000
+	}
+	if nodes < 1000 || *tl != nil {
+		return nil
+	}
+	return tl
 }
 
 // startChaos starts the plan on one schedule for the whole campaign: windows

@@ -466,8 +466,8 @@ func TestPatchIDMatchesSprintf(t *testing.T) {
 // it replaced: random puts (IDs ascending with gaps, as setup jobs take IDs
 // between simulations, growing far past the first size), re-puts of live
 // IDs (the hang handler's), removes of live, absent and never-seen IDs, and
-// an allocation boundary after which the previous scheduler's IDs — above
-// every new ID or colliding with one — are removed. After every operation
+// an allocation boundary (the set reset in place) after which the previous
+// scheduler's IDs — above every new ID or colliding with one — are removed. After every operation
 // the ascending sweep and a victim draw must match the oracle's, with the
 // same rng draws.
 func TestActiveSetMatchesOracle(t *testing.T) {
@@ -503,7 +503,8 @@ func TestActiveSetMatchesOracle(t *testing.T) {
 			delete(oracle, id)
 		case r < 19: // the allocation ends
 			prev := next
-			s, oracle, next = activeSet{}, map[sched.JobID]activeJob{}, 0
+			s.reset() // in place, as end does
+			oracle, next = map[sched.JobID]activeJob{}, 0
 			for range 1 + rng.Intn(10) {
 				next++
 				aj := activeJob{simID: fmt.Sprintf("aa:f%d", next)}
@@ -534,8 +535,8 @@ func TestActiveSetMatchesOracle(t *testing.T) {
 				t.Fatalf("op %d: job %d = %+v, want %+v", op, id, got, oracle[id])
 			}
 		}
-		if want := sorted(); !slices.Equal(walked, want) || len(s.recs) != len(want) {
-			t.Fatalf("op %d: sweep %v (%d records), want %v", op, walked, len(s.recs), want)
+		if want := sorted(); !slices.Equal(walked, want) || s.jobs.Len() != len(want) {
+			t.Fatalf("op %d: sweep %v (%d records), want %v", op, walked, s.jobs.Len(), want)
 		}
 		grown = max(grown, s.live.Len())
 		for _, id := range []sched.JobID{0, -1, next + 1, next + 1000} {

@@ -165,24 +165,33 @@ func (m *Machine) NodeFits(i, cores, gpus int) bool {
 // Reserve picks specific free resources on node i and returns the part.
 // Cores are taken socket-contiguously (lowest free ids first), matching the
 // paper's placement rule that a simulation's cores share cache and analysis
-// cores sit near the PCIe bus; GPUs are lowest-id-first.
+// cores sit near the PCIe bus; GPUs are lowest-id-first. The part's core
+// and GPU ids share one exact-size array; a part without cores (or GPUs)
+// has a nil Cores (GPUs).
 func (m *Machine) Reserve(i, cores, gpus int) (AllocPart, error) {
 	if !m.NodeFits(i, cores, gpus) {
 		return AllocPart{}, fmt.Errorf("cluster: node %d cannot fit %d cores + %d gpus", i, cores, gpus)
 	}
 	n := m.nodes[i]
-	part := AllocPart{Node: i}
-	for c := 0; c < len(n.coreUsed) && len(part.Cores) < cores; c++ {
+	ids := make([]int, 0, cores+gpus)
+	for c := 0; c < len(n.coreUsed) && len(ids) < cores; c++ {
 		if !n.coreUsed[c] {
 			n.coreUsed[c] = true
-			part.Cores = append(part.Cores, c)
+			ids = append(ids, c)
 		}
 	}
-	for g := 0; g < len(n.gpuUsed) && len(part.GPUs) < gpus; g++ {
+	for g := 0; g < len(n.gpuUsed) && len(ids) < cores+gpus; g++ {
 		if !n.gpuUsed[g] {
 			n.gpuUsed[g] = true
-			part.GPUs = append(part.GPUs, g)
+			ids = append(ids, g)
 		}
+	}
+	part := AllocPart{Node: i}
+	if cores > 0 {
+		part.Cores = ids[:cores:cores]
+	}
+	if gpus > 0 {
+		part.GPUs = ids[cores:]
 	}
 	n.freeCores -= cores
 	n.freeGPUs -= gpus

@@ -108,15 +108,16 @@ func newFakeRig(t *testing.T, cfg Config) *fakeRig {
 }
 
 // scanSweep is the watchdog sweep as it was before the deadline heap:
-// every tracked job, in ascending ID order, on every poll. Verbatim.
+// every tracked job, in ascending ID order, on every poll. Verbatim but for
+// the job table's accessors, which replaced a map.
 func scanSweep(w *Workflow) []sched.JobID {
 	if w.watchdogGrace <= 0 {
 		return nil
 	}
 	now := w.clk.Now()
 	var overdue []sched.JobID
-	for _, id := range w.sortedJobIDs() {
-		rec := w.jobs[id]
+	for _, id := range w.jobs.Ascending() {
+		rec, _ := w.jobs.Get(id)
 		if rec.deadline.IsZero() || now.Before(rec.deadline) {
 			continue
 		}
@@ -126,7 +127,7 @@ func scanSweep(w *Workflow) []sched.JobID {
 			w.tel.Registry().Counter(telemetry.Name("wm.watchdog_exhausted_total", "coupling", name)).Inc()
 			// Stop reconsidering it every poll: zero the deadline.
 			rec.deadline = time.Time{}
-			w.jobs[id] = rec
+			w.jobs.Put(id, rec)
 			continue
 		}
 		w.watchdogKills[key]++
@@ -320,13 +321,19 @@ func TestReadyDequeMatchesSliceModel(t *testing.T) {
 		model = append(append([]dynim.Point(nil), cks[0].RunningSims...), cks[0].Ready...)
 		churn(200)
 
-		if got := ready.appendTo(nil); !reflect.DeepEqual(got, append([]dynim.Point(nil), model...)) {
+		if got := ready.AppendTo(nil); !reflect.DeepEqual(got, append([]dynim.Point(nil), model...)) {
 			t.Fatalf("seed %d: ready order %v, model %v", seed, got, model)
 		}
-		for i, p := range ready.buf {
-			if live := (i-ready.head+len(ready.buf))%len(ready.buf) < ready.n; !live && (p.ID != "" || p.Coords != nil) {
-				t.Fatalf("seed %d: vacated slot %d still holds %+v", seed, i, p)
+		// The ring's fields are sched's own: count the backing array's
+		// non-zero slots through reflection.
+		buf, held := reflect.ValueOf(ready).Elem().FieldByName("buf"), 0
+		for i := 0; i < buf.Len(); i++ {
+			if !buf.Index(i).IsZero() {
+				held++
 			}
+		}
+		if held != ready.Len() {
+			t.Fatalf("seed %d: %d slots hold a point, %d are live: a vacated slot still pins one", seed, held, ready.Len())
 		}
 	}
 }

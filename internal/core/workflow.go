@@ -14,7 +14,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"time"
@@ -175,61 +174,16 @@ func (h *deadlineHeap) Pop() any {
 	return e
 }
 
-// pointDeque is a ring buffer of points. The ready buffer takes launches
-// from its front, finished setups at its back and failed simulations back
-// at its front, each in O(1); a popped slot is zeroed so the ring never
-// pins a launched configuration.
-type pointDeque struct {
-	buf     []dynim.Point
-	head, n int
-}
-
-func (d *pointDeque) Len() int { return d.n }
-
-// grow makes room for one more point, doubling a full ring.
-func (d *pointDeque) grow() {
-	if d.n < len(d.buf) {
-		return
-	}
-	buf := make([]dynim.Point, 0, max(8, 2*len(d.buf)))
-	d.buf, d.head = d.appendTo(buf)[:cap(buf)], 0
-}
-
-func (d *pointDeque) PushBack(p dynim.Point) {
-	d.grow()
-	d.buf[(d.head+d.n)%len(d.buf)] = p
-	d.n++
-}
-
-func (d *pointDeque) PushFront(p dynim.Point) {
-	d.grow()
-	d.head = (d.head + len(d.buf) - 1) % len(d.buf)
-	d.buf[d.head] = p
-	d.n++
-}
-
-func (d *pointDeque) PopFront() dynim.Point {
-	p := d.buf[d.head]
-	d.buf[d.head] = dynim.Point{}
-	d.head = (d.head + 1) % len(d.buf)
-	d.n--
-	return p
-}
-
-// appendTo appends the points front to back: the run up to the end of the
-// ring, then the run that wrapped.
-func (d *pointDeque) appendTo(out []dynim.Point) []dynim.Point {
-	first := min(d.n, len(d.buf)-d.head)
-	return append(append(out, d.buf[d.head:d.head+first]...), d.buf[:d.n-first]...)
-}
-
 type couplingState struct {
-	spec  CouplingSpec
-	ready pointDeque
+	spec CouplingSpec
+	// ready holds the prepared configurations: launches take its front,
+	// finished setups join its back and failed simulations return to its
+	// front.
+	ready sched.Ring[dynim.Point]
 	// redoSetup holds already-selected points whose setup must (re)run —
 	// populated by restore for setups interrupted by a crash, and by the
 	// failure path. They take priority over fresh selections.
-	redoSetup []dynim.Point
+	redoSetup sched.Ring[dynim.Point]
 	// pendingSetup/pendingSim count submissions in flight through the
 	// throttled conductor (no JobID yet).
 	pendingSetup int
@@ -266,7 +220,7 @@ type Workflow struct {
 	polls, watchdogKillErrors telemetry.Lazy[telemetry.Counter]
 
 	couplings []*couplingState
-	jobs      map[sched.JobID]jobRecord
+	jobs      sched.JobTable[jobRecord]
 	poll      *vclock.Ticker
 	fbTickers []*vclock.Ticker
 	started   bool
@@ -305,7 +259,6 @@ func New(cfg Config) (*Workflow, error) {
 		cond:          cfg.Conductor,
 		rng:           rand.New(rand.NewSource(cfg.Seed + 1)),
 		tel:           tel,
-		jobs:          make(map[sched.JobID]jobRecord),
 		static:        cfg.StaticJobs,
 		pollEvery:     cfg.PollEvery,
 		watchdogGrace: cfg.WatchdogGrace,
@@ -332,10 +285,10 @@ func New(cfg Config) (*Workflow, error) {
 // submission): simulation start observers see real start times, which the
 // campaign's progress accounting depends on.
 func (w *Workflow) onJobStart(id sched.JobID) {
-	rec, ok := w.jobs[id]
+	rec, ok := w.jobs.Get(id)
 	if ok && w.watchdogGrace > 0 && rec.dur > 0 {
 		rec.deadline = w.clk.Now().Add(time.Duration(w.watchdogGrace * float64(rec.dur)))
-		w.jobs[id] = rec
+		w.jobs.Put(id, rec)
 		heap.Push(&w.deadlines, jobDeadline{rec.deadline, id})
 	}
 	if ok && rec.role == roleSim {
@@ -371,10 +324,7 @@ func (w *Workflow) Start() error {
 	return nil
 }
 
-// Stop halts tickers; running jobs continue in the scheduler. The job map
-// is re-packed to its live entries: it took an allocation's churn of
-// inserts, a Go map never shrinks, and the running jobs' finish callbacks
-// keep a stopped Workflow reachable.
+// Stop halts tickers; running jobs continue in the scheduler.
 func (w *Workflow) Stop() {
 	if w.stopped {
 		return
@@ -386,9 +336,6 @@ func (w *Workflow) Stop() {
 	for _, t := range w.fbTickers {
 		t.Stop()
 	}
-	live := make(map[sched.JobID]jobRecord, len(w.jobs))
-	maps.Copy(live, w.jobs)
-	w.jobs = live
 }
 
 // AddCandidate offers a coarse-scale candidate to a coupling's selector
@@ -454,14 +401,14 @@ func (w *Workflow) watchdogSweep() []sched.JobID {
 	var due []sched.JobID
 	for len(w.deadlines) > 0 && !now.Before(w.deadlines[0].at) {
 		e := heap.Pop(&w.deadlines).(jobDeadline)
-		if rec, ok := w.jobs[e.id]; ok && rec.deadline.Equal(e.at) {
+		if rec, ok := w.jobs.Get(e.id); ok && rec.deadline.Equal(e.at) {
 			due = append(due, e.id)
 		}
 	}
 	slices.Sort(due)
 	var overdue []sched.JobID
 	for _, id := range slices.Compact(due) {
-		rec := w.jobs[id]
+		rec, _ := w.jobs.Get(id)
 		cs := w.couplings[rec.coupling]
 		name := cs.spec.Name
 		key := name + "/" + rec.point.ID
@@ -469,7 +416,7 @@ func (w *Workflow) watchdogSweep() []sched.JobID {
 			cs.m.watchdogExhausted.Get(w.tel, "wm.watchdog_exhausted_total", "coupling", name).Inc()
 			// Stop reconsidering it every poll: zero the deadline.
 			rec.deadline = time.Time{}
-			w.jobs[id] = rec
+			w.jobs.Put(id, rec)
 			continue
 		}
 		w.watchdogKills[key]++
@@ -514,10 +461,8 @@ func (w *Workflow) pollCoupling(i int) {
 	}
 	// Interrupted setups re-run first; only then are fresh selections made.
 	var points []dynim.Point
-	for want > 0 && len(cs.redoSetup) > 0 {
-		points = append(points, cs.redoSetup[0])
-		cs.redoSetup[0] = dynim.Point{}
-		cs.redoSetup = cs.redoSetup[1:]
+	for want > 0 && cs.redoSetup.Len() > 0 {
+		points = append(points, cs.redoSetup.PopFront())
 		want--
 	}
 	if want > 0 {
@@ -526,8 +471,10 @@ func (w *Workflow) pollCoupling(i int) {
 		// deterministic replay artifact.
 		selStart := w.tel.Now()
 		sel := spec.Selector.Select(want)
-		w.tel.RecordSpan("wm", "task2.select", selStart, w.tel.Now().Sub(selStart),
-			"coupling", spec.Name, "want", want, "got", len(sel))
+		if w.tel.Tracing() { // boxing the arguments costs allocations
+			w.tel.RecordSpan("wm", "task2.select", selStart, w.tel.Now().Sub(selStart),
+				"coupling", spec.Name, "want", want, "got", len(sel))
+		}
 		cs.m.selections.Get(w.tel, "wm.selections_total", "coupling", spec.Name).Add(int64(len(sel)))
 		points = append(points, sel...)
 	}
@@ -552,8 +499,11 @@ func (w *Workflow) updateGauges(i int) {
 }
 
 // submit routes one job through the conductor; the conductor's callback
-// records the job once the throttled submission happens.
+// records the job once the throttled submission happens. The callback
+// captures the request's duration, not the whole request: it is allocated
+// once per job.
 func (w *Workflow) submit(req sched.Request, coupling int, role jobRole, p dynim.Point) {
+	dur := req.Duration
 	err := w.cond.Submit(req, func(id sched.JobID, err error) {
 		cs := w.couplings[coupling]
 		switch role {
@@ -562,10 +512,10 @@ func (w *Workflow) submit(req sched.Request, coupling int, role jobRole, p dynim
 			if err != nil {
 				cs.failedSetups++
 				// Submission failure: the selection stands; re-run the setup.
-				cs.redoSetup = append(cs.redoSetup, p)
+				cs.redoSetup.PushBack(p)
 			} else {
 				cs.inSetup++
-				w.jobs[id] = jobRecord{role: roleSetup, coupling: coupling, point: p, dur: req.Duration}
+				w.jobs.Put(id, jobRecord{role: roleSetup, coupling: coupling, point: p, dur: dur})
 			}
 		case roleSim:
 			cs.pendingSim--
@@ -575,7 +525,7 @@ func (w *Workflow) submit(req sched.Request, coupling int, role jobRole, p dynim
 				cs.ready.PushBack(p)
 			} else {
 				cs.running++
-				w.jobs[id] = jobRecord{role: roleSim, coupling: coupling, point: p, dur: req.Duration}
+				w.jobs.Put(id, jobRecord{role: roleSim, coupling: coupling, point: p, dur: dur})
 			}
 		}
 	})
@@ -594,11 +544,11 @@ func (w *Workflow) submit(req sched.Request, coupling int, role jobRole, p dynim
 // onJobFinish is the conductor's terminal-state callback (Task 3's
 // completion scan, event-driven).
 func (w *Workflow) onJobFinish(id sched.JobID, st sched.State) {
-	rec, ok := w.jobs[id]
+	rec, ok := w.jobs.Get(id)
 	if !ok {
 		return // static or foreign job
 	}
-	delete(w.jobs, id)
+	w.jobs.Remove(id)
 	cs := w.couplings[rec.coupling]
 	var onEnd func(dynim.Point, sched.JobID, sched.State)
 	switch rec.role {
@@ -612,7 +562,7 @@ func (w *Workflow) onJobFinish(id sched.JobID, st sched.State) {
 		} else {
 			cs.failedSetups++
 			// "resubmits failed ones": the same configuration re-runs setup.
-			cs.redoSetup = append(cs.redoSetup, rec.point)
+			cs.redoSetup.PushBack(rec.point)
 			cs.m.setupsFailed.Get(w.tel, "wm.setups_failed_total", "coupling", cs.spec.Name).Inc()
 		}
 	case roleSim:
@@ -679,7 +629,7 @@ func (w *Workflow) couplingStats(cs *couplingState) CouplingStats {
 		Name:          cs.spec.Name,
 		Candidates:    cs.spec.Selector.Len(),
 		Ready:         cs.ready.Len(),
-		InSetup:       cs.inSetup + cs.pendingSetup + len(cs.redoSetup),
+		InSetup:       cs.inSetup + cs.pendingSetup + cs.redoSetup.Len(),
 		Running:       cs.running + cs.pendingSim,
 		Launched:      cs.launched,
 		CompletedSims: cs.completed,
@@ -693,30 +643,18 @@ func (w *Workflow) couplingStats(cs *couplingState) CouplingStats {
 // any such crash without much loss of data"). The record and its codec
 // are in checkpoint.go.
 
-// sortedJobIDs returns the live job IDs in ascending order — the
-// only sanctioned way to sweep w.jobs (the determinism analyzer rejects a
-// bare map range here).
-func (w *Workflow) sortedJobIDs() []sched.JobID {
-	ids := make([]sched.JobID, 0, len(w.jobs))
-	for id := range w.jobs {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
-}
-
 // couplingCkpt captures one coupling's checkpoint record. ids is the
 // sorted live-job sweep shared by every coupling.
 func (w *Workflow) couplingCkpt(cs *couplingState, ids []sched.JobID) CouplingCheckpoint {
 	c := CouplingCheckpoint{
 		Name:      cs.spec.Name,
-		Ready:     cs.ready.appendTo(nil),
-		InSetup:   append([]dynim.Point(nil), cs.redoSetup...),
+		Ready:     cs.ready.AppendTo(nil),
+		InSetup:   cs.redoSetup.AppendTo(nil),
 		Launched:  cs.launched,
 		Completed: cs.completed,
 	}
 	for _, id := range ids {
-		rec := w.jobs[id]
+		rec, _ := w.jobs.Get(id)
 		if w.couplings[rec.coupling] != cs {
 			continue
 		}
@@ -731,10 +669,9 @@ func (w *Workflow) couplingCkpt(cs *couplingState, ids []sched.JobID) CouplingCh
 
 // Checkpoint serializes the WM's recoverable state.
 func (w *Workflow) Checkpoint() ([]byte, error) {
-	// Deterministic checkpoint: job-map iteration order must not leak into
-	// the restore order (campaign replays depend on it). One sorted sweep
-	// serves every coupling.
-	ids := w.sortedJobIDs()
+	// Deterministic checkpoint: jobs are recorded in ascending ID order
+	// (campaign replays depend on it). One sweep serves every coupling.
+	ids := w.jobs.Ascending()
 	cks := make([]CouplingCheckpoint, len(w.couplings))
 	for i, cs := range w.couplings {
 		cks[i] = w.couplingCkpt(cs, ids)
@@ -750,7 +687,7 @@ func (w *Workflow) CheckpointCoupling(name string) (CouplingCheckpoint, error) {
 	if cs == nil {
 		return CouplingCheckpoint{}, fmt.Errorf("core: unknown coupling %q", name)
 	}
-	return w.couplingCkpt(cs, w.sortedJobIDs()), nil
+	return w.couplingCkpt(cs, w.jobs.Ascending()), nil
 }
 
 // RestoreState rehydrates a Workflow built with the same coupling specs
@@ -776,14 +713,18 @@ func (w *Workflow) RestoreState(data []byte) error {
 // machine first, without a new setup. Interrupted setups re-run (their
 // selection already happened).
 func restoreCouplingState(cs *couplingState, c CouplingCheckpoint) {
-	ready := slices.Concat(c.RunningSims, c.Ready)
-	cs.ready = pointDeque{buf: ready, n: len(ready)}
+	cs.ready = sched.Ring[dynim.Point]{}
+	for _, p := range slices.Concat(c.RunningSims, c.Ready) {
+		cs.ready.PushBack(p)
+	}
 	cs.launched = c.Launched - len(c.RunningSims)
 	if cs.launched < 0 {
 		cs.launched = 0
 	}
 	cs.completed = c.Completed
-	cs.redoSetup = append(cs.redoSetup, c.InSetup...)
+	for _, p := range c.InSetup {
+		cs.redoSetup.PushBack(p)
+	}
 }
 
 // RestoreCoupling rehydrates one already-registered coupling from its
@@ -841,4 +782,4 @@ func (w *Workflow) AdoptCoupling(spec CouplingSpec, ckpt CouplingCheckpoint) (Co
 // LiveJobIDs returns the IDs of every job the manager is currently
 // tracking, in ascending order — the set a fleet crash handler kills when
 // this instance dies (static jobs are untracked and survive).
-func (w *Workflow) LiveJobIDs() []sched.JobID { return w.sortedJobIDs() }
+func (w *Workflow) LiveJobIDs() []sched.JobID { return w.jobs.Ascending() }

@@ -71,10 +71,12 @@ type Conductor struct {
 	clk     vclock.Clock
 	period  time.Duration // min spacing between submissions
 
-	queue  []pendingSub
+	queue  sched.Ring[pendingSub]
 	timer  vclock.EventID
 	armed  bool
 	closed bool
+	// ticked is tick bound once, so re-arming allocates nothing.
+	ticked func()
 	// submitted counts backend submissions (throughput accounting).
 	submitted int64
 }
@@ -94,7 +96,9 @@ func NewConductor(clk vclock.Clock, backend Backend, jobsPerMinute int) (*Conduc
 	if jobsPerMinute > 0 {
 		period = time.Minute / time.Duration(jobsPerMinute)
 	}
-	return &Conductor{backend: backend, clk: clk, period: period}, nil
+	c := &Conductor{backend: backend, clk: clk, period: period}
+	c.ticked = c.tick
+	return c, nil
 }
 
 // Submit enqueues a request; onSub (optional) is invoked with the backend's
@@ -103,26 +107,23 @@ func (c *Conductor) Submit(req sched.Request, onSub func(sched.JobID, error)) er
 	if c.closed {
 		return errors.New("maestro: conductor closed")
 	}
-	c.queue = append(c.queue, pendingSub{req: req, onSub: onSub})
+	c.queue.PushBack(pendingSub{req: req, onSub: onSub})
 	if !c.armed {
 		c.armed = true
-		c.timer = c.clk.After(0, c.tick)
+		c.timer = c.clk.After(0, c.ticked)
 	}
 	return nil
 }
 
 // tick submits one queued request and re-arms.
 func (c *Conductor) tick() {
-	if c.closed || len(c.queue) == 0 {
+	if c.closed || c.queue.Len() == 0 {
 		c.armed = false
 		return
 	}
-	p := c.queue[0]
-	c.queue[0] = pendingSub{} // a popped slot must not pin its callback
-	c.queue = c.queue[1:]
-	more := len(c.queue) > 0
-	if more {
-		c.timer = c.clk.After(c.period, c.tick)
+	p := c.queue.PopFront()
+	if c.queue.Len() > 0 {
+		c.timer = c.clk.After(c.period, c.ticked)
 	} else {
 		c.armed = false
 	}
@@ -135,7 +136,7 @@ func (c *Conductor) tick() {
 }
 
 // Queued returns the locally queued (not yet submitted) count.
-func (c *Conductor) Queued() int { return len(c.queue) }
+func (c *Conductor) Queued() int { return c.queue.Len() }
 
 // Submitted returns how many jobs reached the backend.
 func (c *Conductor) Submitted() int64 { return c.submitted }
@@ -167,14 +168,16 @@ func (c *Conductor) Close() {
 		return
 	}
 	c.closed = true
+	// The ring's array is sized for the allocation's peak backlog; a closed
+	// conductor that late completions still reach must not pin it.
 	q := c.queue
-	c.queue = nil
+	c.queue = sched.Ring[pendingSub]{}
 	if c.armed {
 		c.clk.Cancel(c.timer)
 		c.armed = false
 	}
-	for _, p := range q {
-		if p.onSub != nil {
+	for q.Len() > 0 {
+		if p := q.PopFront(); p.onSub != nil {
 			p.onSub(0, ErrClosed)
 		}
 	}

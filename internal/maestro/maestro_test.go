@@ -2,6 +2,8 @@ package maestro
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -181,14 +183,104 @@ func TestConductorReleasesPoppedSubmission(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	backing := c.queue // the three queued submissions
 	clk.RunFor(time.Hour)
 	if done != 3 || c.Queued() != 0 {
 		t.Fatalf("%d submitted, %d still queued", done, c.Queued())
 	}
-	for i, p := range backing {
-		if p.onSub != nil || p.req.Name != "" {
-			t.Errorf("popped slot %d still holds %+v", i, p)
+	// The ring's fields are sched's own: read its backing array through
+	// reflection.
+	backing := reflect.ValueOf(&c.queue).Elem().FieldByName("buf")
+	if backing.Len() < 3 {
+		t.Fatalf("the queue's backing array has %d slots, want the three submissions'", backing.Len())
+	}
+	for i := 0; i < backing.Len(); i++ {
+		if p := backing.Index(i); !p.IsZero() {
+			t.Errorf("popped slot %d still holds %v", i, p)
 		}
+	}
+}
+
+// nopBackend accepts every submission and allocates nothing.
+type nopBackend struct{ next sched.JobID }
+
+func (b *nopBackend) Submit(sched.Request) (sched.JobID, error) { b.next++; return b.next, nil }
+func (b *nopBackend) Cancel(sched.JobID) bool                   { return true }
+func (b *nopBackend) Fail(sched.JobID) error                    { return nil }
+func (b *nopBackend) OnFinish(func(sched.JobID, sched.State))   {}
+func (b *nopBackend) OnStart(func(sched.JobID))                 {}
+
+// TestConductorDrainTickAllocatesNothing: a throttled drain tick pops one
+// queued submission, hands it to the backend and re-arms itself, all
+// without allocating.
+func TestConductorDrainTickAllocatesNothing(t *testing.T) {
+	clk := vclock.NewVirtual(epoch)
+	b := &nopBackend{}
+	c, _ := NewConductor(clk, b, 100)
+	for i := 0; i < 300; i++ {
+		if err := c.Submit(sched.Request{Name: "x", Cores: 1}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.Step() // the first tick
+	if n := testing.AllocsPerRun(100, func() { clk.Step() }); n != 0 {
+		t.Errorf("a drain tick allocates %v times, want 0", n)
+	}
+	if b.next != 102 || c.Queued() != 198 {
+		t.Errorf("%d submitted, %d queued after 102 ticks, want 102 and 198", b.next, c.Queued())
+	}
+}
+
+// TestConductorCloseFailsUnsubmittedInOrder: with the queue's live run
+// wrapped past the end of its array, Queued counts what is left, and Close
+// fails exactly the unsubmitted requests, in submission order, with
+// ErrClosed.
+func TestConductorCloseFailsUnsubmittedInOrder(t *testing.T) {
+	clk := vclock.NewVirtual(epoch)
+	fb := &fakeBackend{clk: clk}
+	c, _ := NewConductor(clk, fb, 60) // one a second
+	var submitted, closed []int
+	submit := func(i int) {
+		err := c.Submit(sched.Request{Name: "x", Cores: 1}, func(_ sched.JobID, err error) {
+			switch {
+			case err == nil:
+				submitted = append(submitted, i)
+			case errors.Is(err, ErrClosed):
+				closed = append(closed, i)
+			default:
+				t.Errorf("request %d: %v", i, err)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		submit(i)
+	}
+	clk.RunFor(4500 * time.Millisecond) // ticks at 0-4 s take 0-4
+	for i := 6; i < 10; i++ {           // the ring's back wraps to its front
+		submit(i)
+	}
+	if c.Queued() != 5 {
+		t.Fatalf("Queued = %d, want 5", c.Queued())
+	}
+	q := reflect.ValueOf(&c.queue).Elem()
+	if head, n := q.FieldByName("head").Int(), q.FieldByName("n").Int(); head+n <= int64(q.FieldByName("buf").Len()) {
+		t.Fatalf("the queue's live run (%d from slot %d) does not wrap", n, head)
+	}
+	clk.RunFor(2 * time.Second) // ticks at 5 and 6 s take 5 and 6
+	if c.Queued() != 3 {
+		t.Fatalf("Queued = %d, want 3", c.Queued())
+	}
+	c.Close()
+	clk.RunFor(time.Hour)
+	if want := []int{0, 1, 2, 3, 4, 5, 6}; !slices.Equal(submitted, want) {
+		t.Errorf("submitted %v, want %v", submitted, want)
+	}
+	if want := []int{7, 8, 9}; !slices.Equal(closed, want) {
+		t.Errorf("failed with ErrClosed %v, want %v", closed, want)
+	}
+	if c.Queued() != 0 {
+		t.Errorf("Queued = %d after Close, want 0", c.Queued())
 	}
 }

@@ -75,6 +75,10 @@ type Matcher struct {
 	shapes  map[shapeKey][]uint64
 	gpuFree []uint64
 	cpuFree []uint64
+
+	// chosen is the node list of the match in progress, reused by every
+	// match.
+	chosen []int
 }
 
 // NewMatcher builds a matcher over the machine.
@@ -112,7 +116,7 @@ func (mt *Matcher) Match(req Request) (cluster.Alloc, int64, bool) {
 	if !ok {
 		return cluster.Alloc{}, mt.visits - before, false
 	}
-	alloc := cluster.Alloc{}
+	alloc := cluster.Alloc{Parts: make([]cluster.AllocPart, 0, len(nodes))}
 	for _, n := range nodes {
 		part, err := mt.m.Reserve(n, req.Cores, req.GPUs)
 		if err != nil {
@@ -133,15 +137,17 @@ func (mt *Matcher) Match(req Request) (cluster.Alloc, int64, bool) {
 // matchExhaustive models visiting every vertex of the graph (each node's
 // full subtree), collects all feasible nodes, and picks the lowest IDs. The
 // full-graph visit charge is the entire point of the experiment; only the
-// feasibility scan itself is served from the bitmap.
+// feasibility scan itself is served from the bitmap. The returned nodes are
+// the matcher's scratch, valid until the next match.
 func (mt *Matcher) matchExhaustive(req Request) ([]int, bool) {
 	n := mt.m.NumNodes()
 	mt.visits += int64(mt.m.Topology().VerticesPerNode()) * int64(n)
 	fit := mt.shapeBits(req.Cores, req.GPUs)
-	var chosen []int
+	chosen := mt.chosen[:0]
 	for i := nextSet(fit, 0, n); i < n && len(chosen) < req.NodeCount; i = nextSet(fit, i+1, n) {
 		chosen = append(chosen, i)
 	}
+	mt.chosen = chosen
 	if len(chosen) < req.NodeCount {
 		return nil, false
 	}
@@ -155,7 +161,8 @@ func (mt *Matcher) matchExhaustive(req Request) ([]int, bool) {
 // failure it would have walked to the end of the machine. The cursor
 // advances to the first node with free resources of the class, exactly where
 // the sweep's contiguous class-empty-prefix rule left it: a feasible node
-// has class-free resources, so no placement can precede that point.
+// has class-free resources, so no placement can precede that point. Like
+// matchExhaustive, it returns the matcher's scratch.
 func (mt *Matcher) matchFirst(req Request) ([]int, bool) {
 	perNode := int64(mt.m.Topology().VerticesPerNode())
 	n := mt.m.NumNodes()
@@ -164,7 +171,7 @@ func (mt *Matcher) matchFirst(req Request) ([]int, bool) {
 		cursor, class = &mt.gpuCursor, mt.gpuFree
 	}
 	fit := mt.shapeBits(req.Cores, req.GPUs)
-	var chosen []int
+	chosen := mt.chosen[:0]
 	for i := *cursor; len(chosen) < req.NodeCount; i++ {
 		i = nextSet(fit, i, n)
 		if i >= n {
@@ -172,6 +179,7 @@ func (mt *Matcher) matchFirst(req Request) ([]int, bool) {
 		}
 		chosen = append(chosen, i)
 	}
+	mt.chosen = chosen
 	advanced := nextSet(class, *cursor, n)
 	if req.NodeCount > 0 && len(chosen) == req.NodeCount {
 		last := chosen[len(chosen)-1]

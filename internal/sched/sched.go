@@ -3,7 +3,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"mummi/internal/cluster"
@@ -82,10 +81,15 @@ type Config struct {
 	// discarded). Match spans carry the modeled cost as their duration, so
 	// a trace of a virtual-clock replay shows R's duty cycle exactly.
 	Telemetry *telemetry.Telemetry
+	// RecordTimeline keeps a Placement per start for Timeline. Only the
+	// replay's Fig. 6 capture sets it; every other scheduler records
+	// nothing.
+	RecordTimeline bool
 }
 
+// qMsg is one message in Q's inbox: a submission when job is set, else a
+// status sweep.
 type qMsg struct {
-	kind string // "submit" | "status"
 	job  *Job
 	cost time.Duration
 }
@@ -105,22 +109,35 @@ type Scheduler struct {
 	// jobs is indexed by JobID, which is dense from 1: the record of a
 	// pending or running job, nil once the job is terminal (or for ID 0).
 	// ended holds a retired job's terminal State, one byte per ID.
-	jobs         []*Job
-	ended        []uint8
-	inbox        []qMsg
-	pending      []*Job
-	rQueue       []*Job
-	qBusy        bool
-	rBusy        bool
+	jobs    []*Job
+	ended   []uint8
+	inbox   Ring[qMsg]
+	pending Ring[*Job]
+	rQueue  Ring[*Job]
+	// inboxSubmits counts the submissions in the inbox, which Counts and
+	// the queue-depth gauge report as queued.
+	inboxSubmits int
 	headBlocked  bool
 	rHeadBlocked bool
 	running      int
 	finished     int
+	record       bool
 	timeline     []Placement
 	onStart      func(*Job)
 	onFinish     func(*Job)
 	poll         *vclock.Ticker
 	closed       bool
+
+	// Q and R each have at most one continuation on the clock (qBusy,
+	// rBusy). Its job, placement and outcome wait here, and the
+	// continuations are method values bound once by New, so a step
+	// allocates nothing.
+	qBusy, rBusy              bool
+	qJob, rJob                *Job
+	qAlloc, rAlloc            cluster.Alloc
+	qOK, rOK                  bool
+	ingested, forwarded       func()
+	syncMatched, asyncMatched func()
 }
 
 // metrics are the scheduler's metric handles, resolved at their first events.
@@ -152,13 +169,15 @@ func New(clk vclock.Clock, cfg Config) (*Scheduler, error) {
 		tel:     tel,
 		jobs:    []*Job{nil},
 		ended:   []uint8{0},
+		record:  cfg.RecordTimeline,
 	}
+	s.ingested, s.forwarded = s.ingest, s.forward
+	s.syncMatched, s.asyncMatched = s.syncMatchDone, s.asyncMatchDone
 	if cfg.StatusPollEvery > 0 {
 		s.poll = vclock.NewTicker(clk, cfg.StatusPollEvery, func(time.Time) {
-			n := len(s.pending) + len(s.rQueue) + s.running
+			n := s.pending.Len() + s.rQueue.Len() + s.running
 			if n > 0 {
-				s.inbox = append(s.inbox, qMsg{kind: "status",
-					cost: time.Duration(n) * s.costs.StatusMsg})
+				s.inbox.PushBack(qMsg{cost: time.Duration(n) * s.costs.StatusMsg})
 				s.kickQ()
 			}
 		})
@@ -186,9 +205,10 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 		return nil, errors.New("sched: scheduler closed")
 	}
 	job := &Job{ID: JobID(len(s.jobs)), Req: req, State: Pending, SubmitTime: s.clk.Now()}
-	s.jobs = append(s.jobs, job)
-	s.ended = append(s.ended, 0)
-	s.inbox = append(s.inbox, qMsg{kind: "submit", job: job, cost: s.costs.SubmitMsg})
+	s.jobs = push(s.jobs, job)
+	s.ended = push(s.ended, 0)
+	s.inbox.PushBack(qMsg{job: job, cost: s.costs.SubmitMsg})
+	s.inboxSubmits++
 	s.m.submitted.Get(s.tel, "sched.submitted_total").Inc()
 	s.updateGauges()
 	s.kickQ()
@@ -200,8 +220,10 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 // begins the match — under a virtual clock this makes the trace an exact
 // picture of R's duty cycle.
 func (s *Scheduler) noteMatch(job *Job, visits int64, cost time.Duration, placed bool) {
-	s.tel.RecordSpan("sched", "match", s.clk.Now(), cost,
-		"job", int64(job.ID), "visits", visits, "placed", placed)
+	if s.tel.Tracing() { // boxing the arguments costs allocations
+		s.tel.RecordSpan("sched", "match", s.clk.Now(), cost,
+			"job", int64(job.ID), "visits", visits, "placed", placed)
+	}
 	s.m.matches.Get(s.tel, "sched.matches_total").Inc()
 	s.m.matchVisits.Get(s.tel, "sched.match_visits_total").Add(visits)
 	if !placed {
@@ -212,12 +234,7 @@ func (s *Scheduler) noteMatch(job *Job, visits int64, cost time.Duration, placed
 
 // updateGauges refreshes queue-depth and occupancy gauges.
 func (s *Scheduler) updateGauges() {
-	q := len(s.pending) + len(s.rQueue)
-	for _, m := range s.inbox {
-		if m.kind == "submit" {
-			q++
-		}
-	}
+	q := s.inboxSubmits + s.pending.Len() + s.rQueue.Len()
 	s.m.queueDepth.Get(s.tel, "sched.queue_depth").Set(float64(q))
 	s.m.running.Get(s.tel, "sched.running").Set(float64(s.running))
 	s.m.gpuOccupancy.Get(s.tel, "sched.gpu_occupancy_pct").Set(s.machine.GPUOccupancy() * 100)
@@ -230,21 +247,17 @@ func (s *Scheduler) kickQ() {
 		return
 	}
 	// Message handling has priority over forwarding/matching.
-	if len(s.inbox) > 0 {
-		msg := s.inbox[0]
-		s.inbox[0] = qMsg{} // a popped slot must not pin its job
-		s.inbox = s.inbox[1:]
+	if s.inbox.Len() > 0 {
+		msg := s.inbox.PopFront()
+		if msg.job != nil {
+			s.inboxSubmits--
+		}
 		s.qBusy = true
-		s.clk.After(msg.cost, func() {
-			if msg.kind == "submit" && msg.job.State == Pending {
-				s.pending = append(s.pending, msg.job)
-			}
-			s.qBusy = false
-			s.kickQ()
-		})
+		s.qJob = msg.job
+		s.clk.After(msg.cost, s.ingested)
 		return
 	}
-	if len(s.pending) == 0 {
+	if s.pending.Len() == 0 {
 		return
 	}
 	if s.mode == Sync {
@@ -252,18 +265,31 @@ func (s *Scheduler) kickQ() {
 		return
 	}
 	// Async: forward the head to R's queue and keep going.
-	job := s.pending[0]
-	s.pending[0] = nil
-	s.pending = s.pending[1:]
 	s.qBusy = true
-	s.clk.After(s.costs.SubmitMsg, func() {
-		if job.State == Pending {
-			s.rQueue = append(s.rQueue, job)
-		}
-		s.qBusy = false
-		s.kickR()
-		s.kickQ()
-	})
+	s.qJob = s.pending.PopFront()
+	s.clk.After(s.costs.SubmitMsg, s.forwarded)
+}
+
+// ingest completes Q's handling of one inbox message: a submission's job
+// joins the pending FIFO unless it was canceled meanwhile.
+func (s *Scheduler) ingest() {
+	if job := s.qJob; job != nil && job.State == Pending {
+		s.pending.PushBack(job)
+	}
+	s.qJob = nil
+	s.qBusy = false
+	s.kickQ()
+}
+
+// forward completes Q's forwarding of the pending head to R's queue.
+func (s *Scheduler) forward() {
+	if job := s.qJob; job.State == Pending {
+		s.rQueue.PushBack(job)
+	}
+	s.qJob = nil
+	s.qBusy = false
+	s.kickR()
+	s.kickQ()
 }
 
 // syncMatchHead performs one synchronous match with Q blocked for its
@@ -272,55 +298,69 @@ func (s *Scheduler) syncMatchHead() {
 	if s.headBlocked {
 		return // FCFS without backfilling: a blocked head stalls the queue
 	}
-	job := s.pending[0]
+	job := s.pending.Front()
 	s.qBusy = true
+	s.qJob = job
 	job.matching = true
-	alloc, visits, ok := s.matcher.Match(job.Req)
+	var visits int64
+	s.qAlloc, visits, s.qOK = s.matcher.Match(job.Req)
 	cost := time.Duration(visits) * s.costs.VertexVisit
-	s.noteMatch(job, visits, cost, ok)
-	s.clk.After(cost, func() {
-		job.matching = false
-		if ok {
-			s.pending[0] = nil
-			s.pending = s.pending[1:]
-			s.start(job, alloc)
-		} else {
-			s.headBlocked = true
-		}
-		s.qBusy = false
-		s.kickQ()
-		if ok && s.onStart != nil {
-			s.onStart(job)
-		}
-	})
+	s.noteMatch(job, visits, cost, s.qOK)
+	s.clk.After(cost, s.syncMatched)
+}
+
+// syncMatchDone lands the synchronous match: the head starts, or blocks the
+// queue until resources free up.
+func (s *Scheduler) syncMatchDone() {
+	job, alloc, ok := s.qJob, s.qAlloc, s.qOK
+	s.qJob, s.qAlloc = nil, cluster.Alloc{}
+	job.matching = false
+	if ok {
+		s.pending.PopFront()
+		s.start(job, alloc)
+	} else {
+		s.headBlocked = true
+	}
+	s.qBusy = false
+	s.kickQ()
+	if ok && s.onStart != nil {
+		s.onStart(job)
+	}
 }
 
 // kickR advances the matcher server (async mode).
 func (s *Scheduler) kickR() {
-	if s.rBusy || s.rHeadBlocked || len(s.rQueue) == 0 || s.closed {
+	if s.rBusy || s.rHeadBlocked || s.rQueue.Len() == 0 || s.closed {
 		return
 	}
-	job := s.rQueue[0]
+	job := s.rQueue.Front()
 	s.rBusy = true
+	s.rJob = job
 	job.matching = true
-	alloc, visits, ok := s.matcher.Match(job.Req)
+	var visits int64
+	s.rAlloc, visits, s.rOK = s.matcher.Match(job.Req)
 	cost := time.Duration(visits) * s.costs.VertexVisit
-	s.noteMatch(job, visits, cost, ok)
-	s.clk.After(cost, func() {
-		job.matching = false
-		if ok {
-			s.rQueue[0] = nil
-			s.rQueue = s.rQueue[1:]
-			s.start(job, alloc)
-		} else {
-			s.rHeadBlocked = true
-		}
-		s.rBusy = false
-		s.kickR()
-		if ok && s.onStart != nil {
-			s.onStart(job)
-		}
-	})
+	s.noteMatch(job, visits, cost, s.rOK)
+	s.clk.After(cost, s.asyncMatched)
+}
+
+// asyncMatchDone lands R's match: the head of R's queue starts, or blocks
+// R until resources free up.
+func (s *Scheduler) asyncMatchDone() {
+	job, alloc, ok := s.rJob, s.rAlloc, s.rOK
+	s.rJob, s.rAlloc = nil, cluster.Alloc{}
+	job.matching = false
+	if ok {
+		s.rQueue.PopFront()
+		s.start(job, alloc)
+	} else {
+		s.rHeadBlocked = true
+	}
+	s.rBusy = false
+	s.kickR()
+	if ok && s.onStart != nil {
+		s.onStart(job)
+	}
 }
 
 // start transitions a matched job to Running.
@@ -329,7 +369,9 @@ func (s *Scheduler) start(job *Job, alloc cluster.Alloc) {
 	job.StartTime = s.clk.Now()
 	job.Alloc = alloc
 	s.running++
-	s.timeline = append(s.timeline, Placement{Time: job.StartTime, Job: job.ID})
+	if s.record {
+		s.timeline = append(s.timeline, Placement{Time: job.StartTime, Job: job.ID})
+	}
 	s.m.started.Get(s.tel, "sched.started_total").Inc()
 	s.m.queueWaitMs.Get(s.tel, "sched.queue_wait_ms").
 		Observe(float64(job.StartTime.Sub(job.SubmitTime)) / float64(time.Millisecond))
@@ -419,23 +461,16 @@ func (s *Scheduler) Cancel(id JobID) bool {
 		return false
 	}
 	s.retire(job, Canceled)
-	s.pending = removeJob(s.pending, id)
-	s.rQueue = removeJob(s.rQueue, id)
+	isJob := func(j *Job) bool { return j.ID == id }
+	if !s.pending.Remove(isJob) {
+		s.rQueue.Remove(isJob)
+	}
 	s.m.canceled.Get(s.tel, "sched.canceled_total").Inc()
 	s.updateGauges()
 	if s.onFinish != nil {
 		s.onFinish(job)
 	}
 	return true
-}
-
-func removeJob(js []*Job, id JobID) []*Job {
-	for i, j := range js {
-		if j.ID == id {
-			return slices.Delete(js, i, i+1) // clears the vacated tail slot
-		}
-	}
-	return js
 }
 
 // Drain marks a node unschedulable (running jobs unaffected).
@@ -544,18 +579,13 @@ func (s *Scheduler) Job(id JobID) (Job, bool) {
 // Counts returns (queued, running, finished) job counts. Queued includes
 // jobs in Q's inbox, the pending FIFO, and R's queue.
 func (s *Scheduler) Counts() (queued, running, finished int) {
-	q := len(s.pending) + len(s.rQueue)
-	for _, m := range s.inbox {
-		if m.kind == "submit" {
-			q++
-		}
-	}
-	return q, s.running, s.finished
+	return s.inboxSubmits + s.pending.Len() + s.rQueue.Len(), s.running, s.finished
 }
 
-// Timeline hands over the placement history (Fig. 6 series) and forgets
-// it, so a closed scheduler that late events still reach does not pin it:
-// a later call returns only the placements made since.
+// Timeline hands over the placement history (Fig. 6 series) of a scheduler
+// built with Config.RecordTimeline, nil for any other, and forgets it, so a
+// closed scheduler that late events still reach does not pin it: a later
+// call returns only the placements made since.
 func (s *Scheduler) Timeline() []Placement {
 	tl := s.timeline
 	s.timeline = nil

@@ -354,7 +354,7 @@ func TestSyncSlowerThanAsyncUnderLoad(t *testing.T) {
 		clk := vclock.NewVirtual(epoch)
 		m, _ := cluster.New(cluster.Summit(40))
 		s, _ := New(clk, Config{Machine: m, Policy: policy, Mode: mode,
-			StatusPollEvery: 10 * time.Minute})
+			StatusPollEvery: 10 * time.Minute, RecordTimeline: true})
 		const jobs = 240 // machine holds exactly 240 GPU jobs
 		for i := 0; i < jobs; i++ {
 			s.Submit(gpuJob(0))
@@ -380,7 +380,9 @@ func TestSyncSlowerThanAsyncUnderLoad(t *testing.T) {
 }
 
 func TestCountsAndTimeline(t *testing.T) {
-	clk, s := newSched(t, 1, FirstMatch, Async)
+	clk := vclock.NewVirtual(epoch)
+	m, _ := cluster.New(cluster.Summit(1))
+	s, _ := New(clk, Config{Machine: m, Policy: FirstMatch, Mode: Async, RecordTimeline: true})
 	for i := 0; i < 8; i++ { // 6 fit, 2 queue
 		s.Submit(gpuJob(0))
 	}
@@ -397,6 +399,15 @@ func TestCountsAndTimeline(t *testing.T) {
 		if tl[i].Time.Before(tl[i-1].Time) {
 			t.Error("timeline out of order")
 		}
+	}
+	// Without RecordTimeline the same run records nothing.
+	clk, s = newSched(t, 1, FirstMatch, Async)
+	for i := 0; i < 8; i++ {
+		s.Submit(gpuJob(0))
+	}
+	clk.RunFor(time.Minute)
+	if _, running, _ := s.Counts(); running != 6 || s.Timeline() != nil {
+		t.Errorf("unrecorded scheduler: %d running, timeline %v", running, s.Timeline())
 	}
 }
 
@@ -470,6 +481,7 @@ func TestStatusPollLoadCreatesPlacementGaps(t *testing.T) {
 				VertexVisit: 2 * time.Millisecond,   // slow exhaustive matches
 			},
 			StatusPollEvery: 5 * time.Minute,
+			RecordTimeline:  true,
 		})
 		for i := 0; i < 180; i++ {
 			s.Submit(gpuJob(0))
@@ -652,8 +664,8 @@ func TestAutoCompleteRacesManualFail(t *testing.T) {
 
 // TestQueuesReleasePoppedJobs: a job popped from Q's inbox, the pending
 // FIFO or R's queue must not stay reachable from that queue's backing
-// array. Each queue is captured while it holds jobs and checked once they
-// have all left it, with no append in between to move the array.
+// array. Each ring's array is captured while it holds jobs and checked once
+// they have all left it, with no push in between to grow the array.
 func TestQueuesReleasePoppedJobs(t *testing.T) {
 	// Async, one node: eight submissions queue in the inbox, gather in the
 	// pending FIFO (messages have priority over forwarding, so the first is
@@ -668,14 +680,14 @@ func TestQueuesReleasePoppedJobs(t *testing.T) {
 		}
 		jobs = append(jobs, j)
 	}
-	inbox := s.inbox // the first submission was popped on arrival
-	for len(s.pending) < 7 && clk.Step() {
+	inbox, nInbox := s.inbox.buf, s.inbox.Len() // the first submission was popped on arrival
+	for s.pending.Len() < 7 && clk.Step() {
 	}
-	pending := s.pending
+	pending, nPending := s.pending.buf, s.pending.Len()
 	clk.RunFor(time.Minute)
-	rQueue := s.rQueue
-	if len(inbox) != 7 || len(pending) != 7 || len(rQueue) != 2 {
-		t.Fatalf("captured %d inbox, %d pending, %d R-queue jobs, want 7, 7, 2", len(inbox), len(pending), len(rQueue))
+	rQueue, nRQueue := s.rQueue.buf, s.rQueue.Len()
+	if nInbox != 7 || nPending != 7 || nRQueue != 2 {
+		t.Fatalf("captured %d inbox, %d pending, %d R-queue jobs, want 7, 7, 2", nInbox, nPending, nRQueue)
 	}
 	for _, j := range jobs[:2] {
 		if err := s.Complete(j.ID); err != nil {
@@ -710,9 +722,9 @@ func TestQueuesReleasePoppedJobs(t *testing.T) {
 		jobs = append(jobs, j)
 	}
 	clk.RunFor(time.Minute)
-	pending = s.pending
-	if len(pending) != 2 {
-		t.Fatalf("sync: %d pending, want 2", len(pending))
+	pending = s.pending.buf
+	if n := s.pending.Len(); n != 2 {
+		t.Fatalf("sync: %d pending, want 2", n)
 	}
 	for _, j := range jobs[:2] {
 		if err := s.Complete(j.ID); err != nil {

@@ -376,9 +376,10 @@ func (f *Fleet) Crash(idx int) (CrashInfo, error) {
 	inst.alive = false
 	f.acc.Crashes++
 	f.crashes.Get(f.tel, "wmfleet.wm_crashes_total").Inc()
-	now := f.cfg.Clock.Now()
-	f.tel.RecordSpan("wmfleet", "crash", now, 0,
-		"instance", idx, "couplings", len(info.Couplings))
+	if f.tel.Tracing() { // boxing the arguments costs allocations
+		f.tel.RecordSpan("wmfleet", "crash", f.cfg.Clock.Now(), 0,
+			"instance", idx, "couplings", len(info.Couplings))
+	}
 	return info, nil
 }
 
@@ -486,8 +487,10 @@ func (f *Fleet) adopt(inst *instance, name string) {
 	f.terms[name] = term
 	f.acc.Adoptions++
 	f.adoptions.Get(f.tel, "wmfleet.wm_adoptions_total").Inc()
-	f.tel.RecordSpan("wmfleet", "adopt", start, f.cfg.Clock.Now().Sub(start),
-		"coupling", name, "instance", inst.idx, "term", term)
+	if f.tel.Tracing() { // boxing the arguments costs allocations
+		f.tel.RecordSpan("wmfleet", "adopt", start, f.cfg.Clock.Now().Sub(start),
+			"coupling", name, "instance", inst.idx, "term", term)
+	}
 	f.event(fmt.Sprintf("wm-adopt coupling=%s instance=%d term=%d", name, inst.idx+1, term))
 }
 

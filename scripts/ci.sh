@@ -122,6 +122,13 @@ test -z "$(grep -rn 'sort\.Slice' internal/campaign --include='*.go' --exclude='
 # a table of every job ever submitted grew, so non-test internal/sched
 # declares none.
 test -z "$(grep -rnE 'map\[(sched\.)?JobID\]' internal/sched --include='*.go' --exclude='*_test.go')"
+# A job costs what it holds (DESIGN.md "Per-allocation state"): every job
+# queue of the scheduler, the conductor and the workflow is a sched.Ring,
+# which reuses its array. Popping a slice by re-slicing its front throws the
+# array away on every refill, so non-test internal/sched, internal/maestro
+# and internal/core do none, and core's own deque type stays gone.
+test -z "$(grep -rnE '=[[:space:]]*[[:alnum:]_.]+\[1:\]' internal/sched internal/maestro internal/core --include='*.go' --exclude='*_test.go')"
+test -z "$(grep -rn 'type pointDeque' --include='*.go' .)"
 # The virtual clock has one pending structure, the four-ary heap (DESIGN.md
 # §11): no same-timestamp drain batch, paged index or ID map beside it.
 test -z "$(grep -rnE 'batch|eventPage|indexTake|map\[EventID\]\*event' internal/vclock --include='*.go' --exclude='*_test.go')"
