@@ -370,7 +370,6 @@ func runContinuum(args []string) (err error) {
 	proteins := fs.Int("proteins", 30, "protein count")
 	us := fs.Float64("us", 2, "simulated time to advance (µs)")
 	seed := fs.Int64("seed", 1, "seed")
-	workers := fs.Int("workers", 0, "parallel stripes (0 = all cores)")
 	out := fs.String("out", "snapshot.gs2d", "output snapshot file")
 	fs.Parse(args)
 
@@ -378,7 +377,7 @@ func runContinuum(args []string) (err error) {
 	cfg.GridN = *grid
 	cfg.Proteins = *proteins
 	cfg.Seed = *seed
-	s, err := continuum.NewParallel(cfg, *workers)
+	s, err := continuum.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -395,8 +394,8 @@ func runContinuum(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("continuum: advanced %v on %d workers; snapshot %s (%s, %d species, %d proteins)\n",
-		s.Time(), s.Workers(), *out, units.ByteSize(n), len(snap.Fields), len(snap.Protein))
+	fmt.Printf("continuum: advanced %v; snapshot %s (%s, %d species, %d proteins)\n",
+		s.Time(), *out, units.ByteSize(n), len(snap.Fields), len(snap.Protein))
 	return nil
 }
 

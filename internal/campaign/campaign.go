@@ -667,6 +667,8 @@ func appendZeroPadded(buf []byte, v int64, width int) []byte {
 	return append(buf, digits...)
 }
 
+// continuumSnapshotBytes is one GridSim2D snapshot on disk: "∼374 MB" in
+// its custom binary format (§4.1(1)).
 const continuumSnapshotBytes = 374_000_000
 
 // couplings declares one run's coupling list: a single builder over a table

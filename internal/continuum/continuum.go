@@ -19,6 +19,7 @@ import (
 	"math"
 	"math/rand"
 
+	"mummi/internal/parallel"
 	"mummi/internal/units"
 )
 
@@ -186,20 +187,26 @@ func (s *Sim) Step(dt units.SimTime) {
 }
 
 // diffuse applies one explicit 5-point diffusion step plus protein-coupled
-// accretion to every species field.
+// accretion to every species field. GridSim2D decomposes its grid over MPI
+// ranks (§4.1(1)); here the rows split into contiguous stripes over
+// parallel.For. Each stripe writes only its own rows of next and reads the
+// current field, halo rows included, so every worker count gives the same
+// field; the return of parallel.For is the barrier a halo exchange implies.
 func (s *Sim) diffuse() {
 	n := s.cfg.GridN
 	const kappa = 0.2 // diffusion number, stable for the 5-point stencil
 	for sp, f := range s.fields {
 		next := make([]float32, len(f))
-		for y := 0; y < n; y++ {
-			ym, yp := (y-1+n)%n, (y+1)%n
-			for x := 0; x < n; x++ {
-				xm, xp := (x-1+n)%n, (x+1)%n
-				lap := f[y*n+xm] + f[y*n+xp] + f[ym*n+x] + f[yp*n+x] - 4*f[y*n+x]
-				next[y*n+x] = f[y*n+x] + kappa*lap
+		parallel.For(n, parallel.Workers(0), 1, func(lo, hi int) {
+			for y := lo; y < hi; y++ {
+				ym, yp := (y-1+n)%n, (y+1)%n
+				for x := 0; x < n; x++ {
+					xm, xp := (x-1+n)%n, (x+1)%n
+					lap := f[y*n+xm] + f[y*n+xp] + f[ym*n+x] + f[yp*n+x] - 4*f[y*n+x]
+					next[y*n+x] = f[y*n+x] + kappa*lap
+				}
 			}
-		}
+		})
 		s.fields[sp] = next
 		// Protein-coupled accretion: proteins pull lipids they couple to
 		// toward their grid cell, creating the "lipid fingerprints" the

@@ -161,7 +161,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalSnapshot(b)
+	got, err := ReadSnapshot(bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,30 +185,22 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotDecodeErrors(t *testing.T) {
-	if _, err := UnmarshalSnapshot(nil); err == nil {
+	if _, err := ReadSnapshot(bytes.NewReader(nil)); err == nil {
 		t.Error("empty snapshot decoded")
 	}
-	if _, err := UnmarshalSnapshot([]byte("XXXXGARBAGE")); err == nil {
+	if _, err := ReadSnapshot(bytes.NewReader([]byte("XXXXGARBAGE"))); err == nil {
 		t.Error("bad magic decoded")
 	}
 	s, _ := New(small())
 	b, _ := s.Snapshot().Marshal()
-	if _, err := UnmarshalSnapshot(b[:len(b)-100]); err == nil {
+	if _, err := ReadSnapshot(bytes.NewReader(b[:len(b)-100])); err == nil {
 		t.Error("truncated snapshot decoded")
 	}
 	// Corrupt the version.
 	bad := bytes.Clone(b)
 	bad[4] = 99
-	if _, err := UnmarshalSnapshot(bad); err == nil {
+	if _, err := ReadSnapshot(bytes.NewReader(bad)); err == nil {
 		t.Error("bad version decoded")
-	}
-}
-
-func TestFullScaleSnapshotSizeMatchesPaper(t *testing.T) {
-	// §4.1(1): "when stored in a custom binary format, consumes ∼374 MB".
-	got := FullScaleSnapshotSize()
-	if got < 300*units.MB || got > 450*units.MB {
-		t.Errorf("full-scale snapshot = %v, want ~374 MB", got)
 	}
 }
 

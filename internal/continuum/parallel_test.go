@@ -1,151 +1,60 @@
 package continuum
 
 import (
+	"runtime"
 	"testing"
-	"testing/quick"
 
 	"mummi/internal/units"
 )
 
+// TestParallelMatchesSerialExactly steps the model on 1 worker and on 2, 3,
+// 5 and 7, which split the 32 rows of small() unevenly, and requires every
+// field cell and protein to match bit for bit. diffuse sizes its fan-out
+// from GOMAXPROCS, so that is what each run pins.
 func TestParallelMatchesSerialExactly(t *testing.T) {
 	cfg := small()
-	serial, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	run := func(workers int) *Sim {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 3; step++ {
+			s.Step(1 * units.Microsecond)
+		}
+		return s
 	}
-	par, err := NewParallel(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := 0; step < 3; step++ {
-		serial.Step(1 * units.Microsecond)
-		par.Step(1 * units.Microsecond)
-	}
-	if serial.Time() != par.Time() {
-		t.Fatalf("times diverged: %v vs %v", serial.Time(), par.Time())
-	}
-	for sp := 0; sp < cfg.Species(); sp++ {
-		for y := 0; y < cfg.GridN; y++ {
-			for x := 0; x < cfg.GridN; x++ {
-				a, b := serial.Density(sp, x, y), par.Density(sp, x, y)
-				if a != b {
-					t.Fatalf("field %d cell (%d,%d): serial %v, parallel %v", sp, x, y, a, b)
+	serial := run(1)
+	for _, workers := range []int{2, 3, 5, 7} {
+		par := run(workers)
+		if serial.Time() != par.Time() {
+			t.Fatalf("workers=%d: times diverged: %v vs %v", workers, serial.Time(), par.Time())
+		}
+		for sp := 0; sp < cfg.Species(); sp++ {
+			for y := 0; y < cfg.GridN; y++ {
+				for x := 0; x < cfg.GridN; x++ {
+					if a, b := serial.Density(sp, x, y), par.Density(sp, x, y); a != b {
+						t.Fatalf("workers=%d: field %d cell (%d,%d): serial %v, parallel %v", workers, sp, x, y, a, b)
+					}
 				}
 			}
 		}
-	}
-	sp, pp := serial.Proteins(), par.Proteins()
-	for i := range sp {
-		if sp[i] != pp[i] {
-			t.Fatalf("protein %d diverged: %+v vs %+v", i, sp[i], pp[i])
-		}
-	}
-}
-
-func TestParallelWorkerClamping(t *testing.T) {
-	cfg := small() // GridN 32 → stripe limit 16
-	p, err := NewParallel(cfg, 999)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Workers() > 16 {
-		t.Errorf("workers = %d, want <= GridN/2", p.Workers())
-	}
-	p0, err := NewParallel(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p0.Workers() < 1 {
-		t.Errorf("auto workers = %d", p0.Workers())
-	}
-	if _, err := NewParallel(Config{GridN: 2}, 1); err == nil {
-		t.Error("invalid config accepted")
-	}
-}
-
-func TestStripesPartition(t *testing.T) {
-	f := func(nRaw, wRaw uint8) bool {
-		n := 1 + int(nRaw)%200
-		w := 1 + int(wRaw)%16
-		if w > n {
-			w = n
-		}
-		ss := stripes(n, w)
-		if len(ss) != w {
-			return false
-		}
-		row := 0
-		for _, s := range ss {
-			if s.lo != row || s.hi < s.lo {
-				return false
+		sp, pp := serial.Proteins(), par.Proteins()
+		for i := range sp {
+			if sp[i] != pp[i] {
+				t.Fatalf("workers=%d: protein %d diverged: %+v vs %+v", workers, i, sp[i], pp[i])
 			}
-			row = s.hi
 		}
-		return row == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
-func TestPlanRanksPaperOperatingPoint(t *testing.T) {
-	// 3600 ranks on the 2400² grid: a 60×60 processor grid, 40×40 subgrids.
-	l, err := PlanRanks(3600, 2400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Ranks() != 3600 {
-		t.Errorf("Ranks = %d", l.Ranks())
-	}
-	if l.Px != 60 || l.Py != 60 {
-		t.Errorf("grid = %dx%d, want 60x60", l.Px, l.Py)
-	}
-	if l.SubgridCells() != 1600 {
-		t.Errorf("subgrid = %d cells", l.SubgridCells())
-	}
-	// Surface-to-volume: 160 halo cells / 1600 owned = 0.1 — compute-bound.
-	if r := l.CommToComputeRatio(); r < 0.05 || r > 0.15 {
-		t.Errorf("comm/compute = %v", r)
-	}
-}
-
-func TestPlanRanksErrors(t *testing.T) {
-	if _, err := PlanRanks(0, 100); err == nil {
-		t.Error("zero ranks accepted")
-	}
-	if _, err := PlanRanks(7, 2); err == nil {
-		t.Error("7 ranks on a 2-grid accepted (1x7 cannot tile)")
-	}
-	// A prime rank count still plans (1×p) when it fits.
-	l, err := PlanRanks(7, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Ranks() != 7 {
-		t.Errorf("Ranks = %d", l.Ranks())
-	}
-}
-
-func BenchmarkSerialStep(b *testing.B) {
-	cfg := DefaultConfig()
-	s, err := New(cfg)
+func BenchmarkStep(b *testing.B) {
+	s, err := New(DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step(100 * units.Nanosecond) // one diffusion sub-step
-	}
-}
-
-func BenchmarkParallelStep(b *testing.B) {
-	cfg := DefaultConfig()
-	s, err := NewParallel(cfg, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step(100 * units.Nanosecond)
 	}
 }

@@ -144,23 +144,9 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	return s, nil
 }
 
-// UnmarshalSnapshot decodes from a byte slice.
-func UnmarshalSnapshot(b []byte) (*Snapshot, error) {
-	return ReadSnapshot(bytes.NewReader(b))
-}
-
-// EstimatedSize returns the serialized size in bytes without serializing —
-// the campaign's data-volume ledger uses this for full-scale (2400²)
-// snapshots that are never materialized.
+// EstimatedSize returns the serialized size in bytes without serializing.
 func (s *Snapshot) EstimatedSize() units.ByteSize {
 	n := 4 + 6*8 + len(s.Protein)*32
 	n += len(s.Fields) * s.GridN * s.GridN * 4
 	return units.ByteSize(n)
-}
-
-// FullScaleSnapshotSize returns the on-disk size of a paper-scale snapshot
-// (2400² grid, 14 species): ~374 MB, matching §4.1(1).
-func FullScaleSnapshotSize() units.ByteSize {
-	s := Snapshot{GridN: 2400, Fields: make([][]float32, 14)}
-	return units.ByteSize(4+6*8) + units.ByteSize(len(s.Fields)*2400*2400*4)
 }

@@ -82,7 +82,7 @@ func (c *CouplingSpec) validate() error {
 
 // Config assembles a Workflow.
 type Config struct {
-	Clock     vclock.Clock
+	Clock     *vclock.Virtual
 	Conductor *maestro.Conductor
 	Couplings []CouplingSpec
 	// PollEvery is the job-scan cadence ("the WM regularly scans all
@@ -212,7 +212,7 @@ type couplingMetrics struct {
 // use: event order on the goroutine that drives the clock stands in for the
 // paper's locking (DESIGN.md §6).
 type Workflow struct {
-	clk  vclock.Clock
+	clk  *vclock.Virtual
 	cond *maestro.Conductor
 	rng  *rand.Rand
 	tel  *telemetry.Telemetry

@@ -76,7 +76,10 @@ import (
 //     top, refreshes it if stale, and re-sifts; the first fresh element to
 //     surface is exactly the argmax the serial full-rescan picked,
 //     tie-broken identically by ID. k selections cost O(k log n) plus the
-//     unavoidable incremental distance work, instead of O(k·n).
+//     unavoidable incremental distance work, instead of O(k·n). A pick that
+//     keeps surfacing stale roots (a cold burst, many selections since the
+//     last sweep) falls back to Update's whole-store refresh and one
+//     heapify, then continues lazily.
 //
 // The queue is capped (35,000 in the paper's patch queues); beyond the cap
 // the lowest-ranked (least novel) candidate is evicted.
@@ -93,14 +96,10 @@ type FarthestPoint struct {
 	dist2   []float64 // cached min *squared* distance to sel[0:seenSel[s]]
 	seenSel []int32
 
-	// Index max-heap over slots under (dist2 desc, ID asc). When heapDirty
-	// is set the ordering invariant is suspended and h/heapPos degrade to a
-	// plain membership index: cold bursts pick via streaming argmax passes
-	// (pickEager) where per-pick sift maintenance would be wasted work, and
-	// the next Update heapifies once to re-enter lazy mode.
-	h         []int32 // heap position → slot
-	heapPos   []int32 // slot → heap position
-	heapDirty bool
+	// Index max-heap over slots under (dist2 desc, ID asc); the arrivals on
+	// the dirty list wait unsifted at its tail.
+	h       []int32 // heap position → slot
+	heapPos []int32 // slot → heap position
 
 	// Dirty-set staleness tracking. Every slot whose cached rank may be
 	// stale is either listed in dirty (new arrivals, appended in creation
@@ -234,9 +233,7 @@ func (f *FarthestPoint) heapInit() {
 	}
 }
 
-// heapRemoveAt removes the heap entry at position pos. While the heap is
-// dirty there is no ordering to restore, so removal is a plain
-// swap-with-last.
+// heapRemoveAt removes the heap entry at position pos.
 func (f *FarthestPoint) heapRemoveAt(pos int) {
 	last := len(f.h) - 1
 	if pos != last {
@@ -244,7 +241,7 @@ func (f *FarthestPoint) heapRemoveAt(pos int) {
 		f.heapPos[f.h[pos]] = int32(pos)
 	}
 	f.h = f.h[:last]
-	if pos < last && !f.heapDirty {
+	if pos < last {
 		if !f.down(pos) {
 			f.up(pos)
 		}
@@ -267,7 +264,7 @@ func (f *FarthestPoint) newSlot(p Point) {
 	f.h = append(f.h, s)
 	if f.nsel > 0 {
 		f.dirty = append(f.dirty, s)
-	} else if !f.heapDirty {
+	} else {
 		f.up(len(f.h) - 1)
 	}
 }
@@ -337,59 +334,23 @@ func (f *FarthestPoint) siftArrivals() {
 	f.dirty = f.dirty[:0]
 }
 
-// pickEager returns the argmax slot under (fresh dist2 desc, ID asc) in one
-// fused streaming pass — no heap maintenance. It is the cold-burst
-// complement to the lazy heap: when most of the queue is stale, surfacing
-// contenders one at a time through the root costs a log-depth sift per
-// refresh, while one pass streams the flat rank arrays once. The heap stays
-// dirty afterwards (Select marks it); the next Update heapifies once.
-//
-// The pass exploits the upper-bound invariant twice. A slot whose *cached*
-// rank does not beat the running champion's *fresh* rank is screened out
-// without refreshing (its fresh rank can only be lower still, and on an
-// exact tie the ID order is already decided by the cached comparison) —
-// stale ranks go only downward, so typically just the few prefix-maxima of
-// the scan refresh, and everything else costs two sequential loads. Slots
-// that survive the screen are refreshed. Skipped slots stay stale; the exact
-// catch-up happens in the next Update.
-//
-// Each chunk computes its local argmax; the cross-chunk reduce runs on the
-// calling goroutine in chunk order. Which slots refresh varies with chunk
-// boundaries, but refreshed values themselves never do, and because
-// (dist2 desc, ID asc) is a total order over slots the extremum is unique
-// and grouping-invariant — the same slot wins for every worker count, which
-// is all the determinism contract promises (selection sequences, not cache
-// residue; Update canonicalizes the caches).
-func (f *FarthestPoint) pickEager() int32 {
-	n := f.nsel
-	f.rankArrivals(n)
-	f.dirty = f.dirty[:0]
-	rows := f.selRows
-	nc := len(f.ids)
-	w, mc := parallel.Workers(f.workers), minChunk(n-f.sweptSel)
-	best := make([]int32, parallel.Chunks(nc, w, mc))
-	parallel.ForChunk(nc, w, mc, func(chunk, lo, hi int) {
-		b := int32(-1)
+// refreshAll brings every slot's rank up to date and re-heapifies once:
+// every rank may have shrunk since the last selection, so the whole store is
+// walked. The arrival list must already be ranked (rankArrivals); once it
+// is, what is left costs at most nsel-sweptSel rows a slot.
+func (f *FarthestPoint) refreshAll() {
+	n, rows := f.nsel, f.selRows
+	parallel.For(len(f.ids), parallel.Workers(f.workers), minChunk(n-f.sweptSel), func(lo, hi int) {
 		for s := int32(lo); s < int32(hi); s++ {
-			if b >= 0 && !f.heapAbove(s, b) {
-				continue // upper bound can't beat the champion, fresh won't either
-			}
 			if int(f.seenSel[s]) < n {
 				f.refreshSlot(s, n, rows)
 			}
-			if b < 0 || f.heapAbove(s, b) {
-				b = s
-			}
 		}
-		best[chunk] = b
 	})
-	b := best[0]
-	for _, c := range best[1:] {
-		if f.heapAbove(c, b) {
-			b = c
-		}
-	}
-	return b
+	f.allDirty = false
+	f.sweptSel = n
+	f.dirty = f.dirty[:0]
+	f.heapInit()
 }
 
 // ---------------------------------------------------------------------------
@@ -514,49 +475,27 @@ func nthKey(keys []uint64, k int) uint64 {
 // sees the same arrays either way. The workers are joined before Update
 // returns.
 func (f *FarthestPoint) Update() {
-	n := f.nsel
 	if !f.allDirty && len(f.dirty) == 0 {
-		// Nothing is stale; at most a burst left the heap unordered.
-		if f.heapDirty {
-			f.heapInit()
-			f.heapDirty = false
-		}
 		return
 	}
 	var start time.Time
 	if f.tel != nil {
 		start = f.tel.Now()
 	}
-	f.rankArrivals(n)
-	ranked, sweep := len(f.dirty), f.allDirty
-	if sweep {
-		// A selection happened since the last refresh: every rank may have
-		// shrunk, so sweep the whole store and re-heapify once. With the
-		// arrivals ranked, what is left costs at most n-sweptSel rows a slot.
-		rows := f.selRows
-		parallel.For(len(f.ids), parallel.Workers(f.workers), minChunk(n-f.sweptSel), func(lo, hi int) {
-			for s := int32(lo); s < int32(hi); s++ {
-				if int(f.seenSel[s]) < n {
-					f.refreshSlot(s, n, rows)
-				}
-			}
-		})
+	f.rankArrivals(f.nsel)
+	ranked := len(f.dirty)
+	if f.allDirty {
+		// A selection happened since the last refresh.
+		f.refreshAll()
 		ranked = len(f.ids)
-		f.allDirty = false
-		f.sweptSel = n
-	}
-	if f.tel != nil {
-		f.tel.RecordSpan("dynim", "rank_refresh", start, f.tel.Now().Sub(start),
-			"candidates", ranked)
-	}
-	if sweep || f.heapDirty {
-		f.dirty = f.dirty[:0]
-		f.heapInit()
-		f.heapDirty = false
 	} else {
 		// Between selections only the arrivals were stale: sift just those
 		// back into place and leave the rest of the heap untouched.
 		f.siftArrivals()
+	}
+	if f.tel != nil {
+		f.tel.RecordSpan("dynim", "rank_refresh", start, f.tel.Now().Sub(start),
+			"candidates", ranked)
 	}
 }
 
@@ -572,45 +511,25 @@ func (f *FarthestPoint) Select(n int) []Point {
 	}
 	var out []Point
 	for len(out) < n && len(f.h) > 0 {
-		// Lazy pick with an eager fallback. While the heap is ordered, rank
-		// the arrivals across the workers, then surface the argmax by
-		// refreshing stale roots one log-depth sift at a time; if a single
-		// pick churns past the limit (a mostly-stale queue — cold burst,
-		// many selections since the last sweep), switch to the fused
-		// streaming argmax and leave the heap dirty so the rest of the burst
-		// skips sift maintenance entirely. Both paths refresh to the exact
-		// same values and apply the same (distance, ID) total order, so the
-		// selection sequence is unchanged.
-		var s int32
-		if f.heapDirty {
-			s = f.pickEager()
-		} else {
-			nSel := f.nsel
-			f.rankArrivals(nSel)
-			f.siftArrivals()
-			rows := f.selRows
-			refreshed, limit := 0, len(f.h)/256+32
-			lazy := true
-			for {
-				top := f.h[0]
-				if int(f.seenSel[top]) == nSel {
-					break
-				}
-				if refreshed >= limit {
-					lazy = false
-					break
-				}
-				f.refreshSlot(top, nSel, rows)
-				f.down(0)
-				refreshed++
+		// Rank the arrivals across the workers, then surface the argmax by
+		// refreshing stale roots one log-depth sift at a time. If the pick
+		// churns past the limit (a mostly-stale queue — cold burst, many
+		// selections since the last sweep), one whole-store refresh and
+		// heapify is cheaper than the rest of the sifts; every root is then
+		// fresh. Both refresh to the same values, so the pick is the same.
+		nSel := f.nsel
+		f.rankArrivals(nSel)
+		f.siftArrivals()
+		rows := f.selRows
+		for refreshed, limit := 0, len(f.h)/256+32; int(f.seenSel[f.h[0]]) < nSel; refreshed++ {
+			if refreshed == limit {
+				f.refreshAll()
+				break
 			}
-			if lazy {
-				s = f.h[0]
-			} else {
-				f.heapDirty = true
-				s = f.pickEager()
-			}
+			f.refreshSlot(f.h[0], nSel, rows)
+			f.down(0)
 		}
+		s := f.h[0]
 		f.heapRemoveAt(int(f.heapPos[s]))
 		id := f.ids[s]
 		coords := append([]float64(nil), f.coords[int(s)*f.dim:int(s+1)*f.dim]...)

@@ -142,8 +142,8 @@ func checkOracle(t *testing.T, f *FarthestPoint, o *oracleFPS, where string) {
 
 // checkHeap asserts the index heap's invariants: h and heapPos are inverse
 // over the live slots; the arrivals on the dirty list are the heap's tail,
-// in creation order; and while the heap is not dirty no entry sorts above
-// its parent, except those arrivals, which wait unsifted until ranked.
+// in creation order; and no entry sorts above its parent, except those
+// arrivals, which wait unsifted until ranked.
 func checkHeap(t *testing.T, f *FarthestPoint) {
 	t.Helper()
 	if len(f.h) != len(f.ids) || len(f.heapPos) != len(f.ids) {
@@ -159,7 +159,7 @@ func checkHeap(t *testing.T, f *FarthestPoint) {
 		if int(f.heapPos[s]) != i {
 			t.Fatalf("h[%d] = slot %d, but heapPos[%d] = %d", i, s, s, f.heapPos[s])
 		}
-		if parent := (i - 1) / 2; i > 0 && i < tail && !f.heapDirty && f.heapAbove(s, f.h[parent]) {
+		if parent := (i - 1) / 2; i > 0 && i < tail && f.heapAbove(s, f.h[parent]) {
 			t.Fatalf("heap position %d (%s, %v) sorts above its parent %d (%s, %v)",
 				i, f.ids[s], f.dist2[s], parent, f.ids[f.h[parent]], f.dist2[f.h[parent]])
 		}
@@ -167,7 +167,7 @@ func checkHeap(t *testing.T, f *FarthestPoint) {
 }
 
 // TestPropertyFPSMatchesOracle fuzzes the full engine — dirty-set refresh,
-// lazy heap, eager fallback, batched eviction — against the from-scratch
+// lazy heap, sweep fallback, batched eviction — against the from-scratch
 // oracle: every selection, and after every operation the queued and taken
 // IDs, must match, unbounded and at capacities small enough that the victim
 // set decides what is left to select, and the heap invariants must hold

@@ -197,8 +197,11 @@ func testCampaignTrafficMatchesSerial(t *testing.T) {
 }
 
 // TestArrivalBurstIsNotChurn: arrivals are ranked before the lazy pick
-// starts counting, so a burst of them larger than the churn limit no longer
-// pushes the pick onto the streaming path and the heap stays ordered.
+// starts counting, so a burst of them larger than the churn limit does not
+// push the pick into the whole-store sweep. The 20 slots queued before the
+// burst are all stale at the pick and all sort above it, but they are fewer
+// than the limit: only the burst could make the pick churn past it. Nothing
+// but the sweep advances sweptSel between Updates, and no Update runs here.
 func TestArrivalBurstIsNotChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	fp := NewFarthestPoint(3, 0)
@@ -212,9 +215,8 @@ func TestArrivalBurstIsNotChurn(t *testing.T) {
 			next++
 		}
 	}
-	add(300)
+	add(20)
 	fp.Select(1)
-	fp.Update()
 	burst := 4 * (len(fp.h)/256 + 32)
 	add(burst)
 	if len(fp.dirty) != burst {
@@ -223,8 +225,81 @@ func TestArrivalBurstIsNotChurn(t *testing.T) {
 	if len(fp.Select(1)) != 1 {
 		t.Fatal("empty selection")
 	}
-	if fp.heapDirty {
-		t.Error("a burst of arrivals pushed Select onto the streaming path")
+	if fp.sweptSel != 0 {
+		t.Error("a burst of arrivals pushed Select into the whole-store sweep")
+	}
+}
+
+// sweepRun is what TestChurnFallsBackToSweep compares across worker counts.
+type sweepRun struct {
+	selected []string
+	dist2    []uint64 // math.Float64bits, so the comparison is bitwise
+	seenSel  []int32
+}
+
+// TestChurnFallsBackToSweep drives the cold traffic that churns a lazy pick
+// past its limit — Select(8) on 10,000 candidates, whose second pick finds
+// every rank +Inf, then a burst of arrivals and Select(8) again — and holds
+// every pick to the oracle and the rank caches to the serial run for every
+// worker count. With no Update called, a sweptSel that advanced in the first
+// Select shows that it fell back to the sweep; the picks after the sweep, and
+// the second Select, are lazy again.
+func TestChurnFallsBackToSweep(t *testing.T) {
+	withGoBody(t, testChurnFallsBackToSweep)
+}
+
+func testChurnFallsBackToSweep(t *testing.T) {
+	const dim, cold, burst = 9, 10000, 2000
+	run := func(workers int) sweepRun {
+		rng := rand.New(rand.NewSource(11))
+		fp := NewFarthestPoint(dim, 0)
+		fp.SetWorkers(workers)
+		oracle := newOracleFPS(0)
+		next := 0
+		add := func(n int) {
+			for ; n > 0; n-- {
+				c := make([]float64, dim)
+				for k := range c {
+					c[k] = rng.NormFloat64()
+				}
+				id := fmt.Sprintf("p%05d", next)
+				if err := fp.Add(Point{ID: id, Coords: c}); err != nil {
+					t.Fatal(err)
+				}
+				oracle.add(id, c)
+				next++
+			}
+		}
+		var r sweepRun
+		pick := func(round int) {
+			swept := fp.sweptSel
+			got, want := fp.Select(8), oracle.selectN(8)
+			if !slices.Equal(idsOf(got), want) {
+				t.Fatalf("workers=%d round %d: selections %v, oracle %v", workers, round, idsOf(got), want)
+			}
+			if round == 0 && fp.sweptSel == swept {
+				t.Fatalf("workers=%d round %d: no pick fell back to the sweep", workers, round)
+			}
+			checkHeap(t, fp)
+			r.selected = append(r.selected, want...)
+		}
+		add(cold)
+		pick(0)
+		add(burst)
+		pick(1)
+		for _, d := range fp.dist2 {
+			r.dist2 = append(r.dist2, math.Float64bits(d))
+		}
+		r.seenSel = fp.seenSel
+		return r
+	}
+	ref := run(1)
+	for _, workers := range []int{2, 7} {
+		if got := run(workers); !reflect.DeepEqual(got, ref) {
+			t.Errorf("workers=%d: selections %v, dist2 %v, seenSel %v (true = same as serial)", workers,
+				reflect.DeepEqual(got.selected, ref.selected), reflect.DeepEqual(got.dist2, ref.dist2),
+				reflect.DeepEqual(got.seenSel, ref.seenSel))
+		}
 	}
 }
 

@@ -46,7 +46,7 @@ type ruleState struct {
 // callbacks, and wrapped stores draw from it on the same goroutine that
 // drives the clock (DESIGN.md §6).
 type Engine struct {
-	clk          vclock.Clock
+	clk          *vclock.Virtual
 	tel          *telemetry.Telemetry
 	storeLatency telemetry.Lazy[telemetry.Histogram]
 
@@ -61,7 +61,7 @@ type Engine struct {
 // NewEngine builds an engine for plan. The plan must already validate; an
 // invalid plan is a programming error and panics. The engine is inert until
 // Start.
-func NewEngine(clk vclock.Clock, tel *telemetry.Telemetry, plan *Plan) *Engine {
+func NewEngine(clk *vclock.Virtual, tel *telemetry.Telemetry, plan *Plan) *Engine {
 	if err := plan.Validate(); err != nil {
 		panic(err)
 	}

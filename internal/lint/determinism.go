@@ -229,7 +229,7 @@ func (v *determinismVisitor) checkCall(call *ast.CallExpr) {
 	case "time":
 		if fn.Name() == "Now" {
 			v.pass.Reportf(call.Pos(),
-				"time.Now reads the wall clock; determinism-contracted code must take time from the injected vclock.Clock")
+				"time.Now reads the wall clock; determinism-contracted code must take time from the injected *vclock.Virtual")
 		}
 	}
 }

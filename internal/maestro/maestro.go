@@ -68,7 +68,7 @@ func (f FluxBackend) OnStart(fn func(sched.JobID)) {
 // the clock (DESIGN.md §6).
 type Conductor struct {
 	backend Backend
-	clk     vclock.Clock
+	clk     *vclock.Virtual
 	period  time.Duration // min spacing between submissions
 
 	queue  sched.Ring[pendingSub]
@@ -88,7 +88,7 @@ type pendingSub struct {
 
 // NewConductor wraps a backend with a rate limit of jobsPerMinute
 // (0 disables throttling).
-func NewConductor(clk vclock.Clock, backend Backend, jobsPerMinute int) (*Conductor, error) {
+func NewConductor(clk *vclock.Virtual, backend Backend, jobsPerMinute int) (*Conductor, error) {
 	if backend == nil {
 		return nil, errors.New("maestro: nil backend")
 	}

@@ -18,7 +18,7 @@ var epoch = time.Date(2020, 12, 1, 0, 0, 0, 0, time.UTC)
 type fakeBackend struct {
 	subs     []sched.Request
 	subTimes []time.Time
-	clk      vclock.Clock
+	clk      *vclock.Virtual
 	failNext bool
 	onFinish func(sched.JobID, sched.State)
 	onStart  func(sched.JobID)

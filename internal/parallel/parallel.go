@@ -17,7 +17,7 @@ import (
 
 // Workers resolves a worker-count knob: values <= 0 mean GOMAXPROCS. It is
 // the shared convention for every worker field in the repo (campaign
-// config, selector engine, continuum stepper).
+// config, selector engine).
 func Workers(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -25,11 +25,11 @@ func Workers(n int) int {
 	return n
 }
 
-// For splits the index range [0, n) into one contiguous chunk per worker
-// and invokes fn(lo, hi) once per chunk, concurrently when more than one
-// chunk results. minChunk bounds fan-out from below: workers are reduced
-// until every chunk holds at least minChunk indexes, so tiny loops stay on
-// the calling goroutine instead of paying spawn latency.
+// For splits the index range [0, n) into Chunks(n, workers, minChunk)
+// contiguous chunks and invokes fn(lo, hi) once per chunk, concurrently when
+// more than one chunk results. minChunk bounds fan-out from below: workers
+// are reduced until every chunk holds at least minChunk indexes, so tiny
+// loops stay on the calling goroutine instead of paying spawn latency.
 //
 // Determinism contract: fn must touch only state owned by indexes in
 // [lo, hi) (plus read-only shared state). Under that contract the combined
@@ -40,13 +40,50 @@ func Workers(n int) int {
 // For blocks until every chunk completes. Panics inside fn propagate to
 // the caller (re-raised after all workers finish).
 func For(n, workers, minChunk int, fn func(lo, hi int)) {
-	ForChunk(n, workers, minChunk, func(_, lo, hi int) { fn(lo, hi) })
+	workers = Chunks(n, workers, minChunk)
+	if workers == 0 {
+		return
+	}
+	if workers == 1 {
+		fn(0, n)
+		return
+	}
+	var (
+		wg       sync.WaitGroup
+		panicMu  sync.Mutex
+		panicked any
+	)
+	base, extra := n/workers, n%workers
+	lo := 0
+	for w := 0; w < workers; w++ {
+		hi := lo + base
+		if w < extra {
+			hi++
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicMu.Lock()
+					if panicked == nil {
+						panicked = r
+					}
+					panicMu.Unlock()
+				}
+			}()
+			fn(lo, hi)
+		}(lo, hi)
+		lo = hi
+	}
+	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
-// Chunks reports how many chunks ForChunk will use for the same arguments,
-// so callers can pre-size a per-chunk result slice before fanning out. The
-// chunk decomposition depends only on (n, workers, minChunk), never on
-// scheduling, which is what makes per-chunk reductions reproducible.
+// Chunks reports how many chunks For uses for the same arguments. The
+// decomposition depends only on (n, workers, minChunk), never on scheduling.
 func Chunks(n, workers, minChunk int) int {
 	if n <= 0 {
 		return 0
@@ -64,54 +101,4 @@ func Chunks(n, workers, minChunk int) int {
 		workers = 1
 	}
 	return workers
-}
-
-// ForChunk is For with the chunk index exposed: fn(chunk, lo, hi) runs once
-// per contiguous chunk, chunk in [0, Chunks(n, workers, minChunk)). It
-// exists for parallel reductions — each chunk writes its partial result to
-// its own slot in a pre-sized slice, and the caller combines the slots
-// after ForChunk returns. When the combining operator selects the extremum
-// under a total order (as the selector's argmax does), the reduction is
-// grouping-invariant and therefore identical for every worker count.
-func ForChunk(n, workers, minChunk int, fn func(chunk, lo, hi int)) {
-	workers = Chunks(n, workers, minChunk)
-	if workers == 0 {
-		return
-	}
-	if workers == 1 {
-		fn(0, 0, n)
-		return
-	}
-	var (
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicked any
-	)
-	base, extra := n/workers, n%workers
-	lo := 0
-	for w := 0; w < workers; w++ {
-		hi := lo + base
-		if w < extra {
-			hi++
-		}
-		wg.Add(1)
-		go func(chunk, lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicked == nil {
-						panicked = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			fn(chunk, lo, hi)
-		}(w, lo, hi)
-		lo = hi
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
 }

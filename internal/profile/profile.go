@@ -21,7 +21,7 @@ type Event struct {
 	Pending int
 }
 
-// Profiler samples a callback on a fixed cadence under any Clock.
+// Profiler samples a callback on a fixed cadence of virtual time.
 type Profiler struct {
 	events []Event
 	ticker *vclock.Ticker
@@ -29,7 +29,7 @@ type Profiler struct {
 
 // New starts profiling: sample is invoked every interval and its Event
 // recorded (the Time field is filled in by the profiler).
-func New(clk vclock.Clock, interval time.Duration, sample func() Event) *Profiler {
+func New(clk *vclock.Virtual, interval time.Duration, sample func() Event) *Profiler {
 	p := &Profiler{}
 	p.ticker = vclock.NewTicker(clk, interval, func(now time.Time) {
 		ev := sample()

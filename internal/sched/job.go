@@ -7,7 +7,7 @@
 // Fig. 6; the asynchronous + first-match configuration is the fix whose
 // matcher-work improvement the paper measures at 670×.
 //
-// The scheduler runs on a vclock.Clock: the campaign driver replays
+// The scheduler runs on a vclock.Virtual: the campaign driver replays
 // Summit-scale job streams in virtual time.
 package sched
 

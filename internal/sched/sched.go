@@ -98,7 +98,7 @@ type qMsg struct {
 // callbacks on the clock, so a Scheduler is not safe for concurrent use:
 // every method runs on the goroutine that drives the clock (DESIGN.md §6).
 type Scheduler struct {
-	clk     vclock.Clock
+	clk     *vclock.Virtual
 	machine *cluster.Machine
 	matcher *Matcher
 	mode    Mode
@@ -149,7 +149,7 @@ type metrics struct {
 }
 
 // New builds a scheduler over the machine described in cfg.
-func New(clk vclock.Clock, cfg Config) (*Scheduler, error) {
+func New(clk *vclock.Virtual, cfg Config) (*Scheduler, error) {
 	if cfg.Machine == nil {
 		return nil, errors.New("sched: nil machine")
 	}

@@ -18,7 +18,7 @@ type Heartbeat struct {
 
 // NewHeartbeat starts a heartbeat on clk firing every period; each tick
 // writes line(now) plus a newline to w. Stop ends it.
-func NewHeartbeat(clk vclock.Clock, period time.Duration, w io.Writer, line func(now time.Time) string) *Heartbeat {
+func NewHeartbeat(clk *vclock.Virtual, period time.Duration, w io.Writer, line func(now time.Time) string) *Heartbeat {
 	h := &Heartbeat{}
 	h.ticker = vclock.NewTicker(clk, period, func(now time.Time) {
 		//lint:allow errdiscipline -- heartbeat output is best-effort monitoring; a failed write must not stop the workflow

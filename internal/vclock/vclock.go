@@ -1,24 +1,15 @@
-// Package vclock abstracts time behind a Clock interface, implemented by
-// Virtual, a deterministic discrete-event scheduler. The workflow manager,
-// scheduler, fleet and fault layers program against Clock and run as
-// callbacks on one Virtual, driven by one goroutine: the campaign driver
-// replays a 600,000-node-hour Summit campaign on one machine, and event
-// order, not locking, is what orders their state changes (DESIGN.md §6).
+// Package vclock is the coordinator's time: Virtual, a deterministic
+// discrete-event scheduler. The workflow manager, scheduler, fleet and fault
+// layers take a *Virtual and run as callbacks on it, driven by one
+// goroutine: the campaign driver replays a 600,000-node-hour Summit campaign
+// on one machine, and event order, not locking, is what orders their state
+// changes (DESIGN.md §6).
 package vclock
 
 import "time"
 
 // EventID identifies a scheduled callback so it can be canceled.
 type EventID int64
-
-// Clock is the time facility components program against. Now returns the
-// current time; After schedules fn to run once d from now; Cancel revokes a
-// pending event (returning false if it already fired or never existed).
-type Clock interface {
-	Now() time.Time
-	After(d time.Duration, fn func()) EventID
-	Cancel(id EventID) bool
-}
 
 // ---------------------------------------------------------------------------
 // Virtual clock (discrete-event scheduler)
@@ -256,20 +247,23 @@ func (v *Virtual) siftDown(i int) bool {
 	return i != start
 }
 
-// Ticker invokes fn every period until Stop is called, under any Clock.
+// Ticker invokes fn every period until Stop is called.
 type Ticker struct {
-	clk    Clock
+	clk    *Virtual
 	period time.Duration
 	fn     func(now time.Time)
+	// ticked is tick bound once, so re-arming allocates nothing.
+	ticked func()
 	cur    EventID
 	done   bool
 }
 
 // NewTicker starts a recurring callback. The first tick fires one period
 // from now.
-func NewTicker(clk Clock, period time.Duration, fn func(now time.Time)) *Ticker {
+func NewTicker(clk *Virtual, period time.Duration, fn func(now time.Time)) *Ticker {
 	t := &Ticker{clk: clk, period: period, fn: fn}
-	t.cur = clk.After(period, t.tick)
+	t.ticked = t.tick
+	t.cur = clk.After(period, t.ticked)
 	return t
 }
 
@@ -277,7 +271,7 @@ func (t *Ticker) tick() {
 	if t.done {
 		return
 	}
-	t.cur = t.clk.After(t.period, t.tick)
+	t.cur = t.clk.After(t.period, t.ticked)
 	t.fn(t.clk.Now())
 }
 

@@ -188,6 +188,22 @@ func TestTickerStopInsideCallback(t *testing.T) {
 	}
 }
 
+// TestTickerTickAllocatesNothing steps a clock whose one pending event is a
+// ticker's: re-arming reuses the tick bound in NewTicker and the event slot
+// the tick just freed, so a tick costs no allocation.
+func TestTickerTickAllocatesNothing(t *testing.T) {
+	v := NewVirtual(epoch)
+	n := 0
+	tk := NewTicker(v, time.Second, func(time.Time) { n++ })
+	defer tk.Stop()
+	if allocs := testing.AllocsPerRun(100, func() { v.Step() }); allocs != 0 {
+		t.Errorf("%v allocations per tick, want 0", allocs)
+	}
+	if n < 100 {
+		t.Fatalf("ticker fired %d times", n)
+	}
+}
+
 func TestPropertyVirtualTimeMonotone(t *testing.T) {
 	// No matter the scheduling pattern, observed event times never decrease.
 	f := func(seed int64) bool {

@@ -19,7 +19,7 @@ import (
 type Config struct {
 	// Clock is the campaign's virtual clock; every fleet decision is a
 	// function of it.
-	Clock vclock.Clock
+	Clock *vclock.Virtual
 	// Backend is the shared job-scheduler backend all instances submit
 	// through (each instance gets its own throttled conductor on top).
 	Backend maestro.Backend

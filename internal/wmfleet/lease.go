@@ -61,7 +61,7 @@ const (
 // tickers and fault handlers), which serializes them; the table performs
 // no locking of its own beyond what the store provides.
 type LeaseTable struct {
-	clk   vclock.Clock
+	clk   *vclock.Virtual
 	store datastore.Store
 	tel   *telemetry.Telemetry
 	ns    string
@@ -75,7 +75,7 @@ type LeaseTable struct {
 
 // NewLeaseTable builds a lease table over one store namespace; leases live
 // leaseTTL. tel may be nil (metrics discarded).
-func NewLeaseTable(clk vclock.Clock, store datastore.Store, tel *telemetry.Telemetry, ns string) *LeaseTable {
+func NewLeaseTable(clk *vclock.Virtual, store datastore.Store, tel *telemetry.Telemetry, ns string) *LeaseTable {
 	if tel == nil {
 		tel = telemetry.Nop()
 	}

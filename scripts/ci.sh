@@ -132,6 +132,13 @@ test -z "$(grep -rn 'type pointDeque' --include='*.go' .)"
 # The virtual clock has one pending structure, the four-ary heap (DESIGN.md
 # §11): no same-timestamp drain batch, paged index or ID map beside it.
 test -z "$(grep -rnE 'batch|eventPage|indexTake|map\[EventID\]\*event' internal/vclock --include='*.go' --exclude='*_test.go')"
+# One implementation per job (DESIGN.md "dynim: one argmax, and a sweep
+# when a pick churns", §6): FPS picks through its heap alone, the continuum
+# has one stepper, whose rows fan out through internal/parallel, and time
+# is the *vclock.Virtual type, not an interface over it.
+test -z "$(grep -nE '^[[:space:]]*go[[:space:]]+[[:alnum:]_(]' $(ls internal/continuum/*.go | grep -v _test.go))"
+test -z "$(grep -rnwE 'pickEager|heapDirty|ForChunk|NewParallel' --include='*.go' --exclude='*_test.go' .)"
+test -z "$(grep -rn 'type Clock interface' --include='*.go' --exclude='*_test.go' .)"
 
 go test ./...
 go test -race ./...
