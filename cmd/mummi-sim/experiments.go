@@ -397,7 +397,7 @@ func feedback12x(dir string, frames int) (_ feedbackCompareResult, err error) {
 		g := sim.NewCGSim("cmp", 8, 1, nil, 9)
 		for i := 0; i < frames; i++ {
 			f := g.NextFrame()
-			b, err := f.Marshal()
+			b, err := f.MarshalBinary()
 			if err != nil {
 				return err
 			}

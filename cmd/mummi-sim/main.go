@@ -491,6 +491,10 @@ func runSelect(args []string) error {
 	return nil
 }
 
+// frameExt names the files runCG writes and runFeedback stages: one
+// binary CG frame each (sim.CGFrame.MarshalBinary).
+const frameExt = ".cgf"
+
 // runCG generates a CG analysis stream into a directory of frame files.
 func runCG(args []string) error {
 	fs := flag.NewFlagSet("cg", flag.ExitOnError)
@@ -508,11 +512,11 @@ func runCG(args []string) error {
 	g := sim.NewCGSim(*id, *species, *state, nil, *seed)
 	for i := 0; i < *frames; i++ {
 		fr := g.NextFrame()
-		b, err := fr.Marshal()
+		b, err := fr.MarshalBinary()
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(filepath.Join(*outdir, fr.ID()+".json"), b, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(*outdir, fr.ID()+frameExt), b, 0o644); err != nil {
 			return err
 		}
 	}
@@ -547,14 +551,14 @@ func runFeedback(args []string) error {
 	}
 	staged := 0
 	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), frameExt) {
 			continue
 		}
 		b, err := os.ReadFile(filepath.Join(*indir, e.Name()))
 		if err != nil {
 			return err
 		}
-		if err := store.Put("new", strings.TrimSuffix(e.Name(), ".json"), b); err != nil {
+		if err := store.Put("new", strings.TrimSuffix(e.Name(), frameExt), b); err != nil {
 			return err
 		}
 		staged++

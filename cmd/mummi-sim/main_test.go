@@ -132,3 +132,32 @@ func TestTraceExportRoundTripsThroughTraceIn(t *testing.T) {
 		t.Error("trace export -> -trace-in resolves to a different configuration than was exported")
 	}
 }
+
+// TestCGFramesFeedBack runs the component pipeline's two frame steps the
+// way a user does: cg writes binary frames into a directory, and feedback
+// stages every one of them and aggregates them all.
+func TestCGFramesFeedBack(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "frames")
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	defer func() { os.Stdout = stdout }()
+
+	if err := runCG([]string{"-frames", "20", "-outdir", dir}); err != nil {
+		t.Fatal(err)
+	}
+	if err := runFeedback([]string{"-indir", dir}); err != nil {
+		t.Fatal(err)
+	}
+	printed, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(printed), "feedback: 20/20 frames aggregated") {
+		t.Errorf("feedback did not aggregate all 20 frames:\n%s", printed)
+	}
+}

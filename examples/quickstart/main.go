@@ -89,7 +89,7 @@ func main() {
 			cg := sim.NewCGSim(pt.ID, cfg.Species(), cycle%continuum.NumProteinStates, nil, 99)
 			for f := 0; f < 25; f++ {
 				frame := cg.NextFrame()
-				b, err := frame.Marshal()
+				b, err := frame.MarshalBinary()
 				if err != nil {
 					log.Fatal(err)
 				}

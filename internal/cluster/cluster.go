@@ -61,9 +61,6 @@ type Node struct {
 	// which lets placement honor the paper's cache/PCIe affinity rules.
 	coreUsed []bool
 	gpuUsed  []bool
-	// RAMDiskUsed tracks bytes of node-local RAM disk in use (CG analysis
-	// and backmapping stage data there before pushing results to GPFS).
-	RAMDiskUsed int64
 
 	freeCores int
 	freeGPUs  int

@@ -58,14 +58,10 @@ func (c Config) Validate() error {
 // Species returns the total lipid species count.
 func (c Config) Species() int { return c.InnerLipids + c.OuterLipids }
 
-// Protein state labels: the campaign distinguishes RAS-only from RAS-RAF
-// configurations; states drive patch-queue routing in the patch selector.
-const (
-	StateRASOnly = iota
-	StateRASRAFa
-	StateRASRAFb
-	NumProteinStates
-)
+// NumProteinStates is the number of protein configurations the campaign
+// distinguishes: RAS-only and two RAS-RAF states. A Protein's State and the
+// rows of the feedback couplings are indexed by it.
+const NumProteinStates = 3
 
 // Protein is one particle on the membrane.
 type Protein struct {

@@ -2,7 +2,6 @@ package continuum
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -79,15 +78,6 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// Marshal serializes to a byte slice (the shape the data interface wants).
-func (s *Snapshot) Marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // ReadSnapshot decodes one snapshot.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
@@ -142,11 +132,4 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		s.Fields = append(s.Fields, f)
 	}
 	return s, nil
-}
-
-// EstimatedSize returns the serialized size in bytes without serializing.
-func (s *Snapshot) EstimatedSize() units.ByteSize {
-	n := 4 + 6*8 + len(s.Protein)*32
-	n += len(s.Fields) * s.GridN * s.GridN * 4
-	return units.ByteSize(n)
 }

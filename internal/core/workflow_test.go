@@ -187,7 +187,7 @@ func TestFeedbackTickerRuns(t *testing.T) {
 	g := sim.NewCGSim("s1", 2, 1, nil, 1)
 	for i := 0; i < 10; i++ {
 		f := g.NextFrame()
-		b, _ := f.Marshal()
+		b, _ := f.MarshalBinary()
 		store.Put("new", f.ID(), b)
 	}
 	sel := dynim.NewFarthestPoint(1, 0)

@@ -182,9 +182,10 @@ func (f *CGToContinuum) aggregate(values [][]byte) (int, error) {
 	frames := 0
 	f.mu.Lock()
 	for _, v := range values {
-		frame, err := sim.UnmarshalCGFrameAuto(v)
+		frame, err := sim.UnmarshalCGFrame(v)
 		if err != nil {
-			// A torn frame is dropped, not fatal: the producer will rerun
+			// A frame that does not decode (torn, or not the binary
+			// format) is dropped, not fatal: the producer will rerun
 			// missing frames if needed (§4.4 resilience).
 			continue
 		}

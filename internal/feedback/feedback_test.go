@@ -1,6 +1,7 @@
 package feedback
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -17,7 +18,7 @@ func putCGFrames(t *testing.T, st datastore.Store, ns string, n int, species, st
 	g := sim.NewCGSim(fmt.Sprintf("sim-st%d", state), species, state, []float64{0.9, 0.1, 0.5}, int64(state+1))
 	for i := 0; i < n; i++ {
 		f := g.NextFrame()
-		b, err := f.Marshal()
+		b, err := f.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,16 +179,23 @@ func TestCGIterateCostScalesWithOngoingNotTotal(t *testing.T) {
 func TestCGIterateSkipsTornFrames(t *testing.T) {
 	st := datastore.NewMemory()
 	putCGFrames(t, st, "rdf-new", 5, 3, 0)
-	st.Put("rdf-new", "torn", []byte("{not json"))
+	st.Put("rdf-new", "torn", []byte("CGF1\x05"))
+	// A frame has one encoding, the binary one: the JSON of a well-shaped
+	// frame is dropped like a torn one.
+	j, err := json.Marshal(sim.NewCGSim("json", 3, 0, nil, 1).NextFrame())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Put("rdf-new", "json", j)
 	f := newCG(t, st, nil)
 	rep, err := f.Iterate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Frames != 5 {
-		t.Errorf("Frames = %d, want 5 (torn skipped)", rep.Frames)
+		t.Errorf("Frames = %d, want 5 (torn and JSON skipped)", rep.Frames)
 	}
-	// Torn frame still tagged away so it is not rescanned forever.
+	// Both still tagged away so they are not rescanned forever.
 	newKeys, _ := st.Keys("rdf-new")
 	if len(newKeys) != 0 {
 		t.Errorf("torn frame left in active namespace: %v", newKeys)

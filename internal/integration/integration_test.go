@@ -97,7 +97,6 @@ func TestThreeScalePipelineOverKVStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	patchSel := dynim.NewQueueSet(9, 500, func(dynim.Point) string { return "all" })
-	frameEnc := mlenc.DefaultFrameEncoder()
 	frameSel, err := dynim.NewBinned([]dynim.BinDim{
 		{Lo: 0, Hi: 1, Bins: 8}, {Lo: 0, Hi: 1, Bins: 8}, {Lo: 0, Hi: 1, Bins: 8}}, 0.8, 4)
 	if err != nil {
@@ -114,7 +113,7 @@ func TestThreeScalePipelineOverKVStore(t *testing.T) {
 		g := sim.NewCGSim("cg-"+p.ID, contCfg.Species(), cgStarted%continuum.NumProteinStates, nil, int64(cgStarted))
 		tk := vclock.NewTicker(clk, 10*time.Minute, func(time.Time) {
 			f := g.NextFrame()
-			b, err := f.Marshal()
+			b, err := f.MarshalBinary()
 			if err != nil {
 				t.Error(err)
 				return
@@ -123,7 +122,9 @@ func TestThreeScalePipelineOverKVStore(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			frameSel.Add(dynim.Point{ID: f.ID(), Coords: frameEnc.Encode(f.Tilt, f.Rotation, f.Depth)})
+			// (tilt, rotation, depth) normalized by their physical ranges
+			// [0°,180°], [0°,360°) and [-5 nm,5 nm] to the selector's [0,1]³.
+			frameSel.Add(dynim.Point{ID: f.ID(), Coords: []float64{f.Tilt / 180, f.Rotation / 360, (f.Depth + 5) / 10}})
 		})
 		tickers = append(tickers, tk)
 	}
@@ -348,7 +349,7 @@ func TestArchiveLifecycleThroughWorkflow(t *testing.T) {
 	var lastBytes []byte
 	for i := 0; i < 50; i++ {
 		f := g.NextFrame()
-		b, err := f.Marshal()
+		b, err := f.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -287,7 +287,7 @@ func runChaosCampaign(t *testing.T, seed int64) chaosResult {
 	for round := 0; round < 8; round++ {
 		for i := 0; i < 40; i++ {
 			f := &sim.CGFrame{SimID: "chaos", Index: produced, State: rng.Intn(states), RDF: chaosRDF(rng, species)}
-			b, err := f.Marshal()
+			b, err := f.MarshalBinary()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -310,11 +310,9 @@ func TestRepoIsLintClean(t *testing.T) {
 // references yet, each with the ROADMAP item that decides its fate: wired
 // into an artifact or deleted. The list only shrinks.
 var reachAllow = map[string]string{
-	"internal/continuum.StateRASOnly":    "Wire it or delete it",
-	"internal/mlenc.DefaultFrameEncoder": "Wire it or delete it",
-	"internal/feedback.NewAAToCG":        "Wire it or delete it",
-	"internal/feedback.ExecProcessor":    "Wire it or delete it",
-	"internal/sim.NewAASim":              "Wire it or delete it",
+	"internal/feedback.NewAAToCG":     "Wire it or delete it",
+	"internal/feedback.ExecProcessor": "Wire it or delete it",
+	"internal/sim.NewAASim":           "Wire it or delete it",
 }
 
 // loadUses returns the module and every object its non-test files

@@ -1,7 +1,7 @@
-// Package mlenc provides the two encoders behind the paper's ML-based
-// selection (§4.1(6)): a patch encoder that reduces a 37×37 multi-species
-// density patch to a 9-D representation, and a frame encoder that codes a
-// CG frame's RAS-RAF conformational state into 3-D.
+// Package mlenc provides the patch encoder behind the paper's ML-based
+// selection (§4.1(6)): it reduces a 37×37 multi-species density patch to a
+// 9-D representation. The frame side's 3-D RAS-RAF code needs no encoder
+// here: the campaign models frame coordinates directly in [0,1]³.
 //
 // The paper's patch encoder is a metric-learning deep neural network. We
 // substitute a deterministic fixed-weight multilayer perceptron over patch
@@ -130,53 +130,6 @@ func forward(w [][]float64, b []float64, in []float64, tanh bool) []float64 {
 			s = math.Tanh(s)
 		}
 		out[i] = s
-	}
-	return out
-}
-
-// FrameEncoder codes a CG frame's RAS-RAF conformational state into 3-D
-// (paper §4.1(6)): "the conformational state of the RAS-RAF complex is
-// coded using a 3-D representation" of disparate quantities, for which L2
-// distance is not meaningful — hence the binned sampler downstream. Each
-// dimension is normalized to [0, 1] by its physical range.
-type FrameEncoder struct {
-	lo, hi [3]float64
-}
-
-// NewFrameEncoder builds the encoder from per-dimension physical ranges:
-// typically tilt angle [0°, 180°], rotation [0°, 360°], and membrane depth
-// [-5 nm, +5 nm].
-func NewFrameEncoder(lo, hi [3]float64) (*FrameEncoder, error) {
-	for i := range lo {
-		if hi[i] <= lo[i] {
-			return nil, fmt.Errorf("mlenc: frame dim %d has empty range [%v, %v]", i, lo[i], hi[i])
-		}
-	}
-	return &FrameEncoder{lo: lo, hi: hi}, nil
-}
-
-// DefaultFrameEncoder returns the RAS-RAF ranges above.
-func DefaultFrameEncoder() *FrameEncoder {
-	fe, err := NewFrameEncoder([3]float64{0, 0, -5}, [3]float64{180, 360, 5})
-	if err != nil {
-		panic(err) // static ranges; cannot fail
-	}
-	return fe
-}
-
-// Encode normalizes (tilt, rotation, depth) to [0,1]³, clamping outliers.
-func (fe *FrameEncoder) Encode(tilt, rotation, depth float64) []float64 {
-	raw := [3]float64{tilt, rotation, depth}
-	out := make([]float64, 3)
-	for i, v := range raw {
-		u := (v - fe.lo[i]) / (fe.hi[i] - fe.lo[i])
-		if u < 0 {
-			u = 0
-		}
-		if u > 1 {
-			u = 1
-		}
-		out[i] = u
 	}
 	return out
 }

@@ -114,35 +114,3 @@ func TestNewPatchEncoderValidation(t *testing.T) {
 		}
 	}
 }
-
-func TestFrameEncoderNormalizes(t *testing.T) {
-	fe := DefaultFrameEncoder()
-	v := fe.Encode(90, 180, 0)
-	want := []float64{0.5, 0.5, 0.5}
-	for i := range v {
-		if math.Abs(v[i]-want[i]) > 1e-12 {
-			t.Errorf("Encode mid-range = %v", v)
-		}
-	}
-	lo := fe.Encode(0, 0, -5)
-	hi := fe.Encode(180, 360, 5)
-	for i := range lo {
-		if lo[i] != 0 || hi[i] != 1 {
-			t.Errorf("range endpoints: lo=%v hi=%v", lo, hi)
-		}
-	}
-}
-
-func TestFrameEncoderClamps(t *testing.T) {
-	fe := DefaultFrameEncoder()
-	v := fe.Encode(-50, 720, 99)
-	if v[0] != 0 || v[1] != 1 || v[2] != 1 {
-		t.Errorf("clamping failed: %v", v)
-	}
-}
-
-func TestNewFrameEncoderValidation(t *testing.T) {
-	if _, err := NewFrameEncoder([3]float64{0, 0, 5}, [3]float64{1, 1, 5}); err == nil {
-		t.Error("empty range accepted")
-	}
-}

@@ -3,8 +3,8 @@
 // format" (~70 KB each) and serializes "a Numpy archive into a byte stream
 // that can be redirected effortlessly to a file, an archive, or a database";
 // this package is that byte-stream layer for mummi-go. Supported dtypes are
-// little-endian float32, float64, int32, and int64 in C (row-major) order,
-// which covers every array the workflow moves.
+// little-endian float32 (patches) and float64 (checkpoint coordinates) in C
+// (row-major) order, the two arrays the workflow moves.
 package npy
 
 import (
@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"reflect"
 	"strconv"
 	"strings"
 )
@@ -22,11 +21,11 @@ import (
 var magic = []byte("\x93NUMPY")
 
 // dtypeSize is the element size of each supported little-endian dtype.
-var dtypeSize = map[string]int{"<f4": 4, "<f8": 8, "<i4": 4, "<i8": 8}
+var dtypeSize = map[string]int{"<f4": 4, "<f8": 8}
 
 // Array is an n-dimensional array with a concrete element slice.
-// Data must be one of []float32, []float64, []int32, []int64, with
-// len(Data) equal to the product of Shape.
+// Data must be a []float32 or a []float64, with len(Data) equal to the
+// product of Shape.
 type Array struct {
 	Shape []int
 	Data  any
@@ -35,7 +34,7 @@ type Array struct {
 // NewFloat64 builds a float64 Array, validating the shape/data agreement.
 func NewFloat64(shape []int, data []float64) (*Array, error) {
 	a := &Array{Shape: shape, Data: data}
-	if err := a.validate(); err != nil {
+	if _, _, err := a.validate(); err != nil {
 		return nil, err
 	}
 	return a, nil
@@ -50,64 +49,27 @@ func (a *Array) Len() int {
 	return n
 }
 
-// Float64s returns the data as []float64, converting from float32/int types
-// if needed. It always copies unless the underlying data is already
-// []float64.
-func (a *Array) Float64s() []float64 {
+// validate checks Data against Shape and returns its dtype and element
+// size.
+func (a *Array) validate() (descr string, size int, err error) {
+	var n int
 	switch d := a.Data.(type) {
-	case []float64:
-		return d
 	case []float32:
-		out := make([]float64, len(d))
-		for i, v := range d {
-			out[i] = float64(v)
-		}
-		return out
-	case []int32:
-		out := make([]float64, len(d))
-		for i, v := range d {
-			out[i] = float64(v)
-		}
-		return out
-	case []int64:
-		out := make([]float64, len(d))
-		for i, v := range d {
-			out[i] = float64(v)
-		}
-		return out
-	}
-	return nil
-}
-
-func (a *Array) descrAndSize() (string, int, error) {
-	switch a.Data.(type) {
-	case []float32:
-		return "<f4", 4, nil
+		descr, size, n = "<f4", 4, len(d)
 	case []float64:
-		return "<f8", 8, nil
-	case []int32:
-		return "<i4", 4, nil
-	case []int64:
-		return "<i8", 8, nil
+		descr, size, n = "<f8", 8, len(d)
 	default:
 		return "", 0, fmt.Errorf("npy: unsupported data type %T", a.Data)
 	}
-}
-
-func (a *Array) validate() error {
-	_, _, err := a.descrAndSize()
-	if err != nil {
-		return err
-	}
 	for _, s := range a.Shape {
 		if s < 0 {
-			return fmt.Errorf("npy: negative dimension %d", s)
+			return "", 0, fmt.Errorf("npy: negative dimension %d", s)
 		}
 	}
-	if n := reflect.ValueOf(a.Data).Len(); n != a.Len() {
-		return fmt.Errorf("npy: shape %v implies %d elements, data has %d", a.Shape, a.Len(), n)
+	if n != a.Len() {
+		return "", 0, fmt.Errorf("npy: shape %v implies %d elements, data has %d", a.Shape, a.Len(), n)
 	}
-	return nil
+	return descr, size, nil
 }
 
 // Write encodes the array to w in .npy v1.0 format.
@@ -122,10 +84,7 @@ func Write(w io.Writer, a *Array) error {
 
 // Marshal encodes the array to a byte slice in .npy v1.0 format.
 func Marshal(a *Array) ([]byte, error) {
-	if err := a.validate(); err != nil {
-		return nil, err
-	}
-	descr, size, err := a.descrAndSize()
+	descr, size, err := a.validate()
 	if err != nil {
 		return nil, err
 	}
@@ -159,14 +118,6 @@ func Marshal(a *Array) ([]byte, error) {
 	case []float64:
 		for _, v := range d {
 			out = le.AppendUint64(out, math.Float64bits(v))
-		}
-	case []int32:
-		for _, v := range d {
-			out = le.AppendUint32(out, uint32(v))
-		}
-	case []int64:
-		for _, v := range d {
-			out = le.AppendUint64(out, uint64(v))
 		}
 	}
 	return out, nil
@@ -224,22 +175,10 @@ func Unmarshal(b []byte) (*Array, error) {
 			d[i] = math.Float32frombits(le.Uint32(body[4*i:]))
 		}
 		a.Data = d
-	case "<f8":
+	default:
 		d := make([]float64, n)
 		for i := range d {
 			d[i] = math.Float64frombits(le.Uint64(body[8*i:]))
-		}
-		a.Data = d
-	case "<i4":
-		d := make([]int32, n)
-		for i := range d {
-			d[i] = int32(le.Uint32(body[4*i:]))
-		}
-		a.Data = d
-	default:
-		d := make([]int64, n)
-		for i := range d {
-			d[i] = int64(le.Uint64(body[8*i:]))
 		}
 		a.Data = d
 	}

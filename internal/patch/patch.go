@@ -37,26 +37,8 @@ type Patch struct {
 	GridN int
 	// Fields holds the resampled densities, [species][GridN*GridN].
 	Fields [][]float32
-	// Neighbors lists other proteins inside the patch (relative offsets
-	// would be derivable; states matter for queue routing).
+	// Neighbors lists the other proteins inside the patch.
 	Neighbors []continuum.Protein
-}
-
-// QueueLabel routes the patch to one of the selector's in-memory queues.
-// The paper uses five queues keyed by protein configuration; we key on the
-// center protein's state and whether the patch contains company.
-func (p *Patch) QueueLabel() string {
-	base := "ras"
-	switch p.Center.State {
-	case continuum.StateRASRAFa:
-		base = "ras-raf-a"
-	case continuum.StateRASRAFb:
-		base = "ras-raf-b"
-	}
-	if len(p.Neighbors) > 0 {
-		return base + "-multi"
-	}
-	return base
 }
 
 // Create cuts one patch of the given size and resolution around center,

@@ -85,9 +85,9 @@ func TestNeighborsDetected(t *testing.T) {
 	// Plant a neighbor 5 nm from protein 0 and a loner far away.
 	snap.Protein = snap.Protein[:0]
 	snap.Protein = append(snap.Protein,
-		continuum.Protein{ID: 0, X: 100, Y: 100, State: continuum.StateRASOnly},
-		continuum.Protein{ID: 1, X: 105, Y: 100, State: continuum.StateRASRAFa},
-		continuum.Protein{ID: 2, X: 30, Y: 30, State: continuum.StateRASOnly},
+		continuum.Protein{ID: 0, X: 100, Y: 100, State: 0},
+		continuum.Protein{ID: 1, X: 105, Y: 100, State: 1},
+		continuum.Protein{ID: 2, X: 30, Y: 30, State: 0},
 	)
 	p, err := Create(snap, snap.Protein[0], DefaultSize, DefaultGridN)
 	if err != nil {
@@ -110,27 +110,6 @@ func TestNeighborAcrossPeriodicBoundary(t *testing.T) {
 	}
 	if len(p.Neighbors) != 1 {
 		t.Errorf("periodic neighbor missed: %+v", p.Neighbors)
-	}
-}
-
-func TestQueueLabels(t *testing.T) {
-	cases := []struct {
-		state     int
-		neighbors int
-		want      string
-	}{
-		{continuum.StateRASOnly, 0, "ras"},
-		{continuum.StateRASRAFa, 0, "ras-raf-a"},
-		{continuum.StateRASRAFb, 0, "ras-raf-b"},
-		{continuum.StateRASOnly, 2, "ras-multi"},
-		{continuum.StateRASRAFa, 1, "ras-raf-a-multi"},
-	}
-	for _, c := range cases {
-		p := &Patch{Center: continuum.Protein{State: c.state},
-			Neighbors: make([]continuum.Protein, c.neighbors)}
-		if got := p.QueueLabel(); got != c.want {
-			t.Errorf("QueueLabel(state=%d, n=%d) = %q, want %q", c.state, c.neighbors, got, c.want)
-		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -18,51 +16,22 @@ const RDFBins = 20
 // the 3-D conformational coordinates (tilt, rotation, depth) that encode
 // RAS-RAF state for AA frame selection.
 type CGFrame struct {
-	SimID string `json:"sim"`
-	Index int    `json:"idx"`
+	SimID string
+	Index int
 	// TimeFs is the frame's position in the trajectory.
-	TimeFs int64 `json:"t_fs"`
+	TimeFs int64
 	// State is the protein configuration (continuum state id).
-	State int `json:"state"`
+	State int
 	// RDF[species][bin] is the protein-lipid radial distribution function.
-	RDF [][]float32 `json:"rdf"`
+	RDF [][]float32
 	// Tilt, Rotation, Depth are the conformational coordinates.
-	Tilt     float64 `json:"tilt"`
-	Rotation float64 `json:"rot"`
-	Depth    float64 `json:"depth"`
+	Tilt     float64
+	Rotation float64
+	Depth    float64
 }
 
 // ID returns the frame's campaign-unique key.
 func (f *CGFrame) ID() string { return fmt.Sprintf("%s_f%06d", f.SimID, f.Index) }
-
-// Marshal serializes the analysis output for the data interface.
-func (f *CGFrame) Marshal() ([]byte, error) { return json.Marshal(f) }
-
-// UnmarshalCGFrame decodes a frame.
-func UnmarshalCGFrame(b []byte) (*CGFrame, error) {
-	var f CGFrame
-	if err := json.Unmarshal(b, &f); err != nil {
-		return nil, fmt.Errorf("sim: corrupt CG frame: %w", err)
-	}
-	return &f, nil
-}
-
-// IdentInfo returns the minimal identifying record (~850 B in the paper)
-// that distributed CG analysis forwards to the workflow manager instead of
-// whole frames — "minimal and sufficient for the downstream tasks".
-func (f *CGFrame) IdentInfo() []byte {
-	rec := struct {
-		ID    string    `json:"id"`
-		State int       `json:"state"`
-		Enc   []float64 `json:"enc"`
-	}{f.ID(), f.State, []float64{f.Tilt, f.Rotation, f.Depth}}
-	b, _ := json.Marshal(rec) //lint:allow errdiscipline -- marshal of a plain struct of strings and floats cannot fail
-	// Pad to the published record size so data-volume accounting matches.
-	if pad := int(CGFrameIdentBytes) - len(b); pad > 0 {
-		b = append(b, bytes.Repeat([]byte{' '}, pad)...)
-	}
-	return b
-}
 
 // CGSim generates the analysis stream of one coarse-grained simulation:
 // every frame advances the RAS-RAF conformational coordinates by a bounded

@@ -8,18 +8,17 @@ import (
 	"math"
 )
 
-// Binary frame codec: ddcMD writes trajectories in "a custom binary format"
+// The CG frame codec: ddcMD writes trajectories in "a custom binary format"
 // and the analysis outputs are moved at 4.6 MB per 41.5 s per simulation —
 // at 3600 concurrent simulations, serialization efficiency is a real cost.
-// CG frames therefore support a compact binary encoding alongside JSON; the
-// feedback path auto-detects which one it is handed (UnmarshalCGFrameAuto),
-// so producers can switch formats without coordinating with consumers.
+// A CG frame has this one compact binary encoding: every producer writes
+// MarshalBinary and the feedback path decodes with UnmarshalCGFrame, which
+// rejects anything without the magic.
 
 var cgFrameMagic = [4]byte{'C', 'G', 'F', '1'}
 
-// MarshalBinary encodes the frame in the compact binary format
-// (roughly 10× smaller and faster to decode than the JSON encoding for
-// paper-scale frames; see BenchmarkCGFrameCodecs).
+// MarshalBinary encodes the frame in the compact binary format: a "CGF1"
+// magic, the scalars, then the RDFs as raw little-endian float32s.
 func (f *CGFrame) MarshalBinary() ([]byte, error) {
 	if len(f.SimID) > 0xFFFF {
 		return nil, fmt.Errorf("sim: sim id too long (%d bytes)", len(f.SimID))
@@ -60,8 +59,8 @@ func (f *CGFrame) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalCGFrameBinary decodes the compact binary format.
-func UnmarshalCGFrameBinary(b []byte) (*CGFrame, error) {
+// UnmarshalCGFrame decodes a frame written by MarshalBinary.
+func UnmarshalCGFrame(b []byte) (*CGFrame, error) {
 	if len(b) < 4 || !bytes.Equal(b[:4], cgFrameMagic[:]) {
 		return nil, errors.New("sim: not a binary CG frame")
 	}
@@ -114,12 +113,4 @@ func UnmarshalCGFrameBinary(b []byte) (*CGFrame, error) {
 		f.RDF[sp] = rdf
 	}
 	return f, nil
-}
-
-// UnmarshalCGFrameAuto decodes either encoding, detecting by magic.
-func UnmarshalCGFrameAuto(b []byte) (*CGFrame, error) {
-	if len(b) >= 4 && bytes.Equal(b[:4], cgFrameMagic[:]) {
-		return UnmarshalCGFrameBinary(b)
-	}
-	return UnmarshalCGFrame(b)
 }

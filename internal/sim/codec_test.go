@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/json"
 	"testing"
 	"testing/quick"
 )
@@ -13,7 +14,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := UnmarshalCGFrameBinary(b)
+		got, err := UnmarshalCGFrame(b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,48 +33,45 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 }
 
 func TestBinaryCodecCompactness(t *testing.T) {
+	// The frame is its header plus raw float32 RDFs, nothing more: 14
+	// species of 20 bins is 1.1 KB, not the several KB a text encoding
+	// of the same floats takes.
 	g := NewCGSim("sim", 14, 1, nil, 1)
 	f := g.NextFrame()
-	j, _ := f.Marshal()
 	b, err := f.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b) >= len(j)/2 {
-		t.Errorf("binary %dB not substantially smaller than JSON %dB", len(b), len(j))
+	want := 4 + 2 + len(f.SimID) + 4 + 8 + 1 + 3*8 + 2 + 2 + 14*RDFBins*4
+	if len(b) != want {
+		t.Errorf("binary frame %dB, want %dB", len(b), want)
 	}
 }
 
-func TestAutoDetect(t *testing.T) {
-	g := NewCGSim("auto", 4, 0, nil, 2)
-	f := g.NextFrame()
-	j, _ := f.Marshal()
-	b, _ := f.MarshalBinary()
-	for _, enc := range [][]byte{j, b} {
-		got, err := UnmarshalCGFrameAuto(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.ID() != f.ID() {
-			t.Errorf("auto decode id = %q", got.ID())
-		}
+func TestDecoderRejectsJSON(t *testing.T) {
+	// A frame has one encoding: the JSON of the same struct is not a
+	// frame, whatever it holds.
+	f := NewCGSim("json", 4, 0, nil, 2).NextFrame()
+	j, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := UnmarshalCGFrameAuto([]byte("junk")); err == nil {
-		t.Error("junk decoded")
+	if _, err := UnmarshalCGFrame(j); err == nil {
+		t.Error("JSON frame decoded")
 	}
 }
 
 func TestBinaryCodecErrors(t *testing.T) {
-	if _, err := UnmarshalCGFrameBinary([]byte("CG")); err == nil {
+	if _, err := UnmarshalCGFrame([]byte("CG")); err == nil {
 		t.Error("short magic accepted")
 	}
-	if _, err := UnmarshalCGFrameBinary([]byte("JSON{}")); err == nil {
+	if _, err := UnmarshalCGFrame([]byte("JSON{}")); err == nil {
 		t.Error("wrong magic accepted")
 	}
 	g := NewCGSim("t", 3, 0, nil, 3)
 	b, _ := g.NextFrame().MarshalBinary()
 	for _, cut := range []int{5, 10, len(b) / 2, len(b) - 1} {
-		if _, err := UnmarshalCGFrameBinary(b[:cut]); err == nil {
+		if _, err := UnmarshalCGFrame(b[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
@@ -94,7 +92,7 @@ func TestPropertyBinaryCodec(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := UnmarshalCGFrameBinary(b)
+		got, err := UnmarshalCGFrame(b)
 		if err != nil || got.ID() != fr.ID() || len(got.RDF) != sp {
 			return false
 		}
@@ -108,13 +106,6 @@ func TestPropertyBinaryCodec(t *testing.T) {
 func BenchmarkCGFrameCodecs(b *testing.B) {
 	g := NewCGSim("bench", 14, 1, nil, 1)
 	f := g.NextFrame()
-	b.Run("json-encode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := f.Marshal(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("binary-encode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := f.MarshalBinary(); err != nil {
@@ -122,18 +113,10 @@ func BenchmarkCGFrameCodecs(b *testing.B) {
 			}
 		}
 	})
-	j, _ := f.Marshal()
 	bin, _ := f.MarshalBinary()
-	b.Run("json-decode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := UnmarshalCGFrame(j); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("binary-decode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := UnmarshalCGFrameBinary(bin); err != nil {
+			if _, err := UnmarshalCGFrame(bin); err != nil {
 				b.Fatal(err)
 			}
 		}

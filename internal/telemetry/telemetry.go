@@ -28,10 +28,6 @@ import "time"
 
 // Options configures a Telemetry instance.
 type Options struct {
-	// Clock supplies the timestamps of spans and of Now; a *vclock.Virtual
-	// is one. Nil defaults to the wall clock; the campaign driver rebinds to
-	// its virtual clock via SetClock so replays stay deterministic.
-	Clock interface{ Now() time.Time }
 	// Trace enables the span recorder, which keeps at most traceCap spans.
 	// Off, StartSpan/RecordSpan are no-ops and no span memory is ever
 	// allocated.
@@ -50,11 +46,7 @@ type Telemetry struct {
 // New builds a Telemetry from opts.
 func New(opts Options) *Telemetry {
 	t := &Telemetry{reg: NewRegistry()}
-	var clk nower = wallClock{}
-	if opts.Clock != nil {
-		clk = opts.Clock
-	}
-	t.clk.set(clk)
+	t.clk.set(wallClock{})
 	if opts.Trace {
 		t.tracer = newTracer(&t.clk, traceCap)
 	}

@@ -199,7 +199,8 @@ func TestTextSorted(t *testing.T) {
 // order), then ph:"X" complete events with microsecond ts/dur.
 func TestTraceExportGolden(t *testing.T) {
 	clk := vclock.NewVirtual(testEpoch())
-	tel := New(Options{Clock: clk, Trace: true})
+	tel := New(Options{Trace: true})
+	tel.SetClock(clk)
 
 	clk.After(2*time.Millisecond, func() {
 		sp := tel.StartSpan("wm", "task1.ingest").Arg("coupling", "cg")
@@ -231,7 +232,8 @@ func TestTraceExportGolden(t *testing.T) {
 // name threads that complete events actually use.
 func TestTraceExportSchema(t *testing.T) {
 	clk := vclock.NewVirtual(testEpoch())
-	tel := New(Options{Clock: clk, Trace: true})
+	tel := New(Options{Trace: true})
+	tel.SetClock(clk)
 	for i := 0; i < 10; i++ {
 		tel.RecordSpan("cat", "op", tel.Now(), time.Duration(i)*time.Millisecond)
 		clk.RunFor(time.Second)
@@ -283,7 +285,8 @@ func TestTraceExportSchema(t *testing.T) {
 }
 
 func TestTraceCapDrops(t *testing.T) {
-	tel := New(Options{Clock: vclock.NewVirtual(testEpoch()), Trace: true})
+	tel := New(Options{Trace: true})
+	tel.SetClock(vclock.NewVirtual(testEpoch()))
 	tel.tracer = newTracer(&tel.clk, 3) // traceCap's drop path, at a testable size
 	for i := 0; i < 5; i++ {
 		tel.RecordSpan("c", "op", tel.Now(), 0)
@@ -334,7 +337,8 @@ func TestSetClockRebindsAndRebases(t *testing.T) {
 }
 
 func TestSpanNames(t *testing.T) {
-	tel := New(Options{Clock: vclock.NewVirtual(testEpoch()), Trace: true})
+	tel := New(Options{Trace: true})
+	tel.SetClock(vclock.NewVirtual(testEpoch()))
 	tel.RecordSpan("a", "zeta", tel.Now(), 0)
 	tel.RecordSpan("b", "alpha", tel.Now(), 0)
 	tel.RecordSpan("a", "zeta", tel.Now(), 0)

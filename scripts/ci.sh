@@ -139,6 +139,12 @@ test -z "$(grep -rnE 'batch|eventPage|indexTake|map\[EventID\]\*event' internal/
 test -z "$(grep -nE '^[[:space:]]*go[[:space:]]+[[:alnum:]_(]' $(ls internal/continuum/*.go | grep -v _test.go))"
 test -z "$(grep -rnwE 'pickEager|heapDirty|ForChunk|NewParallel' --include='*.go' --exclude='*_test.go' .)"
 test -z "$(grep -rn 'type Clock interface' --include='*.go' --exclude='*_test.go' .)"
+# One codec per record (DESIGN.md §5): a CG frame has one encoder and one
+# decoder, npy writes and reads its two float dtypes, a snapshot has one
+# writer, and the unreached frame encoder and queue label stay gone.
+test -z "$(grep -rnE 'UnmarshalCGFrameAuto|IdentInfo|EstimatedSize|FrameEncoder|QueueLabel|func \(a \*Array\) Float64s|func \([[:alnum:]_]+ \*Snapshot\) Marshal\(' --include='*.go' --exclude='*_test.go' .)"
+test -z "$(grep -rnF -e '"<i4"' -e '"<i8"' --include='*.go' --exclude='*_test.go' internal/npy)"
+test "$(grep -rhE '^func \([[:alnum:]_]+ \*CGFrame\) Marshal' --include='*.go' --exclude='*_test.go' . | wc -l)" -eq 1
 
 go test ./...
 go test -race ./...
