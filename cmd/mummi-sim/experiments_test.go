@@ -120,8 +120,13 @@ func TestFeedback12xSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FSTime <= 0 || res.KVTime <= 0 {
+	if res.FSHost <= 0 || res.KVTime <= 0 {
 		t.Fatal("times not measured")
+	}
+	// The modeled filesystem side is a count: one listing of the new
+	// namespace, then a read and a move per frame.
+	if want := int64(1 + 2*2000); res.FSOps != want {
+		t.Errorf("filesystem iteration made %d operations, want %d", res.FSOps, want)
 	}
 	// On local disk the gap is narrower than GPFS-vs-Redis, but the
 	// database path must not lose.

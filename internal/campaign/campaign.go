@@ -85,6 +85,10 @@ type Campaign struct {
 	candAcc float64     // fractional AA-candidate accumulator
 	subAcc  float64     // fractional subsample accumulator
 
+	// patchCoords is every patch offer's encoding, refilled per patch: the
+	// selector copies what it keeps (dynim.Selector.Add).
+	patchCoords [9]float64
+
 	schedule    []RunSpec // one entry per allocation, in Table 1 order
 	totalWall   time.Duration
 	elapsedWall time.Duration
@@ -621,7 +625,7 @@ func (c *Campaign) onSnapshot(wm coordinator, contNodes int) {
 		for j := range w {
 			w[j] += c.rng.NormFloat64() * 0.05
 		}
-		coords := make([]float64, 9)
+		coords := c.patchCoords[:] // Add copies them
 		for j := range coords {
 			coords[j] = w[j] + c.rng.NormFloat64()*0.02
 		}

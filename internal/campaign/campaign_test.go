@@ -377,6 +377,44 @@ func TestStepObserver(t *testing.T) {
 	}
 }
 
+// patchSink is a coordinator that hands each Task-1 offer straight to a
+// selector; the rest of the interface is never called.
+type patchSink struct {
+	coordinator
+	sel dynim.Selector
+}
+
+func (s *patchSink) AddCandidate(_ string, p dynim.Point) error { return s.sel.Add(p) }
+
+// TestSnapshotAllocatesOnlyPatchIDs counts, not times: once the patch queues
+// exist, one snapshot of N patches allocates N objects, the IDs the queues
+// keep. Each encoding is refilled in the campaign's one buffer, which the
+// selector copies. (TestFPSAddAllocatesNothing holds the queues' stores,
+// whose rare re-growths an average over snapshots would round away.)
+func TestSnapshotAllocatesOnlyPatchIDs(t *testing.T) {
+	cfg := smallCfg(1)
+	cfg.Scales = TwoScale     // no continuum performance sample to append
+	cfg.PatchQueueCap = 5_000 // every patch below stays under the eviction mark
+	c, err := NewCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wm coordinator = &patchSink{sel: c.patchSel}
+	for range 3 { // creates every queue
+		c.onSnapshot(wm, 1)
+	}
+	const runs = 100
+	if n := testing.AllocsPerRun(runs, func() { c.onSnapshot(wm, 1) }); n != float64(cfg.PatchesPerSnapshot) {
+		t.Errorf("a snapshot of %d patches allocates %v times, want one ID each", cfg.PatchesPerSnapshot, n)
+	}
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	if want := (3 + 1 + runs) * cfg.PatchesPerSnapshot; c.patchSel.Len() != want {
+		t.Fatalf("queues hold %d patches, want %d", c.patchSel.Len(), want)
+	}
+}
+
 // TestPatchIDsAscend pins the traffic the patch selector's dedupe is fast
 // on: FarthestPoint.Add admits an ID above every ID it has admitted after one
 // comparison, and checks one at or below that mark against its whole queue.

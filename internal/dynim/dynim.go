@@ -63,7 +63,8 @@ func checkPoint(p Point, dim int) error {
 // QueueSet, and any application-defined replacement (§4.5).
 type Selector interface {
 	// Add ingests a new candidate. It must be cheap: candidates arrive at
-	// data-production rate (thousands per minute at scale).
+	// data-production rate (thousands per minute at scale). Add copies what
+	// it keeps; the caller may reuse p.Coords once Add returns.
 	Add(p Point) error
 	// Select returns up to n candidates, removing them from the queue and
 	// marking them selected. Expensive rank refreshes happen here.

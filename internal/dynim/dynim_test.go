@@ -510,3 +510,62 @@ func occupancy(b *Binned, coords []float64) int {
 	}
 	return 0
 }
+
+// TestSelectorsCopyOnAdd holds every sampler to Selector.Add's contract:
+// Add copies what it keeps, so a caller may refill one coordinate buffer for
+// every offer (the campaign's patch and frame producers do). Each sampler is
+// run twice, once offered a fresh slice per point and once offered the same
+// buffer, overwritten after each Add; every selection must be the same.
+func TestSelectorsCopyOnAdd(t *testing.T) {
+	const dim, points, every = 3, 300, 7
+	samplers := []struct {
+		name string
+		make func() Selector
+	}{
+		{"FarthestPoint", func() Selector { return NewFarthestPoint(dim, 64) }},
+		{"FarthestPoint/unbounded", func() Selector { return NewFarthestPoint(dim, 0) }},
+		{"QueueSet", func() Selector {
+			return NewQueueSet(dim, 16, func(p Point) string { return p.ID[len(p.ID)-1:] })
+		}},
+		{"Binned", func() Selector {
+			b, err := NewBinned([]BinDim{{0, 1, 4}, {0, 1, 4}, {0, 1, 4}}, 0.8, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}},
+	}
+	run := func(sel Selector, reuse bool) []Point {
+		rng := rand.New(rand.NewSource(9))
+		buf := make([]float64, dim)
+		var picked []Point
+		for i := range points {
+			coords := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+			if reuse {
+				copy(buf, coords)
+				coords = buf
+			}
+			if err := sel.Add(Point{ID: fmt.Sprintf("p%04d", i), Coords: coords}); err != nil {
+				t.Fatal(err)
+			}
+			if reuse {
+				for j := range buf {
+					buf[j] = 0.5 // in every bin range, and no point's value
+				}
+			}
+			if i%every == every-1 {
+				picked = append(picked, sel.Select(2)...)
+			}
+		}
+		return append(picked, sel.Select(points)...)
+	}
+	for _, s := range samplers {
+		fresh, reused := run(s.make(), false), run(s.make(), true)
+		if len(fresh) == 0 {
+			t.Fatalf("%s: nothing selected", s.name)
+		}
+		if !reflect.DeepEqual(reused, fresh) {
+			t.Errorf("%s: selections from one reused buffer differ from fresh slices", s.name)
+		}
+	}
+}

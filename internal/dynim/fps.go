@@ -255,6 +255,9 @@ func (f *FarthestPoint) heapRemoveAt(pos int) {
 // nothing reads the heap order before siftArrivals inserts it. With nothing
 // selected +Inf is the final rank, so it sifts at once.
 func (f *FarthestPoint) newSlot(p Point) {
+	if f.capacity > 0 && cap(f.ids) == 0 {
+		f.sizeStore(f.evictMark())
+	}
 	s := int32(len(f.ids))
 	f.ids = append(f.ids, p.ID)
 	f.coords = append(f.coords, p.Coords...)
@@ -267,6 +270,22 @@ func (f *FarthestPoint) newSlot(p Point) {
 	} else {
 		f.up(len(f.h) - 1)
 	}
+}
+
+// sizeStore gives the slot store, the heap, the arrival list and the
+// eviction keys room for n slots at once. A capped queue calls it on its
+// first admission with the most it ever holds, so no offer after that
+// re-grows a slab: appending to a large slice reallocates it at about 1.25x,
+// which would allocate each store several times over on its way to the cap.
+func (f *FarthestPoint) sizeStore(n int) {
+	f.ids = make([]string, 0, n)
+	f.coords = make([]float64, 0, n*f.dim)
+	f.dist2 = make([]float64, 0, n)
+	f.seenSel = make([]int32, 0, n)
+	f.heapPos = make([]int32, 0, n)
+	f.h = make([]int32, 0, n)
+	f.dirty = make([]int32, 0, n)
+	f.evKeys = make([]uint64, 0, n)
 }
 
 // freeSlot releases slot s by moving the last slot into it. The slot must
@@ -376,21 +395,19 @@ func (f *FarthestPoint) Add(p Point) error {
 		return nil
 	}
 	f.newSlot(p)
-	if f.capacity > 0 && len(f.ids) > f.capacity {
-		// Evict in amortized batches: a single-victim scan per add would be
-		// O(queue) for every candidate past the cap, which the campaign's
-		// millions of patch offers cannot afford. The queue is allowed a
-		// small slack, then trimmed back to capacity in one pass.
-		slack := f.capacity / 16
-		if slack < 1 {
-			slack = 1
-		}
-		if len(f.ids) >= f.capacity+slack {
-			f.evictDownTo(f.capacity)
-		}
+	if f.capacity > 0 && len(f.ids) >= f.evictMark() {
+		f.evictDownTo(f.capacity)
 	}
 	return nil
 }
+
+// evictMark is the queue length at which Add trims a capped queue back to
+// its capacity, and so the most it ever holds. Eviction runs in amortized
+// batches: a single-victim scan per add would be O(queue) for every
+// candidate past the cap, which the campaign's millions of patch offers
+// cannot afford, so the queue is allowed a small slack, then trimmed in one
+// pass.
+func (f *FarthestPoint) evictMark() int { return f.capacity + max(1, f.capacity/16) }
 
 // evictDownTo drops the m least-novel candidates — least under (dist² asc,
 // ID asc) — until only target remain. Ranks are refreshed first so victims

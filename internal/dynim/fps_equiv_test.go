@@ -328,6 +328,54 @@ func TestFPSUpdatePlacementInvariant(t *testing.T) {
 	}
 }
 
+// TestFPSAddAllocatesNothing counts, not times: a capped queue sizes its
+// slot store, heap and arrival list on its first admission, so below its
+// eviction mark an Add of a point the caller built allocates nothing —
+// before the first selection, when an arrival sifts at once, and after it,
+// when the arrival joins the dirty list. Each count is over a batch of adds,
+// so an occasional slab re-growth cannot round down to zero, and the least
+// count of three fresh queues is kept: a re-growth recurs at the same
+// lengths in every queue, a stray allocation elsewhere in the process does
+// not.
+func TestFPSAddAllocatesNothing(t *testing.T) {
+	const capacity, batch = 512, 100
+	rng := rand.New(rand.NewSource(1))
+	pts := make([]Point, 1+4*batch) // AllocsPerRun adds one warm-up call
+	for i := range pts {
+		pts[i] = Point{ID: fmt.Sprintf("p%05d", i), Coords: []float64{rng.Float64(), rng.Float64(), rng.Float64()}}
+	}
+	before, after := math.Inf(1), math.Inf(1)
+	for range 3 {
+		fp := NewFarthestPoint(3, capacity)
+		fp.SetWorkers(1)
+		next := 0
+		add := func() {
+			for range batch {
+				if err := fp.Add(pts[next]); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			}
+		}
+		if err := fp.Add(pts[0]); err != nil { // the first admission sizes the store
+			t.Fatal(err)
+		}
+		next++
+		before = min(before, testing.AllocsPerRun(1, add))
+		fp.Select(1)
+		after = min(after, testing.AllocsPerRun(1, add))
+		if want := len(pts) - 1; fp.Len() != want {
+			t.Fatalf("queue holds %d, want %d: an eviction ran inside the count", fp.Len(), want)
+		}
+	}
+	if before != 0 {
+		t.Errorf("%d adds before any selection allocate %v times, want 0", batch, before)
+	}
+	if after != 0 {
+		t.Errorf("%d adds after a selection allocate %v times, want 0", batch, after)
+	}
+}
+
 // TestFPSEvictionAllocatesNoSlices counts, not times: at steady state an
 // eviction makes no slices — the rank keys, the victims and the
 // tie group live in scratch reused across evictions, and freeing victims in

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -171,6 +172,50 @@ func TestSnapshotDeterministicUnderConcurrency(t *testing.T) {
 		if got := build(true); !bytes.Equal(got, seq) {
 			t.Fatalf("trial %d: concurrent snapshot differs\nconcurrent: %s\nsequential: %s", trial, got, seq)
 		}
+	}
+}
+
+// TestSnapshotWhileRegistering snapshots the registry while other goroutines
+// create counters, gauges and histograms under new names. A Snapshot that
+// reads the name maps without r.mu races those inserts, which -race reports
+// (and which can crash a plain run as a concurrent map read and write).
+func TestSnapshotWhileRegistering(t *testing.T) {
+	const writers, names = 2, 300
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range names {
+				n := Name("new_total", "writer", strconv.Itoa(w), "i", strconv.Itoa(i))
+				r.Counter(n).Inc()
+				r.Gauge(n).Set(1)
+				r.Histogram(n).Observe(1)
+			}
+		}()
+	}
+	go func() { wg.Wait(); close(done) }()
+	for snapping := true; snapping; {
+		select {
+		case <-done:
+			snapping = false
+		default:
+		}
+		// A writer registers each name as a counter, a gauge, then a
+		// histogram, and one snapshot reads all three sections at once: only
+		// each writer's name in flight can be missing from the later ones.
+		s := r.Snapshot()
+		c, g, h := len(s.Counters), len(s.Gauges), len(s.Histograms)
+		if c < g || g < h || c-h > writers {
+			t.Fatalf("snapshot sections hold %d / %d / %d metrics", c, g, h)
+		}
+	}
+	s := r.Snapshot()
+	if want := writers * names; len(s.Counters) != want || len(s.Gauges) != want || len(s.Histograms) != want {
+		t.Fatalf("final snapshot holds %d / %d / %d metrics, want %d each",
+			len(s.Counters), len(s.Gauges), len(s.Histograms), want)
 	}
 }
 
