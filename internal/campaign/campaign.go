@@ -552,9 +552,7 @@ func (c *Campaign) startChaos() {
 		}
 		victims := a.s.Crash(node)
 		c.res.NodeCrashes++
-		msg := fmt.Sprintf("node-crash node=%d killed=%d recovery=%s", node, len(victims), r.Recovery)
-		c.noteFault(msg)
-		c.eng.Note(msg)
+		c.noteFault(fmt.Sprintf("node-crash node=%d killed=%d recovery=%s", node, len(victims), r.Recovery))
 		c.clk.After(r.Recovery, func() {
 			if c.cur != a { // due after a's end: the machine is gone
 				return
@@ -575,9 +573,7 @@ func (c *Campaign) startChaos() {
 		aj, _ := c.active.get(id)
 		c.active.put(id, activeJob{simID: aj.simID, start: c.clk.Now()})
 		c.res.JobHangs++
-		msg := fmt.Sprintf("job-hang job=%d sim=%s", id, aj.simID)
-		c.noteFault(msg)
-		c.eng.Note(msg)
+		c.noteFault(fmt.Sprintf("job-hang job=%d sim=%s", id, aj.simID))
 	})
 	c.eng.SetHandler(faults.WMCrash, func(r faults.Rule, rng *rand.Rand) {
 		c.cur.wm.Crash(r, rng)

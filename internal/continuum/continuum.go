@@ -132,9 +132,6 @@ func New(cfg Config) (*Sim, error) {
 // Time returns the accumulated simulated time.
 func (s *Sim) Time() units.SimTime { return s.time }
 
-// Config returns the simulation configuration.
-func (s *Sim) Config() Config { return s.cfg }
-
 // ParamVersion returns how many feedback parameter updates have been applied.
 func (s *Sim) ParamVersion() int { return s.paramVersion }
 
@@ -155,15 +152,6 @@ func (s *Sim) UpdateCouplings(c [][]float64) error {
 	}
 	s.paramVersion++
 	return nil
-}
-
-// Couplings returns a deep copy of the current coupling matrix.
-func (s *Sim) Couplings() [][]float64 {
-	out := make([][]float64, len(s.couplings))
-	for i, row := range s.couplings {
-		out[i] = append([]float64(nil), row...)
-	}
-	return out
 }
 
 // Step advances the model by dt of simulated time, split into explicit
@@ -258,11 +246,3 @@ func (s *Sim) Snapshot() *Snapshot {
 	}
 	return snap
 }
-
-// Density returns the current density of species sp at grid cell (x, y).
-func (s *Sim) Density(sp, x, y int) float64 {
-	return float64(s.fields[sp][y*s.cfg.GridN+x])
-}
-
-// Proteins returns a copy of the particle states.
-func (s *Sim) Proteins() []Protein { return append([]Protein(nil), s.proteins...) }

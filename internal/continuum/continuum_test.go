@@ -8,6 +8,21 @@ import (
 	"mummi/internal/units"
 )
 
+// density is species sp's density at grid cell (x, y).
+func density(s *Sim, sp, x, y int) float64 { return float64(s.fields[sp][y*s.cfg.GridN+x]) }
+
+// proteins copies the particle states.
+func proteins(s *Sim) []Protein { return append([]Protein(nil), s.proteins...) }
+
+// couplings deep-copies the coupling matrix.
+func couplings(s *Sim) [][]float64 {
+	out := make([][]float64, len(s.couplings))
+	for i, row := range s.couplings {
+		out[i] = append([]float64(nil), row...)
+	}
+	return out
+}
+
 func small() Config {
 	return Config{GridN: 32, Domain: 100 * units.Nm, InnerLipids: 3, OuterLipids: 2,
 		Proteins: 5, Seed: 7}
@@ -38,12 +53,12 @@ func TestStepAdvancesTimeAndMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := s.Proteins()
+	before := proteins(s)
 	s.Step(1 * units.Microsecond)
 	if s.Time() != 1*units.Microsecond {
 		t.Errorf("Time = %v", s.Time())
 	}
-	after := s.Proteins()
+	after := proteins(s)
 	moved := 0
 	for i := range before {
 		if before[i].X != after[i].X || before[i].Y != after[i].Y {
@@ -64,7 +79,7 @@ func TestDeterministicWithSeed(t *testing.T) {
 	run := func() []Protein {
 		s, _ := New(small())
 		s.Step(2 * units.Microsecond)
-		return s.Proteins()
+		return proteins(s)
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -83,7 +98,7 @@ func TestDiffusionSmoothsFields(t *testing.T) {
 		n := 0
 		for y := 0; y < 32; y++ {
 			for x := 0; x < 32; x++ {
-				v := s.Density(0, x, y)
+				v := density(s, 0, x, y)
 				sum += v
 				sum2 += v * v
 				n++
@@ -105,7 +120,7 @@ func TestUpdateCouplingsFeedback(t *testing.T) {
 	if s.ParamVersion() != 0 {
 		t.Fatal("fresh sim has nonzero param version")
 	}
-	c := s.Couplings()
+	c := couplings(s)
 	c[1][0] = 0.9
 	if err := s.UpdateCouplings(c); err != nil {
 		t.Fatal(err)
@@ -113,19 +128,14 @@ func TestUpdateCouplingsFeedback(t *testing.T) {
 	if s.ParamVersion() != 1 {
 		t.Errorf("ParamVersion = %d", s.ParamVersion())
 	}
-	if got := s.Couplings()[1][0]; got != 0.9 {
+	if got := couplings(s)[1][0]; got != 0.9 {
 		t.Errorf("coupling = %v", got)
-	}
-	// Mutating the returned copy must not touch internals.
-	s.Couplings()[0][0] = 123
-	if s.Couplings()[0][0] == 123 {
-		t.Error("Couplings returned aliased storage")
 	}
 	// Shape errors rejected.
 	if err := s.UpdateCouplings(c[:1]); err == nil {
 		t.Error("short state list accepted")
 	}
-	bad := s.Couplings()
+	bad := couplings(s)
 	bad[0] = bad[0][:2]
 	if err := s.UpdateCouplings(bad); err == nil {
 		t.Error("short species row accepted")
@@ -137,17 +147,17 @@ func TestCouplingInfluencesField(t *testing.T) {
 	cfg := small()
 	cfg.Proteins = 1
 	s, _ := New(cfg)
-	c := s.Couplings()
+	c := couplings(s)
 	for st := range c {
 		c[st][0] = 5.0
 	}
 	s.UpdateCouplings(c)
-	p := s.Proteins()[0]
+	p := proteins(s)[0]
 	cell := cfg.Domain.Nanometers() / float64(cfg.GridN)
 	x, y := int(p.X/cell)%cfg.GridN, int(p.Y/cell)%cfg.GridN
-	before := s.Density(0, x, y)
+	before := density(s, 0, x, y)
 	s.diffuse() // single sub-step keeps the protein in place
-	after := s.Density(0, x, y)
+	after := density(s, 0, x, y)
 	if after <= before {
 		t.Errorf("coupled density did not grow: %v -> %v", before, after)
 	}
@@ -213,7 +223,7 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	s, _ := New(small())
 	snap := s.Snapshot()
 	snap.Fields[0][0] = 999
-	if math.Abs(s.Density(0, 0, 0)-999) < 1 {
+	if math.Abs(density(s, 0, 0, 0)-999) < 1 {
 		t.Error("snapshot aliases live fields")
 	}
 }

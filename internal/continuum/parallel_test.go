@@ -33,13 +33,13 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 		for sp := 0; sp < cfg.Species(); sp++ {
 			for y := 0; y < cfg.GridN; y++ {
 				for x := 0; x < cfg.GridN; x++ {
-					if a, b := serial.Density(sp, x, y), par.Density(sp, x, y); a != b {
+					if a, b := density(serial, sp, x, y), density(par, sp, x, y); a != b {
 						t.Fatalf("workers=%d: field %d cell (%d,%d): serial %v, parallel %v", workers, sp, x, y, a, b)
 					}
 				}
 			}
 		}
-		sp, pp := serial.Proteins(), par.Proteins()
+		sp, pp := serial.proteins, par.proteins
 		for i := range sp {
 			if sp[i] != pp[i] {
 				t.Fatalf("workers=%d: protein %d diverged: %+v vs %+v", workers, i, sp[i], pp[i])

@@ -367,17 +367,27 @@ func TestFailedSubmissionRejoinsAtBack(t *testing.T) {
 	}
 }
 
-// allocBytesPerCall reports the heap bytes one call of f allocates, averaged
-// over calls. Bytes, not allocation counts: a scan or a copy allocates a
-// constant number of objects whose sizes grow with the live state.
+// allocRounds is how many rounds allocBytesPerCall runs.
+const allocRounds = 3
+
+// allocBytesPerCall reports the heap bytes one call of f allocates: the
+// least, over allocRounds rounds of calls calls each, of a round's average.
+// TotalAlloc counts every goroutine's allocations, so a stray runtime
+// allocation can land in one round; the least round is f's own cost. Bytes,
+// not allocation counts: a scan or a copy allocates a constant number of
+// objects whose sizes grow with the live state.
 func allocBytesPerCall(calls int, f func()) uint64 {
+	least := ^uint64(0)
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < calls; i++ {
-		f()
+	for range allocRounds {
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/uint64(calls))
 	}
-	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / uint64(calls)
+	return least
 }
 
 // loadedRig builds a workflow with ready prepared configurations restored,
@@ -430,8 +440,8 @@ func TestSimFailureCostIgnoresReadyBuffer(t *testing.T) {
 			r.clk.RunFor(time.Second)
 			r.be.startWhere(func(sched.JobID) bool { return true })
 		})
-		if st := r.w.Stats()[0]; st.FailedSims != 50 || st.Running != 1 || st.Ready != ready {
-			t.Fatalf("stats %+v, want 50 failed, 1 running, %d ready", st, ready)
+		if st := r.w.Stats()[0]; st.FailedSims != allocRounds*50 || st.Running != 1 || st.Ready != ready {
+			t.Fatalf("stats %+v, want %d failed, 1 running, %d ready", st, allocRounds*50, ready)
 		}
 		if r.lastSim != "p00000" {
 			t.Fatalf("relaunched %s: a failed simulation re-enters at the front of the buffer", r.lastSim)

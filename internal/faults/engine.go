@@ -17,30 +17,17 @@ import (
 // clock callback, so they must not block.
 type Handler func(r Rule, rng *rand.Rand)
 
-// Injection is one recorded fault occurrence.
-type Injection struct {
-	// At is the virtual time of the injection.
-	At time.Time
-	// Class is the fault class that fired.
-	Class Class
-	// Detail describes the victim or effect, filled by the handler via
-	// Engine.Note (e.g. "node 3", "job sim-12").
-	Detail string
-}
-
 // ruleState is the mutable scheduling state of one plan rule.
 type ruleState struct {
 	rule     Rule
-	rng      *rand.Rand     // private stream: seed ^ f(rule index)
-	pending  vclock.EventID // armed timer for timed classes
-	armed    bool
+	rng      *rand.Rand                        // private stream: seed ^ f(rule index)
 	injected telemetry.Lazy[telemetry.Counter] // faults.injected_total for the rule's class
 }
 
 // Engine executes a Plan against a clock. One engine serves a whole
 // campaign: timed faults are scheduled as events on the clock, store faults
 // are consulted synchronously by wrapped stores (WrapStore), and every
-// injection is recorded for the campaign's anomaly report.
+// injection is counted in faults.injected_total.
 //
 // An Engine is not safe for concurrent use: its timed faults are clock
 // callbacks, and wrapped stores draw from it on the same goroutine that
@@ -52,10 +39,8 @@ type Engine struct {
 
 	rules    []*ruleState
 	handlers map[Class]Handler
-	log      []Injection
 	start    time.Time
 	started  bool
-	stopped  bool
 }
 
 // NewEngine builds an engine for plan. The plan must already validate; an
@@ -83,7 +68,7 @@ func NewEngine(clk *vclock.Virtual, tel *telemetry.Telemetry, plan *Plan) *Engin
 
 // SetHandler installs the callback for a timed fault class, replacing any
 // previous one. A nil handler makes the class fire into the void (still
-// recorded and counted). The campaign rebinds handlers at the start of each
+// counted). The campaign rebinds handlers at the start of each
 // allocation, since the victims (scheduler, workflow manager) are rebuilt.
 func (e *Engine) SetHandler(c Class, h Handler) { e.handlers[c] = h }
 
@@ -94,22 +79,10 @@ func (e *Engine) Start() {
 		return
 	}
 	e.started = true
-	e.stopped = false
 	e.start = e.clk.Now()
 	for _, rs := range e.rules {
 		if rs.rule.Class.timed() && rs.rule.Rate > 0 {
 			e.arm(rs)
-		}
-	}
-}
-
-// Stop cancels all pending timed faults and disables store-fault draws.
-func (e *Engine) Stop() {
-	e.stopped = true
-	for _, rs := range e.rules {
-		if rs.armed {
-			e.clk.Cancel(rs.pending)
-			rs.armed = false
 		}
 	}
 }
@@ -122,21 +95,15 @@ func (e *Engine) arm(rs *ruleState) {
 	if d < time.Second {
 		d = time.Second // keep pathological rates from starving the clock
 	}
-	rs.pending = e.clk.After(d, func() { e.fire(rs) })
-	rs.armed = true
+	e.clk.After(d, func() { e.fire(rs) })
 }
 
 // fire delivers one timed fault occurrence and re-arms the rule.
 func (e *Engine) fire(rs *ruleState) {
-	if e.stopped {
-		return
-	}
-	rs.armed = false
 	now := e.clk.Now()
 	var h Handler
 	if e.inWindow(rs.rule, now) {
 		h = e.handlers[rs.rule.Class]
-		e.log = append(e.log, Injection{At: now, Class: rs.rule.Class})
 		rs.injected.Get(e.tel, "faults.injected_total", "class", string(rs.rule.Class)).Inc()
 		e.tel.RecordSpan("faults", string(rs.rule.Class), now, 0)
 	}
@@ -155,22 +122,6 @@ func (e *Engine) inWindow(r Rule, t time.Time) bool {
 	return r.End == 0 || off < r.End
 }
 
-// Note annotates the most recent injection with a victim description
-// ("node 3", "job sim-12"); handlers call it so the anomaly log names what
-// the fault actually hit.
-func (e *Engine) Note(detail string) {
-	if n := len(e.log); n > 0 {
-		e.log[n-1].Detail = detail
-	}
-}
-
-// Injections returns a copy of everything injected so far, in order.
-func (e *Engine) Injections() []Injection {
-	out := make([]Injection, len(e.log))
-	copy(out, e.log)
-	return out
-}
-
 // DrawStore is consulted by wrapped stores once per operation. It walks the
 // store-class rules in plan order, drawing each in-window rule's generator
 // exactly once, and returns the injected error (nil if no fault hit) plus
@@ -178,7 +129,7 @@ func (e *Engine) Injections() []Injection {
 // functions of (plan, virtual time, operation sequence), keeping replays
 // identical.
 func (e *Engine) DrawStore(op string) (spike time.Duration, err error) {
-	if !e.started || e.stopped {
+	if !e.started {
 		return 0, nil
 	}
 	now := e.clk.Now()

@@ -147,14 +147,8 @@ func (f *CGToContinuum) TotalFrames() int64 {
 	return f.frames
 }
 
-// Couplings returns the current aggregate: the mean first-shell RDF excess
-// per (state, species), defaulting to 0.1 where no data has arrived.
-func (f *CGToContinuum) Couplings() [][]float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.couplingsLocked()
-}
-
+// couplingsLocked returns the current aggregate: the mean first-shell RDF
+// excess per (state, species), defaulting to 0.1 where no data has arrived.
 func (f *CGToContinuum) couplingsLocked() [][]float64 {
 	out := make([][]float64, f.cfg.States)
 	for st := range out {

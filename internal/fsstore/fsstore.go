@@ -233,6 +233,3 @@ func (s *Store) Move(srcNS, key, dstNS string) error {
 
 // Close implements datastore.Store.
 func (s *Store) Close() error { return nil }
-
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }

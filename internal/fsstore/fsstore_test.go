@@ -191,13 +191,14 @@ func TestMoveAcrossNamespaces(t *testing.T) {
 	}
 }
 
+// TestRootAccessor: New roots the store at the directory it is given.
 func TestRootAccessor(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Root() != dir {
-		t.Errorf("Root = %q", s.Root())
+	if s.root != dir {
+		t.Errorf("root = %q", s.root)
 	}
 }

@@ -34,7 +34,6 @@ import (
 // the underlying error; recovery (redial, failover to a replica) is the
 // cluster layer's job, where the replacement address is known.
 type AsyncClient struct {
-	addr   string
 	pipes  []*pipe
 	closed atomic.Bool
 }
@@ -45,7 +44,7 @@ var errClientClosed = errors.New("kvstore: client closed")
 // DialAsync opens a pipelined client with poolSize connections to addr.
 // Dial failures close any connections already opened.
 func DialAsync(addr string, opts ClientOptions) (*AsyncClient, error) {
-	a := &AsyncClient{addr: addr}
+	a := &AsyncClient{}
 	for i := 0; i < poolSize; i++ {
 		p, err := newPipe(addr, opts)
 		if err != nil {
@@ -55,9 +54,6 @@ func DialAsync(addr string, opts ClientOptions) (*AsyncClient, error) {
 	}
 	return a, nil
 }
-
-// Addr returns the remote address the client was dialed against.
-func (a *AsyncClient) Addr() string { return a.addr }
 
 // Do submits one command and blocks for its reply. affinity selects the
 // pool connection: commands sharing an affinity key are executed in

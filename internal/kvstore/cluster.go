@@ -91,9 +91,6 @@ func DialShards(shards []Shard, opts ClientOptions) (*Cluster, error) {
 	return c, nil
 }
 
-// Nodes returns the number of shards.
-func (c *Cluster) Nodes() int { return len(c.shards) }
-
 // Failovers reports how many times any shard switched nodes (promotion to
 // replica or redial of the same node after a drop).
 func (c *Cluster) Failovers() int64 { return c.failovers.Load() }

@@ -93,16 +93,6 @@ func (e *Engine) match(prefix string) []string {
 	return out
 }
 
-// Set stores value under key. The stored copy is always non-nil so that an
-// empty value stays distinguishable from a missing key on the wire (RESP
-// encodes missing as a nil bulk string, empty as a zero-length one).
-func (e *Engine) Set(key string, value []byte) {
-	v := clone(value)
-	e.mu.Lock()
-	e.put(key, v)
-	e.mu.Unlock()
-}
-
 // clone copies b into a fresh non-nil slice (append would return nil for
 // empty input, collapsing "empty value" into "missing key").
 func clone(b []byte) []byte {
@@ -112,9 +102,9 @@ func clone(b []byte) []byte {
 }
 
 // setOwned stores value without copying — the server's fast path. The
-// caller must hand over a freshly allocated slice and never touch it again;
-// combined with Set's clone-on-write this keeps every stored value
-// immutable, which is what lets getRef/mgetRef serve references.
+// caller must hand over a freshly allocated slice and never touch it again,
+// so every stored value is immutable, which is what lets getRef/mgetRef
+// serve references.
 func (e *Engine) setOwned(key string, value []byte) {
 	if value == nil {
 		value = []byte{}
@@ -151,9 +141,9 @@ func (e *Engine) Get(key string) ([]byte, error) {
 }
 
 // getRef returns the stored value without copying. Stored values are
-// immutable (Set clones, setOwned transfers ownership, Rename moves the
-// slice), so the reference is safe to serialize concurrently with writes —
-// a racing Set replaces the map entry, it never mutates the old bytes.
+// immutable (setOwned transfers ownership, Rename moves the slice), so the
+// reference is safe to serialize concurrently with writes — a racing write
+// replaces the map entry, it never mutates the old bytes.
 // Callers must not mutate the result.
 func (e *Engine) getRef(key []byte) ([]byte, bool) {
 	e.mu.RLock()
@@ -226,19 +216,6 @@ func (e *Engine) Rename(src, dst string) error {
 	}
 	e.put(dst, v)
 	return nil
-}
-
-// MGet returns values for keys; missing keys yield nil entries.
-func (e *Engine) MGet(keys ...string) [][]byte {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([][]byte, len(keys))
-	for i, k := range keys {
-		if v, ok := e.m[partOf(k)][k]; ok {
-			out[i] = clone(v)
-		}
-	}
-	return out
 }
 
 // Size returns the number of keys.

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"slices"
@@ -20,9 +21,17 @@ import (
 // ---------------------------------------------------------------------------
 // Engine
 
+// set stores a copy of value under key.
+func (e *Engine) set(key string, value []byte) {
+	v := clone(value)
+	e.mu.Lock()
+	e.put(key, v)
+	e.mu.Unlock()
+}
+
 func TestEngineBasics(t *testing.T) {
 	e := NewEngine()
-	e.Set("a", []byte("1"))
+	e.set("a", []byte("1"))
 	v, err := e.Get("a")
 	if err != nil || string(v) != "1" {
 		t.Fatalf("Get = %q, %v", v, err)
@@ -44,7 +53,7 @@ func TestEngineBasics(t *testing.T) {
 func TestEngineKeysPatterns(t *testing.T) {
 	e := NewEngine()
 	for _, k := range []string{"rdf:new:1", "rdf:new:2", "rdf:done:1", "other"} {
-		e.Set(k, nil)
+		e.set(k, nil)
 	}
 	if ks := e.Keys("rdf:new:*"); len(ks) != 2 || ks[0] != "rdf:new:1" {
 		t.Errorf("prefix scan = %v", ks)
@@ -62,7 +71,7 @@ func TestEngineKeysPatterns(t *testing.T) {
 
 func TestEngineRename(t *testing.T) {
 	e := NewEngine()
-	e.Set("new:f1", []byte("rdf"))
+	e.set("new:f1", []byte("rdf"))
 	if err := e.Rename("new:f1", "done:f1"); err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +96,11 @@ func TestEngineRename(t *testing.T) {
 
 func TestEngineMGetAndFlush(t *testing.T) {
 	e := NewEngine()
-	e.Set("a", []byte("1"))
-	e.Set("c", []byte("3"))
-	got := e.MGet("a", "b", "c")
+	e.set("a", []byte("1"))
+	e.set("c", []byte("3"))
+	got := e.mgetRef([][]byte{[]byte("a"), []byte("b"), []byte("c")})
 	if string(got[0]) != "1" || got[1] != nil || string(got[2]) != "3" {
-		t.Errorf("MGet = %v", got)
+		t.Errorf("mgetRef = %v", got)
 	}
 	e.Flush()
 	if e.Size() != 0 {
@@ -102,7 +111,7 @@ func TestEngineMGetAndFlush(t *testing.T) {
 func TestEngineValueIsolation(t *testing.T) {
 	e := NewEngine()
 	src := []byte("abc")
-	e.Set("k", src)
+	e.set("k", src)
 	src[0] = 'X'
 	v, _ := e.Get("k")
 	if string(v) != "abc" {
@@ -131,7 +140,7 @@ func TestPropertyEngineMatchesMap(t *testing.T) {
 			switch op := rng.Intn(20); {
 			case op < 7:
 				v := fmt.Sprintf("v%d", i)
-				e.Set(k, []byte(v))
+				e.set(k, []byte(v))
 				model[k] = v
 			case op < 10:
 				_, inModel := model[k]
@@ -459,13 +468,15 @@ func TestServerWrongArity(t *testing.T) {
 // docs/LINT.md "What each analyzer is a gate for".
 func TestServerCloseWaitsForHandlers(t *testing.T) {
 	s, c := startServer(t)
-	served := s.Commands()
-	s.engine.mu.Lock()
-	unlock := sync.OnceFunc(s.engine.mu.Unlock)
+	// The test holds a read lock, so the SET's write lock waits; a waiting
+	// writer makes TryRLock fail, which is how the test sees the SET parked.
+	s.engine.mu.RLock()
+	unlock := sync.OnceFunc(s.engine.mu.RUnlock)
 	defer unlock()
 	setDone := make(chan error, 1) // fails or not with the closing server; only its arrival and return matter
 	go func() { setDone <- c.Set("k", []byte("v")) }()
-	for deadline := time.Now().Add(10 * time.Second); s.Commands() == served; {
+	for deadline := time.Now().Add(10 * time.Second); s.engine.mu.TryRLock(); {
+		s.engine.mu.RUnlock()
 		if time.Now().After(deadline) {
 			t.Fatal("the SET never reached the connection handler")
 		}
@@ -497,7 +508,7 @@ func TestServerCloseWaitsForHandlers(t *testing.T) {
 
 func TestConcurrentClients(t *testing.T) {
 	s, _ := startServer(t)
-	addr := s.Addr()
+	addr := s.ln.Addr().String()
 	const workers = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -532,9 +543,6 @@ func TestConcurrentClients(t *testing.T) {
 	}
 	if s.Engine().Size() != workers*50 {
 		t.Errorf("Size = %d", s.Engine().Size())
-	}
-	if s.Commands() < int64(workers*100) {
-		t.Errorf("Commands = %d", s.Commands())
 	}
 }
 
@@ -655,22 +663,21 @@ func TestDialClusterErrors(t *testing.T) {
 	}
 }
 
+// TestClusterNodesAndServerAddr: a cluster holds one shard per node it was
+// given, and Listen returns the address the server is bound to.
 func TestClusterNodesAndServerAddr(t *testing.T) {
 	c := startCluster(t, 4)
-	if c.Nodes() != 4 {
-		t.Errorf("Nodes = %d", c.Nodes())
+	if len(c.shards) != 4 {
+		t.Errorf("shards = %d", len(c.shards))
 	}
 	s := NewServer(nil)
-	if s.Addr() != "" {
-		t.Error("Addr before Listen should be empty")
-	}
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Addr() != addr {
-		t.Errorf("Addr = %q, want %q", s.Addr(), addr)
+	if got := s.ln.Addr().String(); got != addr {
+		t.Errorf("Listen returned %q, bound %q", addr, got)
 	}
 }
 
@@ -735,7 +742,7 @@ func TestWrapConnHook(t *testing.T) {
 		wrapped.Add(1)
 		return conn
 	}}
-	a, err := DialAsync(s.Addr(), opts)
+	a, err := DialAsync(s.ln.Addr().String(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -774,7 +781,7 @@ func TestPipeliningAmortizesRoundTrips(t *testing.T) {
 		rtt = time.Millisecond
 	)
 	s, _ := startServer(t)
-	c, err := DialShards([]Shard{{Primary: s.Addr()}}, ClientOptions{
+	c, err := DialShards([]Shard{{Primary: s.ln.Addr().String()}}, ClientOptions{
 		WrapConn: func(conn net.Conn) net.Conn { return delayConn{conn, rtt} },
 	})
 	if err != nil {
@@ -852,6 +859,67 @@ func TestBurstLargerThanWindow(t *testing.T) {
 	}
 }
 
+// TestRecoverDialsOutsideShardLock: a redial can stall for its whole dial
+// timeout, so recover dials outside the shard lock, and client(), which
+// every request on the shard takes, answers meanwhile. A SET to a killed
+// primary enters recover, whose redial to the replica a WrapConn hook holds
+// open; while it is held, client() must return within a second. It is the
+// gate for seeded row C6 of docs/LINT.md.
+func TestRecoverDialsOutsideShardLock(t *testing.T) {
+	d, err := LaunchReplicated(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var hold atomic.Bool
+	held, release := make(chan struct{}, 1), make(chan struct{})
+	c, err := DialShards(d.Shards(), ClientOptions{WrapConn: func(conn net.Conn) net.Conn {
+		if hold.Load() {
+			select {
+			case held <- struct{}{}:
+			default:
+			}
+			<-release
+		}
+		return conn
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	unhold := sync.OnceFunc(func() { close(release) })
+	defer unhold()
+
+	hold.Store(true)
+	d.KillPrimary(0)
+	setDone := make(chan error, 1)
+	go func() { setDone <- c.Set("k", []byte("v")) }()
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the SET never redialed")
+	}
+	answered := make(chan struct{})
+	go func() {
+		c.shards[0].client()
+		close(answered)
+	}()
+	select {
+	case <-answered:
+	case <-time.After(time.Second):
+		t.Error("client() blocked while recover dialed")
+	}
+	unhold()
+	select {
+	case err := <-setDone:
+		if err != nil {
+			t.Errorf("SET through the failover: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the SET never returned")
+	}
+}
+
 // TestClientRedialsRestartedNode: a node dies and a server comes back at
 // the same address over the same keyspace; the cluster's shard recovery
 // redials that address and the client sees every key again.
@@ -885,5 +953,126 @@ func TestClientRedialsRestartedNode(t *testing.T) {
 	}
 	if n := dbsize(t, c); n != 100 {
 		t.Errorf("DBSIZE after restart = %d", n)
+	}
+}
+
+// wireLog keeps what a client writes, by server address.
+type wireLog struct {
+	mu  sync.Mutex
+	out map[string]*bytes.Buffer
+}
+
+type loggedConn struct {
+	net.Conn
+	log *wireLog
+}
+
+func (c loggedConn) Write(p []byte) (int, error) {
+	c.log.mu.Lock()
+	addr := c.RemoteAddr().String()
+	if c.log.out[addr] == nil {
+		c.log.out[addr] = new(bytes.Buffer)
+	}
+	c.log.out[addr].Write(p)
+	c.log.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// take returns the number of commands written to addr since the last take.
+func (l *wireLog) take(t *testing.T, addr string) int64 {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	b := l.out[addr]
+	if b == nil {
+		return 0
+	}
+	defer b.Reset()
+	r := bufio.NewReader(b)
+	for n := int64(0); ; n++ {
+		if _, err := readCommand(r); err != nil {
+			if !errors.Is(err, io.EOF) {
+				t.Fatalf("commands to %s: %v", addr, err)
+			}
+			return n
+		}
+	}
+}
+
+// TestStoreWireShape pins the commands each Store method sends, counted
+// per server on a three-shard cluster: the traffic the feedback path (and
+// the feedback-kv benchmark workload) is made of.
+func TestStoreWireShape(t *testing.T) {
+	const shards = 3
+	addrs := make([]Shard, shards)
+	for i := range addrs {
+		s := NewServer(nil)
+		addr, err := s.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		addrs[i] = Shard{Primary: addr}
+	}
+	log := &wireLog{out: map[string]*bytes.Buffer{}}
+	c, err := DialShards(addrs, ClientOptions{WrapConn: func(conn net.Conn) net.Conn { return loggedConn{conn, log} }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStore(c)
+	defer st.Close()
+	ring := NewRing(shards)
+
+	// delta runs op and returns the commands each server received meanwhile.
+	delta := func(op func() error) [shards]int64 {
+		t.Helper()
+		for _, sh := range addrs {
+			log.take(t, sh.Primary)
+		}
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		var d [shards]int64
+		for i, sh := range addrs {
+			d[i] = log.take(t, sh.Primary)
+		}
+		return d
+	}
+	// one is one command on the bare key's shard and none elsewhere.
+	one := func(key string) (want [shards]int64) {
+		want[ring.Lookup(key)] = 1
+		return want
+	}
+
+	const n = 40
+	keys := make([]string, n)
+	var perKey [shards]int64
+	for i := range keys {
+		keys[i] = fmt.Sprintf("frame%03d", i)
+		perKey[ring.Lookup(keys[i])]++
+		if got, want := delta(func() error { return st.Put("new", keys[i], []byte("v")) }), one(keys[i]); got != want {
+			t.Fatalf("Put(%s) sent %v, want %v", keys[i], got, want)
+		}
+	}
+	if got, want := delta(func() error { _, err := st.Get("new", keys[0]); return err }), one(keys[0]); got != want {
+		t.Errorf("Get sent %v, want %v", got, want)
+	}
+	var owners [shards]int64
+	for i, k := range perKey {
+		if k > 0 {
+			owners[i] = 1
+		}
+	}
+	if got := delta(func() error { _, err := st.GetBatch("new", keys); return err }); got != owners {
+		t.Errorf("GetBatch of %d keys sent %v, want one MGET per owning shard %v", n, got, owners)
+	}
+	if got := delta(func() error { return st.MoveBatch("new", keys, "done") }); got != perKey {
+		t.Errorf("MoveBatch of %d keys sent %v, want one RENAME per key on its shard %v", n, got, perKey)
+	}
+	if got, want := delta(func() error { return st.Move("done", keys[1], "new") }), one(keys[1]); got != want {
+		t.Errorf("Move sent %v, want %v", got, want)
+	}
+	if got, want := delta(func() error { return st.Delete("new", keys[1]) }), one(keys[1]); got != want {
+		t.Errorf("Delete sent %v, want %v", got, want)
 	}
 }

@@ -60,7 +60,6 @@ type ringPoint struct {
 // after construction and safe for concurrent use.
 type Ring struct {
 	points []ringPoint
-	shards int
 }
 
 // NewRing builds a ring over `shards` shards with vnodes points each.
@@ -72,7 +71,7 @@ func NewRing(shards int) *Ring {
 	if shards < 1 {
 		panic("kvstore: ring needs at least one shard")
 	}
-	r := &Ring{points: make([]ringPoint, 0, shards*vnodes), shards: shards}
+	r := &Ring{points: make([]ringPoint, 0, shards*vnodes)}
 	for s := 0; s < shards; s++ {
 		label := "shard-" + strconv.Itoa(s) + "#"
 		for v := 0; v < vnodes; v++ {
@@ -90,9 +89,6 @@ func NewRing(shards int) *Ring {
 	})
 	return r
 }
-
-// Shards returns the number of shards the ring distributes over.
-func (r *Ring) Shards() int { return r.shards }
 
 // Lookup returns the shard owning key. It performs no allocations: the key
 // is hashed in place and the owning point found by binary search, so the

@@ -32,9 +32,7 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	// Counters for the Fig. 7 experiment and replication health.
-	commands     atomic.Int64
-	replForwards atomic.Int64
+	// replDegraded is set once the replica link fails.
 	replDegraded atomic.Bool
 }
 
@@ -54,10 +52,6 @@ func (s *Server) SetReplica(addr string) { s.replicaAddr = addr }
 // ReplicaDegraded reports whether the replica link failed and the primary
 // fell back to standalone serving.
 func (s *Server) ReplicaDegraded() bool { return s.replDegraded.Load() }
-
-// ReplicaForwards returns how many mutations were forwarded to (and
-// acknowledged by) the replica.
-func (s *Server) ReplicaForwards() int64 { return s.replForwards.Load() }
 
 // Engine returns the server's engine (shared with embedded users).
 func (s *Server) Engine() *Engine { return s.engine }
@@ -151,7 +145,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		s.commands.Add(1)
 		upperASCII(args[0])
 		if s.replicaAddr != "" && mutates(args[0]) && !s.replDegraded.Load() {
 			rl = s.forward(rl, args)
@@ -210,7 +203,6 @@ func (s *Server) syncReplica(rl *replLink) *replLink {
 			s.degradeReplica(rl)
 			return nil
 		}
-		s.replForwards.Add(1)
 	}
 	return rl
 }
@@ -311,17 +303,6 @@ func sanitizeCmd(c string) string {
 		c = c[:32]
 	}
 	return c
-}
-
-// Commands returns the number of commands served (all connections).
-func (s *Server) Commands() int64 { return s.commands.Load() }
-
-// Addr returns the listen address, or "" before Listen.
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
 }
 
 // Close stops accepting, closes every connection, and waits for handlers.

@@ -240,81 +240,3 @@ func TestStoreAndClusterAgreeOnPlacement(t *testing.T) {
 		t.Errorf("Store.Delete removed %d of %d keys Cluster.Set wrote", deleted, n)
 	}
 }
-
-// TestStoreWireShape pins the commands each Store method sends, counted
-// per server on a three-shard cluster: the traffic the feedback path (and
-// the feedback-kv benchmark workload) is made of.
-func TestStoreWireShape(t *testing.T) {
-	const shards = 3
-	servers := make([]*kvstore.Server, shards)
-	addrs := make([]string, shards)
-	for i := range servers {
-		servers[i] = kvstore.NewServer(nil)
-		addr, err := servers[i].Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer servers[i].Close()
-		addrs[i] = addr
-	}
-	c, err := kvstore.DialCluster(addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := kvstore.NewStore(c)
-	defer st.Close()
-	ring := kvstore.NewRing(shards)
-
-	// delta runs op and returns the commands each server received meanwhile.
-	delta := func(op func() error) [shards]int64 {
-		t.Helper()
-		var before, d [shards]int64
-		for i, s := range servers {
-			before[i] = s.Commands()
-		}
-		if err := op(); err != nil {
-			t.Fatal(err)
-		}
-		for i, s := range servers {
-			d[i] = s.Commands() - before[i]
-		}
-		return d
-	}
-	// one is one command on the bare key's shard and none elsewhere.
-	one := func(key string) (want [shards]int64) {
-		want[ring.Lookup(key)] = 1
-		return want
-	}
-
-	const n = 40
-	keys := make([]string, n)
-	var perKey [shards]int64
-	for i := range keys {
-		keys[i] = fmt.Sprintf("frame%03d", i)
-		perKey[ring.Lookup(keys[i])]++
-		if got, want := delta(func() error { return st.Put("new", keys[i], []byte("v")) }), one(keys[i]); got != want {
-			t.Fatalf("Put(%s) sent %v, want %v", keys[i], got, want)
-		}
-	}
-	if got, want := delta(func() error { _, err := st.Get("new", keys[0]); return err }), one(keys[0]); got != want {
-		t.Errorf("Get sent %v, want %v", got, want)
-	}
-	var owners [shards]int64
-	for i, k := range perKey {
-		if k > 0 {
-			owners[i] = 1
-		}
-	}
-	if got := delta(func() error { _, err := st.GetBatch("new", keys); return err }); got != owners {
-		t.Errorf("GetBatch of %d keys sent %v, want one MGET per owning shard %v", n, got, owners)
-	}
-	if got := delta(func() error { return st.MoveBatch("new", keys, "done") }); got != perKey {
-		t.Errorf("MoveBatch of %d keys sent %v, want one RENAME per key on its shard %v", n, got, perKey)
-	}
-	if got, want := delta(func() error { return st.Move("done", keys[1], "new") }), one(keys[1]); got != want {
-		t.Errorf("Move sent %v, want %v", got, want)
-	}
-	if got, want := delta(func() error { return st.Delete("new", keys[1]) }), one(keys[1]); got != want {
-		t.Errorf("Delete sent %v, want %v", got, want)
-	}
-}

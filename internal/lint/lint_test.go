@@ -306,13 +306,43 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 }
 
-// reachAllow names the exported declarations that no non-test file
-// references yet, each with the ROADMAP item that decides its fate: wired
-// into an artifact or deleted. The list only shrinks.
+// reachAllow names the exported declarations and methods that no non-test
+// file reaches yet, each with the reason it stays: the ROADMAP item that
+// decides its fate (wired into an artifact or deleted), or the other
+// packages' tests that drive it. Methods of a type whose constructor is
+// listed share its entry. The list only shrinks.
 var reachAllow = map[string]string{
 	"internal/feedback.NewAAToCG":     "Wire it or delete it",
 	"internal/feedback.ExecProcessor": "Wire it or delete it",
 	"internal/sim.NewAASim":           "Wire it or delete it",
+	"internal/vclock.Virtual.Pending": "Live state is flat across allocations",
+
+	"internal/cluster.Machine.UsedCores":      "sched's and core's tests check that cores are held and released",
+	"internal/kvstore.Cluster.Failovers":      "kvstore_test's chaos run checks that a primary kill fails over",
+	"internal/kvstore.Deployment.KillPrimary": "kvstore_test's failover tests kill a shard primary",
+	"internal/kvstore.Deployment.Primary":     "kvstore_test's replication tests dump a primary's engine",
+	"internal/kvstore.Deployment.Replica":     "kvstore_test's replication tests dump a replica's engine",
+	"internal/kvstore.Engine.Get":             "kvstore_test's replication tests dump a primary's engine",
+	"internal/kvstore.Server.Engine":          "kvstore_test's replication tests dump a primary's engine",
+	"internal/kvstore.Server.ReplicaDegraded": "kvstore_test's replication tests check the replica link held",
+	"internal/sched.Scheduler.Complete":       "core's workflow tests finish a job by hand",
+	"internal/sched.Scheduler.Drain":          "core's workflow and the integration tests drain a node",
+	"internal/telemetry.Tracer.SpanNames":     "campaign's telemetry test checks the spans a replay records",
+}
+
+// usesOf returns every object mod's files reference, a method of a generic
+// type as its origin.
+func usesOf(mod *Module) map[types.Object]bool {
+	used := map[types.Object]bool{}
+	for _, p := range mod.Pkgs {
+		for _, obj := range p.Info.Uses {
+			if f, ok := obj.(*types.Func); ok {
+				obj = f.Origin()
+			}
+			used[obj] = true
+		}
+	}
+	return used
 }
 
 // loadUses returns the module and every object its non-test files
@@ -320,25 +350,143 @@ var reachAllow = map[string]string{
 func loadUses(t *testing.T) (*Module, map[types.Object]bool) {
 	t.Helper()
 	mod := loadRepo(t)
-	used := map[types.Object]bool{}
-	for _, p := range mod.Pkgs {
-		for _, obj := range p.Info.Uses {
-			used[obj] = true
+	return mod, usesOf(mod)
+}
+
+// reachedThroughInterfaces returns the methods that a non-test caller
+// reaches without naming them: those that implement, directly or promoted
+// through an embedded field, a method that non-test code calls through an
+// interface, or any method of an interface declared in a standard-library
+// package the module imports, which the library itself calls (fmt a String,
+// container/heap a Less, go/ast a Visit).
+func reachedThroughInterfaces(mod *Module, used map[types.Object]bool) map[types.Object]bool {
+	// wants maps each interface to the names of its methods that count.
+	wants := map[*types.Interface][]string{}
+	addAll := func(iface *types.Interface) {
+		for i := 0; i < iface.NumMethods(); i++ {
+			wants[iface] = append(wants[iface], iface.Method(i).Name())
 		}
 	}
-	return mod, used
+	addAll(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	std := map[*types.Package]bool{}
+	var named []*types.Named
+	for _, p := range mod.Pkgs {
+		for _, imp := range p.Types.Imports() {
+			if imp.Path() == mod.Path || strings.HasPrefix(imp.Path(), mod.Path+"/") || std[imp] {
+				continue
+			}
+			std[imp] = true
+			for _, name := range imp.Scope().Names() {
+				tn, ok := imp.Scope().Lookup(name).(*types.TypeName)
+				if !ok || !tn.Exported() {
+					continue
+				}
+				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 {
+					if iface, ok := n.Underlying().(*types.Interface); ok {
+						addAll(iface)
+					}
+				}
+			}
+		}
+		for _, name := range p.Types.Scope().Names() {
+			if tn, ok := p.Types.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 && !types.IsInterface(n) {
+					named = append(named, n)
+				}
+			}
+		}
+	}
+	for obj := range used {
+		f, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+			if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+				wants[iface] = append(wants[iface], f.Name())
+			}
+		}
+	}
+	reached := map[types.Object]bool{}
+	for _, n := range named {
+		ptr := types.NewPointer(n)
+		mset := types.NewMethodSet(ptr)
+		for iface, names := range wants {
+			if iface.NumMethods() == 0 || !types.Implements(ptr, iface) {
+				continue
+			}
+			for _, name := range names {
+				if sel := mset.Lookup(nil, name); sel != nil {
+					reached[sel.Obj().(*types.Func).Origin()] = true
+				}
+			}
+		}
+	}
+	return reached
+}
+
+// TestReachedThroughInterfaces holds reachedThroughInterfaces to its rules
+// on one package: a method that implements a method the code calls through
+// an interface is reached, so is one that implements a standard-library
+// interface (String for fmt), and a method nothing calls is not.
+func TestReachedThroughInterfaces(t *testing.T) {
+	m := inlinePackage(t, "lab/internal/reach", `package p
+
+import "fmt"
+
+type shower interface{ Show() string }
+
+type Outer struct{ Inner }
+
+type Inner struct{}
+
+func (*Inner) Show() string { return "" }
+func (*Inner) Hide()        {}
+
+type Named struct{}
+
+func (Named) String() string { return "" }
+
+func Use(s shower) string { return s.Show() + fmt.Sprint(Named{}) }
+
+var _ = Use(&Outer{})
+`)
+	pkg := m.Pkgs[0].Types
+	reached := reachedThroughInterfaces(m, usesOf(m))
+	for _, c := range []struct {
+		typ, method string
+		want        bool
+	}{{"Inner", "Show", true}, {"Named", "String", true}, {"Inner", "Hide", false}} {
+		obj, _, _ := types.LookupFieldOrMethod(pkg.Scope().Lookup(c.typ).Type(), true, pkg, c.method)
+		if reached[obj] != c.want {
+			t.Errorf("%s.%s reached = %v, want %v", c.typ, c.method, reached[obj], c.want)
+		}
+	}
 }
 
 // TestEveryExportIsReached holds the module's surface to what its programs
 // use: every exported package-level func, type, var and const of a
-// non-main package must be referenced from some non-test file (its own
-// package's included), or sit in reachAllow. A name only tests reach is
-// code kept alive by its own test suite. internal/datastore/dstest is the
-// shared test harness and is exempt, as scripts/ci.sh's importer check
-// exempts it.
+// non-main package, and every exported method of its package-level named
+// types, must be reached from some non-test file (its own package's
+// included), or sit in reachAllow. A method is reached when non-test code
+// uses it, or through an interface as reachedThroughInterfaces says. A
+// name only tests reach is code kept alive by its own test suite.
+// internal/datastore/dstest is the shared test harness and is exempt, as
+// scripts/ci.sh's importer check exempts it.
 func TestEveryExportIsReached(t *testing.T) {
 	mod, used := loadUses(t)
+	viaIface := reachedThroughInterfaces(mod, used)
 	seen := map[string]bool{}
+	check := func(key string, reached bool) {
+		_, allowed := reachAllow[key]
+		seen[key] = true
+		switch {
+		case allowed && reached:
+			t.Errorf("%s is reached now: drop it from reachAllow", key)
+		case !allowed && !reached:
+			t.Errorf("%s: no non-test file reaches it; use it, delete it, or unexport it", key)
+		}
+	}
 	for _, p := range mod.Pkgs {
 		rel := strings.TrimPrefix(p.ImportPath, mod.Path+"/")
 		if p.Types.Name() == "main" || rel == "internal/datastore/dstest" {
@@ -347,23 +495,30 @@ func TestEveryExportIsReached(t *testing.T) {
 		scope := p.Types.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if !obj.Exported() {
+			if obj.Exported() {
+				check(rel+"."+name, used[obj])
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
 				continue
 			}
-			key := rel + "." + name
-			_, allowed := reachAllow[key]
-			seen[key] = allowed
-			switch {
-			case allowed && used[obj]:
-				t.Errorf("%s is reached now: drop it from reachAllow", key)
-			case !allowed && !used[obj]:
-				t.Errorf("%s: no non-test file references it; use it, delete it, or unexport it", key)
+			n, ok := tn.Type().(*types.Named)
+			if !ok || types.IsInterface(n) {
+				continue
+			}
+			if _, shared := reachAllow[rel+".New"+name]; shared {
+				continue
+			}
+			for i := 0; i < n.NumMethods(); i++ {
+				if m := n.Method(i); m.Exported() {
+					check(rel+"."+name+"."+m.Name(), used[m] || viaIface[m])
+				}
 			}
 		}
 	}
 	for key, item := range reachAllow {
 		if !seen[key] {
-			t.Errorf("reachAllow names %s (ROADMAP %q), which is no longer declared", key, item)
+			t.Errorf("reachAllow names %s (%q), which is no longer declared", key, item)
 		}
 	}
 }

@@ -77,8 +77,6 @@ type Conductor struct {
 	closed bool
 	// ticked is tick bound once, so re-arming allocates nothing.
 	ticked func()
-	// submitted counts backend submissions (throughput accounting).
-	submitted int64
 }
 
 type pendingSub struct {
@@ -129,20 +127,10 @@ func (c *Conductor) tick() {
 	}
 
 	id, err := c.backend.Submit(p.req)
-	c.submitted++
 	if p.onSub != nil {
 		p.onSub(id, err)
 	}
 }
-
-// Queued returns the locally queued (not yet submitted) count.
-func (c *Conductor) Queued() int { return c.queue.Len() }
-
-// Submitted returns how many jobs reached the backend.
-func (c *Conductor) Submitted() int64 { return c.submitted }
-
-// Cancel forwards to the backend.
-func (c *Conductor) Cancel(id sched.JobID) bool { return c.backend.Cancel(id) }
 
 // Fail forwards to the backend: it forces a running job to the failed
 // state, which drives the same terminal callback as a natural failure.

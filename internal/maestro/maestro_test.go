@@ -57,15 +57,12 @@ func TestConductorThrottlesTo100PerMinute(t *testing.T) {
 	if got < 140 || got > 160 {
 		t.Errorf("submissions in 90s = %d, want ~150", got)
 	}
-	if c.Queued() != n-got {
-		t.Errorf("Queued = %d, want %d", c.Queued(), n-got)
+	if c.queue.Len() != n-got {
+		t.Errorf("queued = %d, want %d", c.queue.Len(), n-got)
 	}
 	clk.RunFor(3 * time.Minute)
-	if len(fb.subs) != n || c.Queued() != 0 {
-		t.Errorf("drain incomplete: %d submitted, %d queued", len(fb.subs), c.Queued())
-	}
-	if c.Submitted() != n {
-		t.Errorf("Submitted = %d", c.Submitted())
+	if len(fb.subs) != n || c.queue.Len() != 0 {
+		t.Errorf("drain incomplete: %d submitted, %d queued", len(fb.subs), c.queue.Len())
 	}
 	// The inter-submission spacing must be the throttle period.
 	for i := 1; i < 10; i++ {
@@ -98,7 +95,8 @@ func TestConductorCallbacksAndErrors(t *testing.T) {
 	cb := func(id sched.JobID, err error) { ids = append(ids, id); errs = append(errs, err) }
 	c.Submit(sched.Request{Name: "a", Cores: 1}, cb)
 	c.Submit(sched.Request{Name: "b", Cores: 1}, cb)
-	clk.Run()
+	for clk.Step() {
+	}
 	if len(ids) != 2 {
 		t.Fatalf("callbacks = %d", len(ids))
 	}
@@ -184,8 +182,8 @@ func TestConductorReleasesPoppedSubmission(t *testing.T) {
 		}
 	}
 	clk.RunFor(time.Hour)
-	if done != 3 || c.Queued() != 0 {
-		t.Fatalf("%d submitted, %d still queued", done, c.Queued())
+	if done != 3 || c.queue.Len() != 0 {
+		t.Fatalf("%d submitted, %d still queued", done, c.queue.Len())
 	}
 	// The ring's fields are sched's own: read its backing array through
 	// reflection.
@@ -225,13 +223,13 @@ func TestConductorDrainTickAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { clk.Step() }); n != 0 {
 		t.Errorf("a drain tick allocates %v times, want 0", n)
 	}
-	if b.next != 102 || c.Queued() != 198 {
-		t.Errorf("%d submitted, %d queued after 102 ticks, want 102 and 198", b.next, c.Queued())
+	if b.next != 102 || c.queue.Len() != 198 {
+		t.Errorf("%d submitted, %d queued after 102 ticks, want 102 and 198", b.next, c.queue.Len())
 	}
 }
 
 // TestConductorCloseFailsUnsubmittedInOrder: with the queue's live run
-// wrapped past the end of its array, Queued counts what is left, and Close
+// wrapped past the end of its array, queue.Len counts what is left, and Close
 // fails exactly the unsubmitted requests, in submission order, with
 // ErrClosed.
 func TestConductorCloseFailsUnsubmittedInOrder(t *testing.T) {
@@ -261,16 +259,16 @@ func TestConductorCloseFailsUnsubmittedInOrder(t *testing.T) {
 	for i := 6; i < 10; i++ {           // the ring's back wraps to its front
 		submit(i)
 	}
-	if c.Queued() != 5 {
-		t.Fatalf("Queued = %d, want 5", c.Queued())
+	if c.queue.Len() != 5 {
+		t.Fatalf("queued = %d, want 5", c.queue.Len())
 	}
 	q := reflect.ValueOf(&c.queue).Elem()
 	if head, n := q.FieldByName("head").Int(), q.FieldByName("n").Int(); head+n <= int64(q.FieldByName("buf").Len()) {
 		t.Fatalf("the queue's live run (%d from slot %d) does not wrap", n, head)
 	}
 	clk.RunFor(2 * time.Second) // ticks at 5 and 6 s take 5 and 6
-	if c.Queued() != 3 {
-		t.Fatalf("Queued = %d, want 3", c.Queued())
+	if c.queue.Len() != 3 {
+		t.Fatalf("queued = %d, want 3", c.queue.Len())
 	}
 	c.Close()
 	clk.RunFor(time.Hour)
@@ -280,7 +278,7 @@ func TestConductorCloseFailsUnsubmittedInOrder(t *testing.T) {
 	if want := []int{7, 8, 9}; !slices.Equal(closed, want) {
 		t.Errorf("failed with ErrClosed %v, want %v", closed, want)
 	}
-	if c.Queued() != 0 {
-		t.Errorf("Queued = %d after Close, want 0", c.Queued())
+	if c.queue.Len() != 0 {
+		t.Errorf("queued = %d after Close, want 0", c.queue.Len())
 	}
 }

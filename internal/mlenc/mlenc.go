@@ -20,11 +20,10 @@ import (
 	"mummi/internal/patch"
 )
 
-// PatchEncoder maps patches to OutDim-dimensional vectors.
+// PatchEncoder maps patches to outDim-dimensional vectors (NewPatchEncoder).
 type PatchEncoder struct {
 	species int
 	gridN   int
-	outDim  int
 
 	// Two-layer MLP: features -> hidden (tanh) -> out.
 	w1 [][]float64
@@ -48,7 +47,7 @@ func NewPatchEncoder(species, gridN, outDim int, seed int64) (*PatchEncoder, err
 	in := species * featuresPerSpecies
 	hidden := 2*in + 8
 	rng := rand.New(rand.NewSource(seed))
-	e := &PatchEncoder{species: species, gridN: gridN, outDim: outDim}
+	e := &PatchEncoder{species: species, gridN: gridN}
 	e.w1, e.b1 = randomLayer(rng, in, hidden)
 	e.w2, e.b2 = randomLayer(rng, hidden, outDim)
 	return e, nil
@@ -70,10 +69,7 @@ func randomLayer(rng *rand.Rand, in, out int) ([][]float64, []float64) {
 	return w, b
 }
 
-// OutDim returns the encoding dimensionality.
-func (e *PatchEncoder) OutDim() int { return e.outDim }
-
-// Encode reduces a patch to its 9-D (OutDim) representation.
+// Encode reduces a patch to its outDim-dimensional (9-D) representation.
 func (e *PatchEncoder) Encode(p *patch.Patch) ([]float64, error) {
 	if len(p.Fields) != e.species || p.GridN != e.gridN {
 		return nil, fmt.Errorf("mlenc: patch shape (%d species, %d grid) does not match encoder (%d, %d)",

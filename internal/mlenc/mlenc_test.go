@@ -33,9 +33,6 @@ func TestEncoderShapeAndDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.OutDim() != 9 {
-		t.Errorf("OutDim = %d", e.OutDim())
-	}
 	a, err := e.Encode(p)
 	if err != nil {
 		t.Fatal(err)

@@ -47,10 +47,6 @@ func (p *Profiler) Events() []Event {
 	return append([]Event(nil), p.events...)
 }
 
-// Add records an externally produced sample (used when merging profiles
-// from several runs into one campaign-wide distribution, as Fig. 5 does).
-func (p *Profiler) Add(ev Event) { p.events = append(p.events, ev) }
-
 // clampPct sanitizes an occupancy percentage: non-finite samples (a
 // zero-resource topology divides 0/0 upstream) collapse to 0 and finite
 // ones clamp into [0, 100], so one bad window cannot poison a whole

@@ -106,7 +106,6 @@ type Job struct {
 	Alloc cluster.Alloc
 
 	autoDone vclock.EventID // the armed auto-completion; zero when none is
-	hung     bool           // Hang suppressed the auto-completion
 	matching bool           // R is matching the job, so Cancel is refused
 }
 

@@ -193,7 +193,8 @@ func TestJobAllocationBudget(t *testing.T) {
 			if _, err := s.Submit(gpuJob(time.Minute)); err != nil {
 				t.Fatal(err)
 			}
-			clk.Run()
+			for clk.Step() {
+			}
 		}
 		life()
 		if n := testing.AllocsPerRun(1000, life); n != 4 {

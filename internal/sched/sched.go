@@ -413,7 +413,6 @@ func (s *Scheduler) finish(id JobID, st State) error {
 		s.clk.Cancel(job.autoDone)
 		job.autoDone = 0
 	}
-	job.hung = false
 	s.retire(job, st)
 	s.running--
 	s.finished++
@@ -503,16 +502,8 @@ func (s *Scheduler) Hang(id JobID) bool {
 		s.clk.Cancel(job.autoDone)
 		job.autoDone = 0
 	}
-	job.hung = true
 	s.m.hung.Get(s.tel, "sched.hung_total").Inc()
 	return true
-}
-
-// Hung reports whether the job was hung via Hang and has not yet been
-// forced to a terminal state.
-func (s *Scheduler) Hung(id JobID) bool {
-	job := s.live(id)
-	return job != nil && job.hung
 }
 
 // Crash simulates a node failure: the node is drained first (so resources
@@ -594,9 +585,6 @@ func (s *Scheduler) Timeline() []Placement {
 
 // MatcherVisits returns R's cumulative vertex-visit count.
 func (s *Scheduler) MatcherVisits() int64 { return s.matcher.Visits() }
-
-// Machine exposes the underlying machine (occupancy profiling).
-func (s *Scheduler) Machine() *cluster.Machine { return s.machine }
 
 // Close stops the status-poll ticker and rejects further submissions.
 func (s *Scheduler) Close() {

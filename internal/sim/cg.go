@@ -80,12 +80,6 @@ func NewCGSim(id string, species, state int, fingerprint []float64, seed int64) 
 	}
 }
 
-// ID returns the simulation id.
-func (s *CGSim) ID() string { return s.id }
-
-// State returns the protein configuration state.
-func (s *CGSim) State() int { return s.state }
-
 // SimTime returns the trajectory length produced so far.
 func (s *CGSim) SimTime() units.SimTime { return s.simTime }
 

@@ -99,7 +99,7 @@ func TestSystemSizeSamplers(t *testing.T) {
 
 func TestCGSimFrameStream(t *testing.T) {
 	s := NewCGSim("pfcg_0001", 5, 1, []float64{0.9, 0.1, 0.5, 0.5, 0.5}, 7)
-	if s.ID() != "pfcg_0001" || s.State() != 1 {
+	if s.id != "pfcg_0001" || s.state != 1 {
 		t.Error("identity wrong")
 	}
 	f0 := s.NextFrame()

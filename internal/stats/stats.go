@@ -36,9 +36,6 @@ func (s *Summary) Add(x float64) {
 	s.populated = true
 }
 
-// N returns the number of samples added.
-func (s *Summary) N() int { return s.n }
-
 // Mean returns the sample mean (0 when empty).
 func (s *Summary) Mean() float64 { return s.mean }
 
@@ -96,30 +93,10 @@ func (h *Histogram) Add(x float64) {
 	h.n++
 }
 
-// N returns the total number of samples.
-func (h *Histogram) N() int { return h.n }
-
 // BinCenter returns the midpoint value of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
 	return h.Lo + (float64(i)+0.5)*w
-}
-
-// FractionAtLeast returns the fraction of samples with value >= x.
-// It is used for statements like "98% GPU occupancy for 83% of the time".
-func (h *Histogram) FractionAtLeast(x float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	c := 0
-	for i := range h.Counts {
-		w := (h.Hi - h.Lo) / float64(len(h.Counts))
-		lo := h.Lo + float64(i)*w
-		if lo >= x {
-			c += h.Counts[i]
-		}
-	}
-	return float64(c) / float64(h.n)
 }
 
 // Render prints the histogram as rows of "center count" with an ASCII bar,

@@ -13,8 +13,8 @@ func TestSummaryBasics(t *testing.T) {
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(x)
 	}
-	if s.N() != 8 {
-		t.Fatalf("N = %d", s.N())
+	if s.n != 8 {
+		t.Fatalf("N = %d", s.n)
 	}
 	if s.Mean() != 5 {
 		t.Errorf("Mean = %v, want 5", s.Mean())
@@ -31,7 +31,7 @@ func TestSummaryBasics(t *testing.T) {
 
 func TestSummaryEmptyAndSingle(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.Std() != 0 || s.N() != 0 {
+	if s.Mean() != 0 || s.Std() != 0 || s.n != 0 {
 		t.Error("empty summary should be all zero")
 	}
 	s.Add(-3)
@@ -63,36 +63,19 @@ func TestHistogramBinningAndClamp(t *testing.T) {
 	if h.Counts[0] != 2 || h.Counts[9] != 3 || h.Counts[5] != 1 {
 		t.Errorf("Counts = %v", h.Counts)
 	}
-	if h.N() != 6 {
-		t.Errorf("N = %d", h.N())
+	if h.n != 6 {
+		t.Errorf("N = %d", h.n)
 	}
 	if c := h.BinCenter(0); c != 0.5 {
 		t.Errorf("BinCenter(0) = %v", c)
 	}
 }
 
-func TestHistogramFractionAtLeast(t *testing.T) {
-	// Emulate Fig. 5: occupancy samples mostly in the top bin.
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 83; i++ {
-		h.Add(99.0)
-	}
-	for i := 0; i < 17; i++ {
-		h.Add(50.0)
-	}
-	if f := h.FractionAtLeast(98); math.Abs(f-0.83) > 1e-9 {
-		t.Errorf("FractionAtLeast(98) = %v, want 0.83", f)
-	}
-	if f := h.FractionAtLeast(0); f != 1 {
-		t.Errorf("FractionAtLeast(0) = %v, want 1", f)
-	}
-}
-
 func TestHistogramDegenerateConstruction(t *testing.T) {
 	h := NewHistogram(5, 5, 0) // hi<=lo and bins<1 both repaired
 	h.Add(5)
-	if h.N() != 1 || len(h.Counts) != 1 {
-		t.Errorf("degenerate histogram: n=%d bins=%d", h.N(), len(h.Counts))
+	if h.n != 1 || len(h.Counts) != 1 {
+		t.Errorf("degenerate histogram: n=%d bins=%d", h.n, len(h.Counts))
 	}
 }
 
@@ -192,7 +175,7 @@ func TestPropertyHistogramConservesCount(t *testing.T) {
 		for _, c := range h.Counts {
 			total += c
 		}
-		return total == h.N()
+		return total == h.n
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

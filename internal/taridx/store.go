@@ -138,10 +138,6 @@ func (s *Store) Move(srcNS, key, dstNS string) error {
 	return s.Delete(srcNS, key)
 }
 
-// Namespace exposes the underlying Archive for a namespace (creating it if
-// needed), for components that want archive-level stats.
-func (s *Store) Namespace(ns string) (*Archive, error) { return s.archive(ns, true) }
-
 // Close closes all open archives.
 func (s *Store) Close() error {
 	s.mu.Lock()

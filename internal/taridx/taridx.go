@@ -334,14 +334,6 @@ func (a *Archive) Delete(key string) error {
 	return a.idxW.Flush()
 }
 
-// Has reports whether key is live in the index.
-func (a *Archive) Has(key string) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	_, ok := a.index[key]
-	return ok
-}
-
 // Keys returns the live keys in sorted order.
 func (a *Archive) Keys() []string {
 	a.mu.Lock()
@@ -372,9 +364,6 @@ func (a *Archive) Stats() Stats {
 	}
 	return s
 }
-
-// Path returns the archive's tar path.
-func (a *Archive) Path() string { return a.path }
 
 // Close flushes the index and closes both files.
 func (a *Archive) Close() error {

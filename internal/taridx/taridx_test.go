@@ -18,6 +18,14 @@ import (
 	"mummi/internal/telemetry"
 )
 
+// has reports whether key is live in a's index.
+func has(a *Archive, key string) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	_, ok := a.index[key]
+	return ok
+}
+
 func openT(t *testing.T) (*Archive, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "a.tar")
@@ -155,7 +163,7 @@ func TestReopenLoadsJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if b.Has("k1") {
+	if has(b, "k1") {
 		t.Error("deleted key resurrected on reopen")
 	}
 	got, err := b.Get("k2")
@@ -227,7 +235,7 @@ func TestRebuildToleratesTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if b.Has("torn") {
+	if has(b, "torn") {
 		t.Error("truncated entry admitted to index")
 	}
 	for _, k := range []string{"good1", "good2"} {
@@ -266,7 +274,7 @@ func TestTornJournalLineIgnored(t *testing.T) {
 	if _, err := b.Get("k1"); err != nil {
 		t.Errorf("good entry lost after torn journal: %v", err)
 	}
-	if b.Has("torn") {
+	if has(b, "torn") {
 		t.Error("torn journal record admitted")
 	}
 }
@@ -291,7 +299,7 @@ func TestStaleJournalTriggersRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if b.Has("k2") {
+	if has(b, "k2") {
 		t.Error("stale journal entry for k2 admitted")
 	}
 	if got, err := b.Get("k1"); err != nil || string(got) != "v1" {
@@ -516,15 +524,15 @@ func TestStoreNamespaceAccessorAndPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	a, err := s.Namespace("patches")
+	a, err := s.archive("patches", true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if a.Path() != filepath.Join(root, "patches.tar") {
-		t.Errorf("Path = %q", a.Path())
+	if a.path != filepath.Join(root, "patches.tar") {
+		t.Errorf("path = %q", a.path)
 	}
 	// Store and archive views agree.
 	got, err := s.Get("patches", "k")
@@ -534,8 +542,8 @@ func TestStoreNamespaceAccessorAndPath(t *testing.T) {
 	if st := a.Stats(); st.Keys != 1 {
 		t.Errorf("Stats.Keys = %d", st.Keys)
 	}
-	// Invalid namespace through the accessor too.
-	if _, err := s.Namespace("../evil"); err == nil {
+	// An invalid namespace is refused on the archive path too.
+	if _, err := s.archive("../evil", true); err == nil {
 		t.Error("invalid namespace accepted")
 	}
 }

@@ -254,7 +254,8 @@ func TestTraceExportGolden(t *testing.T) {
 	clk.After(5*time.Millisecond, func() {
 		tel.RecordSpan("sched", "match", tel.Now(), 250*time.Microsecond, "visits", 3)
 	})
-	clk.Run()
+	for clk.Step() {
+	}
 
 	var buf bytes.Buffer
 	if err := tel.Tracer().Export(&buf); err != nil {

@@ -17,7 +17,7 @@ func BenchmarkVirtualDenseSameTimestamp(b *testing.B) {
 		for j := 0; j < burst; j++ {
 			v.After(time.Second, func() { n++ })
 		}
-		v.Run()
+		run(v)
 		if n != burst {
 			b.Fatal("lost events")
 		}
@@ -41,7 +41,7 @@ func BenchmarkVirtualCancelHeavy(b *testing.B) {
 				b.Fatal("cancel failed")
 			}
 		}
-		v.Run()
+		run(v)
 	}
 }
 
@@ -65,6 +65,6 @@ func BenchmarkVirtualSteadyChurn(b *testing.B) {
 		for j := 0; j < window; j++ {
 			v.After(time.Duration(j%53)*time.Millisecond, reschedule)
 		}
-		v.Run()
+		run(v)
 	}
 }

@@ -40,12 +40,11 @@ type event struct {
 // one targeted heap removal, and an ID whose event already fired or was
 // canceled no longer matches its slot's generation.
 type Virtual struct {
-	now      time.Time
-	seq      int64
-	heap     []*event
-	slots    []*event // every event struct ever allocated, by slot
-	free     []int32  // slots whose event is neither pending nor running
-	executed int64
+	now   time.Time
+	seq   int64
+	heap  []*event
+	slots []*event // every event struct ever allocated, by slot
+	free  []int32  // slots whose event is neither pending nor running
 }
 
 // NewVirtual returns a virtual clock starting at the given epoch. The paper's
@@ -112,9 +111,6 @@ func (v *Virtual) release(e *event) {
 // Pending returns the number of scheduled (uncanceled) events.
 func (v *Virtual) Pending() int { return len(v.heap) }
 
-// Executed returns the total number of events that have run.
-func (v *Virtual) Executed() int64 { return v.executed }
-
 // Step runs the single earliest event, advancing time to it.
 // It returns false when no events remain.
 func (v *Virtual) Step() bool {
@@ -124,17 +120,10 @@ func (v *Virtual) Step() bool {
 	e := v.heap[0]
 	v.heapRemove(0)
 	v.now = e.at
-	v.executed++
 	fn := e.fn
 	v.release(e)
 	fn()
 	return true
-}
-
-// Run executes events until none remain.
-func (v *Virtual) Run() {
-	for v.Step() {
-	}
 }
 
 // RunUntil executes events with time <= deadline, then advances the clock to

@@ -9,13 +9,19 @@ import (
 
 var epoch = time.Date(2020, 12, 1, 0, 0, 0, 0, time.UTC)
 
+// run steps v until no events remain.
+func run(v *Virtual) {
+	for v.Step() {
+	}
+}
+
 func TestVirtualOrdering(t *testing.T) {
 	v := NewVirtual(epoch)
 	var got []int
 	v.After(3*time.Second, func() { got = append(got, 3) })
 	v.After(1*time.Second, func() { got = append(got, 1) })
 	v.After(2*time.Second, func() { got = append(got, 2) })
-	v.Run()
+	run(v)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("execution order = %v", got)
 	}
@@ -31,7 +37,7 @@ func TestVirtualFIFOTieBreak(t *testing.T) {
 		i := i
 		v.After(time.Second, func() { got = append(got, i) })
 	}
-	v.Run()
+	run(v)
 	for i, x := range got {
 		if x != i {
 			t.Fatalf("same-instant events ran out of order: %v", got)
@@ -53,7 +59,7 @@ func TestVirtualNestedScheduling(t *testing.T) {
 		}
 	}
 	v.After(time.Second, emit)
-	v.Run()
+	run(v)
 	if len(frames) != 4 {
 		t.Fatalf("frames = %v", frames)
 	}
@@ -74,7 +80,7 @@ func TestVirtualCancel(t *testing.T) {
 	if v.Cancel(id) {
 		t.Error("double Cancel returned true")
 	}
-	v.Run()
+	run(v)
 	if fired {
 		t.Error("canceled event fired")
 	}
@@ -86,7 +92,7 @@ func TestVirtualCancel(t *testing.T) {
 func TestVirtualCancelAfterFire(t *testing.T) {
 	v := NewVirtual(epoch)
 	id := v.After(time.Second, func() {})
-	v.Run()
+	run(v)
 	if v.Cancel(id) {
 		t.Error("Cancel after fire returned true")
 	}
@@ -94,7 +100,8 @@ func TestVirtualCancelAfterFire(t *testing.T) {
 
 func TestVirtualPendingAndExecuted(t *testing.T) {
 	v := NewVirtual(epoch)
-	v.After(time.Second, func() {})
+	executed := 0
+	v.After(time.Second, func() { executed++ })
 	id := v.After(2*time.Second, func() {})
 	if v.Pending() != 2 {
 		t.Errorf("Pending = %d", v.Pending())
@@ -103,9 +110,9 @@ func TestVirtualPendingAndExecuted(t *testing.T) {
 	if v.Pending() != 1 {
 		t.Errorf("Pending after cancel = %d", v.Pending())
 	}
-	v.Run()
-	if v.Executed() != 1 {
-		t.Errorf("Executed = %d", v.Executed())
+	run(v)
+	if executed != 1 {
+		t.Errorf("executed %d events, want 1", executed)
 	}
 }
 
@@ -134,7 +141,7 @@ func TestVirtualPastSchedulingClamps(t *testing.T) {
 	v.After(time.Second, func() {
 		v.At(epoch, func() {}) // in the past: must clamp, not rewind time
 	})
-	v.Run()
+	run(v)
 	if v.Now().Before(epoch.Add(time.Second)) {
 		t.Errorf("time went backwards: %v", v.Now())
 	}
@@ -144,7 +151,7 @@ func TestVirtualNegativeAfter(t *testing.T) {
 	v := NewVirtual(epoch)
 	fired := false
 	v.After(-time.Hour, func() { fired = true })
-	v.Run()
+	run(v)
 	if !fired {
 		t.Error("negative-delay event never fired")
 	}
@@ -161,7 +168,7 @@ func TestTickerVirtual(t *testing.T) {
 	})
 	v.RunUntil(epoch.Add(35 * time.Minute))
 	tk.Stop()
-	v.Run()
+	run(v)
 	if len(ticks) != 3 {
 		t.Fatalf("ticks = %v", ticks)
 	}
@@ -182,7 +189,7 @@ func TestTickerStopInsideCallback(t *testing.T) {
 			tk.Stop()
 		}
 	})
-	v.Run()
+	run(v)
 	if n != 2 {
 		t.Errorf("ticker fired %d times after Stop at 2", n)
 	}
@@ -227,7 +234,7 @@ func TestPropertyVirtualTimeMonotone(t *testing.T) {
 				}
 			})
 		}
-		v.Run()
+		run(v)
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -254,7 +261,7 @@ func TestPropertyAllUncanceledEventsRun(t *testing.T) {
 				want++
 			}
 		}
-		v.Run()
+		run(v)
 		return ran == want
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -585,9 +585,6 @@ func (f *Fleet) Accounting() Accounting {
 	return f.acc
 }
 
-// Instances returns the configured fleet size.
-func (f *Fleet) Instances() int { return len(f.instances) }
-
 // Alive reports whether instance idx is still live.
 func (f *Fleet) Alive(idx int) bool {
 	return idx >= 0 && idx < len(f.instances) && f.instances[idx].alive
@@ -603,19 +600,6 @@ func (f *Fleet) LiveInstances() []int {
 		}
 	}
 	return out
-}
-
-// Owner returns the live owner index of a coupling (-1 while orphaned)
-// and whether the coupling is managed by this fleet.
-func (f *Fleet) Owner(coupling string) (int, bool) {
-	o, ok := f.owner[coupling]
-	if !ok {
-		return -1, false
-	}
-	if o >= 0 && !f.instances[o].alive {
-		o = -1
-	}
-	return o, true
 }
 
 // live returns the live instances in index order.

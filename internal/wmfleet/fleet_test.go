@@ -26,6 +26,19 @@ type fleetRig struct {
 	s    *sched.Scheduler
 }
 
+// liveOwner returns the live owner index of a coupling (-1 while orphaned)
+// and whether the coupling is managed by fl.
+func liveOwner(fl *Fleet, coupling string) (int, bool) {
+	o, ok := fl.owner[coupling]
+	if !ok {
+		return -1, false
+	}
+	if o >= 0 && !fl.instances[o].alive {
+		o = -1
+	}
+	return o, true
+}
+
 func newFleetRig(t *testing.T, nodes int) *fleetRig {
 	t.Helper()
 	clk := vclock.NewVirtual(epoch)
@@ -107,7 +120,7 @@ func TestFleetAdoptionAfterCrash(t *testing.T) {
 	if err := fl.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if o, _ := fl.Owner("cg"); o != 0 {
+	if o, _ := liveOwner(fl, "cg"); o != 0 {
 		t.Fatalf("cg initially owned by %d, want 0", o)
 	}
 
@@ -125,7 +138,7 @@ func TestFleetAdoptionAfterCrash(t *testing.T) {
 		t.Fatal("crashed instance tracked no jobs mid-run")
 	}
 	killCrashJobs(t, r.s, info)
-	if o, _ := fl.Owner("cg"); o != -1 {
+	if o, _ := liveOwner(fl, "cg"); o != -1 {
 		t.Fatalf("cg owner = %d right after crash, want -1 (orphaned)", o)
 	}
 
@@ -144,7 +157,7 @@ func TestFleetAdoptionAfterCrash(t *testing.T) {
 	if acc.LeaseExpirations < 1 {
 		t.Errorf("lease expirations = %d, want >= 1", acc.LeaseExpirations)
 	}
-	if o, _ := fl.Owner("cg"); o != 1 && o != 2 {
+	if o, _ := liveOwner(fl, "cg"); o != 1 && o != 2 {
 		t.Errorf("cg owner after adoption = %d, want a survivor", o)
 	}
 	for _, a := range anomalies {
@@ -252,7 +265,6 @@ func TestFleetAdoptionUnderStoreFaultBurst(t *testing.T) {
 	}}
 	eng := faults.NewEngine(r.clk, nil, plan)
 	eng.Start()
-	defer eng.Stop()
 	store := datastore.Armor(faults.WrapStore(datastore.NewMemory(), eng),
 		telemetry.Nop(), "memory", datastore.ArmorOptions{})
 	var anomalies []string
@@ -416,7 +428,7 @@ func TestFleetRefusesLastInstanceCrash(t *testing.T) {
 	if err := fl.Start(); err != nil {
 		t.Fatal(err)
 	}
-	for _, idx := range []int{-1, fl.Instances(), 0} {
+	for _, idx := range []int{-1, len(fl.instances), 0} {
 		if _, err := fl.Crash(idx); err == nil {
 			t.Fatalf("Crash(%d) of a one-instance fleet succeeded", idx)
 		}
@@ -470,7 +482,7 @@ func TestFleetSweepSurvivesLeaseReadFailure(t *testing.T) {
 	}
 	owners := func() (out [3]int) {
 		for i, name := range []string{"c0", "c1", "c2"} {
-			out[i], _ = fl.Owner(name)
+			out[i], _ = liveOwner(fl, name)
 		}
 		return out
 	}
@@ -614,7 +626,7 @@ func TestFleetStartSurvivesLeaseStoreFailure(t *testing.T) {
 			if len(anomalies) != 1 || !strings.Contains(anomalies[0], "initial lease for cg failed") {
 				t.Fatalf("anomalies = %q, want the one lease failure", anomalies)
 			}
-			if o, _ := fl.Owner("cg"); o != 0 {
+			if o, _ := liveOwner(fl, "cg"); o != 0 {
 				t.Fatalf("cg owned by %d after the failed acquire, want 0", o)
 			}
 			if _, found, _ := fl.leases.Load("cg"); found {

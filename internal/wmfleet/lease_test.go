@@ -115,7 +115,6 @@ func TestLeaseOpsSurviveTransientBurst(t *testing.T) {
 	}}
 	eng := faults.NewEngine(clk, nil, plan)
 	eng.Start()
-	defer eng.Stop()
 	store := datastore.Armor(faults.WrapStore(datastore.NewMemory(), eng),
 		telemetry.Nop(), "memory", datastore.ArmorOptions{})
 	lt := NewLeaseTable(clk, store, nil, "lease")
